@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import powermodel
+from ._pool import map_ordered
 from .distribution import PowerQuadratic
 from .geometry import Geometry, sample_nn_geometries
 from .params import LinearParams
@@ -176,11 +176,7 @@ def simulate_protocol_trial(stream, geom: Geometry, powers: PowerBreakdown,
 def _map_blocks(n: int, workers: int, block_fn):
     """Run block_fn(block_index, block_size) for all blocks; ordered results."""
     sizes = [(j, min(_BLOCK, n - j * _BLOCK)) for j in range((n + _BLOCK - 1) // _BLOCK)]
-    if workers <= 1:
-        return [block_fn(j, size) for j, size in sizes]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(block_fn, j, size) for j, size in sizes]
-        return [f.result() for f in futures]
+    return map_ordered(block_fn, sizes, workers)
 
 
 def estimate_outage(n: int, geom: Geometry, params: LinearParams,
@@ -306,18 +302,30 @@ def sample_power_distribution(n: int, rho: float, r1: float,
 
 
 def ks_distance(samples: np.ndarray, cdf) -> float:
-    """Kolmogorov-Smirnov statistic between sorted samples and a model CDF."""
+    """Kolmogorov-Smirnov statistic between sorted samples and a model CDF.
+
+    ``cdf`` is either the model CDF's values at ``samples`` (an array of the
+    same shape) or a callable.  A callable is first given the whole array; if
+    it raises ``TypeError`` or returns the wrong shape it is taken to be
+    scalar-only and called point by point.  Any other error propagates.
+    """
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("samples must be non-empty")
     if np.any(np.diff(samples) < 0):
         raise ValueError("samples must be sorted ascending")
-    try:
-        f = np.asarray(cdf(samples), dtype=float)
+    if callable(cdf):
+        try:
+            f = np.asarray(cdf(samples), dtype=float)
+        except TypeError:  # scalar-only callable
+            f = None
+        if f is None or f.shape != samples.shape:
+            f = np.array([cdf(x) for x in samples], dtype=float)
+    else:
+        f = np.asarray(cdf, dtype=float)
         if f.shape != samples.shape:
-            raise TypeError
-    except (TypeError, ValueError):  # scalar-only callable
-        f = np.array([cdf(x) for x in samples], dtype=float)
+            raise ValueError(f"CDF values have shape {f.shape}, "
+                             f"samples have shape {samples.shape}")
     n = samples.size
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -142,6 +143,77 @@ def test_cdf_batch_matches_scalar(quad5, dense_params):
     scalar = np.array([cdf_reference(p, quad5, rho, epsabs=1e-12) for p in grid])
     batch = cdf_reference_batch(grid, quad5, rho)
     assert np.max(np.abs(batch - scalar)) < 5e-11
+
+
+def _batch_probe_points(quad):
+    """Points below the support, in Q1 and in Q2; neither branch a whole number of chunks."""
+    c0 = quad.c0
+    return np.concatenate([
+        np.linspace(0.5 * quad.support_min, quad.support_min, 101),
+        np.linspace(quad.support_min, c0, 20_001)[1:],
+        c0 * (1.0 + np.geomspace(1e-12, 5.0, 25_000)),
+    ])
+
+
+def _batch_cdf_allocating(p_values, quad, rho, n_nodes=128, chunk=16384):
+    """The batch CDF written with plain allocating expressions, same chunks."""
+    out = np.zeros(p_values.shape)
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    k, a = quad.half_b_max, quad.a
+    t = 0.25 * math.pi * (x + 1.0)
+    wt = (0.25 * math.pi / math.pi) * w
+    sin_t, cos_t = np.sin(t)[None, :], np.cos(t)[None, :]
+    idx = np.flatnonzero((p_values > quad.support_min) & (p_values <= quad.c0))
+    for start in range(0, idx.size, chunk):
+        sel = idx[start:start + chunk]
+        p = p_values[sel][:, None]
+        m2 = np.clip(a * (quad.c0 - p) / (k * k), 0.0, 1.0)
+        s = np.sqrt(1.0 - m2)
+        sin_u = s * sin_t
+        cos_u = np.sqrt(np.maximum(1.0 - sin_u * sin_u, m2))
+        gap = (k / a) * s * cos_t
+        mid = (k / a) * cos_u
+        g = (np.exp(-math.pi * rho * np.square(mid - gap))
+             - np.exp(-math.pi * rho * np.square(mid + gap)))
+        out[sel] = (g * (s * cos_t) / cos_u) @ wt
+    theta = 0.5 * math.pi * (x + 1.0)
+    wth = (0.5 * math.pi / math.pi) * w
+    half_b = k * np.cos(theta)[None, :]
+    idx = np.flatnonzero(p_values > quad.c0)
+    for start in range(0, idx.size, chunk):
+        sel = idx[start:start + chunk]
+        q = (p_values[sel] - quad.c0)[:, None]
+        disc = np.sqrt(a * q + half_b * half_b) + np.abs(half_b)
+        r_hi = np.where(half_b > 0.0, q / disc, disc / a)
+        out[sel] = -np.expm1(-math.pi * rho * (r_hi * r_hi)) @ wth
+    return out
+
+
+def test_cdf_batch_in_place_kernel_matches_allocating_form_bitwise(quad5, dense_params):
+    p = _batch_probe_points(quad5)
+    fast = cdf_reference_batch(p, quad5, dense_params.rho)
+    assert np.array_equal(fast, _batch_cdf_allocating(p, quad5, dense_params.rho))
+
+
+def test_cdf_batch_bitwise_independent_of_workers(quad5, dense_params):
+    rho = dense_params.rho
+    p = _batch_probe_points(quad5)
+    assert p.size % 16384 != 0
+    serial = cdf_reference_batch(p, quad5, rho, workers=1)
+    assert np.all(serial[:101] == 0.0) and np.all(serial[101:] > 0.0)
+    # more threads than cores, with frequent thread switches
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 4):
+            assert np.array_equal(cdf_reference_batch(p, quad5, rho, workers=workers),
+                                  serial)
+    finally:
+        sys.setswitchinterval(interval)
+    for p0 in (p[50], p[5000], p[-3]):
+        one = cdf_reference_batch(np.float64(p0), quad5, rho, workers=1)
+        two = cdf_reference_batch(np.float64(p0), quad5, rho, workers=2)
+        assert isinstance(two, float) and two == one
 
 
 def test_branch_form_matches_reference_below_c0(quad5, dense_params):

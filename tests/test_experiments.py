@@ -1,4 +1,5 @@
 import filecmp
+import re
 
 import pytest
 
@@ -167,6 +168,22 @@ def test_validate_report_passes_and_is_deterministic(tmp_path):
         assert section in text
 
 
+def test_validate_report_evaluates_batch_cdf_once(tmp_path, monkeypatch):
+    from nncc import distribution
+
+    calls = []
+    batch = distribution.cdf_reference_batch
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("workers"))
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(distribution, "cdf_reference_batch", counting)
+    validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
+                                   seed=7, n_trials=10_000, workers=2))
+    assert calls == [2]
+
+
 def test_validate_report_refuses_small_budget(tmp_path):
     with pytest.raises(ValueError) as err:
         validate_report(ExperimentSpec(kind="validate",
@@ -220,3 +237,21 @@ def test_cli_rejects_bad_parameter(tmp_path, capsys):
     assert main(["figure", "3", "--out", out, "--trials", str(TRIALS),
                  "--rho", "-1"]) == 2
     assert "rho" in capsys.readouterr().err
+
+
+def test_cli_validate_support_ending_near_c0(tmp_path):
+    """With support_upper within 1e-3 of c0 the finite-difference row is n/a."""
+    out = tmp_path / "v.txt"
+    code = main(["validate", "--out", str(out), "--seed", "7", "--trials", "10000",
+                 "--rho", "0.1", "--r1", "20000"])
+    assert code in (0, 1)
+    text = out.read_text(encoding="utf-8")
+    assert re.search(r"^summary: \d+/\d+ bounded checks passed$", text, re.M)
+    assert "(50 interior points): n/a" in text
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_cli_rejects_workers_below_one(tmp_path, capsys, workers):
+    out = str(tmp_path / "x.csv")
+    assert main(["figure", "3", "--out", out, "--workers", workers]) == 2
+    assert "workers" in capsys.readouterr().err

@@ -240,3 +240,21 @@ def test_ks_distance_accepts_scalar_callable():
     samples = np.array([0.2, 0.4, 0.9])
     assert ks_distance(samples, lambda x: float(np.clip(x, 0, 1))) == pytest.approx(
         ks_distance(samples, lambda x: np.clip(x, 0, 1)))
+
+
+def test_ks_distance_takes_cdf_values():
+    samples = np.array([0.2, 0.4, 0.9])
+    values = np.clip(samples, 0, 1)
+    assert ks_distance(samples, values) == ks_distance(samples, lambda x: np.clip(x, 0, 1))
+    with pytest.raises(ValueError):
+        ks_distance(samples, values[:2])
+
+
+def test_ks_distance_propagates_vectorised_cdf_error():
+    def cdf(x):
+        if np.ndim(x):
+            raise ValueError("bad vectorised evaluation")
+        return 0.5
+
+    with pytest.raises(ValueError, match="bad vectorised evaluation"):
+        ks_distance(np.array([0.2, 0.4, 0.9]), cdf)
