@@ -257,10 +257,13 @@ def cdf_reference_batch(p_values, quad: PowerQuadratic, rho: float, *,
 
     Each branch is evaluated in chunks of ``chunk`` points, ``workers``
     threads taking chunks concurrently and each chunk writing its own slice of
-    the output, so the result is bit-identical for any ``workers``.  The chunk
-    boundaries are part of the result: the node sum is a BLAS matrix-vector
-    product whose rounding can depend on the number of rows, so a different
-    ``chunk`` may change the low bits.
+    the output.  The chunk boundaries are part of the result: the node sum is
+    a BLAS matrix-vector product whose rounding can depend on the number of
+    rows (and on the BLAS library's own thread count), so a different
+    ``chunk`` may change the low bits.  ``workers`` does not: each chunk's
+    product has the same shape whichever thread runs it, and the BLAS
+    library splits a product by its shape and its own thread count, not by
+    the calling thread, so the result is bit-identical for any ``workers``.
     """
     p_values = np.asarray(p_values, dtype=float)
     out = np.zeros(p_values.shape, dtype=float)

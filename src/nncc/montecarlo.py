@@ -307,7 +307,11 @@ def ks_distance(samples: np.ndarray, cdf) -> float:
     ``cdf`` is either the model CDF's values at ``samples`` (an array of the
     same shape) or a callable.  A callable is first given the whole array; if
     it raises ``TypeError`` or returns the wrong shape it is taken to be
-    scalar-only and called point by point.  Any other error propagates.
+    scalar-only and called point by point.  Any other error propagates, so a
+    scalar function that fails on an array with ``ValueError`` -- such as
+    ``cdf_reference``, whose ``p <= ...`` test has no truth value for an
+    array -- must be evaluated by the caller and passed as values, e.g.
+    ``ks_distance(samples, [cdf_reference(p, quad, rho) for p in samples])``.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:

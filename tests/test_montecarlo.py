@@ -8,6 +8,7 @@ from nncc import (
     Geometry,
     OutageTargets,
     PowerQuadratic,
+    cdf_reference,
     cdf_reference_batch,
     cellular_coeff,
     expected_power,
@@ -258,3 +259,16 @@ def test_ks_distance_propagates_vectorised_cdf_error():
 
     with pytest.raises(ValueError, match="bad vectorised evaluation"):
         ks_distance(np.array([0.2, 0.4, 0.9]), cdf)
+
+
+def test_ks_distance_scalar_reference_cdf_is_passed_as_values(dense_params):
+    """cdf_reference fails on an array with ValueError; its values are passed instead."""
+    rho = dense_params.rho
+    quad = PowerQuadratic.from_params(dense_params, 1500.0)
+    samples = np.concatenate([np.linspace(quad.support_min, quad.c0, 6)[1:],
+                              quad.c0 * np.linspace(1.01, 1.5, 5)])
+    with pytest.raises(ValueError, match="truth value"):
+        ks_distance(samples, lambda p: cdf_reference(p, quad, rho))
+    values = [cdf_reference(p, quad, rho) for p in samples]
+    assert ks_distance(samples, values) == pytest.approx(
+        ks_distance(samples, cdf_reference_batch(samples, quad, rho)), abs=1e-9)
