@@ -14,12 +14,12 @@ import numpy as np
 
 from nncc import (
     Geometry,
+    Link,
     OutageTargets,
     SystemParams,
-    cellular_coeff,
     conventional_power,
     nncc_power_breakdown,
-    short_range_coeff,
+    power_coefficients,
     validate,
 )
 
@@ -33,13 +33,16 @@ print(f"per-link target, cooperative      {targets.p_out_nc:.6f}")
 print(f"per-link target, solo uplinks     {targets.p_out_c:.3e}")
 print()
 
-zeta = short_range_coeff(params)
-eta = cellular_coeff(params, targets.p_out_nc)
-eta_c = cellular_coeff(params, targets.p_out_c)
-print(f"exchange power coefficient  zeta   = {zeta:.4e} W/m^2")
-print(f"cellular coefficient (coop) eta    = {eta:.4e} W/m^2")
-print(f"cellular coefficient (solo) eta_c  = {eta_c:.4e} W/m^2")
-print(f"solo links need {eta_c / eta:.1f}x the cooperative per-m^2 power")
+# one link budget per link: the exchange and each handset's uplink
+coeff = power_coefficients(params)
+eta_c = Link.cellular(params, 1).coeff(targets.p_out_c)
+print(f"exchange power coefficient  zeta   = {coeff.zeta:.4e} W/m^2")
+print(f"cellular coefficient (coop) eta1   = {coeff.eta1:.4e} W/m^2")
+print(f"cellular coefficient (solo) eta_c1 = {eta_c:.4e} W/m^2")
+print(f"solo links need {eta_c / coeff.eta1:.1f}x the cooperative per-m^2 power")
+weak = power_coefficients(validate(SystemParams(g_u2_db=-3.0)))
+print(f"a handset with 3 dB less antenna gain needs eta2 = {weak.eta2:.4e} W/m^2 "
+      f"({weak.eta2 / weak.eta1:.3f}x)")
 print()
 
 r = 20.0
@@ -47,8 +50,8 @@ print(f"round totals at inter-user distance r = {r} m (bearing averaged):")
 print(f"{'r1 (m)':>8} {'cooperative (W)':>16} {'solo (W)':>12} {'ratio':>7}")
 for r1 in np.linspace(500.0, 3000.0, 6):
     geom = Geometry(r1=r1, r=r, theta=0.5 * math.pi, r2=math.hypot(r1, r))
-    coop = nncc_power_breakdown(geom, params).total_nncc
-    solo = conventional_power(geom, params).total_conventional
+    coop = nncc_power_breakdown(geom, params).total
+    solo = conventional_power(geom, params).total
     print(f"{r1:8.0f} {coop:16.6e} {solo:12.4e} {solo / coop:7.1f}")
 print()
 
@@ -58,5 +61,5 @@ print("cooperative breakdown at r1 = 2000 m:")
 print(f"  exchange (each way)   {b.p12:.4e} W")
 print(f"  uplink from handset 1 {b.p1b:.4e} W")
 print(f"  uplink from handset 2 {b.p2b:.4e} W")
-print(f"  round total           {b.total_nncc:.4e} W "
+print(f"  round total           {b.total:.4e} W "
       f"(uplinks weighted by {targets.eps_total:.4f} expected slots)")

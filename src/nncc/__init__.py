@@ -26,10 +26,10 @@ from .geometry import (
     sample_nn_geometries,
 )
 from .powermodel import (
+    Link,
     OutageTargets,
     PowerBreakdown,
     PowerCoefficients,
-    cellular_coeff,
     composite_outage_nncc,
     conventional_power,
     link_capacity,
@@ -37,10 +37,6 @@ from .powermodel import (
     per_link_outage_conventional,
     per_link_outage_nncc,
     power_coefficients,
-    received_snr_cellular,
-    received_snr_short,
-    short_range_coeff,
-    short_range_outage_prob,
 )
 from .distribution import (
     DistributionResult,

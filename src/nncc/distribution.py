@@ -3,8 +3,8 @@
 At a fixed placement the round total is a quadratic in the neighbor distance,
 
     P(r, theta) = a*r^2 + b(theta)*r + c0,
-    a = 2*zeta + eps_total*eta,  b(theta) = 2*eps_total*eta*r1*cos(theta),
-    c0 = 2*eps_total*eta*r1^2,
+    a = 2*zeta + eps_total*eta2,  b(theta) = 2*eps_total*eta2*r1*cos(theta),
+    c0 = eps_total*(eta1 + eta2)*r1^2,
 
 so with the PPP neighbor-distance law and a uniform bearing the CDF of the
 total is an integral over theta of the probability mass the neighbor distance
@@ -67,12 +67,21 @@ class PowerQuadratic:
 
     @classmethod
     def from_params(cls, params: LinearParams, r1: float) -> "PowerQuadratic":
-        if r1 <= 0:
-            raise ValueError(f"r1 must be > 0, got {r1!r}")
-        coeff = powermodel.power_coefficients(params)
         eps_total = powermodel.OutageTargets.for_target(params.p_out_target).eps_total
-        ee = eps_total * coeff.eta
-        return cls(a=2.0 * coeff.zeta + ee, b_coeff=2.0 * ee * r1, c0=2.0 * ee * r1 * r1)
+        return cls.from_coefficients(powermodel.power_coefficients(params), eps_total, r1)
+
+    @classmethod
+    def from_coefficients(cls, coeff: powermodel.PowerCoefficients, eps_total: float,
+                          r1) -> "PowerQuadratic":
+        """Expand 2*zeta*r^2 + eps_total*(eta1*r1^2 + eta2*r2^2) in r.
+
+        ``r1`` may also be an array of distances, giving array coefficients.
+        """
+        if np.any(np.asarray(r1) <= 0):
+            raise ValueError(f"r1 must be > 0, got {r1!r}")
+        ee2 = eps_total * coeff.eta2
+        return cls(a=2.0 * coeff.zeta + ee2, b_coeff=2.0 * ee2 * r1,
+                   c0=eps_total * (coeff.eta1 + coeff.eta2) * r1 * r1)
 
     def b(self, theta: float) -> float:
         return self.b_coeff * math.cos(theta)
@@ -372,12 +381,19 @@ def expected_power_quadrature(quad: PowerQuadratic, rho: float, *,
 
 
 def expected_power_conventional(params: LinearParams, r1: float) -> float:
-    """Mean baseline total over the PPP, by the same moment argument."""
+    """Mean baseline total over the PPP, by the same moment argument.
+
+    The mean of eta1*r1^2 + eta2*r2^2 is (eta1 + eta2)*r1^2 + eta2*m with
+    m = 1/(pi*rho); it is taken around the mean coefficient, so that with
+    equal handset gains the difference term is exactly zero.
+    """
     if r1 <= 0:
         raise ValueError(f"r1 must be > 0, got {r1!r}")
-    targets = powermodel.OutageTargets.for_target(params.p_out_target)
-    eta_c = powermodel.cellular_coeff(params, targets.p_out_c)
-    return eta_c * (2.0 * r1 * r1 + 1.0 / (math.pi * params.rho))
+    p_c = powermodel.OutageTargets.for_target(params.p_out_target).p_out_c
+    eta1 = powermodel.Link.cellular(params, 1).coeff(p_c)
+    eta2 = powermodel.Link.cellular(params, 2).coeff(p_c)
+    m = 1.0 / (math.pi * params.rho)
+    return 0.5 * (eta1 + eta2) * (2.0 * r1 * r1 + m) + 0.5 * (eta2 - eta1) * m
 
 
 def energy_efficiency(expected: float, rate: float) -> float:

@@ -33,15 +33,14 @@ FIGURE_PRESETS = {
     "figure3": dict(var="r1", v_min=500.0, v_max=3000.0, count=26,
                     spacing="linear", fixed={"r": 20.0, "p_out_target": 1e-3,
                                              "rate": 1e5}),
-    "figure4": dict(var="r1", v_min=500.0, v_max=3000.0, count=26,
-                    spacing="linear", fixed={"r": 20.0, "p_out_target": 1e-3,
-                                             "rate": 1e5}),
     "figure5": dict(var="rho", v_min=1e-5, v_max=1e-3, count=25,
                     spacing="log", fixed={"r1": 2000.0, "rate": 1e7,
                                           "p_out_target": 1e-3}),
     "figure6": dict(var="p_out_target", v_min=1e-4, v_max=1e-1, count=25,
                     spacing="log", fixed={"r1": 150.0, "rate": 1e6}),
 }
+# figure 4 is the efficiency view of the figure 3 sweep
+FIGURE_PRESETS["figure4"] = FIGURE_PRESETS["figure3"]
 
 
 @dataclass
@@ -133,8 +132,8 @@ def _sweep_row(params: LinearParams, r1: float, r: float | None,
     if r is not None:
         geom = Geometry(r1=r1, r=r, theta=0.5 * math.pi,
                         r2=math.hypot(r1, r))
-        e_nncc = powermodel.nncc_power_breakdown(geom, params).total_nncc
-        e_conv = powermodel.conventional_power(geom, params).total_conventional
+        e_nncc = powermodel.nncc_power_breakdown(geom, params).total
+        e_conv = powermodel.conventional_power(geom, params).total
         report = mc.estimate_outage(n_trials, geom, params, stream, workers=workers)
     else:
         quad = dist.PowerQuadratic.from_params(params, r1)
@@ -225,13 +224,14 @@ class _Report:
 
 
 def _closure_section(rep: _Report, params: LinearParams, seed: int,
-                     eta_scale: float) -> None:
+                     coeff: powermodel.PowerCoefficients,
+                     scaled: powermodel.PowerCoefficients) -> None:
     rep.add("[a] closed-form closure identities")
-    coeff = powermodel.power_coefficients(params)
     targets = powermodel.OutageTargets.for_target(params.p_out_target)
 
-    res = max(abs(powermodel.short_range_outage_prob(coeff.zeta * r * r, r, params)
-                  - params.p_out_target) for r in (1.0, 20.0, 100.0))
+    short = powermodel.Link.short(params)
+    res = max(abs(short.outage(coeff.zeta * r * r, r) - params.p_out_target)
+              for r in (1.0, 20.0, 100.0))
     rep.check("short-range power inversion residual", res, 1e-12)
 
     res = max(abs(powermodel.composite_outage_nncc(
@@ -243,40 +243,30 @@ def _closure_section(rep: _Report, params: LinearParams, seed: int,
     res = abs(-(math.expm1(2.0 * math.log1p(-p_c))) - params.p_out_target)
     rep.check("conventional outage closure residual", res, 1e-12)
 
-    # total vs quadratic identity on random placements; eta_scale is the
-    # fault-injection hook used by the test suite
+    # total vs quadratic identity on random placements; the quadratic is
+    # built from the eta_scale-scaled coefficients (see validate_report).
+    # eps*(eta1*r1^2 + eta2*r2^2) is split around the mean coefficient, so
+    # with equal handset gains the difference term is exactly zero.
     rng = np.random.default_rng(seed)
-    eps_eta = targets.eps_total * coeff.eta * eta_scale
+    eps = targets.eps_total
     r1s = rng.uniform(100.0, 3000.0, 10_000)
     rs = rng.uniform(0.0, 300.0, 10_000)
     thetas = rng.uniform(-0.5 * math.pi, 1.5 * math.pi, 10_000)
     r2s = np.sqrt(rs * rs + r1s * r1s + 2.0 * r1s * rs * np.cos(thetas))
-    total = 2.0 * coeff.zeta * rs * rs + targets.eps_total * coeff.eta * (r1s * r1s + r2s * r2s)
-    quad_form = ((2.0 * coeff.zeta + eps_eta) * rs * rs
-                 + 2.0 * eps_eta * r1s * np.cos(thetas) * rs
-                 + 2.0 * eps_eta * r1s * r1s)
+    total = (2.0 * coeff.zeta * rs * rs
+             + eps * (0.5 * (coeff.eta1 + coeff.eta2)) * (r1s * r1s + r2s * r2s)
+             + eps * (0.5 * (coeff.eta2 - coeff.eta1)) * (r2s * r2s - r1s * r1s))
+    quad = dist.PowerQuadratic.from_coefficients(scaled, eps, r1s)
+    quad_form = quad.a * rs * rs + quad.b_coeff * np.cos(thetas) * rs + quad.c0
     res = float(np.max(np.abs(total - quad_form) / total))
     rep.check("total vs quadratic-form max relative residual", res, 1e-9,
               detail="(10000 random placements)")
 
 
-def _quadratic_with_scale(params: LinearParams, r1: float,
-                          eta_scale: float) -> dist.PowerQuadratic:
-    if eta_scale == 1.0:
-        return dist.PowerQuadratic.from_params(params, r1)
-    coeff = powermodel.power_coefficients(params)
-    eps_total = powermodel.OutageTargets.for_target(params.p_out_target).eps_total
-    ee = eps_total * coeff.eta * eta_scale
-    return dist.PowerQuadratic(a=2.0 * coeff.zeta + ee, b_coeff=2.0 * ee * r1,
-                               c0=2.0 * ee * r1 * r1)
-
-
-def _distribution_sections(rep: _Report, params: LinearParams, r1: float,
-                           n_trials: int, seed: int, workers: int,
-                           eta_scale: float) -> None:
+def _distribution_sections(rep: _Report, params: LinearParams,
+                           quad: dist.PowerQuadratic, r1: float,
+                           n_trials: int, seed: int, workers: int) -> None:
     rho = params.rho
-    quad = _quadratic_with_scale(params, r1, eta_scale)
-
     rep.add(f"[b] power distribution vs Monte Carlo (rho = {_fmt(rho)}, "
             f"r1 = {_fmt(r1)})")
     sample = mc.sample_power_distribution(n_trials, rho, r1, params,
@@ -315,10 +305,8 @@ def _distribution_sections(rep: _Report, params: LinearParams, r1: float,
                     samp.mean_energy, closed, samp.energy_stderr)
 
 
-def _branch_form_section(rep: _Report, params: LinearParams, r1: float,
-                         eta_scale: float) -> None:
-    rho = params.rho
-    quad = _quadratic_with_scale(params, r1, eta_scale)
+def _branch_form_section(rep: _Report, quad: dist.PowerQuadratic,
+                         rho: float) -> None:
     rep.add("[e] two-branch distribution expressions vs the reference")
     result_grid = np.geomspace(quad.support_min, dist.support_upper(quad, rho), 192)
     cdf_ref = np.array([dist.cdf_reference(p, quad, rho) for p in result_grid])
@@ -377,11 +365,12 @@ def _protocol_section(rep: _Report, params: LinearParams, r1: float, r: float,
     per_msg = targets.eps_short * x * x + (1.0 - targets.eps_short) * x
     rep.info("per-message outage rate (reported, lower than composite)",
              f"{_fmt(rpt.outage_d1)} measured vs {_fmt(per_msg)} predicted")
-    mean_pred = (powermodel.nncc_power_breakdown(geom, params).total_nncc)
+    mean_pred = powermodel.nncc_power_breakdown(geom, params).total
     rep.check_z("mean round energy", rpt.mean_energy, mean_pred, rpt.energy_stderr)
 
-    coeff = powermodel.power_coefficients(params)
-    rate, se = mc.estimate_link_outage(n_trials, coeff.eta * r1 * r1, r1, params,
+    eta1 = powermodel.power_coefficients(params).eta1
+    rate, se = mc.estimate_link_outage(n_trials, powermodel.Link.cellular(params, 1),
+                                       eta1 * r1 * r1, r1,
                                        mc.RandomStream(seed, stream_id=302),
                                        workers=workers)
     rep.check_z("single cellular uplink outage", rate, targets.p_out_nc, se)
@@ -396,9 +385,9 @@ def _protocol_section(rep: _Report, params: LinearParams, r1: float, r: float,
 def validate_report(spec: ExperimentSpec, eta_scale: float = 1.0) -> tuple[str, bool]:
     """Write the cross-validation report; returns (path, all bounded checks ok).
 
-    ``eta_scale`` rescales the cellular coefficient inside the quadratic-form
-    and distribution sections only; it exists so tests can verify that a
-    corrupted coefficient is actually flagged.
+    ``eta_scale`` rescales both uplink coefficients of the quadratic that the
+    quadratic-form check and sections [b] and [e] use; it exists so tests
+    can verify that a corrupted coefficient is actually flagged.
     """
     spec = spec.resolved()
     if spec.n_trials < mc.MIN_TRIALS:
@@ -421,11 +410,16 @@ def validate_report(spec: ExperimentSpec, eta_scale: float = 1.0) -> tuple[str, 
     rep.add(f"  seed = {spec.seed}")
     rep.add(f"  n_trials = {spec.n_trials}")
 
-    _closure_section(rep, params, spec.seed, eta_scale)
-    _distribution_sections(rep, params, r1, spec.n_trials, spec.seed,
-                           spec.workers, eta_scale)
+    coeff = powermodel.power_coefficients(params)
+    scaled = replace(coeff, eta1=coeff.eta1 * eta_scale, eta2=coeff.eta2 * eta_scale)
+    eps_total = powermodel.OutageTargets.for_target(params.p_out_target).eps_total
+    quad = dist.PowerQuadratic.from_coefficients(scaled, eps_total, r1)
+
+    _closure_section(rep, params, spec.seed, coeff, scaled)
+    _distribution_sections(rep, params, quad, r1, spec.n_trials, spec.seed,
+                           spec.workers)
     _protocol_section(rep, params, r1, r, spec.n_trials, spec.seed, spec.workers)
-    _branch_form_section(rep, params, r1, eta_scale)
+    _branch_form_section(rep, quad, params.rho)
 
     ok = not rep.failures
     rep.add(f"summary: {rep.n_checks - len(rep.failures)}/{rep.n_checks} "

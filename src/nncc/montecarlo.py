@@ -20,7 +20,7 @@ from ._pool import map_ordered
 from .distribution import PowerQuadratic
 from .geometry import Geometry, sample_nn_geometries
 from .params import LinearParams
-from .powermodel import PowerBreakdown
+from .powermodel import Link, PowerBreakdown
 
 MIN_TRIALS = 10_000  # reported confidence intervals are meaningless below this
 _BLOCK = 1 << 15
@@ -98,30 +98,11 @@ def _require_trials(n: int) -> None:
             f"need at least {MIN_TRIALS} trials")
 
 
-def _fading_threshold(p_tx: float, dist: float, gap: float, bandwidth: float,
-                      lam: float, gain: float, n0: float, rate: float) -> float:
-    """Smallest fading power gain that still meets the rate at this power."""
-    if p_tx <= 0.0:
-        return math.inf
-    snr_needed = gap * math.expm1(math.log(2.0) * rate / bandwidth)
-    spread = 4.0 * math.pi * dist / lam
-    return snr_needed * n0 * bandwidth * spread * spread / (p_tx * gain)
-
-
-def _protocol_thresholds(geom: Geometry, powers: PowerBreakdown, params: LinearParams):
-    t12 = _fading_threshold(powers.p12, geom.r, params.delta_s, params.b_s,
-                            params.lambda_s, params.g_u1 * params.g_u2,
-                            params.n0, params.rate)
-    t21 = _fading_threshold(powers.p21, geom.r, params.delta_s, params.b_s,
-                            params.lambda_s, params.g_u1 * params.g_u2,
-                            params.n0, params.rate)
-    t1b = _fading_threshold(powers.p1b, geom.r1, params.delta_c, params.b_c,
-                            params.lambda_c, params.g_u1 * params.g_bs,
-                            params.n0, params.rate)
-    t2b = _fading_threshold(powers.p2b, geom.r2, params.delta_c, params.b_c,
-                            params.lambda_c, params.g_u2 * params.g_bs,
-                            params.n0, params.rate)
-    return t12, t21, t1b, t2b
+def _thresholds(geom: Geometry, powers: PowerBreakdown, params: LinearParams):
+    """Fading thresholds of the exchange (either direction) and of each uplink."""
+    return (Link.short(params).threshold(powers.p12, geom.r),
+            Link.cellular(params, 1).threshold(powers.p1b, geom.r1),
+            Link.cellular(params, 2).threshold(powers.p2b, geom.r2))
 
 
 def simulate_protocol_trial(stream, geom: Geometry, powers: PowerBreakdown,
@@ -139,13 +120,13 @@ def simulate_protocol_trial(stream, geom: Geometry, powers: PowerBreakdown,
     fails.
     """
     rng = stream.generator() if isinstance(stream, RandomStream) else stream
-    t12, t21, t1b, t2b = _protocol_thresholds(geom, powers, params)
+    t12, t1b, t2b = _thresholds(geom, powers, params)
 
     if fading is None:
         h12, h21 = rng.exponential(params.sigma2_short, 2)
     else:
         h12, h21 = fading.h12, fading.h21
-    delta = 0 if (h12 >= t12 and h21 >= t21) else 1
+    delta = 0 if (h12 >= t12 and h21 >= t12) else 1
 
     if fading is None:
         h1b_2, h2b_2 = rng.exponential(params.sigma2_cell, 2)
@@ -155,7 +136,7 @@ def simulate_protocol_trial(stream, geom: Geometry, powers: PowerBreakdown,
     own2 = h2b_2 >= t2b
 
     cellular = powers.p1b + powers.p2b
-    energy = powers.p12 + powers.p21 + cellular
+    energy = 2.0 * powers.p12 + cellular
     if delta == 0:
         if fading is None:
             h1b_3, h2b_3 = rng.exponential(params.sigma2_cell, 2)
@@ -188,14 +169,14 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
 
     if scheme == "nncc":
         powers = powermodel.nncc_power_breakdown(geom, params)
-        t12, t21, t1b, t2b = _protocol_thresholds(geom, powers, params)
+        t12, t1b, t2b = _thresholds(geom, powers, params)
         sig_s, sig_c = params.sigma2_short, params.sigma2_cell
 
         def block_fn(j, size):
             rng = stream.block(j)
             h12 = rng.exponential(sig_s, size)
             h21 = rng.exponential(sig_s, size)
-            delta0 = (h12 >= t12) & (h21 >= t21)
+            delta0 = (h12 >= t12) & (h21 >= t12)
             own1 = rng.exponential(sig_c, size) >= t1b
             own2 = rng.exponential(sig_c, size) >= t2b
             relay2 = rng.exponential(sig_c, size) >= t1b  # slot-3 use of U1's uplink
@@ -213,7 +194,7 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
         n_delta0 = sum(p[3] for p in parts)
 
         cellular = powers.p1b + powers.p2b
-        e1 = powers.p12 + powers.p21 + cellular          # delta = 1 rounds
+        e1 = 2.0 * powers.p12 + cellular                 # delta = 1 rounds
         e0 = e1 + cellular                               # delta = 0 rounds
         mean_e = (n_delta0 * e0 + (n - n_delta0) * e1) / n
         var_e = (n_delta0 * (e0 - mean_e) ** 2
@@ -222,7 +203,7 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
 
     elif scheme == "conventional":
         powers = powermodel.conventional_power(geom, params)
-        _, _, t1b, t2b = _protocol_thresholds(geom, powers, params)
+        _, t1b, t2b = _thresholds(geom, powers, params)
         sig_c = params.sigma2_cell
 
         def block_fn(j, size):
@@ -235,7 +216,7 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
         lost1 = sum(p[0] for p in parts)
         lost2 = sum(p[1] for p in parts)
         comp = sum(p[2] for p in parts)
-        mean_e = powers.total_conventional
+        mean_e = powers.total
         var_e = 0.0
         delta0_rate = None
 
@@ -254,28 +235,14 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
     )
 
 
-def estimate_link_outage(n: int, p_tx: float, distance: float,
-                         params: LinearParams, stream: RandomStream,
-                         link: str = "cellular", user: int = 1,
-                         workers: int = 1) -> tuple[float, float]:
+def estimate_link_outage(n: int, link: Link, p_tx: float, distance: float,
+                         stream: RandomStream, workers: int = 1) -> tuple[float, float]:
     """Empirical outage of one link at fixed power; returns (rate, stderr)."""
     _require_trials(n)
-    if link == "cellular":
-        g_u = params.g_u1 if user == 1 else params.g_u2
-        t = _fading_threshold(p_tx, distance, params.delta_c, params.b_c,
-                              params.lambda_c, g_u * params.g_bs,
-                              params.n0, params.rate)
-        sigma2 = params.sigma2_cell
-    elif link == "short":
-        t = _fading_threshold(p_tx, distance, params.delta_s, params.b_s,
-                              params.lambda_s, params.g_u1 * params.g_u2,
-                              params.n0, params.rate)
-        sigma2 = params.sigma2_short
-    else:
-        raise ValueError(f"unknown link {link!r}")
+    t = link.threshold(p_tx, distance)
 
     def block_fn(j, size):
-        return int(np.sum(stream.block(j).exponential(sigma2, size) < t))
+        return int(np.sum(stream.block(j).exponential(link.sigma2, size) < t))
 
     lost = sum(_map_blocks(n, workers, block_fn))
     return lost / n, _binom_stderr(lost / n, n)

@@ -2,7 +2,9 @@
 
 Every link sees free-space path loss and unit-exponential-scaled Rayleigh
 fading, so each per-link outage probability inverts in closed form to a
-"desired power" of the shape ``coeff * distance^2``.  The cooperative scheme
+"desired power" of the shape ``coeff * distance^2``.  :class:`Link` holds that
+one link budget for the closed forms and the simulator alike; each handset's
+uplink has its own, set by its own antenna gain.  The cooperative scheme
 additionally needs the per-link cellular outage target that makes the
 composite (three-slot) outage hit the end-to-end target.
 """
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import Geometry
-from .params import LinearParams
+from .params import LinearParams, ParameterError
 
 _16PI2 = 16.0 * math.pi * math.pi
 
@@ -47,26 +49,25 @@ class OutageTargets:
 
 @dataclass(frozen=True)
 class PowerCoefficients:
-    """Per-square-meter desired-power coefficients (both strictly positive)."""
+    """Per-square-meter desired-power coefficients (all strictly positive)."""
 
     zeta: float  # short-range link: power = zeta * r^2, W/m^2
-    eta: float   # cellular link: power = eta * r_i^2, W/m^2
+    eta1: float  # handset 1 uplink: power = eta1 * r1^2, W/m^2
+    eta2: float  # handset 2 uplink: power = eta2 * r2^2, W/m^2
 
 
 @dataclass(frozen=True)
 class PowerBreakdown:
-    """Per-link desired powers and scheme totals, in watts.
+    """Per-link desired powers and the scheme's round total, in watts.
 
-    An instance describes a single scheme: the cooperative constructor leaves
-    ``total_conventional`` zero and vice versa.
+    ``p12`` is the exchange power of each direction (both directions span the
+    same distance over the same link); the baseline has no exchange.
     """
 
     p12: float
-    p21: float
     p1b: float
     p2b: float
-    total_nncc: float
-    total_conventional: float
+    total: float
 
 
 def composite_outage_nncc(x: float, p_out: float) -> float:
@@ -104,46 +105,95 @@ def per_link_outage_conventional(p_out: float) -> float:
     return -math.expm1(0.5 * math.log1p(-p_out))
 
 
-def _desired_power_coeff(gap: float, bandwidth: float, lam: float,
-                         gain_product: float, sigma2: float,
-                         n0: float, rate: float, p_link: float) -> float:
-    """Common inversion: outage-target -> power-per-m^2 for one Rayleigh link."""
-    if not (0.0 < p_link < 1.0):
-        raise ValueError(f"per-link outage must lie in (0, 1), got {p_link!r}")
-    snr_needed = gap * math.expm1(math.log(2.0) * rate / bandwidth)
-    return (_16PI2 * n0 * bandwidth * snr_needed
-            / (sigma2 * gain_product * lam * lam * (-math.log1p(-p_link))))
+@dataclass(frozen=True)
+class Link:
+    """Link budget of one free-space, Rayleigh-faded link.
 
-
-def short_range_coeff(params: LinearParams) -> float:
-    """Short-range coefficient zeta: desired exchange power is zeta * r^2."""
-    return _desired_power_coeff(
-        params.delta_s, params.b_s, params.lambda_s,
-        params.g_u1 * params.g_u2, params.sigma2_short,
-        params.n0, params.rate, params.p_out_target,
-    )
-
-
-def cellular_coeff(params: LinearParams, p_link: float) -> float:
-    """Cellular coefficient eta: desired uplink power is eta * r_i^2.
-
-    Serves both schemes; pass the cooperative or the conventional per-link
-    target.  A single coefficient covers both handsets, which assumes they
-    share the antenna gain (g_u1 is used).
+    At transmit power ``p_tx`` over distance ``d`` with fading power gain
+    ``h`` the received SNR is ``p_tx * gain * h / (n0 * bandwidth *
+    (4*pi*d/wavelength)^2)``, and the rate is met when it reaches the
+    required SNR ``gap * (2^(rate/bandwidth) - 1)``.  With ``h`` exponential
+    of mean ``sigma2`` the outage probability inverts in closed form to a
+    desired power ``coeff(p_link) * d^2``.
     """
-    return _desired_power_coeff(
-        params.delta_c, params.b_c, params.lambda_c,
-        params.g_u1 * params.g_bs, params.sigma2_cell,
-        params.n0, params.rate, p_link,
-    )
+
+    gap: float         # capacity gap, linear (>= 1)
+    bandwidth: float   # Hz
+    wavelength: float  # m
+    gain: float        # product of the transmit and receive antenna gains
+    sigma2: float      # mean fading power gain
+    n0: float          # noise power spectral density, W/Hz
+    rate: float        # bits/s
+
+    @classmethod
+    def short(cls, params: LinearParams) -> "Link":
+        """The handset-to-handset exchange link (either direction)."""
+        return cls(params.delta_s, params.b_s, params.lambda_s,
+                   params.g_u1 * params.g_u2, params.sigma2_short,
+                   params.n0, params.rate)
+
+    @classmethod
+    def cellular(cls, params: LinearParams, user: int) -> "Link":
+        """The uplink from handset ``user`` (1 or 2) to the base station."""
+        if user not in (1, 2):
+            raise ValueError(f"user must be 1 or 2, got {user!r}")
+        g_u = params.g_u1 if user == 1 else params.g_u2
+        return cls(params.delta_c, params.b_c, params.lambda_c,
+                   g_u * params.g_bs, params.sigma2_cell, params.n0, params.rate)
+
+    @property
+    def required_snr(self) -> float:
+        """Smallest SNR that carries the rate; a ``ParameterError`` if it overflows."""
+        try:
+            snr = self.gap * math.expm1(math.log(2.0) * self.rate / self.bandwidth)
+        except OverflowError:
+            snr = math.inf
+        if not math.isfinite(snr):
+            raise ParameterError(
+                "rate", f"{self.rate!r} b/s over {self.bandwidth!r} Hz needs an "
+                        "SNR beyond the floating-point range")
+        return snr
+
+    def coeff(self, p_link: float) -> float:
+        """Power per square meter that meets outage ``p_link``: power = coeff * d^2."""
+        if not (0.0 < p_link < 1.0):
+            raise ValueError(f"per-link outage must lie in (0, 1), got {p_link!r}")
+        return (_16PI2 * self.n0 * self.bandwidth * self.required_snr
+                / (self.sigma2 * self.gain * self.wavelength * self.wavelength
+                   * (-math.log1p(-p_link))))
+
+    def threshold(self, p_tx: float, d: float) -> float:
+        """Smallest fading power gain that still meets the rate at this power."""
+        if p_tx <= 0.0:
+            return math.inf
+        spread = 4.0 * math.pi * d / self.wavelength
+        return (self.required_snr * self.n0 * self.bandwidth * spread * spread
+                / (p_tx * self.gain))
+
+    def outage(self, p_tx: float, d: float) -> float:
+        """Outage probability at transmit power ``p_tx`` over distance ``d``."""
+        if p_tx <= 0 or d <= 0:
+            raise ValueError(f"p_tx and d must be > 0, got {p_tx!r} and {d!r}")
+        exponent = (_16PI2 * self.n0 * self.bandwidth * d * d * self.required_snr
+                    / (p_tx * self.sigma2 * self.gain * self.wavelength * self.wavelength))
+        return -math.expm1(-exponent)
+
+    def snr(self, p_tx: float, d: float, fading: float) -> float:
+        """Received SNR for one fading power gain."""
+        if d <= 0 or p_tx < 0 or fading < 0:
+            raise ValueError("need d > 0 (free-space model diverges) and p_tx, "
+                             f"fading >= 0, got {d!r}, {p_tx!r}, {fading!r}")
+        spread = self.wavelength / (4.0 * math.pi * d)
+        return (p_tx / (self.n0 * self.bandwidth)) * spread * spread * self.gain * fading
 
 
 def power_coefficients(params: LinearParams) -> PowerCoefficients:
-    """Both cooperative-scheme coefficients for a validated parameter set."""
-    targets = OutageTargets.for_target(params.p_out_target)
+    """All cooperative-scheme coefficients for a validated parameter set."""
+    p_nc = OutageTargets.for_target(params.p_out_target).p_out_nc
     return PowerCoefficients(
-        zeta=short_range_coeff(params),
-        eta=cellular_coeff(params, targets.p_out_nc),
+        zeta=Link.short(params).coeff(params.p_out_target),
+        eta1=Link.cellular(params, 1).coeff(p_nc),
+        eta2=Link.cellular(params, 2).coeff(p_nc),
     )
 
 
@@ -151,47 +201,23 @@ def nncc_power_breakdown(geom: Geometry, params: LinearParams) -> PowerBreakdown
     """Desired powers and total for one cooperation round at a fixed placement.
 
     The total charges the cellular powers with the expected slot count
-    ``1 + (1-p_out)^2`` and must coincide with its quadratic form in
-    (r, theta); the construction checks that identity.
+    ``1 + (1-p_out)^2``.
     """
     targets = OutageTargets.for_target(params.p_out_target)
     coeff = power_coefficients(params)
     p12 = coeff.zeta * geom.r * geom.r
-    p1b = coeff.eta * geom.r1 * geom.r1
-    p2b = coeff.eta * geom.r2 * geom.r2
-    total = 2.0 * p12 + targets.eps_total * (p1b + p2b)
-
-    ee = targets.eps_total * coeff.eta
-    quadratic = ((2.0 * coeff.zeta + ee) * geom.r * geom.r
-                 + 2.0 * ee * geom.r1 * math.cos(geom.theta) * geom.r
-                 + 2.0 * ee * geom.r1 * geom.r1)
-    assert math.isclose(total, quadratic, rel_tol=1e-9), (total, quadratic)
-
-    return PowerBreakdown(p12=p12, p21=p12, p1b=p1b, p2b=p2b,
-                          total_nncc=total, total_conventional=0.0)
+    p1b = coeff.eta1 * geom.r1 * geom.r1
+    p2b = coeff.eta2 * geom.r2 * geom.r2
+    return PowerBreakdown(p12=p12, p1b=p1b, p2b=p2b,
+                          total=2.0 * p12 + targets.eps_total * (p1b + p2b))
 
 
 def conventional_power(geom: Geometry, params: LinearParams) -> PowerBreakdown:
     """Desired powers for the non-cooperative baseline (solo uplinks only)."""
-    targets = OutageTargets.for_target(params.p_out_target)
-    eta_c = cellular_coeff(params, targets.p_out_c)
-    p1b = eta_c * geom.r1 * geom.r1
-    p2b = eta_c * geom.r2 * geom.r2
-    return PowerBreakdown(p12=0.0, p21=0.0, p1b=p1b, p2b=p2b,
-                          total_nncc=0.0, total_conventional=p1b + p2b)
-
-
-def short_range_outage_prob(p_tx: float, r: float, params: LinearParams) -> float:
-    """Outage probability of the exchange link at transmit power ``p_tx``."""
-    if p_tx <= 0:
-        raise ValueError(f"p_tx must be > 0, got {p_tx!r}")
-    if r <= 0:
-        raise ValueError(f"r must be > 0, got {r!r}")
-    snr_needed = params.delta_s * math.expm1(math.log(2.0) * params.rate / params.b_s)
-    exponent = (_16PI2 * params.n0 * params.b_s * r * r * snr_needed
-                / (p_tx * params.sigma2_short * params.g_u1 * params.g_u2
-                   * params.lambda_s * params.lambda_s))
-    return -math.expm1(-exponent)
+    p_c = OutageTargets.for_target(params.p_out_target).p_out_c
+    p1b = Link.cellular(params, 1).coeff(p_c) * geom.r1 * geom.r1
+    p2b = Link.cellular(params, 2).coeff(p_c) * geom.r2 * geom.r2
+    return PowerBreakdown(p12=0.0, p1b=p1b, p2b=p2b, total=p1b + p2b)
 
 
 def link_capacity(snr: float, bandwidth: float, gap: float) -> float:
@@ -203,25 +229,3 @@ def link_capacity(snr: float, bandwidth: float, gap: float) -> float:
     if gap < 1.0:
         raise ValueError(f"gap must be >= 1 (linear), got {gap!r}")
     return bandwidth * math.log2(1.0 + snr / gap)
-
-
-def received_snr_short(p_tx: float, r: float, fading: float, params: LinearParams) -> float:
-    """Received SNR on the handset-to-handset link for one fading draw."""
-    if r <= 0:
-        raise ValueError(f"r must be > 0 (free-space model diverges), got {r!r}")
-    if p_tx < 0 or fading < 0:
-        raise ValueError("p_tx and fading must be >= 0")
-    spread = params.lambda_s / (4.0 * math.pi * r)
-    return (p_tx / (params.n0 * params.b_s)) * spread * spread * params.g_u1 * params.g_u2 * fading
-
-
-def received_snr_cellular(p_tx: float, ri: float, fading: float, params: LinearParams,
-                          user: int = 1) -> float:
-    """Received SNR at the BS from handset ``user`` for one fading draw."""
-    if ri <= 0:
-        raise ValueError(f"ri must be > 0 (free-space model diverges), got {ri!r}")
-    if p_tx < 0 or fading < 0:
-        raise ValueError("p_tx and fading must be >= 0")
-    g_u = params.g_u1 if user == 1 else params.g_u2
-    spread = params.lambda_c / (4.0 * math.pi * ri)
-    return (p_tx / (params.n0 * params.b_c)) * spread * spread * g_u * params.g_bs * fading

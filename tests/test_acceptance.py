@@ -12,6 +12,7 @@ import numpy as np
 
 from nncc import (
     Geometry,
+    Link,
     OutageTargets,
     PowerQuadratic,
     SystemParams,
@@ -24,8 +25,6 @@ from nncc import (
     per_link_outage_conventional,
     per_link_outage_nncc,
     power_coefficients,
-    short_range_coeff,
-    short_range_outage_prob,
     validate,
 )
 from nncc.experiments import ExperimentSpec, run_figure, validate_report
@@ -51,10 +50,10 @@ def test_criterion_01_inversion_closure():
     worst = 0.0
     for p_out in (1e-4, 1e-3, 1e-2):
         params = validate(SystemParams(p_out_target=p_out))
-        zeta = short_range_coeff(params)
+        short = Link.short(params)
+        zeta = short.coeff(p_out)
         for r in (1.0, 20.0, 100.0):
-            worst = max(worst, abs(
-                short_range_outage_prob(zeta * r * r, r, params) - p_out))
+            worst = max(worst, abs(short.outage(zeta * r * r, r) - p_out))
     assert worst < 1e-12
     _report(1, f"max inversion residual {worst:.3e} < 1e-12")
 
@@ -88,7 +87,7 @@ def test_criterion_04_total_equals_quadratic_form():
     params = validate(SystemParams())
     coeff = power_coefficients(params)
     eps_total = OutageTargets.for_target(params.p_out_target).eps_total
-    ee = eps_total * coeff.eta
+    ee2 = eps_total * coeff.eta2
     rng = np.random.default_rng(1004)
     worst = 0.0
     for _ in range(10_000):
@@ -97,9 +96,10 @@ def test_criterion_04_total_equals_quadratic_form():
         theta = rng.uniform(-0.5 * math.pi, 1.5 * math.pi)
         geom = Geometry(r1=r1, r=r, theta=theta,
                         r2=math.sqrt(r * r + r1 * r1 + 2 * r1 * r * math.cos(theta)))
-        total = nncc_power_breakdown(geom, params).total_nncc
-        quadratic = ((2.0 * coeff.zeta + ee) * r * r
-                     + 2.0 * ee * r1 * math.cos(theta) * r + 2.0 * ee * r1 * r1)
+        total = nncc_power_breakdown(geom, params).total
+        quadratic = ((2.0 * coeff.zeta + ee2) * r * r
+                     + 2.0 * ee2 * r1 * math.cos(theta) * r
+                     + eps_total * (coeff.eta1 + coeff.eta2) * r1 * r1)
         worst = max(worst, abs(total - quadratic) / total)
     assert worst < 1e-9
     _report(4, f"max relative residual {worst:.3e} < 1e-9 on 10000 placements")

@@ -20,7 +20,8 @@ from nncc import (
     power_roots,
     support_upper,
 )
-from nncc import nncc_power_breakdown, Geometry, OutageTargets, cellular_coeff
+from nncc import (Geometry, Link, OutageTargets, SystemParams, nncc_power_breakdown,
+                  sample_nn_geometries, validate)
 from nncc.distribution import _quad
 from nncc.montecarlo import RandomStream, sample_power_distribution
 
@@ -50,7 +51,7 @@ def test_quadratic_reproduces_breakdown_total(dense_params, quad5):
         theta = rng.uniform(-0.5 * math.pi, 1.5 * math.pi)
         geom = Geometry(r1=r1, r=r, theta=theta,
                         r2=math.sqrt(r * r + r1 * r1 + 2 * r1 * r * math.cos(theta)))
-        total = nncc_power_breakdown(geom, dense_params).total_nncc
+        total = nncc_power_breakdown(geom, dense_params).total
         assert quad5.total_power(r, theta) == pytest.approx(total, rel=1e-9)
 
 
@@ -326,10 +327,26 @@ def test_cooperation_more_efficient_in_figure_regime(params):
 
 def test_expected_power_conventional_moment_form(params):
     t = OutageTargets.for_target(params.p_out_target)
-    eta_c = cellular_coeff(params, t.p_out_c)
+    eta_c = Link.cellular(params, 1).coeff(t.p_out_c)
     r1 = 1200.0
     expected = eta_c * (2.0 * r1 * r1 + 1.0 / (math.pi * params.rho))
     assert expected_power_conventional(params, r1) == pytest.approx(expected, rel=1e-15)
+
+
+def test_expected_power_conventional_unequal_gains():
+    """Handset 2 pays its own coefficient on the random distance r2."""
+    params = validate(SystemParams(g_u2_db=-3.0))
+    p_c = OutageTargets.for_target(params.p_out_target).p_out_c
+    eta1 = Link.cellular(params, 1).coeff(p_c)
+    eta2 = Link.cellular(params, 2).coeff(p_c)
+    r1 = 1200.0
+    closed = expected_power_conventional(params, r1)
+    assert closed == pytest.approx(
+        eta1 * r1 * r1 + eta2 * (r1 * r1 + 1.0 / (math.pi * params.rho)), rel=1e-12)
+    _, _, r2 = sample_nn_geometries(RandomStream(31).generator(), params.rho, r1, 1_000_000)
+    totals = eta1 * r1 * r1 + eta2 * r2 * r2
+    stderr = np.std(totals, ddof=1) / math.sqrt(totals.size)
+    assert abs(np.mean(totals) - closed) < 3.0 * stderr
 
 
 def test_evaluate_distribution_grid(dense_params):

@@ -109,6 +109,10 @@ def test_figure4_efficiency_ordering(tmp_path):
     run_figure(ExperimentSpec(kind="figure4", out=path, seed=2, n_trials=TRIALS))
     for row in read_rows(path):
         assert row[6] > row[7]          # cooperative bits/J above baseline
+    # figure 4 is the efficiency view of the figure 3 sweep: the same dataset
+    fig3 = str(tmp_path / "fig3.csv")
+    run_figure(ExperimentSpec(kind="figure3", out=fig3, seed=2, n_trials=TRIALS))
+    assert filecmp.cmp(path, fig3, shallow=False)
 
 
 def test_figure5_energy_decreasing_in_density(tmp_path):
@@ -255,3 +259,18 @@ def test_cli_rejects_workers_below_one(tmp_path, capsys, workers):
     out = str(tmp_path / "x.csv")
     assert main(["figure", "3", "--out", out, "--workers", workers]) == 2
     assert "workers" in capsys.readouterr().err
+
+
+def test_cli_validate_unequal_handset_gains(tmp_path):
+    """Closed forms and simulator charge handset 2 its own uplink gain."""
+    out = tmp_path / "v.txt"
+    assert main(["validate", "--out", str(out), "--g_u2_db", "-3",
+                 "--trials", "200000", "--seed", "0"]) == 0
+    assert "summary: 20/20 bounded checks passed" in out.read_text(encoding="utf-8")
+
+
+def test_cli_rate_overflow_exits_2(tmp_path, capsys):
+    out = tmp_path / "v.txt"
+    assert main(["validate", "--out", str(out), "--rate", "1e10"]) == 2
+    assert capsys.readouterr().err.startswith("error: rate: ")
+    assert not out.exists()

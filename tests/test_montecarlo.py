@@ -6,11 +6,11 @@ from scipy import stats
 
 from nncc import (
     Geometry,
+    Link,
     OutageTargets,
     PowerQuadratic,
     cdf_reference,
     cdf_reference_batch,
-    cellular_coeff,
     expected_power,
     nncc_power_breakdown,
 )
@@ -66,7 +66,7 @@ def test_trial_infinite_fading(params):
     assert not out.pair_outage_composite
     cellular = powers.p1b + powers.p2b
     assert out.energy == pytest.approx(
-        powers.p12 + powers.p21 + 2.0 * cellular, rel=1e-12)
+        2.0 * powers.p12 + 2.0 * cellular, rel=1e-12)
 
 
 def test_trial_zero_fading(params):
@@ -79,7 +79,7 @@ def test_trial_zero_fading(params):
     assert not out.d1_delivered and not out.d2_delivered
     assert out.pair_outage_composite
     assert out.energy == pytest.approx(
-        powers.p12 + powers.p21 + powers.p1b + powers.p2b, rel=1e-12)
+        2.0 * powers.p12 + powers.p1b + powers.p2b, rel=1e-12)
 
 
 def test_trial_relay_saves_message(params):
@@ -103,7 +103,7 @@ def test_trial_energy_accounting_identity(params):
         out = simulate_protocol_trial(rng, geom, powers, params)
         slots = 2 if out.delta == 0 else 1
         assert out.energy == pytest.approx(
-            powers.p12 + powers.p21 + slots * cellular, rel=1e-12)
+            2.0 * powers.p12 + slots * cellular, rel=1e-12)
 
 
 # --- estimators ----------------------------------------------------------------
@@ -155,19 +155,18 @@ def test_estimate_outage_worker_invariance(params):
 
 def test_estimate_link_outage_cellular(params):
     t = OutageTargets.for_target(params.p_out_target)
-    eta = cellular_coeff(params, t.p_out_nc)
+    uplink = Link.cellular(params, 1)
     n = 1_000_000
-    rate, se = estimate_link_outage(n, eta * 2000.0 ** 2, 2000.0, params,
-                                    RandomStream(44))
+    rate, se = estimate_link_outage(n, uplink, uplink.coeff(t.p_out_nc) * 2000.0 ** 2,
+                                    2000.0, RandomStream(44))
     assert abs(rate - t.p_out_nc) < 3.0 * se
 
 
 def test_estimate_link_outage_short(params):
-    from nncc import short_range_coeff
-    zeta = short_range_coeff(params)
+    short = Link.short(params)
     n = 1_000_000
-    rate, se = estimate_link_outage(n, zeta * 20.0 ** 2, 20.0, params,
-                                    RandomStream(45), link="short")
+    rate, se = estimate_link_outage(n, short, short.coeff(params.p_out_target) * 20.0 ** 2,
+                                    20.0, RandomStream(45))
     assert abs(rate - params.p_out_target) < 3.0 * se
 
 

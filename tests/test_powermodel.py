@@ -3,20 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from nncc import (
     Geometry,
+    Link,
     OutageTargets,
-    cellular_coeff,
+    ParameterError,
+    PowerQuadratic,
+    SystemParams,
     conventional_power,
     link_capacity,
     nncc_power_breakdown,
     per_link_outage_conventional,
     per_link_outage_nncc,
     power_coefficients,
-    received_snr_cellular,
-    received_snr_short,
-    short_range_coeff,
-    short_range_outage_prob,
+    validate,
 )
 from nncc.montecarlo import RandomStream
 
@@ -115,37 +118,52 @@ def test_outage_targets_consistency():
 
 # --- power coefficients -------------------------------------------------------
 
+def zeta_of(params):
+    return Link.short(params).coeff(params.p_out_target)
+
+
+def eta_of(params, p_link, user=1):
+    return Link.cellular(params, user).coeff(p_link)
+
+
 def test_short_range_coeff_golden(params):
-    assert short_range_coeff(params) == pytest.approx(7.1e-9, rel=0.02)
-    assert short_range_coeff(params) == pytest.approx(ZETA_GOLDEN, rel=1e-12)
+    assert zeta_of(params) == pytest.approx(7.1e-9, rel=0.02)
+    assert zeta_of(params) == pytest.approx(ZETA_GOLDEN, rel=1e-12)
+    assert power_coefficients(params).zeta == zeta_of(params)
 
 
 def test_cellular_coeff_golden(params):
-    eta = cellular_coeff(params, PNC_1E3)
+    eta = eta_of(params, PNC_1E3)
     assert eta == pytest.approx(3.57e-11, rel=0.02)
     assert eta == pytest.approx(ETA_GOLDEN, rel=1e-12)
-    assert cellular_coeff(params, PC_1E3) == pytest.approx(ETA_C_GOLDEN, rel=1e-12)
+    assert eta_of(params, PC_1E3) == pytest.approx(ETA_C_GOLDEN, rel=1e-12)
+    # equal handset gains: both uplinks share the coefficient bit for bit
+    assert eta_of(params, PNC_1E3, user=2) == eta
+    coeff = power_coefficients(params)
+    assert coeff.eta1 == coeff.eta2 == eta_of(params, OutageTargets.for_target(1e-3).p_out_nc)
 
 
 def test_zeta_decreases_with_target(params):
-    zetas = [short_range_coeff(params.replace_raw(p_out_target=p))
+    zetas = [zeta_of(params.replace_raw(p_out_target=p))
              for p in (1e-4, 1e-3, 1e-2, 0.1, 0.5)]
     assert all(a > b for a, b in zip(zetas, zetas[1:]))
 
 
 def test_eta_decreases_with_per_link_target(params):
-    etas = [cellular_coeff(params, p) for p in (1e-4, 1e-3, 1e-2, 0.1)]
+    etas = [eta_of(params, p) for p in (1e-4, 1e-3, 1e-2, 0.1)]
     assert all(a > b for a, b in zip(etas, etas[1:]))
 
 
 def test_eta_conventional_exceeds_eta_nncc(params):
-    assert cellular_coeff(params, PC_1E3) > cellular_coeff(params, PNC_1E3)
+    assert eta_of(params, PC_1E3) > eta_of(params, PNC_1E3)
 
 
 def test_cellular_coeff_rejects_bad_target(params):
     for bad in (0.0, 1.0):
         with pytest.raises(ValueError):
-            cellular_coeff(params, bad)
+            eta_of(params, bad)
+    with pytest.raises(ValueError):
+        Link.cellular(params, 3)
 
 
 def test_zeta_is_distance_free(params):
@@ -158,19 +176,26 @@ def test_zeta_is_distance_free(params):
 
 def test_breakdown_coincident_handsets(params):
     t = OutageTargets.for_target(params.p_out_target)
-    eta = cellular_coeff(params, t.p_out_nc)
+    eta = eta_of(params, t.p_out_nc)
     geom = Geometry(r1=1000.0, r=0.0, theta=0.3, r2=1000.0)
     b = nncc_power_breakdown(geom, params)
-    assert b.p12 == 0.0 and b.p21 == 0.0
-    assert b.total_nncc == pytest.approx(2.0 * t.eps_total * eta * 1000.0 ** 2, rel=1e-12)
+    assert b.p12 == 0.0  # each direction of the exchange
+    assert b.total == pytest.approx(2.0 * t.eps_total * eta * 1000.0 ** 2, rel=1e-12)
 
 
 def test_breakdown_slot_accounting(params):
     t = OutageTargets.for_target(params.p_out_target)
     b = nncc_power_breakdown(fixed_geom(), params)
-    assert b.total_nncc == pytest.approx(
-        b.p12 + b.p21 + t.eps_total * (b.p1b + b.p2b), rel=1e-12)
-    assert min(b.p12, b.p21, b.p1b, b.p2b) >= 0.0
+    assert b.total == pytest.approx(
+        2.0 * b.p12 + t.eps_total * (b.p1b + b.p2b), rel=1e-12)
+    assert min(b.p12, b.p1b, b.p2b) >= 0.0
+
+
+def quadratic_form(coeff, eps_total, r1, r, theta):
+    """Round total expanded in r, written out independently of PowerQuadratic."""
+    ee2 = eps_total * coeff.eta2
+    return ((2.0 * coeff.zeta + ee2) * r * r + 2.0 * ee2 * r1 * math.cos(theta) * r
+            + eps_total * (coeff.eta1 + coeff.eta2) * r1 * r1)
 
 
 def test_total_equals_quadratic_form_example(params):
@@ -178,17 +203,13 @@ def test_total_equals_quadratic_form_example(params):
     coeff = power_coefficients(params)
     geom = fixed_geom(r1=2000.0, r=50.0, theta=0.5 * math.pi)
     b = nncc_power_breakdown(geom, params)
-    ee = t.eps_total * coeff.eta
-    quadratic = ((2.0 * coeff.zeta + ee) * geom.r ** 2
-                 + 2.0 * ee * geom.r1 * math.cos(geom.theta) * geom.r
-                 + 2.0 * ee * geom.r1 ** 2)
-    assert b.total_nncc == pytest.approx(quadratic, rel=1e-12)
+    quadratic = quadratic_form(coeff, t.eps_total, geom.r1, geom.r, geom.theta)
+    assert b.total == pytest.approx(quadratic, rel=1e-12)
 
 
 def test_total_equals_quadratic_form_random(params):
     t = OutageTargets.for_target(params.p_out_target)
     coeff = power_coefficients(params)
-    ee = t.eps_total * coeff.eta
     rng = np.random.default_rng(42)
     for _ in range(10_000):
         r1 = rng.uniform(100.0, 3000.0)
@@ -196,70 +217,69 @@ def test_total_equals_quadratic_form_random(params):
         theta = rng.uniform(-0.5 * math.pi, 1.5 * math.pi)
         geom = fixed_geom(r1=r1, r=r, theta=theta)
         b = nncc_power_breakdown(geom, params)
-        quadratic = ((2.0 * coeff.zeta + ee) * r * r
-                     + 2.0 * ee * r1 * math.cos(theta) * r + 2.0 * ee * r1 * r1)
-        assert abs(b.total_nncc - quadratic) <= 1e-9 * b.total_nncc
+        quadratic = quadratic_form(coeff, t.eps_total, r1, r, theta)
+        assert abs(b.total - quadratic) <= 1e-9 * b.total
 
 
 def test_total_increasing_in_r1(params):
-    totals = [nncc_power_breakdown(fixed_geom(r1=r1), params).total_nncc
+    totals = [nncc_power_breakdown(fixed_geom(r1=r1), params).total
               for r1 in np.linspace(500.0, 3000.0, 26)]
     assert all(a < b for a, b in zip(totals, totals[1:]))
 
 
 def test_total_increasing_in_r_and_decreasing_in_target(params):
-    totals = [nncc_power_breakdown(fixed_geom(r=r), params).total_nncc
+    totals = [nncc_power_breakdown(fixed_geom(r=r), params).total
               for r in np.linspace(1.0, 200.0, 25)]
     assert all(a < b for a, b in zip(totals, totals[1:]))
-    totals = [nncc_power_breakdown(fixed_geom(), params.replace_raw(p_out_target=p)).total_nncc
+    totals = [nncc_power_breakdown(fixed_geom(), params.replace_raw(p_out_target=p)).total
               for p in np.geomspace(1e-4, 0.5, 25)]
     assert all(a > b for a, b in zip(totals, totals[1:]))
 
 
 def test_conventional_coincident(params):
     t = OutageTargets.for_target(params.p_out_target)
-    eta_c = cellular_coeff(params, t.p_out_c)
+    eta_c = eta_of(params, t.p_out_c)
     for theta in (0.0, 1.0, math.pi):
         geom = Geometry(r1=700.0, r=0.0, theta=theta, r2=700.0)
         b = conventional_power(geom, params)
-        assert b.total_conventional == pytest.approx(2.0 * eta_c * 700.0 ** 2, rel=1e-12)
-        assert b.p12 == 0.0 and b.p21 == 0.0 and b.total_nncc == 0.0
+        assert b.total == pytest.approx(2.0 * eta_c * 700.0 ** 2, rel=1e-12)
+        assert b.total == b.p1b + b.p2b  # solo uplinks only
+        assert b.p12 == 0.0
 
 
 def test_cooperation_beats_baseline_in_figure_regime(params):
     for r1 in np.linspace(500.0, 3000.0, 26):
         geom = fixed_geom(r1=r1, r=20.0)
-        assert (nncc_power_breakdown(geom, params).total_nncc
-                < conventional_power(geom, params).total_conventional)
+        assert (nncc_power_breakdown(geom, params).total
+                < conventional_power(geom, params).total)
 
 
 # --- outage probability and SNR ------------------------------------------------
 
 def test_short_range_inversion_closure(params):
-    zeta = short_range_coeff(params)
+    zeta = zeta_of(params)
     for r in (1.0, 20.0, 100.0):
-        out = short_range_outage_prob(zeta * r * r, r, params)
+        out = Link.short(params).outage(zeta * r * r, r)
         assert abs(out - params.p_out_target) < 1e-12
 
 
 def test_short_range_outage_vanishes_at_high_power(params):
-    assert short_range_outage_prob(1e6, 20.0, params) == pytest.approx(0.0, abs=1e-12)
-    assert (short_range_outage_prob(1e9, 20.0, params)
-            < short_range_outage_prob(1e6, 20.0, params)
-            < short_range_outage_prob(1e3, 20.0, params))
+    short = Link.short(params)
+    assert short.outage(1e6, 20.0) == pytest.approx(0.0, abs=1e-12)
+    assert short.outage(1e9, 20.0) < short.outage(1e6, 20.0) < short.outage(1e3, 20.0)
     with pytest.raises(ValueError):
-        short_range_outage_prob(0.0, 20.0, params)
+        short.outage(0.0, 20.0)
     with pytest.raises(ValueError):
-        short_range_outage_prob(1.0, 0.0, params)
+        short.outage(1.0, 0.0)
 
 
 def test_short_range_outage_monte_carlo(params):
     """Fading-level oracle: empirical outage at the inverted power hits target."""
-    zeta = short_range_coeff(params)
+    zeta = zeta_of(params)
     r = 20.0
     n = 10_000_000
     h = RandomStream(21).generator().exponential(params.sigma2_short, n)
-    snr_scale = received_snr_short(zeta * r * r, r, 1.0, params)
+    snr_scale = Link.short(params).snr(zeta * r * r, r, 1.0)
     cap = params.b_s * np.log2(1.0 + snr_scale * h / params.delta_s)
     rate = np.mean(cap < params.rate)
     target = params.p_out_target
@@ -278,17 +298,18 @@ def test_link_capacity_values():
 
 
 def test_received_snr_short_properties(params):
-    assert received_snr_short(1.0, 20.0, 0.0, params) == 0.0
-    one = received_snr_short(1.0, 20.0, 1.0, params)
-    two = received_snr_short(1.0, 40.0, 1.0, params)
+    short = Link.short(params)
+    assert short.snr(1.0, 20.0, 0.0) == 0.0
+    one = short.snr(1.0, 20.0, 1.0)
+    two = short.snr(1.0, 40.0, 1.0)
     assert one == pytest.approx(4.0 * two, rel=1e-12)
     with pytest.raises(ValueError):
-        received_snr_short(1.0, 0.0, 1.0, params)
+        short.snr(1.0, 0.0, 1.0)
 
 
 def test_received_snr_chains_into_capacity(params):
     p_tx, r, h = 2e-3, 35.0, 0.7
-    snr = received_snr_short(p_tx, r, h, params)
+    snr = Link.short(params).snr(p_tx, r, h)
     by_hand = params.b_s * math.log2(
         1.0 + p_tx * params.g_u1 * params.g_u2 * h
         * (params.lambda_s / (4.0 * math.pi * r)) ** 2
@@ -297,16 +318,18 @@ def test_received_snr_chains_into_capacity(params):
 
 
 def test_received_snr_cellular_inverse_square(params):
-    near = received_snr_cellular(1.0, 100.0, 1.0, params)
-    far = received_snr_cellular(1.0, 200.0, 1.0, params)
+    uplink = Link.cellular(params, 1)
+    near = uplink.snr(1.0, 100.0, 1.0)
+    far = uplink.snr(1.0, 200.0, 1.0)
     assert near == pytest.approx(4.0 * far, rel=1e-12)
 
 
 def test_received_snr_cellular_distance_free_at_inverted_power(params):
     """With power eta*r^2 the SNR scale is the same at any distance."""
-    eta = cellular_coeff(params, PNC_1E3)
-    scale_a = received_snr_cellular(eta * 100.0 ** 2, 100.0, 1.0, params)
-    scale_b = received_snr_cellular(eta * 2500.0 ** 2, 2500.0, 1.0, params)
+    uplink = Link.cellular(params, 1)
+    eta = uplink.coeff(PNC_1E3)
+    scale_a = uplink.snr(eta * 100.0 ** 2, 100.0, 1.0)
+    scale_b = uplink.snr(eta * 2500.0 ** 2, 2500.0, 1.0)
     assert scale_a == pytest.approx(scale_b, rel=1e-12)
     # distribution-level check on fading draws
     n = 1_000_000
@@ -319,3 +342,54 @@ def test_received_snr_cellular_distance_free_at_inverted_power(params):
     ks = max(np.max(i / n - f_at_a), np.max(f_at_a - (i - 1) / n))
     assert ks < 0.005
     assert np.all(cdf_b >= 0.0) and np.all(cdf_b <= 1.0)
+
+
+# --- one link budget ----------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(gap=st.floats(1.0, 100.0), bandwidth=st.floats(1e3, 1e8),
+       wavelength=st.floats(1e-3, 10.0), gain=st.floats(1e-3, 1e3),
+       sigma2=st.floats(0.1, 10.0), n0=st.floats(1e-22, 1e-18),
+       efficiency=st.floats(1e-3, 20.0), p_link=st.floats(1e-9, 0.99),
+       d=st.floats(0.1, 1e5), scale=st.floats(1e-3, 1e3))
+def test_link_inversion_and_threshold_agree(gap, bandwidth, wavelength, gain, sigma2,
+                                            n0, efficiency, p_link, d, scale):
+    """The closed-form inversion and the simulator's threshold are one model."""
+    link = Link(gap, bandwidth, wavelength, gain, sigma2, n0, efficiency * bandwidth)
+    p_tx = link.coeff(p_link) * d * d
+    assert link.outage(p_tx, d) == pytest.approx(p_link, rel=1e-12)
+    for p in (p_tx, p_tx * scale):
+        assert link.outage(p, d) == pytest.approx(
+            -math.expm1(-link.threshold(p, d) / link.sigma2), rel=1e-12)
+
+
+def test_unequal_handset_gains_closed_forms():
+    params = validate(SystemParams(g_u2_db=-3.0))
+    coeff = power_coefficients(params)
+    t = OutageTargets.for_target(params.p_out_target)
+    assert coeff.eta2 / coeff.eta1 == pytest.approx(10.0 ** 0.3, rel=1e-12)
+    assert coeff.eta1 == power_coefficients(validate(SystemParams())).eta1
+    # the baseline charges each handset its own uplink as well
+    solo = conventional_power(Geometry(r1=700.0, r=0.0, theta=0.0, r2=700.0), params)
+    assert solo.p2b / solo.p1b == pytest.approx(10.0 ** 0.3, rel=1e-12)
+    rng = np.random.default_rng(11)
+    for _ in range(1000):
+        r1 = rng.uniform(100.0, 3000.0)
+        r = rng.uniform(0.0, 400.0)
+        theta = rng.uniform(-0.5 * math.pi, 1.5 * math.pi)
+        geom = fixed_geom(r1=r1, r=r, theta=theta)
+        b = nncc_power_breakdown(geom, params)
+        assert b.p2b / b.p1b == pytest.approx(10.0 ** 0.3 * (geom.r2 / r1) ** 2, rel=1e-12)
+        quad = PowerQuadratic.from_params(params, r1)
+        assert quad.total_power(r, theta) == pytest.approx(b.total, rel=1e-12)
+        assert quadratic_form(coeff, t.eps_total, r1, r, theta) == pytest.approx(
+            b.total, rel=1e-12)
+
+
+def test_required_snr_overflow_names_rate():
+    # expm1 overflows outright, or stays finite until the gap scales it
+    for rate in (1e10, 709.5 * 2e6 / math.log(2.0)):
+        link = Link.short(validate(SystemParams(rate=rate)))
+        with pytest.raises(ParameterError) as err:
+            link.coeff(1e-3)
+        assert err.value.field == "rate"
