@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from nncc import mean_nn_distance, nn_distance_cdf, sample_nn_geometries
+from nncc import nn_distance_cdf, partner_distance_to_bs, sample_nn_geometries
 from nncc.montecarlo import RandomStream
 
 rho = 1e-4      # handsets per square meter
@@ -23,12 +23,12 @@ print(f"handset density rho = {rho} /m^2, tagged handset at r1 = {r1} m")
 print()
 
 rng = RandomStream(seed=2024).generator()
-r, theta, r2 = sample_nn_geometries(rng, rho, r1, n)
+r, theta = sample_nn_geometries(rng, rho, r1, n)
+r2 = partner_distance_to_bs(r1, r, theta)   # neighbor to base station
 
 print("neighbor distance statistics over", n, "draws:")
 print(f"  sample mean     {np.mean(r):10.3f} m")
 print(f"  closed form     {0.5 / math.sqrt(rho):10.3f} m  (1 / (2 sqrt(rho)))")
-print(f"  quadrature      {mean_nn_distance(rho):10.3f} m")
 print(f"  sample E[r^2]   {np.mean(r * r):10.1f} m^2")
 print(f"  closed form     {1.0 / (math.pi * rho):10.1f} m^2  (1 / (pi rho))")
 print()
@@ -41,11 +41,10 @@ for x in (10.0, 25.0, 50.0, 100.0):
           f"{nn_distance_cdf(x, rho):.4f}")
 print()
 
-# the law-of-cosines identity holds for every draw
-lhs = r2 * r2
-rhs = r * r + r1 * r1 + 2.0 * r1 * r * np.cos(theta)
-print(f"law-of-cosines max relative residual: "
-      f"{np.max(np.abs(lhs - rhs) / rhs):.2e}")
+# the neighbor-to-BS distance closes the triangle with r1 and r
+print(f"neighbor-to-BS distance: mean {np.mean(r2):.3f} m, "
+      f"E[r2^2] - r1^2 = {np.mean(r2 * r2) - r1 * r1:.1f} m^2 "
+      f"(closed form 1 / (pi rho) = {1.0 / (math.pi * rho):.1f})")
 print(f"triangle inequality violations: "
       f"{int(np.sum((r2 > r1 + r) | (r2 < np.abs(r1 - r))))}")
 print()

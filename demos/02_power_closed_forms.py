@@ -49,13 +49,13 @@ r = 20.0
 print(f"round totals at inter-user distance r = {r} m (bearing averaged):")
 print(f"{'r1 (m)':>8} {'cooperative (W)':>16} {'solo (W)':>12} {'ratio':>7}")
 for r1 in np.linspace(500.0, 3000.0, 6):
-    geom = Geometry(r1=r1, r=r, theta=0.5 * math.pi, r2=math.hypot(r1, r))
+    geom = Geometry(r1=r1, r=r, theta=0.5 * math.pi)
     coop = nncc_power_breakdown(geom, params).total
     solo = conventional_power(geom, params).total
     print(f"{r1:8.0f} {coop:16.6e} {solo:12.4e} {solo / coop:7.1f}")
 print()
 
-geom = Geometry(r1=2000.0, r=r, theta=0.5 * math.pi, r2=math.hypot(2000.0, r))
+geom = Geometry(r1=2000.0, r=r, theta=0.5 * math.pi)
 b = nncc_power_breakdown(geom, params)
 print("cooperative breakdown at r1 = 2000 m:")
 print(f"  exchange (each way)   {b.p12:.4e} W")

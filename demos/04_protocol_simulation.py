@@ -16,8 +16,7 @@ from nncc import Geometry, OutageTargets, SystemParams, nncc_power_breakdown, va
 from nncc.montecarlo import RandomStream, estimate_outage
 
 params = validate(SystemParams())
-geom = Geometry(r1=2000.0, r=20.0, theta=0.5 * math.pi,
-                r2=math.hypot(2000.0, 20.0))
+geom = Geometry(r1=2000.0, r=20.0, theta=0.5 * math.pi)
 targets = OutageTargets.for_target(params.p_out_target)
 n = 2_000_000
 

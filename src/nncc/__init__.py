@@ -18,11 +18,9 @@ from .params import (
 )
 from .geometry import (
     Geometry,
-    mean_nn_distance,
     nn_distance_cdf,
     nn_distance_pdf,
     partner_distance_to_bs,
-    sample_nn_geometry,
     sample_nn_geometries,
 )
 from .powermodel import (
@@ -39,32 +37,26 @@ from .powermodel import (
     power_coefficients,
 )
 from .distribution import (
-    DistributionResult,
     IntegrationError,
     PowerQuadratic,
-    RootPair,
     cdf_branch_form,
     cdf_reference,
     cdf_reference_batch,
     energy_efficiency,
-    evaluate_distribution,
     expected_power,
     expected_power_conventional,
     expected_power_quadrature,
     pdf_branch_form,
-    power_roots,
     support_upper,
 )
 from .montecarlo import (
     McReport,
-    ProtocolFading,
     RandomStream,
-    TrialOutcome,
     estimate_link_outage,
     estimate_outage,
     ks_distance,
+    protocol_round,
     sample_power_distribution,
-    simulate_protocol_trial,
 )
 from .experiments import ExperimentSpec, run_figure, sweep, validate_report
 

@@ -31,16 +31,18 @@ which absorbs the vanishing root gap and leaves a smooth integrand on
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, optimize
 
-from .params import LinearParams
+from .params import LinearParams, ParameterError
 from . import powermodel
 from ._pool import map_ordered
 
-_TWO_PI = 2.0 * math.pi
+# coefficients at or above this magnitude overflow when squared
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 
 class IntegrationError(RuntimeError):
@@ -76,12 +78,22 @@ class PowerQuadratic:
         """Expand 2*zeta*r^2 + eps_total*(eta1*r1^2 + eta2*r2^2) in r.
 
         ``r1`` may also be an array of distances, giving array coefficients.
+        The root and CDF computations square the coefficients, so a
+        coefficient whose square overflows is a ``ParameterError``.
         """
         if np.any(np.asarray(r1) <= 0):
             raise ValueError(f"r1 must be > 0, got {r1!r}")
         ee2 = eps_total * coeff.eta2
-        return cls(a=2.0 * coeff.zeta + ee2, b_coeff=2.0 * ee2 * r1,
+        quad = cls(a=2.0 * coeff.zeta + ee2, b_coeff=2.0 * ee2 * r1,
                    c0=eps_total * (coeff.eta1 + coeff.eta2) * r1 * r1)
+        for name in ("a", "b_coeff", "c0"):
+            value = getattr(quad, name)
+            if not np.all(np.abs(value) < _SQRT_FLOAT_MAX):  # also rejects nan
+                raise ParameterError(
+                    "rate", f"the round total's coefficient {name} reaches "
+                            f"{float(np.max(np.abs(value))):.3g}, whose square "
+                            "overflows; lower the rate or the distances")
+        return quad
 
     def b(self, theta: float) -> float:
         return self.b_coeff * math.cos(theta)
@@ -100,29 +112,6 @@ class PowerQuadratic:
         """Smallest achievable total: vertex value at cos(theta) = -1."""
         k = self.half_b_max
         return self.c0 - k * k / self.a
-
-
-@dataclass(frozen=True)
-class RootPair:
-    """Real roots of a*r^2 + b(theta)*r + (c0 - p) = 0, with the half-gap."""
-
-    delta_r: float  # sqrt((b/2)^2 - a*(c0-p)); root gap is 2*delta_r/a
-    r_small: float
-    r_large: float
-
-
-def power_roots(p: float, theta: float, quad: PowerQuadratic) -> RootPair | None:
-    """Roots of the level-p equation at one bearing; None if complex."""
-    if p <= 0:
-        raise ValueError(f"p must be > 0, got {p!r}")
-    half_b = 0.5 * quad.b(theta)
-    disc = half_b * half_b - quad.a * (quad.c0 - p)
-    if disc < 0.0:
-        return None
-    delta_r = math.sqrt(disc)
-    return RootPair(delta_r=delta_r,
-                    r_small=(-half_b - delta_r) / quad.a,
-                    r_large=(-half_b + delta_r) / quad.a)
 
 
 def _r_large_stable(half_b, q_over_a, a):
@@ -226,17 +215,15 @@ def cdf_branch_form(p: float, quad: PowerQuadratic, rho: float, *,
                     epsabs: float = 1e-9) -> float:
     """Two-branch CDF with the additive boundary term on the upper branch.
 
-    Evaluated exactly as stated, for comparison against ``cdf_reference``;
-    the boundary term makes the upper branch exceed the reference by a
-    constant (see the validation report).  Below the support it returns 0.
+    Evaluated exactly as stated, for comparison against ``cdf_reference``:
+    below c0 the two agree, and above it the upper branch exceeds the
+    reference by the constant boundary term ``cdf_reference(c0)`` (see the
+    validation report).  Below the support it returns 0.
     """
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho!r}")
-    if p <= quad.support_min:
-        return 0.0
-    if p <= quad.c0:
-        return _q1_cdf(p, quad, rho, epsabs)
-    return _q2_cdf(p, quad, rho, epsabs) + _q1_cdf(quad.c0, quad, rho, epsabs)
+    value = cdf_reference(p, quad, rho, epsabs=epsabs)
+    if p > quad.c0:
+        value += cdf_reference(quad.c0, quad, rho, epsabs=epsabs)
+    return value
 
 
 def pdf_branch_form(p: float, quad: PowerQuadratic, rho: float, *,
@@ -412,33 +399,3 @@ def support_upper(quad: PowerQuadratic, rho: float, tail: float = 1e-6) -> float
     return optimize.brentq(
         lambda p: cdf_reference(p, quad, rho) - (1.0 - tail), lo, hi,
         xtol=1e-12 * hi, rtol=1e-10)
-
-
-@dataclass(frozen=True)
-class DistributionResult:
-    """Grid evaluation of both CDF routes plus summary scalars."""
-
-    p_grid: np.ndarray
-    cdf_branch: np.ndarray
-    pdf_branch: np.ndarray
-    cdf_reference: np.ndarray
-    expected_power: float
-    energy_efficiency: float
-
-
-def evaluate_distribution(params: LinearParams, r1: float, *,
-                          n_grid: int = 256, tail: float = 1e-6) -> DistributionResult:
-    """Evaluate both routes on a log-spaced grid spanning the support."""
-    quad = PowerQuadratic.from_params(params, r1)
-    rho = params.rho
-    p_hi = support_upper(quad, rho, tail)
-    grid = np.geomspace(quad.support_min, p_hi, n_grid)
-    mean = expected_power(quad, rho)
-    return DistributionResult(
-        p_grid=grid,
-        cdf_branch=np.array([cdf_branch_form(p, quad, rho) for p in grid]),
-        pdf_branch=np.array([pdf_branch_form(p, quad, rho) for p in grid]),
-        cdf_reference=np.array([cdf_reference(p, quad, rho) for p in grid]),
-        expected_power=mean,
-        energy_efficiency=energy_efficiency(mean, params.rate),
-    )

@@ -18,7 +18,7 @@ from scipy import integrate
 from . import distribution as dist
 from . import montecarlo as mc
 from . import powermodel
-from .geometry import Geometry
+from .geometry import Geometry, partner_distance_to_bs
 from .params import LinearParams, SystemParams, validate
 
 CSV_HEADER = ("swept_var,value,e_nncc_analytic,e_conv_analytic,"
@@ -130,8 +130,7 @@ def _sweep_row(params: LinearParams, r1: float, r: float | None,
     both columns are PPP expectations.
     """
     if r is not None:
-        geom = Geometry(r1=r1, r=r, theta=0.5 * math.pi,
-                        r2=math.hypot(r1, r))
+        geom = Geometry(r1=r1, r=r, theta=0.5 * math.pi)
         e_nncc = powermodel.nncc_power_breakdown(geom, params).total
         e_conv = powermodel.conventional_power(geom, params).total
         report = mc.estimate_outage(n_trials, geom, params, stream, workers=workers)
@@ -210,7 +209,10 @@ class _Report:
         self.add(f"  {tag} {name}: {_fmt(value)} (bound {_fmt(bound)}){extra}")
 
     def check_z(self, name: str, observed: float, target: float, stderr: float) -> None:
-        z = (observed - target) / stderr if stderr > 0 else math.inf
+        if stderr > 0:
+            z = (observed - target) / stderr
+        else:  # every trial gave the same value
+            z = 0.0 if observed == target else math.inf
         self.n_checks += 1
         ok = abs(z) <= 3.0
         if not ok:
@@ -252,7 +254,7 @@ def _closure_section(rep: _Report, params: LinearParams, seed: int,
     r1s = rng.uniform(100.0, 3000.0, 10_000)
     rs = rng.uniform(0.0, 300.0, 10_000)
     thetas = rng.uniform(-0.5 * math.pi, 1.5 * math.pi, 10_000)
-    r2s = np.sqrt(rs * rs + r1s * r1s + 2.0 * r1s * rs * np.cos(thetas))
+    r2s = partner_distance_to_bs(r1s, rs, thetas)
     total = (2.0 * coeff.zeta * rs * rs
              + eps * (0.5 * (coeff.eta1 + coeff.eta2)) * (r1s * r1s + r2s * r2s)
              + eps * (0.5 * (coeff.eta2 - coeff.eta1)) * (r2s * r2s - r1s * r1s))
@@ -310,13 +312,14 @@ def _branch_form_section(rep: _Report, quad: dist.PowerQuadratic,
     rep.add("[e] two-branch distribution expressions vs the reference")
     result_grid = np.geomspace(quad.support_min, dist.support_upper(quad, rho), 192)
     cdf_ref = np.array([dist.cdf_reference(p, quad, rho) for p in result_grid])
-    cdf_br = np.array([dist.cdf_branch_form(p, quad, rho) for p in result_grid])
+    # the branch form is the reference plus the boundary term above c0
+    boundary_term = dist.cdf_reference(quad.c0, quad, rho)
+    cdf_br = cdf_ref + boundary_term * (result_grid > quad.c0)
     gap = np.abs(cdf_br - cdf_ref)
     worst = int(np.argmax(gap))
     rep.info("max |branch-form CDF - reference CDF|",
              f"{_fmt(float(gap[worst]))} at p = {_fmt(float(result_grid[worst]))}")
-    rep.info("upper-branch additive boundary term",
-             _fmt(dist.cdf_reference(quad.c0, quad, rho)))
+    rep.info("upper-branch additive boundary term", _fmt(boundary_term))
     pdf_q1, _ = _pdf_integral(quad, rho, quad.support_min, quad.c0)
     pdf_q2, p_hi = _pdf_integral(quad, rho, quad.c0, None)
     rep.info("integral of branch-form PDF over support - 1",
@@ -352,7 +355,7 @@ def _protocol_section(rep: _Report, params: LinearParams, r1: float, r: float,
                       n_trials: int, seed: int, workers: int) -> None:
     rep.add(f"[d] protocol statistics at fixed placement (r = {_fmt(r)}, "
             f"r1 = {_fmt(r1)})")
-    geom = Geometry(r1=r1, r=r, theta=0.5 * math.pi, r2=math.hypot(r1, r))
+    geom = Geometry(r1=r1, r=r, theta=0.5 * math.pi)
     targets = powermodel.OutageTargets.for_target(params.p_out_target)
 
     rpt = mc.estimate_outage(n_trials, geom, params,

@@ -10,20 +10,26 @@ the base station.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 
 @dataclass(frozen=True)
 class Geometry:
-    """One placement of the pair: distances in meters, bearing in radians."""
+    """One placement of the pair: distances in meters, bearing in radians.
+
+    The neighbor's distance to the BS follows from the other three, so it is
+    derived (``partner_distance_to_bs``), never given.
+    """
 
     r1: float      # tagged handset to BS
     r: float       # tagged handset to its nearest neighbor
     theta: float   # bearing of the neighbor, in [-pi/2, 3*pi/2)
-    r2: float      # neighbor to BS
+    r2: float = field(init=False)  # neighbor to BS
+
+    def __post_init__(self):
+        object.__setattr__(self, "r2", partner_distance_to_bs(self.r1, self.r, self.theta))
 
 
 def nn_distance_pdf(r, rho: float):
@@ -46,20 +52,20 @@ def nn_distance_cdf(r, rho: float):
     return out if out.ndim else float(out)
 
 
-def partner_distance_to_bs(r1: float, r: float, theta: float) -> float:
-    """Distance from the neighbor to the BS via the law of cosines."""
-    if r1 <= 0:
-        raise ValueError(f"r1 must be > 0, got {r1!r}")
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r!r}")
-    s = r * r + r1 * r1 + 2.0 * r1 * r * math.cos(theta)
-    if s < 0.0:
-        # analytically impossible; tolerate rounding just below zero
-        if s > -1e-12 * (r * r + r1 * r1):
-            s = 0.0
-        else:
-            raise ValueError(f"squared distance came out negative: {s!r}")
-    return math.sqrt(s)
+def partner_distance_to_bs(r1, r, theta):
+    """Distance from the neighbor to the BS via the law of cosines.
+
+    Accepts scalars or arrays, broadcast together; scalars give a float.
+    """
+    r1, r = np.asarray(r1, dtype=float), np.asarray(r, dtype=float)
+    if np.any(r1 <= 0):
+        raise ValueError(f"r1 must be > 0, got {r1}")
+    if np.any(r < 0):
+        raise ValueError(f"r must be >= 0, got {r}")
+    s = r * r + r1 * r1 + 2.0 * r1 * r * np.cos(theta)
+    # never negative analytically; rounding can dip just below zero at r = r1
+    out = np.sqrt(np.maximum(s, 0.0))
+    return out if out.ndim else float(out)
 
 
 def sample_r(rng: np.random.Generator, rho: float, n: int | None = None):
@@ -77,42 +83,16 @@ def sample_theta(rng: np.random.Generator, n: int | None = None):
     return -0.5 * math.pi + 2.0 * math.pi * rng.random(n)
 
 
-def sample_nn_geometry(rng: np.random.Generator, rho: float, r1: float) -> Geometry:
-    """Sample one pair placement; r1 is a fixed experiment parameter."""
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho!r}")
-    if r1 <= 0:
-        raise ValueError(f"r1 must be > 0, got {r1!r}")
-    r = float(sample_r(rng, rho))
-    theta = float(sample_theta(rng))
-    return Geometry(r1=r1, r=r, theta=theta, r2=partner_distance_to_bs(r1, r, theta))
-
-
 def sample_nn_geometries(rng: np.random.Generator, rho: float, r1: float, n: int):
-    """Vectorized sampler: returns arrays (r, theta, r2) of length n.
+    """Vectorized sampler: returns arrays (r, theta) of length n.
 
-    Draw order (all r first, then all theta) is part of the reproducibility
-    contract for a given generator state.
+    ``r1`` is only checked here; the neighbor's distance to the BS is
+    ``partner_distance_to_bs(r1, r, theta)``.  Draw order (all r first, then
+    all theta) is part of the reproducibility contract for a given generator
+    state.
     """
     if rho <= 0 or r1 <= 0:
         raise ValueError("rho and r1 must be > 0")
     r = sample_r(rng, rho, n)
     theta = sample_theta(rng, n)
-    r2 = np.sqrt(np.maximum(r * r + r1 * r1 + 2.0 * r1 * r * np.cos(theta), 0.0))
-    return r, theta, r2
-
-
-def mean_nn_distance(rho: float) -> float:
-    """Mean nearest-neighbor distance by adaptive quadrature.
-
-    Agrees with the closed form 1/(2*sqrt(rho)) to ~1e-9 relative; kept as a
-    quadrature so it can serve as an independent check of that closed form.
-    """
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho!r}")
-    scale = 1.0 / math.sqrt(math.pi * rho)
-    val, _ = integrate.quad(
-        lambda r: r * nn_distance_pdf(r, rho), 0.0, 40.0 * scale,
-        epsabs=0.0, epsrel=1e-12, limit=200,
-    )
-    return val
+    return r, theta

@@ -41,32 +41,6 @@ class RandomStream:
         seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id, index))
         return np.random.Generator(np.random.Philox(seq))
 
-    def substream(self, offset: int) -> "RandomStream":
-        return RandomStream(self.seed, self.stream_id + offset)
-
-
-@dataclass(frozen=True)
-class ProtocolFading:
-    """Fixed fading power gains; test hook replacing the random draws."""
-
-    h12: float
-    h21: float
-    h1b_slot2: float
-    h2b_slot2: float
-    h1b_slot3: float = 0.0
-    h2b_slot3: float = 0.0
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """One simulated cooperation round."""
-
-    delta: int                    # 0 if the exchange succeeded, else 1
-    d1_delivered: bool
-    d2_delivered: bool
-    pair_outage_composite: bool   # the composite outage event (see below)
-    energy: float                 # J at unit slot duration
-
 
 @dataclass(frozen=True)
 class McReport:
@@ -105,53 +79,23 @@ def _thresholds(geom: Geometry, powers: PowerBreakdown, params: LinearParams):
             Link.cellular(params, 2).threshold(powers.p2b, geom.r2))
 
 
-def simulate_protocol_trial(stream, geom: Geometry, powers: PowerBreakdown,
-                            params: LinearParams,
-                            fading: ProtocolFading | None = None) -> TrialOutcome:
-    """Run one cooperation round; ``powers`` must match ``geom``.
+def protocol_round(delta0, own1, own2, relay1, relay2):
+    """Delivery and composite outage of cooperation rounds, element-wise.
 
-    Slot 1 is the exchange; on success (delta=0) each handset uplinks its own
-    message in slot 2 and relays the partner's in slot 3, and a message is
-    delivered if either copy meets the rate.  On failure (delta=1) only the
-    solo slot-2 uplinks run.  Fading is redrawn independently per slot per
-    transmitter.  The composite outage flag reproduces the event algebra the
-    per-link targets were derived from: under delta=0 it fires when both
-    copies of one message fail, under delta=1 when at least one solo uplink
-    fails.
+    Slot 1 is the exchange, successful where ``delta0``.  In slot 2 each
+    handset uplinks its own message (``own1``, ``own2``: the uplink met the
+    rate); after a successful exchange each also relays its partner's message
+    in slot 3 (``relay1``: handset 2's copy of message 1, ``relay2``: handset
+    1's copy of message 2), and a message is delivered if either copy met the
+    rate.  After a failed exchange only the solo slot-2 uplinks run, which is
+    the conventional scheme.  The composite outage reproduces the event
+    algebra the per-link targets were derived from: after a successful
+    exchange it fires when both copies of message 1 fail, after a failed one
+    when at least one solo uplink fails.  Returns ``(d1, d2, composite)``.
     """
-    rng = stream.generator() if isinstance(stream, RandomStream) else stream
-    t12, t1b, t2b = _thresholds(geom, powers, params)
-
-    if fading is None:
-        h12, h21 = rng.exponential(params.sigma2_short, 2)
-    else:
-        h12, h21 = fading.h12, fading.h21
-    delta = 0 if (h12 >= t12 and h21 >= t12) else 1
-
-    if fading is None:
-        h1b_2, h2b_2 = rng.exponential(params.sigma2_cell, 2)
-    else:
-        h1b_2, h2b_2 = fading.h1b_slot2, fading.h2b_slot2
-    own1 = h1b_2 >= t1b
-    own2 = h2b_2 >= t2b
-
-    cellular = powers.p1b + powers.p2b
-    energy = 2.0 * powers.p12 + cellular
-    if delta == 0:
-        if fading is None:
-            h1b_3, h2b_3 = rng.exponential(params.sigma2_cell, 2)
-        else:
-            h1b_3, h2b_3 = fading.h1b_slot3, fading.h2b_slot3
-        d1 = own1 or (h2b_3 >= t2b)   # partner relays message 1
-        d2 = own2 or (h1b_3 >= t1b)
-        composite = not d1
-        energy += cellular
-    else:
-        d1, d2 = own1, own2
-        composite = not (d1 and d2)
-
-    return TrialOutcome(delta=delta, d1_delivered=bool(d1), d2_delivered=bool(d2),
-                        pair_outage_composite=bool(composite), energy=float(energy))
+    d1 = own1 | (delta0 & relay1)
+    d2 = own2 | (delta0 & relay2)
+    return d1, d2, np.where(delta0, ~d1, ~(d1 & d2))
 
 
 def _map_blocks(n: int, workers: int, block_fn):
@@ -163,36 +107,44 @@ def _map_blocks(n: int, workers: int, block_fn):
 def estimate_outage(n: int, geom: Geometry, params: LinearParams,
                     stream: RandomStream, scheme: str = "nncc",
                     workers: int = 1) -> McReport:
-    """Empirical outage rates at a fixed placement, fresh fading per trial."""
+    """Empirical outage rates at a fixed placement, fresh fading per trial.
+
+    ``scheme="conventional"`` runs the failed-exchange branch of the round,
+    solo uplinks at the baseline's powers, in every trial.
+    """
     _require_trials(n)
     t0 = time.perf_counter()
 
     if scheme == "nncc":
         powers = powermodel.nncc_power_breakdown(geom, params)
-        t12, t1b, t2b = _thresholds(geom, powers, params)
-        sig_s, sig_c = params.sigma2_short, params.sigma2_cell
+    elif scheme == "conventional":
+        powers = powermodel.conventional_power(geom, params)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    cooperative = scheme == "nncc"
+    t12, t1b, t2b = _thresholds(geom, powers, params)
+    sig_s, sig_c = params.sigma2_short, params.sigma2_cell
 
-        def block_fn(j, size):
-            rng = stream.block(j)
+    def block_fn(j, size):
+        rng = stream.block(j)
+        delta0 = relay1 = relay2 = False  # the conventional round: no exchange
+        if cooperative:
             h12 = rng.exponential(sig_s, size)
             h21 = rng.exponential(sig_s, size)
             delta0 = (h12 >= t12) & (h21 >= t12)
-            own1 = rng.exponential(sig_c, size) >= t1b
-            own2 = rng.exponential(sig_c, size) >= t2b
+        own1 = rng.exponential(sig_c, size) >= t1b
+        own2 = rng.exponential(sig_c, size) >= t2b
+        if cooperative:
             relay2 = rng.exponential(sig_c, size) >= t1b  # slot-3 use of U1's uplink
             relay1 = rng.exponential(sig_c, size) >= t2b
-            d1 = np.where(delta0, own1 | relay1, own1)
-            d2 = np.where(delta0, own2 | relay2, own2)
-            composite = np.where(delta0, ~d1, ~(d1 & d2))
-            return (int(np.sum(~d1)), int(np.sum(~d2)),
-                    int(np.sum(composite)), int(np.sum(delta0)))
+        d1, d2, composite = protocol_round(delta0, own1, own2, relay1, relay2)
+        return (int(np.sum(~d1)), int(np.sum(~d2)),
+                int(np.sum(composite)), int(np.sum(delta0)))
 
-        parts = _map_blocks(n, workers, block_fn)
-        lost1 = sum(p[0] for p in parts)
-        lost2 = sum(p[1] for p in parts)
-        comp = sum(p[2] for p in parts)
-        n_delta0 = sum(p[3] for p in parts)
+    parts = _map_blocks(n, workers, block_fn)
+    lost1, lost2, comp, n_delta0 = (sum(p[i] for p in parts) for i in range(4))
 
+    if cooperative:
         cellular = powers.p1b + powers.p2b
         e1 = 2.0 * powers.p12 + cellular                 # delta = 1 rounds
         e0 = e1 + cellular                               # delta = 0 rounds
@@ -200,28 +152,8 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
         var_e = (n_delta0 * (e0 - mean_e) ** 2
                  + (n - n_delta0) * (e1 - mean_e) ** 2) / max(n - 1, 1)
         delta0_rate = n_delta0 / n
-
-    elif scheme == "conventional":
-        powers = powermodel.conventional_power(geom, params)
-        _, t1b, t2b = _thresholds(geom, powers, params)
-        sig_c = params.sigma2_cell
-
-        def block_fn(j, size):
-            rng = stream.block(j)
-            d1 = rng.exponential(sig_c, size) >= t1b
-            d2 = rng.exponential(sig_c, size) >= t2b
-            return (int(np.sum(~d1)), int(np.sum(~d2)), int(np.sum(~(d1 & d2))), 0)
-
-        parts = _map_blocks(n, workers, block_fn)
-        lost1 = sum(p[0] for p in parts)
-        lost2 = sum(p[1] for p in parts)
-        comp = sum(p[2] for p in parts)
-        mean_e = powers.total
-        var_e = 0.0
-        delta0_rate = None
-
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        mean_e, var_e, delta0_rate = powers.total, 0.0, None
 
     return McReport(
         n_trials=n,
@@ -257,7 +189,7 @@ def sample_power_distribution(n: int, rho: float, r1: float,
     quad = PowerQuadratic.from_params(params, r1)
 
     def block_fn(j, size):
-        r, theta, _ = sample_nn_geometries(stream.block(j), rho, r1, size)
+        r, theta = sample_nn_geometries(stream.block(j), rho, r1, size)
         return quad.a * r * r + quad.b_coeff * np.cos(theta) * r + quad.c0
 
     totals = np.concatenate(_map_blocks(n, workers, block_fn))

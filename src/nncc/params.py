@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
@@ -112,9 +113,14 @@ def validate(raw: SystemParams) -> LinearParams:
     Raises :class:`ParameterError` naming the first offending field.
     Idempotent: equal inputs always yield equal derived constants.
     """
+    for f in fields(SystemParams):
+        value = getattr(raw, f.name)
+        # bool is an int subclass, but true is not a radio constant
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ParameterError(f.name, f"must be a real number, got {value!r}")
     for name in _POSITIVE_FIELDS:
         value = getattr(raw, name)
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        if not (math.isfinite(value) and value > 0):
             raise ParameterError(name, f"must be finite and > 0, got {value!r}")
     if not (0.0 < raw.p_out_target < 1.0):
         raise ParameterError("p_out_target", f"must lie in (0, 1), got {raw.p_out_target!r}")

@@ -16,8 +16,9 @@ from nncc import (
     OutageTargets,
     PowerQuadratic,
     SystemParams,
+    cdf_branch_form,
+    cdf_reference,
     cdf_reference_batch,
-    evaluate_distribution,
     expected_power,
     expected_power_quadrature,
     nncc_power_breakdown,
@@ -25,6 +26,7 @@ from nncc import (
     per_link_outage_conventional,
     per_link_outage_nncc,
     power_coefficients,
+    support_upper,
     validate,
 )
 from nncc.experiments import ExperimentSpec, run_figure, validate_report
@@ -72,8 +74,7 @@ def test_criterion_03_conventional_target_and_simulation():
     value = per_link_outage_conventional(1e-3)
     assert abs(value - 5.00125e-4) < 1e-9
     params = validate(SystemParams())
-    geom = Geometry(r1=2000.0, r=20.0, theta=0.5 * math.pi,
-                    r2=math.hypot(2000.0, 20.0))
+    geom = Geometry(r1=2000.0, r=20.0, theta=0.5 * math.pi)
     n = 10_000_000
     rep = estimate_outage(n, geom, params, RandomStream(1003),
                           scheme="conventional")
@@ -94,8 +95,7 @@ def test_criterion_04_total_equals_quadratic_form():
         r1 = rng.uniform(100.0, 3000.0)
         r = rng.uniform(0.0, 400.0)
         theta = rng.uniform(-0.5 * math.pi, 1.5 * math.pi)
-        geom = Geometry(r1=r1, r=r, theta=theta,
-                        r2=math.sqrt(r * r + r1 * r1 + 2 * r1 * r * math.cos(theta)))
+        geom = Geometry(r1=r1, r=r, theta=theta)
         total = nncc_power_breakdown(geom, params).total
         quadratic = ((2.0 * coeff.zeta + ee2) * r * r
                      + 2.0 * ee2 * r1 * math.cos(theta) * r
@@ -107,8 +107,7 @@ def test_criterion_04_total_equals_quadratic_form():
 
 def test_criterion_05_protocol_statistics():
     params = validate(SystemParams())
-    geom = Geometry(r1=2000.0, r=20.0, theta=0.5 * math.pi,
-                    r2=math.hypot(2000.0, 20.0))
+    geom = Geometry(r1=2000.0, r=20.0, theta=0.5 * math.pi)
     n = 10_000_000
     rep = estimate_outage(n, geom, params, RandomStream(1005))
     t = OutageTargets.for_target(params.p_out_target)
@@ -158,16 +157,17 @@ def test_criterion_07_expectation_triple_agreement():
 
 def test_criterion_08_branch_form_report(tmp_path):
     params = validate(SystemParams(rate=1e7, rho=1e-4))
-    result = evaluate_distribution(params, 2000.0, n_grid=256)
-    assert result.cdf_branch.shape == (256,)
-    assert result.pdf_branch.shape == (256,)
-    assert np.all(np.isfinite(result.cdf_branch))
-    assert np.all(np.isfinite(result.pdf_branch))
-    max_gap = float(np.max(np.abs(result.cdf_branch - result.cdf_reference)))
-
     quad = PowerQuadratic.from_params(params, 2000.0)
+    grid = np.geomspace(quad.support_min, support_upper(quad, params.rho), 256)
+    cdf_branch = np.array([cdf_branch_form(p, quad, params.rho) for p in grid])
+    pdf_branch = np.array([pdf_branch_form(p, quad, params.rho) for p in grid])
+    cdf_ref = np.array([cdf_reference(p, quad, params.rho) for p in grid])
+    assert np.all(np.isfinite(cdf_branch))
+    assert np.all(np.isfinite(pdf_branch))
+    max_gap = float(np.max(np.abs(cdf_branch - cdf_ref)))
+
     from scipy import integrate
-    hi = result.p_grid[-1]
+    hi = grid[-1]
     q1, _ = integrate.quad(lambda p: pdf_branch_form(p, quad, params.rho),
                            quad.support_min, quad.c0, limit=300)
     q2, _ = integrate.quad(lambda p: pdf_branch_form(p, quad, params.rho),

@@ -12,17 +12,17 @@ from nncc import (
     cdf_reference,
     cdf_reference_batch,
     energy_efficiency,
-    evaluate_distribution,
     expected_power,
     expected_power_conventional,
     expected_power_quadrature,
     pdf_branch_form,
-    power_roots,
     support_upper,
 )
-from nncc import (Geometry, Link, OutageTargets, SystemParams, nncc_power_breakdown,
-                  sample_nn_geometries, validate)
-from nncc.distribution import _quad
+from nncc import (Geometry, Link, OutageTargets, ParameterError, SystemParams,
+                  nncc_power_breakdown, partner_distance_to_bs, sample_nn_geometries,
+                  validate)
+from nncc.distribution import (_q1_cdf, _q1_points, _q1_setup, _q2_cdf, _quad,
+                               _r_large_stable)
 from nncc.montecarlo import RandomStream, sample_power_distribution
 
 # frozen references for the high-rate regime (rate 1e7, p_out 1e-3, r1 2000 m)
@@ -49,45 +49,59 @@ def test_quadratic_reproduces_breakdown_total(dense_params, quad5):
         r1 = 2000.0
         r = rng.uniform(0.0, 300.0)
         theta = rng.uniform(-0.5 * math.pi, 1.5 * math.pi)
-        geom = Geometry(r1=r1, r=r, theta=theta,
-                        r2=math.sqrt(r * r + r1 * r1 + 2 * r1 * r * math.cos(theta)))
+        geom = Geometry(r1=r1, r=r, theta=theta)
         total = nncc_power_breakdown(geom, dense_params).total
         assert quad5.total_power(r, theta) == pytest.approx(total, rel=1e-9)
 
 
-def test_power_roots_at_constant_term(quad5):
-    roots = power_roots(quad5.c0, 2.5, quad5)  # cos(2.5) < 0
-    assert roots is not None
-    assert min(abs(roots.r_small), abs(roots.r_large)) <= 1e-9
-    assert max(roots.r_small, roots.r_large) == pytest.approx(
-        -quad5.b(2.5) / quad5.a, rel=1e-9)
-    roots = power_roots(quad5.c0, 0.5, quad5)  # cos(0.5) > 0
-    assert roots is not None
-    assert roots.r_small == pytest.approx(-quad5.b(0.5) / quad5.a, rel=1e-9)
-    assert abs(roots.r_large) <= 1e-9
+def test_power_roots_at_constant_term(quad5, dense_params):
+    """At p = c0 the roots are 0 and -b(theta)/a, on both sides of the split."""
+    rho = dense_params.rho
+    for theta in (2.5, 0.5):  # cos < 0: large root -b/a; cos > 0: large root 0
+        with np.errstate(invalid="ignore"):  # the unselected form is 0/0 at q = 0
+            r_hi = _r_large_stable(0.5 * quad5.b(theta), 0.0, quad5.a)
+        assert r_hi == pytest.approx(max(0.0, -quad5.b(theta) / quad5.a), rel=1e-9)
+    k, m, s = _q1_setup(quad5.c0, quad5)
+    t = np.linspace(0.0, 0.5 * math.pi, 9)
+    cos_u, r_lo, r_hi, _, _ = _q1_points(t, k, m, s, quad5.a, rho)
+    assert np.max(np.abs(r_lo)) <= 1e-9 * np.max(r_hi)
+    # the bearing u is measured from pi, so b(theta) = -2 k cos(u)
+    assert np.allclose(r_hi, 2.0 * k * cos_u / quad5.a, rtol=1e-9)
 
 
-def test_power_roots_residuals(quad5):
+def test_power_roots_residuals(quad5, dense_params):
+    """The root formulas the CDF routes integrate over solve the level-p equation."""
+    rho = dense_params.rho
     rng = np.random.default_rng(7)
     found = 0
     for _ in range(2000):
         p = quad5.support_min * rng.uniform(0.99, 6.0)
-        theta = rng.uniform(-0.5 * math.pi, 1.5 * math.pi)
-        roots = power_roots(p, theta, quad5)
-        if roots is None:
+        if p <= quad5.support_min:
             continue
+        if p > quad5.c0:  # upper branch: one positive root at every bearing
+            theta = rng.uniform(-0.5 * math.pi, 1.5 * math.pi)
+            b = quad5.b(theta)
+            roots = [_r_large_stable(0.5 * b, p - quad5.c0, quad5.a)]
+        else:  # lower branch: two roots along the substituted variable t
+            k, m, s = _q1_setup(p, quad5)
+            cos_u, r_lo, r_hi, _, _ = _q1_points(rng.uniform(0.0, 0.5 * math.pi),
+                                                 k, m, s, quad5.a, rho)
+            b = -2.0 * k * cos_u
+            roots = [r_lo, r_hi]
+            assert 0.0 <= r_lo <= r_hi
         found += 1
-        for root in (roots.r_small, roots.r_large):
-            residual = quad5.a * root * root + quad5.b(theta) * root + quad5.c0 - p
+        for root in roots:
+            residual = quad5.a * root * root + b * root + quad5.c0 - p
             assert abs(residual) <= 1e-7 * max(p, quad5.c0)
-        assert roots.r_small <= roots.r_large
+        assert roots[-1] > 0.0
     assert found > 100
 
 
-def test_power_roots_none_below_vertex(quad5):
-    assert power_roots(quad5.support_min * 0.999, math.pi, quad5) is None
-    with pytest.raises(ValueError):
-        power_roots(-1.0, 0.0, quad5)
+def test_power_roots_none_below_vertex(quad5, dense_params):
+    """Below the support no bearing has real roots: the lower branch degenerates."""
+    assert _q1_setup(quad5.support_min * 0.999, quad5)[2] == 0.0
+    assert _q1_setup(quad5.support_min * 1.001, quad5)[2] > 0.0
+    assert cdf_reference(quad5.support_min * 0.999, quad5, dense_params.rho) == 0.0
 
 
 def test_support_min_matches_grid_minimum(quad5):
@@ -236,6 +250,23 @@ def test_branch_form_carries_constant_offset_above_c0(quad5, dense_params):
     assert cdf_branch_form(support_upper(quad5, rho, 1e-9), quad5, rho) > 1.0
 
 
+def test_branch_form_is_reference_plus_boundary_term_bitwise(quad5, dense_params):
+    """The branch form as the report builds it, and as first written, agree bitwise."""
+    rho = dense_params.rho
+    grid = np.geomspace(quad5.support_min, support_upper(quad5, rho), 192)
+    boundary = cdf_reference(quad5.c0, quad5, rho)
+    from_reference = (np.array([cdf_reference(p, quad5, rho) for p in grid])
+                      + boundary * (grid > quad5.c0))
+    stated = [0.0 if p <= quad5.support_min else
+              _q1_cdf(p, quad5, rho, 1e-9) if p <= quad5.c0 else
+              _q2_cdf(p, quad5, rho, 1e-9) + _q1_cdf(quad5.c0, quad5, rho, 1e-9)
+              for p in grid]
+    branch = [cdf_branch_form(p, quad5, rho) for p in grid]
+    assert np.array_equal(branch, stated)
+    assert np.array_equal(branch, from_reference)
+    assert np.count_nonzero(grid > quad5.c0) > 100
+
+
 def test_pdf_nonnegative_on_grid(quad5, dense_params):
     rho = dense_params.rho
     grid = np.geomspace(quad5.support_min, support_upper(quad5, rho), 200)
@@ -343,25 +374,40 @@ def test_expected_power_conventional_unequal_gains():
     closed = expected_power_conventional(params, r1)
     assert closed == pytest.approx(
         eta1 * r1 * r1 + eta2 * (r1 * r1 + 1.0 / (math.pi * params.rho)), rel=1e-12)
-    _, _, r2 = sample_nn_geometries(RandomStream(31).generator(), params.rho, r1, 1_000_000)
+    r, theta = sample_nn_geometries(RandomStream(31).generator(), params.rho, r1, 1_000_000)
+    r2 = partner_distance_to_bs(r1, r, theta)
     totals = eta1 * r1 * r1 + eta2 * r2 * r2
     stderr = np.std(totals, ddof=1) / math.sqrt(totals.size)
     assert abs(np.mean(totals) - closed) < 3.0 * stderr
 
 
 def test_evaluate_distribution_grid(dense_params):
-    result = evaluate_distribution(dense_params, 2000.0, n_grid=64)
-    assert result.p_grid.shape == (64,)
-    assert result.p_grid[0] == pytest.approx(INF_GOLDEN, rel=1e-12)
-    assert np.all(np.diff(result.cdf_reference) >= -1e-12)
-    assert result.cdf_reference[-1] == pytest.approx(1.0, abs=2e-6)
-    assert result.expected_power == pytest.approx(EP_GOLDEN, rel=1e-12)
-    assert np.all(result.pdf_branch >= 0.0)
-    # the branch-form CDF ends above 1 by exactly the boundary term
+    rho = dense_params.rho
     quad = PowerQuadratic.from_params(dense_params, 2000.0)
-    boundary = cdf_reference(quad.c0, quad, dense_params.rho)
-    assert result.cdf_branch[-1] - result.cdf_reference[-1] == pytest.approx(
-        boundary, abs=1e-9)
+    grid = np.geomspace(quad.support_min, support_upper(quad, rho), 64)
+    cdf_ref = np.array([cdf_reference(p, quad, rho) for p in grid])
+    cdf_branch = np.array([cdf_branch_form(p, quad, rho) for p in grid])
+    pdf_branch = np.array([pdf_branch_form(p, quad, rho) for p in grid])
+    assert grid[0] == pytest.approx(INF_GOLDEN, rel=1e-12)
+    assert np.all(np.diff(cdf_ref) >= -1e-12)
+    assert cdf_ref[-1] == pytest.approx(1.0, abs=2e-6)
+    assert expected_power(quad, rho) == pytest.approx(EP_GOLDEN, rel=1e-12)
+    assert np.all(pdf_branch >= 0.0)
+    # the branch-form CDF ends above 1 by exactly the boundary term
+    boundary = cdf_reference(quad.c0, quad, rho)
+    assert cdf_branch[-1] - cdf_ref[-1] == pytest.approx(boundary, abs=1e-9)
+
+
+def test_quadratic_rejects_coefficients_whose_square_overflows(dense_params):
+    with pytest.raises(ParameterError) as err:
+        PowerQuadratic.from_params(dense_params, 1e160)
+    assert err.value.field == "rate" and "c0" in str(err.value)
+    huge = validate(SystemParams(rate=2e9))
+    with pytest.raises(ParameterError, match="coefficient a "):
+        PowerQuadratic.from_params(huge, 2000.0)
+    # array distances are checked element-wise
+    with pytest.raises(ParameterError), np.errstate(over="ignore"):
+        PowerQuadratic.from_params(dense_params, np.array([2000.0, 1e160]))
 
 
 def test_quad_helper_raises_on_divergence():

@@ -274,3 +274,45 @@ def test_cli_rate_overflow_exits_2(tmp_path, capsys):
     assert main(["validate", "--out", str(out), "--rate", "1e10"]) == 2
     assert capsys.readouterr().err.startswith("error: rate: ")
     assert not out.exists()
+
+
+def test_check_z_zero_stderr():
+    """A statistic with no spread passes only when it equals its target."""
+    from nncc.experiments import _Report
+
+    rep = _Report()
+    rep.check_z("same", 2.5, 2.5, 0.0)
+    rep.check_z("differs", 2.5, 2.5000000001, 0.0)
+    assert rep.failures == ["differs"]
+    assert "PASS same: 2.5 vs target 2.5 (z = +0.00" in rep.lines[0]
+    assert "(z = +inf" in rep.lines[1]
+
+
+def test_cli_validate_energy_without_spread(tmp_path):
+    """At 1e9 b/s the exchange swamps the uplinks: every round costs the same."""
+    out = tmp_path / "v.txt"
+    assert main(["validate", "--out", str(out), "--rate", "1e9",
+                 "--trials", "10000"]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert "summary: 20/20 bounded checks passed" in text
+    assert re.search(r"PASS mean round energy: .* \(z = \+0\.00,", text)
+
+
+def test_cli_quadratic_overflow_exits_2(tmp_path, capsys):
+    out = tmp_path / "v.txt"
+    assert main(["validate", "--out", str(out), "--rate", "2e9",
+                 "--trials", "10000"]) == 2
+    assert capsys.readouterr().err.startswith("error: rate: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config,field", [('{"g_bs_db": "5"}', "g_bs_db"),
+                                          ('{"rho": true}', "rho")])
+def test_cli_rejects_config_value_types(tmp_path, capsys, config, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    out = tmp_path / "v.txt"
+    assert main(["validate", "--config", str(cfg), "--out", str(out),
+                 "--trials", "10000"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: must be a real number")
+    assert not out.exists()

@@ -5,12 +5,11 @@ import pytest
 from scipy import integrate, stats
 
 from nncc import (
-    mean_nn_distance,
+    Geometry,
     nn_distance_cdf,
     nn_distance_pdf,
     partner_distance_to_bs,
     sample_nn_geometries,
-    sample_nn_geometry,
 )
 from nncc.montecarlo import RandomStream
 
@@ -53,12 +52,30 @@ def test_partner_distance_rejects_bad_inputs():
         partner_distance_to_bs(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         partner_distance_to_bs(1.0, -1.0, 0.0)
+    with pytest.raises(ValueError):
+        partner_distance_to_bs(np.array([1.0, 2.0]), np.array([1.0, -1.0]), 0.0)
+    with pytest.raises(ValueError):
+        Geometry(r1=0.0, r=1.0, theta=0.0)
+    with pytest.raises(ValueError):
+        Geometry(r1=1.0, r=-1.0, theta=0.0)
+
+
+def test_partner_distance_scalar_and_array_agree():
+    r, theta = sample_nn_geometries(RandomStream(6).generator(), 1e-4, 800.0, 500)
+    r2 = partner_distance_to_bs(800.0, r, theta)
+    assert r2.shape == (500,)
+    for i in range(0, 500, 25):
+        one = partner_distance_to_bs(800.0, float(r[i]), float(theta[i]))
+        assert isinstance(one, float) and one == r2[i]
+        assert Geometry(r1=800.0, r=float(r[i]), theta=float(theta[i])).r2 == one
+    # the neighbor on the BS: rounding may not take the squared distance below 0
+    assert partner_distance_to_bs(np.full(3, 0.1), np.full(3, 0.1), math.pi) == \
+        pytest.approx(np.zeros(3), abs=1e-9)
 
 
 def test_sampled_geometry_satisfies_identities():
-    rng = RandomStream(5).generator()
-    for _ in range(2000):
-        g = sample_nn_geometry(rng, rho=1e-4, r1=800.0)
+    r, theta = sample_nn_geometries(RandomStream(5).generator(), 1e-4, 800.0, 2000)
+    for g in (Geometry(r1=800.0, r=float(ri), theta=float(ti)) for ri, ti in zip(r, theta)):
         lhs = g.r2 * g.r2
         rhs = g.r * g.r + g.r1 * g.r1 + 2.0 * g.r1 * g.r * math.cos(g.theta)
         assert lhs == pytest.approx(rhs, rel=1e-9)
@@ -68,24 +85,23 @@ def test_sampled_geometry_satisfies_identities():
 
 
 def test_sampling_reproducible():
-    a = [sample_nn_geometry(RandomStream(9).generator(), 1e-4, 500.0) for _ in range(1)]
-    b = [sample_nn_geometry(RandomStream(9).generator(), 1e-4, 500.0) for _ in range(1)]
-    assert a == b
-    r_a, th_a, r2_a = sample_nn_geometries(RandomStream(9, 3).generator(), 1e-4, 500.0, 64)
-    r_b, th_b, r2_b = sample_nn_geometries(RandomStream(9, 3).generator(), 1e-4, 500.0, 64)
-    assert np.array_equal(r_a, r_b) and np.array_equal(th_a, th_b) and np.array_equal(r2_a, r2_b)
+    r_a, th_a = sample_nn_geometries(RandomStream(9, 3).generator(), 1e-4, 500.0, 64)
+    r_b, th_b = sample_nn_geometries(RandomStream(9, 3).generator(), 1e-4, 500.0, 64)
+    assert np.array_equal(r_a, r_b) and np.array_equal(th_a, th_b)
+    g_a = Geometry(r1=500.0, r=float(r_a[0]), theta=float(th_a[0]))
+    assert g_a == Geometry(r1=500.0, r=float(r_b[0]), theta=float(th_b[0]))
 
 
 def test_empirical_mean_distance():
     rho = 1e-4
-    r, _, _ = sample_nn_geometries(RandomStream(11).generator(), rho, 100.0, 1_000_000)
+    r, _ = sample_nn_geometries(RandomStream(11).generator(), rho, 100.0, 1_000_000)
     assert np.mean(r) == pytest.approx(50.0, rel=5e-3)
 
 
 def test_empirical_distance_cdf_ks():
     rho = 1e-4
     n = 1_000_000
-    r, _, _ = sample_nn_geometries(RandomStream(12).generator(), rho, 100.0, n)
+    r, _ = sample_nn_geometries(RandomStream(12).generator(), rho, 100.0, n)
     r.sort()
     f = nn_distance_cdf(r, rho)
     i = np.arange(1, n + 1)
@@ -95,13 +111,22 @@ def test_empirical_distance_cdf_ks():
 
 
 def test_bearing_uniform_chi_square():
-    _, theta, _ = sample_nn_geometries(RandomStream(13).generator(), 1e-4, 100.0, 1_000_000)
+    _, theta = sample_nn_geometries(RandomStream(13).generator(), 1e-4, 100.0, 1_000_000)
     counts, _ = np.histogram(theta, bins=64, range=(-0.5 * math.pi, 1.5 * math.pi))
     assert stats.chisquare(counts).pvalue > 0.01
 
 
+def mean_nn_distance(rho):
+    """Mean nearest-neighbor distance by adaptive quadrature of the density."""
+    scale = 1.0 / math.sqrt(math.pi * rho)
+    val, _ = integrate.quad(lambda r: r * nn_distance_pdf(r, rho), 0.0, 40.0 * scale,
+                            epsabs=0.0, epsrel=1e-12, limit=200)
+    return val
+
+
 @pytest.mark.parametrize("rho,expected", [(1e-4, 50.0), (1e-2, 5.0)])
 def test_mean_nn_distance_closed_form(rho, expected):
+    """The density's first moment is the closed form 1/(2*sqrt(rho))."""
     assert mean_nn_distance(rho) == pytest.approx(expected, rel=1e-9)
 
 

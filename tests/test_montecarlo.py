@@ -11,25 +11,27 @@ from nncc import (
     PowerQuadratic,
     cdf_reference,
     cdf_reference_batch,
+    conventional_power,
     expected_power,
     nncc_power_breakdown,
 )
 from nncc.montecarlo import (
+    _BLOCK,
     MIN_TRIALS,
-    ProtocolFading,
     RandomStream,
+    _thresholds,
     estimate_link_outage,
     estimate_outage,
     ks_distance,
+    protocol_round,
     sample_power_distribution,
-    simulate_protocol_trial,
 )
 
 INF = float("inf")
 
 
 def fixed_geom(r1=2000.0, r=20.0):
-    return Geometry(r1=r1, r=r, theta=0.5 * math.pi, r2=math.hypot(r1, r))
+    return Geometry(r1=r1, r=r, theta=0.5 * math.pi)
 
 
 # --- random stream contract --------------------------------------------------
@@ -48,62 +50,54 @@ def test_streams_differ_across_ids():
     assert not np.array_equal(a, c)
 
 
-def test_substream_offsets():
-    s = RandomStream(5, 10)
-    assert s.substream(3) == RandomStream(5, 13)
+# --- one protocol round --------------------------------------------------------
 
+def round_at_fading(params, h12, h21, h1b_slot2, h2b_slot2, h1b_slot3, h2b_slot3):
+    """One round at fixed fading gains and the production thresholds."""
+    geom = fixed_geom()
+    t12, t1b, t2b = _thresholds(geom, nncc_power_breakdown(geom, params), params)
+    delta0 = np.array([h12 >= t12 and h21 >= t12])
+    d1, d2, composite = protocol_round(
+        delta0, np.array([h1b_slot2 >= t1b]), np.array([h2b_slot2 >= t2b]),
+        np.array([h2b_slot3 >= t2b]), np.array([h1b_slot3 >= t1b]))
+    return bool(delta0[0]), bool(d1[0]), bool(d2[0]), bool(composite[0])
 
-# --- single protocol trial -----------------------------------------------------
 
 def test_trial_infinite_fading(params):
-    geom = fixed_geom()
-    powers = nncc_power_breakdown(geom, params)
-    out = simulate_protocol_trial(
-        RandomStream(1), geom, powers, params,
-        fading=ProtocolFading(INF, INF, INF, INF, INF, INF))
-    assert out.delta == 0
-    assert out.d1_delivered and out.d2_delivered
-    assert not out.pair_outage_composite
-    cellular = powers.p1b + powers.p2b
-    assert out.energy == pytest.approx(
-        2.0 * powers.p12 + 2.0 * cellular, rel=1e-12)
+    assert round_at_fading(params, INF, INF, INF, INF, INF, INF) == (True, True, True, False)
 
 
 def test_trial_zero_fading(params):
-    geom = fixed_geom()
-    powers = nncc_power_breakdown(geom, params)
-    out = simulate_protocol_trial(
-        RandomStream(1), geom, powers, params,
-        fading=ProtocolFading(0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-    assert out.delta == 1
-    assert not out.d1_delivered and not out.d2_delivered
-    assert out.pair_outage_composite
-    assert out.energy == pytest.approx(
-        2.0 * powers.p12 + powers.p1b + powers.p2b, rel=1e-12)
+    assert round_at_fading(params, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0) == (False, False, False, True)
 
 
 def test_trial_relay_saves_message(params):
-    geom = fixed_geom()
-    powers = nncc_power_breakdown(geom, params)
     # exchange succeeds; U1's own uplink dies but U2's relay carries message 1
-    out = simulate_protocol_trial(
-        RandomStream(1), geom, powers, params,
-        fading=ProtocolFading(INF, INF, 0.0, INF, INF, INF))
-    assert out.delta == 0
-    assert out.d1_delivered and out.d2_delivered
-    assert not out.pair_outage_composite
+    assert round_at_fading(params, INF, INF, 0.0, INF, INF, INF) == (True, True, True, False)
+
+
+def test_protocol_round_failed_exchange_is_conventional():
+    """Without the exchange the relayed copies are ignored: solo uplinks only."""
+    own1 = np.array([True, True, False, False])
+    own2 = np.array([True, False, True, False])
+    relay = np.ones(4, dtype=bool)
+    d1, d2, composite = protocol_round(False, own1, own2, relay, relay)
+    assert np.array_equal(d1, own1) and np.array_equal(d2, own2)
+    assert np.array_equal(composite, ~(own1 & own2))
+    d1, d2, composite = protocol_round(np.ones(4, dtype=bool), own1, own2, ~own2, ~own1)
+    assert np.array_equal(d1, own1 | ~own2) and np.array_equal(d2, own2 | ~own1)
+    assert np.array_equal(composite, ~d1)
 
 
 def test_trial_energy_accounting_identity(params):
+    """Each round pays both exchange directions and one or two cellular slots."""
     geom = fixed_geom()
     powers = nncc_power_breakdown(geom, params)
-    cellular = powers.p1b + powers.p2b
-    rng = RandomStream(77).generator()
-    for _ in range(10_000):
-        out = simulate_protocol_trial(rng, geom, powers, params)
-        slots = 2 if out.delta == 0 else 1
-        assert out.energy == pytest.approx(
-            2.0 * powers.p12 + slots * cellular, rel=1e-12)
+    rep = estimate_outage(50_000, geom, params, RandomStream(77))
+    assert 0.0 < rep.delta0_rate < 1.0
+    assert rep.mean_energy == pytest.approx(
+        2.0 * powers.p12 + (1.0 + rep.delta0_rate) * (powers.p1b + powers.p2b),
+        rel=1e-12)
 
 
 # --- estimators ----------------------------------------------------------------
@@ -137,6 +131,47 @@ def test_estimate_outage_conventional(params):
     assert abs(rep.outage_d1 - t.p_out_c) < 3.0 * rep.outage_d1_stderr
     assert rep.delta0_rate is None
     assert rep.energy_stderr == 0.0
+
+
+def _counts_drawn_directly(n, geom, params, stream, scheme):
+    """The block kernels' counts, re-derived draw by draw as they were first written."""
+    powers = (nncc_power_breakdown(geom, params) if scheme == "nncc"
+              else conventional_power(geom, params))
+    t12, t1b, t2b = _thresholds(geom, powers, params)
+    sig_s, sig_c = params.sigma2_short, params.sigma2_cell
+    counts = np.zeros(4, dtype=int)
+    for j, start in enumerate(range(0, n, _BLOCK)):
+        size = min(_BLOCK, n - start)
+        rng = stream.block(j)
+        if scheme == "nncc":
+            h12, h21 = rng.exponential(sig_s, size), rng.exponential(sig_s, size)
+            delta0 = (h12 >= t12) & (h21 >= t12)
+            own1 = rng.exponential(sig_c, size) >= t1b
+            own2 = rng.exponential(sig_c, size) >= t2b
+            relay2 = rng.exponential(sig_c, size) >= t1b
+            relay1 = rng.exponential(sig_c, size) >= t2b
+            d1 = np.where(delta0, own1 | relay1, own1)
+            d2 = np.where(delta0, own2 | relay2, own2)
+            composite = np.where(delta0, ~d1, ~(d1 & d2))
+        else:
+            d1 = rng.exponential(sig_c, size) >= t1b
+            d2 = rng.exponential(sig_c, size) >= t2b
+            composite, delta0 = ~(d1 & d2), np.zeros(size, dtype=bool)
+        counts += [np.sum(~d1), np.sum(~d2), np.sum(composite), np.sum(delta0)]
+    return counts
+
+
+@pytest.mark.parametrize("scheme", ["nncc", "conventional"])
+def test_estimate_outage_counts_follow_the_draw_order(params, scheme):
+    # a weaker exchange and uplinks make every kind of round common
+    geom, n = fixed_geom(r1=2600.0, r=35.0), 70_000
+    rep = estimate_outage(n, geom, params, RandomStream(53), scheme=scheme)
+    lost1, lost2, comp, n_delta0 = _counts_drawn_directly(n, geom, params,
+                                                          RandomStream(53), scheme)
+    assert (rep.outage_d1, rep.outage_d2, rep.outage_composite) == (
+        lost1 / n, lost2 / n, comp / n)
+    assert rep.delta0_rate == (n_delta0 / n if scheme == "nncc" else None)
+    assert min(lost1, lost2, comp) > 0
 
 
 def test_estimate_outage_unknown_scheme(params):

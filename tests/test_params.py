@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -72,12 +73,18 @@ def test_validate_accepts_default_set():
     ("sigma2_short", 0.0),
     ("gap_s_db", 0.0),
     ("gap_c_db", -2.0),
-])
+] + [(f.name, value) for f in fields(SystemParams) for value in (True, "5", 1j)])
 def test_validate_rejects_and_names_field(field, value):
     raw = SystemParams(**{field: value})
     with pytest.raises(ParameterError) as err:
         validate(raw)
     assert field in str(err.value)
+    assert err.value.field == field
+
+
+def test_validate_accepts_any_real_number_type():
+    lin = validate(SystemParams(rho=np.float64(1e-4), rate=100_000, g_bs_db=np.int64(5)))
+    assert lin == validate(SystemParams())
 
 
 def test_validate_idempotent():

@@ -53,8 +53,7 @@ def bisect_per_link(p_out, tol=1e-14):
 
 
 def fixed_geom(r1=2000.0, r=20.0, theta=0.5 * math.pi):
-    return Geometry(r1=r1, r=r, theta=theta,
-                    r2=math.sqrt(r * r + r1 * r1 + 2.0 * r1 * r * math.cos(theta)))
+    return Geometry(r1=r1, r=r, theta=theta)
 
 
 # --- per-link outage targets -------------------------------------------------
@@ -177,7 +176,7 @@ def test_zeta_is_distance_free(params):
 def test_breakdown_coincident_handsets(params):
     t = OutageTargets.for_target(params.p_out_target)
     eta = eta_of(params, t.p_out_nc)
-    geom = Geometry(r1=1000.0, r=0.0, theta=0.3, r2=1000.0)
+    geom = Geometry(r1=1000.0, r=0.0, theta=0.3)
     b = nncc_power_breakdown(geom, params)
     assert b.p12 == 0.0  # each direction of the exchange
     assert b.total == pytest.approx(2.0 * t.eps_total * eta * 1000.0 ** 2, rel=1e-12)
@@ -240,7 +239,7 @@ def test_conventional_coincident(params):
     t = OutageTargets.for_target(params.p_out_target)
     eta_c = eta_of(params, t.p_out_c)
     for theta in (0.0, 1.0, math.pi):
-        geom = Geometry(r1=700.0, r=0.0, theta=theta, r2=700.0)
+        geom = Geometry(r1=700.0, r=0.0, theta=theta)
         b = conventional_power(geom, params)
         assert b.total == pytest.approx(2.0 * eta_c * 700.0 ** 2, rel=1e-12)
         assert b.total == b.p1b + b.p2b  # solo uplinks only
@@ -370,7 +369,7 @@ def test_unequal_handset_gains_closed_forms():
     assert coeff.eta2 / coeff.eta1 == pytest.approx(10.0 ** 0.3, rel=1e-12)
     assert coeff.eta1 == power_coefficients(validate(SystemParams())).eta1
     # the baseline charges each handset its own uplink as well
-    solo = conventional_power(Geometry(r1=700.0, r=0.0, theta=0.0, r2=700.0), params)
+    solo = conventional_power(Geometry(r1=700.0, r=0.0, theta=0.0), params)
     assert solo.p2b / solo.p1b == pytest.approx(10.0 ** 0.3, rel=1e-12)
     rng = np.random.default_rng(11)
     for _ in range(1000):
