@@ -43,6 +43,8 @@ from ._pool import map_ordered
 
 # coefficients at or above this magnitude overflow when squared
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
+# points per batch-CDF task; each task holds a few (_CHUNK, n_nodes) temporaries
+_CHUNK = 4096
 
 
 class IntegrationError(RuntimeError):
@@ -97,10 +99,6 @@ class PowerQuadratic:
 
     def b(self, theta: float) -> float:
         return self.b_coeff * math.cos(theta)
-
-    def total_power(self, r, theta):
-        """Evaluate the quadratic; accepts scalars or arrays."""
-        return self.a * np.square(r) + self.b_coeff * np.cos(theta) * np.asarray(r) + self.c0
 
     @property
     def half_b_max(self) -> float:
@@ -239,8 +237,7 @@ def pdf_branch_form(p: float, quad: PowerQuadratic, rho: float, *,
 
 
 def cdf_reference_batch(p_values, quad: PowerQuadratic, rho: float, *,
-                        n_nodes: int = 128, chunk: int = 16384,
-                        workers: int = 1) -> np.ndarray:
+                        n_nodes: int = 128, workers: int = 1) -> np.ndarray:
     """Vectorized ``cdf_reference`` on an array of abscissae.
 
     Uses fixed Gauss-Legendre rules (interior nodes, so the substituted Q1
@@ -251,15 +248,13 @@ def cdf_reference_batch(p_values, quad: PowerQuadratic, rho: float, *,
     where the Q2 bearing integrand has a near-kink at theta ~ pi/2.  Intended
     for bulk work such as Kolmogorov-Smirnov statistics over 1e6 sample points.
 
-    Each branch is evaluated in chunks of ``chunk`` points, ``workers``
-    threads taking chunks concurrently and each chunk writing its own slice of
-    the output.  The chunk boundaries are part of the result: the node sum is
-    a BLAS matrix-vector product whose rounding can depend on the number of
-    rows (and on the BLAS library's own thread count), so a different
-    ``chunk`` may change the low bits.  ``workers`` does not: each chunk's
-    product has the same shape whichever thread runs it, and the BLAS
-    library splits a product by its shape and its own thread count, not by
-    the calling thread, so the result is bit-identical for any ``workers``.
+    Each branch is evaluated in chunks of points, ``workers`` threads taking
+    chunks concurrently and each chunk writing its own slice of the output.
+    Every point's value depends on that point alone: the kernels are
+    element-wise and the node sum is a per-row ``einsum``, which numpy
+    computes itself in a fixed order (without ``optimize`` it never hands the
+    sum to BLAS).  So the result is bit-identical for any ``workers``, any
+    chunk size and any BLAS thread count.
     """
     p_values = np.asarray(p_values, dtype=float)
     out = np.zeros(p_values.shape, dtype=float)
@@ -301,7 +296,7 @@ def cdf_reference_batch(p_values, quad: PowerQuadratic, rho: float, *,
         np.multiply(s, cos_t, out=gap)
         g *= gap
         g /= cos_u
-        flat_out[sel] = g @ wt
+        flat_out[sel] = np.einsum("ij,j->i", g, wt)
 
     # Q2: bearing folded onto (0, pi)
     theta = 0.5 * math.pi * (x + 1.0)
@@ -324,14 +319,14 @@ def cdf_reference_batch(p_values, quad: PowerQuadratic, rho: float, *,
         r_hi *= neg_pi_rho
         np.expm1(r_hi, out=r_hi)
         np.negative(r_hi, out=r_hi)
-        flat_out[sel] = r_hi @ wth
+        flat_out[sel] = np.einsum("ij,j->i", r_hi, wth)
 
     tasks = []
     for kernel, mask in ((q1_chunk, (flat_p > quad.support_min) & (flat_p <= c0)),
                          (q2_chunk, flat_p > c0)):
         idx = np.flatnonzero(mask)
-        tasks += [(kernel, idx[start:start + chunk])
-                  for start in range(0, idx.size, chunk)]
+        tasks += [(kernel, idx[start:start + _CHUNK])
+                  for start in range(0, idx.size, _CHUNK)]
     map_ordered(lambda kernel, sel: kernel(sel), tasks, workers)
 
     return out if p_values.ndim else float(flat_out[0])

@@ -19,7 +19,7 @@ from . import powermodel
 from ._pool import map_ordered
 from .distribution import PowerQuadratic
 from .geometry import Geometry, sample_nn_geometries
-from .params import LinearParams
+from .params import LinearParams, ParameterError
 from .powermodel import Link, PowerBreakdown
 
 MIN_TRIALS = 10_000  # reported confidence intervals are meaningless below this
@@ -70,6 +70,14 @@ def _require_trials(n: int) -> None:
         raise ValueError(
             f"n={n} is too small for meaningful confidence intervals; "
             f"need at least {MIN_TRIALS} trials")
+
+
+def _finite_energy(mean: float, stderr: float, where: str) -> None:
+    """Round energies whose mean or spread overflows make the rate infeasible."""
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise ParameterError(
+            "rate", f"the mean or the spread of the round energy {where} "
+                    f"overflows (mean {mean:.3g}); lower the rate or the distances")
 
 
 def _thresholds(geom: Geometry, powers: PowerBreakdown, params: LinearParams):
@@ -149,11 +157,16 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
         e1 = 2.0 * powers.p12 + cellular                 # delta = 1 rounds
         e0 = e1 + cellular                               # delta = 0 rounds
         mean_e = (n_delta0 * e0 + (n - n_delta0) * e1) / n
-        var_e = (n_delta0 * (e0 - mean_e) ** 2
-                 + (n - n_delta0) * (e1 - mean_e) ** 2) / max(n - 1, 1)
+        try:
+            var_e = (n_delta0 * (e0 - mean_e) ** 2
+                     + (n - n_delta0) * (e1 - mean_e) ** 2) / max(n - 1, 1)
+        except OverflowError:  # float ** raises where * would give inf
+            var_e = math.inf
         delta0_rate = n_delta0 / n
     else:
         mean_e, var_e, delta0_rate = powers.total, 0.0, None
+    energy_stderr = math.sqrt(var_e / n)
+    _finite_energy(mean_e, energy_stderr, "at this placement")
 
     return McReport(
         n_trials=n,
@@ -162,7 +175,7 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
         outage_composite=comp / n, outage_composite_stderr=_binom_stderr(comp / n, n),
         delta0_rate=delta0_rate,
         delta0_stderr=None if delta0_rate is None else _binom_stderr(delta0_rate, n),
-        mean_energy=mean_e, energy_stderr=math.sqrt(var_e / n),
+        mean_energy=mean_e, energy_stderr=energy_stderr,
         wall_time_s=time.perf_counter() - t0,
     )
 
@@ -194,8 +207,10 @@ def sample_power_distribution(n: int, rho: float, r1: float,
 
     totals = np.concatenate(_map_blocks(n, workers, block_fn))
     totals.sort()
-    mean = float(np.mean(totals))
-    stderr = float(np.std(totals, ddof=1) / math.sqrt(n))
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        mean = float(np.mean(totals))
+        stderr = float(np.std(totals, ddof=1) / math.sqrt(n))
+    _finite_energy(mean, stderr, f"over placements at rho = {rho:g}")
     return McReport(n_trials=n, mean_energy=mean, energy_stderr=stderr,
                     power_samples=totals, wall_time_s=time.perf_counter() - t0)
 

@@ -1,5 +1,8 @@
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +24,12 @@ from nncc import (
 from nncc import (Geometry, Link, OutageTargets, ParameterError, SystemParams,
                   nncc_power_breakdown, partner_distance_to_bs, sample_nn_geometries,
                   validate)
+from nncc import distribution
 from nncc.distribution import (_q1_cdf, _q1_points, _q1_setup, _q2_cdf, _quad,
                                _r_large_stable)
 from nncc.montecarlo import RandomStream, sample_power_distribution
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # frozen references for the high-rate regime (rate 1e7, p_out 1e-3, r1 2000 m)
 A_GOLDEN = 1.255845624464336e-5
@@ -51,7 +57,8 @@ def test_quadratic_reproduces_breakdown_total(dense_params, quad5):
         theta = rng.uniform(-0.5 * math.pi, 1.5 * math.pi)
         geom = Geometry(r1=r1, r=r, theta=theta)
         total = nncc_power_breakdown(geom, dense_params).total
-        assert quad5.total_power(r, theta) == pytest.approx(total, rel=1e-9)
+        total_power = quad5.a * r * r + quad5.b_coeff * np.cos(theta) * r + quad5.c0
+        assert total_power == pytest.approx(total, rel=1e-9)
 
 
 def test_power_roots_at_constant_term(quad5, dense_params):
@@ -171,7 +178,7 @@ def _batch_probe_points(quad):
 
 
 def _batch_cdf_allocating(p_values, quad, rho, n_nodes=128, chunk=16384):
-    """The batch CDF written with plain allocating expressions, same chunks."""
+    """The batch CDF written with plain allocating expressions and the same row sum."""
     out = np.zeros(p_values.shape)
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     k, a = quad.half_b_max, quad.a
@@ -190,7 +197,7 @@ def _batch_cdf_allocating(p_values, quad, rho, n_nodes=128, chunk=16384):
         mid = (k / a) * cos_u
         g = (np.exp(-math.pi * rho * np.square(mid - gap))
              - np.exp(-math.pi * rho * np.square(mid + gap)))
-        out[sel] = (g * (s * cos_t) / cos_u) @ wt
+        out[sel] = np.einsum("ij,j->i", g * (s * cos_t) / cos_u, wt)
     theta = 0.5 * math.pi * (x + 1.0)
     wth = (0.5 * math.pi / math.pi) * w
     half_b = k * np.cos(theta)[None, :]
@@ -200,7 +207,7 @@ def _batch_cdf_allocating(p_values, quad, rho, n_nodes=128, chunk=16384):
         q = (p_values[sel] - quad.c0)[:, None]
         disc = np.sqrt(a * q + half_b * half_b) + np.abs(half_b)
         r_hi = np.where(half_b > 0.0, q / disc, disc / a)
-        out[sel] = -np.expm1(-math.pi * rho * (r_hi * r_hi)) @ wth
+        out[sel] = np.einsum("ij,j->i", -np.expm1(-math.pi * rho * (r_hi * r_hi)), wth)
     return out
 
 
@@ -213,7 +220,7 @@ def test_cdf_batch_in_place_kernel_matches_allocating_form_bitwise(quad5, dense_
 def test_cdf_batch_bitwise_independent_of_workers(quad5, dense_params):
     rho = dense_params.rho
     p = _batch_probe_points(quad5)
-    assert p.size % 16384 != 0
+    assert p.size % distribution._CHUNK != 0
     serial = cdf_reference_batch(p, quad5, rho, workers=1)
     assert np.all(serial[:101] == 0.0) and np.all(serial[101:] > 0.0)
     # more threads than cores, with frequent thread switches
@@ -229,6 +236,43 @@ def test_cdf_batch_bitwise_independent_of_workers(quad5, dense_params):
         one = cdf_reference_batch(np.float64(p0), quad5, rho, workers=1)
         two = cdf_reference_batch(np.float64(p0), quad5, rho, workers=2)
         assert isinstance(two, float) and two == one
+
+
+@pytest.mark.parametrize("chunk", [1000, 16384])
+def test_cdf_batch_bitwise_independent_of_chunk(quad5, dense_params, monkeypatch, chunk):
+    rho = dense_params.rho
+    p = _batch_probe_points(quad5)
+    default = cdf_reference_batch(p, quad5, rho, workers=2)
+    monkeypatch.setattr(distribution, "_CHUNK", chunk)
+    assert np.array_equal(cdf_reference_batch(p, quad5, rho, workers=2), default)
+
+
+def _small_validate_cdf():
+    """Batch CDF at the KS sample of ``validate --seed 7 --trials 10000``."""
+    params = validate(SystemParams())
+    quad = PowerQuadratic.from_params(params, 2000.0)
+    samples = sample_power_distribution(10_000, params.rho, 2000.0, params,
+                                        RandomStream(7, stream_id=101)).power_samples
+    return cdf_reference_batch(samples, quad, params.rho)
+
+
+def test_cdf_batch_bitwise_independent_of_blas_threads():
+    """A child process with one BLAS thread computes the same bytes.
+
+    On this input a BLAS matrix-vector node sum rounded the last point
+    differently with one BLAS thread than with the default thread pool.
+    """
+    env = dict(os.environ)
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "tests")]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    child = ("import sys; from test_distribution import _small_validate_cdf; "
+             "sys.stdout.buffer.write(_small_validate_cdf().tobytes())")
+    done = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, timeout=300)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == _small_validate_cdf().tobytes()
 
 
 def test_branch_form_matches_reference_below_c0(quad5, dense_params):

@@ -306,6 +306,22 @@ def test_cli_quadratic_overflow_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    # the spread of the round total over placements overflows at rho = 1e-4
+    ["validate", "--rate", "1.05e9"],
+    ["sweep", "--var", "r1", "--min", "500", "--max", "1000", "--count", "2",
+     "--rate", "1.05e9"],
+    # the variance of the round energy at a fixed placement overflows
+    ["sweep", "--var", "r", "--min", "1", "--max", "10", "--count", "2",
+     "--rate", "1.2e9"],
+], ids=["validate", "sweep-r1", "sweep-r"])
+def test_cli_round_energy_overflow_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "o.txt"
+    assert main(argv + ["--trials", "10000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: rate: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config,field", [('{"g_bs_db": "5"}', "g_bs_db"),
                                           ('{"rho": true}', "rho")])
 def test_cli_rejects_config_value_types(tmp_path, capsys, config, field):

@@ -380,7 +380,8 @@ def test_unequal_handset_gains_closed_forms():
         b = nncc_power_breakdown(geom, params)
         assert b.p2b / b.p1b == pytest.approx(10.0 ** 0.3 * (geom.r2 / r1) ** 2, rel=1e-12)
         quad = PowerQuadratic.from_params(params, r1)
-        assert quad.total_power(r, theta) == pytest.approx(b.total, rel=1e-12)
+        total_power = quad.a * r * r + quad.b_coeff * np.cos(theta) * r + quad.c0
+        assert total_power == pytest.approx(b.total, rel=1e-12)
         assert quadratic_form(coeff, t.eps_total, r1, r, theta) == pytest.approx(
             b.total, rel=1e-12)
 
