@@ -39,8 +39,6 @@ from .powermodel import (
 from .distribution import (
     IntegrationError,
     PowerQuadratic,
-    cdf_branch_form,
-    cdf_reference,
     cdf_reference_batch,
     energy_efficiency,
     expected_power,

@@ -10,22 +10,32 @@ so with the PPP neighbor-distance law and a uniform bearing the CDF of the
 total is an integral over theta of the probability mass the neighbor distance
 puts on the root interval of ``P(r, theta) <= p``.
 
-Two evaluation routes are provided and deliberately kept separate:
+``cdf_reference_batch`` is the one CDF.  It splits at p = c0 into the regions
+Q1 (below) and Q2 (above) and substitutes so that the roots become
+exponentials.  With k = b_coeff/2 and half_b = k*cos(theta):
 
-* ``cdf_reference`` integrates that defining probability directly and is the
-  normative CDF.
-* ``cdf_branch_form``/``pdf_branch_form`` evaluate the two-branch expressions
-  obtained by splitting at p = c0 into the regions Q1 (below) and Q2 (above),
-  with the Q2 CDF branch carrying an additive boundary term.  The validation
-  report quantifies where the branch form deviates from the reference; the
-  branch form is never silently corrected.
+* Q2: half_b = c*sinh(w) with c = sqrt(a*(p - c0)).  The larger root is then
+  exactly r_hi = (c/a)*exp(-w), with w in [-V, V], V = asinh(k/c).  Without
+  this the integrand has a near-kink at half_b ~ +-c, which a fixed or
+  adaptive rule in theta misses when p is just above c0.
+* Q1: -half_b = d*cosh(w) with d = sqrt(a*(c0 - p)).  The roots are then
+  (d/a)*exp(-w) and (d/a)*exp(w), with w in [0, W], W = asinh(sqrt(a*(p -
+  support_min))/d).
 
-The branch split at p = c0 matters numerically: below c0 only bearings with
-cos(theta) negative enough admit real roots, and the root gap vanishes at the
-edge of that admissible set.  The Q1 integrals are therefore evaluated after
-the substitution sin(u) = sqrt(1-m^2)*sin(t) (u the bearing offset from pi),
-which absorbs the vanishing root gap and leaves a smooth integrand on
-[0, pi/2].
+Then w = V*cos(phi) (W*cos(phi)), and Q2 folds w onto [0, V].  Either
+integrand becomes a smooth, even, pi-periodic function of phi in [0, pi/2]
+(Trefethen, Approximation Theory and Approximation Practice, ch. 19), on
+which the trapezoid rule converges geometrically.  The rule doubles, reusing
+its nodes, until the change |T_2n - T_n| is at most ``_CDF_TOL`` = 1e-10,
+and T_2n is kept.  A point that has not converged at ``_MAX_NODES``
+intervals raises ``IntegrationError``.
+
+``pdf_branch_form`` evaluates the two-branch density obtained by the same
+split, by adaptive quadrature.  Below c0 only bearings with cos(theta)
+negative enough admit real roots, and the root gap vanishes at the edge of
+that admissible set; the Q1 density is therefore integrated after the
+substitution sin(u) = sqrt(1-m^2)*sin(t) (u the bearing offset from pi),
+which leaves a smooth integrand on [0, pi/2].
 """
 
 from __future__ import annotations
@@ -35,7 +45,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .params import LinearParams, ParameterError
 from . import powermodel
@@ -43,15 +52,22 @@ from ._pool import map_ordered
 
 # coefficients at or above this magnitude overflow when squared
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
-# points per batch-CDF task; each task holds a few (_CHUNK, n_nodes) temporaries
+# absolute error each CDF value is certified to, by its own doubling estimate
+_CDF_TOL = 1e-10
+# trapezoid intervals on [0, pi/2] past which a CDF point is an IntegrationError
+_MAX_NODES = 1 << 13
+# points per CDF task, and values per kernel temporary (4096 points x 128 nodes)
 _CHUNK = 4096
+_CELLS = 4096 * 128
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive quadrature failed to converge to the requested tolerance."""
+    """A quadrature failed to reach its error tolerance."""
 
 
 def _quad(func, lo, hi, epsabs, epsrel=1e-10, limit=200):
+    from scipy import integrate  # deferred: figure and sweep runs never integrate
+
     out = integrate.quad(func, lo, hi, epsabs=epsabs, epsrel=epsrel,
                          limit=limit, full_output=1)
     if len(out) > 3:
@@ -121,7 +137,7 @@ def _r_large_stable(half_b, q_over_a, a):
     return np.where(half_b > 0.0, q_over_a / (half_b + disc), (disc - half_b) / a)
 
 
-# --- Q1 machinery (support_min < p <= c0) ---------------------------------
+# --- Q1 density (support_min < p <= c0) -----------------------------------
 
 def _q1_setup(p: float, quad: PowerQuadratic):
     """Substitution constants for the below-c0 branch."""
@@ -143,18 +159,6 @@ def _q1_points(t, k, m, s, a, rho):
     return cos_u, r_lo, r_hi, w_lo, w_hi
 
 
-def _q1_cdf(p: float, quad: PowerQuadratic, rho: float, epsabs: float) -> float:
-    k, m, s = _q1_setup(p, quad)
-    if s == 0.0:
-        return 0.0
-
-    def integrand(t):
-        cos_u, _, _, w_lo, w_hi = _q1_points(t, k, m, s, quad.a, rho)
-        return (w_lo - w_hi) * s * np.cos(t) / cos_u
-
-    return _quad(integrand, 0.0, 0.5 * math.pi, epsabs=epsabs * math.pi) / math.pi
-
-
 def _q1_pdf(p: float, quad: PowerQuadratic, rho: float, epsabs: float) -> float:
     k, m, s = _q1_setup(p, quad)
     if s == 0.0:
@@ -167,19 +171,7 @@ def _q1_pdf(p: float, quad: PowerQuadratic, rho: float, epsabs: float) -> float:
     return _quad(integrand, 0.0, 0.5 * math.pi, epsabs=epsabs)
 
 
-# --- Q2 machinery (p > c0) --------------------------------------------------
-
-def _q2_cdf(p: float, quad: PowerQuadratic, rho: float, epsabs: float) -> float:
-    q = p - quad.c0
-
-    def integrand(theta):
-        half_b = quad.half_b_max * np.cos(theta)
-        r_hi = _r_large_stable(half_b, q, quad.a)
-        return -np.expm1(-math.pi * rho * r_hi * r_hi)
-
-    # integrand depends on cos(theta) only: fold the full bearing range onto [0, pi]
-    return _quad(integrand, 0.0, math.pi, epsabs=epsabs * math.pi) / math.pi
-
+# --- Q2 density (p > c0) ----------------------------------------------------
 
 def _q2_pdf(p: float, quad: PowerQuadratic, rho: float, epsabs: float) -> float:
     q = p - quad.c0
@@ -197,33 +189,6 @@ def _q2_pdf(p: float, quad: PowerQuadratic, rho: float, epsabs: float) -> float:
 
 # --- public evaluations -----------------------------------------------------
 
-def cdf_reference(p: float, quad: PowerQuadratic, rho: float, *,
-                  epsabs: float = 1e-9) -> float:
-    """Normative CDF: direct integration of the defining probability."""
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho!r}")
-    if p <= quad.support_min:
-        return 0.0
-    if p <= quad.c0:
-        return _q1_cdf(p, quad, rho, epsabs)
-    return _q2_cdf(p, quad, rho, epsabs)
-
-
-def cdf_branch_form(p: float, quad: PowerQuadratic, rho: float, *,
-                    epsabs: float = 1e-9) -> float:
-    """Two-branch CDF with the additive boundary term on the upper branch.
-
-    Evaluated exactly as stated, for comparison against ``cdf_reference``:
-    below c0 the two agree, and above it the upper branch exceeds the
-    reference by the constant boundary term ``cdf_reference(c0)`` (see the
-    validation report).  Below the support it returns 0.
-    """
-    value = cdf_reference(p, quad, rho, epsabs=epsabs)
-    if p > quad.c0:
-        value += cdf_reference(quad.c0, quad, rho, epsabs=epsabs)
-    return value
-
-
 def pdf_branch_form(p: float, quad: PowerQuadratic, rho: float, *,
                     epsabs: float = 1e-9) -> float:
     """Two-branch density; integrand support restricted to real-root bearings."""
@@ -236,101 +201,152 @@ def pdf_branch_form(p: float, quad: PowerQuadratic, rho: float, *,
     return _q2_pdf(p, quad, rho, epsabs)
 
 
-def cdf_reference_batch(p_values, quad: PowerQuadratic, rho: float, *,
-                        n_nodes: int = 128, workers: int = 1) -> np.ndarray:
-    """Vectorized ``cdf_reference`` on an array of abscissae.
+# --- the CDF engine (substitution in the module docstring) ------------------
 
-    Uses fixed Gauss-Legendre rules (interior nodes, so the substituted Q1
-    integrand never hits its endpoint), with no error control.  Against the
-    adaptive ``cdf_reference`` the default 128 nodes agree to within 5e-11 in
-    the regimes the test suite exercises, but they are off by up to ~2.4e-3 in
-    dense, far regimes (rho 0.1-1 per m^2, r1 20-100 km, p just above c0),
-    where the Q2 bearing integrand has a near-kink at theta ~ pi/2.  Intended
-    for bulk work such as Kolmogorov-Smirnov statistics over 1e6 sample points.
+def _cdf_integrand(v, s2, beta, cos_phi, sin_phi, upper):
+    """The substituted CDF integrand at nodes phi in (0, pi/2], one row per point.
 
-    Each branch is evaluated in chunks of points, ``workers`` threads taking
-    chunks concurrently and each chunk writing its own slice of the output.
-    Every point's value depends on that point alone: the kernels are
-    element-wise and the node sum is a per-row ``einsum``, which numpy
-    computes itself in a fixed order (without ``optimize`` it never hands the
-    sum to BLAS).  So the result is bit-identical for any ``workers``, any
-    chunk size and any BLAS thread count.
+    ``v`` is V (Q2) or W (Q1), ``s2`` is sinh(v)^2 and ``beta`` is
+    -pi*rho*(c/a)^2 (Q2) or -pi*rho*(d/a)^2 (Q1), each a column.  With
+    u = v*cos(phi) the roots are (c/a)*exp(-+u) (or (d/a)*exp(-+u)), and
+    dtheta/dphi is cosh(u) (Q2) or sinh(u) (Q1) times
+    v*sin(phi)/sqrt(sinh(v)^2 - sinh(u)^2).
     """
+    em = np.multiply(v, cos_phi)
+    np.expm1(em, out=em)                   # exp(u) - 1
+    big = em + 1.0                         # exp(u)
+    sinh_u = em + 2.0
+    sinh_u *= em
+    sinh_u /= big
+    sinh_u *= 0.5                          # from expm1, so it keeps its digits at small u
+    if upper:
+        np.subtract(sinh_u, big, out=em)   # -cosh(u)
+    np.square(big, out=big)
+    g = np.divide(beta, big)
+    np.expm1(g, out=g)                     # exp(-pi*rho*r_lo^2) - 1
+    big *= beta
+    np.expm1(big, out=big)                 # exp(-pi*rho*r_hi^2) - 1
+    if upper:                              # both roots' bearings, folded onto u >= 0
+        g += big
+        g *= em
+    else:                                  # mass between the roots
+        g -= big
+        g *= sinh_u
+    np.square(sinh_u, out=sinh_u)
+    np.subtract(s2, sinh_u, out=sinh_u)
+    np.sqrt(sinh_u, out=sinh_u)
+    g *= v
+    g *= sin_phi
+    g /= sinh_u
+    return g
+
+
+def _cdf_branch(p: np.ndarray, quad: PowerQuadratic, rho: float, upper: bool,
+                n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """CDF values and their error estimates at points ``p`` of one branch."""
+    a = quad.a
+    if upper:
+        d2 = a * (p - quad.c0)
+        s2 = quad.half_b_max * quad.half_b_max / d2
+    else:
+        # the density is at most 2*pi*rho/a, so flooring c0 - p at this shift
+        # moves the CDF by at most 1e-3 * _CDF_TOL; it keeps W finite at p = c0
+        d2 = a * np.maximum(quad.c0 - p, 1e-3 * _CDF_TOL * a / (2.0 * math.pi * rho))
+        s2 = a * (p - quad.support_min) / d2
+    v = np.arcsinh(np.sqrt(s2))
+    beta = (-math.pi * rho / (a * a)) * d2
+    # phi = 0 is the limit u = v of the node formula
+    e2v = np.exp(2.0 * v)
+    g_lo, g_hi = np.expm1(beta / e2v), np.expm1(beta * e2v)
+    if upper:
+        end = -(g_lo + g_hi) * np.sqrt(v / np.tanh(v))
+    else:
+        end = (g_lo - g_hi) * np.sqrt(v * np.tanh(v))
+    v, s2, beta = v[:, None], s2[:, None], beta[:, None]
+
+    def node_sum(rows, phi, weights):
+        cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+        step = max(1, _CELLS // phi.size)
+        out = np.empty(rows.size)
+        for start in range(0, rows.size, step):
+            sel = rows[start:start + step]
+            g = _cdf_integrand(v[sel], s2[sel], beta[sel], cos_phi, sin_phi, upper)
+            out[start:start + step] = np.einsum("ij,j->i", g, weights)
+        return out
+
+    # trapezoid sums over n intervals of [0, pi/2]; the CDF is sum / (2n)
+    n = n_nodes
+    weights = np.ones(n)
+    weights[-1] = 0.5
+    grid = np.arange(1, n + 1) * (0.5 * math.pi / n)
+    total = 0.5 * end + node_sum(np.arange(p.size), grid, weights)
+    value = total / (2 * n)
+    err = np.full(p.size, np.inf)
+    todo = np.arange(p.size)
+    while todo.size:
+        if n >= _MAX_NODES:
+            i = todo[0]
+            raise IntegrationError(
+                f"CDF at p = {float(p[i])!r} ({quad!r}, rho = {rho!r}) did not "
+                f"reach {_CDF_TOL:g} within {n} intervals (estimate {err[i]:.3g})")
+        midpoints = (np.arange(n) + 0.5) * (0.5 * math.pi / n)
+        total[todo] += node_sum(todo, midpoints, np.ones(n))
+        n *= 2
+        finer = total[todo] / (2 * n)
+        err[todo] = np.abs(finer - value[todo])
+        value[todo] = finer
+        todo = todo[err[todo] > _CDF_TOL]
+    return value, err
+
+
+def _cdf_and_error(p_values, quad: PowerQuadratic, rho: float, n_nodes: int = 8,
+                   workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """``cdf_reference_batch`` with each value's error estimate, as two arrays."""
+    if rho <= 0:
+        raise ValueError(f"rho must be > 0, got {rho!r}")
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be >= 1, got {n_nodes!r}")
     p_values = np.asarray(p_values, dtype=float)
     out = np.zeros(p_values.shape, dtype=float)
-    flat_p = p_values.ravel()
-    flat_out = out.ravel()
+    err = np.zeros(p_values.shape, dtype=float)
+    flat_p, flat_out, flat_err = p_values.ravel(), out.ravel(), err.ravel()
 
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    k = quad.half_b_max
-    a = quad.a
-    c0 = quad.c0
-    k_a = k / a
-    neg_pi_rho = -math.pi * rho
-
-    # Q1: substituted variable t in (0, pi/2)
-    t = 0.25 * math.pi * (x + 1.0)
-    wt = (0.25 * math.pi / math.pi) * w
-    sin_t, cos_t = np.sin(t)[None, :], np.cos(t)[None, :]
-
-    def q1_chunk(sel):
-        p = flat_p[sel][:, None]
-        m2 = np.clip(a * (c0 - p) / (k * k), 0.0, 1.0)
-        s = np.sqrt(1.0 - m2)
-        cos_u = np.multiply(s, sin_t)                # sin_u, then cos_u in place
-        np.multiply(cos_u, cos_u, out=cos_u)
-        np.subtract(1.0, cos_u, out=cos_u)
-        np.maximum(cos_u, m2, out=cos_u)
-        np.sqrt(cos_u, out=cos_u)
-        gap = np.multiply(k_a * s, cos_t)
-        mid = np.multiply(k_a, cos_u)
-        g = np.subtract(mid, gap)
-        np.square(g, out=g)
-        g *= neg_pi_rho
-        np.exp(g, out=g)
-        np.add(mid, gap, out=mid)
-        np.square(mid, out=mid)
-        mid *= neg_pi_rho
-        np.exp(mid, out=mid)
-        g -= mid
-        np.multiply(s, cos_t, out=gap)
-        g *= gap
-        g /= cos_u
-        flat_out[sel] = np.einsum("ij,j->i", g, wt)
-
-    # Q2: bearing folded onto (0, pi)
-    theta = 0.5 * math.pi * (x + 1.0)
-    wth = (0.5 * math.pi / math.pi) * w
-    half_b = k * np.cos(theta)[None, :]
-    hb2 = half_b * half_b
-    abs_half_b = np.abs(half_b)
-    # cos(theta) falls along the nodes, so the columns with half_b > 0 are a prefix
-    n_pos = int(np.count_nonzero(half_b > 0.0))
-
-    def q2_chunk(sel):
-        q = (flat_p[sel] - c0)[:, None]
-        r_hi = np.add(a * q, hb2)
-        np.sqrt(r_hi, out=r_hi)
-        r_hi += abs_half_b                        # stable for either sign of b
-        pos, neg = r_hi[:, :n_pos], r_hi[:, n_pos:]
-        np.divide(q, pos, out=pos)
-        np.divide(neg, a, out=neg)
-        r_hi *= r_hi
-        r_hi *= neg_pi_rho
-        np.expm1(r_hi, out=r_hi)
-        np.negative(r_hi, out=r_hi)
-        flat_out[sel] = np.einsum("ij,j->i", r_hi, wth)
+    def task(upper, sel):
+        flat_out[sel], flat_err[sel] = _cdf_branch(flat_p[sel], quad, rho, upper, n_nodes)
 
     tasks = []
-    for kernel, mask in ((q1_chunk, (flat_p > quad.support_min) & (flat_p <= c0)),
-                         (q2_chunk, flat_p > c0)):
+    for upper, mask in ((False, (flat_p > quad.support_min) & (flat_p <= quad.c0)),
+                        (True, flat_p > quad.c0)):
         idx = np.flatnonzero(mask)
-        tasks += [(kernel, idx[start:start + _CHUNK])
-                  for start in range(0, idx.size, _CHUNK)]
-    map_ordered(lambda kernel, sel: kernel(sel), tasks, workers)
+        tasks += [(upper, idx[start:start + _CHUNK]) for start in range(0, idx.size, _CHUNK)]
+    map_ordered(task, tasks, workers)
+    return out, err
 
-    return out if p_values.ndim else float(flat_out[0])
 
+def cdf_reference_batch(p_values, quad: PowerQuadratic, rho: float, *,
+                        n_nodes: int = 8, workers: int = 1):
+    """CDF of the round total at ``p_values``, each to 1e-10 by its own estimate.
+
+    A 0-d input gives a float, an array an array of its shape.  Each point
+    takes the substitution of the module docstring, which makes the roots
+    exponentials, and starts from the trapezoid rule with ``n_nodes``
+    intervals on [0, pi/2].  It doubles the rule, reusing its nodes, until
+    the change is at most ``_CDF_TOL`` = 1e-10 in absolute terms, and returns
+    the finer value.  A point whose change is still above that at
+    ``_MAX_NODES`` = 8192 intervals raises ``IntegrationError`` naming p, the
+    quadratic and rho.  Below the support the CDF is 0.
+
+    The points are taken in chunks, ``workers`` threads taking chunks
+    concurrently and each chunk writing its own slice of the output.  Every
+    point's value depends on that point alone: its doubling stops on its own
+    estimate, the kernels are element-wise, and the node sums are per-row
+    ``einsum`` calls, which numpy computes itself in a fixed order (without
+    ``optimize`` it never hands them to BLAS).  So the result is
+    bit-identical for any ``workers``, any chunk size and any BLAS thread
+    count.
+    """
+    values, _ = _cdf_and_error(p_values, quad, rho, n_nodes, workers)
+    return values if values.ndim else float(values)
 
 def expected_power(quad: PowerQuadratic, rho: float) -> float:
     """Mean round total over the PPP, from the closed-form moments.
@@ -386,11 +402,13 @@ def energy_efficiency(expected: float, rate: float) -> float:
 
 
 def support_upper(quad: PowerQuadratic, rho: float, tail: float = 1e-6) -> float:
-    """Abscissa where the reference CDF reaches 1 - tail."""
+    """Abscissa where the CDF reaches 1 - tail."""
+    from scipy import optimize  # deferred, as in _quad
+
     lo = quad.c0
     hi = quad.c0 + quad.a * (math.log(1.0 / tail) + 10.0) / (math.pi * rho)
-    while cdf_reference(hi, quad, rho) < 1.0 - tail:
+    while cdf_reference_batch(hi, quad, rho) < 1.0 - tail:
         hi *= 2.0
     return optimize.brentq(
-        lambda p: cdf_reference(p, quad, rho) - (1.0 - tail), lo, hi,
+        lambda p: cdf_reference_batch(p, quad, rho) - (1.0 - tail), lo, hi,
         xtol=1e-12 * hi, rtol=1e-10)

@@ -10,7 +10,6 @@ values give statistically independent experiments.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +57,6 @@ class McReport:
     mean_energy: float | None = None
     energy_stderr: float | None = None
     power_samples: np.ndarray | None = None
-    wall_time_s: float = 0.0
 
 
 def _binom_stderr(p_hat: float, n: int) -> float:
@@ -121,7 +119,6 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
     solo uplinks at the baseline's powers, in every trial.
     """
     _require_trials(n)
-    t0 = time.perf_counter()
 
     if scheme == "nncc":
         powers = powermodel.nncc_power_breakdown(geom, params)
@@ -176,7 +173,6 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
         delta0_rate=delta0_rate,
         delta0_stderr=None if delta0_rate is None else _binom_stderr(delta0_rate, n),
         mean_energy=mean_e, energy_stderr=energy_stderr,
-        wall_time_s=time.perf_counter() - t0,
     )
 
 
@@ -198,7 +194,6 @@ def sample_power_distribution(n: int, rho: float, r1: float,
                               workers: int = 1) -> McReport:
     """Sample the round total over random placements; sorted sample set."""
     _require_trials(n)
-    t0 = time.perf_counter()
     quad = PowerQuadratic.from_params(params, r1)
 
     def block_fn(j, size):
@@ -212,38 +207,24 @@ def sample_power_distribution(n: int, rho: float, r1: float,
         stderr = float(np.std(totals, ddof=1) / math.sqrt(n))
     _finite_energy(mean, stderr, f"over placements at rho = {rho:g}")
     return McReport(n_trials=n, mean_energy=mean, energy_stderr=stderr,
-                    power_samples=totals, wall_time_s=time.perf_counter() - t0)
+                    power_samples=totals)
 
 
-def ks_distance(samples: np.ndarray, cdf) -> float:
+def ks_distance(samples: np.ndarray, cdf_values) -> float:
     """Kolmogorov-Smirnov statistic between sorted samples and a model CDF.
 
-    ``cdf`` is either the model CDF's values at ``samples`` (an array of the
-    same shape) or a callable.  A callable is first given the whole array; if
-    it raises ``TypeError`` or returns the wrong shape it is taken to be
-    scalar-only and called point by point.  Any other error propagates, so a
-    scalar function that fails on an array with ``ValueError`` -- such as
-    ``cdf_reference``, whose ``p <= ...`` test has no truth value for an
-    array -- must be evaluated by the caller and passed as values, e.g.
-    ``ks_distance(samples, [cdf_reference(p, quad, rho) for p in samples])``.
+    ``cdf_values`` are the model CDF's values at ``samples``, an array of the
+    same shape, e.g. ``cdf_reference_batch(samples, quad, rho)``.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("samples must be non-empty")
     if np.any(np.diff(samples) < 0):
         raise ValueError("samples must be sorted ascending")
-    if callable(cdf):
-        try:
-            f = np.asarray(cdf(samples), dtype=float)
-        except TypeError:  # scalar-only callable
-            f = None
-        if f is None or f.shape != samples.shape:
-            f = np.array([cdf(x) for x in samples], dtype=float)
-    else:
-        f = np.asarray(cdf, dtype=float)
-        if f.shape != samples.shape:
-            raise ValueError(f"CDF values have shape {f.shape}, "
-                             f"samples have shape {samples.shape}")
+    f = np.asarray(cdf_values, dtype=float)
+    if f.shape != samples.shape:
+        raise ValueError(f"CDF values have shape {f.shape}, "
+                         f"samples have shape {samples.shape}")
     n = samples.size
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))

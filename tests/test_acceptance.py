@@ -10,14 +10,13 @@ import math
 
 import numpy as np
 
+from cdf_oracle import branch_form_cdf
 from nncc import (
     Geometry,
     Link,
     OutageTargets,
     PowerQuadratic,
     SystemParams,
-    cdf_branch_form,
-    cdf_reference,
     cdf_reference_batch,
     expected_power,
     expected_power_quadrature,
@@ -130,7 +129,7 @@ def test_criterion_06_distribution_ground_truth():
     rep = sample_power_distribution(n, params.rho, 2000.0, params,
                                     RandomStream(1006))
     ks = ks_distance(rep.power_samples,
-                     lambda p: cdf_reference_batch(p, quad, params.rho))
+                     cdf_reference_batch(rep.power_samples, quad, params.rho))
     assert ks < 0.005
     _report(6, f"KS distance {ks:.5f} < 0.005 at {n} samples")
 
@@ -159,9 +158,9 @@ def test_criterion_08_branch_form_report(tmp_path):
     params = validate(SystemParams(rate=1e7, rho=1e-4))
     quad = PowerQuadratic.from_params(params, 2000.0)
     grid = np.geomspace(quad.support_min, support_upper(quad, params.rho), 256)
-    cdf_branch = np.array([cdf_branch_form(p, quad, params.rho) for p in grid])
+    cdf_branch = np.array([branch_form_cdf(p, quad, params.rho) for p in grid])
     pdf_branch = np.array([pdf_branch_form(p, quad, params.rho) for p in grid])
-    cdf_ref = np.array([cdf_reference(p, quad, params.rho) for p in grid])
+    cdf_ref = cdf_reference_batch(grid, quad, params.rho)
     assert np.all(np.isfinite(cdf_branch))
     assert np.all(np.isfinite(pdf_branch))
     max_gap = float(np.max(np.abs(cdf_branch - cdf_ref)))
@@ -179,7 +178,7 @@ def test_criterion_08_branch_form_report(tmp_path):
                                            n_trials=20_000))
     text = open(out, encoding="utf-8").read()
     assert "[e]" in text
-    assert "max |branch-form CDF - reference CDF|" in text
+    assert "upper-branch additive boundary term" in text
     assert "integral of branch-form PDF over support - 1" in text
     _report(8, f"branch-form evaluated on 256-point grid; max CDF gap "
                f"{max_gap:.6f} (boundary term, no bound imposed); "

@@ -6,13 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
+from cdf_oracle import branch_form_cdf, cdf_oracle
 from nncc import (
     IntegrationError,
     PowerQuadratic,
-    cdf_branch_form,
-    cdf_reference,
     cdf_reference_batch,
     energy_efficiency,
     expected_power,
@@ -25,7 +25,7 @@ from nncc import (Geometry, Link, OutageTargets, ParameterError, SystemParams,
                   nncc_power_breakdown, partner_distance_to_bs, sample_nn_geometries,
                   validate)
 from nncc import distribution
-from nncc.distribution import (_q1_cdf, _q1_points, _q1_setup, _q2_cdf, _quad,
+from nncc.distribution import (_cdf_and_error, _q1_points, _q1_setup, _quad,
                                _r_large_stable)
 from nncc.montecarlo import RandomStream, sample_power_distribution
 
@@ -108,7 +108,7 @@ def test_power_roots_none_below_vertex(quad5, dense_params):
     """Below the support no bearing has real roots: the lower branch degenerates."""
     assert _q1_setup(quad5.support_min * 0.999, quad5)[2] == 0.0
     assert _q1_setup(quad5.support_min * 1.001, quad5)[2] > 0.0
-    assert cdf_reference(quad5.support_min * 0.999, quad5, dense_params.rho) == 0.0
+    assert cdf_reference_batch(quad5.support_min * 0.999, quad5, dense_params.rho) == 0.0
 
 
 def test_support_min_matches_grid_minimum(quad5):
@@ -121,13 +121,13 @@ def test_support_min_matches_grid_minimum(quad5):
 
 def test_cdf_reference_basics(quad5, dense_params):
     rho = dense_params.rho
-    assert cdf_reference(quad5.support_min * 0.5, quad5, rho) == 0.0
-    assert cdf_reference(quad5.support_min, quad5, rho) == 0.0
-    assert cdf_reference(quad5.support_min * (1 + 1e-12), quad5, rho) < 1e-6
+    assert cdf_reference_batch(quad5.support_min * 0.5, quad5, rho) == 0.0
+    assert cdf_reference_batch(quad5.support_min, quad5, rho) == 0.0
+    assert cdf_reference_batch(quad5.support_min * (1 + 1e-12), quad5, rho) < 1e-6
     grid = np.geomspace(quad5.support_min, support_upper(quad5, rho), 60)
-    values = [cdf_reference(p, quad5, rho) for p in grid]
-    assert all(0.0 <= v <= 1.0 for v in values)
-    assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+    values = cdf_reference_batch(grid, quad5, rho)
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    assert np.all(np.diff(values) >= -1e-12)
     assert values[-1] == pytest.approx(1.0, abs=2e-6)
 
 
@@ -141,17 +141,17 @@ def test_cdf_reference_at_branch_point_against_direct_quadrature(quad5, dense_pa
 
     direct, _ = integrate.quad(integrand, 0.5 * math.pi, 1.5 * math.pi,
                                epsabs=1e-13, limit=200)
-    assert cdf_reference(quad5.c0, quad5, rho) == pytest.approx(direct, abs=1e-9)
+    assert cdf_reference_batch(quad5.c0, quad5, rho) == pytest.approx(direct, abs=1e-9)
 
 
 def test_cdf_reference_tolerance_stability(quad5, dense_params):
+    """The starting rule does not move a value by more than the tolerance allows."""
     rho = dense_params.rho
     grid = np.geomspace(quad5.support_min * 1.0000001,
                         support_upper(quad5, rho), 40)
-    for p in grid:
-        coarse = cdf_reference(p, quad5, rho, epsabs=1e-9)
-        fine = cdf_reference(p, quad5, rho, epsabs=1e-11)
-        assert abs(coarse - fine) < 1e-8
+    coarse = cdf_reference_batch(grid, quad5, rho, n_nodes=2)
+    fine = cdf_reference_batch(grid, quad5, rho, n_nodes=64)
+    assert np.max(np.abs(coarse - fine)) < 1e-8
 
 
 def test_cdf_batch_matches_scalar(quad5, dense_params):
@@ -162,9 +162,70 @@ def test_cdf_batch_matches_scalar(quad5, dense_params):
         c0 * (1.0 + np.geomspace(1e-12, 1e-2, 25)),
         np.geomspace(c0 * 1.01, support_upper(quad5, rho), 25),
     ]))
-    scalar = np.array([cdf_reference(p, quad5, rho, epsabs=1e-12) for p in grid])
+    scalar = np.array([cdf_oracle(p, quad5, rho) for p in grid])
     batch = cdf_reference_batch(grid, quad5, rho)
     assert np.max(np.abs(batch - scalar)) < 5e-11
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rho=st.floats(-7.0, 0.0).map(lambda e: 10.0 ** e),
+       r1=st.floats(math.log10(50.0), 5.0).map(lambda e: 10.0 ** e),
+       where=st.sampled_from(("c0", "support_min", "below", "above")),
+       x=st.floats(0.0, 1.0))
+# dense, far regimes just above c0, where a fixed 128-node Gauss-Legendre rule
+# in the bearing was off by 2.4e-3 and 1.6e-4
+@example(rho=0.1, r1=20_000.0, where="c0", x=1.0)
+@example(rho=1.0, r1=100_000.0, where="c0", x=1.0)
+def test_cdf_within_tolerance_of_oracle(rho, r1, where, x):
+    """Each value is within 1e-10 of the oracle, and within its own error estimate."""
+    quad = PowerQuadratic.from_params(validate(SystemParams(rho=rho)), r1)
+    if where == "c0":  # within 1e-12 (relative) on either side
+        p = quad.c0 * (1.0 + (2.0 * x - 1.0) * 1e-12)
+    elif where == "support_min":
+        p = quad.support_min * (1.0 + x * 1e-12)
+    elif where == "below":
+        p = quad.support_min + x * (quad.c0 - quad.support_min)
+    else:  # the upper branch spreads over the mean excess a/(pi*rho)
+        p = quad.c0 + quad.a / (math.pi * rho) * 10.0 ** (13.5 * x - 12.0)
+    value, estimate = (float(v) for v in _cdf_and_error(p, quad, rho))
+    gap = abs(value - cdf_oracle(p, quad, rho))
+    assert gap <= 1e-10
+    assert gap <= estimate + 1e-12  # the slack covers the oracle's own error
+
+
+def test_cdf_raises_integration_error_past_the_cap(monkeypatch):
+    rho = 1.0
+    quad = PowerQuadratic.from_params(validate(SystemParams(rho=rho)), 100_000.0)
+    p = quad.c0 * (1.0 + 1e-12)  # takes 128 intervals on [0, pi/2]
+    monkeypatch.setattr(distribution, "_MAX_NODES", 32)
+    with pytest.raises(IntegrationError) as err:
+        cdf_reference_batch(np.array([0.5 * quad.c0, 2.0 * quad.c0, p]), quad, rho,
+                            workers=2)
+    assert f"p = {p!r}" in str(err.value) and "rho = 1.0" in str(err.value)
+    monkeypatch.undo()
+    value, estimate = _cdf_and_error(p, quad, rho)
+    assert estimate <= 1e-10
+
+
+@pytest.mark.parametrize("cells", [4096 * 128, 1000])
+def test_cdf_temporaries_stay_within_cells(monkeypatch, cells):
+    """Points that need many nodes are taken in fewer rows at a time, same bits."""
+    rho = 1.0
+    quad = PowerQuadratic.from_params(validate(SystemParams(rho=rho)), 100_000.0)
+    p = quad.c0 * (1.0 + np.linspace(-1e-12, 1e-12, 5000))
+    default = cdf_reference_batch(p, quad, rho)
+    sizes = []
+    kernel = distribution._cdf_integrand
+
+    def recording(v, s2, beta, cos_phi, sin_phi, upper):
+        sizes.append((v.shape[0], cos_phi.size))
+        return kernel(v, s2, beta, cos_phi, sin_phi, upper)
+
+    monkeypatch.setattr(distribution, "_cdf_integrand", recording)
+    monkeypatch.setattr(distribution, "_CELLS", cells)
+    assert np.array_equal(cdf_reference_batch(p, quad, rho), default)
+    assert max(cols for _, cols in sizes) >= 64
+    assert max(rows * cols for rows, cols in sizes) <= cells
 
 
 def _batch_probe_points(quad):
@@ -175,46 +236,6 @@ def _batch_probe_points(quad):
         np.linspace(quad.support_min, c0, 20_001)[1:],
         c0 * (1.0 + np.geomspace(1e-12, 5.0, 25_000)),
     ])
-
-
-def _batch_cdf_allocating(p_values, quad, rho, n_nodes=128, chunk=16384):
-    """The batch CDF written with plain allocating expressions and the same row sum."""
-    out = np.zeros(p_values.shape)
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    k, a = quad.half_b_max, quad.a
-    t = 0.25 * math.pi * (x + 1.0)
-    wt = (0.25 * math.pi / math.pi) * w
-    sin_t, cos_t = np.sin(t)[None, :], np.cos(t)[None, :]
-    idx = np.flatnonzero((p_values > quad.support_min) & (p_values <= quad.c0))
-    for start in range(0, idx.size, chunk):
-        sel = idx[start:start + chunk]
-        p = p_values[sel][:, None]
-        m2 = np.clip(a * (quad.c0 - p) / (k * k), 0.0, 1.0)
-        s = np.sqrt(1.0 - m2)
-        sin_u = s * sin_t
-        cos_u = np.sqrt(np.maximum(1.0 - sin_u * sin_u, m2))
-        gap = (k / a) * s * cos_t
-        mid = (k / a) * cos_u
-        g = (np.exp(-math.pi * rho * np.square(mid - gap))
-             - np.exp(-math.pi * rho * np.square(mid + gap)))
-        out[sel] = np.einsum("ij,j->i", g * (s * cos_t) / cos_u, wt)
-    theta = 0.5 * math.pi * (x + 1.0)
-    wth = (0.5 * math.pi / math.pi) * w
-    half_b = k * np.cos(theta)[None, :]
-    idx = np.flatnonzero(p_values > quad.c0)
-    for start in range(0, idx.size, chunk):
-        sel = idx[start:start + chunk]
-        q = (p_values[sel] - quad.c0)[:, None]
-        disc = np.sqrt(a * q + half_b * half_b) + np.abs(half_b)
-        r_hi = np.where(half_b > 0.0, q / disc, disc / a)
-        out[sel] = np.einsum("ij,j->i", -np.expm1(-math.pi * rho * (r_hi * r_hi)), wth)
-    return out
-
-
-def test_cdf_batch_in_place_kernel_matches_allocating_form_bitwise(quad5, dense_params):
-    p = _batch_probe_points(quad5)
-    fast = cdf_reference_batch(p, quad5, dense_params.rho)
-    assert np.array_equal(fast, _batch_cdf_allocating(p, quad5, dense_params.rho))
 
 
 def test_cdf_batch_bitwise_independent_of_workers(quad5, dense_params):
@@ -277,37 +298,35 @@ def test_cdf_batch_bitwise_independent_of_blas_threads():
 
 def test_branch_form_matches_reference_below_c0(quad5, dense_params):
     rho = dense_params.rho
-    for p in np.linspace(quad5.support_min, quad5.c0, 20)[1:]:
-        assert cdf_branch_form(p, quad5, rho) == pytest.approx(
-            cdf_reference(p, quad5, rho), abs=1e-12)
+    grid = np.linspace(quad5.support_min, quad5.c0, 20)[1:]
+    for p, value in zip(grid, cdf_reference_batch(grid, quad5, rho)):
+        assert branch_form_cdf(p, quad5, rho) == pytest.approx(value, abs=1e-10)
 
 
 def test_branch_form_carries_constant_offset_above_c0(quad5, dense_params):
     """The upper branch exceeds the reference by exactly the boundary term."""
     rho = dense_params.rho
-    boundary = cdf_reference(quad5.c0, quad5, rho)
+    boundary = cdf_reference_batch(quad5.c0, quad5, rho)
     assert boundary > 0.0
-    for p in np.geomspace(quad5.c0 * 1.0001, support_upper(quad5, rho), 12):
-        gap = cdf_branch_form(p, quad5, rho) - cdf_reference(p, quad5, rho)
-        assert gap == pytest.approx(boundary, abs=1e-9)
+    grid = np.geomspace(quad5.c0 * 1.0001, support_upper(quad5, rho), 12)
+    for p, value in zip(grid, cdf_reference_batch(grid, quad5, rho)):
+        assert branch_form_cdf(p, quad5, rho) - value == pytest.approx(boundary, abs=1e-9)
     # consequence: the branch form overshoots 1 in the far tail
-    assert cdf_branch_form(support_upper(quad5, rho, 1e-9), quad5, rho) > 1.0
+    assert branch_form_cdf(support_upper(quad5, rho, 1e-9), quad5, rho) > 1.0
 
 
 def test_branch_form_is_reference_plus_boundary_term_bitwise(quad5, dense_params):
-    """The branch form as the report builds it, and as first written, agree bitwise."""
+    """The branch form as the report builds it, from one grid call and one at c0,
+    is bitwise the sum of one-point calls, and within 1e-10 of the stated form."""
     rho = dense_params.rho
     grid = np.geomspace(quad5.support_min, support_upper(quad5, rho), 192)
-    boundary = cdf_reference(quad5.c0, quad5, rho)
-    from_reference = (np.array([cdf_reference(p, quad5, rho) for p in grid])
-                      + boundary * (grid > quad5.c0))
-    stated = [0.0 if p <= quad5.support_min else
-              _q1_cdf(p, quad5, rho, 1e-9) if p <= quad5.c0 else
-              _q2_cdf(p, quad5, rho, 1e-9) + _q1_cdf(quad5.c0, quad5, rho, 1e-9)
-              for p in grid]
-    branch = [cdf_branch_form(p, quad5, rho) for p in grid]
-    assert np.array_equal(branch, stated)
-    assert np.array_equal(branch, from_reference)
+    boundary = cdf_reference_batch(quad5.c0, quad5, rho)
+    from_grid = cdf_reference_batch(grid, quad5, rho) + boundary * (grid > quad5.c0)
+    pointwise = [cdf_reference_batch(p, quad5, rho) + (boundary if p > quad5.c0 else 0.0)
+                 for p in grid]
+    assert np.array_equal(from_grid, pointwise)
+    stated = np.array([branch_form_cdf(p, quad5, rho) for p in grid])
+    assert np.max(np.abs(from_grid - stated)) <= 1e-10
     assert np.count_nonzero(grid > quad5.c0) > 100
 
 
@@ -343,9 +362,9 @@ def test_pdf_matches_cdf_finite_differences(quad5, dense_params):
     span = hi - quad5.c0
     points = quad5.c0 + span * np.linspace(0.02, 0.9, 50)
     h = span * 2e-5
-    for p in points:
-        fd = (cdf_reference(p + h, quad5, rho, epsabs=1e-12)
-              - cdf_reference(p - h, quad5, rho, epsabs=1e-12)) / (2.0 * h)
+    slopes = (cdf_reference_batch(points + h, quad5, rho)
+              - cdf_reference_batch(points - h, quad5, rho)) / (2.0 * h)
+    for p, fd in zip(points, slopes):
         assert abs(fd - pdf_branch_form(p, quad5, rho)) < 1e-4
 
 
@@ -429,8 +448,8 @@ def test_evaluate_distribution_grid(dense_params):
     rho = dense_params.rho
     quad = PowerQuadratic.from_params(dense_params, 2000.0)
     grid = np.geomspace(quad.support_min, support_upper(quad, rho), 64)
-    cdf_ref = np.array([cdf_reference(p, quad, rho) for p in grid])
-    cdf_branch = np.array([cdf_branch_form(p, quad, rho) for p in grid])
+    cdf_ref = cdf_reference_batch(grid, quad, rho)
+    cdf_branch = np.array([branch_form_cdf(p, quad, rho) for p in grid])
     pdf_branch = np.array([pdf_branch_form(p, quad, rho) for p in grid])
     assert grid[0] == pytest.approx(INF_GOLDEN, rel=1e-12)
     assert np.all(np.diff(cdf_ref) >= -1e-12)
@@ -438,7 +457,7 @@ def test_evaluate_distribution_grid(dense_params):
     assert expected_power(quad, rho) == pytest.approx(EP_GOLDEN, rel=1e-12)
     assert np.all(pdf_branch >= 0.0)
     # the branch-form CDF ends above 1 by exactly the boundary term
-    boundary = cdf_reference(quad.c0, quad, rho)
+    boundary = cdf_reference_batch(quad.c0, quad, rho)
     assert cdf_branch[-1] - cdf_ref[-1] == pytest.approx(boundary, abs=1e-9)
 
 

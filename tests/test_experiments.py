@@ -1,6 +1,11 @@
 import filecmp
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nncc.cli import main
@@ -12,6 +17,7 @@ from nncc.experiments import (
     validate_report,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 TRIALS = 20_000
 
 
@@ -173,14 +179,16 @@ def test_validate_report_passes_and_is_deterministic(tmp_path):
 
 
 def test_validate_report_evaluates_batch_cdf_once(tmp_path, monkeypatch):
+    """The KS sample goes through the CDF once, on the report's workers."""
     from nncc import distribution
 
     calls = []
     batch = distribution.cdf_reference_batch
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("workers"))
-        return batch(*args, **kwargs)
+    def counting(p_values, *args, **kwargs):
+        if np.size(p_values) == 10_000:
+            calls.append(kwargs.get("workers"))
+        return batch(p_values, *args, **kwargs)
 
     monkeypatch.setattr(distribution, "cdf_reference_batch", counting)
     validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
@@ -332,3 +340,16 @@ def test_cli_rejects_config_value_types(tmp_path, capsys, config, field):
                  "--trials", "10000"]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: must be a real number")
     assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """figure and sweep never integrate, so importing the CLI must not load scipy."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    child = ("import sys, nncc.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from cdf_oracle import cdf_oracle
 from nncc import (
     Geometry,
     Link,
     OutageTargets,
     PowerQuadratic,
-    cdf_reference,
     cdf_reference_batch,
     conventional_power,
     expected_power,
@@ -238,7 +238,7 @@ def test_sample_power_distribution(dense_params):
     closed = expected_power(quad, rho)
     assert abs(rep.mean_energy - closed) < 3.0 * rep.energy_stderr
     ks = ks_distance(rep.power_samples,
-                     lambda p: cdf_reference_batch(p, quad, rho))
+                     cdf_reference_batch(rep.power_samples, quad, rho))
     assert ks < 0.005
 
 
@@ -256,53 +256,38 @@ def test_sample_power_distribution_worker_invariance(dense_params):
 def test_ks_distance_inverse_transform():
     n = 100_000
     u = np.sort(RandomStream(50).generator().random(n))
-    assert ks_distance(u, lambda x: x) < 1.36 / math.sqrt(n) * 1.5
+    assert ks_distance(u, u) < 1.36 / math.sqrt(n) * 1.5
 
 
 def test_ks_distance_degenerate_cases():
-    assert ks_distance(np.array([1.0, 2.0, 3.0]), lambda x: np.zeros_like(x)) == 1.0
-    assert ks_distance(np.array([5.0]), lambda x: np.full_like(x, 0.5)) == 0.5
+    assert ks_distance(np.array([1.0, 2.0, 3.0]), np.zeros(3)) == 1.0
+    assert ks_distance(np.array([5.0]), np.array([0.5])) == 0.5
 
 
 def test_ks_distance_contract_errors():
     with pytest.raises(ValueError):
-        ks_distance(np.array([2.0, 1.0]), lambda x: x)
+        ks_distance(np.array([2.0, 1.0]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        ks_distance(np.array([]), lambda x: x)
-
-
-def test_ks_distance_accepts_scalar_callable():
-    samples = np.array([0.2, 0.4, 0.9])
-    assert ks_distance(samples, lambda x: float(np.clip(x, 0, 1))) == pytest.approx(
-        ks_distance(samples, lambda x: np.clip(x, 0, 1)))
+        ks_distance(np.array([]), np.array([]))
+    with pytest.raises(TypeError):  # values only: a callable is not evaluated
+        ks_distance(np.array([0.2, 0.4]), lambda x: x)
 
 
 def test_ks_distance_takes_cdf_values():
     samples = np.array([0.2, 0.4, 0.9])
     values = np.clip(samples, 0, 1)
-    assert ks_distance(samples, values) == ks_distance(samples, lambda x: np.clip(x, 0, 1))
+    assert ks_distance(samples, values) == ks_distance(samples, list(values))
+    assert ks_distance(samples, values) == pytest.approx(4.0 / 15.0)  # at x = 0.4
     with pytest.raises(ValueError):
         ks_distance(samples, values[:2])
 
 
-def test_ks_distance_propagates_vectorised_cdf_error():
-    def cdf(x):
-        if np.ndim(x):
-            raise ValueError("bad vectorised evaluation")
-        return 0.5
-
-    with pytest.raises(ValueError, match="bad vectorised evaluation"):
-        ks_distance(np.array([0.2, 0.4, 0.9]), cdf)
-
-
 def test_ks_distance_scalar_reference_cdf_is_passed_as_values(dense_params):
-    """cdf_reference fails on an array with ValueError; its values are passed instead."""
+    """A scalar CDF, such as the test oracle, is evaluated by the caller and passed as values."""
     rho = dense_params.rho
     quad = PowerQuadratic.from_params(dense_params, 1500.0)
     samples = np.concatenate([np.linspace(quad.support_min, quad.c0, 6)[1:],
                               quad.c0 * np.linspace(1.01, 1.5, 5)])
-    with pytest.raises(ValueError, match="truth value"):
-        ks_distance(samples, lambda p: cdf_reference(p, quad, rho))
-    values = [cdf_reference(p, quad, rho) for p in samples]
+    values = [cdf_oracle(p, quad, rho) for p in samples]
     assert ks_distance(samples, values) == pytest.approx(
         ks_distance(samples, cdf_reference_batch(samples, quad, rho)), abs=1e-9)
