@@ -50,12 +50,13 @@ print(f"{'p (W)':>10} {'CDF direct':>11} {'CDF split':>10} {'PDF':>10} "
       f"{'empirical':>10}")
 # the split form is the direct CDF plus the boundary term F(c0) above c0
 boundary = cdf_reference_batch(quad.c0, quad, rho)
-for p in np.geomspace(quad.support_min * 1.000001, sample.power_samples[-1], 10):
-    ref = cdf_reference_batch(p, quad, rho)
-    split = ref + (boundary if p > quad.c0 else 0.0)
-    dens = pdf_branch_form(p, quad, rho)
-    emp = np.searchsorted(sample.power_samples, p) / n
-    print(f"{p:10.5f} {ref:11.6f} {split:10.6f} {dens:10.4f} {emp:10.6f}")
+grid = np.geomspace(quad.support_min * 1.000001, sample.power_samples[-1], 10)
+ref = cdf_reference_batch(grid, quad, rho)
+split = ref + boundary * (grid > quad.c0)
+dens = pdf_branch_form(grid, quad, rho)
+emp = np.searchsorted(sample.power_samples, grid) / n
+for row in zip(grid, ref, split, dens, emp):
+    print("{:10.5f} {:11.6f} {:10.6f} {:10.4f} {:10.6f}".format(*row))
 print()
 
 print(f"above c0 the split form exceeds the direct CDF by its boundary term "

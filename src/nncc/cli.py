@@ -7,7 +7,8 @@ Verbs:
 
 Every verb accepts --config (flat JSON matching the SystemParams schema) and
 per-parameter override flags; flags win over the file key by key.  Exit codes:
-0 success, 1 a bounded validation check failed, 2 bad invocation.
+0 success, 1 a bounded validation check failed or an ``IntegrationError`` (one
+``error: ...`` line, no output file), 2 bad invocation.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import sys
 from dataclasses import fields
 
+from .distribution import IntegrationError
 from .experiments import SWEEPABLE, ExperimentSpec, run_figure, sweep, validate_report
 from .params import ParameterError, SystemParams, load_config
 
@@ -94,9 +96,9 @@ def main(argv: list[str] | None = None) -> int:
             if not ok:
                 print("validation FAILED: see report", file=sys.stderr)
                 return 1
-    except (ParameterError, ValueError, OSError) as exc:
+    except (ParameterError, ValueError, OSError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, IntegrationError) else 2
     return 0
 
 

@@ -30,12 +30,12 @@ its nodes, until the change |T_2n - T_n| is at most ``_CDF_TOL`` = 1e-10,
 and T_2n is kept.  A point that has not converged at ``_MAX_NODES``
 intervals raises ``IntegrationError``.
 
-``pdf_branch_form`` evaluates the two-branch density obtained by the same
-split, by adaptive quadrature.  Below c0 only bearings with cos(theta)
-negative enough admit real roots, and the root gap vanishes at the edge of
-that admissible set; the Q1 density is therefore integrated after the
-substitution sin(u) = sqrt(1-m^2)*sin(t) (u the bearing offset from pi),
-which leaves a smooth integrand on [0, pi/2].
+``pdf_branch_form``, the density, is a second integrand on the same loop:
+on both branches rho/a times the integral over phi in [0, pi/2] of
+(exp(-u + beta*exp(-2u)) + exp(u + beta*exp(2u))) * V*sin(phi)/sqrt(sinh(V)^2
+- sinh(u)^2), u = V*cos(phi), beta = -pi*rho*(c/a)^2 (Q2) or -pi*rho*(d/a)^2
+(Q1).  Its rule stops at a change of ``_CDF_TOL`` times the value (relative
+1e-10) and raises ``IntegrationError`` past ``_MAX_NODES`` intervals too.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,11 +53,11 @@ from ._pool import map_ordered
 
 # coefficients at or above this magnitude overflow when squared
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
-# absolute error each CDF value is certified to, by its own doubling estimate
+# each value's error by its own doubling estimate: absolute (CDF), relative (density)
 _CDF_TOL = 1e-10
-# trapezoid intervals on [0, pi/2] past which a CDF point is an IntegrationError
+# trapezoid intervals on [0, pi/2] past which a point is an IntegrationError
 _MAX_NODES = 1 << 13
-# points per CDF task, and values per kernel temporary (4096 points x 128 nodes)
+# points per task, and values per kernel temporary (4096 points x 128 nodes)
 _CHUNK = 4096
 _CELLS = 4096 * 128
 
@@ -128,80 +129,7 @@ class PowerQuadratic:
         return self.c0 - k * k / self.a
 
 
-def _r_large_stable(half_b, q_over_a, a):
-    """Positive root (-half_b + sqrt(half_b^2 + a*q)) / a without cancellation.
-
-    ``q_over_a`` is (p - c0) > 0 so the root is positive for every bearing.
-    """
-    disc = np.sqrt(half_b * half_b + a * q_over_a)
-    return np.where(half_b > 0.0, q_over_a / (half_b + disc), (disc - half_b) / a)
-
-
-# --- Q1 density (support_min < p <= c0) -----------------------------------
-
-def _q1_setup(p: float, quad: PowerQuadratic):
-    """Substitution constants for the below-c0 branch."""
-    k = quad.half_b_max
-    m2 = quad.a * (quad.c0 - p) / (k * k)
-    m2 = min(max(m2, 0.0), 1.0)
-    return k, math.sqrt(m2), math.sqrt(1.0 - m2)
-
-
-def _q1_points(t, k, m, s, a, rho):
-    """Roots and PPP weights along the substituted variable t in [0, pi/2]."""
-    sin_u = s * np.sin(t)
-    cos_u = np.sqrt(np.maximum(1.0 - sin_u * sin_u, m * m))
-    gap = k * s * np.cos(t)
-    r_lo = (k * cos_u - gap) / a
-    r_hi = (k * cos_u + gap) / a
-    w_lo = np.exp(-math.pi * rho * r_lo * r_lo)
-    w_hi = np.exp(-math.pi * rho * r_hi * r_hi)
-    return cos_u, r_lo, r_hi, w_lo, w_hi
-
-
-def _q1_pdf(p: float, quad: PowerQuadratic, rho: float, epsabs: float) -> float:
-    k, m, s = _q1_setup(p, quad)
-    if s == 0.0:
-        return 0.0
-
-    def integrand(t):
-        cos_u, r_lo, r_hi, w_lo, w_hi = _q1_points(t, k, m, s, quad.a, rho)
-        return rho * (r_hi * w_hi + r_lo * w_lo) / (k * cos_u)
-
-    return _quad(integrand, 0.0, 0.5 * math.pi, epsabs=epsabs)
-
-
-# --- Q2 density (p > c0) ----------------------------------------------------
-
-def _q2_pdf(p: float, quad: PowerQuadratic, rho: float, epsabs: float) -> float:
-    q = p - quad.c0
-
-    # the bearing weight 1/(2*pi) cancels against 2*pi*rho from the PPP law;
-    # folding the full bearing range onto [0, pi] cancels the remaining 1/2
-    def integrand(theta):
-        half_b = quad.half_b_max * np.cos(theta)
-        delta_r = np.sqrt(half_b * half_b + quad.a * q)
-        r_hi = _r_large_stable(half_b, q, quad.a)
-        return rho * r_hi * np.exp(-math.pi * rho * r_hi * r_hi) / delta_r
-
-    return _quad(integrand, 0.0, math.pi, epsabs=epsabs)
-
-
-# --- public evaluations -----------------------------------------------------
-
-def pdf_branch_form(p: float, quad: PowerQuadratic, rho: float, *,
-                    epsabs: float = 1e-9) -> float:
-    """Two-branch density; integrand support restricted to real-root bearings."""
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho!r}")
-    if p <= quad.support_min:
-        return 0.0
-    if p <= quad.c0:
-        return _q1_pdf(p, quad, rho, epsabs)
-    return _q2_pdf(p, quad, rho, epsabs)
-
-
-# --- the CDF engine (substitution in the module docstring) ------------------
+# --- the engine (substitution in the module docstring) ----------------------
 
 def _cdf_integrand(v, s2, beta, cos_phi, sin_phi, upper):
     """The substituted CDF integrand at nodes phi in (0, pi/2], one row per point.
@@ -241,9 +169,47 @@ def _cdf_integrand(v, s2, beta, cos_phi, sin_phi, upper):
     return g
 
 
-def _cdf_branch(p: np.ndarray, quad: PowerQuadratic, rho: float, upper: bool,
-                n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """CDF values and their error estimates at points ``p`` of one branch."""
+def _cdf_limit(v, beta, upper):
+    """``_cdf_integrand`` at phi = 0, its limit u = v; ``v`` and ``beta`` are flat."""
+    e2v = np.exp(2.0 * v)
+    g_lo, g_hi = np.expm1(beta / e2v), np.expm1(beta * e2v)
+    if upper:
+        return -(g_lo + g_hi) * np.sqrt(v / np.tanh(v))
+    return (g_lo - g_hi) * np.sqrt(v * np.tanh(v))
+
+
+def _pdf_integrand(v, s2, beta, cos_phi, sin_phi, upper):
+    """The substituted density integrand, arguments as in ``_cdf_integrand``.
+
+    Each root's |dr/dp|, 1/(2*d*sinh(u)) (Q1) or 1/(2*d*cosh(u)) (Q2), cancels
+    against the Jacobian.  Each exponential is taken whole, so none overflows.
+    """
+    u = v * cos_phi
+    e2u = np.exp(2.0 * u)
+    numerator = np.exp(beta / e2u - u) + np.exp(beta * e2u + u)
+    return numerator * v * sin_phi / np.sqrt(s2 - np.sinh(u) ** 2)
+
+
+def _pdf_limit(v, beta, upper):
+    """``_pdf_integrand`` at phi = 0, its limit u = v; ``v`` and ``beta`` are flat."""
+    e2v = np.exp(2.0 * v)
+    return ((np.exp(beta / e2v - v) + np.exp(beta * e2v + v))
+            * np.sqrt(2.0 * v / np.sinh(2.0 * v)))
+
+
+class _Integrand(NamedTuple):
+    """Node values, phi = 0 limit and tolerance |T_2n - T_n| <= atol + rtol*T_2n."""
+
+    name: str
+    nodes: Callable
+    limit: Callable
+    atol: float
+    rtol: float
+
+
+def _branch(p: np.ndarray, quad: PowerQuadratic, rho: float, upper: bool, n_nodes: int,
+            f: _Integrand) -> tuple[np.ndarray, np.ndarray]:
+    """Means of ``f`` over phi in [0, pi/2] at points ``p`` of one branch, and errors."""
     a = quad.a
     if upper:
         d2 = a * (p - quad.c0)
@@ -255,13 +221,7 @@ def _cdf_branch(p: np.ndarray, quad: PowerQuadratic, rho: float, upper: bool,
         s2 = a * (p - quad.support_min) / d2
     v = np.arcsinh(np.sqrt(s2))
     beta = (-math.pi * rho / (a * a)) * d2
-    # phi = 0 is the limit u = v of the node formula
-    e2v = np.exp(2.0 * v)
-    g_lo, g_hi = np.expm1(beta / e2v), np.expm1(beta * e2v)
-    if upper:
-        end = -(g_lo + g_hi) * np.sqrt(v / np.tanh(v))
-    else:
-        end = (g_lo - g_hi) * np.sqrt(v * np.tanh(v))
+    end = f.limit(v, beta, upper)
     v, s2, beta = v[:, None], s2[:, None], beta[:, None]
 
     def node_sum(rows, phi, weights):
@@ -270,11 +230,11 @@ def _cdf_branch(p: np.ndarray, quad: PowerQuadratic, rho: float, upper: bool,
         out = np.empty(rows.size)
         for start in range(0, rows.size, step):
             sel = rows[start:start + step]
-            g = _cdf_integrand(v[sel], s2[sel], beta[sel], cos_phi, sin_phi, upper)
+            g = f.nodes(v[sel], s2[sel], beta[sel], cos_phi, sin_phi, upper)
             out[start:start + step] = np.einsum("ij,j->i", g, weights)
         return out
 
-    # trapezoid sums over n intervals of [0, pi/2]; the CDF is sum / (2n)
+    # trapezoid sums over n intervals of [0, pi/2]; the mean is sum / (2n)
     n = n_nodes
     weights = np.ones(n)
     weights[-1] = 0.5
@@ -287,21 +247,22 @@ def _cdf_branch(p: np.ndarray, quad: PowerQuadratic, rho: float, upper: bool,
         if n >= _MAX_NODES:
             i = todo[0]
             raise IntegrationError(
-                f"CDF at p = {float(p[i])!r} ({quad!r}, rho = {rho!r}) did not "
-                f"reach {_CDF_TOL:g} within {n} intervals (estimate {err[i]:.3g})")
+                f"{f.name} at p = {float(p[i])!r} ({quad!r}, rho = {rho!r}) did not "
+                f"converge within {n} intervals (estimate {err[i]:.3g}, "
+                f"{err[i] / value[i]:.3g} of the value)")
         midpoints = (np.arange(n) + 0.5) * (0.5 * math.pi / n)
         total[todo] += node_sum(todo, midpoints, np.ones(n))
         n *= 2
         finer = total[todo] / (2 * n)
         err[todo] = np.abs(finer - value[todo])
         value[todo] = finer
-        todo = todo[err[todo] > _CDF_TOL]
+        todo = todo[err[todo] > f.atol + f.rtol * finer]
     return value, err
 
 
-def _cdf_and_error(p_values, quad: PowerQuadratic, rho: float, n_nodes: int = 8,
-                   workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """``cdf_reference_batch`` with each value's error estimate, as two arrays."""
+def _integrate(p_values, quad: PowerQuadratic, rho: float, f: _Integrand,
+               n_nodes: int = 8, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """``_branch`` over chunks of points of any shape, 0 below the support."""
     if rho <= 0:
         raise ValueError(f"rho must be > 0, got {rho!r}")
     if n_nodes < 1:
@@ -312,7 +273,7 @@ def _cdf_and_error(p_values, quad: PowerQuadratic, rho: float, n_nodes: int = 8,
     flat_p, flat_out, flat_err = p_values.ravel(), out.ravel(), err.ravel()
 
     def task(upper, sel):
-        flat_out[sel], flat_err[sel] = _cdf_branch(flat_p[sel], quad, rho, upper, n_nodes)
+        flat_out[sel], flat_err[sel] = _branch(flat_p[sel], quad, rho, upper, n_nodes, f)
 
     tasks = []
     for upper, mask in ((False, (flat_p > quad.support_min) & (flat_p <= quad.c0)),
@@ -321,6 +282,13 @@ def _cdf_and_error(p_values, quad: PowerQuadratic, rho: float, n_nodes: int = 8,
         tasks += [(upper, idx[start:start + _CHUNK]) for start in range(0, idx.size, _CHUNK)]
     map_ordered(task, tasks, workers)
     return out, err
+
+
+def _cdf_and_error(p_values, quad: PowerQuadratic, rho: float, n_nodes: int = 8,
+                   workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """``cdf_reference_batch`` with each value's error estimate, as two arrays."""
+    return _integrate(p_values, quad, rho, _Integrand(
+        "CDF", _cdf_integrand, _cdf_limit, _CDF_TOL, 0.0), n_nodes, workers)
 
 
 def cdf_reference_batch(p_values, quad: PowerQuadratic, rho: float, *,
@@ -347,6 +315,28 @@ def cdf_reference_batch(p_values, quad: PowerQuadratic, rho: float, *,
     """
     values, _ = _cdf_and_error(p_values, quad, rho, n_nodes, workers)
     return values if values.ndim else float(values)
+
+
+def pdf_branch_form(p, quad: PowerQuadratic, rho: float):
+    """Density of the round total at ``p``, each value to 1e-10 relative.
+
+    A 0-d input gives a float, an array an array of its shape; the branch
+    form of the CDF has the same density.  It is rho/a times the integral over
+    phi in [0, pi/2] of (exp(-u + beta*exp(-2u)) + exp(u + beta*exp(2u))) *
+    v*sin(phi)/sqrt(sinh(v)^2 - sinh(u)^2), u = v*cos(phi), in the variables
+    of the module docstring, by the doubling trapezoid rule of
+    ``cdf_reference_batch`` until the change is at most ``_CDF_TOL`` = 1e-10
+    times the value (near the subnormal range, the smallest normal float
+    times pi*rho/a).  A point not there at ``_MAX_NODES`` = 8192 intervals
+    raises ``IntegrationError`` naming p, the quadratic and rho.  At and
+    below the support minimum the density is 0.
+    """
+    # a subnormal mean has no relative digits: its floor is the smallest normal
+    values, _ = _integrate(p, quad, rho, _Integrand(
+        "density", _pdf_integrand, _pdf_limit, sys.float_info.min, _CDF_TOL))
+    values *= math.pi * rho / quad.a
+    return values if values.ndim else float(values)
+
 
 def expected_power(quad: PowerQuadratic, rho: float) -> float:
     """Mean round total over the PPP, from the closed-form moments.

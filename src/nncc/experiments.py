@@ -266,7 +266,8 @@ def _closure_section(rep: _Report, params: LinearParams, seed: int,
 
 def _distribution_sections(rep: _Report, params: LinearParams,
                            quad: dist.PowerQuadratic, r1: float,
-                           n_trials: int, seed: int, workers: int) -> None:
+                           n_trials: int, seed: int, workers: int) -> float:
+    """Sections [b] and [c]; returns F(c0), the boundary term, for section [e]."""
     rho = params.rho
     rep.add(f"[b] power distribution vs Monte Carlo (rho = {_fmt(rho)}, "
             f"r1 = {_fmt(r1)})")
@@ -304,22 +305,21 @@ def _distribution_sections(rep: _Report, params: LinearParams,
                                             workers=workers)
         rep.check_z(f"Monte Carlo mean, rho={_fmt(rho_i)} r1={_fmt(r1_i)}",
                     samp.mean_energy, closed, samp.energy_stderr)
+    return boundary_term
 
 
 def _branch_form_section(rep: _Report, quad: dist.PowerQuadratic,
-                         rho: float) -> None:
+                         rho: float, boundary_term: float) -> None:
     rep.add("[e] two-branch distribution expressions vs the reference")
     result_grid = np.geomspace(quad.support_min, dist.support_upper(quad, rho), 192)
     # the upper CDF branch is the reference plus this term
-    rep.info("upper-branch additive boundary term",
-             _fmt(dist.cdf_reference_batch(quad.c0, quad, rho)))
+    rep.info("upper-branch additive boundary term", _fmt(boundary_term))
     pdf_q1, _ = _pdf_integral(quad, rho, quad.support_min, quad.c0)
     pdf_q2, p_hi = _pdf_integral(quad, rho, quad.c0, None)
     rep.info("integral of branch-form PDF over support - 1",
              f"{_fmt(pdf_q1 + pdf_q2 - 1.0)} (upper limit p = {_fmt(p_hi)})")
     eps_p = 1e-9 * quad.c0
-    below = dist.pdf_branch_form(quad.c0 - eps_p, quad, rho)
-    above = dist.pdf_branch_form(quad.c0 + eps_p, quad, rho)
+    below, above = dist.pdf_branch_form(quad.c0 + np.array([-eps_p, eps_p]), quad, rho)
     rep.info("PDF one-sided limits at the branch junction",
              f"below = {_fmt(below)}, above = {_fmt(above)}, "
              f"rel gap = {_fmt(abs(above - below) / max(above, below))}")
@@ -332,8 +332,7 @@ def _branch_form_section(rep: _Report, quad: dist.PowerQuadratic,
     h = (result_grid[-1] - quad.c0) * 1e-5
     slope = (dist.cdf_reference_batch(interior + h, quad, rho)
              - dist.cdf_reference_batch(interior - h, quad, rho)) / (2 * h)
-    fd_gap = max(abs(s - dist.pdf_branch_form(p, quad, rho))
-                 for p, s in zip(interior, slope))
+    fd_gap = np.max(np.abs(slope - dist.pdf_branch_form(interior, quad, rho)))
     rep.info(name, _fmt(float(fd_gap)))
 
 
@@ -415,10 +414,10 @@ def validate_report(spec: ExperimentSpec, eta_scale: float = 1.0) -> tuple[str, 
     quad = dist.PowerQuadratic.from_coefficients(scaled, eps_total, r1)
 
     _closure_section(rep, params, spec.seed, coeff, scaled)
-    _distribution_sections(rep, params, quad, r1, spec.n_trials, spec.seed,
-                           spec.workers)
+    boundary_term = _distribution_sections(rep, params, quad, r1, spec.n_trials,
+                                           spec.seed, spec.workers)
     _protocol_section(rep, params, r1, r, spec.n_trials, spec.seed, spec.workers)
-    _branch_form_section(rep, quad, params.rho)
+    _branch_form_section(rep, quad, params.rho, boundary_term)
 
     ok = not rep.failures
     rep.add(f"summary: {rep.n_checks - len(rep.failures)}/{rep.n_checks} "

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
-from cdf_oracle import branch_form_cdf, cdf_oracle
+from cdf_oracle import branch_form_cdf, cdf_oracle, pdf_oracle
 from nncc import (
     IntegrationError,
     PowerQuadratic,
@@ -25,8 +25,7 @@ from nncc import (Geometry, Link, OutageTargets, ParameterError, SystemParams,
                   nncc_power_breakdown, partner_distance_to_bs, sample_nn_geometries,
                   validate)
 from nncc import distribution
-from nncc.distribution import (_cdf_and_error, _q1_points, _q1_setup, _quad,
-                               _r_large_stable)
+from nncc.distribution import _cdf_and_error, _quad
 from nncc.montecarlo import RandomStream, sample_power_distribution
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,54 +60,96 @@ def test_quadratic_reproduces_breakdown_total(dense_params, quad5):
         assert total_power == pytest.approx(total, rel=1e-9)
 
 
-def test_power_roots_at_constant_term(quad5, dense_params):
+def _kernel_inputs(monkeypatch, p, quad, rho):
+    """(v, sinh(v)^2, beta) the CDF kernel receives for the one point p, or None.
+
+    beta = -pi*rho*(d/a)^2 (c in place of d above c0), so the engine's roots
+    (d/a)*exp(-+w) scale with sqrt(-beta/(pi*rho)).
+    """
+    seen = []
+    kernel = distribution._cdf_integrand
+
+    def recording(v, s2, beta, *rest):
+        seen.append((float(v[0, 0]), float(s2[0, 0]), float(beta[0, 0])))
+        return kernel(v, s2, beta, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(distribution, "_cdf_integrand", recording)
+        cdf_reference_batch(p, quad, rho)
+    return seen[0] if seen else None
+
+
+def _engine_roots(beta, quad, rho, upper, w):
+    """The roots at w, and the half_b = k*cos(theta) they solve P(r, theta) = p for.
+
+    Above c0 half_b = c*sinh(w) and the root is (c/a)*exp(-w); below,
+    -half_b = d*cosh(w) and the roots are (d/a)*exp(-w) and (d/a)*exp(w).
+    """
+    scale = math.sqrt(-beta / (math.pi * rho))
+    if upper:
+        return quad.a * scale * np.sinh(w), [scale * np.exp(-w)]
+    return -quad.a * scale * np.cosh(w), [scale * np.exp(-w), scale * np.exp(w)]
+
+
+def test_power_roots_at_constant_term(quad5, dense_params, monkeypatch):
     """At p = c0 the roots are 0 and -b(theta)/a, on both sides of the split."""
-    rho = dense_params.rho
-    for theta in (2.5, 0.5):  # cos < 0: large root -b/a; cos > 0: large root 0
-        with np.errstate(invalid="ignore"):  # the unselected form is 0/0 at q = 0
-            r_hi = _r_large_stable(0.5 * quad5.b(theta), 0.0, quad5.a)
-        assert r_hi == pytest.approx(max(0.0, -quad5.b(theta) / quad5.a), rel=1e-9)
-    k, m, s = _q1_setup(quad5.c0, quad5)
-    t = np.linspace(0.0, 0.5 * math.pi, 9)
-    cos_u, r_lo, r_hi, _, _ = _q1_points(t, k, m, s, quad5.a, rho)
-    assert np.max(np.abs(r_lo)) <= 1e-9 * np.max(r_hi)
-    # the bearing u is measured from pi, so b(theta) = -2 k cos(u)
-    assert np.allclose(r_hi, 2.0 * k * cos_u / quad5.a, rtol=1e-9)
+    rho, k, a = dense_params.rho, quad5.half_b_max, quad5.a
+    above = float(np.nextafter(quad5.c0, np.inf))
+    _, _, beta = _kernel_inputs(monkeypatch, above, quad5, rho)
+    c = a * math.sqrt(-beta / (math.pi * rho))
+    for theta in (2.5, 0.5):  # cos < 0: root -b/a; cos > 0: root 0
+        _, (root,) = _engine_roots(beta, quad5, rho, True,
+                                   math.asinh(k * math.cos(theta) / c))
+        if theta > 0.5 * math.pi:
+            assert root == pytest.approx(-quad5.b(theta) / a, rel=1e-9)
+        else:
+            assert root <= 1e-9 * k / a
+    # at p = c0 itself (below the split) only bearings with cos < 0 have roots
+    _, _, beta = _kernel_inputs(monkeypatch, quad5.c0, quad5, rho)
+    d = a * math.sqrt(-beta / (math.pi * rho))
+    theta = np.linspace(0.55 * math.pi, 1.45 * math.pi, 9)
+    w = np.arccosh(-k * np.cos(theta) / d)
+    _, (r_lo, r_hi) = _engine_roots(beta, quad5, rho, False, w)
+    assert np.max(r_lo) <= 1e-9 * np.max(r_hi)
+    assert np.allclose(r_hi, -quad5.b_coeff * np.cos(theta) / a, rtol=1e-9)
 
 
-def test_power_roots_residuals(quad5, dense_params):
-    """The root formulas the CDF routes integrate over solve the level-p equation."""
-    rho = dense_params.rho
+def test_power_roots_residuals(quad5, dense_params, monkeypatch):
+    """The engine's exponential roots solve the level-p equation, and w in
+    [-v, v] (above c0) or [0, v] (below) spans the bearings from cos = +-1."""
+    rho, k = dense_params.rho, quad5.half_b_max
     rng = np.random.default_rng(7)
     found = 0
-    for _ in range(2000):
+    for _ in range(400):
         p = quad5.support_min * rng.uniform(0.99, 6.0)
         if p <= quad5.support_min:
             continue
-        if p > quad5.c0:  # upper branch: one positive root at every bearing
-            theta = rng.uniform(-0.5 * math.pi, 1.5 * math.pi)
-            b = quad5.b(theta)
-            roots = [_r_large_stable(0.5 * b, p - quad5.c0, quad5.a)]
-        else:  # lower branch: two roots along the substituted variable t
-            k, m, s = _q1_setup(p, quad5)
-            cos_u, r_lo, r_hi, _, _ = _q1_points(rng.uniform(0.0, 0.5 * math.pi),
-                                                 k, m, s, quad5.a, rho)
-            b = -2.0 * k * cos_u
-            roots = [r_lo, r_hi]
-            assert 0.0 <= r_lo <= r_hi
+        upper = p > quad5.c0
+        v, _, beta = _kernel_inputs(monkeypatch, p, quad5, rho)
+        half_b, _ = _engine_roots(beta, quad5, rho, upper, v)
+        assert abs(half_b) == pytest.approx(k, rel=1e-12)  # |cos(theta)| = 1
+        for w in rng.uniform(-v if upper else 0.0, v, 5):
+            half_b, roots = _engine_roots(beta, quad5, rho, upper, w)
+            assert abs(half_b) <= k * (1.0 + 1e-12)
+            for root in roots:
+                residual = quad5.a * root * root + 2.0 * half_b * root + quad5.c0 - p
+                assert abs(residual) <= 1e-12 * max(p, quad5.c0)
+                assert root > 0.0
         found += 1
-        for root in roots:
-            residual = quad5.a * root * root + b * root + quad5.c0 - p
-            assert abs(residual) <= 1e-7 * max(p, quad5.c0)
-        assert roots[-1] > 0.0
     assert found > 100
 
 
-def test_power_roots_none_below_vertex(quad5, dense_params):
+def test_power_roots_none_below_vertex(quad5, dense_params, monkeypatch):
     """Below the support no bearing has real roots: the lower branch degenerates."""
-    assert _q1_setup(quad5.support_min * 0.999, quad5)[2] == 0.0
-    assert _q1_setup(quad5.support_min * 1.001, quad5)[2] > 0.0
-    assert cdf_reference_batch(quad5.support_min * 0.999, quad5, dense_params.rho) == 0.0
+    rho = dense_params.rho
+    below, above = quad5.support_min * 0.999, quad5.support_min * 1.001
+    # half_b^2 - a*(c0 - p) < 0 at every bearing, and the engine integrates nothing
+    assert quad5.half_b_max ** 2 < quad5.a * (quad5.c0 - below)
+    assert _kernel_inputs(monkeypatch, below, quad5, rho) is None
+    v, s2, _ = _kernel_inputs(monkeypatch, above, quad5, rho)
+    assert v > 0.0 and s2 > 0.0
+    assert cdf_reference_batch(below, quad5, rho) == 0.0
+    assert pdf_branch_form(below, quad5, rho) == 0.0
 
 
 def test_support_min_matches_grid_minimum(quad5):
@@ -167,6 +208,20 @@ def test_cdf_batch_matches_scalar(quad5, dense_params):
     assert np.max(np.abs(batch - scalar)) < 5e-11
 
 
+def _probe_point(quad, rho, where, x):
+    """An abscissa of the hypothesis tests, x in [0, 1] placing it within ``where``."""
+    if where == "c0":  # within 1e-12 (relative) on either side
+        return quad.c0 * (1.0 + (2.0 * x - 1.0) * 1e-12)
+    if where == "junction":  # within 1e-9, where the report takes one-sided limits
+        return quad.c0 * (1.0 + (2.0 * x - 1.0) * 1e-9)
+    if where == "support_min":
+        return quad.support_min * (1.0 + x * 1e-12)
+    if where == "below":
+        return quad.support_min + x * (quad.c0 - quad.support_min)
+    # the upper branch spreads over the mean excess a/(pi*rho)
+    return quad.c0 + quad.a / (math.pi * rho) * 10.0 ** (13.5 * x - 12.0)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(rho=st.floats(-7.0, 0.0).map(lambda e: 10.0 ** e),
        r1=st.floats(math.log10(50.0), 5.0).map(lambda e: 10.0 ** e),
@@ -179,18 +234,57 @@ def test_cdf_batch_matches_scalar(quad5, dense_params):
 def test_cdf_within_tolerance_of_oracle(rho, r1, where, x):
     """Each value is within 1e-10 of the oracle, and within its own error estimate."""
     quad = PowerQuadratic.from_params(validate(SystemParams(rho=rho)), r1)
-    if where == "c0":  # within 1e-12 (relative) on either side
-        p = quad.c0 * (1.0 + (2.0 * x - 1.0) * 1e-12)
-    elif where == "support_min":
-        p = quad.support_min * (1.0 + x * 1e-12)
-    elif where == "below":
-        p = quad.support_min + x * (quad.c0 - quad.support_min)
-    else:  # the upper branch spreads over the mean excess a/(pi*rho)
-        p = quad.c0 + quad.a / (math.pi * rho) * 10.0 ** (13.5 * x - 12.0)
+    p = _probe_point(quad, rho, where, x)
     value, estimate = (float(v) for v in _cdf_and_error(p, quad, rho))
     gap = abs(value - cdf_oracle(p, quad, rho))
     assert gap <= 1e-10
     assert gap <= estimate + 1e-12  # the slack covers the oracle's own error
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rho=st.floats(-7.0, 0.0).map(lambda e: 10.0 ** e),
+       r1=st.floats(math.log10(50.0), 5.0).map(lambda e: 10.0 ** e),
+       where=st.sampled_from(("c0", "junction", "support_min", "below", "above")),
+       x=st.floats(0.0, 1.0))
+# rho 1, r1 100 km, where the density is 70022.56 on both sides of c0: an
+# adaptive rule in the bearing gave 1397.5 at c0 (1 + 1e-12) and 39988 at
+# c0 (1 + 1e-9)
+@example(rho=1.0, r1=100_000.0, where="c0", x=1.0)
+@example(rho=1.0, r1=100_000.0, where="c0", x=0.0)
+@example(rho=1.0, r1=100_000.0, where="junction", x=1.0)
+def test_pdf_within_tolerance_of_oracle(rho, r1, where, x):
+    """Each density value is within 1e-9 (relative) of the adaptive oracle."""
+    quad = PowerQuadratic.from_params(validate(SystemParams(rho=rho)), r1)
+    p = _probe_point(quad, rho, where, x)
+    oracle = pdf_oracle(p, quad, rho)
+    # near the subnormal range neither method keeps relative digits; the
+    # engine's floor there is the smallest normal float times pi*rho/a < 1e-299
+    assert abs(pdf_branch_form(p, quad, rho) - oracle) <= 1e-9 * oracle + 1e-290
+
+
+def test_pdf_array_matches_pointwise(quad5, dense_params):
+    """A 0-d input gives a float; an array gives its shape and the pointwise bits."""
+    rho = dense_params.rho
+    p = np.array([[0.5 * quad5.support_min, quad5.support_min],
+                  [0.5 * (quad5.support_min + quad5.c0), quad5.c0],
+                  [quad5.c0 * (1.0 + 1e-9), 2.0 * quad5.c0]])
+    values = pdf_branch_form(p, quad5, rho)
+    assert values.shape == p.shape
+    pointwise = [pdf_branch_form(x, quad5, rho) for x in p.ravel()]
+    assert all(isinstance(x, float) for x in pointwise)
+    assert np.array_equal(values.ravel(), pointwise)
+    assert np.all(values[0] == 0.0) and np.all(values[1:] > 0.0)
+
+
+def test_pdf_raises_integration_error_past_the_cap(monkeypatch):
+    rho = 1.0
+    quad = PowerQuadratic.from_params(validate(SystemParams(rho=rho)), 100_000.0)
+    p = quad.c0 * (1.0 + 1e-12)
+    monkeypatch.setattr(distribution, "_MAX_NODES", 8)
+    with pytest.raises(IntegrationError) as err:
+        pdf_branch_form(np.array([0.5 * quad.c0, p]), quad, rho)
+    assert str(err.value).startswith("density at p = ")
+    assert "rho = 1.0" in str(err.value) and "of the value" in str(err.value)
 
 
 def test_cdf_raises_integration_error_past_the_cap(monkeypatch):

@@ -262,6 +262,29 @@ def test_cli_validate_support_ending_near_c0(tmp_path):
     assert "(50 interior points): n/a" in text
 
 
+def test_cli_validate_dense_far_regime(tmp_path):
+    """rho 1, r1 100 km: the density near c0 is narrow and the report still passes."""
+    out = tmp_path / "v.txt"
+    assert main(["validate", "--out", str(out), "--seed", "7", "--trials", "10000",
+                 "--rho", "1", "--r1", "100000"]) == 0
+    assert "summary: 20/20 bounded checks passed" in out.read_text(encoding="utf-8")
+
+
+def test_cli_integration_error_exits_1(tmp_path, capsys, monkeypatch):
+    """An IntegrationError is one error line and exit 1, with no report written."""
+    from nncc import distribution
+
+    monkeypatch.setattr(distribution, "_MAX_NODES", 8)
+    out = tmp_path / "v.txt"
+    assert main(["validate", "--out", str(out), "--seed", "7",
+                 "--trials", "10000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: CDF at p = ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_cli_rejects_workers_below_one(tmp_path, capsys, workers):
     out = str(tmp_path / "x.csv")
