@@ -6,7 +6,8 @@ Verbs:
   validate           run the analytic-vs-Monte-Carlo cross checks
 
 Every verb accepts --config (flat JSON matching the SystemParams schema) and
-per-parameter override flags; flags win over the file key by key.  Exit codes:
+per-parameter override flags.  Precedence, lowest first: defaults, the config
+file, the figure preset, explicit flags.  Exit codes:
 0 success, 1 a bounded validation check failed or an ``IntegrationError`` (one
 ``error: ...`` line, no output file), 2 bad invocation.
 """
@@ -40,16 +41,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_spec(args, kind: str) -> ExperimentSpec:
-    base = SystemParams()
+    # flags stay overrides, so they win over a figure preset as well as the file
+    base = load_config(args.config) if args.config else SystemParams()
     overrides = {}
-    for f in fields(SystemParams):
-        value = getattr(args, f.name)
-        if value is not None:
-            overrides[f.name] = value
-    if args.config:
-        base = load_config(args.config, overrides)
-        overrides = {}
-    for key in ("r1", "r"):
+    for key in [f.name for f in fields(SystemParams)] + ["r1", "r"]:
         value = getattr(args, key)
         if value is not None:
             overrides[key] = value

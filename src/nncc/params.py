@@ -145,10 +145,9 @@ def validate(raw: SystemParams) -> LinearParams:
     )
 
 
-def load_config(path: str, overrides: dict | None = None) -> SystemParams:
+def load_config(path: str) -> SystemParams:
     """Read a flat JSON config whose keys match :class:`SystemParams` fields.
 
-    ``overrides`` (e.g. from CLI flags) replace file values key by key.
     Unknown keys are rejected so typos do not silently fall back to defaults.
     """
     with open(path, encoding="utf-8") as fh:
@@ -159,6 +158,4 @@ def load_config(path: str, overrides: dict | None = None) -> SystemParams:
     unknown = sorted(set(data) - known)
     if unknown:
         raise ParameterError(unknown[0], f"unknown config key in {path}")
-    if overrides:
-        data.update({k: v for k, v in overrides.items() if v is not None})
     return SystemParams(**data)

@@ -20,11 +20,13 @@ The CDF agrees with 30-digit ``mpmath`` quadrature to within 4e-14 at rho
 0.1 and 1 per m^2, r1 20 km and 100 km, and p within 1e-12 of c0; the
 density (``pdf_oracle``, same variables and break points) to within 3e-13
 relative at rho 1, r1 100 km, p = c0 (1 +- 1e-12) and c0 (1 + 1e-9).
+``quantile_oracle`` finds the abscissa where the oracle CDF reaches 1 - tail
+with a bracket and ``brentq``.
 """
 
 import math
 
-from scipy import integrate
+from scipy import integrate, optimize
 
 SCALES = (0.01, 0.1, 1.0, 10.0, 100.0)
 
@@ -150,3 +152,13 @@ def pdf_oracle(p, quad, rho, epsrel=1e-13):
                       + r_lo * math.exp(-math.pi * rho * r_lo * r_lo)) / (k * cos_u)
 
     return _quad(f, 0.5 * math.pi, _q1_points(quad, m2, rho), 0.0, epsrel)
+
+
+def quantile_oracle(quad, rho, tail):
+    """Abscissa where the oracle CDF reaches 1 - tail (tail below 1 - F(c0))."""
+    lo = quad.c0
+    hi = quad.c0 + quad.a * (math.log(1.0 / tail) + 10.0) / (math.pi * rho)
+    while cdf_oracle(hi, quad, rho) < 1.0 - tail:
+        lo, hi = hi, 2.0 * hi
+    return optimize.brentq(lambda p: cdf_oracle(p, quad, rho) - (1.0 - tail), lo, hi,
+                           xtol=1e-12 * hi, rtol=1e-10)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
-from cdf_oracle import branch_form_cdf, cdf_oracle, pdf_oracle
+from cdf_oracle import branch_form_cdf, cdf_oracle, pdf_oracle, quantile_oracle
 from nncc import (
     IntegrationError,
     PowerQuadratic,
@@ -260,6 +260,25 @@ def test_pdf_within_tolerance_of_oracle(rho, r1, where, x):
     # near the subnormal range neither method keeps relative digits; the
     # engine's floor there is the smallest normal float times pi*rho/a < 1e-299
     assert abs(pdf_branch_form(p, quad, rho) - oracle) <= 1e-9 * oracle + 1e-290
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rho=st.floats(-7.0, 0.0).map(lambda e: 10.0 ** e),
+       r1=st.floats(math.log10(50.0), 5.0).map(lambda e: 10.0 ** e),
+       tail=st.floats(-9.0, -6.0).map(lambda e: 10.0 ** e),
+       bad_tail=st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0),
+                          st.just(math.nan)),
+       bad_rho=st.floats(max_value=0.0))
+def test_support_upper_bounds_the_tail(rho, r1, tail, bad_tail, bad_rho):
+    """At most ``tail`` lies above the closed form, which is near the quantile."""
+    quad = PowerQuadratic.from_params(validate(SystemParams(rho=rho)), r1)
+    bound = support_upper(quad, rho, tail)
+    assert cdf_reference_batch(bound, quad, rho) >= 1.0 - tail - 1e-10
+    assert bound - quad.c0 <= 1.25 * (quantile_oracle(quad, rho, tail) - quad.c0)
+    with pytest.raises(ValueError, match="tail must lie in"):
+        support_upper(quad, rho, bad_tail)
+    with pytest.raises(ValueError, match="rho must be"):
+        support_upper(quad, bad_rho, tail)
 
 
 def test_pdf_array_matches_pointwise(quad5, dense_params):

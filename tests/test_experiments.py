@@ -235,6 +235,32 @@ def test_cli_sweep_with_config(tmp_path):
     assert len(rows) == 3
 
 
+def test_cli_config_override_wins(tmp_path):
+    """An explicit flag beats the config file's key; other keys keep defaults."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"rate": 1e6}')
+    argv = ["sweep", "--var", "rho", "--min", "1e-5", "--max", "1e-4", "--count", "2",
+            "--trials", str(TRIALS), "--rate", "5e5"]
+    with_cfg, plain = str(tmp_path / "cfg.csv"), str(tmp_path / "plain.csv")
+    assert main(argv + ["--config", str(cfg), "--out", with_cfg]) == 0
+    assert main(argv + ["--out", plain]) == 0
+    assert filecmp.cmp(with_cfg, plain, shallow=False)
+
+
+def test_cli_figure_flag_wins_with_config(tmp_path):
+    """A flag beats the figure preset whether or not a config file is given."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    argv = ["figure", "5", "--seed", "1", "--trials", "10000", "--rate", "1e6"]
+    with_cfg, plain = str(tmp_path / "cfg.csv"), str(tmp_path / "plain.csv")
+    assert main(argv + ["--config", str(cfg), "--out", with_cfg]) == 0
+    assert main(argv + ["--out", plain]) == 0
+    assert filecmp.cmp(with_cfg, plain, shallow=False)
+    preset = str(tmp_path / "preset.csv")
+    assert main(argv[:-2] + ["--out", preset]) == 0
+    assert not filecmp.cmp(plain, preset, shallow=False)
+
+
 def test_cli_validate_exit_codes(tmp_path, capsys):
     out = str(tmp_path / "v.txt")
     assert main(["validate", "--out", out, "--seed", "7",
@@ -281,6 +307,25 @@ def test_cli_integration_error_exits_1(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: CDF at p = ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_cli_density_integral_failure_exits_1(tmp_path, capsys, monkeypatch):
+    """A density integral that does not converge is one error line and exit 1."""
+    from nncc import distribution
+
+    def diverging(p, quad, rho):  # not integrable across c0
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.abs(p - quad.c0)
+
+    monkeypatch.setattr(distribution, "pdf_branch_form", diverging)
+    out = tmp_path / "v.txt"
+    assert main(["validate", "--out", str(out), "--seed", "7",
+                 "--trials", "10000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: quadrature on [")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert not out.exists()
 

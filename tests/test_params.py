@@ -105,14 +105,6 @@ def test_load_config_round_trip(tmp_path):
     assert raw.f_s == SystemParams().f_s  # untouched fields keep defaults
 
 
-def test_load_config_cli_override_wins(tmp_path):
-    path = tmp_path / "params.json"
-    path.write_text(json.dumps({"rate": 1e6}))
-    raw = load_config(str(path), overrides={"rate": 5e5, "rho": None})
-    assert raw.rate == 5e5
-    assert raw.rho == SystemParams().rho
-
-
 def test_load_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "params.json"
     path.write_text(json.dumps({"bandwidth": 1.0}))
