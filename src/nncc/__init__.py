@@ -19,7 +19,6 @@ from .params import (
 from .geometry import (
     Geometry,
     nn_distance_cdf,
-    nn_distance_pdf,
     partner_distance_to_bs,
     sample_nn_geometries,
 )
@@ -30,7 +29,6 @@ from .powermodel import (
     PowerCoefficients,
     composite_outage_nncc,
     conventional_power,
-    link_capacity,
     nncc_power_breakdown,
     per_link_outage_conventional,
     per_link_outage_nncc,

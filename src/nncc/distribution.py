@@ -36,6 +36,15 @@ on both branches rho/a times the integral over phi in [0, pi/2] of
 - sinh(u)^2), u = V*cos(phi), beta = -pi*rho*(c/a)^2 (Q2) or -pi*rho*(d/a)^2
 (Q1).  Its rule stops at a change of ``_CDF_TOL`` times the value (relative
 1e-10) and raises ``IntegrationError`` past ``_MAX_NODES`` intervals too.
+
+The independent checks of ``validate`` (the mean by nested 2-D quadrature,
+the density's integral over the support) use ``_tanh_sinh``, the
+double-exponential rule of Takahasi and Mori (1974): with x = mid +
+half*tanh(pi/2*sinh(t)), the trapezoid rule in t on [-3.5, 3.5] starts at
+step 1/2 and halves the step, reusing its nodes, until |T_h/2 - T_h| plus
+the two end terms (the truncation estimate) is at most atol + rtol*|T_h/2|.
+A sum that is not finite has not converged; past ``_TS_LEVELS`` = 7
+halvings (1793 nodes) it raises ``IntegrationError``.
 """
 
 from __future__ import annotations
@@ -57,6 +66,8 @@ _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 _CDF_TOL = 1e-10
 # relative tolerance of each level of the mean's nested quadrature
 _MEAN_EPSREL = 1e-11
+# tanh-sinh steps t on [-_TS_T, _TS_T]: the first step, and halvings before giving up
+_TS_T, _TS_H0, _TS_LEVELS = 3.5, 0.5, 7
 # trapezoid intervals on [0, pi/2] past which a point is an IntegrationError
 _MAX_NODES = 1 << 13
 # points per task, and values per kernel temporary (4096 points x 128 nodes)
@@ -68,17 +79,41 @@ class IntegrationError(RuntimeError):
     """A quadrature failed to reach its error tolerance."""
 
 
-def _quad(func, lo, hi, epsabs, epsrel=1e-10, limit=200):
-    from scipy import integrate  # deferred: figure and sweep runs never integrate
+def _tanh_sinh(f, lo: float, hi: float, atol: float, rtol: float):
+    """Integral of ``f`` over [lo, hi] by the doubling tanh-sinh rule.
 
-    out = integrate.quad(func, lo, hi, epsabs=epsabs, epsrel=epsrel,
-                         limit=limit, full_output=1)
-    if len(out) > 3:
-        message = " ".join(out[3].split())  # QUADPACK's messages span lines
-        raise IntegrationError(
-            f"quadrature on [{lo!r}, {hi!r}] did not converge: {message} "
-            f"(estimate {out[0]!r}, abserr {out[1]!r})")
-    return out[0]
+    ``f`` maps a 1-D array of abscissae to values whose last axis runs over
+    them; the result has the shape of the other axes (a float for 1-D
+    values), and every entry must meet the stop test of the module docstring.
+    """
+    half = 0.5 * (hi - lo)
+
+    def terms(t):  # f times dx/dt at steps t; each node is the nearer endpoint
+        # -+ its distance from it, so nodes near lo = 0 keep their digits
+        e = np.exp(-math.pi * np.sinh(np.abs(t)))
+        dist = half * (2.0 * e / (1.0 + e))
+        return (f(np.where(t < 0, lo + dist, hi - dist))
+                * (half * 2.0 * math.pi * np.cosh(t) * e / np.square(1.0 + e)))
+
+    n, h = round(_TS_T / _TS_H0), _TS_H0
+    g = terms(np.arange(-n, n + 1) * h)
+    total, ends = g.sum(axis=-1), np.abs(g[..., 0]) + np.abs(g[..., -1])
+    value = h * total
+    for _ in range(_TS_LEVELS):
+        total = total + terms((np.arange(2 * n) - n + 0.5) * h).sum(axis=-1)
+        n, h = 2 * n, 0.5 * h
+        finer = h * total
+        with np.errstate(invalid="ignore"):  # inf - inf: not finite, so not converged
+            change = np.abs(finer - value) + h * ends
+        value = finer
+        unmet = ~((change <= atol + rtol * np.abs(value)) & np.isfinite(value))
+        if not unmet.any():
+            return value if value.ndim else float(value)
+    i = np.argmax(unmet.ravel())
+    raise IntegrationError(
+        f"quadrature on [{lo!r}, {hi!r}] did not converge within {_TS_LEVELS} halvings "
+        f"of the step (estimate {float(value.ravel()[i])!r}, "
+        f"change {float(change.ravel()[i])!r})")
 
 
 @dataclass(frozen=True)
@@ -116,9 +151,6 @@ class PowerQuadratic:
                             f"{float(np.max(np.abs(value))):.3g}, whose square "
                             "overflows; lower the rate or the distances")
         return quad
-
-    def b(self, theta: float) -> float:
-        return self.b_coeff * math.cos(theta)
 
     @property
     def half_b_max(self) -> float:
@@ -361,16 +393,13 @@ def expected_power_quadrature(quad: PowerQuadratic, rho: float) -> float:
         raise ValueError(f"rho must be > 0, got {rho!r}")
     r_max = math.sqrt(40.0 / (math.pi * rho))  # PPP tail mass < 1e-16
 
-    def inner(theta):
-        b = quad.b(theta)
+    def inner(theta):  # one row per bearing
+        b = quad.b_coeff * np.cos(theta)[:, None]
+        return _tanh_sinh(lambda r: (quad.a * r * r + b * r + quad.c0)
+                          * (rho * r * np.exp(-math.pi * rho * r * r)),
+                          0.0, r_max, 0.0, _MEAN_EPSREL)
 
-        def f(r):
-            return ((quad.a * r * r + b * r + quad.c0)
-                    * rho * r * math.exp(-math.pi * rho * r * r))
-
-        return _quad(f, 0.0, r_max, epsabs=0.0, epsrel=_MEAN_EPSREL)
-
-    return _quad(inner, -0.5 * math.pi, 1.5 * math.pi, epsabs=0.0, epsrel=_MEAN_EPSREL)
+    return _tanh_sinh(inner, -0.5 * math.pi, 1.5 * math.pi, 0.0, _MEAN_EPSREL)
 
 
 def expected_power_conventional(params: LinearParams, r1: float) -> float:

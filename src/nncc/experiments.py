@@ -211,7 +211,7 @@ class _Report:
         if stderr > 0:
             z = (observed - target) / stderr
         else:  # every trial gave the same value
-            z = 0.0 if observed == target else math.inf
+            z = 0.0 if observed == target else math.copysign(math.inf, observed - target)
         self.n_checks += 1
         ok = abs(z) <= 3.0
         if not ok:
@@ -337,8 +337,8 @@ def _branch_form_section(rep: _Report, quad: dist.PowerQuadratic,
 
 
 def _pdf_integral(quad, rho, lo, hi):
-    return dist._quad(lambda p: dist.pdf_branch_form(p, quad, rho), lo, hi,
-                      epsabs=1e-10, epsrel=1e-8, limit=400)
+    return dist._tanh_sinh(lambda p: dist.pdf_branch_form(p, quad, rho), lo, hi,
+                           atol=1e-10, rtol=1e-8)
 
 
 def _protocol_section(rep: _Report, params: LinearParams, r1: float, r: float,

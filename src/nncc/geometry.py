@@ -32,17 +32,6 @@ class Geometry:
         object.__setattr__(self, "r2", partner_distance_to_bs(self.r1, self.r, self.theta))
 
 
-def nn_distance_pdf(r, rho: float):
-    """Density of the nearest-neighbor distance under a PPP of density rho."""
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho!r}")
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("distance must be >= 0")
-    out = 2.0 * math.pi * rho * r * np.exp(-math.pi * rho * r * r)
-    return out if out.ndim else float(out)
-
-
 def nn_distance_cdf(r, rho: float):
     """Closed-form CDF of the nearest-neighbor distance, 1 - exp(-pi*rho*r^2)."""
     if rho <= 0:

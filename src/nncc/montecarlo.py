@@ -121,6 +121,8 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
     _require_trials(n)
 
     if scheme == "nncc":
+        if geom.r <= 0:  # the exchange's free-space budget is undefined at zero distance
+            raise ParameterError("r", f"must be > 0 for the exchange, got {geom.r!r}")
         powers = powermodel.nncc_power_breakdown(geom, params)
     elif scheme == "conventional":
         powers = powermodel.conventional_power(geom, params)

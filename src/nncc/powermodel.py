@@ -178,14 +178,6 @@ class Link:
                     / (p_tx * self.sigma2 * self.gain * self.wavelength * self.wavelength))
         return -math.expm1(-exponent)
 
-    def snr(self, p_tx: float, d: float, fading: float) -> float:
-        """Received SNR for one fading power gain."""
-        if d <= 0 or p_tx < 0 or fading < 0:
-            raise ValueError("need d > 0 (free-space model diverges) and p_tx, "
-                             f"fading >= 0, got {d!r}, {p_tx!r}, {fading!r}")
-        spread = self.wavelength / (4.0 * math.pi * d)
-        return (p_tx / (self.n0 * self.bandwidth)) * spread * spread * self.gain * fading
-
 
 def power_coefficients(params: LinearParams) -> PowerCoefficients:
     """All cooperative-scheme coefficients for a validated parameter set."""
@@ -218,14 +210,3 @@ def conventional_power(geom: Geometry, params: LinearParams) -> PowerBreakdown:
     p1b = Link.cellular(params, 1).coeff(p_c) * geom.r1 * geom.r1
     p2b = Link.cellular(params, 2).coeff(p_c) * geom.r2 * geom.r2
     return PowerBreakdown(p12=0.0, p1b=p1b, p2b=p2b, total=p1b + p2b)
-
-
-def link_capacity(snr: float, bandwidth: float, gap: float) -> float:
-    """Gap-adjusted Shannon rate B * log2(1 + snr/gap), bits/s."""
-    if snr < 0:
-        raise ValueError(f"snr must be >= 0, got {snr!r}")
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth!r}")
-    if gap < 1.0:
-        raise ValueError(f"gap must be >= 1 (linear), got {gap!r}")
-    return bandwidth * math.log2(1.0 + snr / gap)

@@ -21,7 +21,8 @@ The CDF agrees with 30-digit ``mpmath`` quadrature to within 4e-14 at rho
 density (``pdf_oracle``, same variables and break points) to within 3e-13
 relative at rho 1, r1 100 km, p = c0 (1 +- 1e-12) and c0 (1 + 1e-9).
 ``quantile_oracle`` finds the abscissa where the oracle CDF reaches 1 - tail
-with a bracket and ``brentq``.
+with a bracket and ``brentq``.  ``pdf_integral_oracle`` integrates the
+package's density over an interval with QUADPACK, one abscissa per call.
 """
 
 import math
@@ -162,3 +163,16 @@ def quantile_oracle(quad, rho, tail):
         lo, hi = hi, 2.0 * hi
     return optimize.brentq(lambda p: cdf_oracle(p, quad, rho) - (1.0 - tail), lo, hi,
                            xtol=1e-12 * hi, rtol=1e-10)
+
+
+def pdf_integral_oracle(quad, rho, lo, hi):
+    """Integral of ``nncc.pdf_branch_form`` over [lo, hi] by adaptive QUADPACK.
+
+    It takes the same integrand as ``validate``'s check of the density's
+    normalisation, so the two differ only by their quadrature rules.
+    """
+    from nncc import pdf_branch_form
+
+    val, _ = integrate.quad(lambda p: pdf_branch_form(p, quad, rho), lo, hi,
+                            epsabs=1e-12, epsrel=1e-10, limit=400)
+    return val

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
-from cdf_oracle import branch_form_cdf, cdf_oracle, pdf_oracle, quantile_oracle
+from cdf_oracle import (branch_form_cdf, cdf_oracle, pdf_integral_oracle, pdf_oracle,
+                        quantile_oracle)
+from model_helpers import b_of
 from nncc import (
     IntegrationError,
     PowerQuadratic,
@@ -25,7 +27,8 @@ from nncc import (Geometry, Link, OutageTargets, ParameterError, SystemParams,
                   nncc_power_breakdown, partner_distance_to_bs, sample_nn_geometries,
                   validate)
 from nncc import distribution
-from nncc.distribution import _cdf_and_error, _quad
+from nncc.distribution import _cdf_and_error, _tanh_sinh
+from nncc.experiments import _pdf_integral
 from nncc.montecarlo import RandomStream, sample_power_distribution
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,7 +104,7 @@ def test_power_roots_at_constant_term(quad5, dense_params, monkeypatch):
         _, (root,) = _engine_roots(beta, quad5, rho, True,
                                    math.asinh(k * math.cos(theta) / c))
         if theta > 0.5 * math.pi:
-            assert root == pytest.approx(-quad5.b(theta) / a, rel=1e-9)
+            assert root == pytest.approx(-b_of(quad5, theta) / a, rel=1e-9)
         else:
             assert root <= 1e-9 * k / a
     # at p = c0 itself (below the split) only bearings with cos < 0 have roots
@@ -177,7 +180,7 @@ def test_cdf_reference_at_branch_point_against_direct_quadrature(quad5, dense_pa
     rho = dense_params.rho
 
     def integrand(theta):
-        r2 = -quad5.b(theta) / quad5.a
+        r2 = -b_of(quad5, theta) / quad5.a
         return (1.0 - math.exp(-math.pi * rho * r2 * r2)) / (2.0 * math.pi)
 
     direct, _ = integrate.quad(integrand, 0.5 * math.pi, 1.5 * math.pi,
@@ -587,5 +590,44 @@ def test_quadratic_rejects_coefficients_whose_square_overflows(dense_params):
 
 
 def test_quad_helper_raises_on_divergence():
-    with pytest.raises(IntegrationError):
-        _quad(lambda x: 1.0 / x, 0.0, 1.0, epsabs=1e-12)
+    """1/x is not integrable at 0: the end terms never shrink, so the rule gives up."""
+    with pytest.raises(IntegrationError,
+                       match=r"^quadrature on \[0\.0, 1\.0\] did not converge within 7 "):
+        _tanh_sinh(lambda x: 1.0 / x, 0.0, 1.0, atol=1e-12, rtol=0.0)
+
+
+def test_tanh_sinh_known_integrals():
+    """Smooth, endpoint-singular and row-wise integrands, each to its tolerance."""
+    assert _tanh_sinh(np.exp, 0.0, 1.0, 0.0, 1e-13) == pytest.approx(math.e - 1.0, rel=1e-13)
+    # integrable singularities at lo = 0, whose nodes keep their digits
+    assert _tanh_sinh(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 0.0, 1e-10) \
+        == pytest.approx(2.0, rel=1e-10)
+    assert _tanh_sinh(np.log, 0.0, 1.0, 0.0, 1e-10) == pytest.approx(-1.0, rel=1e-10)
+    rows = _tanh_sinh(lambda x: np.array([[1.0], [2.0]]) * x * x, 1.0, 4.0, 0.0, 1e-13)
+    assert rows.shape == (2,) and np.allclose(rows, [21.0, 42.0], rtol=1e-13, atol=0.0)
+    assert isinstance(_tanh_sinh(np.cos, 0.0, 1.0, 1e-12, 0.0), float)
+
+
+def test_tanh_sinh_non_finite_sum_raises_without_warning():
+    """An infinite node value is a failed quadrature, never a RuntimeWarning."""
+    with pytest.raises(IntegrationError, match=r"estimate inf"):
+        _tanh_sinh(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0, 1e-12, 1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rho=st.floats(-7.0, 0.0).map(lambda e: 10.0 ** e),
+       r1=st.floats(math.log10(50.0), 5.0).map(lambda e: 10.0 ** e),
+       rate=st.floats(4.0, 8.0).map(lambda e: 10.0 ** e),
+       g_u2_db=st.floats(-6.0, 6.0))
+@example(rho=1.0, r1=100_000.0, rate=1e5, g_u2_db=0.0)
+@example(rho=0.1, r1=20_000.0, rate=1e5, g_u2_db=0.0)
+def test_validate_quadratures_across_regimes(rho, r1, rate, g_u2_db):
+    """The nested mean meets the closed form, the density integral meets QUADPACK."""
+    quad = PowerQuadratic.from_params(
+        validate(SystemParams(rho=rho, rate=rate, g_u2_db=g_u2_db)), r1)
+    assert expected_power_quadrature(quad, rho) == pytest.approx(
+        expected_power(quad, rho), rel=1e-9)
+    p_hi = support_upper(quad, rho, tail=1e-9)
+    for lo, hi in ((quad.support_min, quad.c0), (quad.c0, p_hi)):
+        assert abs(_pdf_integral(quad, rho, lo, hi)
+                   - pdf_integral_oracle(quad, rho, lo, hi)) <= 1e-10

@@ -359,9 +359,12 @@ def test_check_z_zero_stderr():
     rep = _Report()
     rep.check_z("same", 2.5, 2.5, 0.0)
     rep.check_z("differs", 2.5, 2.5000000001, 0.0)
-    assert rep.failures == ["differs"]
+    rep.check_z("above", 2.5000000001, 2.5, 0.0)
+    assert rep.failures == ["differs", "above"]
     assert "PASS same: 2.5 vs target 2.5 (z = +0.00" in rep.lines[0]
-    assert "(z = +inf" in rep.lines[1]
+    # the infinite z carries the sign of observed - target
+    assert "(z = -inf" in rep.lines[1]
+    assert "(z = +inf" in rep.lines[2]
 
 
 def test_cli_validate_energy_without_spread(tmp_path):
@@ -372,6 +375,18 @@ def test_cli_validate_energy_without_spread(tmp_path):
     text = out.read_text(encoding="utf-8")
     assert "summary: 20/20 bounded checks passed" in text
     assert re.search(r"PASS mean round energy: .* \(z = \+0\.00,", text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--r", "0"],
+    ["sweep", "--var", "r", "--min", "0", "--max", "10", "--count", "2"],
+], ids=["validate", "sweep"])
+def test_cli_zero_inter_user_distance_exits_2(tmp_path, capsys, argv):
+    """At r = 0 the exchange's free-space budget is undefined: a bad parameter."""
+    out = tmp_path / "o.txt"
+    assert main(argv + ["--trials", "10000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: r: must be > 0 for the exchange")
+    assert not out.exists()
 
 
 def test_cli_quadratic_overflow_exits_2(tmp_path, capsys):
@@ -410,14 +425,20 @@ def test_cli_rejects_config_value_types(tmp_path, capsys, config, field):
     assert not out.exists()
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """figure and sweep never integrate, so importing the CLI must not load scipy."""
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    """The package needs numpy alone: validate runs with scipy unimportable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    child = ("import sys, nncc.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    done = subprocess.run([sys.executable, "-c", child], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    loaded = ("print(sorted(m for m, mod in sys.modules.items() "
+              "if mod is not None and m.split('.')[0] == 'scipy'))")
+    out = tmp_path / "v.txt"
+    argv = ["validate", "--trials", "10000", "--out", str(out)]
+    for child in (f"import sys, nncc.cli; {loaded}",
+                  "import sys; sys.modules['scipy'] = None; import nncc.cli; "
+                  f"code = nncc.cli.main({argv!r}); {loaded}; sys.exit(code)"):
+        done = subprocess.run([sys.executable, "-c", child], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-1] == "[]"
+    assert "summary: 20/20 bounded checks passed" in out.read_text(encoding="utf-8")

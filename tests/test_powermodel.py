@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from model_helpers import link_capacity, received_snr
 from nncc import (
     Geometry,
     Link,
@@ -14,7 +15,6 @@ from nncc import (
     PowerQuadratic,
     SystemParams,
     conventional_power,
-    link_capacity,
     nncc_power_breakdown,
     per_link_outage_conventional,
     per_link_outage_nncc,
@@ -278,7 +278,7 @@ def test_short_range_outage_monte_carlo(params):
     r = 20.0
     n = 10_000_000
     h = RandomStream(21).generator().exponential(params.sigma2_short, n)
-    snr_scale = Link.short(params).snr(zeta * r * r, r, 1.0)
+    snr_scale = received_snr(Link.short(params), zeta * r * r, r, 1.0)
     cap = params.b_s * np.log2(1.0 + snr_scale * h / params.delta_s)
     rate = np.mean(cap < params.rate)
     target = params.p_out_target
@@ -298,17 +298,17 @@ def test_link_capacity_values():
 
 def test_received_snr_short_properties(params):
     short = Link.short(params)
-    assert short.snr(1.0, 20.0, 0.0) == 0.0
-    one = short.snr(1.0, 20.0, 1.0)
-    two = short.snr(1.0, 40.0, 1.0)
+    assert received_snr(short, 1.0, 20.0, 0.0) == 0.0
+    one = received_snr(short, 1.0, 20.0, 1.0)
+    two = received_snr(short, 1.0, 40.0, 1.0)
     assert one == pytest.approx(4.0 * two, rel=1e-12)
     with pytest.raises(ValueError):
-        short.snr(1.0, 0.0, 1.0)
+        received_snr(short, 1.0, 0.0, 1.0)
 
 
 def test_received_snr_chains_into_capacity(params):
     p_tx, r, h = 2e-3, 35.0, 0.7
-    snr = Link.short(params).snr(p_tx, r, h)
+    snr = received_snr(Link.short(params), p_tx, r, h)
     by_hand = params.b_s * math.log2(
         1.0 + p_tx * params.g_u1 * params.g_u2 * h
         * (params.lambda_s / (4.0 * math.pi * r)) ** 2
@@ -318,8 +318,8 @@ def test_received_snr_chains_into_capacity(params):
 
 def test_received_snr_cellular_inverse_square(params):
     uplink = Link.cellular(params, 1)
-    near = uplink.snr(1.0, 100.0, 1.0)
-    far = uplink.snr(1.0, 200.0, 1.0)
+    near = received_snr(uplink, 1.0, 100.0, 1.0)
+    far = received_snr(uplink, 1.0, 200.0, 1.0)
     assert near == pytest.approx(4.0 * far, rel=1e-12)
 
 
@@ -327,8 +327,8 @@ def test_received_snr_cellular_distance_free_at_inverted_power(params):
     """With power eta*r^2 the SNR scale is the same at any distance."""
     uplink = Link.cellular(params, 1)
     eta = uplink.coeff(PNC_1E3)
-    scale_a = uplink.snr(eta * 100.0 ** 2, 100.0, 1.0)
-    scale_b = uplink.snr(eta * 2500.0 ** 2, 2500.0, 1.0)
+    scale_a = received_snr(uplink, eta * 100.0 ** 2, 100.0, 1.0)
+    scale_b = received_snr(uplink, eta * 2500.0 ** 2, 2500.0, 1.0)
     assert scale_a == pytest.approx(scale_b, rel=1e-12)
     # distribution-level check on fading draws
     n = 1_000_000
