@@ -22,7 +22,7 @@ n = 500_000
 print(f"handset density rho = {rho} /m^2, tagged handset at r1 = {r1} m")
 print()
 
-rng = RandomStream(seed=2024).generator()
+rng = RandomStream(seed=2024).block(0)
 r, theta = sample_nn_geometries(rng, rho, r1, n)
 r2 = partner_distance_to_bs(r1, r, theta)   # neighbor to base station
 

@@ -41,8 +41,8 @@ n = 200_000
 sample = sample_power_distribution(n, rho, r1, params, RandomStream(33))
 print(f"Monte Carlo over {n} placements: mean {sample.mean_energy:.6f} W "
       f"(stderr {sample.energy_stderr:.2e})")
-ks = ks_distance(sample.power_samples,
-                 cdf_reference_batch(sample.power_samples, quad, rho))
+samples = np.sort(sample.power_samples)
+ks = ks_distance(samples, cdf_reference_batch(samples, quad, rho))
 print(f"KS distance, empirical vs direct CDF: {ks:.5f}")
 print()
 
@@ -50,11 +50,11 @@ print(f"{'p (W)':>10} {'CDF direct':>11} {'CDF split':>10} {'PDF':>10} "
       f"{'empirical':>10}")
 # the split form is the direct CDF plus the boundary term F(c0) above c0
 boundary = cdf_reference_batch(quad.c0, quad, rho)
-grid = np.geomspace(quad.support_min * 1.000001, sample.power_samples[-1], 10)
+grid = np.geomspace(quad.support_min * 1.000001, samples[-1], 10)
 ref = cdf_reference_batch(grid, quad, rho)
 split = ref + boundary * (grid > quad.c0)
 dens = pdf_branch_form(grid, quad, rho)
-emp = np.searchsorted(sample.power_samples, grid) / n
+emp = np.searchsorted(samples, grid) / n
 for row in zip(grid, ref, split, dens, emp):
     print("{:10.5f} {:11.6f} {:10.6f} {:10.4f} {:10.6f}".format(*row))
 print()

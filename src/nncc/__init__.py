@@ -48,7 +48,6 @@ from .distribution import (
 from .montecarlo import (
     McReport,
     RandomStream,
-    estimate_link_outage,
     estimate_outage,
     ks_distance,
     protocol_round,

@@ -32,9 +32,6 @@ class RandomStream:
     seed: int
     stream_id: int = 0
 
-    def generator(self) -> np.random.Generator:
-        return self.block(0)
-
     def block(self, index: int) -> np.random.Generator:
         """Independent generator for one trial block."""
         seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id, index))
@@ -54,6 +51,8 @@ class McReport:
     outage_composite_stderr: float | None = None
     delta0_rate: float | None = None
     delta0_stderr: float | None = None
+    uplink1_outage: float | None = None
+    uplink1_outage_stderr: float | None = None
     mean_energy: float | None = None
     energy_stderr: float | None = None
     power_samples: np.ndarray | None = None
@@ -68,6 +67,12 @@ def _require_trials(n: int) -> None:
         raise ValueError(
             f"n={n} is too small for meaningful confidence intervals; "
             f"need at least {MIN_TRIALS} trials")
+
+
+def require_exchange_distance(r: float) -> None:
+    """The exchange's free-space budget is undefined at zero distance."""
+    if r <= 0:
+        raise ParameterError("r", f"must be > 0 for the exchange, got {r!r}")
 
 
 def _finite_energy(mean: float, stderr: float, where: str) -> None:
@@ -116,13 +121,14 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
     """Empirical outage rates at a fixed placement, fresh fading per trial.
 
     ``scheme="conventional"`` runs the failed-exchange branch of the round,
-    solo uplinks at the baseline's powers, in every trial.
+    solo uplinks at the baseline's powers, in every trial.  ``uplink1_outage``
+    counts handset 1's failed slot-2 uplinks, whose target is ``p_out_nc``
+    for the cooperative scheme and ``p_out_c`` for the conventional one.
     """
     _require_trials(n)
 
     if scheme == "nncc":
-        if geom.r <= 0:  # the exchange's free-space budget is undefined at zero distance
-            raise ParameterError("r", f"must be > 0 for the exchange, got {geom.r!r}")
+        require_exchange_distance(geom.r)
         powers = powermodel.nncc_power_breakdown(geom, params)
     elif scheme == "conventional":
         powers = powermodel.conventional_power(geom, params)
@@ -145,11 +151,12 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
             relay2 = rng.exponential(sig_c, size) >= t1b  # slot-3 use of U1's uplink
             relay1 = rng.exponential(sig_c, size) >= t2b
         d1, d2, composite = protocol_round(delta0, own1, own2, relay1, relay2)
-        return (int(np.sum(~d1)), int(np.sum(~d2)),
-                int(np.sum(composite)), int(np.sum(delta0)))
+        return (int(np.sum(~d1)), int(np.sum(~d2)), int(np.sum(composite)),
+                int(np.sum(delta0)), int(np.sum(~own1)))
 
     parts = _map_blocks(n, workers, block_fn)
-    lost1, lost2, comp, n_delta0 = (sum(p[i] for p in parts) for i in range(4))
+    lost1, lost2, comp, n_delta0, own1_lost = (sum(p[i] for p in parts)
+                                               for i in range(5))
 
     if cooperative:
         cellular = powers.p1b + powers.p2b
@@ -174,27 +181,16 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
         outage_composite=comp / n, outage_composite_stderr=_binom_stderr(comp / n, n),
         delta0_rate=delta0_rate,
         delta0_stderr=None if delta0_rate is None else _binom_stderr(delta0_rate, n),
+        uplink1_outage=own1_lost / n,
+        uplink1_outage_stderr=_binom_stderr(own1_lost / n, n),
         mean_energy=mean_e, energy_stderr=energy_stderr,
     )
-
-
-def estimate_link_outage(n: int, link: Link, p_tx: float, distance: float,
-                         stream: RandomStream, workers: int = 1) -> tuple[float, float]:
-    """Empirical outage of one link at fixed power; returns (rate, stderr)."""
-    _require_trials(n)
-    t = link.threshold(p_tx, distance)
-
-    def block_fn(j, size):
-        return int(np.sum(stream.block(j).exponential(link.sigma2, size) < t))
-
-    lost = sum(_map_blocks(n, workers, block_fn))
-    return lost / n, _binom_stderr(lost / n, n)
 
 
 def sample_power_distribution(n: int, rho: float, r1: float,
                               params: LinearParams, stream: RandomStream,
                               workers: int = 1) -> McReport:
-    """Sample the round total over random placements; sorted sample set."""
+    """Sample the round total over random placements, in block (draw) order."""
     _require_trials(n)
     quad = PowerQuadratic.from_params(params, r1)
 
@@ -203,7 +199,6 @@ def sample_power_distribution(n: int, rho: float, r1: float,
         return quad.a * r * r + quad.b_coeff * np.cos(theta) * r + quad.c0
 
     totals = np.concatenate(_map_blocks(n, workers, block_fn))
-    totals.sort()
     with np.errstate(over="ignore"):  # an overflow is reported below
         mean = float(np.mean(totals))
         stderr = float(np.std(totals, ddof=1) / math.sqrt(n))

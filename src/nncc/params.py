@@ -50,29 +50,16 @@ class SystemParams:
     rate: float = 1e5         # required data rate, bits/s
 
 
-@dataclass(frozen=True)
-class LinearParams:
+_RAW_FIELDS = frozenset(f.name for f in fields(SystemParams))
+
+
+@dataclass(frozen=True, kw_only=True)
+class LinearParams(SystemParams):
     """Validated parameters plus derived constants (wavelengths, linear gains).
 
     Immutable; safe to share across any number of concurrent workers.
     """
 
-    f_s: float
-    b_s: float
-    f_c: float
-    b_c: float
-    g_u1_db: float
-    g_u2_db: float
-    g_bs_db: float
-    gap_s_db: float
-    gap_c_db: float
-    n0: float
-    sigma2_short: float
-    sigma2_cell: float
-    rho: float
-    p_out_target: float
-    rate: float
-    # derived
     lambda_s: float
     lambda_c: float
     g_u1: float
@@ -83,8 +70,10 @@ class LinearParams:
 
     def replace_raw(self, **changes) -> "LinearParams":
         """Re-validate with some raw fields changed (derived fields recomputed)."""
-        raw = SystemParams(**{f.name: getattr(self, f.name) for f in fields(SystemParams)})
-        return validate(replace(raw, **changes))
+        derived = changes.keys() - _RAW_FIELDS
+        if derived:
+            raise TypeError(f"derived fields cannot be replaced: {sorted(derived)}")
+        return validate(replace(self, **changes))
 
 
 def db_to_linear(x_db: float) -> float:
@@ -154,8 +143,7 @@ def load_config(path: str) -> SystemParams:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ParameterError("config", f"{path}: expected a flat JSON object")
-    known = {f.name for f in fields(SystemParams)}
-    unknown = sorted(set(data) - known)
+    unknown = sorted(set(data) - _RAW_FIELDS)
     if unknown:
         raise ParameterError(unknown[0], f"unknown config key in {path}")
     return SystemParams(**data)

@@ -390,6 +390,7 @@ def _small_validate_cdf():
     quad = PowerQuadratic.from_params(params, 2000.0)
     samples = sample_power_distribution(10_000, params.rho, 2000.0, params,
                                         RandomStream(7, stream_id=101)).power_samples
+    samples.sort()
     return cdf_reference_batch(samples, quad, params.rho)
 
 
@@ -553,7 +554,7 @@ def test_expected_power_conventional_unequal_gains():
     closed = expected_power_conventional(params, r1)
     assert closed == pytest.approx(
         eta1 * r1 * r1 + eta2 * (r1 * r1 + 1.0 / (math.pi * params.rho)), rel=1e-12)
-    r, theta = sample_nn_geometries(RandomStream(31).generator(), params.rho, r1, 1_000_000)
+    r, theta = sample_nn_geometries(RandomStream(31).block(0), params.rho, r1, 1_000_000)
     r2 = partner_distance_to_bs(r1, r, theta)
     totals = eta1 * r1 * r1 + eta2 * r2 * r2
     stderr = np.std(totals, ddof=1) / math.sqrt(totals.size)

@@ -1,4 +1,5 @@
 import filecmp
+import importlib.util
 import os
 import re
 import subprocess
@@ -8,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nncc import cli
+from nncc import montecarlo as mc
 from nncc.cli import main
 from nncc.experiments import (
     CSV_HEADER,
@@ -381,8 +384,13 @@ def test_cli_validate_energy_without_spread(tmp_path):
     ["validate", "--r", "0"],
     ["sweep", "--var", "r", "--min", "0", "--max", "10", "--count", "2"],
 ], ids=["validate", "sweep"])
-def test_cli_zero_inter_user_distance_exits_2(tmp_path, capsys, argv):
-    """At r = 0 the exchange's free-space budget is undefined: a bad parameter."""
+def test_cli_zero_inter_user_distance_exits_2(tmp_path, capsys, monkeypatch, argv):
+    """At r = 0 the exchange's free-space budget is undefined: a bad parameter,
+    refused before any placement sample is drawn."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a placement sample was drawn")
+
+    monkeypatch.setattr(mc, "sample_power_distribution", no_draw)
     out = tmp_path / "o.txt"
     assert main(argv + ["--trials", "10000", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: r: must be > 0 for the exchange")
@@ -442,3 +450,22 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip().splitlines()[-1] == "[]"
     assert "summary: 20/20 bounded checks passed" in out.read_text(encoding="utf-8")
+
+
+def test_traced_validate_binds_the_benchmark_names(tmp_path):
+    """``bench/spans.py`` reads estimator arguments by name; a rename breaks it."""
+    found = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(found)
+    found.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        code = cli.main(["validate", "--seed", "7", "--trials", "10000",
+                         "--out", str(tmp_path / "v.txt")])
+    finally:
+        restore()
+    assert code == 0
+    metrics = spans.pass_metrics(tracer.take(), pass_wall_s=1.0)
+    assert metrics["montecarlo.ks_distance.points"] == 20_000
+    assert metrics["distribution.cdf_reference_batch.points"] == 10_101
+    assert metrics["montecarlo.estimate_link_outage.trials"] == 0

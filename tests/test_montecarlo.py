@@ -20,7 +20,6 @@ from nncc.montecarlo import (
     MIN_TRIALS,
     RandomStream,
     _thresholds,
-    estimate_link_outage,
     estimate_outage,
     ks_distance,
     protocol_round,
@@ -37,15 +36,15 @@ def fixed_geom(r1=2000.0, r=20.0):
 # --- random stream contract --------------------------------------------------
 
 def test_stream_determinism():
-    a = RandomStream(123, 4).generator().random(16)
-    b = RandomStream(123, 4).generator().random(16)
+    a = RandomStream(123, 4).block(0).random(16)
+    b = RandomStream(123, 4).block(0).random(16)
     assert np.array_equal(a, b)
 
 
 def test_streams_differ_across_ids():
-    a = RandomStream(123, 0).generator().random(16)
-    b = RandomStream(123, 1).generator().random(16)
-    c = RandomStream(124, 0).generator().random(16)
+    a = RandomStream(123, 0).block(0).random(16)
+    b = RandomStream(123, 1).block(0).random(16)
+    c = RandomStream(124, 0).block(0).random(16)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -139,7 +138,7 @@ def _counts_drawn_directly(n, geom, params, stream, scheme):
               else conventional_power(geom, params))
     t12, t1b, t2b = _thresholds(geom, powers, params)
     sig_s, sig_c = params.sigma2_short, params.sigma2_cell
-    counts = np.zeros(4, dtype=int)
+    counts = np.zeros(5, dtype=int)
     for j, start in enumerate(range(0, n, _BLOCK)):
         size = min(_BLOCK, n - start)
         rng = stream.block(j)
@@ -154,10 +153,11 @@ def _counts_drawn_directly(n, geom, params, stream, scheme):
             d2 = np.where(delta0, own2 | relay2, own2)
             composite = np.where(delta0, ~d1, ~(d1 & d2))
         else:
-            d1 = rng.exponential(sig_c, size) >= t1b
+            own1 = d1 = rng.exponential(sig_c, size) >= t1b
             d2 = rng.exponential(sig_c, size) >= t2b
             composite, delta0 = ~(d1 & d2), np.zeros(size, dtype=bool)
-        counts += [np.sum(~d1), np.sum(~d2), np.sum(composite), np.sum(delta0)]
+        counts += [np.sum(~d1), np.sum(~d2), np.sum(composite), np.sum(delta0),
+                   np.sum(~own1)]
     return counts
 
 
@@ -166,12 +166,12 @@ def test_estimate_outage_counts_follow_the_draw_order(params, scheme):
     # a weaker exchange and uplinks make every kind of round common
     geom, n = fixed_geom(r1=2600.0, r=35.0), 70_000
     rep = estimate_outage(n, geom, params, RandomStream(53), scheme=scheme)
-    lost1, lost2, comp, n_delta0 = _counts_drawn_directly(n, geom, params,
-                                                          RandomStream(53), scheme)
-    assert (rep.outage_d1, rep.outage_d2, rep.outage_composite) == (
-        lost1 / n, lost2 / n, comp / n)
+    lost1, lost2, comp, n_delta0, own1_lost = _counts_drawn_directly(
+        n, geom, params, RandomStream(53), scheme)
+    assert (rep.outage_d1, rep.outage_d2, rep.outage_composite, rep.uplink1_outage) == (
+        lost1 / n, lost2 / n, comp / n, own1_lost / n)
     assert rep.delta0_rate == (n_delta0 / n if scheme == "nncc" else None)
-    assert min(lost1, lost2, comp) > 0
+    assert min(lost1, lost2, comp, own1_lost) > 0
 
 
 def test_estimate_outage_unknown_scheme(params):
@@ -188,26 +188,15 @@ def test_estimate_outage_worker_invariance(params):
         assert getattr(a, field) == getattr(b, field)
 
 
-def test_estimate_link_outage_cellular(params):
+def test_estimate_outage_uplink1_cellular(params):
     t = OutageTargets.for_target(params.p_out_target)
-    uplink = Link.cellular(params, 1)
-    n = 1_000_000
-    rate, se = estimate_link_outage(n, uplink, uplink.coeff(t.p_out_nc) * 2000.0 ** 2,
-                                    2000.0, RandomStream(44))
-    assert abs(rate - t.p_out_nc) < 3.0 * se
-
-
-def test_estimate_link_outage_short(params):
-    short = Link.short(params)
-    n = 1_000_000
-    rate, se = estimate_link_outage(n, short, short.coeff(params.p_out_target) * 20.0 ** 2,
-                                    20.0, RandomStream(45))
-    assert abs(rate - params.p_out_target) < 3.0 * se
+    rep = estimate_outage(1_000_000, fixed_geom(), params, RandomStream(44))
+    assert abs(rep.uplink1_outage - t.p_out_nc) < 3.0 * rep.uplink1_outage_stderr
 
 
 def test_fading_marginals(params):
     n = 1_000_000
-    h = RandomStream(46).generator().exponential(params.sigma2_cell, n)
+    h = RandomStream(46).block(0).exponential(params.sigma2_cell, n)
     assert abs(np.mean(h) - params.sigma2_cell) < 0.005 * params.sigma2_cell
     d, _ = stats.kstest(h, "expon", args=(0.0, params.sigma2_cell))
     assert d < 1.36 / math.sqrt(n) * 1.5
@@ -232,13 +221,12 @@ def test_sample_power_distribution(dense_params):
     rho, r1 = dense_params.rho, 2000.0
     rep = sample_power_distribution(n, rho, r1, dense_params, RandomStream(48))
     quad = PowerQuadratic.from_params(dense_params, r1)
-    assert rep.power_samples.shape == (n,)
-    assert np.all(np.diff(rep.power_samples) >= 0.0)
-    assert rep.power_samples[0] >= quad.support_min
+    samples = np.sort(rep.power_samples)
+    assert samples.shape == (n,)
+    assert samples[0] >= quad.support_min
     closed = expected_power(quad, rho)
     assert abs(rep.mean_energy - closed) < 3.0 * rep.energy_stderr
-    ks = ks_distance(rep.power_samples,
-                     cdf_reference_batch(rep.power_samples, quad, rho))
+    ks = ks_distance(samples, cdf_reference_batch(samples, quad, rho))
     assert ks < 0.005
 
 
@@ -255,7 +243,7 @@ def test_sample_power_distribution_worker_invariance(dense_params):
 
 def test_ks_distance_inverse_transform():
     n = 100_000
-    u = np.sort(RandomStream(50).generator().random(n))
+    u = np.sort(RandomStream(50).block(0).random(n))
     assert ks_distance(u, u) < 1.36 / math.sqrt(n) * 1.5
 
 

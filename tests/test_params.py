@@ -119,3 +119,5 @@ def test_replace_raw_revalidates(params):
     assert other.lambda_s == params.lambda_s
     with pytest.raises(ParameterError):
         params.replace_raw(rho=-1.0)
+    with pytest.raises(TypeError):  # derived fields follow from the raw ones
+        params.replace_raw(lambda_s=1.0)

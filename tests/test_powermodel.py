@@ -277,7 +277,7 @@ def test_short_range_outage_monte_carlo(params):
     zeta = zeta_of(params)
     r = 20.0
     n = 10_000_000
-    h = RandomStream(21).generator().exponential(params.sigma2_short, n)
+    h = RandomStream(21).block(0).exponential(params.sigma2_short, n)
     snr_scale = received_snr(Link.short(params), zeta * r * r, r, 1.0)
     cap = params.b_s * np.log2(1.0 + snr_scale * h / params.delta_s)
     rate = np.mean(cap < params.rate)
@@ -332,7 +332,7 @@ def test_received_snr_cellular_distance_free_at_inverted_power(params):
     assert scale_a == pytest.approx(scale_b, rel=1e-12)
     # distribution-level check on fading draws
     n = 1_000_000
-    rng = RandomStream(22).generator()
+    rng = RandomStream(22).block(0)
     snr_a = np.sort(scale_a * rng.exponential(params.sigma2_cell, n))
     snr_b = np.sort(scale_b * rng.exponential(params.sigma2_cell, n))
     cdf_b = 1.0 - np.exp(-snr_b / (scale_b * params.sigma2_cell))
