@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from nncc import nn_distance_cdf, partner_distance_to_bs, sample_nn_geometries
+from nncc import partner_distance_to_bs, sample_nn_geometries
 from nncc.montecarlo import RandomStream
 
 rho = 1e-4      # handsets per square meter
@@ -37,8 +37,8 @@ print()
 print("P(neighbor within x):")
 for x in (10.0, 25.0, 50.0, 100.0):
     emp = np.mean(r <= x)
-    print(f"  x = {x:5.0f} m   empirical {emp:.4f}   closed form "
-          f"{nn_distance_cdf(x, rho):.4f}")
+    closed = 1.0 - math.exp(-math.pi * rho * x * x)
+    print(f"  x = {x:5.0f} m   empirical {emp:.4f}   closed form {closed:.4f}")
 print()
 
 # the neighbor-to-BS distance closes the triangle with r1 and r

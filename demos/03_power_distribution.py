@@ -42,7 +42,7 @@ sample = sample_power_distribution(n, rho, r1, params, RandomStream(33))
 print(f"Monte Carlo over {n} placements: mean {sample.mean_energy:.6f} W "
       f"(stderr {sample.energy_stderr:.2e})")
 samples = np.sort(sample.power_samples)
-ks = ks_distance(samples, cdf_reference_batch(samples, quad, rho))
+ks = ks_distance(samples, lambda p: cdf_reference_batch(p, quad, rho))
 print(f"KS distance, empirical vs direct CDF: {ks:.5f}")
 print()
 

@@ -18,7 +18,6 @@ from .params import (
 )
 from .geometry import (
     Geometry,
-    nn_distance_cdf,
     partner_distance_to_bs,
     sample_nn_geometries,
 )

@@ -44,7 +44,9 @@ half*tanh(pi/2*sinh(t)), the trapezoid rule in t on [-3.5, 3.5] starts at
 step 1/2 and halves the step, reusing its nodes, until |T_h/2 - T_h| plus
 the two end terms (the truncation estimate) is at most atol + rtol*|T_h/2|.
 A sum that is not finite has not converged; past ``_TS_LEVELS`` = 7
-halvings (1793 nodes) it raises ``IntegrationError``.
+halvings (1793 nodes) it raises ``IntegrationError``.  The steps, and the
+factors of each node and weight that do not depend on the interval, are
+computed once at import (``_TS_RULE``) and shared by every call.
 """
 
 from __future__ import annotations
@@ -79,6 +81,33 @@ class IntegrationError(RuntimeError):
     """A quadrature failed to reach its error tolerance."""
 
 
+def _ts_rule():
+    """The tanh-sinh rule's steps t, level by level, apart from the interval.
+
+    Level 0 is the starting rule, each later level the new steps of one
+    halving.  Per level it holds t < 0, 2e/(1 + e), cosh(t), e and (1 + e)^2
+    with e = exp(-pi*sinh|t|): a node is the nearer endpoint -+ half*2e/(1 + e),
+    and its weight is half*2*pi*cosh(t)*e/(1 + e)^2.
+    """
+    n, h = round(_TS_T / _TS_H0), _TS_H0
+    steps = [np.arange(-n, n + 1) * h]
+    for _ in range(_TS_LEVELS):
+        steps.append((np.arange(2 * n) - n + 0.5) * h)
+        n, h = 2 * n, 0.5 * h
+    rule = []
+    for t in steps:
+        e = np.exp(-math.pi * np.sinh(np.abs(t)))
+        arrays = (t < 0, 2.0 * e / (1.0 + e), np.cosh(t), e, np.square(1.0 + e))
+        for a in arrays:
+            a.flags.writeable = False
+        rule.append(arrays)
+    return tuple(rule)
+
+
+# the rule depends on the level alone, so every call shares it
+_TS_RULE = _ts_rule()
+
+
 def _tanh_sinh(f, lo: float, hi: float, atol: float, rtol: float):
     """Integral of ``f`` over [lo, hi] by the doubling tanh-sinh rule.
 
@@ -88,20 +117,20 @@ def _tanh_sinh(f, lo: float, hi: float, atol: float, rtol: float):
     """
     half = 0.5 * (hi - lo)
 
-    def terms(t):  # f times dx/dt at steps t; each node is the nearer endpoint
-        # -+ its distance from it, so nodes near lo = 0 keep their digits
-        e = np.exp(-math.pi * np.sinh(np.abs(t)))
-        dist = half * (2.0 * e / (1.0 + e))
-        return (f(np.where(t < 0, lo + dist, hi - dist))
-                * (half * 2.0 * math.pi * np.cosh(t) * e / np.square(1.0 + e)))
+    def terms(level):  # f times dx/dt at one level's steps; each node is the nearer
+        # endpoint -+ its distance from it, so nodes near lo = 0 keep their digits
+        negative, unit, cosh, e, square = _TS_RULE[level]
+        dist = half * unit
+        return (f(np.where(negative, lo + dist, hi - dist))
+                * (half * 2.0 * math.pi * cosh * e / square))
 
-    n, h = round(_TS_T / _TS_H0), _TS_H0
-    g = terms(np.arange(-n, n + 1) * h)
+    h = _TS_H0
+    g = terms(0)
     total, ends = g.sum(axis=-1), np.abs(g[..., 0]) + np.abs(g[..., -1])
     value = h * total
-    for _ in range(_TS_LEVELS):
-        total = total + terms((np.arange(2 * n) - n + 0.5) * h).sum(axis=-1)
-        n, h = 2 * n, 0.5 * h
+    for level in range(1, _TS_LEVELS + 1):
+        total = total + terms(level).sum(axis=-1)
+        h = 0.5 * h
         finer = h * total
         with np.errstate(invalid="ignore"):  # inf - inf: not finite, so not converged
             change = np.abs(finer - value) + h * ends

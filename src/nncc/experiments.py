@@ -276,17 +276,20 @@ def _distribution_sections(rep: _Report, params: LinearParams,
                                           workers=workers)
     samples = sample.power_samples
     samples.sort()  # in place: a sorted copy would double the sample's memory
-    f_ref = dist.cdf_reference_batch(samples, quad, rho, workers=workers)
-    ks_ref = mc.ks_distance(samples, f_ref)
+
+    def cdf(p):
+        return dist.cdf_reference_batch(p, quad, rho, workers=workers)
+
+    ks_ref = mc.ks_distance(samples, cdf)
     ks_bound = max(0.005, 1.5 * 1.36 / math.sqrt(n_trials))
     rep.check("KS distance, samples vs reference CDF", ks_ref, ks_bound,
               detail=f"({n_trials} samples)")
     # the branch form is the reference plus the boundary term above c0
     boundary_term = dist.cdf_reference_batch(quad.c0, quad, rho)
-    ks_branch = mc.ks_distance(samples, f_ref + boundary_term * (samples > quad.c0))
+    ks_branch = mc.ks_distance(samples, lambda p: cdf(p) + boundary_term * (p > quad.c0))
     rep.info("KS distance, samples vs branch-form CDF", _fmt(ks_branch))
-    # each CDF value depends on its own point alone, so this is F(sample median)
-    rep.info("reference CDF at sample median - 0.5", _fmt(f_ref[n_trials // 2] - 0.5))
+    rep.info("reference CDF at sample median - 0.5",
+             _fmt(cdf(samples[n_trials // 2]) - 0.5))
 
     rep.add("[c] expected power: closed form vs quadrature vs Monte Carlo")
     sets = [(1e-5, 3000.0), (1e-4, 2000.0), (1e-3, 1000.0),

@@ -32,15 +32,6 @@ class Geometry:
         object.__setattr__(self, "r2", partner_distance_to_bs(self.r1, self.r, self.theta))
 
 
-def nn_distance_cdf(r, rho: float):
-    """Closed-form CDF of the nearest-neighbor distance, 1 - exp(-pi*rho*r^2)."""
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho!r}")
-    r = np.asarray(r, dtype=float)
-    out = -np.expm1(-math.pi * rho * np.square(np.maximum(r, 0.0)))
-    return out if out.ndim else float(out)
-
-
 def partner_distance_to_bs(r1, r, theta):
     """Distance from the neighbor to the BS via the law of cosines.
 

@@ -1,14 +1,20 @@
-"""Model quantities that only the tests use, kept out of the package.
+"""Model quantities and reference computations that only the tests use.
 
 The package needs none of them: the simulator compares each fading draw with
 ``Link.threshold``, the sampler draws neighbour distances by inverse CDF, and
 the closed forms use ``b_coeff`` directly.  The tests use them to check the
-package against the textbook forms.
+package against the textbook forms.  ``ks_distance_of_values`` and
+``tanh_sinh_uncached`` are the direct forms of two package routines that skip
+work (``nncc.ks_distance`` evaluates the CDF at a fraction of the samples,
+``nncc.distribution._tanh_sinh`` shares its steps between calls); the tests
+require the package's results to be bitwise equal to them.
 """
 
 import math
 
 import numpy as np
+
+from nncc.distribution import _TS_H0, _TS_LEVELS, _TS_T, IntegrationError
 
 
 def link_capacity(snr: float, bandwidth: float, gap: float) -> float:
@@ -42,6 +48,53 @@ def nn_distance_pdf(r, rho: float):
     return out if out.ndim else float(out)
 
 
+def nn_distance_cdf(r, rho: float):
+    """Closed-form CDF of the nearest-neighbor distance, 1 - exp(-pi*rho*r^2)."""
+    if rho <= 0:
+        raise ValueError(f"rho must be > 0, got {rho!r}")
+    r = np.asarray(r, dtype=float)
+    out = -np.expm1(-math.pi * rho * np.square(np.maximum(r, 0.0)))
+    return out if out.ndim else float(out)
+
+
 def b_of(quad, theta: float) -> float:
     """Linear coefficient b(theta) = b_coeff*cos(theta) of a ``PowerQuadratic``."""
     return quad.b_coeff * math.cos(theta)
+
+
+def ks_distance_of_values(samples, f) -> float:
+    """KS statistic of sorted ``samples`` from the model CDF's values ``f`` at each."""
+    n = len(samples)
+    i = np.arange(1, n + 1)
+    return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
+
+
+def tanh_sinh_uncached(f, lo: float, hi: float, atol: float, rtol: float):
+    """``nncc.distribution._tanh_sinh`` computing its steps, nodes and weights per call."""
+    half = 0.5 * (hi - lo)
+
+    def terms(t):
+        e = np.exp(-math.pi * np.sinh(np.abs(t)))
+        dist = half * (2.0 * e / (1.0 + e))
+        return (f(np.where(t < 0, lo + dist, hi - dist))
+                * (half * 2.0 * math.pi * np.cosh(t) * e / np.square(1.0 + e)))
+
+    n, h = round(_TS_T / _TS_H0), _TS_H0
+    g = terms(np.arange(-n, n + 1) * h)
+    total, ends = g.sum(axis=-1), np.abs(g[..., 0]) + np.abs(g[..., -1])
+    value = h * total
+    for _ in range(_TS_LEVELS):
+        total = total + terms((np.arange(2 * n) - n + 0.5) * h).sum(axis=-1)
+        n, h = 2 * n, 0.5 * h
+        finer = h * total
+        with np.errstate(invalid="ignore"):
+            change = np.abs(finer - value) + h * ends
+        value = finer
+        unmet = ~((change <= atol + rtol * np.abs(value)) & np.isfinite(value))
+        if not unmet.any():
+            return value if value.ndim else float(value)
+    i = np.argmax(unmet.ravel())
+    raise IntegrationError(
+        f"quadrature on [{lo!r}, {hi!r}] did not converge within {_TS_LEVELS} halvings "
+        f"of the step (estimate {float(value.ravel()[i])!r}, "
+        f"change {float(change.ravel()[i])!r})")

@@ -129,7 +129,7 @@ def test_criterion_06_distribution_ground_truth():
     rep = sample_power_distribution(n, params.rho, 2000.0, params,
                                     RandomStream(1006))
     samples = np.sort(rep.power_samples)
-    ks = ks_distance(samples, cdf_reference_batch(samples, quad, params.rho))
+    ks = ks_distance(samples, lambda p: cdf_reference_batch(p, quad, params.rho))
     assert ks < 0.005
     _report(6, f"KS distance {ks:.5f} < 0.005 at {n} samples")
 

@@ -11,7 +11,7 @@ from scipy import integrate
 
 from cdf_oracle import (branch_form_cdf, cdf_oracle, pdf_integral_oracle, pdf_oracle,
                         quantile_oracle)
-from model_helpers import b_of
+from model_helpers import b_of, tanh_sinh_uncached
 from nncc import (
     IntegrationError,
     PowerQuadratic,
@@ -613,6 +613,33 @@ def test_tanh_sinh_non_finite_sum_raises_without_warning():
     """An infinite node value is a failed quadrature, never a RuntimeWarning."""
     with pytest.raises(IntegrationError, match=r"estimate inf"):
         _tanh_sinh(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0, 1e-12, 1e-12)
+
+
+def test_tanh_sinh_shared_rule_is_bitwise_the_per_call_rule(dense_params, monkeypatch):
+    """The steps shared between calls give the bits of steps computed per call."""
+    cases = [(np.exp, 0.0, 1.0, 0.0, 1e-13), (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 0.0, 1e-10),
+             (np.log, 0.0, 1.0, 0.0, 1e-10), (np.cos, -0.3, 7.1, 1e-12, 0.0),
+             (lambda x: np.array([[1.0], [2.0]]) * x * x, 1.0, 4.0, 0.0, 1e-13)]
+    for case in cases:
+        assert np.array_equal(_tanh_sinh(*case), tanh_sinh_uncached(*case))
+    for case in ((lambda x: 1.0 / x, 0.0, 1.0, 1e-12, 0.0),
+                 (lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0, 1e-12, 1e-12)):
+        with pytest.raises(IntegrationError) as shared:
+            _tanh_sinh(*case)
+        with pytest.raises(IntegrationError) as per_call:
+            tanh_sinh_uncached(*case)
+        assert str(shared.value) == str(per_call.value)
+    # the two production callers: the nested mean and the density's integral
+    quad = PowerQuadratic.from_params(dense_params, 1500.0)
+    rho = dense_params.rho
+    shared = (expected_power_quadrature(quad, rho),
+              _pdf_integral(quad, rho, quad.support_min, quad.c0),
+              _pdf_integral(quad, rho, quad.c0, support_upper(quad, rho, tail=1e-9)))
+    monkeypatch.setattr(distribution, "_tanh_sinh", tanh_sinh_uncached)
+    per_call = (expected_power_quadrature(quad, rho),
+                _pdf_integral(quad, rho, quad.support_min, quad.c0),
+                _pdf_integral(quad, rho, quad.c0, support_upper(quad, rho, tail=1e-9)))
+    assert shared == per_call
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -182,21 +182,36 @@ def test_validate_report_passes_and_is_deterministic(tmp_path):
 
 
 def test_validate_report_evaluates_batch_cdf_once(tmp_path, monkeypatch):
-    """The KS sample goes through the CDF once, on the report's workers."""
-    from nncc import distribution
+    """The KS statistics take the batch CDF on the report's workers, at under half the sample.
 
-    calls = []
-    batch = distribution.cdf_reference_batch
+    Each point is evaluated at most once per statistic: the table and the
+    cells that may hold the maximum.
+    """
+    from nncc import distribution, montecarlo
+
+    calls, in_ks = [], []
+    batch, ks = distribution.cdf_reference_batch, montecarlo.ks_distance
 
     def counting(p_values, *args, **kwargs):
-        if np.size(p_values) == 10_000:
-            calls.append(kwargs.get("workers"))
+        if in_ks:
+            calls.append((np.size(p_values), kwargs.get("workers")))
         return batch(p_values, *args, **kwargs)
 
+    def ks_marking(*args, **kwargs):
+        in_ks.append(True)
+        try:
+            return ks(*args, **kwargs)
+        finally:
+            in_ks.pop()
+
     monkeypatch.setattr(distribution, "cdf_reference_batch", counting)
-    validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
-                                   seed=7, n_trials=10_000, workers=2))
-    assert calls == [2]
+    monkeypatch.setattr(montecarlo, "ks_distance", ks_marking)
+    n_trials = 10_000
+    _, ok = validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
+                                           seed=7, n_trials=n_trials, workers=2))
+    assert ok
+    assert len(calls) >= 2 and all(workers == 2 for _, workers in calls)
+    assert sum(size for size, _ in calls) < n_trials / 2
 
 
 def test_validate_report_refuses_small_budget(tmp_path):
@@ -467,5 +482,7 @@ def test_traced_validate_binds_the_benchmark_names(tmp_path):
     assert code == 0
     metrics = spans.pass_metrics(tracer.take(), pass_wall_s=1.0)
     assert metrics["montecarlo.ks_distance.points"] == 20_000
-    assert metrics["distribution.cdf_reference_batch.points"] == 10_101
+    # two KS statistics at 1668 table and 80 cell points each, F(c0), F(median)
+    # and section [e]'s two 50-point slopes: 3598 of the 10101 of a full KS
+    assert metrics["distribution.cdf_reference_batch.points"] == 3_598
     assert metrics["montecarlo.estimate_link_outage.trials"] == 0

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from model_helpers import nn_distance_pdf
+from model_helpers import nn_distance_cdf, nn_distance_pdf
 from nncc import (
     Geometry,
-    nn_distance_cdf,
     partner_distance_to_bs,
     sample_nn_geometries,
 )

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from cdf_oracle import cdf_oracle
+from model_helpers import ks_distance_of_values
 from nncc import (
     Geometry,
+    SystemParams,
     Link,
     OutageTargets,
     PowerQuadratic,
@@ -14,6 +17,7 @@ from nncc import (
     conventional_power,
     expected_power,
     nncc_power_breakdown,
+    validate,
 )
 from nncc.montecarlo import (
     _BLOCK,
@@ -226,7 +230,7 @@ def test_sample_power_distribution(dense_params):
     assert samples[0] >= quad.support_min
     closed = expected_power(quad, rho)
     assert abs(rep.mean_energy - closed) < 3.0 * rep.energy_stderr
-    ks = ks_distance(samples, cdf_reference_batch(samples, quad, rho))
+    ks = ks_distance(samples, lambda p: cdf_reference_batch(p, quad, rho))
     assert ks < 0.005
 
 
@@ -244,38 +248,107 @@ def test_sample_power_distribution_worker_invariance(dense_params):
 def test_ks_distance_inverse_transform():
     n = 100_000
     u = np.sort(RandomStream(50).block(0).random(n))
-    assert ks_distance(u, u) < 1.36 / math.sqrt(n) * 1.5
+    assert ks_distance(u, lambda p: p) < 1.36 / math.sqrt(n) * 1.5
 
 
 def test_ks_distance_degenerate_cases():
-    assert ks_distance(np.array([1.0, 2.0, 3.0]), np.zeros(3)) == 1.0
-    assert ks_distance(np.array([5.0]), np.array([0.5])) == 0.5
+    assert ks_distance(np.array([1.0, 2.0, 3.0]), np.zeros_like) == 1.0
+    assert ks_distance(np.array([5.0]), lambda p: np.full(p.shape, 0.5)) == 0.5
 
 
 def test_ks_distance_contract_errors():
-    with pytest.raises(ValueError):
-        ks_distance(np.array([2.0, 1.0]), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        ks_distance(np.array([]), np.array([]))
-    with pytest.raises(TypeError):  # values only: a callable is not evaluated
-        ks_distance(np.array([0.2, 0.4]), lambda x: x)
+    with pytest.raises(ValueError, match="sorted"):
+        ks_distance(np.array([2.0, 1.0]), lambda p: p)
+    with pytest.raises(ValueError, match="non-empty"):
+        ks_distance(np.array([]), lambda p: p)
+    with pytest.raises(TypeError, match="callable"):  # the CDF is a callable, not values
+        ks_distance(np.array([0.2, 0.4]), np.array([0.2, 0.4]))
+    assert ks_distance(np.array([0.2, 0.4]), lambda x: x) == pytest.approx(0.6)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        ks_distance(np.array([0.2, 0.4]), lambda x: 1.0 - x)
 
 
-def test_ks_distance_takes_cdf_values():
-    samples = np.array([0.2, 0.4, 0.9])
-    values = np.clip(samples, 0, 1)
-    assert ks_distance(samples, values) == ks_distance(samples, list(values))
-    assert ks_distance(samples, values) == pytest.approx(4.0 / 15.0)  # at x = 0.4
-    with pytest.raises(ValueError):
-        ks_distance(samples, values[:2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ks_distance_rejects_non_finite_samples(bad):
+    """A NaN compares False either way, so a sortedness test alone lets it through."""
+    with pytest.raises(ValueError, match="finite"):
+        ks_distance(np.array([0.1, bad, 0.05]), lambda p: np.clip(p, 0.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        ks_distance(np.array([0.1, 0.2, bad]), lambda p: np.clip(p, 0.0, 1.0))
 
 
-def test_ks_distance_scalar_reference_cdf_is_passed_as_values(dense_params):
-    """A scalar CDF, such as the test oracle, is evaluated by the caller and passed as values."""
+def test_ks_distance_evaluates_the_cdf_callable():
+    samples = [0.2, 0.4, 0.9]
+    assert ks_distance(samples, lambda p: np.clip(p, 0, 1)) == pytest.approx(4.0 / 15.0)
+    with pytest.raises(ValueError, match="shape"):
+        ks_distance(samples, lambda p: np.clip(p, 0, 1)[:2])
+
+
+def test_ks_distance_takes_a_scalar_reference_cdf_mapped_over_points(dense_params):
+    """A scalar CDF, such as the test oracle, is mapped over the points it is given."""
     rho = dense_params.rho
     quad = PowerQuadratic.from_params(dense_params, 1500.0)
     samples = np.concatenate([np.linspace(quad.support_min, quad.c0, 6)[1:],
                               quad.c0 * np.linspace(1.01, 1.5, 5)])
-    values = [cdf_oracle(p, quad, rho) for p in samples]
-    assert ks_distance(samples, values) == pytest.approx(
-        ks_distance(samples, cdf_reference_batch(samples, quad, rho)), abs=1e-9)
+    assert ks_distance(samples, lambda p: [cdf_oracle(x, quad, rho) for x in p]) \
+        == pytest.approx(ks_distance(samples, lambda p: cdf_reference_batch(p, quad, rho)),
+                         abs=1e-9)
+
+
+_STEPS = 7
+
+
+@pytest.mark.parametrize("cdf", [lambda p: np.clip(p, 0.0, 1.0),
+                                 lambda p: np.floor(np.clip(p, 0.0, 1.0) * _STEPS) / _STEPS,
+                                 lambda p: 1.0 / (1.0 + np.exp(-8.0 * (p - 0.5)))],
+                         ids=["uniform", "step", "logistic"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 30_000), seed=st.integers(0, 2**32 - 1),
+       shift=st.floats(-0.02, 0.02), digits=st.integers(2, 6),
+       below=st.floats(0.0, 0.3))
+@example(n=1, seed=0, shift=0.0, digits=6, below=0.0)
+@example(n=200, seed=1, shift=0.0, digits=2, below=0.0)
+def test_ks_distance_is_bitwise_the_full_statistic(cdf, n, seed, shift, digits, below):
+    """The bracket's statistic is the one from the CDF at every sample, to the bit.
+
+    Rounding to ``digits`` decimals makes ties, and the first ``below`` of the
+    samples sit in a flat run where the CDF is 0.  n runs from below the
+    table size (16 sqrt(n) points) to far above it.
+    """
+    rng = np.random.default_rng(seed)
+    samples = np.round(rng.random(n) + shift, digits)
+    samples[: int(below * n)] = -rng.random(int(below * n))
+    samples.sort()
+    assert ks_distance(samples, cdf) == ks_distance_of_values(samples, cdf(samples))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(2, 6000), seed=st.integers(0, 2**32 - 1), rate=st.floats(0.0, 1.0))
+def test_ks_distance_is_bitwise_the_full_statistic_on_staircases(n, seed, rate):
+    """Random staircase CDFs on a grid of samples, with jumps at a share ``rate`` of them.
+
+    Deviations then come in near-equal runs across many cells, so a cell bound
+    short by a rank, or a table that leaves out an end, misses the maximum.
+    """
+    rng = np.random.default_rng(seed)
+    steps = np.where(rng.random(n) < rate, rng.exponential(size=n), 0.0)
+    values = np.cumsum(steps) / max(float(np.sum(steps)), 1.0)
+    samples = np.arange(n, dtype=float)
+    cdf = lambda p: values[p.astype(int)]  # noqa: E731
+    assert ks_distance(samples, cdf) == ks_distance_of_values(samples, values)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("rho, r1", [(1e-4, 2000.0), (0.1, 20_000.0), (1e-7, 50.0)])
+def test_ks_distance_engine_cdf_is_bitwise_the_full_statistic(rho, r1, workers):
+    """The engine CDF, monotone to its 1e-10 error, gives the full statistic to the bit.
+
+    The sample gets ties and a flat run below ``support_min``, where the CDF is 0.
+    """
+    params = validate(SystemParams(rho=rho))
+    quad = PowerQuadratic.from_params(params, r1)
+    drawn = sample_power_distribution(20_000, rho, r1, params, RandomStream(51)).power_samples
+    samples = np.concatenate([drawn, drawn[::50], quad.support_min - np.arange(5.0)])
+    samples.sort()
+    cdf = lambda p: cdf_reference_batch(p, quad, rho, workers=workers)  # noqa: E731
+    assert ks_distance(samples, cdf) == ks_distance_of_values(samples, cdf(samples))
