@@ -28,7 +28,9 @@ integrand becomes a smooth, even, pi-periodic function of phi in [0, pi/2]
 which the trapezoid rule converges geometrically.  The rule doubles, reusing
 its nodes, until the change |T_2n - T_n| is at most ``_CDF_TOL`` = 1e-10,
 and T_2n is kept.  A point that has not converged at ``_MAX_NODES``
-intervals raises ``IntegrationError``.
+intervals raises ``IntegrationError``.  The points run serially, in chunks
+of ``_CHUNK``; each value depends on its own point alone, so it does not
+depend on the chunk size or the BLAS thread count.
 
 ``pdf_branch_form``, the density, is a second integrand on the same loop:
 on both branches rho/a times the integral over phi in [0, pi/2] of
@@ -60,7 +62,6 @@ import numpy as np
 
 from .params import LinearParams, ParameterError
 from . import powermodel
-from ._pool import map_ordered
 
 # coefficients at or above this magnitude overflow when squared
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
@@ -72,7 +73,7 @@ _MEAN_EPSREL = 1e-11
 _TS_T, _TS_H0, _TS_LEVELS = 3.5, 0.5, 7
 # trapezoid intervals on [0, pi/2] past which a point is an IntegrationError
 _MAX_NODES = 1 << 13
-# points per task, and values per kernel temporary (4096 points x 128 nodes)
+# points per chunk, and values per kernel temporary (4096 points x 128 nodes)
 _CHUNK = 4096
 _CELLS = 4096 * 128
 
@@ -167,8 +168,8 @@ class PowerQuadratic:
         The root and CDF computations square the coefficients, so a
         coefficient whose square overflows is a ``ParameterError``.
         """
-        if np.any(np.asarray(r1) <= 0):
-            raise ValueError(f"r1 must be > 0, got {r1!r}")
+        if not np.all(np.isfinite(r1) & (np.asarray(r1) > 0)):
+            raise ParameterError("r1", f"must be finite and > 0, got {r1!r}")
         ee2 = eps_total * coeff.eta2
         quad = cls(a=2.0 * coeff.zeta + ee2, b_coeff=2.0 * ee2 * r1,
                    c0=eps_total * (coeff.eta1 + coeff.eta2) * r1 * r1)
@@ -325,7 +326,7 @@ def _branch(p: np.ndarray, quad: PowerQuadratic, rho: float, upper: bool, n_node
 
 
 def _integrate(p_values, quad: PowerQuadratic, rho: float, f: _Integrand,
-               n_nodes: int = 8, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+               n_nodes: int = 8) -> tuple[np.ndarray, np.ndarray]:
     """``_branch`` over chunks of points of any shape, 0 below the support."""
     if rho <= 0:
         raise ValueError(f"rho must be > 0, got {rho!r}")
@@ -335,28 +336,24 @@ def _integrate(p_values, quad: PowerQuadratic, rho: float, f: _Integrand,
     out = np.zeros(p_values.shape, dtype=float)
     err = np.zeros(p_values.shape, dtype=float)
     flat_p, flat_out, flat_err = p_values.ravel(), out.ravel(), err.ravel()
-
-    def task(upper, sel):
-        flat_out[sel], flat_err[sel] = _branch(flat_p[sel], quad, rho, upper, n_nodes, f)
-
-    tasks = []
     for upper, mask in ((False, (flat_p > quad.support_min) & (flat_p <= quad.c0)),
                         (True, flat_p > quad.c0)):
         idx = np.flatnonzero(mask)
-        tasks += [(upper, idx[start:start + _CHUNK]) for start in range(0, idx.size, _CHUNK)]
-    map_ordered(task, tasks, workers)
+        for start in range(0, idx.size, _CHUNK):  # bounds the per-point temporaries
+            sel = idx[start:start + _CHUNK]
+            flat_out[sel], flat_err[sel] = _branch(flat_p[sel], quad, rho, upper, n_nodes, f)
     return out, err
 
 
-def _cdf_and_error(p_values, quad: PowerQuadratic, rho: float, n_nodes: int = 8,
-                   workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def _cdf_and_error(p_values, quad: PowerQuadratic, rho: float,
+                   n_nodes: int = 8) -> tuple[np.ndarray, np.ndarray]:
     """``cdf_reference_batch`` with each value's error estimate, as two arrays."""
     return _integrate(p_values, quad, rho, _Integrand(
-        "CDF", _cdf_integrand, _cdf_limit, _CDF_TOL, 0.0), n_nodes, workers)
+        "CDF", _cdf_integrand, _cdf_limit, _CDF_TOL, 0.0), n_nodes)
 
 
 def cdf_reference_batch(p_values, quad: PowerQuadratic, rho: float, *,
-                        n_nodes: int = 8, workers: int = 1):
+                        n_nodes: int = 8):
     """CDF of the round total at ``p_values``, each to 1e-10 by its own estimate.
 
     A 0-d input gives a float, an array an array of its shape.  Each point
@@ -368,16 +365,14 @@ def cdf_reference_batch(p_values, quad: PowerQuadratic, rho: float, *,
     ``_MAX_NODES`` = 8192 intervals raises ``IntegrationError`` naming p, the
     quadratic and rho.  Below the support the CDF is 0.
 
-    The points are taken in chunks, ``workers`` threads taking chunks
-    concurrently and each chunk writing its own slice of the output.  Every
-    point's value depends on that point alone: its doubling stops on its own
+    The points are taken in chunks of ``_CHUNK``, serially.  Every point's
+    value depends on that point alone: its doubling stops on its own
     estimate, the kernels are element-wise, and the node sums are per-row
     ``einsum`` calls, which numpy computes itself in a fixed order (without
     ``optimize`` it never hands them to BLAS).  So the result is
-    bit-identical for any ``workers``, any chunk size and any BLAS thread
-    count.
+    bit-identical for any chunk size and any BLAS thread count.
     """
-    values, _ = _cdf_and_error(p_values, quad, rho, n_nodes, workers)
+    values, _ = _cdf_and_error(p_values, quad, rho, n_nodes)
     return values if values.ndim else float(values)
 
 

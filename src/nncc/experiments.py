@@ -225,8 +225,7 @@ class _Report:
 
 
 def _closure_section(rep: _Report, params: LinearParams, seed: int,
-                     coeff: powermodel.PowerCoefficients,
-                     scaled: powermodel.PowerCoefficients) -> None:
+                     coeff: powermodel.PowerCoefficients) -> None:
     rep.add("[a] closed-form closure identities")
     targets = powermodel.OutageTargets.for_target(params.p_out_target)
 
@@ -244,10 +243,9 @@ def _closure_section(rep: _Report, params: LinearParams, seed: int,
     res = abs(-(math.expm1(2.0 * math.log1p(-p_c))) - params.p_out_target)
     rep.check("conventional outage closure residual", res, 1e-12)
 
-    # total vs quadratic identity on random placements; the quadratic is
-    # built from the eta_scale-scaled coefficients (see validate_report).
-    # eps*(eta1*r1^2 + eta2*r2^2) is split around the mean coefficient, so
-    # with equal handset gains the difference term is exactly zero.
+    # total vs quadratic identity on random placements.  eps*(eta1*r1^2 +
+    # eta2*r2^2) is split around the mean coefficient, so with equal handset
+    # gains the difference term is exactly zero.
     rng = np.random.default_rng(seed)
     eps = targets.eps_total
     r1s = rng.uniform(100.0, 3000.0, 10_000)
@@ -257,7 +255,7 @@ def _closure_section(rep: _Report, params: LinearParams, seed: int,
     total = (2.0 * coeff.zeta * rs * rs
              + eps * (0.5 * (coeff.eta1 + coeff.eta2)) * (r1s * r1s + r2s * r2s)
              + eps * (0.5 * (coeff.eta2 - coeff.eta1)) * (r2s * r2s - r1s * r1s))
-    quad = dist.PowerQuadratic.from_coefficients(scaled, eps, r1s)
+    quad = dist.PowerQuadratic.from_coefficients(coeff, eps, r1s)
     quad_form = quad.a * rs * rs + quad.b_coeff * np.cos(thetas) * rs + quad.c0
     res = float(np.max(np.abs(total - quad_form) / total))
     rep.check("total vs quadratic-form max relative residual", res, 1e-9,
@@ -266,8 +264,8 @@ def _closure_section(rep: _Report, params: LinearParams, seed: int,
 
 def _distribution_sections(rep: _Report, params: LinearParams,
                            quad: dist.PowerQuadratic, r1: float,
-                           n_trials: int, seed: int, workers: int) -> float:
-    """Sections [b] and [c]; returns F(c0), the boundary term, for section [e]."""
+                           n_trials: int, seed: int, workers: int) -> None:
+    """Sections [b] and [c]."""
     rho = params.rho
     rep.add(f"[b] power distribution vs Monte Carlo (rho = {_fmt(rho)}, "
             f"r1 = {_fmt(r1)})")
@@ -278,16 +276,12 @@ def _distribution_sections(rep: _Report, params: LinearParams,
     samples.sort()  # in place: a sorted copy would double the sample's memory
 
     def cdf(p):
-        return dist.cdf_reference_batch(p, quad, rho, workers=workers)
+        return dist.cdf_reference_batch(p, quad, rho)
 
     ks_ref = mc.ks_distance(samples, cdf)
     ks_bound = max(0.005, 1.5 * 1.36 / math.sqrt(n_trials))
     rep.check("KS distance, samples vs reference CDF", ks_ref, ks_bound,
               detail=f"({n_trials} samples)")
-    # the branch form is the reference plus the boundary term above c0
-    boundary_term = dist.cdf_reference_batch(quad.c0, quad, rho)
-    ks_branch = mc.ks_distance(samples, lambda p: cdf(p) + boundary_term * (p > quad.c0))
-    rep.info("KS distance, samples vs branch-form CDF", _fmt(ks_branch))
     rep.info("reference CDF at sample median - 0.5",
              _fmt(cdf(samples[n_trials // 2]) - 0.5))
 
@@ -308,15 +302,14 @@ def _distribution_sections(rep: _Report, params: LinearParams,
                                             workers=workers)
         rep.check_z(f"Monte Carlo mean, rho={_fmt(rho_i)} r1={_fmt(r1_i)}",
                     samp.mean_energy, closed, samp.energy_stderr)
-    return boundary_term
 
 
-def _branch_form_section(rep: _Report, quad: dist.PowerQuadratic,
-                         rho: float, boundary_term: float) -> None:
+def _branch_form_section(rep: _Report, quad: dist.PowerQuadratic, rho: float) -> None:
     rep.add("[e] two-branch distribution expressions vs the reference")
     result_grid = np.geomspace(quad.support_min, dist.support_upper(quad, rho), 192)
-    # the upper CDF branch is the reference plus this term
-    rep.info("upper-branch additive boundary term", _fmt(boundary_term))
+    # the upper CDF branch is the reference plus F(c0)
+    rep.info("upper-branch additive boundary term",
+             _fmt(dist.cdf_reference_batch(quad.c0, quad, rho)))
     p_hi = dist.support_upper(quad, rho, tail=1e-9)
     pdf_q1 = _pdf_integral(quad, rho, quad.support_min, quad.c0)
     pdf_q2 = _pdf_integral(quad, rho, quad.c0, p_hi)
@@ -375,13 +368,8 @@ def _protocol_section(rep: _Report, params: LinearParams, r1: float, r: float,
                 params.p_out_target, conv.outage_composite_stderr)
 
 
-def validate_report(spec: ExperimentSpec, eta_scale: float = 1.0) -> tuple[str, bool]:
-    """Write the cross-validation report; returns (path, all bounded checks ok).
-
-    ``eta_scale`` rescales both uplink coefficients of the quadratic that the
-    quadratic-form check and sections [b] and [e] use; it exists so tests
-    can verify that a corrupted coefficient is actually flagged.
-    """
+def validate_report(spec: ExperimentSpec) -> tuple[str, bool]:
+    """Write the cross-validation report; returns (path, all bounded checks ok)."""
     spec = spec.resolved()
     if spec.n_trials < mc.MIN_TRIALS:
         raise ValueError(
@@ -405,15 +393,13 @@ def validate_report(spec: ExperimentSpec, eta_scale: float = 1.0) -> tuple[str, 
     rep.add(f"  n_trials = {spec.n_trials}")
 
     coeff = powermodel.power_coefficients(params)
-    scaled = replace(coeff, eta1=coeff.eta1 * eta_scale, eta2=coeff.eta2 * eta_scale)
     eps_total = powermodel.OutageTargets.for_target(params.p_out_target).eps_total
-    quad = dist.PowerQuadratic.from_coefficients(scaled, eps_total, r1)
+    quad = dist.PowerQuadratic.from_coefficients(coeff, eps_total, r1)
 
-    _closure_section(rep, params, spec.seed, coeff, scaled)
-    boundary_term = _distribution_sections(rep, params, quad, r1, spec.n_trials,
-                                           spec.seed, spec.workers)
+    _closure_section(rep, params, spec.seed, coeff)
+    _distribution_sections(rep, params, quad, r1, spec.n_trials, spec.seed, spec.workers)
     _protocol_section(rep, params, r1, r, spec.n_trials, spec.seed, spec.workers)
-    _branch_form_section(rep, quad, params.rho, boundary_term)
+    _branch_form_section(rep, quad, params.rho)
 
     ok = not rep.failures
     rep.add(f"summary: {rep.n_checks - len(rep.failures)}/{rep.n_checks} "

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .params import ParameterError
+
 
 @dataclass(frozen=True)
 class Geometry:
@@ -38,10 +40,10 @@ def partner_distance_to_bs(r1, r, theta):
     Accepts scalars or arrays, broadcast together; scalars give a float.
     """
     r1, r = np.asarray(r1, dtype=float), np.asarray(r, dtype=float)
-    if np.any(r1 <= 0):
-        raise ValueError(f"r1 must be > 0, got {r1}")
-    if np.any(r < 0):
-        raise ValueError(f"r must be >= 0, got {r}")
+    if not np.all(np.isfinite(r1) & (r1 > 0)):
+        raise ParameterError("r1", f"must be finite and > 0, got {r1}")
+    if not np.all(np.isfinite(r) & (r >= 0)):
+        raise ParameterError("r", f"must be finite and >= 0, got {r}")
     s = r * r + r1 * r1 + 2.0 * r1 * r * np.cos(theta)
     # never negative analytically; rounding can dip just below zero at r = r1
     out = np.sqrt(np.maximum(s, 0.0))

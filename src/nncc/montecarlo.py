@@ -10,12 +10,12 @@ values give statistically independent experiments.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import powermodel
-from ._pool import map_ordered
 from .distribution import PowerQuadratic
 from .geometry import Geometry, sample_nn_geometries
 from .params import LinearParams, ParameterError
@@ -74,9 +74,9 @@ def _require_trials(n: int) -> None:
 
 
 def require_exchange_distance(r: float) -> None:
-    """The exchange's free-space budget is undefined at zero distance."""
-    if r <= 0:
-        raise ParameterError("r", f"must be > 0 for the exchange, got {r!r}")
+    """The exchange's free-space budget is undefined at zero or infinite distance."""
+    if not (math.isfinite(r) and r > 0):
+        raise ParameterError("r", f"must be finite and > 0 for the exchange, got {r!r}")
 
 
 def _finite_energy(mean: float, stderr: float, where: str) -> None:
@@ -114,9 +114,19 @@ def protocol_round(delta0, own1, own2, relay1, relay2):
 
 
 def _map_blocks(n: int, workers: int, block_fn):
-    """Run block_fn(block_index, block_size) for all blocks; ordered results."""
-    sizes = [(j, min(_BLOCK, n - j * _BLOCK)) for j in range((n + _BLOCK - 1) // _BLOCK)]
-    return map_ordered(block_fn, sizes, workers)
+    """``block_fn(j, size)`` for every block of n trials, on up to ``workers`` threads.
+
+    Results come back in block order whatever order the blocks finish in, so
+    a reduction over them does not depend on ``workers``.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    blocks = range((n + _BLOCK - 1) // _BLOCK)
+    sizes = [min(_BLOCK, n - j * _BLOCK) for j in blocks]
+    if workers == 1 or len(blocks) <= 1:
+        return list(map(block_fn, blocks, sizes))
+    with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+        return list(pool.map(block_fn, blocks, sizes))
 
 
 def estimate_outage(n: int, geom: Geometry, params: LinearParams,

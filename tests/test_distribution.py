@@ -315,8 +315,7 @@ def test_cdf_raises_integration_error_past_the_cap(monkeypatch):
     p = quad.c0 * (1.0 + 1e-12)  # takes 128 intervals on [0, pi/2]
     monkeypatch.setattr(distribution, "_MAX_NODES", 32)
     with pytest.raises(IntegrationError) as err:
-        cdf_reference_batch(np.array([0.5 * quad.c0, 2.0 * quad.c0, p]), quad, rho,
-                            workers=2)
+        cdf_reference_batch(np.array([0.5 * quad.c0, 2.0 * quad.c0, p]), quad, rho)
     assert f"p = {p!r}" in str(err.value) and "rho = 1.0" in str(err.value)
     monkeypatch.undo()
     value, estimate = _cdf_and_error(p, quad, rho)
@@ -354,34 +353,25 @@ def _batch_probe_points(quad):
     ])
 
 
-def test_cdf_batch_bitwise_independent_of_workers(quad5, dense_params):
+def test_cdf_batch_zero_below_support_and_float_at_0d(quad5, dense_params):
+    """0 below the support, positive above it; a 0-d input gives its array value as a float."""
     rho = dense_params.rho
     p = _batch_probe_points(quad5)
     assert p.size % distribution._CHUNK != 0
-    serial = cdf_reference_batch(p, quad5, rho, workers=1)
-    assert np.all(serial[:101] == 0.0) and np.all(serial[101:] > 0.0)
-    # more threads than cores, with frequent thread switches
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (2, 4):
-            assert np.array_equal(cdf_reference_batch(p, quad5, rho, workers=workers),
-                                  serial)
-    finally:
-        sys.setswitchinterval(interval)
-    for p0 in (p[50], p[5000], p[-3]):
-        one = cdf_reference_batch(np.float64(p0), quad5, rho, workers=1)
-        two = cdf_reference_batch(np.float64(p0), quad5, rho, workers=2)
-        assert isinstance(two, float) and two == one
+    values = cdf_reference_batch(p, quad5, rho)
+    assert np.all(values[:101] == 0.0) and np.all(values[101:] > 0.0)
+    for i in (50, 5000, -3):
+        one = cdf_reference_batch(np.float64(p[i]), quad5, rho)
+        assert isinstance(one, float) and one == values[i]
 
 
 @pytest.mark.parametrize("chunk", [1000, 16384])
 def test_cdf_batch_bitwise_independent_of_chunk(quad5, dense_params, monkeypatch, chunk):
     rho = dense_params.rho
     p = _batch_probe_points(quad5)
-    default = cdf_reference_batch(p, quad5, rho, workers=2)
+    default = cdf_reference_batch(p, quad5, rho)
     monkeypatch.setattr(distribution, "_CHUNK", chunk)
-    assert np.array_equal(cdf_reference_batch(p, quad5, rho, workers=2), default)
+    assert np.array_equal(cdf_reference_batch(p, quad5, rho), default)
 
 
 def _small_validate_cdf():

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -181,24 +182,65 @@ def test_validate_report_passes_and_is_deterministic(tmp_path):
         assert section in text
 
 
-def test_validate_report_evaluates_batch_cdf_once(tmp_path, monkeypatch):
-    """The KS statistics take the batch CDF on the report's workers, at under half the sample.
+def test_validate_report_check_inventory(tmp_path):
+    """The report's 20 bounded checks and its INFO lines, by name and in order."""
+    path = tmp_path / "v.txt"
+    _, ok = validate_report(ExperimentSpec(kind="validate", out=str(path), seed=7,
+                                           n_trials=10_000))
+    assert ok
+    lines = re.findall(r"^  (PASS|FAIL|INFO) (.*?): ", path.read_text(encoding="utf-8"),
+                       flags=re.MULTILINE)
+    assert [name for tag, name in lines if tag != "INFO"] == [
+        "short-range power inversion residual",
+        "composite outage closure residual",
+        "conventional outage closure residual",
+        "total vs quadratic-form max relative residual",
+        "KS distance, samples vs reference CDF",
+        "closed form vs quadrature, rho=1e-05 r1=3000",
+        "Monte Carlo mean, rho=1e-05 r1=3000",
+        "closed form vs quadrature, rho=0.0001 r1=2000",
+        "Monte Carlo mean, rho=0.0001 r1=2000",
+        "closed form vs quadrature, rho=0.001 r1=1000",
+        "Monte Carlo mean, rho=0.001 r1=1000",
+        "closed form vs quadrature, rho=0.003 r1=500",
+        "Monte Carlo mean, rho=0.003 r1=500",
+        "closed form vs quadrature, rho=0.01 r1=150",
+        "Monte Carlo mean, rho=0.01 r1=150",
+        "exchange success rate Pr(delta = 0)",
+        "composite outage rate",
+        "mean round energy",
+        "single cellular uplink outage",
+        "conventional composite outage",
+    ]
+    assert [name for tag, name in lines if tag == "INFO"] == [
+        "reference CDF at sample median - 0.5",
+        "per-message outage rate (reported, lower than composite)",
+        "upper-branch additive boundary term",
+        "integral of branch-form PDF over support - 1",
+        "PDF one-sided limits at the branch junction",
+        "max |finite-difference CDF slope - PDF| (50 interior points)",
+    ]
 
-    Each point is evaluated at most once per statistic: the table and the
-    cells that may hold the maximum.
+
+def test_validate_report_evaluates_batch_cdf_once(tmp_path, monkeypatch):
+    """One KS statistic takes the batch CDF, at under a quarter of the sample.
+
+    Each point is evaluated at most once: the table and the cells that may
+    hold the maximum.
     """
     from nncc import distribution, montecarlo
 
-    calls, in_ks = [], []
+    calls, in_ks, n_statistics = [], [], []
     batch, ks = distribution.cdf_reference_batch, montecarlo.ks_distance
 
     def counting(p_values, *args, **kwargs):
         if in_ks:
-            calls.append((np.size(p_values), kwargs.get("workers")))
+            calls.append(np.size(p_values))
         return batch(p_values, *args, **kwargs)
 
     def ks_marking(*args, **kwargs):
         in_ks.append(True)
+        n_statistics.append(True)
         try:
             return ks(*args, **kwargs)
         finally:
@@ -210,8 +252,8 @@ def test_validate_report_evaluates_batch_cdf_once(tmp_path, monkeypatch):
     _, ok = validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
                                            seed=7, n_trials=n_trials, workers=2))
     assert ok
-    assert len(calls) >= 2 and all(workers == 2 for _, workers in calls)
-    assert sum(size for size, _ in calls) < n_trials / 2
+    assert len(n_statistics) == 1 and len(calls) >= 2
+    assert sum(calls) < n_trials / 4
 
 
 def test_validate_report_refuses_small_budget(tmp_path):
@@ -221,11 +263,20 @@ def test_validate_report_refuses_small_budget(tmp_path):
     assert "10000" in str(err.value)
 
 
-def test_validate_report_flags_tampered_eta(tmp_path):
+def test_validate_report_flags_tampered_eta(tmp_path, monkeypatch):
+    """A quadratic built from doubled uplink coefficients fails the closure check."""
+    from nncc.distribution import PowerQuadratic
+
+    build = PowerQuadratic.from_coefficients.__func__
+
+    def doubled_eta(cls, coeff, eps_total, r1):
+        return build(cls, replace(coeff, eta1=2.0 * coeff.eta1, eta2=2.0 * coeff.eta2),
+                     eps_total, r1)
+
+    monkeypatch.setattr(PowerQuadratic, "from_coefficients", classmethod(doubled_eta))
     path = str(tmp_path / "tampered.txt")
-    _, ok = validate_report(
-        ExperimentSpec(kind="validate", out=path, seed=7, n_trials=20_000),
-        eta_scale=2.0)
+    _, ok = validate_report(ExperimentSpec(kind="validate", out=path, seed=7,
+                                           n_trials=20_000))
     assert not ok
     text = open(path, encoding="utf-8").read()
     assert "FAIL total vs quadratic-form" in text
@@ -395,20 +446,34 @@ def test_cli_validate_energy_without_spread(tmp_path):
     assert re.search(r"PASS mean round energy: .* \(z = \+0\.00,", text)
 
 
-@pytest.mark.parametrize("argv", [
-    ["validate", "--r", "0"],
-    ["sweep", "--var", "r", "--min", "0", "--max", "10", "--count", "2"],
-], ids=["validate", "sweep"])
-def test_cli_zero_inter_user_distance_exits_2(tmp_path, capsys, monkeypatch, argv):
-    """At r = 0 the exchange's free-space budget is undefined: a bad parameter,
-    refused before any placement sample is drawn."""
+_SWEEP_R1 = ["sweep", "--var", "r1", "--min", "500", "--max", "1000", "--count", "2"]
+_SWEEP_R = ["sweep", "--var", "r", "--min", "1", "--max", "10", "--count", "2"]
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["validate", "--r", "0"], "r"),
+    (["sweep", "--var", "r", "--min", "0", "--max", "10", "--count", "2"], "r"),
+    (["validate", "--r", "nan"], "r"),
+    (["validate", "--r", "inf"], "r"),
+    (["validate", "--r1", "nan"], "r1"),
+    (["validate", "--r1", "inf"], "r1"),
+    (_SWEEP_R1 + ["--r", "nan"], "r"),
+    (_SWEEP_R1 + ["--r", "inf"], "r"),
+    (_SWEEP_R + ["--r1", "nan"], "r1"),
+    (_SWEEP_R + ["--r1", "inf"], "r1"),
+], ids=["validate", "sweep", "validate-r-nan", "validate-r-inf", "validate-r1-nan",
+        "validate-r1-inf", "sweep-r-nan", "sweep-r-inf", "sweep-r1-nan", "sweep-r1-inf"])
+def test_cli_zero_inter_user_distance_exits_2(tmp_path, capsys, monkeypatch, argv, field):
+    """At r = 0, or at a distance that is not finite, the round's budgets are
+    undefined: a bad parameter, named and refused before any placement sample
+    is drawn."""
     def no_draw(*args, **kwargs):
         raise AssertionError("a placement sample was drawn")
 
     monkeypatch.setattr(mc, "sample_power_distribution", no_draw)
     out = tmp_path / "o.txt"
     assert main(argv + ["--trials", "10000", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: r: must be > 0 for the exchange")
+    assert capsys.readouterr().err.startswith(f"error: {field}: must be finite and ")
     assert not out.exists()
 
 
@@ -481,8 +546,8 @@ def test_traced_validate_binds_the_benchmark_names(tmp_path):
         restore()
     assert code == 0
     metrics = spans.pass_metrics(tracer.take(), pass_wall_s=1.0)
-    assert metrics["montecarlo.ks_distance.points"] == 20_000
-    # two KS statistics at 1668 table and 80 cell points each, F(c0), F(median)
-    # and section [e]'s two 50-point slopes: 3598 of the 10101 of a full KS
-    assert metrics["distribution.cdf_reference_batch.points"] == 3_598
+    assert metrics["montecarlo.ks_distance.points"] == 10_000
+    # one KS statistic at 1668 table and 80 cell points, F(c0), F(median) and
+    # section [e]'s two 50-point slopes: 1850 of the 10101 of a full KS
+    assert metrics["distribution.cdf_reference_batch.points"] == 1_850
     assert metrics["montecarlo.estimate_link_outage.trials"] == 0

@@ -338,17 +338,20 @@ def test_ks_distance_is_bitwise_the_full_statistic_on_staircases(n, seed, rate):
     assert ks_distance(samples, cdf) == ks_distance_of_values(samples, values)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("pieces", [1, 2])
 @pytest.mark.parametrize("rho, r1", [(1e-4, 2000.0), (0.1, 20_000.0), (1e-7, 50.0)])
-def test_ks_distance_engine_cdf_is_bitwise_the_full_statistic(rho, r1, workers):
+def test_ks_distance_engine_cdf_is_bitwise_the_full_statistic(rho, r1, pieces):
     """The engine CDF, monotone to its 1e-10 error, gives the full statistic to the bit.
 
     The sample gets ties and a flat run below ``support_min``, where the CDF is 0.
+    The CDF takes the points of each call in ``pieces`` separate batches, so
+    the statistic does not depend on how its points are batched.
     """
     params = validate(SystemParams(rho=rho))
     quad = PowerQuadratic.from_params(params, r1)
     drawn = sample_power_distribution(20_000, rho, r1, params, RandomStream(51)).power_samples
     samples = np.concatenate([drawn, drawn[::50], quad.support_min - np.arange(5.0)])
     samples.sort()
-    cdf = lambda p: cdf_reference_batch(p, quad, rho, workers=workers)  # noqa: E731
+    cdf = lambda p: np.concatenate([cdf_reference_batch(piece, quad, rho)  # noqa: E731
+                                    for piece in np.array_split(p, pieces)])
     assert ks_distance(samples, cdf) == ks_distance_of_values(samples, cdf(samples))
