@@ -22,8 +22,10 @@ n = 500_000
 print(f"handset density rho = {rho} /m^2, tagged handset at r1 = {r1} m")
 print()
 
+# the pair's own placement depends on the density alone; r1 enters only
+# through the law of cosines for the neighbor's distance to the base station
 rng = RandomStream(seed=2024).block(0)
-r, theta = sample_nn_geometries(rng, rho, r1, n)
+r, theta = sample_nn_geometries(rng, rho, n)
 r2 = partner_distance_to_bs(r1, r, theta)   # neighbor to base station
 
 print("neighbor distance statistics over", n, "draws:")

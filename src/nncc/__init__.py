@@ -52,6 +52,6 @@ from .montecarlo import (
     protocol_round,
     sample_power_distribution,
 )
-from .experiments import ExperimentSpec, run_figure, sweep, validate_report
+from .experiments import ExperimentSpec, sweep, validate_report
 
 __version__ = "0.1.0"

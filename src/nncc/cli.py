@@ -5,9 +5,12 @@ Verbs:
   sweep              emit a dataset over an arbitrary parameter axis
   validate           run the analytic-vs-Monte-Carlo cross checks
 
+Both dataset verbs run ``experiments.sweep``: a figure is a preset sweep.
 Every verb accepts --config (flat JSON matching the SystemParams schema) and
 per-parameter override flags.  Precedence, lowest first: defaults, the config
-file, the figure preset, explicit flags.  Exit codes:
+file, the figure preset, explicit flags.  A flag or config key naming the
+swept variable is refused, and every row is checked before the first draw
+(only the rate's overflow limit is found by the estimators).  Exit codes:
 0 success, 1 a bounded validation check failed or an ``IntegrationError`` (one
 ``error: ...`` line, no output file), 2 bad invocation.
 """
@@ -19,7 +22,7 @@ import sys
 from dataclasses import fields
 
 from .distribution import IntegrationError
-from .experiments import SWEEPABLE, ExperimentSpec, run_figure, sweep, validate_report
+from .experiments import SWEEPABLE, ExperimentSpec, sweep, validate_report
 from .params import ParameterError, SystemParams, load_config
 
 
@@ -79,18 +82,15 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.verb == "figure":
-            path = run_figure(_build_spec(args, f"figure{args.number}"))
-            print(f"wrote {path}")
-        elif args.verb == "sweep":
-            path = sweep(_build_spec(args, "sweep"))
-            print(f"wrote {path}")
-        else:
+        if args.verb == "validate":
             path, ok = validate_report(_build_spec(args, "validate"))
             print(f"wrote {path}")
             if not ok:
                 print("validation FAILED: see report", file=sys.stderr)
                 return 1
+        else:  # a figure is a preset sweep
+            kind = f"figure{args.number}" if args.verb == "figure" else "sweep"
+            print(f"wrote {sweep(_build_spec(args, kind))}")
     except (ParameterError, ValueError, OSError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, IntegrationError) else 2

@@ -18,13 +18,12 @@ from . import distribution as dist
 from . import montecarlo as mc
 from . import powermodel
 from .geometry import Geometry, partner_distance_to_bs
-from .params import LinearParams, SystemParams, validate
+from .params import LinearParams, ParameterError, SystemParams, validate
 
 CSV_HEADER = ("swept_var,value,e_nncc_analytic,e_conv_analytic,"
               "e_nncc_mc,e_nncc_mc_stderr,ee_nncc,ee_conv")
 
 SWEEPABLE = ("r1", "r", "rho", "p_out_target", "rate")
-_GEOMETRY_KEYS = ("r1", "r")
 DEFAULT_R1 = 2000.0
 
 # Built-in sweep presets for the four bundled figure datasets.
@@ -60,14 +59,18 @@ class ExperimentSpec:
     base: SystemParams = field(default_factory=SystemParams)
 
     def resolved(self) -> "ExperimentSpec":
-        """Fill figure presets, then check everything needed is present."""
+        """Fill figure presets, then check every spec-level input up front."""
         spec = self
         if spec.workers < 1:
             raise ValueError(f"workers must be >= 1, got {spec.workers!r}")
+        if spec.seed < 0:
+            raise ParameterError("seed", f"must be >= 0, got {spec.seed!r}")
+        if spec.n_trials < mc.MIN_TRIALS:
+            raise ValueError(
+                f"n_trials={spec.n_trials} cannot support the confidence "
+                f"intervals; need at least {mc.MIN_TRIALS}")
         preset = FIGURE_PRESETS.get(spec.kind)
         if preset is not None:
-            merged = dict(preset["fixed"])
-            merged.update(spec.overrides)
             spec = replace(
                 spec,
                 var=preset["var"],
@@ -75,7 +78,7 @@ class ExperimentSpec:
                 v_max=spec.v_max if spec.v_max is not None else preset["v_max"],
                 count=spec.count if spec.count is not None else preset["count"],
                 spacing=preset["spacing"],
-                overrides=merged,
+                overrides={**preset["fixed"], **spec.overrides},
             )
         elif spec.kind == "sweep":
             if spec.var not in SWEEPABLE:
@@ -86,19 +89,26 @@ class ExperimentSpec:
         elif spec.kind != "validate":
             raise ValueError(f"unknown experiment kind {spec.kind!r}")
 
+        unknown = sorted(set(spec.overrides) - {f.name for f in fields(SystemParams)}
+                         - {"r1", "r"})
+        if unknown:
+            raise ValueError(f"unknown override key {unknown[0]!r}")
         if spec.kind != "validate":
-            if not (spec.v_min < spec.v_max):
-                raise ValueError(f"swept range needs min < max, "
+            if not (math.isfinite(spec.v_min) and math.isfinite(spec.v_max)
+                    and spec.v_min < spec.v_max):
+                raise ValueError(f"swept range needs finite min < max, "
                                  f"got [{spec.v_min!r}, {spec.v_max!r}]")
             if spec.count < 2:
                 raise ValueError(f"count must be >= 2, got {spec.count!r}")
             if spec.spacing not in ("linear", "log"):
                 raise ValueError(f"spacing must be linear or log, got {spec.spacing!r}")
-
-        allowed = {f.name for f in fields(SystemParams)} | set(_GEOMETRY_KEYS)
-        unknown = sorted(set(spec.overrides) - allowed)
-        if unknown:
-            raise ValueError(f"unknown override key {unknown[0]!r}")
+            if spec.spacing == "log" and not spec.v_min > 0:
+                raise ValueError(f"log spacing needs min > 0, got {spec.v_min!r}")
+            # the grid replaces a fixed value, which would be silently dropped
+            if (spec.var in spec.overrides or getattr(spec.base, spec.var, None)
+                    != getattr(SystemParams(), spec.var, None)):
+                raise ParameterError(spec.var, "is swept, so no flag, override or "
+                                               "config may also fix it")
         return spec
 
 
@@ -106,10 +116,18 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _split_overrides(overrides: dict):
-    geo = {k: overrides[k] for k in _GEOMETRY_KEYS if k in overrides}
-    sys_over = {k: v for k, v in overrides.items() if k not in _GEOMETRY_KEYS}
-    return geo, sys_over
+def _resolve_run(base: SystemParams, overrides: dict):
+    """Validated parameters and placement (r1, r) of one run; r None = random."""
+    system = dict(overrides)
+    r1 = float(system.pop("r1", DEFAULT_R1))
+    r = system.pop("r", None)
+    params = validate(replace(base, **system))
+    if not (math.isfinite(r1) and r1 > 0):
+        raise ParameterError("r1", f"must be finite and > 0, got {r1!r}")
+    if r is not None:
+        r = float(r)
+        mc.require_exchange_distance(r)
+    return params, r1, r
 
 
 def _grid(spec: ExperimentSpec) -> np.ndarray:
@@ -144,47 +162,27 @@ def _sweep_row(params: LinearParams, r1: float, r: float | None,
             dist.energy_efficiency(e_conv, params.rate))
 
 
-def _run_sweep(spec: ExperimentSpec) -> str:
+def sweep(spec: ExperimentSpec) -> str:
+    """Emit the dataset of a sweep or of a bundled figure (a preset sweep).
+
+    Every row is resolved, so every bad input refused, before the first draws.
+    """
     spec = spec.resolved()
-    geo, sys_over = _split_overrides(spec.overrides)
-    base = replace(spec.base, **sys_over)
+    if spec.kind == "validate":
+        raise ValueError("a validate spec is not a dataset; use validate_report")
     values = _grid(spec)
+    runs = [_resolve_run(spec.base, {**spec.overrides, spec.var: float(value)})
+            for value in values]
 
     lines = [CSV_HEADER]
-    for i, value in enumerate(values):
-        r1 = float(geo.get("r1", DEFAULT_R1))
-        r = geo.get("r")
-        row_params = base
-        if spec.var in _GEOMETRY_KEYS:
-            if spec.var == "r1":
-                r1 = float(value)
-            else:
-                r = float(value)
-        else:
-            row_params = replace(base, **{spec.var: float(value)})
-        if r is not None:
-            r = float(r)
-        row = _sweep_row(validate(row_params), r1, r, spec.n_trials,
+    for i, (value, (params, r1, r)) in enumerate(zip(values, runs)):
+        row = _sweep_row(params, r1, r, spec.n_trials,
                          mc.RandomStream(spec.seed, stream_id=i), spec.workers)
         lines.append(",".join([spec.var, _fmt(float(value))] + [_fmt(v) for v in row]))
 
     with open(spec.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     return spec.out
-
-
-def run_figure(spec: ExperimentSpec) -> str:
-    """Emit the dataset behind one of the four bundled figures."""
-    if spec.kind not in FIGURE_PRESETS:
-        raise ValueError(f"not a figure kind: {spec.kind!r}")
-    return _run_sweep(spec)
-
-
-def sweep(spec: ExperimentSpec) -> str:
-    """Emit a dataset over an arbitrary axis with the same schema."""
-    if spec.resolved().kind != "sweep":
-        raise ValueError(f"not a sweep spec: {spec.kind!r}")
-    return _run_sweep(spec)
 
 
 # --- validation report ------------------------------------------------------
@@ -371,15 +369,9 @@ def _protocol_section(rep: _Report, params: LinearParams, r1: float, r: float,
 def validate_report(spec: ExperimentSpec) -> tuple[str, bool]:
     """Write the cross-validation report; returns (path, all bounded checks ok)."""
     spec = spec.resolved()
-    if spec.n_trials < mc.MIN_TRIALS:
-        raise ValueError(
-            f"n_trials={spec.n_trials} cannot support the report's confidence "
-            f"intervals; need at least {mc.MIN_TRIALS}")
-    geo, sys_over = _split_overrides(spec.overrides)
-    params = validate(replace(spec.base, **sys_over))
-    r1 = float(geo.get("r1", DEFAULT_R1))
-    r = float(geo.get("r", 20.0))
-    mc.require_exchange_distance(r)
+    if spec.kind != "validate":
+        raise ValueError(f"not a validate spec: {spec.kind!r}")
+    params, r1, r = _resolve_run(spec.base, {"r": 20.0, **spec.overrides})
 
     rep = _Report()
     rep.add("cooperative uplink validation report")

@@ -50,31 +50,17 @@ def partner_distance_to_bs(r1, r, theta):
     return out if out.ndim else float(out)
 
 
-def sample_r(rng: np.random.Generator, rho: float, n: int | None = None):
-    """Draw nearest-neighbor distances by inverse CDF, one uniform per draw.
-
-    Uses r = sqrt(-log(1-u)/(pi*rho)) with u in [0,1), which is finite for
-    every representable u.
-    """
-    u = rng.random(n)
-    return np.sqrt(-np.log1p(-u) / (math.pi * rho))
-
-
-def sample_theta(rng: np.random.Generator, n: int | None = None):
-    """Uniform bearing on the half-open interval [-pi/2, 3*pi/2)."""
-    return -0.5 * math.pi + 2.0 * math.pi * rng.random(n)
-
-
-def sample_nn_geometries(rng: np.random.Generator, rho: float, r1: float, n: int):
+def sample_nn_geometries(rng: np.random.Generator, rho: float, n: int):
     """Vectorized sampler: returns arrays (r, theta) of length n.
 
-    ``r1`` is only checked here; the neighbor's distance to the BS is
-    ``partner_distance_to_bs(r1, r, theta)``.  Draw order (all r first, then
-    all theta) is part of the reproducibility contract for a given generator
-    state.
+    Neighbor distances are drawn by inverse CDF, one uniform per draw:
+    r = sqrt(-log(1-u)/(pi*rho)) with u in [0,1), finite for every
+    representable u.  Bearings are uniform on [-pi/2, 3*pi/2).  Draw order
+    (all r first, then all theta) is part of the reproducibility contract for
+    a given generator state.
     """
-    if rho <= 0 or r1 <= 0:
-        raise ValueError("rho and r1 must be > 0")
-    r = sample_r(rng, rho, n)
-    theta = sample_theta(rng, n)
+    if not (math.isfinite(rho) and rho > 0):
+        raise ParameterError("rho", f"must be finite and > 0, got {rho!r}")
+    r = np.sqrt(-np.log1p(-rng.random(n)) / (math.pi * rho))
+    theta = -0.5 * math.pi + 2.0 * math.pi * rng.random(n)
     return r, theta

@@ -209,7 +209,7 @@ def sample_power_distribution(n: int, rho: float, r1: float,
     quad = PowerQuadratic.from_params(params, r1)
 
     def block_fn(j, size):
-        r, theta = sample_nn_geometries(stream.block(j), rho, r1, size)
+        r, theta = sample_nn_geometries(stream.block(j), rho, size)
         return quad.a * r * r + quad.b_coeff * np.cos(theta) * r + quad.c0
 
     totals = np.concatenate(_map_blocks(n, workers, block_fn))

@@ -28,7 +28,7 @@ from nncc import (
     support_upper,
     validate,
 )
-from nncc.experiments import ExperimentSpec, run_figure, validate_report
+from nncc.experiments import ExperimentSpec, sweep, validate_report
 from nncc.montecarlo import RandomStream, estimate_outage, ks_distance, \
     sample_power_distribution
 
@@ -190,7 +190,7 @@ def test_criterion_09_figure_shapes(tmp_path):
 
     def rows(kind):
         path = str(tmp_path / f"{kind}.csv")
-        run_figure(ExperimentSpec(kind=kind, out=path, seed=1009, n_trials=trials))
+        sweep(ExperimentSpec(kind=kind, out=path, seed=1009, n_trials=trials))
         out = []
         with open(path, encoding="utf-8") as fh:
             fh.readline()

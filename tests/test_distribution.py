@@ -544,7 +544,7 @@ def test_expected_power_conventional_unequal_gains():
     closed = expected_power_conventional(params, r1)
     assert closed == pytest.approx(
         eta1 * r1 * r1 + eta2 * (r1 * r1 + 1.0 / (math.pi * params.rho)), rel=1e-12)
-    r, theta = sample_nn_geometries(RandomStream(31).block(0), params.rho, r1, 1_000_000)
+    r, theta = sample_nn_geometries(RandomStream(31).block(0), params.rho, 1_000_000)
     r2 = partner_distance_to_bs(r1, r, theta)
     totals = eta1 * r1 * r1 + eta2 * r2 * r2
     stderr = np.std(totals, ddof=1) / math.sqrt(totals.size)

@@ -1,5 +1,6 @@
 import filecmp
 import importlib.util
+import math
 import os
 import re
 import subprocess
@@ -10,13 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nncc import cli
+from nncc import ParameterError, SystemParams, cli
 from nncc import montecarlo as mc
 from nncc.cli import main
 from nncc.experiments import (
     CSV_HEADER,
     ExperimentSpec,
-    run_figure,
     sweep,
     validate_report,
 )
@@ -39,10 +39,11 @@ def read_rows(path):
 # --- spec validation -----------------------------------------------------------
 
 def test_spec_rejects_bad_range(tmp_path):
-    spec = ExperimentSpec(kind="sweep", var="r1", v_min=10.0, v_max=5.0,
-                          count=4, out=str(tmp_path / "x.csv"))
-    with pytest.raises(ValueError):
-        spec.resolved()
+    for v_max in (5.0, math.inf, math.nan):
+        spec = ExperimentSpec(kind="sweep", var="r1", v_min=10.0, v_max=v_max,
+                              count=4, out=str(tmp_path / "x.csv"))
+        with pytest.raises(ValueError):
+            spec.resolved()
 
 
 def test_spec_rejects_small_count(tmp_path):
@@ -70,6 +71,44 @@ def test_spec_rejects_unknown_kind_and_override(tmp_path):
     assert "nope" in str(err.value)
 
 
+def test_sweep_and_report_refuse_each_others_kinds(tmp_path):
+    out = str(tmp_path / "x.txt")
+    with pytest.raises(ValueError) as err:
+        sweep(ExperimentSpec(kind="validate", out=out))
+    assert "validate" in str(err.value)
+    with pytest.raises(ValueError) as err:
+        validate_report(ExperimentSpec(kind="figure3", out=out))
+    assert "figure3" in str(err.value)
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("kind,base", [
+    ("figure5", SystemParams(rho=1e-3)),
+    ("figure6", SystemParams(p_out_target=0.01)),
+], ids=["figure5-rho", "figure6-p_out_target"])
+def test_spec_refuses_swept_variable_fixed_by_config(tmp_path, kind, base):
+    """A config value of the swept variable would be replaced by the grid."""
+    spec = ExperimentSpec(kind=kind, out=str(tmp_path / "x.csv"), base=base)
+    with pytest.raises(ParameterError, match="is swept"):
+        spec.resolved()
+
+
+def test_resolved_runs_once_per_call(tmp_path, monkeypatch):
+    calls = []
+    resolved = ExperimentSpec.resolved
+
+    def counting(self):
+        calls.append(self.kind)
+        return resolved(self)
+
+    monkeypatch.setattr(ExperimentSpec, "resolved", counting)
+    sweep(ExperimentSpec(kind="sweep", var="r", v_min=1.0, v_max=10.0, count=2,
+                         out=str(tmp_path / "s.csv"), n_trials=10_000))
+    validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
+                                   seed=7, n_trials=10_000))
+    assert calls == ["sweep", "validate"]
+
+
 # --- datasets -------------------------------------------------------------------
 
 def test_degenerate_sweep_two_rows(tmp_path):
@@ -84,12 +123,12 @@ def test_degenerate_sweep_two_rows(tmp_path):
 def test_csv_byte_stable(tmp_path):
     p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     for path in (p1, p2):
-        run_figure(ExperimentSpec(kind="figure3", out=path, seed=9,
-                                  n_trials=TRIALS, workers=1))
+        sweep(ExperimentSpec(kind="figure3", out=path, seed=9,
+                             n_trials=TRIALS, workers=1))
     assert filecmp.cmp(p1, p2, shallow=False)
     p3 = str(tmp_path / "c.csv")
-    run_figure(ExperimentSpec(kind="figure3", out=p3, seed=9,
-                              n_trials=TRIALS, workers=4))
+    sweep(ExperimentSpec(kind="figure3", out=p3, seed=9,
+                         n_trials=TRIALS, workers=4))
     assert filecmp.cmp(p1, p3, shallow=False)
 
 
@@ -105,7 +144,7 @@ def test_csv_significant_digits(tmp_path):
 
 def test_figure3_cooperation_always_cheaper(tmp_path):
     path = str(tmp_path / "fig3.csv")
-    run_figure(ExperimentSpec(kind="figure3", out=path, seed=2, n_trials=TRIALS))
+    sweep(ExperimentSpec(kind="figure3", out=path, seed=2, n_trials=TRIALS))
     rows = read_rows(path)
     assert len(rows) == 26
     assert rows[0][1] == 500.0 and rows[-1][1] == 3000.0
@@ -116,18 +155,18 @@ def test_figure3_cooperation_always_cheaper(tmp_path):
 
 def test_figure4_efficiency_ordering(tmp_path):
     path = str(tmp_path / "fig4.csv")
-    run_figure(ExperimentSpec(kind="figure4", out=path, seed=2, n_trials=TRIALS))
+    sweep(ExperimentSpec(kind="figure4", out=path, seed=2, n_trials=TRIALS))
     for row in read_rows(path):
         assert row[6] > row[7]          # cooperative bits/J above baseline
     # figure 4 is the efficiency view of the figure 3 sweep: the same dataset
     fig3 = str(tmp_path / "fig3.csv")
-    run_figure(ExperimentSpec(kind="figure3", out=fig3, seed=2, n_trials=TRIALS))
+    sweep(ExperimentSpec(kind="figure3", out=fig3, seed=2, n_trials=TRIALS))
     assert filecmp.cmp(path, fig3, shallow=False)
 
 
 def test_figure5_energy_decreasing_in_density(tmp_path):
     path = str(tmp_path / "fig5.csv")
-    run_figure(ExperimentSpec(kind="figure5", out=path, seed=2, n_trials=TRIALS))
+    sweep(ExperimentSpec(kind="figure5", out=path, seed=2, n_trials=TRIALS))
     rows = read_rows(path)
     energies = [row[2] for row in rows]
     assert all(a > b for a, b in zip(energies, energies[1:]))
@@ -135,7 +174,7 @@ def test_figure5_energy_decreasing_in_density(tmp_path):
 
 def test_figure6_energy_decreasing_in_target(tmp_path):
     path = str(tmp_path / "fig6.csv")
-    run_figure(ExperimentSpec(kind="figure6", out=path, seed=2, n_trials=TRIALS))
+    sweep(ExperimentSpec(kind="figure6", out=path, seed=2, n_trials=TRIALS))
     rows = read_rows(path)
     energies = [row[2] for row in rows]
     assert all(a > b for a, b in zip(energies, energies[1:]))
@@ -160,10 +199,10 @@ def test_sweep_rate_energy_increasing(tmp_path):
 
 def test_figure_override_applies(tmp_path):
     path = str(tmp_path / "fig3o.csv")
-    run_figure(ExperimentSpec(kind="figure3", out=path, seed=2, n_trials=TRIALS,
-                              overrides={"r": 40.0}))
+    sweep(ExperimentSpec(kind="figure3", out=path, seed=2, n_trials=TRIALS,
+                         overrides={"r": 40.0}))
     base = str(tmp_path / "fig3b.csv")
-    run_figure(ExperimentSpec(kind="figure3", out=base, seed=2, n_trials=TRIALS))
+    sweep(ExperimentSpec(kind="figure3", out=base, seed=2, n_trials=TRIALS))
     assert read_rows(path)[0][2] > read_rows(base)[0][2]  # larger exchange cost
 
 
@@ -474,6 +513,46 @@ def test_cli_zero_inter_user_distance_exits_2(tmp_path, capsys, monkeypatch, arg
     out = tmp_path / "o.txt"
     assert main(argv + ["--trials", "10000", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: must be finite and ")
+    assert not out.exists()
+
+
+_SWEEP_P_OUT = ["sweep", "--var", "p_out_target", "--min", "0.1", "--max", "1",
+                "--count", "25"]
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["sweep", "--var", "r1", "--min", "500", "--max", "inf", "--count", "2"],
+     "swept range"),
+    (["sweep", "--var", "r1", "--min", "500", "--max", "nan", "--count", "2"],
+     "swept range"),
+    (_SWEEP_R1 + ["--r1", "nan"], "r1: is swept"),
+    (["figure", "3", "--r1", "1000"], "r1: is swept"),
+    (["figure", "5", "--rho", "5"], "rho: is swept"),
+    (["sweep", "--var", "rate", "--min", "5e4", "--max", "1e5", "--count", "2",
+      "--rate", "-5"], "rate: is swept"),
+    (_SWEEP_P_OUT, "p_out_target: "),
+    (_SWEEP_R1 + ["--trials", "10"], "n_trials="),
+    (["validate", "--seed", "-1"], "seed: must be >= 0"),
+    (_SWEEP_R1 + ["--seed", "-3"], "seed: must be >= 0"),
+    (["sweep", "--var", "rate", "--min", "-1", "--max", "1e5", "--count", "3",
+      "--spacing", "log"], "log spacing needs min > 0"),
+], ids=["range-inf", "range-nan", "sweep-r1-fixed", "figure3-r1-fixed",
+        "figure5-rho-fixed", "sweep-rate-fixed", "late-bad-row", "trials", "validate-seed",
+        "sweep-seed", "log-spacing-min"])
+def test_cli_refuses_bad_run_before_any_draw(tmp_path, capsys, monkeypatch, argv, named):
+    """Every run of an invocation is resolved and checked before the first draw."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a Monte Carlo sample was drawn")
+
+    monkeypatch.setattr(mc, "sample_power_distribution", no_draw)
+    monkeypatch.setattr(mc, "estimate_outage", no_draw)
+    out = tmp_path / "o.txt"
+    if "--trials" not in argv:
+        argv = argv + ["--trials", "10000"]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
     assert not out.exists()
 
 

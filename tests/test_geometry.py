@@ -7,6 +7,7 @@ from scipy import integrate, stats
 from model_helpers import nn_distance_cdf, nn_distance_pdf
 from nncc import (
     Geometry,
+    ParameterError,
     partner_distance_to_bs,
     sample_nn_geometries,
 )
@@ -60,7 +61,7 @@ def test_partner_distance_rejects_bad_inputs():
 
 
 def test_partner_distance_scalar_and_array_agree():
-    r, theta = sample_nn_geometries(RandomStream(6).block(0), 1e-4, 800.0, 500)
+    r, theta = sample_nn_geometries(RandomStream(6).block(0), 1e-4, 500)
     r2 = partner_distance_to_bs(800.0, r, theta)
     assert r2.shape == (500,)
     for i in range(0, 500, 25):
@@ -73,7 +74,7 @@ def test_partner_distance_scalar_and_array_agree():
 
 
 def test_sampled_geometry_satisfies_identities():
-    r, theta = sample_nn_geometries(RandomStream(5).block(0), 1e-4, 800.0, 2000)
+    r, theta = sample_nn_geometries(RandomStream(5).block(0), 1e-4, 2000)
     for g in (Geometry(r1=800.0, r=float(ri), theta=float(ti)) for ri, ti in zip(r, theta)):
         lhs = g.r2 * g.r2
         rhs = g.r * g.r + g.r1 * g.r1 + 2.0 * g.r1 * g.r * math.cos(g.theta)
@@ -84,23 +85,29 @@ def test_sampled_geometry_satisfies_identities():
 
 
 def test_sampling_reproducible():
-    r_a, th_a = sample_nn_geometries(RandomStream(9, 3).block(0), 1e-4, 500.0, 64)
-    r_b, th_b = sample_nn_geometries(RandomStream(9, 3).block(0), 1e-4, 500.0, 64)
+    r_a, th_a = sample_nn_geometries(RandomStream(9, 3).block(0), 1e-4, 64)
+    r_b, th_b = sample_nn_geometries(RandomStream(9, 3).block(0), 1e-4, 64)
     assert np.array_equal(r_a, r_b) and np.array_equal(th_a, th_b)
     g_a = Geometry(r1=500.0, r=float(r_a[0]), theta=float(th_a[0]))
     assert g_a == Geometry(r1=500.0, r=float(r_b[0]), theta=float(th_b[0]))
 
 
+@pytest.mark.parametrize("rho", [0.0, -1e-4, math.nan, math.inf])
+def test_sampler_rejects_bad_rho(rho):
+    with pytest.raises(ParameterError, match="rho"):
+        sample_nn_geometries(RandomStream(1).block(0), rho, 4)
+
+
 def test_empirical_mean_distance():
     rho = 1e-4
-    r, _ = sample_nn_geometries(RandomStream(11).block(0), rho, 100.0, 1_000_000)
+    r, _ = sample_nn_geometries(RandomStream(11).block(0), rho, 1_000_000)
     assert np.mean(r) == pytest.approx(50.0, rel=5e-3)
 
 
 def test_empirical_distance_cdf_ks():
     rho = 1e-4
     n = 1_000_000
-    r, _ = sample_nn_geometries(RandomStream(12).block(0), rho, 100.0, n)
+    r, _ = sample_nn_geometries(RandomStream(12).block(0), rho, n)
     r.sort()
     f = nn_distance_cdf(r, rho)
     i = np.arange(1, n + 1)
@@ -110,7 +117,7 @@ def test_empirical_distance_cdf_ks():
 
 
 def test_bearing_uniform_chi_square():
-    _, theta = sample_nn_geometries(RandomStream(13).block(0), 1e-4, 100.0, 1_000_000)
+    _, theta = sample_nn_geometries(RandomStream(13).block(0), 1e-4, 1_000_000)
     counts, _ = np.histogram(theta, bins=64, range=(-0.5 * math.pi, 1.5 * math.pi))
     assert stats.chisquare(counts).pvalue > 0.01
 
