@@ -19,7 +19,12 @@ from nncc import (
     pdf_branch_form,
     validate,
 )
-from nncc.montecarlo import RandomStream, ks_distance, sample_power_distribution
+from nncc.montecarlo import (
+    RandomStream,
+    draw_power_samples,
+    ks_distance,
+    sample_power_distribution,
+)
 
 params = validate(SystemParams(rate=1e7, rho=1e-4))
 r1 = 2000.0
@@ -38,10 +43,11 @@ print(f"energy efficiency     {energy_efficiency(mean, params.rate):.4e} bits/J"
 print()
 
 n = 200_000
+# the summary and the samples come from the same stream, so the same draws
 sample = sample_power_distribution(n, rho, r1, params, RandomStream(33))
 print(f"Monte Carlo over {n} placements: mean {sample.mean_energy:.6f} W "
       f"(stderr {sample.energy_stderr:.2e})")
-samples = np.sort(sample.power_samples)
+samples = np.sort(draw_power_samples(n, rho, r1, params, RandomStream(33)))
 ks = ks_distance(samples, lambda p: cdf_reference_batch(p, quad, rho))
 print(f"KS distance, empirical vs direct CDF: {ks:.5f}")
 print()

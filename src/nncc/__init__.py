@@ -47,6 +47,7 @@ from .distribution import (
 from .montecarlo import (
     McReport,
     RandomStream,
+    draw_power_samples,
     estimate_outage,
     ks_distance,
     protocol_round,

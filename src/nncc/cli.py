@@ -56,7 +56,7 @@ def _build_spec(args, kind: str) -> ExperimentSpec:
         workers=args.workers, overrides=overrides, base=base,
         var=getattr(args, "var", None), v_min=getattr(args, "min", None),
         v_max=getattr(args, "max", None), count=getattr(args, "count", None),
-        spacing=getattr(args, "spacing", "linear"),
+        spacing=getattr(args, "spacing", None),
     )
 
 

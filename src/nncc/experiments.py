@@ -54,7 +54,7 @@ class ExperimentSpec:
     v_min: float | None = None
     v_max: float | None = None
     count: int | None = None
-    spacing: str = "linear"
+    spacing: str | None = None     # sweep only; None = linear
     overrides: dict = field(default_factory=dict)  # SystemParams fields + r1/r
     base: SystemParams = field(default_factory=SystemParams)
 
@@ -71,6 +71,12 @@ class ExperimentSpec:
                 f"intervals; need at least {mc.MIN_TRIALS}")
         preset = FIGURE_PRESETS.get(spec.kind)
         if preset is not None:
+            # a figure is its preset's sweep: a different axis is another dataset
+            for key in ("var", "spacing"):
+                if getattr(spec, key) not in (None, preset[key]):
+                    raise ValueError(f"{spec.kind} sweeps {preset['var']} with "
+                                     f"{preset['spacing']} spacing; got {key}="
+                                     f"{getattr(spec, key)!r}")
             spec = replace(
                 spec,
                 var=preset["var"],
@@ -86,6 +92,8 @@ class ExperimentSpec:
                     f"unknown sweep variable {spec.var!r}; choose from {SWEEPABLE}")
             if spec.v_min is None or spec.v_max is None or spec.count is None:
                 raise ValueError("sweep requires v_min, v_max and count")
+            if spec.spacing is None:
+                spec = replace(spec, spacing="linear")
         elif spec.kind != "validate":
             raise ValueError(f"unknown experiment kind {spec.kind!r}")
 
@@ -267,10 +275,9 @@ def _distribution_sections(rep: _Report, params: LinearParams,
     rho = params.rho
     rep.add(f"[b] power distribution vs Monte Carlo (rho = {_fmt(rho)}, "
             f"r1 = {_fmt(r1)})")
-    sample = mc.sample_power_distribution(n_trials, rho, r1, params,
-                                          mc.RandomStream(seed, stream_id=101),
-                                          workers=workers)
-    samples = sample.power_samples
+    samples = mc.draw_power_samples(n_trials, rho, r1, params,
+                                    mc.RandomStream(seed, stream_id=101),
+                                    workers=workers)
     samples.sort()  # in place: a sorted copy would double the sample's memory
 
     def cdf(p):

@@ -61,6 +61,15 @@ def sample_nn_geometries(rng: np.random.Generator, rho: float, n: int):
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ParameterError("rho", f"must be finite and > 0, got {rho!r}")
-    r = np.sqrt(-np.log1p(-rng.random(n)) / (math.pi * rho))
-    theta = -0.5 * math.pi + 2.0 * math.pi * rng.random(n)
+    # each step in place on one buffer; the same operations, in the same
+    # order, as sqrt(-log1p(-u) / (pi*rho)) and -pi/2 + 2*pi*u
+    r = rng.random(n)
+    np.negative(r, out=r)
+    np.log1p(r, out=r)
+    np.negative(r, out=r)
+    r /= math.pi * rho
+    np.sqrt(r, out=r)
+    theta = rng.random(n)
+    theta *= 2.0 * math.pi
+    theta += -0.5 * math.pi
     return r, theta

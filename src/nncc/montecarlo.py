@@ -5,6 +5,12 @@ fixed-size blocks, block ``j`` drawing from a counter-based generator keyed by
 ``(seed, stream_id, j)``.  Partial results are reduced in block order, so a
 report is bit-identical for any worker count, and distinct ``stream_id``
 values give statistically independent experiments.
+
+Placement sampling has two entry points on the same draws.
+``draw_power_samples`` returns the round totals, each block writing its own
+slice of one preallocated array; ``sample_power_distribution`` returns only
+their mean and standard error, from per-block moments, and never holds more
+than one block per worker.
 """
 
 from __future__ import annotations
@@ -59,7 +65,6 @@ class McReport:
     uplink1_outage_stderr: float | None = None
     mean_energy: float | None = None
     energy_stderr: float | None = None
-    power_samples: np.ndarray | None = None
 
 
 def _binom_stderr(p_hat: float, n: int) -> float:
@@ -201,24 +206,76 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
     )
 
 
+def _power_block(rng: np.random.Generator, rho: float, quad: PowerQuadratic,
+                 size: int, out: np.ndarray) -> np.ndarray:
+    """Round totals of ``size`` placements written into ``out``, in draw order.
+
+    The operations and their order are those of ``a*r*r + b_coeff*cos(theta)*r
+    + c0``, each done in place, so the values are the same bits without the
+    temporaries of that expression.
+    """
+    r, theta = sample_nn_geometries(rng, rho, size)
+    np.cos(theta, out=theta)
+    theta *= quad.b_coeff
+    theta *= r
+    np.multiply(quad.a, r, out=out)
+    out *= r
+    out += theta
+    out += quad.c0
+    return out
+
+
+def draw_power_samples(n: int, rho: float, r1: float, params: LinearParams,
+                       stream: RandomStream, workers: int = 1) -> np.ndarray:
+    """The round totals of n random placements, in draw order, unsorted.
+
+    Block j fills its own slice of one preallocated array.  The values are
+    those ``sample_power_distribution`` summarises on the same stream.
+    """
+    _require_trials(n)
+    quad = PowerQuadratic.from_params(params, r1)
+    totals = np.empty(n)
+
+    def block_fn(j, size):
+        start = j * _BLOCK
+        _power_block(stream.block(j), rho, quad, size, totals[start:start + size])
+
+    _map_blocks(n, workers, block_fn)
+    return totals
+
+
 def sample_power_distribution(n: int, rho: float, r1: float,
                               params: LinearParams, stream: RandomStream,
                               workers: int = 1) -> McReport:
-    """Sample the round total over random placements, in block (draw) order."""
+    """Mean and standard error of the round total over n random placements.
+
+    No n-sized array is built: each block reduces its totals to ``(size,
+    mean, M2)``, M2 the sum of squared deviations from the block mean, and
+    the blocks are merged in block order by the pairwise update of Chan,
+    Golub & LeVeque (1983), so the result does not depend on ``workers``.
+    ``draw_power_samples`` returns the totals themselves.
+    """
     _require_trials(n)
     quad = PowerQuadratic.from_params(params, r1)
 
     def block_fn(j, size):
-        r, theta = sample_nn_geometries(stream.block(j), rho, size)
-        return quad.a * r * r + quad.b_coeff * np.cos(theta) * r + quad.c0
+        totals = _power_block(stream.block(j), rho, quad, size, np.empty(size))
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            mean = float(np.mean(totals))
+            totals -= mean
+            np.square(totals, out=totals)
+            return size, mean, float(np.sum(totals))
 
-    totals = np.concatenate(_map_blocks(n, workers, block_fn))
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        mean = float(np.mean(totals))
-        stderr = float(np.std(totals, ddof=1) / math.sqrt(n))
+    (count, mean, m2), *rest = _map_blocks(n, workers, block_fn)
+    for size, block_mean, block_m2 in rest:
+        total = count + size
+        delta = block_mean - mean  # Python floats: inf or nan, never a warning
+        mean += delta * size / total
+        m2 += block_m2 + delta * delta * count * size / total
+        count = total
+    stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     _finite_energy(mean, stderr, f"over placements at rho = {rho:g}")
-    return McReport(n_trials=n, mean_energy=mean, energy_stderr=stderr,
-                    power_samples=totals)
+    return McReport(n_trials=n, mean_energy=mean, energy_stderr=stderr)
 
 
 def ks_distance(samples: np.ndarray, cdf) -> float:

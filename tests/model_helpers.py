@@ -3,18 +3,21 @@
 The package needs none of them: the simulator compares each fading draw with
 ``Link.threshold``, the sampler draws neighbour distances by inverse CDF, and
 the closed forms use ``b_coeff`` directly.  The tests use them to check the
-package against the textbook forms.  ``ks_distance_of_values`` and
-``tanh_sinh_uncached`` are the direct forms of two package routines that skip
-work (``nncc.ks_distance`` evaluates the CDF at a fraction of the samples,
-``nncc.distribution._tanh_sinh`` shares its steps between calls); the tests
-require the package's results to be bitwise equal to them.
+package against the textbook forms.  ``ks_distance_of_values``,
+``tanh_sinh_uncached`` and ``power_samples_by_expression`` are the direct forms
+of three package routines that skip work (``nncc.ks_distance`` evaluates the
+CDF at a fraction of the samples, ``nncc.distribution._tanh_sinh`` shares its
+steps between calls, ``nncc.montecarlo.draw_power_samples`` computes in place
+into one preallocated array); the tests require the package's results to be
+bitwise equal to them.
 """
 
 import math
 
 import numpy as np
 
-from nncc.distribution import _TS_H0, _TS_LEVELS, _TS_T, IntegrationError
+from nncc.distribution import _TS_H0, _TS_LEVELS, _TS_T, IntegrationError, PowerQuadratic
+from nncc.montecarlo import _BLOCK
 
 
 def link_capacity(snr: float, bandwidth: float, gap: float) -> float:
@@ -98,3 +101,15 @@ def tanh_sinh_uncached(f, lo: float, hi: float, atol: float, rtol: float):
         f"quadrature on [{lo!r}, {hi!r}] did not converge within {_TS_LEVELS} halvings "
         f"of the step (estimate {float(value.ravel()[i])!r}, "
         f"change {float(change.ravel()[i])!r})")
+
+
+def power_samples_by_expression(n: int, rho: float, r1: float, params, stream):
+    """``nncc.montecarlo.draw_power_samples`` as one expression per block, concatenated."""
+    quad = PowerQuadratic.from_params(params, r1)
+    blocks = []
+    for j in range((n + _BLOCK - 1) // _BLOCK):
+        rng, size = stream.block(j), min(_BLOCK, n - j * _BLOCK)
+        r = np.sqrt(-np.log1p(-rng.random(size)) / (math.pi * rho))
+        theta = -0.5 * math.pi + 2.0 * math.pi * rng.random(size)
+        blocks.append(quad.a * r * r + quad.b_coeff * np.cos(theta) * r + quad.c0)
+    return np.concatenate(blocks)

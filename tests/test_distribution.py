@@ -29,7 +29,7 @@ from nncc import (Geometry, Link, OutageTargets, ParameterError, SystemParams,
 from nncc import distribution
 from nncc.distribution import _cdf_and_error, _tanh_sinh
 from nncc.experiments import _pdf_integral
-from nncc.montecarlo import RandomStream, sample_power_distribution
+from nncc.montecarlo import RandomStream, draw_power_samples, sample_power_distribution
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -378,8 +378,8 @@ def _small_validate_cdf():
     """Batch CDF at the KS sample of ``validate --seed 7 --trials 10000``."""
     params = validate(SystemParams())
     quad = PowerQuadratic.from_params(params, 2000.0)
-    samples = sample_power_distribution(10_000, params.rho, 2000.0, params,
-                                        RandomStream(7, stream_id=101)).power_samples
+    samples = draw_power_samples(10_000, params.rho, 2000.0, params,
+                                 RandomStream(7, stream_id=101))
     samples.sort()
     return cdf_reference_batch(samples, quad, params.rho)
 

@@ -93,6 +93,34 @@ def test_spec_refuses_swept_variable_fixed_by_config(tmp_path, kind, base):
         spec.resolved()
 
 
+@pytest.mark.parametrize("changes,named", [
+    (dict(var="rho", spacing="log"), "var='rho'"),
+    (dict(var="rho"), "var='rho'"),
+    (dict(spacing="log"), "spacing='log'"),
+], ids=["var-and-spacing", "var", "spacing"])
+def test_figure_spec_refuses_another_axis(tmp_path, monkeypatch, changes, named):
+    """A figure sweeps its preset's axis: another var or spacing is refused,
+    not replaced by the preset's, and nothing is drawn or written."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a Monte Carlo sample was drawn")
+
+    monkeypatch.setattr(mc, "sample_power_distribution", no_draw)
+    monkeypatch.setattr(mc, "estimate_outage", no_draw)
+    out = tmp_path / "x.csv"
+    with pytest.raises(ValueError, match=named):
+        sweep(ExperimentSpec(kind="figure3", n_trials=10_000, out=str(out), **changes))
+    assert not out.exists()
+    # the preset's own axis, given explicitly, is the figure
+    spec = ExperimentSpec(kind="figure5", var="rho", spacing="log", out=str(out))
+    assert spec.resolved() == ExperimentSpec(kind="figure5", out=str(out)).resolved()
+
+
+def test_sweep_spacing_defaults_to_linear(tmp_path):
+    spec = ExperimentSpec(kind="sweep", var="r1", v_min=500.0, v_max=1000.0,
+                          count=3, out=str(tmp_path / "x.csv")).resolved()
+    assert spec.spacing == "linear"
+
+
 def test_resolved_runs_once_per_call(tmp_path, monkeypatch):
     calls = []
     resolved = ExperimentSpec.resolved

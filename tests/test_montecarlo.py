@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from cdf_oracle import cdf_oracle
-from model_helpers import ks_distance_of_values
+from model_helpers import ks_distance_of_values, power_samples_by_expression
 from nncc import (
     Geometry,
     SystemParams,
     Link,
     OutageTargets,
+    ParameterError,
     PowerQuadratic,
     cdf_reference_batch,
     conventional_power,
@@ -24,6 +27,7 @@ from nncc.montecarlo import (
     MIN_TRIALS,
     RandomStream,
     _thresholds,
+    draw_power_samples,
     estimate_outage,
     ks_distance,
     protocol_round,
@@ -225,7 +229,7 @@ def test_sample_power_distribution(dense_params):
     rho, r1 = dense_params.rho, 2000.0
     rep = sample_power_distribution(n, rho, r1, dense_params, RandomStream(48))
     quad = PowerQuadratic.from_params(dense_params, r1)
-    samples = np.sort(rep.power_samples)
+    samples = np.sort(draw_power_samples(n, rho, r1, dense_params, RandomStream(48)))
     assert samples.shape == (n,)
     assert samples[0] >= quad.support_min
     closed = expected_power(quad, rho)
@@ -234,13 +238,89 @@ def test_sample_power_distribution(dense_params):
     assert ks < 0.005
 
 
+@pytest.mark.parametrize("n", [100_003, 1_000_000])  # 100_003: a partial last block
+@pytest.mark.parametrize("rho", [1e-7, 1e-4, 1.0])
+def test_draw_power_samples_bitwise_the_block_expression(n, rho):
+    """The in-place kernel gives the bits of a*r*r + b_coeff*cos(theta)*r + c0."""
+    params = validate(SystemParams(rho=rho))
+    expected = power_samples_by_expression(n, rho, 2000.0, params, RandomStream(52))
+    for workers in (1, 2, 3):
+        drawn = draw_power_samples(n, rho, 2000.0, params, RandomStream(52),
+                                   workers=workers)
+        assert np.array_equal(drawn, expected)
+
+
+@pytest.mark.parametrize("n", [100_003, 1_000_000])
+@pytest.mark.parametrize("rho", [1e-7, 1e-4, 1.0])
+def test_sample_power_distribution_moments_of_the_samples(n, rho):
+    """Block moments merged in block order give the whole sample's mean and spread."""
+    params = validate(SystemParams(rho=rho))
+    rep = sample_power_distribution(n, rho, 2000.0, params, RandomStream(53))
+    samples = draw_power_samples(n, rho, 2000.0, params, RandomStream(53))
+    assert rep.n_trials == n
+    assert rep.mean_energy == pytest.approx(np.mean(samples), rel=1e-12)
+    assert rep.energy_stderr == pytest.approx(
+        np.std(samples, ddof=1) / math.sqrt(n), rel=1e-12)
+
+
 def test_sample_power_distribution_worker_invariance(dense_params):
-    a = sample_power_distribution(120_000, 1e-4, 1500.0, dense_params,
-                                  RandomStream(49), workers=1)
-    b = sample_power_distribution(120_000, 1e-4, 1500.0, dense_params,
-                                  RandomStream(49), workers=3)
-    assert np.array_equal(a.power_samples, b.power_samples)
-    assert a.mean_energy == b.mean_energy and a.energy_stderr == b.energy_stderr
+    reps = [sample_power_distribution(120_000, 1e-4, 1500.0, dense_params,
+                                      RandomStream(49), workers=w) for w in (1, 2, 3)]
+    assert len({(r.mean_energy, r.energy_stderr) for r in reps}) == 1
+
+
+def test_draw_power_samples_worker_invariance(dense_params):
+    """Threads fill disjoint slices of one array: with more workers than cores
+    and frequent thread switches, every block still lands whole in its place."""
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        drawn = [draw_power_samples(1_000_000, 1e-4, 1500.0, dense_params,
+                                    RandomStream(49), workers=w) for w in (1, 2, 3)]
+    finally:
+        sys.setswitchinterval(switch)
+    assert all(np.array_equal(drawn[0], d) for d in drawn[1:])
+
+
+def test_power_sampling_refuses_too_few_trials(dense_params):
+    for fn in (sample_power_distribution, draw_power_samples):
+        with pytest.raises(ValueError, match="too small"):
+            fn(MIN_TRIALS - 1, 1e-4, 1500.0, dense_params, RandomStream(1))
+
+
+def test_sample_power_distribution_spread_overflow_names_rate():
+    """The round totals are finite, but their squared deviations overflow."""
+    params = validate(SystemParams(rate=1.05e9))
+    assert np.isfinite(draw_power_samples(10_000, params.rho, 2000.0, params,
+                                          RandomStream(7))).all()
+    with pytest.raises(ParameterError) as err:
+        sample_power_distribution(10_000, params.rho, 2000.0, params,
+                                  RandomStream(7), workers=2)
+    assert err.value.field == "rate"
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """Peak of the memory numpy and Python allocate during fn, over what was held before."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - held, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_power_sampling_memory(dense_params):
+    """The moments hold about one block per worker, the samples one array."""
+    n, rho, r1 = 1_000_000, dense_params.rho, 2000.0
+    sample_power_distribution(MIN_TRIALS, rho, r1, dense_params, RandomStream(54),
+                              workers=2)  # first-call imports stay out of the peak
+    peak, _ = _traced_peak(sample_power_distribution, n, rho, r1, dense_params,
+                           RandomStream(54), workers=2)
+    assert peak < n * 8 / 4
+    peak, drawn = _traced_peak(draw_power_samples, n, rho, r1, dense_params,
+                               RandomStream(54), workers=2)
+    assert drawn.nbytes == n * 8 and peak < 1.25 * n * 8
 
 
 # --- KS statistic ---------------------------------------------------------------
@@ -349,7 +429,7 @@ def test_ks_distance_engine_cdf_is_bitwise_the_full_statistic(rho, r1, pieces):
     """
     params = validate(SystemParams(rho=rho))
     quad = PowerQuadratic.from_params(params, r1)
-    drawn = sample_power_distribution(20_000, rho, r1, params, RandomStream(51)).power_samples
+    drawn = draw_power_samples(20_000, rho, r1, params, RandomStream(51))
     samples = np.concatenate([drawn, drawn[::50], quad.support_min - np.arange(5.0)])
     samples.sort()
     cdf = lambda p: np.concatenate([cdf_reference_batch(piece, quad, rho)  # noqa: E731
