@@ -163,8 +163,8 @@ def _sweep_row(params: LinearParams, r1: float, r: float | None,
         quad = dist.PowerQuadratic.from_params(params, r1)
         e_nncc = dist.expected_power(quad, params.rho)
         e_conv = dist.expected_power_conventional(params, r1)
-        report = mc.sample_power_distribution(n_trials, params.rho, r1, params,
-                                              stream, workers=workers)
+        [report] = mc.sample_power_distribution(n_trials, [(params.rho, quad)],
+                                                stream, workers=workers)
     return (e_nncc, e_conv, report.mean_energy, report.energy_stderr,
             dist.energy_efficiency(e_nncc, params.rate),
             dist.energy_efficiency(e_conv, params.rate))
@@ -293,18 +293,20 @@ def _distribution_sections(rep: _Report, params: LinearParams,
     rep.add("[c] expected power: closed form vs quadrature vs Monte Carlo")
     sets = [(1e-5, 3000.0), (1e-4, 2000.0), (1e-3, 1000.0),
             (3e-3, 500.0), (1e-2, 150.0)]
-    n_exp = min(n_trials, 1_000_000)
-    for i, (rho_i, r1_i) in enumerate(sets):
-        params_i = params.replace_raw(rho=rho_i)
-        quad_i = dist.PowerQuadratic.from_params(params_i, r1_i)
+    targets = [(rho_i, dist.PowerQuadratic.from_params(params.replace_raw(rho=rho_i),
+                                                       r1_i))
+               for rho_i, r1_i in sets]
+    # one draw serves all five sets (common random numbers), so their Monte
+    # Carlo errors are correlated
+    samps = mc.sample_power_distribution(min(n_trials, 1_000_000), targets,
+                                         mc.RandomStream(seed, stream_id=201),
+                                         workers=workers)
+    for (rho_i, r1_i), (_, quad_i), samp in zip(sets, targets, samps):
         closed = dist.expected_power(quad_i, rho_i)
         by_quad = dist.expected_power_quadrature(quad_i, rho_i)
         rel = abs(closed - by_quad) / closed
         rep.check(f"closed form vs quadrature, rho={_fmt(rho_i)} r1={_fmt(r1_i)}",
                   rel, 1e-9)
-        samp = mc.sample_power_distribution(n_exp, rho_i, r1_i, params_i,
-                                            mc.RandomStream(seed, stream_id=201 + i),
-                                            workers=workers)
         rep.check_z(f"Monte Carlo mean, rho={_fmt(rho_i)} r1={_fmt(r1_i)}",
                     samp.mean_energy, closed, samp.energy_stderr)
 

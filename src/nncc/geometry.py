@@ -50,7 +50,28 @@ def partner_distance_to_bs(r1, r, theta):
     return out if out.ndim else float(out)
 
 
-def sample_nn_geometries(rng: np.random.Generator, rho: float, n: int):
+def require_density(rho) -> None:
+    """Handset density must be finite and > 0 (handsets per square meter)."""
+    if not (math.isfinite(rho) and rho > 0):
+        raise ParameterError("rho", f"must be finite and > 0, got {rho!r}")
+
+
+def nn_distance(area, rho: float, out=None):
+    """Nearest-neighbor distance r = sqrt(area/(pi*rho)) of a unit-density area.
+
+    ``area`` is pi*rho*r^2, an Exp(1) draw that does not depend on rho, so
+    the areas of one draw give the neighbor distances at any density.
+    Accepts a scalar (giving a float) or an array; ``out`` may be the array
+    ``area`` itself, or another array of its shape.
+    """
+    require_density(rho)
+    r = np.divide(area, math.pi * rho, out=out)
+    if not isinstance(r, np.ndarray):
+        return math.sqrt(r)
+    return np.sqrt(r, out=r)
+
+
+def sample_nn_geometries(rng: np.random.Generator, rho: float | None, n: int):
     """Vectorized sampler: returns arrays (r, theta) of length n.
 
     Neighbor distances are drawn by inverse CDF, one uniform per draw:
@@ -58,18 +79,23 @@ def sample_nn_geometries(rng: np.random.Generator, rho: float, n: int):
     representable u.  Bearings are uniform on [-pi/2, 3*pi/2).  Draw order
     (all r first, then all theta) is part of the reproducibility contract for
     a given generator state.
+
+    With ``rho=None`` the first array is the unit-density area
+    -log(1-u) instead of r, the part of the draw that does not depend on rho;
+    ``nn_distance(area, rho)`` gives the same bits as r.  One draw then
+    serves every density (common random numbers).
     """
-    if not (math.isfinite(rho) and rho > 0):
-        raise ParameterError("rho", f"must be finite and > 0, got {rho!r}")
+    if rho is not None:
+        require_density(rho)
     # each step in place on one buffer; the same operations, in the same
-    # order, as sqrt(-log1p(-u) / (pi*rho)) and -pi/2 + 2*pi*u
-    r = rng.random(n)
-    np.negative(r, out=r)
-    np.log1p(r, out=r)
-    np.negative(r, out=r)
-    r /= math.pi * rho
-    np.sqrt(r, out=r)
+    # order, as -log1p(-u) and -pi/2 + 2*pi*u
+    area = rng.random(n)
+    np.negative(area, out=area)
+    np.log1p(area, out=area)
+    np.negative(area, out=area)
     theta = rng.random(n)
     theta *= 2.0 * math.pi
     theta += -0.5 * math.pi
-    return r, theta
+    if rho is None:
+        return area, theta
+    return nn_distance(area, rho, out=area), theta

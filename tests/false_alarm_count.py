@@ -1,0 +1,79 @@
+"""Count the runs and checks of ``validate`` that fail on a correct program.
+
+Hand-run; pytest does not collect it.  From the repository root:
+
+    PYTHONPATH=src python3 tests/false_alarm_count.py --seeds 0-999 --trials 10000
+
+Every seed writes one in-process ``validate`` report (default parameters) to
+a temporary directory.  A failure of a correct program is a false alarm: a
+|z| <= 3 check that fires by chance, so the counts estimate ``validate``'s
+false-alarm rate.  The five section [c] Monte Carlo means share one placement
+draw, so their failures are correlated and are also counted by run.  The
+last line of standard output is one JSON object with the counts.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import json
+import os
+import re
+import sys
+import tempfile
+import time
+
+from nncc.experiments import ExperimentSpec, validate_report
+
+SECTION_C = ("closed form vs quadrature", "Monte Carlo mean")
+
+
+def _seed_range(text: str) -> range:
+    lo, _, hi = text.partition("-")
+    return range(int(lo), int(hi or lo) + 1)
+
+
+def count(seeds: range, trials: int, workers: int) -> dict:
+    """Failing runs, runs with a section [c] failure, and failures per check."""
+    failed_runs = section_c_runs = 0
+    by_check = collections.Counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.txt")
+        for seed in seeds:
+            _, ok = validate_report(ExperimentSpec(kind="validate", out=out, seed=seed,
+                                                   n_trials=trials, workers=workers))
+            if ok:
+                continue
+            with open(out, encoding="utf-8") as fh:
+                names = re.findall(r"^  FAIL (.*?): ", fh.read(), flags=re.MULTILINE)
+            failed_runs += 1
+            section_c_runs += any(name.startswith(SECTION_C) for name in names)
+            by_check.update(names)
+    return {"seeds": f"{seeds.start}-{seeds.stop - 1}", "trials": trials,
+            "runs": len(seeds), "failed_runs": failed_runs,
+            "section_c_runs": section_c_runs,
+            "failed_checks": sum(by_check.values()),
+            "by_check": dict(sorted(by_check.items()))}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=_seed_range, default=_seed_range("0-999"),
+                        help="inclusive seed range, e.g. 0-999")
+    parser.add_argument("--trials", type=int, default=10_000)
+    parser.add_argument("--workers", type=int, default=1)
+    args = parser.parse_args(argv)
+    start = time.perf_counter()
+    result = count(args.seeds, args.trials, args.workers)
+    print(f"{result['failed_runs']} of {result['runs']} runs failed, "
+          f"{result['section_c_runs']} with a section [c] failure, "
+          f"{result['failed_checks']} failing checks "
+          f"({time.perf_counter() - start:.0f} s)", file=sys.stderr)
+    for name, n in result["by_check"].items():
+        print(f"  {n:4d}  {name}", file=sys.stderr)
+    print(json.dumps(result))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,16 +7,16 @@ package against the textbook forms.  ``ks_distance_of_values``,
 ``tanh_sinh_uncached`` and ``power_samples_by_expression`` are the direct forms
 of three package routines that skip work (``nncc.ks_distance`` evaluates the
 CDF at a fraction of the samples, ``nncc.distribution._tanh_sinh`` shares its
-steps between calls, ``nncc.montecarlo.draw_power_samples`` computes in place
-into one preallocated array); the tests require the package's results to be
-bitwise equal to them.
+steps between calls, ``nncc.montecarlo``'s block kernel computes in place and
+shares one placement draw between targets); the tests require the package's
+results to be bitwise equal to them.
 """
 
 import math
 
 import numpy as np
 
-from nncc.distribution import _TS_H0, _TS_LEVELS, _TS_T, IntegrationError, PowerQuadratic
+from nncc.distribution import _TS_H0, _TS_LEVELS, _TS_T, IntegrationError
 from nncc.montecarlo import _BLOCK
 
 
@@ -103,13 +103,19 @@ def tanh_sinh_uncached(f, lo: float, hi: float, atol: float, rtol: float):
         f"change {float(change.ravel()[i])!r})")
 
 
-def power_samples_by_expression(n: int, rho: float, r1: float, params, stream):
-    """``nncc.montecarlo.draw_power_samples`` as one expression per block, concatenated."""
-    quad = PowerQuadratic.from_params(params, r1)
-    blocks = []
+def power_samples_by_expression(n: int, targets, stream):
+    """The block kernel of ``nncc.montecarlo`` as one expression per block.
+
+    Each block draws the unit-density areas s = -log(1-u) and the bearings
+    once, and every ``(rho, quad)`` target takes r = sqrt(s/(pi*rho)) from
+    them.  Returns one array of n round totals per target, in draw order.
+    """
+    blocks = [[] for _ in targets]
     for j in range((n + _BLOCK - 1) // _BLOCK):
         rng, size = stream.block(j), min(_BLOCK, n - j * _BLOCK)
-        r = np.sqrt(-np.log1p(-rng.random(size)) / (math.pi * rho))
+        area = -np.log1p(-rng.random(size))
         theta = -0.5 * math.pi + 2.0 * math.pi * rng.random(size)
-        blocks.append(quad.a * r * r + quad.b_coeff * np.cos(theta) * r + quad.c0)
-    return np.concatenate(blocks)
+        for out, (rho, quad) in zip(blocks, targets):
+            r = np.sqrt(area / (math.pi * rho))
+            out.append(quad.a * r * r + quad.b_coeff * np.cos(theta) * r + quad.c0)
+    return [np.concatenate(out) for out in blocks]

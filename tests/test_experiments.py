@@ -349,6 +349,26 @@ def test_validate_report_flags_tampered_eta(tmp_path, monkeypatch):
     assert "FAIL total vs quadratic-form" in text
 
 
+def test_validate_report_fails_every_mean_on_a_longer_neighbor_distance(tmp_path,
+                                                                       monkeypatch):
+    """A 3 % longer neighbour distance reaches every target of section [c]'s draw."""
+    exact = mc.nn_distance
+
+    def longer(area, rho, out=None):
+        r = exact(area, rho, out=out)
+        r *= 1.03
+        return r
+
+    monkeypatch.setattr(mc, "nn_distance", longer)
+    path = tmp_path / "v.txt"
+    _, ok = validate_report(ExperimentSpec(kind="validate", out=str(path), seed=7,
+                                           n_trials=10_000))
+    assert not ok
+    means = re.findall(r"^  (PASS|FAIL) Monte Carlo mean, ",
+                       path.read_text(encoding="utf-8"), flags=re.MULTILINE)
+    assert means == ["FAIL"] * 5
+
+
 # --- CLI ------------------------------------------------------------------------
 
 def test_cli_figure(tmp_path, capsys):

@@ -11,6 +11,7 @@ from nncc import (
     partner_distance_to_bs,
     sample_nn_geometries,
 )
+from nncc.geometry import nn_distance
 from nncc.montecarlo import RandomStream
 
 
@@ -96,6 +97,20 @@ def test_sampling_reproducible():
 def test_sampler_rejects_bad_rho(rho):
     with pytest.raises(ParameterError, match="rho"):
         sample_nn_geometries(RandomStream(1).block(0), rho, 4)
+    with pytest.raises(ParameterError, match="rho"):
+        nn_distance(np.ones(4), rho)
+
+
+@pytest.mark.parametrize("rho", [1e-7, 1e-4, 1.0])
+def test_density_free_draw_gives_the_distances_at_any_density(rho):
+    """The areas of a rho=None draw give the bits of a draw at rho, in place or not."""
+    area, theta = sample_nn_geometries(RandomStream(14).block(0), None, 1000)
+    r, theta_at_rho = sample_nn_geometries(RandomStream(14).block(0), rho, 1000)
+    assert np.array_equal(theta, theta_at_rho)
+    assert np.array_equal(nn_distance(area, rho), r)
+    assert nn_distance(float(area[0]), rho) == r[0]
+    assert nn_distance(area, rho, out=area) is area
+    assert np.array_equal(area, r)
 
 
 def test_empirical_mean_distance():
