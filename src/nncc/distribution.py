@@ -46,9 +46,13 @@ half*tanh(pi/2*sinh(t)), the trapezoid rule in t on [-3.5, 3.5] starts at
 step 1/2 and halves the step, reusing its nodes, until |T_h/2 - T_h| plus
 the two end terms (the truncation estimate) is at most atol + rtol*|T_h/2|.
 A sum that is not finite has not converged; past ``_TS_LEVELS`` = 7
-halvings (1793 nodes) it raises ``IntegrationError``.  The steps, and the
-factors of each node and weight that do not depend on the interval, are
-computed once at import (``_TS_RULE``) and shared by every call.
+halvings (1793 nodes) it raises ``IntegrationError`` naming the interval.
+The steps, and the factors of each node and weight that do not depend on the
+interval, are computed once at import (``_TS_RULE``) and shared by every
+call.  One call takes a batch of intervals (the five sets of the mean, the
+density's two branches) through one doubling loop: each interval stops on its
+own test, once all of its entries meet it, and a frozen interval is not
+evaluated again, so each gets the bits of a call on it alone.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .geometry import require_density
 from .params import LinearParams, ParameterError
 from . import powermodel
 
@@ -109,26 +114,42 @@ def _ts_rule():
 _TS_RULE = _ts_rule()
 
 
-def _tanh_sinh(f, lo: float, hi: float, atol: float, rtol: float):
+def _tanh_sinh(f, lo, hi, atol: float, rtol: float):
     """Integral of ``f`` over [lo, hi] by the doubling tanh-sinh rule.
 
-    ``f`` maps a 1-D array of abscissae to values whose last axis runs over
-    them; the result has the shape of the other axes (a float for 1-D
-    values), and every entry must meet the stop test of the module docstring.
+    With float ``lo`` and ``hi``, ``f`` maps a 1-D array of abscissae to
+    values whose last axis runs over them; the result has the shape of the
+    other axes (a float for 1-D values), and every entry must meet the stop
+    test of the module docstring.  With 1-D arrays of m intervals, ``f(x, live)``
+    takes the abscissae ``x`` of the intervals ``live`` (integer indices),
+    one row each, and returns values of shape (len(live), entries..., nodes);
+    the result has shape (m, entries...).  Each interval stops on its own
+    test, is not evaluated again, and gets the bits of a call on it alone.
     """
-    half = 0.5 * (hi - lo)
+    batch = np.ndim(lo) > 0 or np.ndim(hi) > 0
+    if not batch:
+        def f(x, live, one=f):  # the batch of one
+            return one(x[0])[None]
+    lo_all, hi_all = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
+                                         np.atleast_1d(np.asarray(hi, dtype=float)))
+    # the intervals still going, their ends as columns, and their half widths
+    live, lo_live, hi_live = np.arange(lo_all.size), lo_all[:, None], hi_all[:, None]
+    half = 0.5 * (hi_live - lo_live)
 
     def terms(level):  # f times dx/dt at one level's steps; each node is the nearer
         # endpoint -+ its distance from it, so nodes near lo = 0 keep their digits
         negative, unit, cosh, e, square = _TS_RULE[level]
         dist = half * unit
-        return (f(np.where(negative, lo + dist, hi - dist))
-                * (half * 2.0 * math.pi * cosh * e / square))
+        values = f(np.where(negative, lo_live + dist, hi_live - dist), live)
+        weights = half * 2.0 * math.pi * cosh * e / square
+        return values * weights.reshape(weights.shape[:1] + (1,) * (values.ndim - 2)
+                                        + weights.shape[1:])
 
     h = _TS_H0
     g = terms(0)
     total, ends = g.sum(axis=-1), np.abs(g[..., 0]) + np.abs(g[..., -1])
     value = h * total
+    result = np.empty_like(value)
     for level in range(1, _TS_LEVELS + 1):
         total = total + terms(level).sum(axis=-1)
         h = 0.5 * h
@@ -137,13 +158,24 @@ def _tanh_sinh(f, lo: float, hi: float, atol: float, rtol: float):
             change = np.abs(finer - value) + h * ends
         value = finer
         unmet = ~((change <= atol + rtol * np.abs(value)) & np.isfinite(value))
-        if not unmet.any():
-            return value if value.ndim else float(value)
-    i = np.argmax(unmet.ravel())
+        going = unmet.reshape(live.size, -1).any(axis=1)
+        if going.all():
+            continue
+        result[live[~going]] = value[~going]
+        if not going.any():
+            if batch:
+                return result
+            return result[0] if result.ndim > 1 else float(result[0])
+        # freeze the intervals that met the test: f never sees them again
+        live, lo_live, hi_live, half, total, value, ends, change, unmet = (
+            x[going] for x in (live, lo_live, hi_live, half, total, value, ends, change, unmet))
+    # the first interval still going, at its first entry that failed the test
+    i, j = live[0], np.argmax(unmet[0].ravel())
+    bounds = (lo, hi) if not batch else (float(lo_all[i]), float(hi_all[i]))
     raise IntegrationError(
-        f"quadrature on [{lo!r}, {hi!r}] did not converge within {_TS_LEVELS} halvings "
-        f"of the step (estimate {float(value.ravel()[i])!r}, "
-        f"change {float(change.ravel()[i])!r})")
+        f"quadrature on [{bounds[0]!r}, {bounds[1]!r}] did not converge within "
+        f"{_TS_LEVELS} halvings of the step (estimate {float(value[0].ravel()[j])!r}, "
+        f"change {float(change[0].ravel()[j])!r})")
 
 
 @dataclass(frozen=True)
@@ -328,8 +360,7 @@ def _branch(p: np.ndarray, quad: PowerQuadratic, rho: float, upper: bool, n_node
 def _integrate(p_values, quad: PowerQuadratic, rho: float, f: _Integrand,
                n_nodes: int = 8) -> tuple[np.ndarray, np.ndarray]:
     """``_branch`` over chunks of points of any shape, 0 below the support."""
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho!r}")
+    require_density(rho)
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes!r}")
     p_values = np.asarray(p_values, dtype=float)
@@ -400,30 +431,46 @@ def pdf_branch_form(p, quad: PowerQuadratic, rho: float):
     return values if values.ndim else float(values)
 
 
-def expected_power(quad: PowerQuadratic, rho: float) -> float:
+def expected_power(quad: PowerQuadratic, rho):
     """Mean round total over the PPP, from the closed-form moments.
 
     The neighbor-distance second moment is 1/(pi*rho), the bearing cosine
-    averages to zero, so the mean is a/(pi*rho) + c0.
+    averages to zero, so the mean is a/(pi*rho) + c0.  Array coefficients and
+    densities give the mean of each set, element-wise.
     """
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho!r}")
+    require_density(rho)
     return quad.a / (math.pi * rho) + quad.c0
 
 
-def expected_power_quadrature(quad: PowerQuadratic, rho: float) -> float:
-    """Mean round total by nested 2-D quadrature; independent of the moments."""
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho!r}")
-    r_max = math.sqrt(40.0 / (math.pi * rho))  # PPP tail mass < 1e-16
+def expected_power_quadrature(quad: PowerQuadratic, rho):
+    """Mean round total by nested 2-D quadrature; independent of the moments.
 
-    def inner(theta):  # one row per bearing
-        b = quad.b_coeff * np.cos(theta)[:, None]
-        return _tanh_sinh(lambda r: (quad.a * r * r + b * r + quad.c0)
-                          * (rho * r * np.exp(-math.pi * rho * r * r)),
-                          0.0, r_max, 0.0, _MEAN_EPSREL)
+    The coefficients and ``rho`` may be arrays, one entry per set, giving an
+    array of means (floats give a float).  One outer tanh-sinh call takes
+    every set's bearing interval; at each of its levels one inner call takes
+    the distance interval [0, r_max] of each set still going, with that set's
+    new bearings as its rows.  Each set's mean has the bits of a call on it
+    alone.
+    """
+    require_density(rho)
+    shape = np.broadcast(quad.a, quad.b_coeff, quad.c0, rho).shape
+    a, b_coeff, c0, rho = (np.broadcast_to(np.asarray(x, dtype=float), shape).ravel()
+                           for x in (quad.a, quad.b_coeff, quad.c0, rho))
+    r_max = np.sqrt(40.0 / (math.pi * rho))  # PPP tail mass < 1e-16
 
-    return _tanh_sinh(inner, -0.5 * math.pi, 1.5 * math.pi, 0.0, _MEAN_EPSREL)
+    def inner(theta, sets):  # one row per set, one column per bearing
+        b = b_coeff[sets, None] * np.cos(theta)
+
+        def integrand(r, rows):  # (rows, bearings, nodes)
+            s, r = sets[rows, None, None], r[:, None, :]
+            return ((a[s] * r * r + b[rows, :, None] * r + c0[s])
+                    * (rho[s] * r * np.exp(-math.pi * rho[s] * r * r)))
+
+        return _tanh_sinh(integrand, np.zeros(sets.size), r_max[sets], 0.0, _MEAN_EPSREL)
+
+    means = _tanh_sinh(inner, np.full(a.size, -0.5 * math.pi),
+                       np.full(a.size, 1.5 * math.pi), 0.0, _MEAN_EPSREL)
+    return means.reshape(shape) if shape else float(means[0])
 
 
 def expected_power_conventional(params: LinearParams, r1: float) -> float:
@@ -462,7 +509,6 @@ def support_upper(quad: PowerQuadratic, rho: float, tail: float = 1e-6) -> float
     """
     if not 0.0 < tail < 1.0:
         raise ValueError(f"tail must lie in (0, 1), got {tail!r}")
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho!r}")
+    require_density(rho)
     r_t = math.sqrt(-math.log(tail) / (math.pi * rho))
     return quad.c0 + (quad.a * r_t + quad.b_coeff) * r_t

@@ -268,10 +268,9 @@ def _closure_section(rep: _Report, params: LinearParams, seed: int,
               detail="(10000 random placements)")
 
 
-def _distribution_sections(rep: _Report, params: LinearParams,
-                           quad: dist.PowerQuadratic, r1: float,
-                           n_trials: int, seed: int, workers: int) -> None:
-    """Sections [b] and [c]."""
+def _distribution_section(rep: _Report, params: LinearParams,
+                          quad: dist.PowerQuadratic, r1: float,
+                          n_trials: int, seed: int, workers: int) -> None:
     rho = params.rho
     rep.add(f"[b] power distribution vs Monte Carlo (rho = {_fmt(rho)}, "
             f"r1 = {_fmt(r1)})")
@@ -290,59 +289,66 @@ def _distribution_sections(rep: _Report, params: LinearParams,
     rep.info("reference CDF at sample median - 0.5",
              _fmt(cdf(samples[n_trials // 2]) - 0.5))
 
+
+def _expected_power_section(rep: _Report, coeff: powermodel.PowerCoefficients,
+                            eps_total: float, n_trials: int, seed: int,
+                            workers: int) -> None:
     rep.add("[c] expected power: closed form vs quadrature vs Monte Carlo")
-    sets = [(1e-5, 3000.0), (1e-4, 2000.0), (1e-3, 1000.0),
-            (3e-3, 500.0), (1e-2, 150.0)]
-    targets = [(rho_i, dist.PowerQuadratic.from_params(params.replace_raw(rho=rho_i),
-                                                       r1_i))
-               for rho_i, r1_i in sets]
+    rhos = np.array([1e-5, 1e-4, 1e-3, 3e-3, 1e-2])
+    r1s = np.array([3000.0, 2000.0, 1000.0, 500.0, 150.0])
+    # the coefficients do not depend on rho, so one array quadratic holds all sets
+    quads = dist.PowerQuadratic.from_coefficients(coeff, eps_total, r1s)
+    closed = dist.expected_power(quads, rhos)
+    by_quad = dist.expected_power_quadrature(quads, rhos)
     # one draw serves all five sets (common random numbers), so their Monte
     # Carlo errors are correlated
+    targets = [(rho_i, dist.PowerQuadratic(quads.a, b_i, c0_i)) for rho_i, b_i, c0_i
+               in zip(rhos.tolist(), quads.b_coeff.tolist(), quads.c0.tolist())]
     samps = mc.sample_power_distribution(min(n_trials, 1_000_000), targets,
                                          mc.RandomStream(seed, stream_id=201),
                                          workers=workers)
-    for (rho_i, r1_i), (_, quad_i), samp in zip(sets, targets, samps):
-        closed = dist.expected_power(quad_i, rho_i)
-        by_quad = dist.expected_power_quadrature(quad_i, rho_i)
-        rel = abs(closed - by_quad) / closed
-        rep.check(f"closed form vs quadrature, rho={_fmt(rho_i)} r1={_fmt(r1_i)}",
-                  rel, 1e-9)
-        rep.check_z(f"Monte Carlo mean, rho={_fmt(rho_i)} r1={_fmt(r1_i)}",
-                    samp.mean_energy, closed, samp.energy_stderr)
+    for rho_i, r1_i, closed_i, by_quad_i, samp in zip(rhos, r1s, closed, by_quad, samps):
+        label = f"rho={_fmt(rho_i)} r1={_fmt(r1_i)}"
+        rep.check(f"closed form vs quadrature, {label}",
+                  abs(closed_i - by_quad_i) / closed_i, 1e-9)
+        rep.check_z(f"Monte Carlo mean, {label}", samp.mean_energy, closed_i,
+                    samp.energy_stderr)
 
 
 def _branch_form_section(rep: _Report, quad: dist.PowerQuadratic, rho: float) -> None:
     rep.add("[e] two-branch distribution expressions vs the reference")
+    c0 = quad.c0
     result_grid = np.geomspace(quad.support_min, dist.support_upper(quad, rho), 192)
-    # the upper CDF branch is the reference plus F(c0)
-    rep.info("upper-branch additive boundary term",
-             _fmt(dist.cdf_reference_batch(quad.c0, quad, rho)))
     p_hi = dist.support_upper(quad, rho, tail=1e-9)
-    pdf_q1 = _pdf_integral(quad, rho, quad.support_min, quad.c0)
-    pdf_q2 = _pdf_integral(quad, rho, quad.c0, p_hi)
+    # the density's integral over Q1 and Q2, one interval each
+    pdf_q1, pdf_q2 = dist._tanh_sinh(lambda p, live: dist.pdf_branch_form(p, quad, rho),
+                                     np.array([quad.support_min, c0]),
+                                     np.array([c0, p_hi]), atol=1e-10, rtol=1e-8)
+    # central finite differences of the reference CDF against the density, at
+    # up to 50 grid points; F(c0) and every CDF point in one call, the
+    # junction pair and every density point in another
+    interior = result_grid[(result_grid > c0 * (1.0 + 1e-3))][:50]
+    h = (result_grid[-1] - c0) * 1e-5
+    eps_p = 1e-9 * c0
+    cdf = dist.cdf_reference_batch(np.concatenate(([c0], interior + h, interior - h)),
+                                   quad, rho)
+    pdf = dist.pdf_branch_form(np.concatenate(([c0 - eps_p, c0 + eps_p], interior)),
+                               quad, rho)
+
+    # the upper CDF branch is the reference plus F(c0)
+    rep.info("upper-branch additive boundary term", _fmt(float(cdf[0])))
     rep.info("integral of branch-form PDF over support - 1",
              f"{_fmt(pdf_q1 + pdf_q2 - 1.0)} (upper limit p = {_fmt(p_hi)})")
-    eps_p = 1e-9 * quad.c0
-    below, above = dist.pdf_branch_form(quad.c0 + np.array([-eps_p, eps_p]), quad, rho)
+    below, above = pdf[:2]
     rep.info("PDF one-sided limits at the branch junction",
              f"below = {_fmt(below)}, above = {_fmt(above)}, "
              f"rel gap = {_fmt(abs(above - below) / max(above, below))}")
-    # central finite differences of the reference CDF against the density
-    interior = result_grid[(result_grid > quad.c0 * (1.0 + 1e-3))][:50]
     name = "max |finite-difference CDF slope - PDF| (50 interior points)"
     if interior.size == 0:  # the support ends within 1e-3 of c0
         rep.info(name, "n/a (no grid point above c0 * (1 + 1e-3))")
         return
-    h = (result_grid[-1] - quad.c0) * 1e-5
-    slope = (dist.cdf_reference_batch(interior + h, quad, rho)
-             - dist.cdf_reference_batch(interior - h, quad, rho)) / (2 * h)
-    fd_gap = np.max(np.abs(slope - dist.pdf_branch_form(interior, quad, rho)))
-    rep.info(name, _fmt(float(fd_gap)))
-
-
-def _pdf_integral(quad, rho, lo, hi):
-    return dist._tanh_sinh(lambda p: dist.pdf_branch_form(p, quad, rho), lo, hi,
-                           atol=1e-10, rtol=1e-8)
+    slope = (cdf[1:interior.size + 1] - cdf[interior.size + 1:]) / (2 * h)
+    rep.info(name, _fmt(float(np.max(np.abs(slope - pdf[2:])))))
 
 
 def _protocol_section(rep: _Report, params: LinearParams, r1: float, r: float,
@@ -398,7 +404,8 @@ def validate_report(spec: ExperimentSpec) -> tuple[str, bool]:
     quad = dist.PowerQuadratic.from_coefficients(coeff, eps_total, r1)
 
     _closure_section(rep, params, spec.seed, coeff)
-    _distribution_sections(rep, params, quad, r1, spec.n_trials, spec.seed, spec.workers)
+    _distribution_section(rep, params, quad, r1, spec.n_trials, spec.seed, spec.workers)
+    _expected_power_section(rep, coeff, eps_total, spec.n_trials, spec.seed, spec.workers)
     _protocol_section(rep, params, r1, r, spec.n_trials, spec.seed, spec.workers)
     _branch_form_section(rep, quad, params.rho)
 

@@ -51,8 +51,15 @@ def partner_distance_to_bs(r1, r, theta):
 
 
 def require_density(rho) -> None:
-    """Handset density must be finite and > 0 (handsets per square meter)."""
-    if not (math.isfinite(rho) and rho > 0):
+    """Handset density must be finite and > 0 (handsets per square meter).
+
+    An array of densities is checked element-wise.
+    """
+    if isinstance(rho, np.ndarray):
+        ok = bool(np.all(np.isfinite(rho) & (rho > 0)))
+    else:  # the scalar test stays cheap: samplers call it per block and target
+        ok = math.isfinite(rho) and rho > 0
+    if not ok:
         raise ParameterError("rho", f"must be finite and > 0, got {rho!r}")
 
 

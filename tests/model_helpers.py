@@ -4,19 +4,21 @@ The package needs none of them: the simulator compares each fading draw with
 ``Link.threshold``, the sampler draws neighbour distances by inverse CDF, and
 the closed forms use ``b_coeff`` directly.  The tests use them to check the
 package against the textbook forms.  ``ks_distance_of_values``,
-``tanh_sinh_uncached`` and ``power_samples_by_expression`` are the direct forms
-of three package routines that skip work (``nncc.ks_distance`` evaluates the
-CDF at a fraction of the samples, ``nncc.distribution._tanh_sinh`` shares its
-steps between calls, ``nncc.montecarlo``'s block kernel computes in place and
-shares one placement draw between targets); the tests require the package's
-results to be bitwise equal to them.
+``tanh_sinh_uncached``, ``mean_quadrature_per_call`` and
+``power_samples_by_expression`` are the direct forms of package routines that
+skip work (``nncc.ks_distance`` evaluates the CDF at a fraction of the
+samples, ``nncc.distribution._tanh_sinh`` shares its steps between calls and
+integrates a batch of intervals at once, ``nncc.montecarlo``'s block kernel
+computes in place and shares one placement draw between targets); the tests
+require the package's results to be bitwise equal to them.
 """
 
 import math
 
 import numpy as np
 
-from nncc.distribution import _TS_H0, _TS_LEVELS, _TS_T, IntegrationError
+from nncc.distribution import (_MEAN_EPSREL, _TS_H0, _TS_LEVELS, _TS_T,
+                               IntegrationError)
 from nncc.montecarlo import _BLOCK
 
 
@@ -101,6 +103,19 @@ def tanh_sinh_uncached(f, lo: float, hi: float, atol: float, rtol: float):
         f"quadrature on [{lo!r}, {hi!r}] did not converge within {_TS_LEVELS} halvings "
         f"of the step (estimate {float(value.ravel()[i])!r}, "
         f"change {float(change.ravel()[i])!r})")
+
+
+def mean_quadrature_per_call(quad, rho: float) -> float:
+    """``nncc.expected_power_quadrature`` for one set, one interval per rule call."""
+    r_max = math.sqrt(40.0 / (math.pi * rho))
+
+    def inner(theta):  # one row per bearing
+        b = quad.b_coeff * np.cos(theta)[:, None]
+        return tanh_sinh_uncached(lambda r: (quad.a * r * r + b * r + quad.c0)
+                                  * (rho * r * np.exp(-math.pi * rho * r * r)),
+                                  0.0, r_max, 0.0, _MEAN_EPSREL)
+
+    return tanh_sinh_uncached(inner, -0.5 * math.pi, 1.5 * math.pi, 0.0, _MEAN_EPSREL)
 
 
 def power_samples_by_expression(n: int, targets, stream):

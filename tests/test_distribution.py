@@ -11,7 +11,7 @@ from scipy import integrate
 
 from cdf_oracle import (branch_form_cdf, cdf_oracle, pdf_integral_oracle, pdf_oracle,
                         quantile_oracle)
-from model_helpers import b_of, tanh_sinh_uncached
+from model_helpers import b_of, mean_quadrature_per_call, tanh_sinh_uncached
 from nncc import (
     IntegrationError,
     PowerQuadratic,
@@ -23,12 +23,11 @@ from nncc import (
     pdf_branch_form,
     support_upper,
 )
-from nncc import (Geometry, Link, OutageTargets, ParameterError, SystemParams,
-                  nncc_power_breakdown, partner_distance_to_bs, sample_nn_geometries,
-                  validate)
+from nncc import (ExperimentSpec, Geometry, Link, OutageTargets, ParameterError,
+                  SystemParams, nncc_power_breakdown, partner_distance_to_bs,
+                  power_coefficients, sample_nn_geometries, validate, validate_report)
 from nncc import distribution
 from nncc.distribution import _cdf_and_error, _tanh_sinh
-from nncc.experiments import _pdf_integral
 from nncc.montecarlo import RandomStream, draw_power_samples, sample_power_distribution
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -280,7 +279,7 @@ def test_support_upper_bounds_the_tail(rho, r1, tail, bad_tail, bad_rho):
     assert bound - quad.c0 <= 1.25 * (quantile_oracle(quad, rho, tail) - quad.c0)
     with pytest.raises(ValueError, match="tail must lie in"):
         support_upper(quad, rho, bad_tail)
-    with pytest.raises(ValueError, match="rho must be"):
+    with pytest.raises(ValueError, match="rho: must be"):
         support_upper(quad, bad_rho, tail)
 
 
@@ -605,7 +604,7 @@ def test_tanh_sinh_non_finite_sum_raises_without_warning():
         _tanh_sinh(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0, 1e-12, 1e-12)
 
 
-def test_tanh_sinh_shared_rule_is_bitwise_the_per_call_rule(dense_params, monkeypatch):
+def test_tanh_sinh_shared_rule_is_bitwise_the_per_call_rule():
     """The steps shared between calls give the bits of steps computed per call."""
     cases = [(np.exp, 0.0, 1.0, 0.0, 1e-13), (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 0.0, 1e-10),
              (np.log, 0.0, 1.0, 0.0, 1e-10), (np.cos, -0.3, 7.1, 1e-12, 0.0),
@@ -619,17 +618,110 @@ def test_tanh_sinh_shared_rule_is_bitwise_the_per_call_rule(dense_params, monkey
         with pytest.raises(IntegrationError) as per_call:
             tanh_sinh_uncached(*case)
         assert str(shared.value) == str(per_call.value)
-    # the two production callers: the nested mean and the density's integral
-    quad = PowerQuadratic.from_params(dense_params, 1500.0)
-    rho = dense_params.rho
-    shared = (expected_power_quadrature(quad, rho),
-              _pdf_integral(quad, rho, quad.support_min, quad.c0),
-              _pdf_integral(quad, rho, quad.c0, support_upper(quad, rho, tail=1e-9)))
-    monkeypatch.setattr(distribution, "_tanh_sinh", tanh_sinh_uncached)
-    per_call = (expected_power_quadrature(quad, rho),
-                _pdf_integral(quad, rho, quad.support_min, quad.c0),
-                _pdf_integral(quad, rho, quad.c0, support_upper(quad, rho, tail=1e-9)))
-    assert shared == per_call
+
+
+def _alone(f, i):
+    """Interval ``i`` of the batch integrand ``f`` as a one-interval integrand."""
+    return lambda x: f(x[None], np.array([i]))[0]
+
+
+def test_tanh_sinh_batch_is_bitwise_each_interval_alone():
+    """Intervals that stop at different levels each get their per-call bits."""
+    lo = np.array([0.0, 0.0, -0.3, 1.0, 0.0, 2.0])
+    hi = np.array([1.0, 1.0, 7.1, 4.0, 30.0, 2.5])
+    rate = np.array([1.0, -0.5, 0.3, 2.0, -1.0, 0.0])
+    power = np.array([-0.5, 0.0, 0.0, 2.0, 0.5, 0.0])
+    rows = np.array([[1.0, 2.0, -3.0]]) ** np.arange(6)[:, None]  # three entries each
+    seen = []
+
+    def f(x, live):  # (intervals, entries, nodes)
+        seen.append(set(live))
+        return (rows[live][:, :, None] * (x ** power[live, None]
+                                           * np.exp(rate[live, None] * x))[:, None, :])
+
+    batch = _tanh_sinh(f, lo, hi, 0.0, 1e-12)
+    assert batch.shape == (6, 3)
+    # a frozen interval never comes back
+    assert all(after <= before for before, after in zip(seen, seen[1:]))
+    calls = [sum(i in live for live in seen) for i in range(6)]
+    assert len(set(calls)) >= 3
+    for i in range(6):
+        del seen[:]
+        assert np.array_equal(batch[i],
+                              tanh_sinh_uncached(_alone(f, i), lo[i], hi[i], 0.0, 1e-12))
+        assert len(seen) == calls[i]  # the levels of a call on it alone
+
+
+def test_tanh_sinh_batch_never_evaluates_a_frozen_interval():
+    """Rows handed to f hold nodes of the live intervals only, in their bounds."""
+    lo, hi = np.array([0.0, 10.0, 20.0]), np.array([1.0, 11.0, 25.0])
+    scale = np.array([0.0, 3.0, -2.0])  # the constant stops a level before the others
+    frozen, seen = set(), []
+
+    def f(x, live):
+        assert not frozen & set(live)
+        assert np.all((x >= lo[live, None]) & (x <= hi[live, None]))
+        seen.append(set(live))
+        return np.exp(scale[live, None] * (x - lo[live, None]))
+
+    def record(x, live):
+        if seen:
+            frozen.update(seen[-1] - set(live))
+        return f(x, live)
+
+    _tanh_sinh(record, lo, hi, 0.0, 1e-13)
+    assert seen[0] == {0, 1, 2} and 0 not in seen[-1] and len(seen) > 2
+
+
+def test_tanh_sinh_batch_names_the_interval_that_fails():
+    """One diverging interval: the error names its bounds, as a call on it alone."""
+    lo, hi = np.array([0.5, 0.0, 2.0]), np.array([1.5, 1.0, 3.0])
+    pole = np.array([np.nan, 0.0, np.nan])
+
+    def f(x, live):  # 1/x on the middle interval, smooth elsewhere
+        return np.where(np.isnan(pole[live, None]), np.cos(x), 1.0 / x)
+
+    with pytest.raises(IntegrationError) as batch:
+        _tanh_sinh(f, lo, hi, 1e-12, 0.0)
+    with pytest.raises(IntegrationError) as alone:
+        tanh_sinh_uncached(lambda x: 1.0 / x, 0.0, 1.0, 1e-12, 0.0)
+    assert str(batch.value) == str(alone.value)
+    assert str(batch.value).startswith("quadrature on [0.0, 1.0] did not converge")
+
+
+def _density_integrals(quad, rho):
+    """Section [e]'s one call: the density's integral over Q1 and over Q2."""
+    p_hi = support_upper(quad, rho, tail=1e-9)
+    return _tanh_sinh(lambda p, live: pdf_branch_form(p, quad, rho),
+                      np.array([quad.support_min, quad.c0]), np.array([quad.c0, p_hi]),
+                      atol=1e-10, rtol=1e-8)
+
+
+def test_validate_batches_are_bitwise_each_interval_alone(monkeypatch):
+    """Every batched quadrature of a report equals per-interval calls bitwise.
+
+    Sections [c] and [e] make one outer mean call over the five sets, one
+    inner call per outer level, and one density call over Q1 and Q2.
+    """
+    calls = []
+
+    def spy(f, lo, hi, atol, rtol):
+        value = _tanh_sinh(f, lo, hi, atol, rtol)
+        calls.append((f, lo, hi, atol, rtol, value))
+        return value
+
+    monkeypatch.setattr(distribution, "_tanh_sinh", spy)
+    validate_report(ExperimentSpec(kind="validate", out=os.devnull, seed=7,
+                                   n_trials=10_000))
+    monkeypatch.undo()
+    outer = [c for c in calls if c[1].size == 5 and c[1][0] < 0]
+    density = [c for c in calls if c[1].size == 2]
+    # the outer rule takes three levels, each with one inner call: 5 calls, not 22
+    assert len(outer) == 1 and len(density) == 1 and len(calls) == 5
+    for f, lo, hi, atol, rtol, value in calls:
+        for i in range(lo.size):
+            assert np.array_equal(
+                value[i], tanh_sinh_uncached(_alone(f, i), lo[i], hi[i], atol, rtol))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -646,6 +738,48 @@ def test_validate_quadratures_across_regimes(rho, r1, rate, g_u2_db):
     assert expected_power_quadrature(quad, rho) == pytest.approx(
         expected_power(quad, rho), rel=1e-9)
     p_hi = support_upper(quad, rho, tail=1e-9)
-    for lo, hi in ((quad.support_min, quad.c0), (quad.c0, p_hi)):
-        assert abs(_pdf_integral(quad, rho, lo, hi)
-                   - pdf_integral_oracle(quad, rho, lo, hi)) <= 1e-10
+    for integral, lo, hi in zip(_density_integrals(quad, rho),
+                                (quad.support_min, quad.c0), (quad.c0, p_hi)):
+        assert abs(integral - pdf_integral_oracle(quad, rho, lo, hi)) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rho=st.floats(-7.0, 0.0).map(lambda e: 10.0 ** e),
+       r1=st.floats(math.log10(50.0), 5.0).map(lambda e: 10.0 ** e),
+       rate=st.floats(4.0, 8.0).map(lambda e: 10.0 ** e),
+       g_u2_db=st.floats(-6.0, 6.0))
+@example(rho=1.0, r1=100_000.0, rate=1e5, g_u2_db=0.0)
+@example(rho=0.1, r1=20_000.0, rate=1e5, g_u2_db=0.0)
+def test_expected_power_quadrature_batch_is_bitwise_scalar_calls(rho, r1, rate, g_u2_db):
+    """Section [c]'s five sets, and the regime's own, in one call: per-set bits."""
+    params = validate(SystemParams(rho=rho, rate=rate, g_u2_db=g_u2_db))
+    rhos = np.array([1e-5, 1e-4, 1e-3, 3e-3, 1e-2, rho])
+    r1s = np.array([3000.0, 2000.0, 1000.0, 500.0, 150.0, r1])
+    eps_total = OutageTargets.for_target(params.p_out_target).eps_total
+    quads = PowerQuadratic.from_coefficients(power_coefficients(params), eps_total, r1s)
+    batch = expected_power_quadrature(quads, rhos)
+    for i, (rho_i, r1_i) in enumerate(zip(rhos, r1s)):
+        quad = PowerQuadratic.from_params(params.replace_raw(rho=rho_i), r1_i)
+        assert quad == PowerQuadratic(quads.a, quads.b_coeff[i], quads.c0[i])
+        scalar = expected_power_quadrature(quad, rho_i)
+        assert isinstance(scalar, float)
+        assert batch[i] == scalar == mean_quadrature_per_call(quad, rho_i)
+    assert np.array_equal(expected_power(quads, rhos),
+                          [expected_power(PowerQuadratic(quads.a, b, c), rho_i)
+                           for b, c, rho_i in zip(quads.b_coeff, quads.c0, rhos)])
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_density_functions_refuse_bad_rho(quad5, bad):
+    """Every density guard refuses nan and inf as well as rho <= 0."""
+    calls = [lambda rho: expected_power(quad5, rho),
+             lambda rho: expected_power_quadrature(quad5, rho),
+             lambda rho: support_upper(quad5, rho),
+             lambda rho: cdf_reference_batch(quad5.c0, quad5, rho),
+             lambda rho: pdf_branch_form(quad5.c0, quad5, rho),
+             # array densities are checked element-wise
+             lambda rho: expected_power(quad5, np.array([1e-4, rho])),
+             lambda rho: expected_power_quadrature(quad5, np.array([1e-4, rho]))]
+    for call in calls:
+        with pytest.raises(ParameterError, match=r"^rho: must be finite and > 0"):
+            call(bad)
