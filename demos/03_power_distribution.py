@@ -44,7 +44,7 @@ print()
 
 n = 200_000
 # the summary and the samples come from the same stream, so the same draws
-[sample] = sample_power_distribution(n, [(rho, quad)], RandomStream(33))
+sample = sample_power_distribution(n, rho, quad, RandomStream(33))
 print(f"Monte Carlo over {n} placements: mean {sample.mean_energy:.6f} W "
       f"(stderr {sample.energy_stderr:.2e})")
 samples = np.sort(draw_power_samples(n, rho, r1, params, RandomStream(33)))

@@ -18,6 +18,7 @@ swept variable is refused, and every row is checked before the first draw
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 
@@ -60,7 +61,8 @@ def _build_spec(args, kind: str) -> ExperimentSpec:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache  # built once per process: parsing leaves the parser unchanged
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nncc", description="cooperative uplink energy experiments")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -79,8 +81,11 @@ def main(argv: list[str] | None = None) -> int:
 
     p_val = sub.add_parser("validate", help="cross-validate closed forms")
     _add_common(p_val)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.verb == "validate":
             path, ok = validate_report(_build_spec(args, "validate"))

@@ -57,7 +57,7 @@ def require_density(rho) -> None:
     """
     if isinstance(rho, np.ndarray):
         ok = bool(np.all(np.isfinite(rho) & (rho > 0)))
-    else:  # the scalar test stays cheap: samplers call it per block and target
+    else:  # the scalar test stays cheap: samplers call it once per block
         ok = math.isfinite(rho) and rho > 0
     if not ok:
         raise ParameterError("rho", f"must be finite and > 0, got {rho!r}")

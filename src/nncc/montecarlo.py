@@ -6,15 +6,10 @@ fixed-size blocks, block ``j`` drawing from a counter-based generator keyed by
 report is bit-identical for any worker count, and distinct ``stream_id``
 values give statistically independent experiments.
 
-Placement sampling has two entry points on one block kernel.
-``draw_power_samples`` returns the round totals of one target, each block
-writing its own slice of one preallocated array; ``sample_power_distribution``
-returns only the mean and standard error of each of several targets, from
-per-block moments, and never holds more than one block per worker.  The
-targets of one call share their placement draws (common random numbers):
-each block draws the unit-density areas and bearings once, and each target
-derives its distances from them.  Their estimates are therefore correlated,
-and each is bitwise the estimate of a call with that target alone.
+Placement sampling has three entry points on one block draw.
+``draw_power_samples`` writes the round totals into one preallocated array;
+``sample_power_distribution`` and ``placement_moments`` keep only per-block
+sums and never hold more than one block per worker.
 """
 
 from __future__ import annotations
@@ -210,33 +205,19 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
     )
 
 
-def _power_blocks(rng: np.random.Generator, targets, size: int, out: np.ndarray):
-    """Round totals of ``size`` placements for each ``(rho, quad)`` target in turn.
-
-    One placement draw serves every target: the unit-density areas and the
-    bearings' cosines are computed once, and each target's distances follow
-    from the areas.  ``targets`` is a sequence.  Each target's totals are
-    written into ``out``, which is yielded before the next target overwrites
-    it.  The operations and their order are those of ``a*r*r +
-    b_coeff*cos(theta)*r + c0``, each done in place, so a target's values are
-    the same bits whatever targets share the draw.
-    """
-    area, cos_theta = sample_nn_geometries(rng, None, size)
-    np.cos(cos_theta, out=cos_theta)
-    # the last target computes in the draw's own buffers and the others in
-    # two scratch blocks, so one target holds no more than the draw and out
-    last = len(targets) - 1
-    scratch = (np.empty(size), np.empty(size)) if last else None
-    for k, (rho, quad) in enumerate(targets):
-        r, term = scratch if k < last else (area, cos_theta)
-        nn_distance(area, rho, out=r)
-        np.multiply(cos_theta, quad.b_coeff, out=term)
-        term *= r
-        np.multiply(quad.a, r, out=out)
-        out *= r
-        out += term
-        out += quad.c0
-        yield out
+def _power_block(rng, rho: float, quad: PowerQuadratic, size: int, out: np.ndarray):
+    """Round totals of ``size`` placements written into ``out``, in draw order:
+    ``a*r*r + b_coeff*cos(theta)*r + c0``, each operation in place, the same bits."""
+    area, theta = sample_nn_geometries(rng, None, size)
+    r = nn_distance(area, rho, out=area)
+    np.cos(theta, out=theta)
+    theta *= quad.b_coeff
+    theta *= r
+    np.multiply(quad.a, r, out=out)
+    out *= r
+    out += theta
+    out += quad.c0
+    return out
 
 
 def draw_power_samples(n: int, rho: float, r1: float, params: LinearParams,
@@ -248,67 +229,74 @@ def draw_power_samples(n: int, rho: float, r1: float, params: LinearParams,
     """
     _require_trials(n)
     require_density(rho)
-    targets = [(rho, PowerQuadratic.from_params(params, r1))]
+    quad = PowerQuadratic.from_params(params, r1)
     totals = np.empty(n)
 
     def block_fn(j, size):
         start = j * _BLOCK
-        for _ in _power_blocks(stream.block(j), targets, size,
-                               totals[start:start + size]):
-            pass
+        _power_block(stream.block(j), rho, quad, size, totals[start:start + size])
 
     _map_blocks(n, workers, block_fn)
     return totals
 
 
-def sample_power_distribution(n: int, targets, stream: RandomStream,
-                              workers: int = 1) -> list[McReport]:
-    """Mean and standard error of the round total over n random placements.
+def sample_power_distribution(n: int, rho: float, quad: PowerQuadratic,
+                              stream: RandomStream, workers: int = 1) -> McReport:
+    """Mean and standard error of the round total ``quad`` over n random placements.
 
-    ``targets`` is a sequence of ``(rho, quad)`` pairs, a density and the
-    ``PowerQuadratic`` of a round total; one report is returned per target.
-    The targets share the placement draws (common random numbers), so their
-    estimates are correlated, and each target's report is bitwise the one a
-    call with that target alone gives on the same stream.  Every density is
-    checked before anything is drawn.
-
-    No n-sized array is built: each block reduces a target's totals to
-    ``(size, mean, M2)``, M2 the sum of squared deviations from the block
-    mean, and the blocks are merged in block order by the pairwise update of
-    Chan, Golub & LeVeque (1983), so the result does not depend on
-    ``workers``.  ``draw_power_samples`` returns the totals themselves.
+    No n-sized array is built: each block reduces its totals to ``(size,
+    mean, M2)``, M2 the sum of squared deviations from the block mean, and
+    the blocks are merged in block order by the pairwise update of Chan,
+    Golub & LeVeque (1983), so the result does not depend on ``workers``.
+    ``draw_power_samples`` returns the totals themselves.
     """
     _require_trials(n)
-    targets = list(targets)
-    if not targets:
-        raise ValueError("targets must name at least one (rho, quad) pair")
-    for rho, _ in targets:
-        require_density(rho)
+    require_density(rho)
 
     def block_fn(j, size):
-        moments = []
-        for totals in _power_blocks(stream.block(j), targets, size, np.empty(size)):
-            with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                mean = float(np.mean(totals))
-                totals -= mean
-                np.square(totals, out=totals)
-                moments.append((size, mean, float(np.sum(totals))))
-        return moments
+        totals = _power_block(stream.block(j), rho, quad, size, np.empty(size))
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            mean = float(np.mean(totals))
+            totals -= mean
+            np.square(totals, out=totals)
+            return size, mean, float(np.sum(totals))
+
+    (count, mean, m2), *rest = _map_blocks(n, workers, block_fn)
+    for size, block_mean, block_m2 in rest:
+        total = count + size
+        delta = block_mean - mean  # Python floats: inf or nan, never a warning
+        mean += delta * size / total
+        m2 += block_m2 + delta * delta * count * size / total
+        count = total
+    stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+    _finite_energy(mean, stderr, f"over placements at rho = {rho:g}")
+    return McReport(n_trials=n, mean_energy=mean, energy_stderr=stderr)
+
+
+def placement_moments(n: int, rho: float, stream: RandomStream,
+                      workers: int = 1) -> tuple[float, float]:
+    """Sample means m_A of pi*rho*r^2 (mean 1, variance 1) and m_C of
+    cos(theta)*sqrt(pi*rho)*r (mean 0, variance 1/2, uncorrelated with m_A).
+
+    A round total's mean on the same draw is, to rounding, ``a*m_A/(pi*rho) +
+    b_coeff*m_C/sqrt(pi*rho) + c0`` at any density.  Block sums are added in
+    block order, so the result does not depend on ``workers``.
+    """
+    _require_trials(n)
+    require_density(rho)
+
+    def block_fn(j, size):
+        area, theta = sample_nn_geometries(stream.block(j), None, size)
+        r = nn_distance(area, rho, out=area)
+        np.cos(theta, out=theta)
+        theta *= r
+        r *= r
+        return float(np.sum(r)), float(np.sum(theta))
 
     parts = _map_blocks(n, workers, block_fn)
-    reports = []
-    for k, (rho, _) in enumerate(targets):
-        (count, mean, m2), *rest = (part[k] for part in parts)
-        for size, block_mean, block_m2 in rest:
-            total = count + size
-            delta = block_mean - mean  # Python floats: inf or nan, never a warning
-            mean += delta * size / total
-            m2 += block_m2 + delta * delta * count * size / total
-            count = total
-        stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
-        _finite_energy(mean, stderr, f"over placements at rho = {rho:g}")
-        reports.append(McReport(n_trials=n, mean_energy=mean, energy_stderr=stderr))
-    return reports
+    scale = math.pi * rho
+    return (scale * sum(p[0] for p in parts) / n,
+            math.sqrt(scale) * sum(p[1] for p in parts) / n)
 
 
 def ks_distance(samples: np.ndarray, cdf) -> float:

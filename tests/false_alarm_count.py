@@ -7,8 +7,8 @@ Hand-run; pytest does not collect it.  From the repository root:
 Every seed writes one in-process ``validate`` report (default parameters) to
 a temporary directory.  A failure of a correct program is a false alarm: a
 |z| <= 3 check that fires by chance, so the counts estimate ``validate``'s
-false-alarm rate.  The five section [c] Monte Carlo means share one placement
-draw, so their failures are correlated and are also counted by run.  The
+false-alarm rate.  Runs with a section [c] failure (its two placement
+moments, or a closed form against its quadrature) are also counted.  The
 last line of standard output is one JSON object with the counts.
 """
 
@@ -25,7 +25,7 @@ import time
 
 from nncc.experiments import ExperimentSpec, validate_report
 
-SECTION_C = ("closed form vs quadrature", "Monte Carlo mean")
+SECTION_C = ("closed form vs quadrature", "Monte Carlo mean of ")
 
 
 def _seed_range(text: str) -> range:

@@ -4,13 +4,13 @@ The package needs none of them: the simulator compares each fading draw with
 ``Link.threshold``, the sampler draws neighbour distances by inverse CDF, and
 the closed forms use ``b_coeff`` directly.  The tests use them to check the
 package against the textbook forms.  ``ks_distance_of_values``,
-``tanh_sinh_uncached``, ``mean_quadrature_per_call`` and
-``power_samples_by_expression`` are the direct forms of package routines that
-skip work (``nncc.ks_distance`` evaluates the CDF at a fraction of the
-samples, ``nncc.distribution._tanh_sinh`` shares its steps between calls and
-integrates a batch of intervals at once, ``nncc.montecarlo``'s block kernel
-computes in place and shares one placement draw between targets); the tests
-require the package's results to be bitwise equal to them.
+``tanh_sinh_uncached``, ``mean_quadrature_per_call``,
+``placements_by_expression`` and ``power_samples_by_expression`` are the
+direct forms of package routines that skip work (``nncc.ks_distance``
+evaluates the CDF at a fraction of the samples, ``nncc.distribution._tanh_sinh``
+shares its steps between calls and integrates a batch of intervals at once,
+``nncc.montecarlo``'s block kernel computes in place); the tests require the
+package's results to be bitwise equal to them.
 """
 
 import math
@@ -118,19 +118,23 @@ def mean_quadrature_per_call(quad, rho: float) -> float:
     return tanh_sinh_uncached(inner, -0.5 * math.pi, 1.5 * math.pi, 0.0, _MEAN_EPSREL)
 
 
-def power_samples_by_expression(n: int, targets, stream):
-    """The block kernel of ``nncc.montecarlo`` as one expression per block.
+def placements_by_expression(n: int, rho: float, stream):
+    """The placements of ``nncc.montecarlo``'s block draw, one expression per block.
 
-    Each block draws the unit-density areas s = -log(1-u) and the bearings
-    once, and every ``(rho, quad)`` target takes r = sqrt(s/(pi*rho)) from
-    them.  Returns one array of n round totals per target, in draw order.
+    Each block draws the unit-density areas s = -log(1-u), then the bearings,
+    and r = sqrt(s/(pi*rho)).  Returns the n distances and bearings in draw
+    order.
     """
-    blocks = [[] for _ in targets]
+    r, theta = [], []
     for j in range((n + _BLOCK - 1) // _BLOCK):
         rng, size = stream.block(j), min(_BLOCK, n - j * _BLOCK)
         area = -np.log1p(-rng.random(size))
-        theta = -0.5 * math.pi + 2.0 * math.pi * rng.random(size)
-        for out, (rho, quad) in zip(blocks, targets):
-            r = np.sqrt(area / (math.pi * rho))
-            out.append(quad.a * r * r + quad.b_coeff * np.cos(theta) * r + quad.c0)
-    return [np.concatenate(out) for out in blocks]
+        theta.append(-0.5 * math.pi + 2.0 * math.pi * rng.random(size))
+        r.append(np.sqrt(area / (math.pi * rho)))
+    return np.concatenate(r), np.concatenate(theta)
+
+
+def power_samples_by_expression(n: int, rho: float, quad, stream):
+    """The block kernel of ``nncc.montecarlo``: n round totals in draw order."""
+    r, theta = placements_by_expression(n, rho, stream)
+    return quad.a * r * r + quad.b_coeff * np.cos(theta) * r + quad.c0

@@ -1,0 +1,143 @@
+"""Named faults of the program, and a hand-run table of the checks that see them.
+
+Each fault is a plausible bug of size ``delta`` (``delta = 0`` is the correct
+program), installed by monkeypatch on the names the package looks up at call
+time, so a test or the table can turn it on for one run:
+
+- ``distance_scale``: every neighbour distance from ``montecarlo.nn_distance``
+  is ``1 + delta`` times too long;
+- ``bearing_skew``: the bearing is drawn from ``u**(1 + delta)`` in place of
+  a uniform ``u``, so it is no longer uniform;
+- ``slot3_uncharged``: a fraction ``delta`` of slot 3's expected cellular
+  charge is dropped from the closed forms, ``eps_total = 1 + (1 -
+  delta)*eps_short``; ``delta = 1`` is ``eps_total = 1``.
+
+pytest does not collect this file.  From the repository root, the table of
+which ``validate`` checks fire for each fault and size:
+
+    PYTHONPATH=src python3 tests/mutants.py --seeds 0-4 --trials 1000000
+
+A fault is detected at a size when ``validate`` fails on at least 4 of the
+seeds.  The last line of standard output is one JSON object with the table.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import dataclasses
+import json
+import math
+import os
+import re
+import sys
+import tempfile
+
+import pytest
+
+from nncc import montecarlo as mc
+from nncc import powermodel
+from nncc.experiments import ExperimentSpec, validate_report
+
+
+def distance_scale(monkeypatch, delta: float) -> None:
+    exact = mc.nn_distance
+
+    def scaled(area, rho, out=None):
+        r = exact(area, rho, out=out)
+        r *= 1.0 + delta
+        return r
+
+    monkeypatch.setattr(mc, "nn_distance", scaled)
+
+
+def bearing_skew(monkeypatch, delta: float) -> None:
+    exact = mc.sample_nn_geometries
+
+    def skewed(rng, rho, n):
+        first, theta = exact(rng, rho, n)
+        theta += 0.5 * math.pi  # back to u in [0, 1), then theta from u**(1 + delta)
+        theta /= 2.0 * math.pi
+        theta **= 1.0 + delta
+        theta *= 2.0 * math.pi
+        theta -= 0.5 * math.pi
+        return first, theta
+
+    monkeypatch.setattr(mc, "sample_nn_geometries", skewed)
+
+
+def slot3_uncharged(monkeypatch, delta: float) -> None:
+    exact = powermodel.OutageTargets.for_target.__func__
+
+    def for_target(cls, p_out):
+        targets = exact(cls, p_out)
+        return dataclasses.replace(
+            targets, eps_total=1.0 + (1.0 - delta) * targets.eps_short)
+
+    monkeypatch.setattr(powermodel.OutageTargets, "for_target", classmethod(for_target))
+
+
+# each fault with the sizes the table tries, smallest first; "none" is the
+# correct program, whose failures are false alarms
+FAULTS = {
+    "none": (lambda monkeypatch, delta: None, (0.0,)),
+    "distance_scale": (distance_scale, (0.001, 0.002, 0.003, 0.005, 0.01)),
+    "bearing_skew": (bearing_skew, (0.005, 0.01, 0.02, 0.03)),
+    "slot3_uncharged": (slot3_uncharged, (1e-6, 1e-4, 1e-2, 1.0)),
+}
+
+
+def failed_checks(install, delta: float, seed: int, trials: int, workers: int,
+                  out: str) -> list[str]:
+    """The names of the checks that fail in one in-process ``validate`` run."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        install(monkeypatch, delta)
+        validate_report(ExperimentSpec(kind="validate", out=out, seed=seed,
+                                       n_trials=trials, workers=workers))
+    with open(out, encoding="utf-8") as fh:
+        return re.findall(r"^  FAIL (.*?): ", fh.read(), flags=re.MULTILINE)
+
+
+def table(seeds: range, trials: int, workers: int) -> dict:
+    """Per fault and size: the runs that failed and how often each check fired."""
+    result = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.txt")
+        for name, (install, deltas) in FAULTS.items():
+            for delta in deltas:
+                fired = collections.Counter()
+                failed = 0
+                for seed in seeds:
+                    names = failed_checks(install, delta, seed, trials, workers, out)
+                    failed += bool(names)
+                    fired.update(names)
+                result[f"{name} {delta:g}"] = {
+                    "failed_runs": failed, "detected": failed >= 4,
+                    "checks": dict(sorted(fired.items()))}
+    return result
+
+
+def _seed_range(text: str) -> range:
+    lo, _, hi = text.partition("-")
+    return range(int(lo), int(hi or lo) + 1)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=_seed_range, default=_seed_range("0-4"),
+                        help="inclusive seed range, e.g. 0-4")
+    parser.add_argument("--trials", type=int, default=1_000_000)
+    parser.add_argument("--workers", type=int, default=1)
+    args = parser.parse_args(argv)
+    result = table(args.seeds, args.trials, args.workers)
+    for row, entry in result.items():
+        checks = "; ".join(f"{n}x {c}" for c, n in entry["checks"].items())
+        print(f"{row:24s} {entry['failed_runs']}/{len(args.seeds)}  {checks}",
+              file=sys.stderr)
+    print(json.dumps({"seeds": f"{args.seeds.start}-{args.seeds.stop - 1}",
+                      "trials": args.trials, "table": result}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

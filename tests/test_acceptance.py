@@ -145,8 +145,7 @@ def test_criterion_07_expectation_triple_agreement():
         by_quad = expected_power_quadrature(quad, rho)
         rel = abs(closed - by_quad) / closed
         assert rel < 1e-9
-        [rep] = sample_power_distribution(1_000_000, [(rho, quad)],
-                                          RandomStream(1007, i))
+        rep = sample_power_distribution(1_000_000, rho, quad, RandomStream(1007, i))
         z = (rep.mean_energy - closed) / rep.energy_stderr
         assert abs(z) <= 3.0
         lines.append(f"rho={rho:g}: rel {rel:.2e}, z {z:+.2f}")

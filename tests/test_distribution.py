@@ -487,7 +487,7 @@ def test_expected_power_triple_agreement(dense_params, rho, r1):
     closed = expected_power(quad, rho)
     by_quad = expected_power_quadrature(quad, rho)
     assert by_quad == pytest.approx(closed, rel=1e-9)
-    [report] = sample_power_distribution(1_000_000, [(rho, quad)], RandomStream(31))
+    report = sample_power_distribution(1_000_000, rho, quad, RandomStream(31))
     assert abs(report.mean_energy - closed) < 3.0 * report.energy_stderr
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mutants
 from nncc import ParameterError, SystemParams, cli
 from nncc import montecarlo as mc
 from nncc.cli import main
@@ -250,7 +251,7 @@ def test_validate_report_passes_and_is_deterministic(tmp_path):
 
 
 def test_validate_report_check_inventory(tmp_path):
-    """The report's 20 bounded checks and its INFO lines, by name and in order."""
+    """The report's 17 bounded checks and its INFO lines, by name and in order."""
     path = tmp_path / "v.txt"
     _, ok = validate_report(ExperimentSpec(kind="validate", out=str(path), seed=7,
                                            n_trials=10_000))
@@ -263,24 +264,26 @@ def test_validate_report_check_inventory(tmp_path):
         "conventional outage closure residual",
         "total vs quadratic-form max relative residual",
         "KS distance, samples vs reference CDF",
+        "Monte Carlo mean of pi*rho*r^2",
+        "Monte Carlo mean of cos(theta)*sqrt(pi*rho)*r",
         "closed form vs quadrature, rho=1e-05 r1=3000",
-        "Monte Carlo mean, rho=1e-05 r1=3000",
         "closed form vs quadrature, rho=0.0001 r1=2000",
-        "Monte Carlo mean, rho=0.0001 r1=2000",
         "closed form vs quadrature, rho=0.001 r1=1000",
-        "Monte Carlo mean, rho=0.001 r1=1000",
         "closed form vs quadrature, rho=0.003 r1=500",
-        "Monte Carlo mean, rho=0.003 r1=500",
         "closed form vs quadrature, rho=0.01 r1=150",
-        "Monte Carlo mean, rho=0.01 r1=150",
         "exchange success rate Pr(delta = 0)",
         "composite outage rate",
-        "mean round energy",
+        "mean round energy vs exchange rate, relative residual",
         "single cellular uplink outage",
         "conventional composite outage",
     ]
     assert [name for tag, name in lines if tag == "INFO"] == [
         "reference CDF at sample median - 0.5",
+        "Monte Carlo mean, rho=1e-05 r1=3000",
+        "Monte Carlo mean, rho=0.0001 r1=2000",
+        "Monte Carlo mean, rho=0.001 r1=1000",
+        "Monte Carlo mean, rho=0.003 r1=500",
+        "Monte Carlo mean, rho=0.01 r1=150",
         "per-message outage rate (reported, lower than composite)",
         "upper-branch additive boundary term",
         "integral of branch-form PDF over support - 1",
@@ -351,22 +354,53 @@ def test_validate_report_flags_tampered_eta(tmp_path, monkeypatch):
 
 def test_validate_report_fails_every_mean_on_a_longer_neighbor_distance(tmp_path,
                                                                        monkeypatch):
-    """A 3 % longer neighbour distance reaches every target of section [c]'s draw."""
-    exact = mc.nn_distance
-
-    def longer(area, rho, out=None):
-        r = exact(area, rho, out=out)
-        r *= 1.03
-        return r
-
-    monkeypatch.setattr(mc, "nn_distance", longer)
+    """A 3 % longer neighbour distance fails section [c]'s area moment, and every
+    set's Monte Carlo mean, which the moments give, reads above its closed form."""
+    mutants.distance_scale(monkeypatch, 0.03)
     path = tmp_path / "v.txt"
     _, ok = validate_report(ExperimentSpec(kind="validate", out=str(path), seed=7,
                                            n_trials=10_000))
     assert not ok
-    means = re.findall(r"^  (PASS|FAIL) Monte Carlo mean, ",
-                       path.read_text(encoding="utf-8"), flags=re.MULTILINE)
-    assert means == ["FAIL"] * 5
+    text = path.read_text(encoding="utf-8")
+    assert "  FAIL Monte Carlo mean of pi*rho*r^2: " in text
+    means = re.findall(r"^  INFO Monte Carlo mean, .*: (\S+) vs closed form (\S+)$",
+                       text, flags=re.MULTILINE)
+    assert len(means) == 5
+    assert all(float(mean) > float(closed) for mean, closed in means)
+
+
+@pytest.mark.parametrize("fault,delta,moment", [
+    ("distance_scale", 0.003, 0),  # z = +5.12 on pi*rho*r^2
+    ("bearing_skew", 0.03, 1),     # z = +14.99 on cos(theta)*sqrt(pi*rho)*r
+])
+def test_section_c_moment_sees_its_fault(monkeypatch, fault, delta, moment):
+    """Section [c]'s draw at 1e6 placements and seed 7: each fault moves its
+    own moment past |z| = 3 and leaves the other within it."""
+    n = 1_000_000
+
+    def z_values():
+        m_a, m_c = mc.placement_moments(n, 1e-4, mc.RandomStream(7, stream_id=201),
+                                        workers=2)
+        return abs(m_a - 1.0) * math.sqrt(n), abs(m_c) / math.sqrt(0.5 / n)
+
+    assert max(z_values()) <= 3.0
+    install, _ = mutants.FAULTS[fault]
+    install(monkeypatch, delta)
+    z = z_values()
+    assert z[moment] > 3.0 and z[1 - moment] <= 3.0
+
+
+def test_round_energy_identity_sees_an_uncharged_slot_3(tmp_path, monkeypatch):
+    """With eps_total = 1 the closed forms drop slot 3; of all the checks only
+    section [d]'s energy identity sees it, at 1e4 trials."""
+    mutants.slot3_uncharged(monkeypatch, 1.0)
+    path = tmp_path / "v.txt"
+    _, ok = validate_report(ExperimentSpec(kind="validate", out=str(path), seed=7,
+                                           n_trials=10_000))
+    assert not ok
+    assert re.findall(r"^  FAIL (.*?): ", path.read_text(encoding="utf-8"),
+                      flags=re.MULTILINE) == [
+        "mean round energy vs exchange rate, relative residual"]
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -449,7 +483,7 @@ def test_cli_validate_dense_far_regime(tmp_path):
     out = tmp_path / "v.txt"
     assert main(["validate", "--out", str(out), "--seed", "7", "--trials", "10000",
                  "--rho", "1", "--r1", "100000"]) == 0
-    assert "summary: 20/20 bounded checks passed" in out.read_text(encoding="utf-8")
+    assert "summary: 17/17 bounded checks passed" in out.read_text(encoding="utf-8")
 
 
 def test_cli_integration_error_exits_1(tmp_path, capsys, monkeypatch):
@@ -498,7 +532,7 @@ def test_cli_validate_unequal_handset_gains(tmp_path):
     out = tmp_path / "v.txt"
     assert main(["validate", "--out", str(out), "--g_u2_db", "-3",
                  "--trials", "200000", "--seed", "0"]) == 0
-    assert "summary: 20/20 bounded checks passed" in out.read_text(encoding="utf-8")
+    assert "summary: 17/17 bounded checks passed" in out.read_text(encoding="utf-8")
 
 
 def test_cli_rate_overflow_exits_2(tmp_path, capsys):
@@ -524,13 +558,16 @@ def test_check_z_zero_stderr():
 
 
 def test_cli_validate_energy_without_spread(tmp_path):
-    """At 1e9 b/s the exchange swamps the uplinks: every round costs the same."""
+    """At 1e9 b/s the exchange swamps the uplinks: every round costs the same
+    to within an ulp, so the mean energy is checked by an identity, not a z."""
     out = tmp_path / "v.txt"
-    assert main(["validate", "--out", str(out), "--rate", "1e9",
-                 "--trials", "10000"]) == 0
-    text = out.read_text(encoding="utf-8")
-    assert "summary: 20/20 bounded checks passed" in text
-    assert re.search(r"PASS mean round energy: .* \(z = \+0\.00,", text)
+    for run in (["--trials", "10000"],
+                ["--trials", "1000000", "--seed", "7", "--workers", "1"],
+                ["--trials", "1000000", "--seed", "7", "--workers", "2"]):
+        assert main(["validate", "--out", str(out), "--rate", "1e9"] + run) == 0
+        text = out.read_text(encoding="utf-8")
+        assert "summary: 17/17 bounded checks passed" in text
+        assert "PASS mean round energy vs exchange rate, relative residual: " in text
 
 
 _SWEEP_R1 = ["sweep", "--var", "r1", "--min", "500", "--max", "1000", "--count", "2"]
@@ -614,13 +651,12 @@ def test_cli_quadratic_overflow_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     # the spread of the round total over placements overflows at rho = 1e-4
-    ["validate", "--rate", "1.05e9"],
     ["sweep", "--var", "r1", "--min", "500", "--max", "1000", "--count", "2",
      "--rate", "1.05e9"],
     # the variance of the round energy at a fixed placement overflows
     ["sweep", "--var", "r", "--min", "1", "--max", "10", "--count", "2",
      "--rate", "1.2e9"],
-], ids=["validate", "sweep-r1", "sweep-r"])
+], ids=["sweep-r1", "sweep-r"])
 def test_cli_round_energy_overflow_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "o.txt"
     assert main(argv + ["--trials", "10000", "--out", str(out)]) == 2
@@ -656,7 +692,27 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip().splitlines()[-1] == "[]"
-    assert "summary: 20/20 bounded checks passed" in out.read_text(encoding="utf-8")
+    assert "summary: 17/17 bounded checks passed" in out.read_text(encoding="utf-8")
+
+
+def test_cli_verbs_in_one_process_match_separate_processes(tmp_path):
+    """One parser serves every call: verbs run in turn in this process give
+    the exit codes and bytes each gives in a process of its own."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    sweep_r1 = ["sweep", "--var", "r1", "--min", "500", "--max", "1000", "--count", "3"]
+    runs = [["figure", "5", "--seed", "1"], sweep_r1 + ["--spacing", "log"], sweep_r1,
+            ["validate", "--seed", "7"], ["validate", "--rho", "-1"]]
+    for i, argv in enumerate(runs):
+        argv = argv + ["--trials", "10000"]
+        here, alone = tmp_path / f"here{i}", tmp_path / f"alone{i}"
+        code = main(argv + ["--out", str(here)])
+        done = subprocess.run([sys.executable, "-m", "nncc.cli", *argv, "--out", str(alone)],
+                              env=env, capture_output=True, timeout=120)
+        assert code == done.returncode, done.stderr
+        assert here.exists() == alone.exists()
+        assert not here.exists() or filecmp.cmp(here, alone, shallow=False)
 
 
 def test_traced_validate_binds_the_benchmark_names(tmp_path):

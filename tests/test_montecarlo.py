@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from cdf_oracle import cdf_oracle
-from model_helpers import ks_distance_of_values, power_samples_by_expression
+from model_helpers import (ks_distance_of_values, placements_by_expression,
+                           power_samples_by_expression)
 from nncc import (
     Geometry,
     SystemParams,
@@ -27,11 +28,11 @@ from nncc.montecarlo import (
     _BLOCK,
     MIN_TRIALS,
     RandomStream,
-    _power_blocks,
     _thresholds,
     draw_power_samples,
     estimate_outage,
     ks_distance,
+    placement_moments,
     protocol_round,
     sample_power_distribution,
 )
@@ -230,7 +231,7 @@ def test_sample_power_distribution(dense_params):
     n = 1_000_000
     rho, r1 = dense_params.rho, 2000.0
     quad = PowerQuadratic.from_params(dense_params, r1)
-    [rep] = sample_power_distribution(n, [(rho, quad)], RandomStream(48))
+    rep = sample_power_distribution(n, rho, quad, RandomStream(48))
     samples = np.sort(draw_power_samples(n, rho, r1, dense_params, RandomStream(48)))
     assert samples.shape == (n,)
     assert samples[0] >= quad.support_min
@@ -246,7 +247,7 @@ def test_draw_power_samples_bitwise_the_block_expression(n, rho):
     """The in-place kernel gives the bits of a*r*r + b_coeff*cos(theta)*r + c0."""
     params = validate(SystemParams(rho=rho))
     quad = PowerQuadratic.from_params(params, 2000.0)
-    [expected] = power_samples_by_expression(n, [(rho, quad)], RandomStream(52))
+    expected = power_samples_by_expression(n, rho, quad, RandomStream(52))
     for workers in (1, 2, 3):
         drawn = draw_power_samples(n, rho, 2000.0, params, RandomStream(52),
                                    workers=workers)
@@ -259,7 +260,7 @@ def test_sample_power_distribution_moments_of_the_samples(n, rho):
     """Block moments merged in block order give the whole sample's mean and spread."""
     params = validate(SystemParams(rho=rho))
     quad = PowerQuadratic.from_params(params, 2000.0)
-    [rep] = sample_power_distribution(n, [(rho, quad)], RandomStream(53))
+    rep = sample_power_distribution(n, rho, quad, RandomStream(53))
     samples = draw_power_samples(n, rho, 2000.0, params, RandomStream(53))
     assert rep.n_trials == n
     assert rep.mean_energy == pytest.approx(np.mean(samples), rel=1e-12)
@@ -274,60 +275,53 @@ _SECTION_C_SETS = [(1e-5, 3000.0), (1e-4, 2000.0), (1e-3, 1000.0),
 
 # one block; 4 and 10 blocks, the last one partial
 @pytest.mark.parametrize("n", [MIN_TRIALS, 100_003, 300_001])
-def test_shared_draw_targets_bitwise_one_target_calls(dense_params, n):
-    """Five targets on one draw: each is bitwise a one-target call and the reference."""
-    params = [dense_params.replace_raw(rho=rho) for rho, _ in _SECTION_C_SETS]
-    targets = [(p.rho, PowerQuadratic.from_params(p, r1))
-               for p, (_, r1) in zip(params, _SECTION_C_SETS)]
-    expected = power_samples_by_expression(n, targets, RandomStream(55))
-    shared = [[] for _ in targets]
-    for j in range((n + _BLOCK - 1) // _BLOCK):
-        size = min(_BLOCK, n - j * _BLOCK)
-        for out, totals in zip(shared, _power_blocks(RandomStream(55).block(j), targets,
-                                                     size, np.empty(size))):
-            out.append(totals.copy())
-    for out, reference in zip(shared, expected):
-        assert np.array_equal(np.concatenate(out), reference)
-    for workers in (1, 2):
-        reps = sample_power_distribution(n, targets, RandomStream(55), workers=workers)
-        assert len(reps) == len(targets)
-        for rep, target, p, (_, r1), reference in zip(reps, targets, params,
-                                                       _SECTION_C_SETS, expected):
-            [alone] = sample_power_distribution(n, [target], RandomStream(55),
-                                                workers=workers)
-            assert (rep.mean_energy, rep.energy_stderr) == (alone.mean_energy,
-                                                            alone.energy_stderr)
-            assert rep.mean_energy == pytest.approx(np.mean(reference), rel=1e-12)
-            assert np.array_equal(draw_power_samples(n, p.rho, r1, p, RandomStream(55),
-                                                     workers=workers), reference)
+def test_placement_moments_give_each_sets_mean(dense_params, n):
+    """Two moments of one draw give every set's mean: section [c]'s INFO lines.
+
+    The moments are those of the reference placements, the same for any
+    worker count, and ``a*m_A/(pi*rho) + b_coeff*m_C/sqrt(pi*rho) + c0`` is
+    a one-target call's mean on the same stream, to rounding, at any density.
+    """
+    r, theta = placements_by_expression(n, 1e-4, RandomStream(55))
+    scale = math.pi * 1e-4
+    m_a, m_c = placement_moments(n, 1e-4, RandomStream(55))
+    assert m_a == pytest.approx(np.mean(scale * r * r), rel=1e-12)
+    assert m_c == pytest.approx(np.mean(np.cos(theta) * math.sqrt(scale) * r), abs=1e-12)
+    assert placement_moments(n, 1e-4, RandomStream(55), workers=2) == (m_a, m_c)
+    for rho, r1 in _SECTION_C_SETS:
+        quad = PowerQuadratic.from_params(dense_params.replace_raw(rho=rho), r1)
+        one = sample_power_distribution(n, rho, quad, RandomStream(55))
+        by_moments = (quad.a * m_a / (math.pi * rho)
+                      + quad.b_coeff * m_c / math.sqrt(math.pi * rho) + quad.c0)
+        assert by_moments == pytest.approx(one.mean_energy, rel=1e-13)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-4, math.nan, math.inf])
-@pytest.mark.parametrize("position", [0, 2, 4])
+@pytest.mark.parametrize("extra_blocks", [0, 2, 4])
 def test_bad_target_density_refused_before_any_draw(dense_params, monkeypatch,
-                                                    bad, position):
-    """The shared draw does not see rho, so every target's is checked before it."""
+                                                    bad, extra_blocks):
+    """Every sampler checks the density before its first block draws, on any
+    number of blocks and workers."""
     def no_draw(*args, **kwargs):
         raise AssertionError("placements were drawn")
 
     monkeypatch.setattr(montecarlo, "sample_nn_geometries", no_draw)
     quad = PowerQuadratic.from_params(dense_params, 1500.0)
-    targets = [(1e-4, quad)] * 5
-    targets[position] = (bad, quad)
-    with pytest.raises(ParameterError) as err:
-        sample_power_distribution(MIN_TRIALS, targets, RandomStream(1))
-    assert err.value.field == "rho"
-    with pytest.raises(ParameterError) as err:
-        draw_power_samples(MIN_TRIALS, bad, 1500.0, dense_params, RandomStream(1))
-    assert err.value.field == "rho"
-    with pytest.raises(ValueError, match="at least one"):
-        sample_power_distribution(MIN_TRIALS, [], RandomStream(1))
+    n = MIN_TRIALS + extra_blocks * _BLOCK
+    for sample in (lambda: sample_power_distribution(n, bad, quad, RandomStream(1),
+                                                     workers=2),
+                   lambda: draw_power_samples(n, bad, 1500.0, dense_params,
+                                              RandomStream(1), workers=2),
+                   lambda: placement_moments(n, bad, RandomStream(1), workers=2)):
+        with pytest.raises(ParameterError) as err:
+            sample()
+        assert err.value.field == "rho"
 
 
 def test_sample_power_distribution_worker_invariance(dense_params):
     quad = PowerQuadratic.from_params(dense_params, 1500.0)
-    reps = [sample_power_distribution(120_000, [(1e-4, quad)], RandomStream(49),
-                                      workers=w)[0] for w in (1, 2, 3)]
+    reps = [sample_power_distribution(120_000, 1e-4, quad, RandomStream(49), workers=w)
+            for w in (1, 2, 3)]
     assert len({(r.mean_energy, r.energy_stderr) for r in reps}) == 1
 
 
@@ -347,9 +341,11 @@ def test_draw_power_samples_worker_invariance(dense_params):
 def test_power_sampling_refuses_too_few_trials(dense_params):
     quad = PowerQuadratic.from_params(dense_params, 1500.0)
     with pytest.raises(ValueError, match="too small"):
-        sample_power_distribution(MIN_TRIALS - 1, [(1e-4, quad)], RandomStream(1))
+        sample_power_distribution(MIN_TRIALS - 1, 1e-4, quad, RandomStream(1))
     with pytest.raises(ValueError, match="too small"):
         draw_power_samples(MIN_TRIALS - 1, 1e-4, 1500.0, dense_params, RandomStream(1))
+    with pytest.raises(ValueError, match="too small"):
+        placement_moments(MIN_TRIALS - 1, 1e-4, RandomStream(1))
 
 
 def test_sample_power_distribution_spread_overflow_names_rate():
@@ -359,8 +355,7 @@ def test_sample_power_distribution_spread_overflow_names_rate():
                                           RandomStream(7))).all()
     quad = PowerQuadratic.from_params(params, 2000.0)
     with pytest.raises(ParameterError) as err:
-        sample_power_distribution(10_000, [(params.rho, quad)], RandomStream(7),
-                                  workers=2)
+        sample_power_distribution(10_000, params.rho, quad, RandomStream(7), workers=2)
     assert err.value.field == "rate"
 
 
@@ -376,23 +371,16 @@ def _traced_peak(fn, *args, **kwargs):
 
 
 def test_power_sampling_memory(dense_params):
-    """The moments hold about one block per worker, the samples one array.
-
-    Five targets on one draw add two scratch blocks per worker, whatever
-    their number: five blocks per worker in all.
-    """
+    """The moments hold about one block per worker, the samples one array."""
     n, rho, r1 = 1_000_000, dense_params.rho, 2000.0
-    targets = [(rho, PowerQuadratic.from_params(dense_params, r1))]
-    sample_power_distribution(MIN_TRIALS, targets, RandomStream(54),
+    quad = PowerQuadratic.from_params(dense_params, r1)
+    sample_power_distribution(MIN_TRIALS, rho, quad, RandomStream(54),
                               workers=2)  # first-call imports stay out of the peak
-    peak, _ = _traced_peak(sample_power_distribution, n, targets, RandomStream(54),
+    peak, _ = _traced_peak(sample_power_distribution, n, rho, quad, RandomStream(54),
                            workers=2)
     assert peak < n * 8 / 4
-    five = [(rho, PowerQuadratic.from_params(dense_params.replace_raw(rho=rho), r1))
-            for rho, r1 in _SECTION_C_SETS]
-    peak, _ = _traced_peak(sample_power_distribution, n, five, RandomStream(54),
-                           workers=2)
-    assert peak < 2 * 6 * _BLOCK * 8
+    peak, _ = _traced_peak(placement_moments, n, rho, RandomStream(54), workers=2)
+    assert peak < 2 * 3 * _BLOCK * 8
     peak, drawn = _traced_peak(draw_power_samples, n, rho, r1, dense_params,
                                RandomStream(54), workers=2)
     assert drawn.nbytes == n * 8 and peak < 1.25 * n * 8
