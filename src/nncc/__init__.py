@@ -46,6 +46,7 @@ from .distribution import (
 )
 from .montecarlo import (
     McReport,
+    PowerSamples,
     RandomStream,
     draw_power_samples,
     estimate_outage,

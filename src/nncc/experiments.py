@@ -151,14 +151,15 @@ def _sweep_row(params: LinearParams, r1: float, r: float | None,
     With an inter-user distance the energies are per-round totals at that
     placement, averaged over the bearing (the cosine term integrates to zero),
     and the Monte Carlo column re-measures the expected slot usage by running
-    the fading-level protocol.  Without one the pair placement is random and
-    both columns are PPP expectations.
+    the fading-level exchange, which alone sets it.  Without one the pair
+    placement is random and both columns are PPP expectations.
     """
     if r is not None:
         geom = Geometry(r1=r1, r=r, theta=0.5 * math.pi)
         e_nncc = powermodel.nncc_power_breakdown(geom, params).total
         e_conv = powermodel.conventional_power(geom, params).total
-        report = mc.estimate_outage(n_trials, geom, params, stream, workers=workers)
+        report = mc.estimate_outage(n_trials, geom, params, stream, workers=workers,
+                                    energy_only=True)
     else:
         quad = dist.PowerQuadratic.from_params(params, r1)
         e_nncc = dist.expected_power(quad, params.rho)
@@ -270,13 +271,14 @@ def _closure_section(rep: _Report, params: LinearParams, seed: int,
 
 def _distribution_section(rep: _Report, params: LinearParams,
                           quad: dist.PowerQuadratic, r1: float,
-                          n_trials: int, seed: int, workers: int) -> None:
+                          n_trials: int, seed: int, workers: int) -> tuple[float, float]:
+    """Section [b]; returns its draw's placement moments, which section [c] checks."""
     rho = params.rho
     rep.add(f"[b] power distribution vs Monte Carlo (rho = {_fmt(rho)}, "
             f"r1 = {_fmt(r1)})")
-    samples = mc.draw_power_samples(n_trials, rho, r1, params,
-                                    mc.RandomStream(seed, stream_id=101),
-                                    workers=workers)
+    samples, m_a, m_c = mc.draw_power_samples(n_trials, rho, r1, params,
+                                              mc.RandomStream(seed, stream_id=101),
+                                              workers=workers)
     samples.sort()  # in place: a sorted copy would double the sample's memory
 
     def cdf(p):
@@ -288,11 +290,12 @@ def _distribution_section(rep: _Report, params: LinearParams,
               detail=f"({n_trials} samples)")
     rep.info("reference CDF at sample median - 0.5",
              _fmt(cdf(samples[n_trials // 2]) - 0.5))
+    return m_a, m_c
 
 
 def _expected_power_section(rep: _Report, coeff: powermodel.PowerCoefficients,
-                            eps_total: float, rho: float, n_trials: int, seed: int,
-                            workers: int) -> None:
+                            eps_total: float, m_a: float, m_c: float,
+                            n_trials: int) -> None:
     rep.add("[c] expected power: closed form vs quadrature vs Monte Carlo")
     rhos = np.array([1e-5, 1e-4, 1e-3, 3e-3, 1e-2])
     r1s = np.array([3000.0, 2000.0, 1000.0, 500.0, 150.0])
@@ -300,13 +303,11 @@ def _expected_power_section(rep: _Report, coeff: powermodel.PowerCoefficients,
     quads = dist.PowerQuadratic.from_coefficients(coeff, eps_total, r1s)
     closed = dist.expected_power(quads, rhos)
     by_quad = dist.expected_power_quadrature(quads, rhos)
-    # every set's Monte Carlo mean is affine in two placement moments: check those
-    n = min(n_trials, 1_000_000)
-    m_a, m_c = mc.placement_moments(n, rho, mc.RandomStream(seed, stream_id=201),
-                                    workers=workers)
-    rep.check_z("Monte Carlo mean of pi*rho*r^2", m_a, 1.0, 1.0 / math.sqrt(n))
+    # every set's Monte Carlo mean is affine in two placement moments, those of
+    # section [b]'s draw: check them
+    rep.check_z("Monte Carlo mean of pi*rho*r^2", m_a, 1.0, 1.0 / math.sqrt(n_trials))
     rep.check_z("Monte Carlo mean of cos(theta)*sqrt(pi*rho)*r", m_c, 0.0,
-                math.sqrt(0.5 / n))
+                math.sqrt(0.5 / n_trials))
     by_mc = (quads.a * m_a / (math.pi * rhos)
              + quads.b_coeff * m_c / np.sqrt(math.pi * rhos) + quads.c0)
     for rho_i, r1_i, closed_i, by_quad_i, mc_i in zip(rhos, r1s, closed, by_quad, by_mc):
@@ -379,12 +380,9 @@ def _protocol_section(rep: _Report, params: LinearParams, r1: float, r: float,
 
     rep.check_z("single cellular uplink outage", rpt.uplink1_outage,
                 targets.p_out_nc, rpt.uplink1_outage_stderr)
-
-    conv = mc.estimate_outage(n_trials, geom, params,
-                              mc.RandomStream(seed, stream_id=303),
-                              scheme="conventional", workers=workers)
-    rep.check_z("conventional composite outage", conv.outage_composite,
-                params.p_out_target, conv.outage_composite_stderr)
+    # the baseline's solo uplinks on the same slot-2 fades
+    rep.check_z("conventional composite outage", rpt.conv_outage_composite,
+                params.p_out_target, rpt.conv_outage_composite_stderr)
 
 
 def validate_report(spec: ExperimentSpec) -> tuple[str, bool]:
@@ -410,9 +408,9 @@ def validate_report(spec: ExperimentSpec) -> tuple[str, bool]:
     quad = dist.PowerQuadratic.from_coefficients(coeff, eps_total, r1)
 
     _closure_section(rep, params, spec.seed, coeff)
-    _distribution_section(rep, params, quad, r1, spec.n_trials, spec.seed, spec.workers)
-    _expected_power_section(rep, coeff, eps_total, params.rho, spec.n_trials,
-                            spec.seed, spec.workers)
+    m_a, m_c = _distribution_section(rep, params, quad, r1, spec.n_trials, spec.seed,
+                                     spec.workers)
+    _expected_power_section(rep, coeff, eps_total, m_a, m_c, spec.n_trials)
     _protocol_section(rep, params, r1, r, spec.n_trials, spec.seed, spec.workers)
     _branch_form_section(rep, quad, params.rho)
 

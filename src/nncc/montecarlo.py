@@ -6,17 +6,21 @@ fixed-size blocks, block ``j`` drawing from a counter-based generator keyed by
 report is bit-identical for any worker count, and distinct ``stream_id``
 values give statistically independent experiments.
 
-Placement sampling has three entry points on one block draw.
-``draw_power_samples`` writes the round totals into one preallocated array;
-``sample_power_distribution`` and ``placement_moments`` keep only per-block
-sums and never hold more than one block per worker.
+Each random quantity is drawn once.  ``estimate_outage`` runs the
+cooperative round and the conventional baseline on the same fades, and its
+sweep-row form draws only the exchange.  Placement sampling has two entry
+points on one block draw: ``draw_power_samples`` writes the round totals into
+one preallocated array and also returns the draw's two placement moments;
+``sample_power_distribution`` keeps only per-block sums and never holds more
+than one block per worker.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +66,8 @@ class McReport:
     delta0_stderr: float | None = None
     uplink1_outage: float | None = None
     uplink1_outage_stderr: float | None = None
+    conv_outage_composite: float | None = None
+    conv_outage_composite_stderr: float | None = None
     mean_energy: float | None = None
     energy_stderr: float | None = None
 
@@ -134,98 +140,122 @@ def _map_blocks(n: int, workers: int, block_fn):
 
 
 def estimate_outage(n: int, geom: Geometry, params: LinearParams,
-                    stream: RandomStream, scheme: str = "nncc",
-                    workers: int = 1) -> McReport:
+                    stream: RandomStream, workers: int = 1,
+                    energy_only: bool = False) -> McReport:
     """Empirical outage rates at a fixed placement, fresh fading per trial.
 
-    ``scheme="conventional"`` runs the failed-exchange branch of the round,
-    solo uplinks at the baseline's powers, in every trial.  ``uplink1_outage``
-    counts handset 1's failed slot-2 uplinks, whose target is ``p_out_nc``
-    for the cooperative scheme and ``p_out_c`` for the conventional one.
+    Each block draws, in this order, the exchange gains h12 and h21, then the
+    slot-2 uplink gains of handsets 1 and 2, then their slot-3 gains.  The
+    cooperative round reads all six at the powers of ``nncc_power_breakdown``.
+    The conventional round, solo uplinks at the powers of
+    ``conventional_power``, reads the same slot-2 gains, so the two schemes
+    meet the same fades (``conv_outage_composite``).  ``uplink1_outage``
+    counts handset 1's failed slot-2 uplinks at the cooperative power, whose
+    target is ``p_out_nc``.
+
+    The round energy depends on the exchange alone.  With ``energy_only``
+    each block stops after h12 and h21, and the report carries only the
+    exchange rate and the energy, the values of a full call on the stream.
     """
     _require_trials(n)
-
-    if scheme == "nncc":
-        require_exchange_distance(geom.r)
-        powers = powermodel.nncc_power_breakdown(geom, params)
-    elif scheme == "conventional":
-        powers = powermodel.conventional_power(geom, params)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    cooperative = scheme == "nncc"
+    require_exchange_distance(geom.r)
+    powers = powermodel.nncc_power_breakdown(geom, params)
     t12, t1b, t2b = _thresholds(geom, powers, params)
+    _, c1b, c2b = _thresholds(geom, powermodel.conventional_power(geom, params), params)
     sig_s, sig_c = params.sigma2_short, params.sigma2_cell
 
     def block_fn(j, size):
         rng = stream.block(j)
-        delta0 = relay1 = relay2 = False  # the conventional round: no exchange
-        if cooperative:
-            h12 = rng.exponential(sig_s, size)
-            h21 = rng.exponential(sig_s, size)
-            delta0 = (h12 >= t12) & (h21 >= t12)
-        own1 = rng.exponential(sig_c, size) >= t1b
-        own2 = rng.exponential(sig_c, size) >= t2b
-        if cooperative:
-            relay2 = rng.exponential(sig_c, size) >= t1b  # slot-3 use of U1's uplink
-            relay1 = rng.exponential(sig_c, size) >= t2b
+        # each gain is compared as it is drawn, so few float arrays are alive
+        delta0 = rng.exponential(sig_s, size) >= t12   # h12
+        delta0 &= rng.exponential(sig_s, size) >= t12  # h21
+        if energy_only:
+            return (np.count_nonzero(delta0),)
+        h = rng.exponential(sig_c, size)  # slot 2, handset 1
+        own1, conv1 = h >= t1b, h >= c1b
+        h = rng.exponential(sig_c, size)  # slot 2, handset 2
+        own2, conv2 = h >= t2b, h >= c2b
+        relay2 = rng.exponential(sig_c, size) >= t1b  # slot-3 use of U1's uplink
+        relay1 = rng.exponential(sig_c, size) >= t2b
         d1, d2, composite = protocol_round(delta0, own1, own2, relay1, relay2)
-        return (int(np.sum(~d1)), int(np.sum(~d2)), int(np.sum(composite)),
-                int(np.sum(delta0)), int(np.sum(~own1)))
+        conv = protocol_round(False, conv1, conv2, False, False)[2]
+        return (np.count_nonzero(delta0), size - np.count_nonzero(d1),
+                size - np.count_nonzero(d2), np.count_nonzero(composite),
+                size - np.count_nonzero(own1), np.count_nonzero(conv))
 
-    parts = _map_blocks(n, workers, block_fn)
-    lost1, lost2, comp, n_delta0, own1_lost = (sum(p[i] for p in parts)
-                                               for i in range(5))
+    # per-block counts summed in block order into Python ints, so that the
+    # float arithmetic below raises OverflowError instead of warning
+    n_delta0, *lost = (int(sum(c)) for c in zip(*_map_blocks(n, workers, block_fn)))
 
-    if cooperative:
-        cellular = powers.p1b + powers.p2b
-        e1 = 2.0 * powers.p12 + cellular                 # delta = 1 rounds
-        e0 = e1 + cellular                               # delta = 0 rounds
-        mean_e = (n_delta0 * e0 + (n - n_delta0) * e1) / n
-        try:
-            var_e = (n_delta0 * (e0 - mean_e) ** 2
-                     + (n - n_delta0) * (e1 - mean_e) ** 2) / max(n - 1, 1)
-        except OverflowError:  # float ** raises where * would give inf
-            var_e = math.inf
-        delta0_rate = n_delta0 / n
-    else:
-        mean_e, var_e, delta0_rate = powers.total, 0.0, None
+    cellular = powers.p1b + powers.p2b
+    e1 = 2.0 * powers.p12 + cellular                 # delta = 1 rounds
+    e0 = e1 + cellular                               # delta = 0 rounds
+    mean_e = (n_delta0 * e0 + (n - n_delta0) * e1) / n
+    try:
+        var_e = (n_delta0 * (e0 - mean_e) ** 2
+                 + (n - n_delta0) * (e1 - mean_e) ** 2) / max(n - 1, 1)
+    except OverflowError:  # float ** raises where * would give inf
+        var_e = math.inf
     energy_stderr = math.sqrt(var_e / n)
     _finite_energy(mean_e, energy_stderr, "at this placement")
+    report = McReport(n_trials=n, delta0_rate=n_delta0 / n,
+                      delta0_stderr=_binom_stderr(n_delta0 / n, n),
+                      mean_energy=mean_e, energy_stderr=energy_stderr)
+    if energy_only:
+        return report
+    rates = {}
+    for name, count in zip(("outage_d1", "outage_d2", "outage_composite",
+                            "uplink1_outage", "conv_outage_composite"), lost):
+        rates[name] = count / n
+        rates[f"{name}_stderr"] = _binom_stderr(count / n, n)
+    return replace(report, **rates)
 
-    return McReport(
-        n_trials=n,
-        outage_d1=lost1 / n, outage_d1_stderr=_binom_stderr(lost1 / n, n),
-        outage_d2=lost2 / n, outage_d2_stderr=_binom_stderr(lost2 / n, n),
-        outage_composite=comp / n, outage_composite_stderr=_binom_stderr(comp / n, n),
-        delta0_rate=delta0_rate,
-        delta0_stderr=None if delta0_rate is None else _binom_stderr(delta0_rate, n),
-        uplink1_outage=own1_lost / n,
-        uplink1_outage_stderr=_binom_stderr(own1_lost / n, n),
-        mean_energy=mean_e, energy_stderr=energy_stderr,
-    )
 
-
-def _power_block(rng, rho: float, quad: PowerQuadratic, size: int, out: np.ndarray):
+def _power_block(rng, rho: float, quad: PowerQuadratic, size: int, out: np.ndarray,
+                 moments: bool = False):
     """Round totals of ``size`` placements written into ``out``, in draw order:
-    ``a*r*r + b_coeff*cos(theta)*r + c0``, each operation in place, the same bits."""
+    ``a*r*r + b_coeff*cos(theta)*r + c0``, each operation in place, the same bits.
+
+    With ``moments`` it returns the block's sums of r*r and cos(theta)*r,
+    taken from r as ``nn_distance`` gives it, before the totals are formed.
+    """
     area, theta = sample_nn_geometries(rng, None, size)
     r = nn_distance(area, rho, out=area)
     np.cos(theta, out=theta)
+    # einsum without optimize sums in numpy's own loop: no BLAS, no temporary
+    sums = (np.einsum("i,i->", r, r), np.einsum("i,i->", theta, r)) if moments else None
     theta *= quad.b_coeff
     theta *= r
     np.multiply(quad.a, r, out=out)
     out *= r
     out += theta
     out += quad.c0
-    return out
+    return sums
+
+
+class PowerSamples(NamedTuple):
+    """Round totals of n placements in draw order, and two moments of the draw.
+
+    ``m_a`` is the sample mean of pi*rho*r^2 (mean 1, variance 1) and ``m_c``
+    that of cos(theta)*sqrt(pi*rho)*r (mean 0, variance 1/2, uncorrelated
+    with m_A).  The mean of ``totals`` is, to rounding, ``a*m_a/(pi*rho) +
+    b_coeff*m_c/sqrt(pi*rho) + c0``.
+    """
+
+    totals: np.ndarray
+    m_a: float
+    m_c: float
 
 
 def draw_power_samples(n: int, rho: float, r1: float, params: LinearParams,
-                       stream: RandomStream, workers: int = 1) -> np.ndarray:
-    """The round totals of n random placements, in draw order, unsorted.
+                       stream: RandomStream, workers: int = 1) -> PowerSamples:
+    """The round totals of n random placements, in draw order, unsorted, and
+    the draw's two placement moments.
 
-    Block j fills its own slice of one preallocated array.  The values are
-    those ``sample_power_distribution`` summarises on the same stream.
+    Block j fills its own slice of one preallocated array.  The totals are
+    those ``sample_power_distribution`` summarises on the same stream.  The
+    moments' block sums are added in block order, so they do not depend on
+    ``workers``.
     """
     _require_trials(n)
     require_density(rho)
@@ -234,10 +264,13 @@ def draw_power_samples(n: int, rho: float, r1: float, params: LinearParams,
 
     def block_fn(j, size):
         start = j * _BLOCK
-        _power_block(stream.block(j), rho, quad, size, totals[start:start + size])
+        return _power_block(stream.block(j), rho, quad, size,
+                            totals[start:start + size], moments=True)
 
-    _map_blocks(n, workers, block_fn)
-    return totals
+    sum_rr, sum_cr = map(sum, zip(*_map_blocks(n, workers, block_fn)))
+    scale = math.pi * rho
+    return PowerSamples(totals, float(scale * sum_rr / n),
+                        float(math.sqrt(scale) * sum_cr / n))
 
 
 def sample_power_distribution(n: int, rho: float, quad: PowerQuadratic,
@@ -254,7 +287,8 @@ def sample_power_distribution(n: int, rho: float, quad: PowerQuadratic,
     require_density(rho)
 
     def block_fn(j, size):
-        totals = _power_block(stream.block(j), rho, quad, size, np.empty(size))
+        totals = np.empty(size)
+        _power_block(stream.block(j), rho, quad, size, totals)
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
             mean = float(np.mean(totals))
             totals -= mean
@@ -271,32 +305,6 @@ def sample_power_distribution(n: int, rho: float, quad: PowerQuadratic,
     stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     _finite_energy(mean, stderr, f"over placements at rho = {rho:g}")
     return McReport(n_trials=n, mean_energy=mean, energy_stderr=stderr)
-
-
-def placement_moments(n: int, rho: float, stream: RandomStream,
-                      workers: int = 1) -> tuple[float, float]:
-    """Sample means m_A of pi*rho*r^2 (mean 1, variance 1) and m_C of
-    cos(theta)*sqrt(pi*rho)*r (mean 0, variance 1/2, uncorrelated with m_A).
-
-    A round total's mean on the same draw is, to rounding, ``a*m_A/(pi*rho) +
-    b_coeff*m_C/sqrt(pi*rho) + c0`` at any density.  Block sums are added in
-    block order, so the result does not depend on ``workers``.
-    """
-    _require_trials(n)
-    require_density(rho)
-
-    def block_fn(j, size):
-        area, theta = sample_nn_geometries(stream.block(j), None, size)
-        r = nn_distance(area, rho, out=area)
-        np.cos(theta, out=theta)
-        theta *= r
-        r *= r
-        return float(np.sum(r)), float(np.sum(theta))
-
-    parts = _map_blocks(n, workers, block_fn)
-    scale = math.pi * rho
-    return (scale * sum(p[0] for p in parts) / n,
-            math.sqrt(scale) * sum(p[1] for p in parts) / n)
 
 
 def ks_distance(samples: np.ndarray, cdf) -> float:

@@ -75,12 +75,11 @@ def test_criterion_03_conventional_target_and_simulation():
     params = validate(SystemParams())
     geom = Geometry(r1=2000.0, r=20.0, theta=0.5 * math.pi)
     n = 10_000_000
-    rep = estimate_outage(n, geom, params, RandomStream(1003),
-                          scheme="conventional")
-    z = (rep.outage_composite - 1e-3) / rep.outage_composite_stderr
+    rep = estimate_outage(n, geom, params, RandomStream(1003))
+    z = (rep.conv_outage_composite - 1e-3) / rep.conv_outage_composite_stderr
     assert abs(z) <= 3.0
     _report(3, f"per-link target {value:.9e}; simulated composite "
-               f"{rep.outage_composite:.6e} (z = {z:+.2f}) at {n} trials")
+               f"{rep.conv_outage_composite:.6e} (z = {z:+.2f}) at {n} trials")
 
 
 def test_criterion_04_total_equals_quadratic_form():
@@ -127,7 +126,7 @@ def test_criterion_06_distribution_ground_truth():
     quad = PowerQuadratic.from_params(params, 2000.0)
     n = 1_000_000
     samples = np.sort(draw_power_samples(n, params.rho, 2000.0, params,
-                                         RandomStream(1006)))
+                                         RandomStream(1006)).totals)
     ks = ks_distance(samples, lambda p: cdf_reference_batch(p, quad, params.rho))
     assert ks < 0.005
     _report(6, f"KS distance {ks:.5f} < 0.005 at {n} samples")

@@ -378,7 +378,7 @@ def _small_validate_cdf():
     params = validate(SystemParams())
     quad = PowerQuadratic.from_params(params, 2000.0)
     samples = draw_power_samples(10_000, params.rho, 2000.0, params,
-                                 RandomStream(7, stream_id=101))
+                                 RandomStream(7, stream_id=101)).totals
     samples.sort()
     return cdf_reference_batch(samples, quad, params.rho)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mutants
-from nncc import ParameterError, SystemParams, cli
+from nncc import ParameterError, SystemParams, cli, validate
 from nncc import montecarlo as mc
 from nncc.cli import main
 from nncc.experiments import (
@@ -370,17 +370,20 @@ def test_validate_report_fails_every_mean_on_a_longer_neighbor_distance(tmp_path
 
 
 @pytest.mark.parametrize("fault,delta,moment", [
-    ("distance_scale", 0.003, 0),  # z = +5.12 on pi*rho*r^2
-    ("bearing_skew", 0.03, 1),     # z = +14.99 on cos(theta)*sqrt(pi*rho)*r
+    ("distance_scale", 0.003, 0),  # z = +6.91 on pi*rho*r^2
+    ("bearing_skew", 0.03, 1),     # z = +16.49 on cos(theta)*sqrt(pi*rho)*r
 ])
 def test_section_c_moment_sees_its_fault(monkeypatch, fault, delta, moment):
-    """Section [c]'s draw at 1e6 placements and seed 7: each fault moves its
-    own moment past |z| = 3 and leaves the other within it."""
+    """Section [c] checks the moments of section [b]'s draw, 1e6 placements
+    on stream 101 at seed 7: each fault moves its own moment past |z| = 3 and
+    leaves the other within it."""
     n = 1_000_000
+    params = validate(SystemParams())
 
     def z_values():
-        m_a, m_c = mc.placement_moments(n, 1e-4, mc.RandomStream(7, stream_id=201),
-                                        workers=2)
+        _, m_a, m_c = mc.draw_power_samples(n, params.rho, 2000.0, params,
+                                            mc.RandomStream(7, stream_id=101),
+                                            workers=2)
         return abs(m_a - 1.0) * math.sqrt(n), abs(m_c) / math.sqrt(0.5 / n)
 
     assert max(z_values()) <= 3.0
@@ -595,6 +598,7 @@ def test_cli_zero_inter_user_distance_exits_2(tmp_path, capsys, monkeypatch, arg
         raise AssertionError("a placement sample was drawn")
 
     monkeypatch.setattr(mc, "sample_power_distribution", no_draw)
+    monkeypatch.setattr(mc, "draw_power_samples", no_draw)
     out = tmp_path / "o.txt"
     assert main(argv + ["--trials", "10000", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: must be finite and ")
@@ -630,6 +634,7 @@ def test_cli_refuses_bad_run_before_any_draw(tmp_path, capsys, monkeypatch, argv
         raise AssertionError("a Monte Carlo sample was drawn")
 
     monkeypatch.setattr(mc, "sample_power_distribution", no_draw)
+    monkeypatch.setattr(mc, "draw_power_samples", no_draw)
     monkeypatch.setattr(mc, "estimate_outage", no_draw)
     out = tmp_path / "o.txt"
     if "--trials" not in argv:

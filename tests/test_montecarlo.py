@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -32,7 +33,6 @@ from nncc.montecarlo import (
     draw_power_samples,
     estimate_outage,
     ks_distance,
-    placement_moments,
     protocol_round,
     sample_power_distribution,
 )
@@ -133,70 +133,78 @@ def test_estimate_outage_statistics(params):
 
 
 def test_estimate_outage_conventional(params):
+    """The baseline's solo uplinks, on the cooperative round's slot-2 fades,
+    meet the end-to-end target."""
     n = 1_000_000
-    rep = estimate_outage(n, fixed_geom(), params, RandomStream(42),
-                          scheme="conventional")
-    assert abs(rep.outage_composite - params.p_out_target) < 3.0 * rep.outage_composite_stderr
-    t = OutageTargets.for_target(params.p_out_target)
-    assert abs(rep.outage_d1 - t.p_out_c) < 3.0 * rep.outage_d1_stderr
-    assert rep.delta0_rate is None
-    assert rep.energy_stderr == 0.0
+    rep = estimate_outage(n, fixed_geom(), params, RandomStream(42))
+    assert abs(rep.conv_outage_composite - params.p_out_target) < (
+        3.0 * rep.conv_outage_composite_stderr)
 
 
-def _counts_drawn_directly(n, geom, params, stream, scheme):
-    """The block kernels' counts, re-derived draw by draw as they were first written."""
-    powers = (nncc_power_breakdown(geom, params) if scheme == "nncc"
-              else conventional_power(geom, params))
-    t12, t1b, t2b = _thresholds(geom, powers, params)
+def _counts_drawn_directly(n, geom, params, stream):
+    """The block kernel's counts, re-derived draw by draw as they were first written."""
+    t12, t1b, t2b = _thresholds(geom, nncc_power_breakdown(geom, params), params)
+    _, c1b, c2b = _thresholds(geom, conventional_power(geom, params), params)
     sig_s, sig_c = params.sigma2_short, params.sigma2_cell
-    counts = np.zeros(5, dtype=int)
+    counts = np.zeros(6, dtype=int)
     for j, start in enumerate(range(0, n, _BLOCK)):
         size = min(_BLOCK, n - start)
         rng = stream.block(j)
-        if scheme == "nncc":
-            h12, h21 = rng.exponential(sig_s, size), rng.exponential(sig_s, size)
-            delta0 = (h12 >= t12) & (h21 >= t12)
-            own1 = rng.exponential(sig_c, size) >= t1b
-            own2 = rng.exponential(sig_c, size) >= t2b
-            relay2 = rng.exponential(sig_c, size) >= t1b
-            relay1 = rng.exponential(sig_c, size) >= t2b
-            d1 = np.where(delta0, own1 | relay1, own1)
-            d2 = np.where(delta0, own2 | relay2, own2)
-            composite = np.where(delta0, ~d1, ~(d1 & d2))
-        else:
-            own1 = d1 = rng.exponential(sig_c, size) >= t1b
-            d2 = rng.exponential(sig_c, size) >= t2b
-            composite, delta0 = ~(d1 & d2), np.zeros(size, dtype=bool)
-        counts += [np.sum(~d1), np.sum(~d2), np.sum(composite), np.sum(delta0),
-                   np.sum(~own1)]
+        h12, h21 = rng.exponential(sig_s, size), rng.exponential(sig_s, size)
+        delta0 = (h12 >= t12) & (h21 >= t12)
+        h1b_slot2 = rng.exponential(sig_c, size)
+        h2b_slot2 = rng.exponential(sig_c, size)
+        own1, own2 = h1b_slot2 >= t1b, h2b_slot2 >= t2b
+        relay2 = rng.exponential(sig_c, size) >= t1b
+        relay1 = rng.exponential(sig_c, size) >= t2b
+        d1 = np.where(delta0, own1 | relay1, own1)
+        d2 = np.where(delta0, own2 | relay2, own2)
+        composite = np.where(delta0, ~d1, ~(d1 & d2))
+        # the baseline: both solo uplinks at the conventional powers must succeed
+        conv = ~((h1b_slot2 >= c1b) & (h2b_slot2 >= c2b))
+        counts += [np.sum(delta0), np.sum(~d1), np.sum(~d2), np.sum(composite),
+                   np.sum(~own1), np.sum(conv)]
     return counts
 
 
 @pytest.mark.parametrize("scheme", ["nncc", "conventional"])
 def test_estimate_outage_counts_follow_the_draw_order(params, scheme):
+    """Each scheme's counts are the direct draw's: the cooperative round's
+    five, and the conventional round's composite on the same slot-2 fades."""
     # a weaker exchange and uplinks make every kind of round common
     geom, n = fixed_geom(r1=2600.0, r=35.0), 70_000
-    rep = estimate_outage(n, geom, params, RandomStream(53), scheme=scheme)
-    lost1, lost2, comp, n_delta0, own1_lost = _counts_drawn_directly(
-        n, geom, params, RandomStream(53), scheme)
-    assert (rep.outage_d1, rep.outage_d2, rep.outage_composite, rep.uplink1_outage) == (
-        lost1 / n, lost2 / n, comp / n, own1_lost / n)
-    assert rep.delta0_rate == (n_delta0 / n if scheme == "nncc" else None)
-    assert min(lost1, lost2, comp, own1_lost) > 0
+    rep = estimate_outage(n, geom, params, RandomStream(53))
+    n_delta0, *lost = _counts_drawn_directly(n, geom, params, RandomStream(53))
+    if scheme == "nncc":
+        assert rep.delta0_rate == n_delta0 / n
+        assert (rep.outage_d1, rep.outage_d2, rep.outage_composite,
+                rep.uplink1_outage) == tuple(count / n for count in lost[:4])
+        assert min(lost[:4]) > 0
+    else:
+        assert rep.conv_outage_composite == lost[4] / n
+        assert lost[4] > 0
 
 
-def test_estimate_outage_unknown_scheme(params):
-    with pytest.raises(ValueError):
-        estimate_outage(MIN_TRIALS, fixed_geom(), params, RandomStream(0), scheme="x")
+def test_estimate_outage_energy_only_stops_after_the_exchange(params):
+    """A call for the energy alone gives the full kernel's exchange rate and
+    energy, and no outage rates."""
+    geom, n = fixed_geom(r1=2600.0, r=35.0), 70_000
+    rep = estimate_outage(n, geom, params, RandomStream(53), energy_only=True)
+    full = estimate_outage(n, geom, params, RandomStream(53))
+    n_delta0 = _counts_drawn_directly(n, geom, params, RandomStream(53))[0]
+    assert rep.delta0_rate == full.delta0_rate == n_delta0 / n
+    assert (rep.mean_energy, rep.energy_stderr) == (full.mean_energy,
+                                                    full.energy_stderr)
+    assert (rep.outage_d1, rep.outage_d2, rep.outage_composite, rep.uplink1_outage,
+            rep.conv_outage_composite) == (None,) * 5
 
 
 def test_estimate_outage_worker_invariance(params):
     kwargs = dict(n=150_000, geom=fixed_geom(), params=params)
     a = estimate_outage(stream=RandomStream(43), workers=1, **kwargs)
     b = estimate_outage(stream=RandomStream(43), workers=4, **kwargs)
-    for field in ("outage_d1", "outage_d2", "outage_composite", "delta0_rate",
-                  "mean_energy", "energy_stderr"):
-        assert getattr(a, field) == getattr(b, field)
+    assert None not in dataclasses.astuple(a)
+    assert a == b  # every field
 
 
 def test_estimate_outage_uplink1_cellular(params):
@@ -232,7 +240,7 @@ def test_sample_power_distribution(dense_params):
     rho, r1 = dense_params.rho, 2000.0
     quad = PowerQuadratic.from_params(dense_params, r1)
     rep = sample_power_distribution(n, rho, quad, RandomStream(48))
-    samples = np.sort(draw_power_samples(n, rho, r1, dense_params, RandomStream(48)))
+    samples = np.sort(draw_power_samples(n, rho, r1, dense_params, RandomStream(48)).totals)
     assert samples.shape == (n,)
     assert samples[0] >= quad.support_min
     closed = expected_power(quad, rho)
@@ -250,7 +258,7 @@ def test_draw_power_samples_bitwise_the_block_expression(n, rho):
     expected = power_samples_by_expression(n, rho, quad, RandomStream(52))
     for workers in (1, 2, 3):
         drawn = draw_power_samples(n, rho, 2000.0, params, RandomStream(52),
-                                   workers=workers)
+                                   workers=workers).totals
         assert np.array_equal(drawn, expected)
 
 
@@ -261,7 +269,7 @@ def test_sample_power_distribution_moments_of_the_samples(n, rho):
     params = validate(SystemParams(rho=rho))
     quad = PowerQuadratic.from_params(params, 2000.0)
     rep = sample_power_distribution(n, rho, quad, RandomStream(53))
-    samples = draw_power_samples(n, rho, 2000.0, params, RandomStream(53))
+    samples = draw_power_samples(n, rho, 2000.0, params, RandomStream(53)).totals
     assert rep.n_trials == n
     assert rep.mean_energy == pytest.approx(np.mean(samples), rel=1e-12)
     assert rep.energy_stderr == pytest.approx(
@@ -276,24 +284,28 @@ _SECTION_C_SETS = [(1e-5, 3000.0), (1e-4, 2000.0), (1e-3, 1000.0),
 # one block; 4 and 10 blocks, the last one partial
 @pytest.mark.parametrize("n", [MIN_TRIALS, 100_003, 300_001])
 def test_placement_moments_give_each_sets_mean(dense_params, n):
-    """Two moments of one draw give every set's mean: section [c]'s INFO lines.
+    """The two moments of a draw give the mean of its totals: section [c]'s
+    INFO lines.
 
     The moments are those of the reference placements, the same for any
     worker count, and ``a*m_A/(pi*rho) + b_coeff*m_C/sqrt(pi*rho) + c0`` is
-    a one-target call's mean on the same stream, to rounding, at any density.
+    the mean of the same call's totals, to rounding, at any density.
     """
     r, theta = placements_by_expression(n, 1e-4, RandomStream(55))
     scale = math.pi * 1e-4
-    m_a, m_c = placement_moments(n, 1e-4, RandomStream(55))
-    assert m_a == pytest.approx(np.mean(scale * r * r), rel=1e-12)
-    assert m_c == pytest.approx(np.mean(np.cos(theta) * math.sqrt(scale) * r), abs=1e-12)
-    assert placement_moments(n, 1e-4, RandomStream(55), workers=2) == (m_a, m_c)
+    drawn = draw_power_samples(n, 1e-4, 2000.0, dense_params, RandomStream(55))
+    assert drawn.m_a == pytest.approx(np.mean(scale * r * r), rel=1e-12)
+    assert drawn.m_c == pytest.approx(np.mean(np.cos(theta) * math.sqrt(scale) * r),
+                                      abs=1e-12)
     for rho, r1 in _SECTION_C_SETS:
-        quad = PowerQuadratic.from_params(dense_params.replace_raw(rho=rho), r1)
-        one = sample_power_distribution(n, rho, quad, RandomStream(55))
-        by_moments = (quad.a * m_a / (math.pi * rho)
-                      + quad.b_coeff * m_c / math.sqrt(math.pi * rho) + quad.c0)
-        assert by_moments == pytest.approx(one.mean_energy, rel=1e-13)
+        params = dense_params.replace_raw(rho=rho)
+        quad = PowerQuadratic.from_params(params, r1)
+        for workers in (1, 2):
+            totals, m_a, m_c = draw_power_samples(n, rho, r1, params, RandomStream(55),
+                                                  workers=workers)
+            by_moments = (quad.a * m_a / (math.pi * rho)
+                          + quad.b_coeff * m_c / math.sqrt(math.pi * rho) + quad.c0)
+            assert by_moments == pytest.approx(np.mean(totals), rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-4, math.nan, math.inf])
@@ -311,8 +323,7 @@ def test_bad_target_density_refused_before_any_draw(dense_params, monkeypatch,
     for sample in (lambda: sample_power_distribution(n, bad, quad, RandomStream(1),
                                                      workers=2),
                    lambda: draw_power_samples(n, bad, 1500.0, dense_params,
-                                              RandomStream(1), workers=2),
-                   lambda: placement_moments(n, bad, RandomStream(1), workers=2)):
+                                              RandomStream(1), workers=2)):
         with pytest.raises(ParameterError) as err:
             sample()
         assert err.value.field == "rho"
@@ -327,7 +338,8 @@ def test_sample_power_distribution_worker_invariance(dense_params):
 
 def test_draw_power_samples_worker_invariance(dense_params):
     """Threads fill disjoint slices of one array: with more workers than cores
-    and frequent thread switches, every block still lands whole in its place."""
+    and frequent thread switches, every block still lands whole in its place,
+    and the moments are summed in block order."""
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -335,7 +347,9 @@ def test_draw_power_samples_worker_invariance(dense_params):
                                     RandomStream(49), workers=w) for w in (1, 2, 3)]
     finally:
         sys.setswitchinterval(switch)
-    assert all(np.array_equal(drawn[0], d) for d in drawn[1:])
+    for d in drawn[1:]:
+        assert np.array_equal(drawn[0].totals, d.totals)
+        assert (d.m_a, d.m_c) == (drawn[0].m_a, drawn[0].m_c)
 
 
 def test_power_sampling_refuses_too_few_trials(dense_params):
@@ -344,15 +358,13 @@ def test_power_sampling_refuses_too_few_trials(dense_params):
         sample_power_distribution(MIN_TRIALS - 1, 1e-4, quad, RandomStream(1))
     with pytest.raises(ValueError, match="too small"):
         draw_power_samples(MIN_TRIALS - 1, 1e-4, 1500.0, dense_params, RandomStream(1))
-    with pytest.raises(ValueError, match="too small"):
-        placement_moments(MIN_TRIALS - 1, 1e-4, RandomStream(1))
 
 
 def test_sample_power_distribution_spread_overflow_names_rate():
     """The round totals are finite, but their squared deviations overflow."""
     params = validate(SystemParams(rate=1.05e9))
     assert np.isfinite(draw_power_samples(10_000, params.rho, 2000.0, params,
-                                          RandomStream(7))).all()
+                                          RandomStream(7)).totals).all()
     quad = PowerQuadratic.from_params(params, 2000.0)
     with pytest.raises(ParameterError) as err:
         sample_power_distribution(10_000, params.rho, quad, RandomStream(7), workers=2)
@@ -379,11 +391,9 @@ def test_power_sampling_memory(dense_params):
     peak, _ = _traced_peak(sample_power_distribution, n, rho, quad, RandomStream(54),
                            workers=2)
     assert peak < n * 8 / 4
-    peak, _ = _traced_peak(placement_moments, n, rho, RandomStream(54), workers=2)
-    assert peak < 2 * 3 * _BLOCK * 8
     peak, drawn = _traced_peak(draw_power_samples, n, rho, r1, dense_params,
                                RandomStream(54), workers=2)
-    assert drawn.nbytes == n * 8 and peak < 1.25 * n * 8
+    assert drawn.totals.nbytes == n * 8 and peak < 1.25 * n * 8
 
 
 # --- KS statistic ---------------------------------------------------------------
@@ -492,7 +502,7 @@ def test_ks_distance_engine_cdf_is_bitwise_the_full_statistic(rho, r1, pieces):
     """
     params = validate(SystemParams(rho=rho))
     quad = PowerQuadratic.from_params(params, r1)
-    drawn = draw_power_samples(20_000, rho, r1, params, RandomStream(51))
+    drawn = draw_power_samples(20_000, rho, r1, params, RandomStream(51)).totals
     samples = np.concatenate([drawn, drawn[::50], quad.support_min - np.arange(5.0)])
     samples.sort()
     cdf = lambda p: np.concatenate([cdf_reference_batch(piece, quad, rho)  # noqa: E731
