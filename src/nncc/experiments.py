@@ -343,9 +343,12 @@ def _branch_form_section(rep: _Report, quad: dist.PowerQuadratic, rho: float) ->
     rep.info("integral of branch-form PDF over support - 1",
              f"{_fmt(pdf_q1 + pdf_q2 - 1.0)} (upper limit p = {_fmt(p_hi)})")
     below, above = pdf[:2]
-    rep.info("PDF one-sided limits at the branch junction",
-             f"below = {_fmt(below)}, above = {_fmt(above)}, "
-             f"rel gap = {_fmt(abs(above - below) / max(above, below))}")
+    if quad.support_min == c0:  # in floats the support starts at c0: no junction
+        junction = "n/a (Q1 is empty: support_min == c0)"
+    else:
+        junction = (f"below = {_fmt(below)}, above = {_fmt(above)}, "
+                    f"rel gap = {_fmt(abs(above - below) / max(above, below))}")
+    rep.info("PDF one-sided limits at the branch junction", junction)
     name = "max |finite-difference CDF slope - PDF| (50 interior points)"
     if interior.size == 0:  # the support ends within 1e-3 of c0
         rep.info(name, "n/a (no grid point above c0 * (1 + 1e-3))")

@@ -135,6 +135,10 @@ def placements_by_expression(n: int, rho: float, stream):
 
 
 def power_samples_by_expression(n: int, rho: float, quad, stream):
-    """The block kernel of ``nncc.montecarlo``: n round totals in draw order."""
+    """The block kernel of ``nncc.montecarlo``: n round totals in draw order.
+
+    The kernel takes cos(theta) as 2/(1 + tan(theta/2)^2) - 1.
+    """
     r, theta = placements_by_expression(n, rho, stream)
-    return quad.a * r * r + quad.b_coeff * np.cos(theta) * r + quad.c0
+    cos = 2.0 / (1.0 + np.tan(0.5 * theta) ** 2) - 1.0
+    return quad.a * r * r + quad.b_coeff * cos * r + quad.c0

@@ -10,7 +10,9 @@ time, so a test or the table can turn it on for one run:
   a uniform ``u``, so it is no longer uniform;
 - ``slot3_uncharged``: a fraction ``delta`` of slot 3's expected cellular
   charge is dropped from the closed forms, ``eps_total = 1 + (1 -
-  delta)*eps_short``; ``delta = 1`` is ``eps_total = 1``.
+  delta)*eps_short``; ``delta = 1`` is ``eps_total = 1``;
+- ``relay_dropped``: a share ``delta`` of the slot-3 copies that reach the
+  base station in ``montecarlo.protocol_round`` is lost.
 
 pytest does not collect this file.  From the repository root, the table of
 which ``validate`` checks fire for each fault and size:
@@ -33,6 +35,7 @@ import re
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 
 from nncc import montecarlo as mc
@@ -77,6 +80,19 @@ def slot3_uncharged(monkeypatch, delta: float) -> None:
     monkeypatch.setattr(powermodel.OutageTargets, "for_target", classmethod(for_target))
 
 
+def relay_dropped(monkeypatch, delta: float) -> None:
+    exact = mc.protocol_round
+
+    def dropping(delta0, own1, own2, relay1, relay2):
+        if np.ndim(relay1):  # the cooperative round; the baseline has no relays
+            lost = np.random.default_rng(relay1.size)  # the same share every block
+            relay1 = relay1 & (lost.random(relay1.size) >= delta)
+            relay2 = relay2 & (lost.random(relay2.size) >= delta)
+        return exact(delta0, own1, own2, relay1, relay2)
+
+    monkeypatch.setattr(mc, "protocol_round", dropping)
+
+
 # each fault with the sizes the table tries, smallest first; "none" is the
 # correct program, whose failures are false alarms
 FAULTS = {
@@ -84,6 +100,7 @@ FAULTS = {
     "distance_scale": (distance_scale, (0.001, 0.002, 0.003, 0.005, 0.01)),
     "bearing_skew": (bearing_skew, (0.005, 0.01, 0.02, 0.03)),
     "slot3_uncharged": (slot3_uncharged, (1e-6, 1e-4, 1e-2, 1.0)),
+    "relay_dropped": (relay_dropped, (0.001, 0.003, 0.01, 0.03, 0.1)),
 }
 
 

@@ -17,6 +17,7 @@ from nncc import montecarlo as mc
 from nncc.cli import main
 from nncc.experiments import (
     CSV_HEADER,
+    DEFAULT_R1,
     ExperimentSpec,
     sweep,
     validate_report,
@@ -406,6 +407,19 @@ def test_round_energy_identity_sees_an_uncharged_slot_3(tmp_path, monkeypatch):
         "mean round energy vs exchange rate, relative residual"]
 
 
+def test_composite_outage_sees_dropped_relays(tmp_path, monkeypatch):
+    """Slot-3 fades are drawn only where they decide delivery, and section
+    [d] still sees slot 3: with a fifth of the relayed copies lost, the
+    composite outage rate is the only failing check, at 1e4 trials."""
+    mutants.relay_dropped(monkeypatch, 0.2)
+    path = tmp_path / "v.txt"
+    _, ok = validate_report(ExperimentSpec(kind="validate", out=str(path), seed=7,
+                                           n_trials=10_000))
+    assert not ok
+    assert re.findall(r"^  FAIL (.*?): ", path.read_text(encoding="utf-8"),
+                      flags=re.MULTILINE) == ["composite outage rate"]
+
+
 # --- CLI ------------------------------------------------------------------------
 
 def test_cli_figure(tmp_path, capsys):
@@ -571,6 +585,23 @@ def test_cli_validate_energy_without_spread(tmp_path):
         text = out.read_text(encoding="utf-8")
         assert "summary: 17/17 bounded checks passed" in text
         assert "PASS mean round energy vs exchange rate, relative residual: " in text
+
+
+def test_cli_validate_junction_line_without_q1(tmp_path):
+    """At 1e9 b/s the support starts at c0 in floats, so Q1 is empty and
+    section [e] has no branch junction to compare the density across."""
+    from nncc.distribution import PowerQuadratic
+
+    params = validate(SystemParams(rate=1e9))
+    quad = PowerQuadratic.from_params(params, DEFAULT_R1)
+    assert quad.support_min == quad.c0
+    line = "  INFO PDF one-sided limits at the branch junction: "
+    out = tmp_path / "v.txt"
+    for flags, expected in ((["--rate", "1e9"], "n/a (Q1 is empty: support_min == c0)"),
+                            ([], "below = ")):
+        assert main(["validate", "--out", str(out), "--seed", "7", "--trials", "10000"]
+                    + flags) == 0
+        assert line + expected in out.read_text(encoding="utf-8")
 
 
 _SWEEP_R1 = ["sweep", "--var", "r1", "--min", "500", "--max", "1000", "--count", "2"]

@@ -142,7 +142,7 @@ def test_estimate_outage_conventional(params):
 
 
 def _counts_drawn_directly(n, geom, params, stream):
-    """The block kernel's counts, re-derived draw by draw as they were first written."""
+    """The block kernel's counts, re-derived draw by draw."""
     t12, t1b, t2b = _thresholds(geom, nncc_power_breakdown(geom, params), params)
     _, c1b, c2b = _thresholds(geom, conventional_power(geom, params), params)
     sig_s, sig_c = params.sigma2_short, params.sigma2_cell
@@ -155,8 +155,16 @@ def _counts_drawn_directly(n, geom, params, stream):
         h1b_slot2 = rng.exponential(sig_c, size)
         h2b_slot2 = rng.exponential(sig_c, size)
         own1, own2 = h1b_slot2 >= t1b, h2b_slot2 >= t2b
-        relay2 = rng.exponential(sig_c, size) >= t1b
-        relay1 = rng.exponential(sig_c, size) >= t2b
+        # slot 3, one fade per trial that reads it: first U1's relay of
+        # message 2 where message 2's own uplink failed, then U2's relay of
+        # message 1; a copy that is not drawn is never read
+        relay2, relay1 = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
+        for i in range(size):
+            if delta0[i] and not own2[i]:
+                relay2[i] = rng.exponential(sig_c) >= t1b
+        for i in range(size):
+            if delta0[i] and not own1[i]:
+                relay1[i] = rng.exponential(sig_c) >= t2b
         d1 = np.where(delta0, own1 | relay1, own1)
         d2 = np.where(delta0, own2 | relay2, own2)
         composite = np.where(delta0, ~d1, ~(d1 & d2))
@@ -180,6 +188,7 @@ def test_estimate_outage_counts_follow_the_draw_order(params, scheme):
         assert (rep.outage_d1, rep.outage_d2, rep.outage_composite,
                 rep.uplink1_outage) == tuple(count / n for count in lost[:4])
         assert min(lost[:4]) > 0
+        assert lost[0] < lost[3]  # slot-3 copies delivered some of message 1
     else:
         assert rep.conv_outage_composite == lost[4] / n
         assert lost[4] > 0
@@ -222,7 +231,8 @@ def test_fading_marginals(params):
 
 
 def test_slot_fading_independence(params):
-    # draw in the same order as the block kernel and correlate slot 2 vs slot 3
+    # the block kernel's order, exchange then slot 2 then slot 3, with slot 3
+    # drawn for every trial: correlate slot 2 vs slot 3
     rng = RandomStream(47).block(0)
     n = 1_000_000
     _ = rng.exponential(params.sigma2_short, n)
@@ -260,6 +270,26 @@ def test_draw_power_samples_bitwise_the_block_expression(n, rho):
         drawn = draw_power_samples(n, rho, 2000.0, params, RandomStream(52),
                                    workers=workers).totals
         assert np.array_equal(drawn, expected)
+
+
+def test_block_kernel_cosine_within_two_ulp_of_one(monkeypatch):
+    """The kernel's half-angle cosine is within 4.5e-16 (2 ulp of 1) of np.cos
+    over the bearing range, including its ends and the cosine's -1 at pi.
+
+    With a = c0 = 0, b_coeff = 1 and every distance exactly 1, the kernel's
+    totals are its cosines.
+    """
+    theta = RandomStream(56).block(0).uniform(-0.5 * math.pi, 1.5 * math.pi, 1_000_000)
+    theta = np.concatenate((theta, [-0.5 * math.pi, 0.0, 0.5 * math.pi, math.pi,
+                                    np.nextafter(1.5 * math.pi, -INF)]))
+    monkeypatch.setattr(montecarlo, "sample_nn_geometries",
+                        lambda rng, rho, n: (np.full(n, math.pi), theta.copy()))
+    cos = np.empty(theta.size)
+    montecarlo._power_block(None, 1.0, PowerQuadratic(a=0.0, b_coeff=1.0, c0=0.0),
+                            theta.size, cos)
+    assert np.isfinite(cos).all()
+    assert np.max(np.abs(cos - np.cos(theta))) <= 4.5e-16
+    assert cos[-2] == -1.0
 
 
 @pytest.mark.parametrize("n", [100_003, 1_000_000])
