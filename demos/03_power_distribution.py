@@ -47,7 +47,7 @@ n = 200_000
 sample = sample_power_distribution(n, rho, quad, RandomStream(33))
 print(f"Monte Carlo over {n} placements: mean {sample.mean_energy:.6f} W "
       f"(stderr {sample.energy_stderr:.2e})")
-samples = np.sort(draw_power_samples(n, rho, r1, params, RandomStream(33)).totals)
+samples = np.sort(draw_power_samples(n, rho, quad, RandomStream(33)).totals)
 ks = ks_distance(samples, lambda p: cdf_reference_batch(p, quad, rho))
 print(f"KS distance, empirical vs direct CDF: {ks:.5f}")
 print()

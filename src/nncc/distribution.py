@@ -115,23 +115,16 @@ _TS_RULE = _ts_rule()
 
 
 def _tanh_sinh(f, lo, hi, atol: float, rtol: float):
-    """Integral of ``f`` over [lo, hi] by the doubling tanh-sinh rule.
+    """Integrals of ``f`` over the m intervals [lo, hi] by the doubling tanh-sinh rule.
 
-    With float ``lo`` and ``hi``, ``f`` maps a 1-D array of abscissae to
-    values whose last axis runs over them; the result has the shape of the
-    other axes (a float for 1-D values), and every entry must meet the stop
-    test of the module docstring.  With 1-D arrays of m intervals, ``f(x, live)``
-    takes the abscissae ``x`` of the intervals ``live`` (integer indices),
-    one row each, and returns values of shape (len(live), entries..., nodes);
-    the result has shape (m, entries...).  Each interval stops on its own
-    test, is not evaluated again, and gets the bits of a call on it alone.
+    ``lo`` and ``hi`` are 1-D arrays of m ends.  ``f(x, live)`` takes the
+    abscissae ``x`` of the intervals ``live`` (integer indices), one row
+    each, and returns values of shape (len(live), entries..., nodes); the
+    result has shape (m, entries...), and every entry must meet the stop test
+    of the module docstring.  Each interval stops on its own test, is not
+    evaluated again, and gets the bits of a call on it alone.
     """
-    batch = np.ndim(lo) > 0 or np.ndim(hi) > 0
-    if not batch:
-        def f(x, live, one=f):  # the batch of one
-            return one(x[0])[None]
-    lo_all, hi_all = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
-                                         np.atleast_1d(np.asarray(hi, dtype=float)))
+    lo_all, hi_all = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     # the intervals still going, their ends as columns, and their half widths
     live, lo_live, hi_live = np.arange(lo_all.size), lo_all[:, None], hi_all[:, None]
     half = 0.5 * (hi_live - lo_live)
@@ -163,17 +156,14 @@ def _tanh_sinh(f, lo, hi, atol: float, rtol: float):
             continue
         result[live[~going]] = value[~going]
         if not going.any():
-            if batch:
-                return result
-            return result[0] if result.ndim > 1 else float(result[0])
+            return result
         # freeze the intervals that met the test: f never sees them again
         live, lo_live, hi_live, half, total, value, ends, change, unmet = (
             x[going] for x in (live, lo_live, hi_live, half, total, value, ends, change, unmet))
     # the first interval still going, at its first entry that failed the test
     i, j = live[0], np.argmax(unmet[0].ravel())
-    bounds = (lo, hi) if not batch else (float(lo_all[i]), float(hi_all[i]))
     raise IntegrationError(
-        f"quadrature on [{bounds[0]!r}, {bounds[1]!r}] did not converge within "
+        f"quadrature on [{float(lo_all[i])!r}, {float(hi_all[i])!r}] did not converge within "
         f"{_TS_LEVELS} halvings of the step (estimate {float(value[0].ravel()[j])!r}, "
         f"change {float(change[0].ravel()[j])!r})")
 
@@ -480,8 +470,8 @@ def expected_power_conventional(params: LinearParams, r1: float) -> float:
     m = 1/(pi*rho); it is taken around the mean coefficient, so that with
     equal handset gains the difference term is exactly zero.
     """
-    if r1 <= 0:
-        raise ValueError(f"r1 must be > 0, got {r1!r}")
+    if not (math.isfinite(r1) and r1 > 0):
+        raise ParameterError("r1", f"must be finite and > 0, got {r1!r}")
     p_c = powermodel.OutageTargets.for_target(params.p_out_target).p_out_c
     eta1 = powermodel.Link.cellular(params, 1).coeff(p_c)
     eta2 = powermodel.Link.cellular(params, 2).coeff(p_c)
@@ -491,8 +481,8 @@ def expected_power_conventional(params: LinearParams, r1: float) -> float:
 
 def energy_efficiency(expected: float, rate: float) -> float:
     """Delivered bits per joule: both messages (2R bits) per expected round total."""
-    if expected <= 0:
-        raise ValueError(f"expected power must be > 0, got {expected!r}")
+    if not (math.isfinite(expected) and expected > 0):
+        raise ValueError(f"expected power must be finite and > 0, got {expected!r}")
     return 2.0 * rate / expected
 
 

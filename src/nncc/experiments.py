@@ -276,7 +276,7 @@ def _distribution_section(rep: _Report, params: LinearParams,
     rho = params.rho
     rep.add(f"[b] power distribution vs Monte Carlo (rho = {_fmt(rho)}, "
             f"r1 = {_fmt(r1)})")
-    samples, m_a, m_c = mc.draw_power_samples(n_trials, rho, r1, params,
+    samples, m_a, m_c = mc.draw_power_samples(n_trials, rho, quad,
                                               mc.RandomStream(seed, stream_id=101),
                                               workers=workers)
     samples.sort()  # in place: a sorted copy would double the sample's memory
@@ -308,8 +308,7 @@ def _expected_power_section(rep: _Report, coeff: powermodel.PowerCoefficients,
     rep.check_z("Monte Carlo mean of pi*rho*r^2", m_a, 1.0, 1.0 / math.sqrt(n_trials))
     rep.check_z("Monte Carlo mean of cos(theta)*sqrt(pi*rho)*r", m_c, 0.0,
                 math.sqrt(0.5 / n_trials))
-    by_mc = (quads.a * m_a / (math.pi * rhos)
-             + quads.b_coeff * m_c / np.sqrt(math.pi * rhos) + quads.c0)
+    by_mc = mc.mean_from_moments(quads, rhos, m_a, m_c)
     for rho_i, r1_i, closed_i, by_quad_i, mc_i in zip(rhos, r1s, closed, by_quad, by_mc):
         label = f"rho={_fmt(rho_i)} r1={_fmt(r1_i)}"
         rep.check(f"closed form vs quadrature, {label}",

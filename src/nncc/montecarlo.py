@@ -9,10 +9,10 @@ values give statistically independent experiments.
 Each random quantity is drawn once, and only where it is read.
 ``estimate_outage`` runs the cooperative round and the conventional baseline
 on the same fades, draws a slot-3 fade only where it decides delivery, and
-its sweep-row form draws only the exchange.  Placement sampling has two entry
-points on one block draw: ``draw_power_samples`` writes the round totals into
-one preallocated array and also returns the draw's two placement moments;
-``sample_power_distribution`` keeps only per-block sums and never holds more
+its sweep-row form draws only the exchange.  Placement sampling reduces a
+draw one way, to block sums of u = r*r and v = cos(theta)*r added in block
+order.  ``draw_power_samples`` also writes the totals into one array;
+``sample_power_distribution`` also sums u*u, u*v and v*v, and holds no more
 than one block per worker.
 """
 
@@ -90,12 +90,13 @@ def require_exchange_distance(r: float) -> None:
         raise ParameterError("r", f"must be finite and > 0 for the exchange, got {r!r}")
 
 
-def _finite_energy(mean: float, stderr: float, where: str) -> None:
-    """Round energies whose mean or spread overflows make the rate infeasible."""
-    if not (math.isfinite(mean) and math.isfinite(stderr)):
+def _energy_stderr(mean: float, var: float, n: int, where: str) -> float:
+    """Standard error of a mean of n round energies; an overflow names the rate."""
+    if not (math.isfinite(mean) and 0.0 <= var < math.inf):
         raise ParameterError(
             "rate", f"the mean or the spread of the round energy {where} "
                     f"overflows (mean {mean:.3g}); lower the rate or the distances")
+    return math.sqrt(var / n)
 
 
 def _thresholds(geom: Geometry, powers: PowerBreakdown, params: LinearParams):
@@ -206,8 +207,7 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
                  + (n - n_delta0) * (e1 - mean_e) ** 2) / max(n - 1, 1)
     except OverflowError:  # float ** raises where * would give inf
         var_e = math.inf
-    energy_stderr = math.sqrt(var_e / n)
-    _finite_energy(mean_e, energy_stderr, "at this placement")
+    energy_stderr = _energy_stderr(mean_e, var_e, n, "at this placement")
     report = McReport(n_trials=n, delta0_rate=n_delta0 / n,
                       delta0_stderr=_binom_stderr(n_delta0 / n, n),
                       mean_energy=mean_e, energy_stderr=energy_stderr)
@@ -221,15 +221,14 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
     return replace(report, **rates)
 
 
-def _power_block(rng, rho: float, quad: PowerQuadratic, size: int, out: np.ndarray,
-                 moments: bool = False):
-    """Round totals of ``size`` placements written into ``out``, in draw order:
-    ``a*r*r + b_coeff*cos(theta)*r + c0`` with cos(theta) taken as
-    ``2/(1 + tan(theta/2)**2) - 1`` (within 4.5e-16 of ``np.cos``), each
-    operation in place, the bits of the expression written out.
+def _power_block(rng, rho: float, quad: PowerQuadratic, size: int, out=None):
+    """Sums of u = r*r and v = cos(theta)*r over ``size`` placements.
 
-    With ``moments`` it returns the block's sums of r*r and cos(theta)*r,
-    taken from r as ``nn_distance`` gives it, before the totals are formed.
+    cos(theta) is ``2/(1 + tan(theta/2)**2) - 1``, within 4.5e-16 of ``np.cos``.
+    With ``out`` the block then writes its round totals there in draw order,
+    ``a*r*r + b_coeff*cos(theta)*r + c0`` with each operation in place, the
+    bits of the expression written out.  Without, it also returns the sums of
+    u*u, u*v and v*v, u and v formed in place of r and the cosine.
     """
     area, theta = sample_nn_geometries(rng, None, size)
     r = nn_distance(area, rho, out=area)
@@ -242,7 +241,12 @@ def _power_block(rng, rho: float, quad: PowerQuadratic, size: int, out: np.ndarr
     np.divide(2.0, theta, out=theta)
     theta -= 1.0
     # einsum without optimize sums in numpy's own loop: no BLAS, no temporary
-    sums = (np.einsum("i,i->", r, r), np.einsum("i,i->", theta, r)) if moments else None
+    sums = (np.einsum("i,i->", r, r), np.einsum("i,i->", theta, r))
+    if out is None:
+        theta *= r
+        r *= r
+        return sums + (np.einsum("i,i->", r, r), np.einsum("i,i->", r, theta),
+                       np.einsum("i,i->", theta, theta))
     theta *= quad.b_coeff
     theta *= r
     np.multiply(quad.a, r, out=out)
@@ -252,13 +256,43 @@ def _power_block(rng, rho: float, quad: PowerQuadratic, size: int, out: np.ndarr
     return sums
 
 
+def _placement_sums(n: int, rho: float, quad: PowerQuadratic, stream: RandomStream,
+                    workers: int, totals: np.ndarray | None = None) -> list[float]:
+    """``_power_block``'s sums over n placements, added in block order, so they
+    do not depend on ``workers``; with ``totals``, block j fills its slice."""
+    _require_trials(n)
+    require_density(rho)
+
+    def block_fn(j, size):
+        start = j * _BLOCK
+        out = None if totals is None else totals[start:start + size]
+        return _power_block(stream.block(j), rho, quad, size, out)
+
+    # Python floats: the arithmetic on them overflows to inf, never a warning
+    return [float(sum(s)) for s in zip(*_map_blocks(n, workers, block_fn))]
+
+
+def _placement_moments(n: int, rho: float, sum_u: float, sum_v: float):
+    """``PowerSamples``' m_a and m_c from the draw's sums of r*r and cos(theta)*r."""
+    scale = math.pi * rho
+    return scale * sum_u / n, math.sqrt(scale) * sum_v / n
+
+
+def mean_from_moments(quad: PowerQuadratic, rho, m_a, m_c):
+    """Mean round total ``a*m_a/(pi*rho) + b_coeff*m_c/sqrt(pi*rho) + c0`` of a
+    draw with placement moments m_a and m_c; element-wise on arrays."""
+    # ** 0.5 takes np.sqrt's bits on an array and stays a Python float on a float
+    return (quad.a * m_a / (math.pi * rho)
+            + quad.b_coeff * m_c / (math.pi * rho) ** 0.5 + quad.c0)
+
+
 class PowerSamples(NamedTuple):
     """Round totals of n placements in draw order, and two moments of the draw.
 
     ``m_a`` is the sample mean of pi*rho*r^2 (mean 1, variance 1) and ``m_c``
     that of cos(theta)*sqrt(pi*rho)*r (mean 0, variance 1/2, uncorrelated
-    with m_A).  The mean of ``totals`` is, to rounding, ``a*m_a/(pi*rho) +
-    b_coeff*m_c/sqrt(pi*rho) + c0``.
+    with m_A).  The mean of ``totals`` is, to rounding,
+    ``mean_from_moments(quad, rho, m_a, m_c)``.
     """
 
     totals: np.ndarray
@@ -266,63 +300,37 @@ class PowerSamples(NamedTuple):
     m_c: float
 
 
-def draw_power_samples(n: int, rho: float, r1: float, params: LinearParams,
+def draw_power_samples(n: int, rho: float, quad: PowerQuadratic,
                        stream: RandomStream, workers: int = 1) -> PowerSamples:
-    """The round totals of n random placements, in draw order, unsorted, and
-    the draw's two placement moments.
+    """The round totals ``quad`` of n random placements, in draw order,
+    unsorted, and the draw's two placement moments.
 
-    Block j fills its own slice of one preallocated array.  The totals are
-    those ``sample_power_distribution`` summarises on the same stream.  The
-    moments' block sums are added in block order, so they do not depend on
-    ``workers``.
+    Block j fills its own slice of one preallocated array.  The draws are
+    those ``sample_power_distribution`` summarises on the same stream.
     """
-    _require_trials(n)
-    require_density(rho)
-    quad = PowerQuadratic.from_params(params, r1)
     totals = np.empty(n)
-
-    def block_fn(j, size):
-        start = j * _BLOCK
-        return _power_block(stream.block(j), rho, quad, size,
-                            totals[start:start + size], moments=True)
-
-    sum_rr, sum_cr = map(sum, zip(*_map_blocks(n, workers, block_fn)))
-    scale = math.pi * rho
-    return PowerSamples(totals, float(scale * sum_rr / n),
-                        float(math.sqrt(scale) * sum_cr / n))
+    sum_u, sum_v = _placement_sums(n, rho, quad, stream, workers, totals)
+    return PowerSamples(totals, *_placement_moments(n, rho, sum_u, sum_v))
 
 
 def sample_power_distribution(n: int, rho: float, quad: PowerQuadratic,
                               stream: RandomStream, workers: int = 1) -> McReport:
     """Mean and standard error of the round total ``quad`` over n random placements.
 
-    No n-sized array is built: each block reduces its totals to ``(size,
-    mean, M2)``, M2 the sum of squared deviations from the block mean, and
-    the blocks are merged in block order by the pairwise update of Chan,
-    Golub & LeVeque (1983), so the result does not depend on ``workers``.
+    No n-sized array is built: with u = r*r and v = cos(theta)*r the total is
+    a*u + b_coeff*v + c0, so the mean is ``mean_from_moments`` of the draw and
+    the variance a^2*Var(u) + 2*a*b_coeff*Cov(u, v) + b_coeff^2*Var(v), sample
+    (co)variances over n - 1 from the block sums, in which c0 does not appear.
     ``draw_power_samples`` returns the totals themselves.
     """
-    _require_trials(n)
-    require_density(rho)
-
-    def block_fn(j, size):
-        totals = np.empty(size)
-        _power_block(stream.block(j), rho, quad, size, totals)
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            mean = float(np.mean(totals))
-            totals -= mean
-            np.square(totals, out=totals)
-            return size, mean, float(np.sum(totals))
-
-    (count, mean, m2), *rest = _map_blocks(n, workers, block_fn)
-    for size, block_mean, block_m2 in rest:
-        total = count + size
-        delta = block_mean - mean  # Python floats: inf or nan, never a warning
-        mean += delta * size / total
-        m2 += block_m2 + delta * delta * count * size / total
-        count = total
-    stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
-    _finite_energy(mean, stderr, f"over placements at rho = {rho:g}")
+    sum_u, sum_v, sum_uu, sum_uv, sum_vv = _placement_sums(n, rho, quad, stream, workers)
+    mean = mean_from_moments(quad, rho, *_placement_moments(n, rho, sum_u, sum_v))
+    var_u = (sum_uu - sum_u * sum_u / n) / (n - 1)
+    cov_uv = (sum_uv - sum_u * sum_v / n) / (n - 1)
+    var_v = (sum_vv - sum_v * sum_v / n) / (n - 1)
+    a, b = quad.a, quad.b_coeff
+    var = a * a * var_u + 2.0 * a * b * cov_uv + b * b * var_v
+    stderr = _energy_stderr(mean, var, n, f"over placements at rho = {rho:g}")
     return McReport(n_trials=n, mean_energy=mean, energy_stderr=stderr)
 
 

@@ -125,8 +125,7 @@ def test_criterion_06_distribution_ground_truth():
     params = validate(SystemParams(rate=1e7, rho=1e-4))
     quad = PowerQuadratic.from_params(params, 2000.0)
     n = 1_000_000
-    samples = np.sort(draw_power_samples(n, params.rho, 2000.0, params,
-                                         RandomStream(1006)).totals)
+    samples = np.sort(draw_power_samples(n, params.rho, quad, RandomStream(1006)).totals)
     ks = ks_distance(samples, lambda p: cdf_reference_batch(p, quad, params.rho))
     assert ks < 0.005
     _report(6, f"KS distance {ks:.5f} < 0.005 at {n} samples")

@@ -377,7 +377,7 @@ def _small_validate_cdf():
     """Batch CDF at the KS sample of ``validate --seed 7 --trials 10000``."""
     params = validate(SystemParams())
     quad = PowerQuadratic.from_params(params, 2000.0)
-    samples = draw_power_samples(10_000, params.rho, 2000.0, params,
+    samples = draw_power_samples(10_000, params.rho, quad,
                                  RandomStream(7, stream_id=101)).totals
     samples.sort()
     return cdf_reference_batch(samples, quad, params.rho)
@@ -517,6 +517,16 @@ def test_energy_efficiency_dense_limit(quad5, dense_params):
         energy_efficiency(0.0, 1e5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_efficiency_inputs_refuse_non_finite_or_non_positive(params, bad):
+    """A nan passes a ``<= 0`` test: every non-finite or non-positive input is refused."""
+    with pytest.raises(ParameterError) as err:
+        expected_power_conventional(params, bad)
+    assert err.value.field == "r1"
+    with pytest.raises(ValueError, match="expected power must be finite and > 0"):
+        energy_efficiency(bad, params.rate)
+
+
 def test_cooperation_more_efficient_in_figure_regime(params):
     for r1 in np.linspace(500.0, 3000.0, 11):
         quad = PowerQuadratic.from_params(params, r1)
@@ -579,29 +589,34 @@ def test_quadratic_rejects_coefficients_whose_square_overflows(dense_params):
         PowerQuadratic.from_params(dense_params, np.array([2000.0, 1e160]))
 
 
+def _one(f, lo, hi, atol, rtol):
+    """``_tanh_sinh`` on the batch of one interval [lo, hi] of the 1-D integrand f."""
+    return _tanh_sinh(lambda x, live: f(x[0])[None], np.array([lo]), np.array([hi]),
+                      atol, rtol)[0]
+
+
 def test_quad_helper_raises_on_divergence():
     """1/x is not integrable at 0: the end terms never shrink, so the rule gives up."""
     with pytest.raises(IntegrationError,
                        match=r"^quadrature on \[0\.0, 1\.0\] did not converge within 7 "):
-        _tanh_sinh(lambda x: 1.0 / x, 0.0, 1.0, atol=1e-12, rtol=0.0)
+        _one(lambda x: 1.0 / x, 0.0, 1.0, atol=1e-12, rtol=0.0)
 
 
 def test_tanh_sinh_known_integrals():
     """Smooth, endpoint-singular and row-wise integrands, each to its tolerance."""
-    assert _tanh_sinh(np.exp, 0.0, 1.0, 0.0, 1e-13) == pytest.approx(math.e - 1.0, rel=1e-13)
+    assert _one(np.exp, 0.0, 1.0, 0.0, 1e-13) == pytest.approx(math.e - 1.0, rel=1e-13)
     # integrable singularities at lo = 0, whose nodes keep their digits
-    assert _tanh_sinh(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 0.0, 1e-10) \
+    assert _one(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 0.0, 1e-10) \
         == pytest.approx(2.0, rel=1e-10)
-    assert _tanh_sinh(np.log, 0.0, 1.0, 0.0, 1e-10) == pytest.approx(-1.0, rel=1e-10)
-    rows = _tanh_sinh(lambda x: np.array([[1.0], [2.0]]) * x * x, 1.0, 4.0, 0.0, 1e-13)
+    assert _one(np.log, 0.0, 1.0, 0.0, 1e-10) == pytest.approx(-1.0, rel=1e-10)
+    rows = _one(lambda x: np.array([[1.0], [2.0]]) * x * x, 1.0, 4.0, 0.0, 1e-13)
     assert rows.shape == (2,) and np.allclose(rows, [21.0, 42.0], rtol=1e-13, atol=0.0)
-    assert isinstance(_tanh_sinh(np.cos, 0.0, 1.0, 1e-12, 0.0), float)
 
 
 def test_tanh_sinh_non_finite_sum_raises_without_warning():
     """An infinite node value is a failed quadrature, never a RuntimeWarning."""
     with pytest.raises(IntegrationError, match=r"estimate inf"):
-        _tanh_sinh(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0, 1e-12, 1e-12)
+        _one(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0, 1e-12, 1e-12)
 
 
 def test_tanh_sinh_shared_rule_is_bitwise_the_per_call_rule():
@@ -610,11 +625,11 @@ def test_tanh_sinh_shared_rule_is_bitwise_the_per_call_rule():
              (np.log, 0.0, 1.0, 0.0, 1e-10), (np.cos, -0.3, 7.1, 1e-12, 0.0),
              (lambda x: np.array([[1.0], [2.0]]) * x * x, 1.0, 4.0, 0.0, 1e-13)]
     for case in cases:
-        assert np.array_equal(_tanh_sinh(*case), tanh_sinh_uncached(*case))
+        assert np.array_equal(_one(*case), tanh_sinh_uncached(*case))
     for case in ((lambda x: 1.0 / x, 0.0, 1.0, 1e-12, 0.0),
                  (lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0, 1e-12, 1e-12)):
         with pytest.raises(IntegrationError) as shared:
-            _tanh_sinh(*case)
+            _one(*case)
         with pytest.raises(IntegrationError) as per_call:
             tanh_sinh_uncached(*case)
         assert str(shared.value) == str(per_call.value)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mutants
-from nncc import ParameterError, SystemParams, cli, validate
+from nncc import ParameterError, PowerQuadratic, SystemParams, cli, validate
 from nncc import montecarlo as mc
 from nncc.cli import main
 from nncc.experiments import (
@@ -380,9 +380,10 @@ def test_section_c_moment_sees_its_fault(monkeypatch, fault, delta, moment):
     leaves the other within it."""
     n = 1_000_000
     params = validate(SystemParams())
+    quad = PowerQuadratic.from_params(params, 2000.0)
 
     def z_values():
-        _, m_a, m_c = mc.draw_power_samples(n, params.rho, 2000.0, params,
+        _, m_a, m_c = mc.draw_power_samples(n, params.rho, quad,
                                             mc.RandomStream(7, stream_id=101),
                                             workers=2)
         return abs(m_a - 1.0) * math.sqrt(n), abs(m_c) / math.sqrt(0.5 / n)
@@ -698,6 +699,17 @@ def test_cli_round_energy_overflow_exits_2(tmp_path, capsys, argv):
     assert main(argv + ["--trials", "10000", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: rate: ")
     assert not out.exists()
+
+
+def test_cli_sweep_below_the_spread_overflow_exits_0(tmp_path):
+    """The spread over placements comes from sums of the placements alone, so
+    it stays finite up to where a^2 times their variance overflows."""
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--var", "r1", "--min", "500", "--max", "1000", "--count", "2",
+                 "--rate", "1.035e9", "--trials", "10000", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 2
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[1:])
 
 
 @pytest.mark.parametrize("config,field", [('{"g_bs_db": "5"}', "g_bs_db"),

@@ -250,7 +250,7 @@ def test_sample_power_distribution(dense_params):
     rho, r1 = dense_params.rho, 2000.0
     quad = PowerQuadratic.from_params(dense_params, r1)
     rep = sample_power_distribution(n, rho, quad, RandomStream(48))
-    samples = np.sort(draw_power_samples(n, rho, r1, dense_params, RandomStream(48)).totals)
+    samples = np.sort(draw_power_samples(n, rho, quad, RandomStream(48)).totals)
     assert samples.shape == (n,)
     assert samples[0] >= quad.support_min
     closed = expected_power(quad, rho)
@@ -267,8 +267,7 @@ def test_draw_power_samples_bitwise_the_block_expression(n, rho):
     quad = PowerQuadratic.from_params(params, 2000.0)
     expected = power_samples_by_expression(n, rho, quad, RandomStream(52))
     for workers in (1, 2, 3):
-        drawn = draw_power_samples(n, rho, 2000.0, params, RandomStream(52),
-                                   workers=workers).totals
+        drawn = draw_power_samples(n, rho, quad, RandomStream(52), workers=workers).totals
         assert np.array_equal(drawn, expected)
 
 
@@ -295,15 +294,29 @@ def test_block_kernel_cosine_within_two_ulp_of_one(monkeypatch):
 @pytest.mark.parametrize("n", [100_003, 1_000_000])
 @pytest.mark.parametrize("rho", [1e-7, 1e-4, 1.0])
 def test_sample_power_distribution_moments_of_the_samples(n, rho):
-    """Block moments merged in block order give the whole sample's mean and spread."""
+    """Block sums of the placements give the whole sample's mean and spread."""
     params = validate(SystemParams(rho=rho))
     quad = PowerQuadratic.from_params(params, 2000.0)
     rep = sample_power_distribution(n, rho, quad, RandomStream(53))
-    samples = draw_power_samples(n, rho, 2000.0, params, RandomStream(53)).totals
+    samples = draw_power_samples(n, rho, quad, RandomStream(53)).totals
     assert rep.n_trials == n
-    assert rep.mean_energy == pytest.approx(np.mean(samples), rel=1e-12)
+    # abs=0: approx's default abs of 1e-12 would swallow a stderr of 1e-10
+    assert rep.mean_energy == pytest.approx(np.mean(samples), rel=1e-12, abs=0)
     assert rep.energy_stderr == pytest.approx(
-        np.std(samples, ddof=1) / math.sqrt(n), rel=1e-12)
+        np.std(samples, ddof=1) / math.sqrt(n), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("rho", [1e-7, 1e-4, 1.0])
+def test_sample_power_distribution_spread_follows_the_placement_law(rho):
+    """Under the PPP, Var(pi*rho*r^2) = 1, Var(cos(theta)*sqrt(pi*rho)*r) = 1/2
+    and their covariance is 0, so the round total's sd is sqrt(a^2/(pi*rho)^2
+    + b_coeff^2/(2*pi*rho)).  At 1e6 placements the sampling sd of the
+    estimate is ~1.4e-3 relative: a 1 % bound is ~7 sd."""
+    n = 1_000_000
+    quad = PowerQuadratic.from_params(validate(SystemParams(rho=rho)), 2000.0)
+    rep = sample_power_distribution(n, rho, quad, RandomStream(57))
+    law = math.sqrt((quad.a / (math.pi * rho)) ** 2 + quad.b_coeff ** 2 / (2 * math.pi * rho))
+    assert rep.energy_stderr * math.sqrt(n) == pytest.approx(law, rel=0.01)
 
 
 # the five (rho, r1) sets of the validate report's section [c]
@@ -318,12 +331,14 @@ def test_placement_moments_give_each_sets_mean(dense_params, n):
     INFO lines.
 
     The moments are those of the reference placements, the same for any
-    worker count, and ``a*m_A/(pi*rho) + b_coeff*m_C/sqrt(pi*rho) + c0`` is
-    the mean of the same call's totals, to rounding, at any density.
+    worker count, and ``mean_from_moments`` of them, ``a*m_A/(pi*rho) +
+    b_coeff*m_C/sqrt(pi*rho) + c0``, is the mean of the same call's totals, to
+    rounding, at any density.
     """
     r, theta = placements_by_expression(n, 1e-4, RandomStream(55))
     scale = math.pi * 1e-4
-    drawn = draw_power_samples(n, 1e-4, 2000.0, dense_params, RandomStream(55))
+    drawn = draw_power_samples(n, 1e-4, PowerQuadratic.from_params(dense_params, 2000.0),
+                               RandomStream(55))
     assert drawn.m_a == pytest.approx(np.mean(scale * r * r), rel=1e-12)
     assert drawn.m_c == pytest.approx(np.mean(np.cos(theta) * math.sqrt(scale) * r),
                                       abs=1e-12)
@@ -331,11 +346,10 @@ def test_placement_moments_give_each_sets_mean(dense_params, n):
         params = dense_params.replace_raw(rho=rho)
         quad = PowerQuadratic.from_params(params, r1)
         for workers in (1, 2):
-            totals, m_a, m_c = draw_power_samples(n, rho, r1, params, RandomStream(55),
+            totals, m_a, m_c = draw_power_samples(n, rho, quad, RandomStream(55),
                                                   workers=workers)
-            by_moments = (quad.a * m_a / (math.pi * rho)
-                          + quad.b_coeff * m_c / math.sqrt(math.pi * rho) + quad.c0)
-            assert by_moments == pytest.approx(np.mean(totals), rel=1e-12)
+            assert montecarlo.mean_from_moments(quad, rho, m_a, m_c) == \
+                pytest.approx(np.mean(totals), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-4, math.nan, math.inf])
@@ -352,8 +366,7 @@ def test_bad_target_density_refused_before_any_draw(dense_params, monkeypatch,
     n = MIN_TRIALS + extra_blocks * _BLOCK
     for sample in (lambda: sample_power_distribution(n, bad, quad, RandomStream(1),
                                                      workers=2),
-                   lambda: draw_power_samples(n, bad, 1500.0, dense_params,
-                                              RandomStream(1), workers=2)):
+                   lambda: draw_power_samples(n, bad, quad, RandomStream(1), workers=2)):
         with pytest.raises(ParameterError) as err:
             sample()
         assert err.value.field == "rho"
@@ -370,11 +383,12 @@ def test_draw_power_samples_worker_invariance(dense_params):
     """Threads fill disjoint slices of one array: with more workers than cores
     and frequent thread switches, every block still lands whole in its place,
     and the moments are summed in block order."""
+    quad = PowerQuadratic.from_params(dense_params, 1500.0)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        drawn = [draw_power_samples(1_000_000, 1e-4, 1500.0, dense_params,
-                                    RandomStream(49), workers=w) for w in (1, 2, 3)]
+        drawn = [draw_power_samples(1_000_000, 1e-4, quad, RandomStream(49), workers=w)
+                 for w in (1, 2, 3)]
     finally:
         sys.setswitchinterval(switch)
     for d in drawn[1:]:
@@ -387,15 +401,15 @@ def test_power_sampling_refuses_too_few_trials(dense_params):
     with pytest.raises(ValueError, match="too small"):
         sample_power_distribution(MIN_TRIALS - 1, 1e-4, quad, RandomStream(1))
     with pytest.raises(ValueError, match="too small"):
-        draw_power_samples(MIN_TRIALS - 1, 1e-4, 1500.0, dense_params, RandomStream(1))
+        draw_power_samples(MIN_TRIALS - 1, 1e-4, quad, RandomStream(1))
 
 
 def test_sample_power_distribution_spread_overflow_names_rate():
     """The round totals are finite, but their squared deviations overflow."""
     params = validate(SystemParams(rate=1.05e9))
-    assert np.isfinite(draw_power_samples(10_000, params.rho, 2000.0, params,
-                                          RandomStream(7)).totals).all()
     quad = PowerQuadratic.from_params(params, 2000.0)
+    assert np.isfinite(draw_power_samples(10_000, params.rho, quad,
+                                          RandomStream(7)).totals).all()
     with pytest.raises(ParameterError) as err:
         sample_power_distribution(10_000, params.rho, quad, RandomStream(7), workers=2)
     assert err.value.field == "rate"
@@ -421,8 +435,8 @@ def test_power_sampling_memory(dense_params):
     peak, _ = _traced_peak(sample_power_distribution, n, rho, quad, RandomStream(54),
                            workers=2)
     assert peak < n * 8 / 4
-    peak, drawn = _traced_peak(draw_power_samples, n, rho, r1, dense_params,
-                               RandomStream(54), workers=2)
+    peak, drawn = _traced_peak(draw_power_samples, n, rho, quad, RandomStream(54),
+                               workers=2)
     assert drawn.totals.nbytes == n * 8 and peak < 1.25 * n * 8
 
 
@@ -532,7 +546,7 @@ def test_ks_distance_engine_cdf_is_bitwise_the_full_statistic(rho, r1, pieces):
     """
     params = validate(SystemParams(rho=rho))
     quad = PowerQuadratic.from_params(params, r1)
-    drawn = draw_power_samples(20_000, rho, r1, params, RandomStream(51)).totals
+    drawn = draw_power_samples(20_000, rho, quad, RandomStream(51)).totals
     samples = np.concatenate([drawn, drawn[::50], quad.support_min - np.arange(5.0)])
     samples.sort()
     cdf = lambda p: np.concatenate([cdf_reference_batch(piece, quad, rho)  # noqa: E731
