@@ -4,12 +4,15 @@ Datasets are CSV with a fixed schema so any plotting tool can reproduce the
 curves; this package never renders images.  Every emitted analytic curve
 ships with a Monte Carlo column as its empirical check.  Output is
 byte-stable: identical spec and seed produce identical files for any worker
-count, so reports deliberately exclude wall-clock metadata.
+count, so reports deliberately exclude wall-clock metadata.  With 2 or more
+workers a validation report runs its sections [d] and [e], which read no
+result of the others, on one thread beside sections [a]-[c].
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -230,6 +233,12 @@ class _Report:
     def info(self, name: str, text: str) -> None:
         self.add(f"  INFO {name}: {text}")
 
+    def join(self, other: "_Report") -> None:
+        """Append another report's lines, checks and failures after this one's."""
+        self.lines += other.lines
+        self.failures += other.failures
+        self.n_checks += other.n_checks
+
 
 def _closure_section(rep: _Report, params: LinearParams, seed: int,
                      coeff: powermodel.PowerCoefficients) -> None:
@@ -388,7 +397,15 @@ def _protocol_section(rep: _Report, params: LinearParams, r1: float, r: float,
 
 
 def validate_report(spec: ExperimentSpec) -> tuple[str, bool]:
-    """Write the cross-validation report; returns (path, all bounded checks ok)."""
+    """Write the cross-validation report; returns (path, all bounded checks ok).
+
+    Every input is checked before a section runs.  With ``spec.workers`` >= 2,
+    sections [d] and [e] run on one thread beside [a]-[c], [d]'s blocks on
+    ``workers // 2`` threads and [b]'s on the rest; [d] and [e] write their
+    own lines, appended after [c]'s, so the report has the bytes of one
+    worker.  An error in [a]-[c] is raised once the thread has ended, before
+    any error of [d]-[e].
+    """
     spec = spec.resolved()
     if spec.kind != "validate":
         raise ValueError(f"not a validate spec: {spec.kind!r}")
@@ -409,12 +426,28 @@ def validate_report(spec: ExperimentSpec) -> tuple[str, bool]:
     eps_total = powermodel.OutageTargets.for_target(params.p_out_target).eps_total
     quad = dist.PowerQuadratic.from_coefficients(coeff, eps_total, r1)
 
-    _closure_section(rep, params, spec.seed, coeff)
-    m_a, m_c = _distribution_section(rep, params, quad, r1, spec.n_trials, spec.seed,
-                                     spec.workers)
-    _expected_power_section(rep, coeff, eps_total, m_a, m_c, spec.n_trials)
-    _protocol_section(rep, params, r1, r, spec.n_trials, spec.seed, spec.workers)
-    _branch_form_section(rep, quad, params.rho)
+    def first_sections(workers):  # [a]-[c]; [c] reads [b]'s draw
+        _closure_section(rep, params, spec.seed, coeff)
+        m_a, m_c = _distribution_section(rep, params, quad, r1, spec.n_trials,
+                                         spec.seed, workers)
+        _expected_power_section(rep, coeff, eps_total, m_a, m_c, spec.n_trials)
+
+    def last_sections(workers):  # [d] and [e] read nothing of [a]-[c]
+        part = _Report()
+        _protocol_section(part, params, r1, r, spec.n_trials, spec.seed, workers)
+        _branch_form_section(part, quad, params.rho)
+        return part
+
+    if spec.workers == 1:
+        first_sections(1)
+        rep.join(last_sections(1))
+    else:
+        # leaving the with block joins the thread, also when [a]-[c] raise
+        half = spec.workers // 2
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            later = pool.submit(last_sections, half)
+            first_sections(spec.workers - half)
+        rep.join(later.result())
 
     ok = not rep.failures
     rep.add(f"summary: {rep.n_checks - len(rep.failures)}/{rep.n_checks} "

@@ -172,22 +172,30 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
 
     def block_fn(j, size):
         rng = stream.block(j)
+        buf = np.empty(size)
+
+        def fades(scale, k=size):
+            # the bits of rng.exponential(scale, k), in one reused buffer
+            h = rng.standard_exponential(out=buf[:k])
+            h *= scale
+            return h
+
         # each gain is compared as it is drawn, so few float arrays are alive
-        delta0 = rng.exponential(sig_s, size) >= t12   # h12
-        delta0 &= rng.exponential(sig_s, size) >= t12  # h21
+        delta0 = fades(sig_s) >= t12   # h12
+        delta0 &= fades(sig_s) >= t12  # h21
         if energy_only:
             return (np.count_nonzero(delta0),)
-        h = rng.exponential(sig_c, size)  # slot 2, handset 1
+        h = fades(sig_c)  # slot 2, handset 1
         own1, conv1 = h >= t1b, h >= c1b
-        h = rng.exponential(sig_c, size)  # slot 2, handset 2
+        h = fades(sig_c)  # slot 2, handset 2
         own2, conv2 = h >= t2b, h >= c2b
         # slot 3, drawn only where it decides delivery
         relay2 = np.zeros(size, dtype=bool)  # slot-3 use of U1's uplink
         need = delta0 & ~own2
-        relay2[need] = rng.exponential(sig_c, np.count_nonzero(need)) >= t1b
+        relay2[need] = fades(sig_c, np.count_nonzero(need)) >= t1b
         relay1 = np.zeros(size, dtype=bool)
         need = delta0 & ~own1
-        relay1[need] = rng.exponential(sig_c, np.count_nonzero(need)) >= t2b
+        relay1[need] = fades(sig_c, np.count_nonzero(need)) >= t2b
         d1, d2, composite = protocol_round(delta0, own1, own2, relay1, relay2)
         conv = protocol_round(False, conv1, conv2, False, False)[2]
         return (np.count_nonzero(delta0), size - np.count_nonzero(d1),

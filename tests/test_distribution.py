@@ -45,9 +45,9 @@ def quad5(dense_params):
 
 
 def test_quadratic_coefficients_golden(quad5):
-    assert quad5.a == pytest.approx(A_GOLDEN, rel=1e-12)
-    assert quad5.c0 == pytest.approx(C0_GOLDEN, rel=1e-12)
-    assert quad5.support_min == pytest.approx(INF_GOLDEN, rel=1e-12)
+    assert quad5.a == pytest.approx(A_GOLDEN, rel=1e-12, abs=0)
+    assert quad5.c0 == pytest.approx(C0_GOLDEN, rel=1e-12, abs=0)
+    assert quad5.support_min == pytest.approx(INF_GOLDEN, rel=1e-12, abs=0)
 
 
 def test_quadratic_reproduces_breakdown_total(dense_params, quad5):
@@ -129,7 +129,7 @@ def test_power_roots_residuals(quad5, dense_params, monkeypatch):
         upper = p > quad5.c0
         v, _, beta = _kernel_inputs(monkeypatch, p, quad5, rho)
         half_b, _ = _engine_roots(beta, quad5, rho, upper, v)
-        assert abs(half_b) == pytest.approx(k, rel=1e-12)  # |cos(theta)| = 1
+        assert abs(half_b) == pytest.approx(k, rel=1e-12, abs=0)  # |cos(theta)| = 1
         for w in rng.uniform(-v if upper else 0.0, v, 5):
             half_b, roots = _engine_roots(beta, quad5, rho, upper, w)
             assert abs(half_b) <= k * (1.0 + 1e-12)
@@ -475,7 +475,8 @@ def test_pdf_matches_cdf_finite_differences(quad5, dense_params):
 
 
 def test_expected_power_closed_form_golden(quad5, dense_params):
-    assert expected_power(quad5, dense_params.rho) == pytest.approx(EP_GOLDEN, rel=1e-12)
+    assert expected_power(quad5, dense_params.rho) == pytest.approx(EP_GOLDEN, rel=1e-12,
+                                                                    abs=0)
 
 
 @pytest.mark.parametrize("rho,r1", [
@@ -495,7 +496,7 @@ def test_expected_power_dense_limit(quad5):
     """As density grows the neighbor collapses onto the handset: mean -> c0."""
     for rho in (1e-2, 1.0, 1e2):
         assert expected_power(quad5, rho) == pytest.approx(
-            quad5.c0 + quad5.a / (math.pi * rho), rel=1e-15)
+            quad5.c0 + quad5.a / (math.pi * rho), rel=1e-15, abs=0)
     assert expected_power(quad5, 1e6) == pytest.approx(quad5.c0, rel=1e-6)
 
 
@@ -510,7 +511,7 @@ def test_energy_efficiency_not_proportional_to_rate(params):
 
 def test_energy_efficiency_dense_limit(quad5, dense_params):
     ee_inf = energy_efficiency(quad5.c0, dense_params.rate)
-    assert ee_inf == pytest.approx(2.0 * dense_params.rate / quad5.c0, rel=1e-15)
+    assert ee_inf == pytest.approx(2.0 * dense_params.rate / quad5.c0, rel=1e-15, abs=0)
     assert energy_efficiency(expected_power(quad5, 1e8), dense_params.rate) == \
         pytest.approx(ee_inf, rel=1e-4)
     with pytest.raises(ValueError):
@@ -540,7 +541,8 @@ def test_expected_power_conventional_moment_form(params):
     eta_c = Link.cellular(params, 1).coeff(t.p_out_c)
     r1 = 1200.0
     expected = eta_c * (2.0 * r1 * r1 + 1.0 / (math.pi * params.rho))
-    assert expected_power_conventional(params, r1) == pytest.approx(expected, rel=1e-15)
+    assert expected_power_conventional(params, r1) == pytest.approx(expected, rel=1e-15,
+                                                                    abs=0)
 
 
 def test_expected_power_conventional_unequal_gains():
@@ -552,7 +554,7 @@ def test_expected_power_conventional_unequal_gains():
     r1 = 1200.0
     closed = expected_power_conventional(params, r1)
     assert closed == pytest.approx(
-        eta1 * r1 * r1 + eta2 * (r1 * r1 + 1.0 / (math.pi * params.rho)), rel=1e-12)
+        eta1 * r1 * r1 + eta2 * (r1 * r1 + 1.0 / (math.pi * params.rho)), rel=1e-12, abs=0)
     r, theta = sample_nn_geometries(RandomStream(31).block(0), params.rho, 1_000_000)
     r2 = partner_distance_to_bs(r1, r, theta)
     totals = eta1 * r1 * r1 + eta2 * r2 * r2
@@ -567,10 +569,10 @@ def test_evaluate_distribution_grid(dense_params):
     cdf_ref = cdf_reference_batch(grid, quad, rho)
     cdf_branch = np.array([branch_form_cdf(p, quad, rho) for p in grid])
     pdf_branch = np.array([pdf_branch_form(p, quad, rho) for p in grid])
-    assert grid[0] == pytest.approx(INF_GOLDEN, rel=1e-12)
+    assert grid[0] == pytest.approx(INF_GOLDEN, rel=1e-12, abs=0)
     assert np.all(np.diff(cdf_ref) >= -1e-12)
     assert cdf_ref[-1] == pytest.approx(1.0, abs=2e-6)
-    assert expected_power(quad, rho) == pytest.approx(EP_GOLDEN, rel=1e-12)
+    assert expected_power(quad, rho) == pytest.approx(EP_GOLDEN, rel=1e-12, abs=0)
     assert np.all(pdf_branch >= 0.0)
     # the branch-form CDF ends above 1 by exactly the boundary term
     boundary = cdf_reference_batch(quad.c0, quad, rho)
@@ -604,11 +606,11 @@ def test_quad_helper_raises_on_divergence():
 
 def test_tanh_sinh_known_integrals():
     """Smooth, endpoint-singular and row-wise integrands, each to its tolerance."""
-    assert _one(np.exp, 0.0, 1.0, 0.0, 1e-13) == pytest.approx(math.e - 1.0, rel=1e-13)
+    assert _one(np.exp, 0.0, 1.0, 0.0, 1e-13) == pytest.approx(math.e - 1.0, rel=1e-13, abs=0)
     # integrable singularities at lo = 0, whose nodes keep their digits
     assert _one(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 0.0, 1e-10) \
-        == pytest.approx(2.0, rel=1e-10)
-    assert _one(np.log, 0.0, 1.0, 0.0, 1e-10) == pytest.approx(-1.0, rel=1e-10)
+        == pytest.approx(2.0, rel=1e-10, abs=0)
+    assert _one(np.log, 0.0, 1.0, 0.0, 1e-10) == pytest.approx(-1.0, rel=1e-10, abs=0)
     rows = _one(lambda x: np.array([[1.0], [2.0]]) * x * x, 1.0, 4.0, 0.0, 1e-13)
     assert rows.shape == (2,) and np.allclose(rows, [21.0, 42.0], rtol=1e-13, atol=0.0)
 

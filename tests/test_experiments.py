@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -239,16 +240,46 @@ def test_figure_override_applies(tmp_path):
 # --- validation report ----------------------------------------------------------
 
 def test_validate_report_passes_and_is_deterministic(tmp_path):
-    p1, p2 = str(tmp_path / "v1.txt"), str(tmp_path / "v2.txt")
-    _, ok1 = validate_report(ExperimentSpec(kind="validate", out=p1, seed=7,
-                                            n_trials=50_000, workers=1))
-    _, ok2 = validate_report(ExperimentSpec(kind="validate", out=p2, seed=7,
-                                            n_trials=50_000, workers=3))
-    assert ok1 and ok2
-    assert filecmp.cmp(p1, p2, shallow=False)
-    text = open(p1, encoding="utf-8").read()
+    """Any worker count gives the bytes of one; with 2 or more, sections [d]
+    and [e] run on a thread of their own, and none outlives the call."""
+    before = threading.active_count()
+    paths = []
+    for workers in (1, 2, 3, 4):
+        paths.append(str(tmp_path / f"v{workers}.txt"))
+        _, ok = validate_report(ExperimentSpec(kind="validate", out=paths[-1], seed=7,
+                                               n_trials=50_000, workers=workers))
+        assert ok
+        assert threading.active_count() == before
+    for path in paths[1:]:
+        assert filecmp.cmp(paths[0], path, shallow=False)
+    text = open(paths[0], encoding="utf-8").read()
     for section in ("[a]", "[b]", "[c]", "[d]", "[e]", "summary:"):
         assert section in text
+
+
+@pytest.mark.parametrize("failing", [("draw_power_samples",), ("estimate_outage",),
+                                     ("draw_power_samples", "estimate_outage")],
+                         ids=["section-b", "section-d", "both"])
+def test_validate_error_is_the_same_beside_a_thread(tmp_path, capsys, monkeypatch,
+                                                    failing):
+    """An error in section [b] (calling thread) or [d] (its own thread with 2
+    workers) exits as on 1 worker; with both, [b]'s comes first, as in
+    section order, and no thread outlives the call."""
+    def refusing(name):
+        def refuse(*args, **kwargs):
+            raise ParameterError("rate", f"{name} refused")
+        return refuse
+
+    for name in failing:
+        monkeypatch.setattr(mc, name, refusing(name))
+    before = threading.active_count()
+    for workers in ("1", "2"):
+        out = tmp_path / f"v{workers}.txt"
+        assert main(["validate", "--seed", "7", "--trials", "10000", "--workers", workers,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: rate: {failing[0]} refused\n"
+        assert threading.active_count() == before
+        assert not out.exists()
 
 
 def test_validate_report_check_inventory(tmp_path):
@@ -763,8 +794,9 @@ def test_cli_verbs_in_one_process_match_separate_processes(tmp_path):
         assert not here.exists() or filecmp.cmp(here, alone, shallow=False)
 
 
-def test_traced_validate_binds_the_benchmark_names(tmp_path):
-    """``bench/spans.py`` reads estimator arguments by name; a rename breaks it."""
+def _traced_validate(tmp_path, *flags):
+    """``bench/spans.py``'s tracer module and the spans of one traced 1e4-trial
+    ``validate``."""
     found = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
     spans = importlib.util.module_from_spec(found)
     found.loader.exec_module(spans)
@@ -772,13 +804,34 @@ def test_traced_validate_binds_the_benchmark_names(tmp_path):
     restore = spans.install(tracer)
     try:
         code = cli.main(["validate", "--seed", "7", "--trials", "10000",
-                         "--out", str(tmp_path / "v.txt")])
+                         "--out", str(tmp_path / "v.txt"), *flags])
     finally:
         restore()
     assert code == 0
-    metrics = spans.pass_metrics(tracer.take(), pass_wall_s=1.0)
+    return spans, tracer.take()
+
+
+def test_traced_validate_binds_the_benchmark_names(tmp_path):
+    """``bench/spans.py`` reads estimator arguments by name; a rename breaks it."""
+    spans, recorded = _traced_validate(tmp_path)
+    metrics = spans.pass_metrics(recorded, pass_wall_s=1.0)
     assert metrics["montecarlo.ks_distance.points"] == 10_000
     # one KS statistic at 1668 table and 80 cell points, F(c0), F(median) and
     # section [e]'s two 50-point slopes: 1850 of the 10101 of a full KS
     assert metrics["distribution.cdf_reference_batch.points"] == 1_850
     assert metrics["montecarlo.estimate_link_outage.trials"] == 0
+
+
+def test_traced_validate_beside_a_thread(tmp_path):
+    """With 2 workers section [d] runs on a thread of its own, whose first
+    span ``bench/spans.py`` parents to the main thread's innermost open span:
+    the work counts stay, and every parent is a span of the same run."""
+    spans, recorded = _traced_validate(tmp_path, "--workers", "2")
+    metrics = spans.pass_metrics(recorded, pass_wall_s=1.0)
+    assert metrics["montecarlo.estimate_outage.trials"] == 10_000
+    assert metrics["montecarlo.ks_distance.points"] == 10_000
+    assert metrics["distribution.cdf_reference_batch.points"] == 1_850
+    ids = {s.id for s in recorded}
+    assert all(s.parent == 0 or s.parent in ids for s in recorded)
+    thread = {s.name: s.thread for s in recorded}
+    assert thread["montecarlo.estimate_outage"] != thread["cli.main"]

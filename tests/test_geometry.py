@@ -37,15 +37,16 @@ def test_pdf_normalizes(rho):
 def test_pdf_mode_matches_analytic_and_grid():
     rho = 1e-4
     analytic = 1.0 / math.sqrt(2.0 * math.pi * rho)
-    assert analytic == pytest.approx(39.894228040143268, rel=1e-12)
+    assert analytic == pytest.approx(39.894228040143268, rel=1e-12, abs=0)
     grid = np.linspace(30.0, 50.0, 200001)
     assert grid[np.argmax(nn_distance_pdf(grid, rho))] == pytest.approx(analytic, abs=1e-3)
 
 
 def test_partner_distance_special_cases():
     assert partner_distance_to_bs(100.0, 0.0, 1.234) == 100.0
-    assert partner_distance_to_bs(100.0, 20.0, 0.0) == pytest.approx(120.0, rel=1e-14)
-    assert partner_distance_to_bs(100.0, 20.0, math.pi) == pytest.approx(80.0, rel=1e-12)
+    assert partner_distance_to_bs(100.0, 20.0, 0.0) == pytest.approx(120.0, rel=1e-14, abs=0)
+    assert partner_distance_to_bs(100.0, 20.0, math.pi) == pytest.approx(80.0, rel=1e-12,
+                                                                         abs=0)
 
 
 def test_partner_distance_rejects_bad_inputs():

@@ -107,7 +107,7 @@ def test_trial_energy_accounting_identity(params):
     assert 0.0 < rep.delta0_rate < 1.0
     assert rep.mean_energy == pytest.approx(
         2.0 * powers.p12 + (1.0 + rep.delta0_rate) * (powers.p1b + powers.p2b),
-        rel=1e-12)
+        rel=1e-12, abs=0)
 
 
 # --- estimators ----------------------------------------------------------------
@@ -339,7 +339,7 @@ def test_placement_moments_give_each_sets_mean(dense_params, n):
     scale = math.pi * 1e-4
     drawn = draw_power_samples(n, 1e-4, PowerQuadratic.from_params(dense_params, 2000.0),
                                RandomStream(55))
-    assert drawn.m_a == pytest.approx(np.mean(scale * r * r), rel=1e-12)
+    assert drawn.m_a == pytest.approx(np.mean(scale * r * r), rel=1e-12, abs=0)
     assert drawn.m_c == pytest.approx(np.mean(np.cos(theta) * math.sqrt(scale) * r),
                                       abs=1e-12)
     for rho, r1 in _SECTION_C_SETS:

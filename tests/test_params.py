@@ -23,8 +23,8 @@ def test_db_to_linear_values():
     assert db_to_linear(5.0) == pytest.approx(3.16228, abs=1e-5)
     assert db_to_linear(4.0) == pytest.approx(2.51189, abs=1e-5)
     # high-precision references
-    assert db_to_linear(5.0) == pytest.approx(3.162277660168379, rel=1e-14)
-    assert db_to_linear(4.0) == pytest.approx(2.511886431509580, rel=1e-14)
+    assert db_to_linear(5.0) == pytest.approx(3.162277660168379, rel=1e-14, abs=0)
+    assert db_to_linear(4.0) == pytest.approx(2.511886431509580, rel=1e-14, abs=0)
 
 
 def test_db_to_linear_rejects_non_finite():
@@ -36,12 +36,12 @@ def test_db_to_linear_rejects_non_finite():
 
 def test_db_round_trip():
     for a in np.linspace(-40.0, 40.0, 33):
-        assert db_to_linear(a) * db_to_linear(-a) == pytest.approx(1.0, rel=1e-12)
+        assert db_to_linear(a) * db_to_linear(-a) == pytest.approx(1.0, rel=1e-12, abs=0)
 
 
 def test_wavelength_values():
-    assert wavelength(2.4e9) == pytest.approx(0.12491352416666667, rel=1e-14)
-    assert wavelength(2.1e9) == pytest.approx(0.14275831333333333, rel=1e-14)
+    assert wavelength(2.4e9) == pytest.approx(0.12491352416666667, rel=1e-14, abs=0)
+    assert wavelength(2.1e9) == pytest.approx(0.14275831333333333, rel=1e-14, abs=0)
     assert wavelength(SPEED_OF_LIGHT) == 1.0
 
 
@@ -53,11 +53,11 @@ def test_wavelength_rejects_nonpositive():
 
 def test_validate_accepts_default_set():
     lin = validate(SystemParams())
-    assert lin.lambda_s == pytest.approx(0.12491352416666667, rel=1e-14)
-    assert lin.lambda_c == pytest.approx(0.14275831333333333, rel=1e-14)
-    assert lin.g_bs == pytest.approx(3.162277660168379, rel=1e-14)
-    assert lin.delta_s == pytest.approx(2.511886431509580, rel=1e-14)
-    assert lin.delta_c == pytest.approx(1.584893192461113, rel=1e-14)
+    assert lin.lambda_s == pytest.approx(0.12491352416666667, rel=1e-14, abs=0)
+    assert lin.lambda_c == pytest.approx(0.14275831333333333, rel=1e-14, abs=0)
+    assert lin.g_bs == pytest.approx(3.162277660168379, rel=1e-14, abs=0)
+    assert lin.delta_s == pytest.approx(2.511886431509580, rel=1e-14, abs=0)
+    assert lin.delta_c == pytest.approx(1.584893192461113, rel=1e-14, abs=0)
     assert lin.g_u1 == 1.0 and lin.g_u2 == 1.0
 
 

@@ -61,7 +61,7 @@ def fixed_geom(r1=2000.0, r=20.0, theta=0.5 * math.pi):
 def test_per_link_nncc_frozen_values():
     assert per_link_outage_nncc(1e-3) == pytest.approx(0.029743, abs=1e-6)
     for p, ref in [(1e-4, PNC_1E4), (1e-3, PNC_1E3), (1e-2, PNC_1E2), (0.1, PNC_1E1)]:
-        assert per_link_outage_nncc(p) == pytest.approx(ref, rel=1e-12)
+        assert per_link_outage_nncc(p) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_per_link_nncc_matches_bisection_on_grid():
@@ -92,7 +92,7 @@ def test_per_link_nncc_rejects_out_of_range():
 def test_per_link_conventional_values():
     assert per_link_outage_conventional(1e-3) == pytest.approx(PC_1E3, abs=1e-9)
     assert per_link_outage_conventional(0.0) == 0.0
-    assert per_link_outage_conventional(0.75) == pytest.approx(0.5, rel=1e-12)
+    assert per_link_outage_conventional(0.75) == pytest.approx(0.5, rel=1e-12, abs=0)
     with pytest.raises(ValueError):
         per_link_outage_conventional(1.0)
 
@@ -127,15 +127,15 @@ def eta_of(params, p_link, user=1):
 
 def test_short_range_coeff_golden(params):
     assert zeta_of(params) == pytest.approx(7.1e-9, rel=0.02)
-    assert zeta_of(params) == pytest.approx(ZETA_GOLDEN, rel=1e-12)
+    assert zeta_of(params) == pytest.approx(ZETA_GOLDEN, rel=1e-12, abs=0)
     assert power_coefficients(params).zeta == zeta_of(params)
 
 
 def test_cellular_coeff_golden(params):
     eta = eta_of(params, PNC_1E3)
     assert eta == pytest.approx(3.57e-11, rel=0.02)
-    assert eta == pytest.approx(ETA_GOLDEN, rel=1e-12)
-    assert eta_of(params, PC_1E3) == pytest.approx(ETA_C_GOLDEN, rel=1e-12)
+    assert eta == pytest.approx(ETA_GOLDEN, rel=1e-12, abs=0)
+    assert eta_of(params, PC_1E3) == pytest.approx(ETA_C_GOLDEN, rel=1e-12, abs=0)
     # equal handset gains: both uplinks share the coefficient bit for bit
     assert eta_of(params, PNC_1E3, user=2) == eta
     coeff = power_coefficients(params)
@@ -168,7 +168,7 @@ def test_cellular_coeff_rejects_bad_target(params):
 def test_zeta_is_distance_free(params):
     g1, g2 = fixed_geom(r=10.0), fixed_geom(r=20.0)
     b1, b2 = nncc_power_breakdown(g1, params), nncc_power_breakdown(g2, params)
-    assert b2.p12 == pytest.approx(4.0 * b1.p12, rel=1e-12)
+    assert b2.p12 == pytest.approx(4.0 * b1.p12, rel=1e-12, abs=0)
 
 
 # --- scheme totals -------------------------------------------------------------
@@ -179,14 +179,14 @@ def test_breakdown_coincident_handsets(params):
     geom = Geometry(r1=1000.0, r=0.0, theta=0.3)
     b = nncc_power_breakdown(geom, params)
     assert b.p12 == 0.0  # each direction of the exchange
-    assert b.total == pytest.approx(2.0 * t.eps_total * eta * 1000.0 ** 2, rel=1e-12)
+    assert b.total == pytest.approx(2.0 * t.eps_total * eta * 1000.0 ** 2, rel=1e-12, abs=0)
 
 
 def test_breakdown_slot_accounting(params):
     t = OutageTargets.for_target(params.p_out_target)
     b = nncc_power_breakdown(fixed_geom(), params)
     assert b.total == pytest.approx(
-        2.0 * b.p12 + t.eps_total * (b.p1b + b.p2b), rel=1e-12)
+        2.0 * b.p12 + t.eps_total * (b.p1b + b.p2b), rel=1e-12, abs=0)
     assert min(b.p12, b.p1b, b.p2b) >= 0.0
 
 
@@ -203,7 +203,7 @@ def test_total_equals_quadratic_form_example(params):
     geom = fixed_geom(r1=2000.0, r=50.0, theta=0.5 * math.pi)
     b = nncc_power_breakdown(geom, params)
     quadratic = quadratic_form(coeff, t.eps_total, geom.r1, geom.r, geom.theta)
-    assert b.total == pytest.approx(quadratic, rel=1e-12)
+    assert b.total == pytest.approx(quadratic, rel=1e-12, abs=0)
 
 
 def test_total_equals_quadratic_form_random(params):
@@ -241,7 +241,7 @@ def test_conventional_coincident(params):
     for theta in (0.0, 1.0, math.pi):
         geom = Geometry(r1=700.0, r=0.0, theta=theta)
         b = conventional_power(geom, params)
-        assert b.total == pytest.approx(2.0 * eta_c * 700.0 ** 2, rel=1e-12)
+        assert b.total == pytest.approx(2.0 * eta_c * 700.0 ** 2, rel=1e-12, abs=0)
         assert b.total == b.p1b + b.p2b  # solo uplinks only
         assert b.p12 == 0.0
 
@@ -287,11 +287,11 @@ def test_short_range_outage_monte_carlo(params):
 
 def test_link_capacity_values():
     assert link_capacity(0.0, 2e6, 2.0) == 0.0
-    assert link_capacity(2.0, 1.0, 2.0) == pytest.approx(1.0, rel=1e-14)
+    assert link_capacity(2.0, 1.0, 2.0) == pytest.approx(1.0, rel=1e-14, abs=0)
     gap = 2.51188643150958
     snr = gap * (2 ** 0.05 - 1)
-    assert snr == pytest.approx(0.088581483705375, rel=1e-12)
-    assert link_capacity(snr, 2e6, gap) == pytest.approx(1e5, rel=1e-12)
+    assert snr == pytest.approx(0.088581483705375, rel=1e-12, abs=0)
+    assert link_capacity(snr, 2e6, gap) == pytest.approx(1e5, rel=1e-12, abs=0)
     with pytest.raises(ValueError):
         link_capacity(1.0, 2e6, 0.5)
 
@@ -301,7 +301,7 @@ def test_received_snr_short_properties(params):
     assert received_snr(short, 1.0, 20.0, 0.0) == 0.0
     one = received_snr(short, 1.0, 20.0, 1.0)
     two = received_snr(short, 1.0, 40.0, 1.0)
-    assert one == pytest.approx(4.0 * two, rel=1e-12)
+    assert one == pytest.approx(4.0 * two, rel=1e-12, abs=0)
     with pytest.raises(ValueError):
         received_snr(short, 1.0, 0.0, 1.0)
 
@@ -313,14 +313,15 @@ def test_received_snr_chains_into_capacity(params):
         1.0 + p_tx * params.g_u1 * params.g_u2 * h
         * (params.lambda_s / (4.0 * math.pi * r)) ** 2
         / (params.delta_s * params.n0 * params.b_s))
-    assert link_capacity(snr, params.b_s, params.delta_s) == pytest.approx(by_hand, rel=1e-12)
+    assert link_capacity(snr, params.b_s, params.delta_s) == pytest.approx(by_hand, rel=1e-12,
+                                                                           abs=0)
 
 
 def test_received_snr_cellular_inverse_square(params):
     uplink = Link.cellular(params, 1)
     near = received_snr(uplink, 1.0, 100.0, 1.0)
     far = received_snr(uplink, 1.0, 200.0, 1.0)
-    assert near == pytest.approx(4.0 * far, rel=1e-12)
+    assert near == pytest.approx(4.0 * far, rel=1e-12, abs=0)
 
 
 def test_received_snr_cellular_distance_free_at_inverted_power(params):
@@ -329,7 +330,7 @@ def test_received_snr_cellular_distance_free_at_inverted_power(params):
     eta = uplink.coeff(PNC_1E3)
     scale_a = received_snr(uplink, eta * 100.0 ** 2, 100.0, 1.0)
     scale_b = received_snr(uplink, eta * 2500.0 ** 2, 2500.0, 1.0)
-    assert scale_a == pytest.approx(scale_b, rel=1e-12)
+    assert scale_a == pytest.approx(scale_b, rel=1e-12, abs=0)
     # distribution-level check on fading draws
     n = 1_000_000
     rng = RandomStream(22).block(0)
@@ -356,21 +357,21 @@ def test_link_inversion_and_threshold_agree(gap, bandwidth, wavelength, gain, si
     """The closed-form inversion and the simulator's threshold are one model."""
     link = Link(gap, bandwidth, wavelength, gain, sigma2, n0, efficiency * bandwidth)
     p_tx = link.coeff(p_link) * d * d
-    assert link.outage(p_tx, d) == pytest.approx(p_link, rel=1e-12)
+    assert link.outage(p_tx, d) == pytest.approx(p_link, rel=1e-12, abs=0)
     for p in (p_tx, p_tx * scale):
         assert link.outage(p, d) == pytest.approx(
-            -math.expm1(-link.threshold(p, d) / link.sigma2), rel=1e-12)
+            -math.expm1(-link.threshold(p, d) / link.sigma2), rel=1e-12, abs=0)
 
 
 def test_unequal_handset_gains_closed_forms():
     params = validate(SystemParams(g_u2_db=-3.0))
     coeff = power_coefficients(params)
     t = OutageTargets.for_target(params.p_out_target)
-    assert coeff.eta2 / coeff.eta1 == pytest.approx(10.0 ** 0.3, rel=1e-12)
+    assert coeff.eta2 / coeff.eta1 == pytest.approx(10.0 ** 0.3, rel=1e-12, abs=0)
     assert coeff.eta1 == power_coefficients(validate(SystemParams())).eta1
     # the baseline charges each handset its own uplink as well
     solo = conventional_power(Geometry(r1=700.0, r=0.0, theta=0.0), params)
-    assert solo.p2b / solo.p1b == pytest.approx(10.0 ** 0.3, rel=1e-12)
+    assert solo.p2b / solo.p1b == pytest.approx(10.0 ** 0.3, rel=1e-12, abs=0)
     rng = np.random.default_rng(11)
     for _ in range(1000):
         r1 = rng.uniform(100.0, 3000.0)
@@ -378,12 +379,13 @@ def test_unequal_handset_gains_closed_forms():
         theta = rng.uniform(-0.5 * math.pi, 1.5 * math.pi)
         geom = fixed_geom(r1=r1, r=r, theta=theta)
         b = nncc_power_breakdown(geom, params)
-        assert b.p2b / b.p1b == pytest.approx(10.0 ** 0.3 * (geom.r2 / r1) ** 2, rel=1e-12)
+        assert b.p2b / b.p1b == pytest.approx(10.0 ** 0.3 * (geom.r2 / r1) ** 2,
+                                              rel=1e-12, abs=0)
         quad = PowerQuadratic.from_params(params, r1)
         total_power = quad.a * r * r + quad.b_coeff * np.cos(theta) * r + quad.c0
-        assert total_power == pytest.approx(b.total, rel=1e-12)
+        assert total_power == pytest.approx(b.total, rel=1e-12, abs=0)
         assert quadratic_form(coeff, t.eps_total, r1, r, theta) == pytest.approx(
-            b.total, rel=1e-12)
+            b.total, rel=1e-12, abs=0)
 
 
 def test_required_snr_overflow_names_rate():
