@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from nncc import partner_distance_to_bs, sample_nn_geometries
+from nncc.geometry import nn_distance
 from nncc.montecarlo import RandomStream
 
 rho = 1e-4      # handsets per square meter
@@ -22,10 +23,12 @@ n = 500_000
 print(f"handset density rho = {rho} /m^2, tagged handset at r1 = {r1} m")
 print()
 
-# the pair's own placement depends on the density alone; r1 enters only
-# through the law of cosines for the neighbor's distance to the base station
+# the draw is the unit-density area pi*rho*r^2 and the bearing, so the pair's
+# own placement depends on the density alone; r1 enters only through the law
+# of cosines for the neighbor's distance to the base station
 rng = RandomStream(seed=2024).block(0)
-r, theta = sample_nn_geometries(rng, rho, n)
+area, theta = sample_nn_geometries(rng, n)
+r = nn_distance(area, rho)
 r2 = partner_distance_to_bs(r1, r, theta)   # neighbor to base station
 
 print("neighbor distance statistics over", n, "draws:")

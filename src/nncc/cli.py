@@ -88,9 +88,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.verb == "validate":
-            path, ok = validate_report(_build_spec(args, "validate"))
+            path, checks = validate_report(_build_spec(args, "validate"))
             print(f"wrote {path}")
-            if not ok:
+            if not all(c.passed for c in checks):
                 print("validation FAILED: see report", file=sys.stderr)
                 return 1
         else:  # a figure is a preset sweep

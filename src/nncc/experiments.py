@@ -4,9 +4,10 @@ Datasets are CSV with a fixed schema so any plotting tool can reproduce the
 curves; this package never renders images.  Every emitted analytic curve
 ships with a Monte Carlo column as its empirical check.  Output is
 byte-stable: identical spec and seed produce identical files for any worker
-count, so reports deliberately exclude wall-clock metadata.  With 2 or more
-workers a validation report runs its sections [d] and [e], which read no
-result of the others, on one thread beside sections [a]-[c].
+count, so reports deliberately exclude wall-clock metadata.  A validation
+report also returns its bounded checks as ``Check`` records.  With 2 or more
+workers it runs its sections [d] and [e], which read no result of the
+others, on one thread beside sections [a]-[c].
 """
 
 from __future__ import annotations
@@ -199,45 +200,57 @@ def sweep(spec: ExperimentSpec) -> str:
 
 # --- validation report ------------------------------------------------------
 
+@dataclass(frozen=True)
+class Check:
+    """One bounded check of a validation report: one PASS or FAIL line."""
+
+    section: str  # "a" to "e"
+    name: str
+    kind: str  # "identity" (deterministic), "bound": value <= target; "z": |z| <= 3
+    value: float
+    target: float
+    passed: bool
+    stderr: float | None = None  # "z" checks only
+
+
 class _Report:
     def __init__(self):
         self.lines: list[str] = []
-        self.failures: list[str] = []
-        self.n_checks = 0
+        self.checks: list[Check] = []
+        self._section = ""
 
     def add(self, text: str) -> None:
+        if text.startswith("[") and text[2:3] == "]":  # a section heading, "[x] ..."
+            self._section = text[1]
         self.lines.append(text)
 
-    def check(self, name: str, value: float, bound: float, detail: str = "") -> None:
-        self.n_checks += 1
-        ok = value <= bound
-        if not ok:
-            self.failures.append(name)
-        tag = "PASS" if ok else "FAIL"
+    def _record(self, kind, name, value, target, passed, text, stderr=None) -> None:
+        self.checks.append(Check(self._section, name, kind, float(value), float(target),
+                                 bool(passed), stderr))
+        self.add(f"  {'PASS' if passed else 'FAIL'} {name}: {text}")
+
+    def check(self, name: str, value: float, bound: float, detail: str = "",
+              kind: str = "identity") -> None:
         extra = f" {detail}" if detail else ""
-        self.add(f"  {tag} {name}: {_fmt(value)} (bound {_fmt(bound)}){extra}")
+        self._record(kind, name, value, bound, value <= bound,
+                     f"{_fmt(value)} (bound {_fmt(bound)}){extra}")
 
     def check_z(self, name: str, observed: float, target: float, stderr: float) -> None:
         if stderr > 0:
             z = (observed - target) / stderr
         else:  # every trial gave the same value
             z = 0.0 if observed == target else math.copysign(math.inf, observed - target)
-        self.n_checks += 1
-        ok = abs(z) <= 3.0
-        if not ok:
-            self.failures.append(name)
-        tag = "PASS" if ok else "FAIL"
-        self.add(f"  {tag} {name}: {_fmt(observed)} vs target {_fmt(target)} "
-                 f"(z = {z:+.2f}, bound |z| <= 3)")
+        self._record("z", name, observed, target, abs(z) <= 3.0,
+                     f"{_fmt(observed)} vs target {_fmt(target)} "
+                     f"(z = {z:+.2f}, bound |z| <= 3)", float(stderr))
 
     def info(self, name: str, text: str) -> None:
         self.add(f"  INFO {name}: {text}")
 
     def join(self, other: "_Report") -> None:
-        """Append another report's lines, checks and failures after this one's."""
+        """Append another report's lines and checks after this one's."""
         self.lines += other.lines
-        self.failures += other.failures
-        self.n_checks += other.n_checks
+        self.checks += other.checks
 
 
 def _closure_section(rep: _Report, params: LinearParams, seed: int,
@@ -296,7 +309,7 @@ def _distribution_section(rep: _Report, params: LinearParams,
     ks_ref = mc.ks_distance(samples, cdf)
     ks_bound = max(0.005, 1.5 * 1.36 / math.sqrt(n_trials))
     rep.check("KS distance, samples vs reference CDF", ks_ref, ks_bound,
-              detail=f"({n_trials} samples)")
+              detail=f"({n_trials} samples)", kind="bound")
     rep.info("reference CDF at sample median - 0.5",
              _fmt(cdf(samples[n_trials // 2]) - 0.5))
     return m_a, m_c
@@ -396,9 +409,10 @@ def _protocol_section(rep: _Report, params: LinearParams, r1: float, r: float,
                 params.p_out_target, rpt.conv_outage_composite_stderr)
 
 
-def validate_report(spec: ExperimentSpec) -> tuple[str, bool]:
-    """Write the cross-validation report; returns (path, all bounded checks ok).
+def validate_report(spec: ExperimentSpec) -> tuple[str, tuple[Check, ...]]:
+    """Write the cross-validation report; returns (path, its ``Check`` records).
 
+    The records are in report order; the run passes iff every one ``passed``.
     Every input is checked before a section runs.  With ``spec.workers`` >= 2,
     sections [d] and [e] run on one thread beside [a]-[c], [d]'s blocks on
     ``workers // 2`` threads and [b]'s on the rest; [d] and [e] write their
@@ -449,12 +463,12 @@ def validate_report(spec: ExperimentSpec) -> tuple[str, bool]:
             first_sections(spec.workers - half)
         rep.join(later.result())
 
-    ok = not rep.failures
-    rep.add(f"summary: {rep.n_checks - len(rep.failures)}/{rep.n_checks} "
-            f"bounded checks passed")
-    if not ok:
-        rep.add("failed: " + ", ".join(rep.failures))
+    checks = tuple(rep.checks)
+    failed = [c.name for c in checks if not c.passed]
+    rep.add(f"summary: {len(checks) - len(failed)}/{len(checks)} bounded checks passed")
+    if failed:
+        rep.add("failed: " + ", ".join(failed))
 
     with open(spec.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(rep.lines) + "\n")
-    return spec.out, ok
+    return spec.out, checks

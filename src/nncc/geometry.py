@@ -78,22 +78,17 @@ def nn_distance(area, rho: float, out=None):
     return np.sqrt(r, out=r)
 
 
-def sample_nn_geometries(rng: np.random.Generator, rho: float | None, n: int):
-    """Vectorized sampler: returns arrays (r, theta) of length n.
+def sample_nn_geometries(rng: np.random.Generator, n: int):
+    """Vectorized sampler: returns arrays (area, theta) of length n.
 
-    Neighbor distances are drawn by inverse CDF, one uniform per draw:
-    r = sqrt(-log(1-u)/(pi*rho)) with u in [0,1), finite for every
-    representable u.  Bearings are uniform on [-pi/2, 3*pi/2).  Draw order
-    (all r first, then all theta) is part of the reproducibility contract for
-    a given generator state.
-
-    With ``rho=None`` the first array is the unit-density area
-    -log(1-u) instead of r, the part of the draw that does not depend on rho;
-    ``nn_distance(area, rho)`` gives the same bits as r.  One draw then
-    serves every density (common random numbers).
+    ``area`` is the unit-density area pi*rho*r^2 = -log(1-u), one uniform u
+    in [0,1) per draw, finite for every representable u; it does not depend
+    on rho, so one draw serves every density (common random numbers), and
+    ``nn_distance(area, rho)`` gives the neighbor distances, r =
+    sqrt(-log(1-u)/(pi*rho)) by inverse CDF.  Bearings are uniform on
+    [-pi/2, 3*pi/2).  Draw order (all areas first, then all theta) is part
+    of the reproducibility contract for a given generator state.
     """
-    if rho is not None:
-        require_density(rho)
     # each step in place on one buffer; the same operations, in the same
     # order, as -log1p(-u) and -pi/2 + 2*pi*u
     area = rng.random(n)
@@ -103,6 +98,4 @@ def sample_nn_geometries(rng: np.random.Generator, rho: float | None, n: int):
     theta = rng.random(n)
     theta *= 2.0 * math.pi
     theta += -0.5 * math.pi
-    if rho is None:
-        return area, theta
-    return nn_distance(area, rho, out=area), theta
+    return area, theta

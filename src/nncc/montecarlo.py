@@ -238,7 +238,7 @@ def _power_block(rng, rho: float, quad: PowerQuadratic, size: int, out=None):
     bits of the expression written out.  Without, it also returns the sums of
     u*u, u*v and v*v, u and v formed in place of r and the cosine.
     """
-    area, theta = sample_nn_geometries(rng, None, size)
+    area, theta = sample_nn_geometries(rng, size)
     r = nn_distance(area, rho, out=area)
     # the half-angle cosine: numpy vectorises its float64 tan, not its cos;
     # at theta = pi, tan is ~1.6e16 and the cosine exactly -1

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 
@@ -67,13 +67,6 @@ class LinearParams(SystemParams):
     g_bs: float
     delta_s: float
     delta_c: float
-
-    def replace_raw(self, **changes) -> "LinearParams":
-        """Re-validate with some raw fields changed (derived fields recomputed)."""
-        derived = changes.keys() - _RAW_FIELDS
-        if derived:
-            raise TypeError(f"derived fields cannot be replaced: {sorted(derived)}")
-        return validate(replace(self, **changes))
 
 
 def db_to_linear(x_db: float) -> float:

@@ -18,14 +18,11 @@ import argparse
 import collections
 import json
 import os
-import re
 import sys
 import tempfile
 import time
 
 from nncc.experiments import ExperimentSpec, validate_report
-
-SECTION_C = ("closed form vs quadrature", "Monte Carlo mean of ")
 
 
 def _seed_range(text: str) -> range:
@@ -40,15 +37,14 @@ def count(seeds: range, trials: int, workers: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.txt")
         for seed in seeds:
-            _, ok = validate_report(ExperimentSpec(kind="validate", out=out, seed=seed,
-                                                   n_trials=trials, workers=workers))
-            if ok:
+            _, checks = validate_report(ExperimentSpec(
+                kind="validate", out=out, seed=seed, n_trials=trials, workers=workers))
+            failed = [c for c in checks if not c.passed]
+            if not failed:
                 continue
-            with open(out, encoding="utf-8") as fh:
-                names = re.findall(r"^  FAIL (.*?): ", fh.read(), flags=re.MULTILINE)
             failed_runs += 1
-            section_c_runs += any(name.startswith(SECTION_C) for name in names)
-            by_check.update(names)
+            section_c_runs += any(c.section == "c" for c in failed)
+            by_check.update(c.name for c in failed)
     return {"seeds": f"{seeds.start}-{seeds.stop - 1}", "trials": trials,
             "runs": len(seeds), "failed_runs": failed_runs,
             "section_c_runs": section_c_runs,

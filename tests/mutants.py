@@ -31,7 +31,6 @@ import dataclasses
 import json
 import math
 import os
-import re
 import sys
 import tempfile
 
@@ -57,14 +56,14 @@ def distance_scale(monkeypatch, delta: float) -> None:
 def bearing_skew(monkeypatch, delta: float) -> None:
     exact = mc.sample_nn_geometries
 
-    def skewed(rng, rho, n):
-        first, theta = exact(rng, rho, n)
+    def skewed(rng, n):
+        area, theta = exact(rng, n)
         theta += 0.5 * math.pi  # back to u in [0, 1), then theta from u**(1 + delta)
         theta /= 2.0 * math.pi
         theta **= 1.0 + delta
         theta *= 2.0 * math.pi
         theta -= 0.5 * math.pi
-        return first, theta
+        return area, theta
 
     monkeypatch.setattr(mc, "sample_nn_geometries", skewed)
 
@@ -109,10 +108,9 @@ def failed_checks(install, delta: float, seed: int, trials: int, workers: int,
     """The names of the checks that fail in one in-process ``validate`` run."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         install(monkeypatch, delta)
-        validate_report(ExperimentSpec(kind="validate", out=out, seed=seed,
-                                       n_trials=trials, workers=workers))
-    with open(out, encoding="utf-8") as fh:
-        return re.findall(r"^  FAIL (.*?): ", fh.read(), flags=re.MULTILINE)
+        _, checks = validate_report(ExperimentSpec(kind="validate", out=out, seed=seed,
+                                                   n_trials=trials, workers=workers))
+    return [c.name for c in checks if not c.passed]
 
 
 def table(seeds: range, trials: int, workers: int) -> dict:

@@ -7,6 +7,7 @@ or ``-s`` to see the printed values).
 
 import filecmp
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -137,7 +138,7 @@ def test_criterion_07_expectation_triple_agreement():
             (3e-3, 500.0), (1e-2, 150.0)]
     lines = []
     for i, (rho, r1) in enumerate(sets):
-        params = base.replace_raw(rho=rho)
+        params = validate(replace(base, rho=rho))
         quad = PowerQuadratic.from_params(params, r1)
         closed = expected_power(quad, rho)
         by_quad = expected_power_quadrature(quad, rho)
@@ -170,8 +171,7 @@ def test_criterion_08_branch_form_report(tmp_path):
     pdf_defect = q1 + q2 - 1.0
 
     out = str(tmp_path / "report.txt")
-    _, ok = validate_report(ExperimentSpec(kind="validate", out=out, seed=7,
-                                           n_trials=20_000))
+    validate_report(ExperimentSpec(kind="validate", out=out, seed=7, n_trials=20_000))
     text = open(out, encoding="utf-8").read()
     assert "[e]" in text
     assert "upper-branch additive boundary term" in text
@@ -213,10 +213,10 @@ def test_criterion_09_figure_shapes(tmp_path):
 
 def test_criterion_10_reproducibility(tmp_path):
     p1, p4 = str(tmp_path / "w1.txt"), str(tmp_path / "w4.txt")
-    _, ok1 = validate_report(ExperimentSpec(kind="validate", out=p1, seed=77,
-                                            n_trials=100_000, workers=1))
-    _, ok4 = validate_report(ExperimentSpec(kind="validate", out=p4, seed=77,
-                                            n_trials=100_000, workers=4))
-    assert ok1 and ok4
+    _, checks1 = validate_report(ExperimentSpec(kind="validate", out=p1, seed=77,
+                                                n_trials=100_000, workers=1))
+    _, checks4 = validate_report(ExperimentSpec(kind="validate", out=p4, seed=77,
+                                                n_trials=100_000, workers=4))
+    assert all(c.passed for c in checks1) and checks4 == checks1
     assert filecmp.cmp(p1, p4, shallow=False)
     _report(10, "validate reports byte-identical for 1 vs 4 workers")

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from nncc import (ExperimentSpec, Geometry, Link, OutageTargets, ParameterError,
                   power_coefficients, sample_nn_geometries, validate, validate_report)
 from nncc import distribution
 from nncc.distribution import _cdf_and_error, _tanh_sinh
+from nncc.geometry import nn_distance
 from nncc.montecarlo import RandomStream, draw_power_samples, sample_power_distribution
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -483,7 +485,7 @@ def test_expected_power_closed_form_golden(quad5, dense_params):
     (1e-5, 3000.0), (1e-4, 2000.0), (1e-3, 1000.0), (3e-3, 500.0), (1e-2, 150.0),
 ])
 def test_expected_power_triple_agreement(dense_params, rho, r1):
-    params = dense_params.replace_raw(rho=rho)
+    params = validate(replace(dense_params, rho=rho))
     quad = PowerQuadratic.from_params(params, r1)
     closed = expected_power(quad, rho)
     by_quad = expected_power_quadrature(quad, rho)
@@ -503,7 +505,7 @@ def test_expected_power_dense_limit(quad5):
 def test_energy_efficiency_not_proportional_to_rate(params):
     quad_r = PowerQuadratic.from_params(params, 2000.0)
     ee_r = energy_efficiency(expected_power(quad_r, params.rho), params.rate)
-    params2 = params.replace_raw(rate=2.0 * params.rate)
+    params2 = validate(replace(params, rate=2.0 * params.rate))
     quad_2r = PowerQuadratic.from_params(params2, 2000.0)
     ee_2r = energy_efficiency(expected_power(quad_2r, params2.rho), params2.rate)
     assert ee_2r != pytest.approx(2.0 * ee_r, rel=1e-3)
@@ -555,7 +557,8 @@ def test_expected_power_conventional_unequal_gains():
     closed = expected_power_conventional(params, r1)
     assert closed == pytest.approx(
         eta1 * r1 * r1 + eta2 * (r1 * r1 + 1.0 / (math.pi * params.rho)), rel=1e-12, abs=0)
-    r, theta = sample_nn_geometries(RandomStream(31).block(0), params.rho, 1_000_000)
+    area, theta = sample_nn_geometries(RandomStream(31).block(0), 1_000_000)
+    r = nn_distance(area, params.rho)
     r2 = partner_distance_to_bs(r1, r, theta)
     totals = eta1 * r1 * r1 + eta2 * r2 * r2
     stderr = np.std(totals, ddof=1) / math.sqrt(totals.size)
@@ -776,7 +779,7 @@ def test_expected_power_quadrature_batch_is_bitwise_scalar_calls(rho, r1, rate, 
     quads = PowerQuadratic.from_coefficients(power_coefficients(params), eps_total, r1s)
     batch = expected_power_quadrature(quads, rhos)
     for i, (rho_i, r1_i) in enumerate(zip(rhos, r1s)):
-        quad = PowerQuadratic.from_params(params.replace_raw(rho=rho_i), r1_i)
+        quad = PowerQuadratic.from_params(validate(replace(params, rho=rho_i)), r1_i)
         assert quad == PowerQuadratic(quads.a, quads.b_coeff[i], quads.c0[i])
         scalar = expected_power_quadrature(quad, rho_i)
         assert isinstance(scalar, float)

@@ -28,6 +28,11 @@ ROOT = Path(__file__).resolve().parent.parent
 TRIALS = 20_000
 
 
+def failed(checks):
+    """The names of a report's failed checks, in report order."""
+    return [c.name for c in checks if not c.passed]
+
+
 def read_rows(path):
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -243,15 +248,17 @@ def test_validate_report_passes_and_is_deterministic(tmp_path):
     """Any worker count gives the bytes of one; with 2 or more, sections [d]
     and [e] run on a thread of their own, and none outlives the call."""
     before = threading.active_count()
-    paths = []
+    paths, records = [], []
     for workers in (1, 2, 3, 4):
         paths.append(str(tmp_path / f"v{workers}.txt"))
-        _, ok = validate_report(ExperimentSpec(kind="validate", out=paths[-1], seed=7,
-                                               n_trials=50_000, workers=workers))
-        assert ok
+        _, checks = validate_report(ExperimentSpec(kind="validate", out=paths[-1], seed=7,
+                                                   n_trials=50_000, workers=workers))
+        assert len(checks) == 17 and not failed(checks)
+        records.append(checks)
         assert threading.active_count() == before
-    for path in paths[1:]:
+    for path, checks in zip(paths[1:], records[1:]):
         assert filecmp.cmp(paths[0], path, shallow=False)
+        assert checks == records[0]
     text = open(paths[0], encoding="utf-8").read()
     for section in ("[a]", "[b]", "[c]", "[d]", "[e]", "summary:"):
         assert section in text
@@ -283,33 +290,38 @@ def test_validate_error_is_the_same_beside_a_thread(tmp_path, capsys, monkeypatc
 
 
 def test_validate_report_check_inventory(tmp_path):
-    """The report's 17 bounded checks and its INFO lines, by name and in order."""
+    """The report's 17 bounded checks, by section, name and kind, in order,
+    each rendered as one PASS or FAIL line; and its INFO lines, by name."""
     path = tmp_path / "v.txt"
-    _, ok = validate_report(ExperimentSpec(kind="validate", out=str(path), seed=7,
-                                           n_trials=10_000))
-    assert ok
-    lines = re.findall(r"^  (PASS|FAIL|INFO) (.*?): ", path.read_text(encoding="utf-8"),
-                       flags=re.MULTILINE)
-    assert [name for tag, name in lines if tag != "INFO"] == [
-        "short-range power inversion residual",
-        "composite outage closure residual",
-        "conventional outage closure residual",
-        "total vs quadratic-form max relative residual",
-        "KS distance, samples vs reference CDF",
-        "Monte Carlo mean of pi*rho*r^2",
-        "Monte Carlo mean of cos(theta)*sqrt(pi*rho)*r",
-        "closed form vs quadrature, rho=1e-05 r1=3000",
-        "closed form vs quadrature, rho=0.0001 r1=2000",
-        "closed form vs quadrature, rho=0.001 r1=1000",
-        "closed form vs quadrature, rho=0.003 r1=500",
-        "closed form vs quadrature, rho=0.01 r1=150",
-        "exchange success rate Pr(delta = 0)",
-        "composite outage rate",
-        "mean round energy vs exchange rate, relative residual",
-        "single cellular uplink outage",
-        "conventional composite outage",
+    _, checks = validate_report(ExperimentSpec(kind="validate", out=str(path), seed=7,
+                                               n_trials=10_000))
+    assert not failed(checks)
+    assert [(c.section, c.name, c.kind) for c in checks] == [
+        ("a", "short-range power inversion residual", "identity"),
+        ("a", "composite outage closure residual", "identity"),
+        ("a", "conventional outage closure residual", "identity"),
+        ("a", "total vs quadratic-form max relative residual", "identity"),
+        ("b", "KS distance, samples vs reference CDF", "bound"),
+        ("c", "Monte Carlo mean of pi*rho*r^2", "z"),
+        ("c", "Monte Carlo mean of cos(theta)*sqrt(pi*rho)*r", "z"),
+        ("c", "closed form vs quadrature, rho=1e-05 r1=3000", "identity"),
+        ("c", "closed form vs quadrature, rho=0.0001 r1=2000", "identity"),
+        ("c", "closed form vs quadrature, rho=0.001 r1=1000", "identity"),
+        ("c", "closed form vs quadrature, rho=0.003 r1=500", "identity"),
+        ("c", "closed form vs quadrature, rho=0.01 r1=150", "identity"),
+        ("d", "exchange success rate Pr(delta = 0)", "z"),
+        ("d", "composite outage rate", "z"),
+        ("d", "mean round energy vs exchange rate, relative residual", "identity"),
+        ("d", "single cellular uplink outage", "z"),
+        ("d", "conventional composite outage", "z"),
     ]
-    assert [name for tag, name in lines if tag == "INFO"] == [
+    assert all((c.stderr is not None) == (c.kind == "z") for c in checks)
+    text = path.read_text(encoding="utf-8")
+    tagged = [line for line in text.splitlines() if line.startswith(("  PASS ", "  FAIL "))]
+    assert len(tagged) == len(checks)
+    for line, c in zip(tagged, checks):
+        assert line.startswith(f"  {'PASS' if c.passed else 'FAIL'} {c.name}: ")
+    assert re.findall(r"^  INFO (.*?): ", text, flags=re.MULTILINE) == [
         "reference CDF at sample median - 0.5",
         "Monte Carlo mean, rho=1e-05 r1=3000",
         "Monte Carlo mean, rho=0.0001 r1=2000",
@@ -351,9 +363,9 @@ def test_validate_report_evaluates_batch_cdf_once(tmp_path, monkeypatch):
     monkeypatch.setattr(distribution, "cdf_reference_batch", counting)
     monkeypatch.setattr(montecarlo, "ks_distance", ks_marking)
     n_trials = 10_000
-    _, ok = validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
-                                           seed=7, n_trials=n_trials, workers=2))
-    assert ok
+    _, checks = validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
+                                               seed=7, n_trials=n_trials, workers=2))
+    assert not failed(checks)
     assert len(n_statistics) == 1 and len(calls) >= 2
     assert sum(calls) < n_trials / 4
 
@@ -377,11 +389,9 @@ def test_validate_report_flags_tampered_eta(tmp_path, monkeypatch):
 
     monkeypatch.setattr(PowerQuadratic, "from_coefficients", classmethod(doubled_eta))
     path = str(tmp_path / "tampered.txt")
-    _, ok = validate_report(ExperimentSpec(kind="validate", out=path, seed=7,
-                                           n_trials=20_000))
-    assert not ok
-    text = open(path, encoding="utf-8").read()
-    assert "FAIL total vs quadratic-form" in text
+    _, checks = validate_report(ExperimentSpec(kind="validate", out=path, seed=7,
+                                               n_trials=20_000))
+    assert "total vs quadratic-form max relative residual" in failed(checks)
 
 
 def test_validate_report_fails_every_mean_on_a_longer_neighbor_distance(tmp_path,
@@ -390,11 +400,10 @@ def test_validate_report_fails_every_mean_on_a_longer_neighbor_distance(tmp_path
     set's Monte Carlo mean, which the moments give, reads above its closed form."""
     mutants.distance_scale(monkeypatch, 0.03)
     path = tmp_path / "v.txt"
-    _, ok = validate_report(ExperimentSpec(kind="validate", out=str(path), seed=7,
-                                           n_trials=10_000))
-    assert not ok
+    _, checks = validate_report(ExperimentSpec(kind="validate", out=str(path), seed=7,
+                                               n_trials=10_000))
+    assert "Monte Carlo mean of pi*rho*r^2" in failed(checks)
     text = path.read_text(encoding="utf-8")
-    assert "  FAIL Monte Carlo mean of pi*rho*r^2: " in text
     means = re.findall(r"^  INFO Monte Carlo mean, .*: (\S+) vs closed form (\S+)$",
                        text, flags=re.MULTILINE)
     assert len(means) == 5
@@ -430,13 +439,9 @@ def test_round_energy_identity_sees_an_uncharged_slot_3(tmp_path, monkeypatch):
     """With eps_total = 1 the closed forms drop slot 3; of all the checks only
     section [d]'s energy identity sees it, at 1e4 trials."""
     mutants.slot3_uncharged(monkeypatch, 1.0)
-    path = tmp_path / "v.txt"
-    _, ok = validate_report(ExperimentSpec(kind="validate", out=str(path), seed=7,
-                                           n_trials=10_000))
-    assert not ok
-    assert re.findall(r"^  FAIL (.*?): ", path.read_text(encoding="utf-8"),
-                      flags=re.MULTILINE) == [
-        "mean round energy vs exchange rate, relative residual"]
+    _, checks = validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
+                                               seed=7, n_trials=10_000))
+    assert failed(checks) == ["mean round energy vs exchange rate, relative residual"]
 
 
 def test_composite_outage_sees_dropped_relays(tmp_path, monkeypatch):
@@ -444,12 +449,9 @@ def test_composite_outage_sees_dropped_relays(tmp_path, monkeypatch):
     [d] still sees slot 3: with a fifth of the relayed copies lost, the
     composite outage rate is the only failing check, at 1e4 trials."""
     mutants.relay_dropped(monkeypatch, 0.2)
-    path = tmp_path / "v.txt"
-    _, ok = validate_report(ExperimentSpec(kind="validate", out=str(path), seed=7,
-                                           n_trials=10_000))
-    assert not ok
-    assert re.findall(r"^  FAIL (.*?): ", path.read_text(encoding="utf-8"),
-                      flags=re.MULTILINE) == ["composite outage rate"]
+    _, checks = validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
+                                               seed=7, n_trials=10_000))
+    assert failed(checks) == ["composite outage rate"]
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -599,7 +601,7 @@ def test_check_z_zero_stderr():
     rep.check_z("same", 2.5, 2.5, 0.0)
     rep.check_z("differs", 2.5, 2.5000000001, 0.0)
     rep.check_z("above", 2.5000000001, 2.5, 0.0)
-    assert rep.failures == ["differs", "above"]
+    assert [c.passed for c in rep.checks] == [True, False, False]
     assert "PASS same: 2.5 vs target 2.5 (z = +0.00" in rep.lines[0]
     # the infinite z carries the sign of observed - target
     assert "(z = -inf" in rep.lines[1]

@@ -63,7 +63,8 @@ def test_partner_distance_rejects_bad_inputs():
 
 
 def test_partner_distance_scalar_and_array_agree():
-    r, theta = sample_nn_geometries(RandomStream(6).block(0), 1e-4, 500)
+    area, theta = sample_nn_geometries(RandomStream(6).block(0), 500)
+    r = nn_distance(area, 1e-4)
     r2 = partner_distance_to_bs(800.0, r, theta)
     assert r2.shape == (500,)
     for i in range(0, 500, 25):
@@ -76,7 +77,8 @@ def test_partner_distance_scalar_and_array_agree():
 
 
 def test_sampled_geometry_satisfies_identities():
-    r, theta = sample_nn_geometries(RandomStream(5).block(0), 1e-4, 2000)
+    area, theta = sample_nn_geometries(RandomStream(5).block(0), 2000)
+    r = nn_distance(area, 1e-4)
     for g in (Geometry(r1=800.0, r=float(ri), theta=float(ti)) for ri, ti in zip(r, theta)):
         lhs = g.r2 * g.r2
         rhs = g.r * g.r + g.r1 * g.r1 + 2.0 * g.r1 * g.r * math.cos(g.theta)
@@ -87,27 +89,29 @@ def test_sampled_geometry_satisfies_identities():
 
 
 def test_sampling_reproducible():
-    r_a, th_a = sample_nn_geometries(RandomStream(9, 3).block(0), 1e-4, 64)
-    r_b, th_b = sample_nn_geometries(RandomStream(9, 3).block(0), 1e-4, 64)
-    assert np.array_equal(r_a, r_b) and np.array_equal(th_a, th_b)
-    g_a = Geometry(r1=500.0, r=float(r_a[0]), theta=float(th_a[0]))
-    assert g_a == Geometry(r1=500.0, r=float(r_b[0]), theta=float(th_b[0]))
+    area_a, th_a = sample_nn_geometries(RandomStream(9, 3).block(0), 64)
+    area_b, th_b = sample_nn_geometries(RandomStream(9, 3).block(0), 64)
+    assert np.array_equal(area_a, area_b) and np.array_equal(th_a, th_b)
+    g_a = Geometry(r1=500.0, r=nn_distance(float(area_a[0]), 1e-4), theta=float(th_a[0]))
+    assert g_a == Geometry(r1=500.0, r=nn_distance(float(area_b[0]), 1e-4),
+                           theta=float(th_b[0]))
 
 
 @pytest.mark.parametrize("rho", [0.0, -1e-4, math.nan, math.inf])
 def test_sampler_rejects_bad_rho(rho):
-    with pytest.raises(ParameterError, match="rho"):
-        sample_nn_geometries(RandomStream(1).block(0), rho, 4)
     with pytest.raises(ParameterError, match="rho"):
         nn_distance(np.ones(4), rho)
 
 
 @pytest.mark.parametrize("rho", [1e-7, 1e-4, 1.0])
 def test_density_free_draw_gives_the_distances_at_any_density(rho):
-    """The areas of a rho=None draw give the bits of a draw at rho, in place or not."""
-    area, theta = sample_nn_geometries(RandomStream(14).block(0), None, 1000)
-    r, theta_at_rho = sample_nn_geometries(RandomStream(14).block(0), rho, 1000)
-    assert np.array_equal(theta, theta_at_rho)
+    """The areas give the inverse-CDF distances at any density, in place or
+    not: all areas are drawn first, then all bearings, from one uniform each."""
+    rng = RandomStream(14).block(0)
+    u, v = rng.random(1000), rng.random(1000)
+    area, theta = sample_nn_geometries(RandomStream(14).block(0), 1000)
+    assert np.array_equal(theta, -0.5 * math.pi + 2.0 * math.pi * v)
+    r = np.sqrt(-np.log1p(-u) / (math.pi * rho))
     assert np.array_equal(nn_distance(area, rho), r)
     assert nn_distance(float(area[0]), rho) == r[0]
     assert nn_distance(area, rho, out=area) is area
@@ -116,14 +120,14 @@ def test_density_free_draw_gives_the_distances_at_any_density(rho):
 
 def test_empirical_mean_distance():
     rho = 1e-4
-    r, _ = sample_nn_geometries(RandomStream(11).block(0), rho, 1_000_000)
+    r = nn_distance(sample_nn_geometries(RandomStream(11).block(0), 1_000_000)[0], rho)
     assert np.mean(r) == pytest.approx(50.0, rel=5e-3)
 
 
 def test_empirical_distance_cdf_ks():
     rho = 1e-4
     n = 1_000_000
-    r, _ = sample_nn_geometries(RandomStream(12).block(0), rho, n)
+    r = nn_distance(sample_nn_geometries(RandomStream(12).block(0), n)[0], rho)
     r.sort()
     f = nn_distance_cdf(r, rho)
     i = np.arange(1, n + 1)
@@ -133,7 +137,7 @@ def test_empirical_distance_cdf_ks():
 
 
 def test_bearing_uniform_chi_square():
-    _, theta = sample_nn_geometries(RandomStream(13).block(0), 1e-4, 1_000_000)
+    _, theta = sample_nn_geometries(RandomStream(13).block(0), 1_000_000)
     counts, _ = np.histogram(theta, bins=64, range=(-0.5 * math.pi, 1.5 * math.pi))
     assert stats.chisquare(counts).pvalue > 0.01
 

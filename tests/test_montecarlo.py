@@ -282,7 +282,7 @@ def test_block_kernel_cosine_within_two_ulp_of_one(monkeypatch):
     theta = np.concatenate((theta, [-0.5 * math.pi, 0.0, 0.5 * math.pi, math.pi,
                                     np.nextafter(1.5 * math.pi, -INF)]))
     monkeypatch.setattr(montecarlo, "sample_nn_geometries",
-                        lambda rng, rho, n: (np.full(n, math.pi), theta.copy()))
+                        lambda rng, n: (np.full(n, math.pi), theta.copy()))
     cos = np.empty(theta.size)
     montecarlo._power_block(None, 1.0, PowerQuadratic(a=0.0, b_coeff=1.0, c0=0.0),
                             theta.size, cos)
@@ -343,7 +343,7 @@ def test_placement_moments_give_each_sets_mean(dense_params, n):
     assert drawn.m_c == pytest.approx(np.mean(np.cos(theta) * math.sqrt(scale) * r),
                                       abs=1e-12)
     for rho, r1 in _SECTION_C_SETS:
-        params = dense_params.replace_raw(rho=rho)
+        params = validate(dataclasses.replace(dense_params, rho=rho))
         quad = PowerQuadratic.from_params(params, r1)
         for workers in (1, 2):
             totals, m_a, m_c = draw_power_samples(n, rho, quad, RandomStream(55),

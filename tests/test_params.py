@@ -111,13 +111,3 @@ def test_load_config_rejects_unknown_key(tmp_path):
     with pytest.raises(ParameterError) as err:
         load_config(str(path))
     assert "bandwidth" in str(err.value)
-
-
-def test_replace_raw_revalidates(params):
-    other = params.replace_raw(rate=1e6)
-    assert other.rate == 1e6
-    assert other.lambda_s == params.lambda_s
-    with pytest.raises(ParameterError):
-        params.replace_raw(rho=-1.0)
-    with pytest.raises(TypeError):  # derived fields follow from the raw ones
-        params.replace_raw(lambda_s=1.0)
