@@ -22,34 +22,35 @@ geom = Geometry(r1=2000.0, r=20.0, theta=0.5 * math.pi)
 targets = OutageTargets.for_target(params.p_out_target)
 n = 2_000_000
 
-report = estimate_outage(n, geom, params, RandomStream(seed=99), workers=4)
+counts = estimate_outage(n, geom, params, RandomStream(seed=99), workers=4)
+exchange_rate = counts.exchanged / n
 
 print(f"{n} protocol rounds at r = {geom.r} m, r1 = {geom.r1} m")
 print()
-print(f"exchange success rate  {report.delta0_rate:.6f}  "
+print(f"exchange success rate  {exchange_rate:.6f}  "
       f"(designed {targets.eps_short:.6f}, "
-      f"stderr {report.delta0_stderr:.1e})")
-print(f"composite outage rate  {report.outage_composite:.6f}  "
+      f"stderr {math.sqrt(exchange_rate * (1.0 - exchange_rate) / n):.1e})")
+print(f"composite outage rate  {counts.outages / n:.6f}  "
       f"(designed {params.p_out_target:.6f})")
 x = targets.p_out_nc
 per_msg = targets.eps_short * x * x + (1.0 - targets.eps_short) * x
-print(f"message-1 outage rate  {report.outage_d1:.6f}  "
+print(f"message-1 outage rate  {counts.lost_d1 / n:.6f}  "
       f"(predicted {per_msg:.6f}; below the composite target because the")
 print("                                  relay copy rides a second "
       "independent fade)")
 print()
 
 powers = nncc_power_breakdown(geom, params)
-print(f"mean round energy      {report.mean_energy:.6e} J  "
+print(f"mean round energy      {counts.mean_energy:.6e} J  "
       f"(designed {powers.total:.6e})")
 print()
 
 # the solo-uplink baseline runs on the same slot-2 fades as the cooperation
 baseline = conventional_power(geom, params).total
-print(f"solo-uplink baseline composite outage {report.conv_outage_composite:.6f} "
+print(f"solo-uplink baseline composite outage {counts.conv_outages / n:.6f} "
       f"at {baseline:.4e} J per round")
 print(f"cooperation delivers the same outage target on "
-      f"{report.mean_energy / baseline:.1%} of the baseline energy")
+      f"{counts.mean_energy / baseline:.1%} of the baseline energy")
 print()
 
 # each handset's uplink power comes from its own link budget, so a handset
@@ -57,4 +58,4 @@ print()
 weak = validate(SystemParams(g_u2_db=-3.0))
 uneven = estimate_outage(n, geom, weak, RandomStream(seed=101), workers=4)
 print(f"handset 2 at -3 dB antenna gain: composite outage rate "
-      f"{uneven.outage_composite:.6f} (designed {weak.p_out_target:.6f})")
+      f"{uneven.outages / n:.6f} (designed {weak.p_out_target:.6f})")

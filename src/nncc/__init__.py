@@ -45,8 +45,8 @@ from .distribution import (
     support_upper,
 )
 from .montecarlo import (
-    McReport,
     PowerSamples,
+    ProtocolCounts,
     RandomStream,
     draw_power_samples,
     estimate_outage,

@@ -188,7 +188,8 @@ class PowerQuadratic:
 
         ``r1`` may also be an array of distances, giving array coefficients.
         The root and CDF computations square the coefficients, so a
-        coefficient whose square overflows is a ``ParameterError``.
+        coefficient whose square overflows, or an ``a`` or ``c0`` whose square
+        is below the normal range, is a ``ParameterError``.
         """
         if not np.all(np.isfinite(r1) & (np.asarray(r1) > 0)):
             raise ParameterError("r1", f"must be finite and > 0, got {r1!r}")
@@ -202,6 +203,12 @@ class PowerQuadratic:
                     "rate", f"the round total's coefficient {name} reaches "
                             f"{float(np.max(np.abs(value))):.3g}, whose square "
                             "overflows; lower the rate or the distances")
+            # a and c0 are > 0; the CDF engine divides by a*a and scales a by c0
+            if name != "b_coeff" and not np.all(value * value >= sys.float_info.min):
+                raise ParameterError(
+                    "rate", f"the round total's coefficient {name} is "
+                            f"{float(np.min(value)):.3g}, whose square underflows; "
+                            "raise the rate, the noise density or the distances")
         return quad
 
     @property

@@ -44,9 +44,14 @@ def partner_distance_to_bs(r1, r, theta):
         raise ParameterError("r1", f"must be finite and > 0, got {r1}")
     if not np.all(np.isfinite(r) & (r >= 0)):
         raise ParameterError("r", f"must be finite and >= 0, got {r}")
-    s = r * r + r1 * r1 + 2.0 * r1 * r * np.cos(theta)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        s = r * r + r1 * r1 + 2.0 * r1 * r * np.cos(theta)
     # never negative analytically; rounding can dip just below zero at r = r1
     out = np.sqrt(np.maximum(s, 0.0))
+    if not np.all(np.isfinite(out)):  # the larger distance's square overflowed
+        raise ParameterError("r1" if np.max(r1) > np.max(r) else "r",
+                             f"the partner's distance to the BS overflows at "
+                             f"r = {r}, r1 = {r1}")
     return out if out.ndim else float(out)
 
 

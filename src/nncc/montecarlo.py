@@ -9,18 +9,20 @@ values give statistically independent experiments.
 Each random quantity is drawn once, and only where it is read.
 ``estimate_outage`` runs the cooperative round and the conventional baseline
 on the same fades, draws a slot-3 fade only where it decides delivery, and
-its sweep-row form draws only the exchange.  Placement sampling reduces a
-draw one way, to block sums of u = r*r and v = cos(theta)*r added in block
-order.  ``draw_power_samples`` also writes the totals into one array;
-``sample_power_distribution`` also sums u*u, u*v and v*v, and holds no more
-than one block per worker.
+its sweep-row form draws only the exchange.  It returns the integers it
+counted (``ProtocolCounts``), so a reader forms each rate and its statistic
+from k of n.  Placement sampling reduces a draw one way, to block sums of
+u = r*r and v = cos(theta)*r added in block order.  ``draw_power_samples``
+also writes the totals into one array; ``sample_power_distribution`` also
+sums u*u, u*v and v*v, and holds no more than one block per worker.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -52,29 +54,21 @@ class RandomStream:
         return np.random.Generator(np.random.Philox(seq))
 
 
-@dataclass(frozen=True)
-class McReport:
-    """Aggregated empirical statistics with standard errors."""
+class ProtocolCounts(NamedTuple):
+    """What ``estimate_outage`` counted over ``n_trials`` rounds at one placement.
+
+    The five outcome counts are None after an ``energy_only`` call.
+    """
 
     n_trials: int
-    outage_d1: float | None = None
-    outage_d1_stderr: float | None = None
-    outage_d2: float | None = None
-    outage_d2_stderr: float | None = None
-    outage_composite: float | None = None
-    outage_composite_stderr: float | None = None
-    delta0_rate: float | None = None
-    delta0_stderr: float | None = None
-    uplink1_outage: float | None = None
-    uplink1_outage_stderr: float | None = None
-    conv_outage_composite: float | None = None
-    conv_outage_composite_stderr: float | None = None
-    mean_energy: float | None = None
-    energy_stderr: float | None = None
-
-
-def _binom_stderr(p_hat: float, n: int) -> float:
-    return math.sqrt(p_hat * (1.0 - p_hat) / n)
+    exchanged: int           # rounds whose exchange succeeded (delta = 0)
+    mean_energy: float       # mean round energy, J
+    energy_stderr: float
+    lost_d1: int | None = None         # rounds that lost message 1
+    lost_d2: int | None = None         # rounds that lost message 2
+    outages: int | None = None         # composite outages
+    uplink1_lost: int | None = None    # handset 1's failed slot-2 uplinks
+    conv_outages: int | None = None    # the baseline's composite outages
 
 
 def _require_trials(n: int) -> None:
@@ -84,10 +78,17 @@ def _require_trials(n: int) -> None:
             f"need at least {MIN_TRIALS} trials")
 
 
-def require_exchange_distance(r: float) -> None:
-    """The exchange's free-space budget is undefined at zero or infinite distance."""
+def require_exchange_distance(r: float, params: LinearParams) -> None:
+    """The exchange's free-space budget is undefined at zero or infinite
+    distance, and its power zeta*r*r must be a normal float: at 0 no exchange
+    decodes, at inf every round's energy is inf."""
     if not (math.isfinite(r) and r > 0):
         raise ParameterError("r", f"must be finite and > 0 for the exchange, got {r!r}")
+    p12 = powermodel.power_coefficients(params).zeta * r * r
+    if not sys.float_info.min <= p12 < math.inf:
+        raise ParameterError("r", f"{r!r} m gives the exchange power {p12:.3g} W, "
+                                  "outside the normal floating-point range; change "
+                                  "r, the rate or the noise density")
 
 
 def _energy_stderr(mean: float, var: float, n: int, where: str) -> float:
@@ -143,8 +144,9 @@ def _map_blocks(n: int, workers: int, block_fn):
 
 def estimate_outage(n: int, geom: Geometry, params: LinearParams,
                     stream: RandomStream, workers: int = 1,
-                    energy_only: bool = False) -> McReport:
-    """Empirical outage rates at a fixed placement, fresh fading per trial.
+                    energy_only: bool = False) -> ProtocolCounts:
+    """Outcome counts of n protocol rounds at a fixed placement, fresh fading
+    per trial, and the mean round energy.
 
     Each block draws, in this order, the exchange gains h12 and h21, then the
     slot-2 uplink gains of handsets 1 and 2, then the slot-3 gains.  A slot-3
@@ -155,16 +157,16 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
     cooperative round reads them at the powers of ``nncc_power_breakdown``.
     The conventional round, solo uplinks at the powers of
     ``conventional_power``, reads the same slot-2 gains, so the two schemes
-    meet the same fades (``conv_outage_composite``).  ``uplink1_outage``
-    counts handset 1's failed slot-2 uplinks at the cooperative power, whose
-    target is ``p_out_nc``.
+    meet the same fades (``conv_outages``).  ``uplink1_lost`` counts handset
+    1's failed slot-2 uplinks at the cooperative power, whose target is
+    ``p_out_nc``.
 
     The round energy depends on the exchange alone.  With ``energy_only``
-    each block stops after h12 and h21, and the report carries only the
-    exchange rate and the energy, the values of a full call on the stream.
+    each block stops after h12 and h21, and the record carries only the
+    exchange count and the energy, the values of a full call on the stream.
     """
     _require_trials(n)
-    require_exchange_distance(geom.r)
+    require_exchange_distance(geom.r, params)
     powers = powermodel.nncc_power_breakdown(geom, params)
     t12, t1b, t2b = _thresholds(geom, powers, params)
     _, c1b, c2b = _thresholds(geom, powermodel.conventional_power(geom, params), params)
@@ -215,18 +217,8 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
                  + (n - n_delta0) * (e1 - mean_e) ** 2) / max(n - 1, 1)
     except OverflowError:  # float ** raises where * would give inf
         var_e = math.inf
-    energy_stderr = _energy_stderr(mean_e, var_e, n, "at this placement")
-    report = McReport(n_trials=n, delta0_rate=n_delta0 / n,
-                      delta0_stderr=_binom_stderr(n_delta0 / n, n),
-                      mean_energy=mean_e, energy_stderr=energy_stderr)
-    if energy_only:
-        return report
-    rates = {}
-    for name, count in zip(("outage_d1", "outage_d2", "outage_composite",
-                            "uplink1_outage", "conv_outage_composite"), lost):
-        rates[name] = count / n
-        rates[f"{name}_stderr"] = _binom_stderr(count / n, n)
-    return replace(report, **rates)
+    return ProtocolCounts(n, n_delta0, mean_e,
+                          _energy_stderr(mean_e, var_e, n, "at this placement"), *lost)
 
 
 def _power_block(rng, rho: float, quad: PowerQuadratic, size: int, out=None):
@@ -322,8 +314,8 @@ def draw_power_samples(n: int, rho: float, quad: PowerQuadratic,
 
 
 def sample_power_distribution(n: int, rho: float, quad: PowerQuadratic,
-                              stream: RandomStream, workers: int = 1) -> McReport:
-    """Mean and standard error of the round total ``quad`` over n random placements.
+                              stream: RandomStream, workers: int = 1) -> tuple[float, float]:
+    """``(mean, stderr)`` of the round total ``quad`` over n random placements.
 
     No n-sized array is built: with u = r*r and v = cos(theta)*r the total is
     a*u + b_coeff*v + c0, so the mean is ``mean_from_moments`` of the draw and
@@ -338,8 +330,7 @@ def sample_power_distribution(n: int, rho: float, quad: PowerQuadratic,
     var_v = (sum_vv - sum_v * sum_v / n) / (n - 1)
     a, b = quad.a, quad.b_coeff
     var = a * a * var_u + 2.0 * a * b * cov_uv + b * b * var_v
-    stderr = _energy_stderr(mean, var, n, f"over placements at rho = {rho:g}")
-    return McReport(n_trials=n, mean_energy=mean, energy_stderr=stderr)
+    return mean, _energy_stderr(mean, var, n, f"over placements at rho = {rho:g}")
 
 
 def ks_distance(samples: np.ndarray, cdf) -> float:

@@ -33,6 +33,13 @@ def link_capacity(snr: float, bandwidth: float, gap: float) -> float:
     return bandwidth * math.log2(1.0 + snr / gap)
 
 
+def binomial_z(count: int, n: int, target: float) -> float:
+    """z of ``count`` events in ``n`` binomial trials against the rate ``target``,
+    with the standard error sqrt(p(1-p)/n) at the observed rate p."""
+    p_hat = count / n
+    return (p_hat - target) / math.sqrt(p_hat * (1.0 - p_hat) / n)
+
+
 def received_snr(link, p_tx: float, d: float, fading: float) -> float:
     """Received SNR of ``link`` (an ``nncc.Link``) for one fading power gain."""
     if d <= 0 or p_tx < 0 or fading < 0:

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from cdf_oracle import branch_form_cdf
+from model_helpers import binomial_z
 from nncc import (
     Geometry,
     Link,
@@ -76,11 +77,11 @@ def test_criterion_03_conventional_target_and_simulation():
     params = validate(SystemParams())
     geom = Geometry(r1=2000.0, r=20.0, theta=0.5 * math.pi)
     n = 10_000_000
-    rep = estimate_outage(n, geom, params, RandomStream(1003))
-    z = (rep.conv_outage_composite - 1e-3) / rep.conv_outage_composite_stderr
+    counts = estimate_outage(n, geom, params, RandomStream(1003))
+    z = binomial_z(counts.conv_outages, n, 1e-3)
     assert abs(z) <= 3.0
     _report(3, f"per-link target {value:.9e}; simulated composite "
-               f"{rep.conv_outage_composite:.6e} (z = {z:+.2f}) at {n} trials")
+               f"{counts.conv_outages / n:.6e} (z = {z:+.2f}) at {n} trials")
 
 
 def test_criterion_04_total_equals_quadratic_form():
@@ -108,17 +109,17 @@ def test_criterion_05_protocol_statistics():
     params = validate(SystemParams())
     geom = Geometry(r1=2000.0, r=20.0, theta=0.5 * math.pi)
     n = 10_000_000
-    rep = estimate_outage(n, geom, params, RandomStream(1005))
+    counts = estimate_outage(n, geom, params, RandomStream(1005))
     t = OutageTargets.for_target(params.p_out_target)
-    z_delta = (rep.delta0_rate - t.eps_short) / rep.delta0_stderr
-    z_comp = (rep.outage_composite - params.p_out_target) / rep.outage_composite_stderr
+    z_delta = binomial_z(counts.exchanged, n, t.eps_short)
+    z_comp = binomial_z(counts.outages, n, params.p_out_target)
     assert abs(z_delta) <= 3.0
     assert abs(z_comp) <= 3.0
     x = t.p_out_nc
     per_msg_pred = t.eps_short * x * x + (1.0 - t.eps_short) * x
-    _report(5, f"Pr(delta=0) {rep.delta0_rate:.6f} (z = {z_delta:+.2f}); "
-               f"composite {rep.outage_composite:.6e} (z = {z_comp:+.2f}); "
-               f"per-message {rep.outage_d1:.6e} measured vs "
+    _report(5, f"Pr(delta=0) {counts.exchanged / n:.6f} (z = {z_delta:+.2f}); "
+               f"composite {counts.outages / n:.6e} (z = {z_comp:+.2f}); "
+               f"per-message {counts.lost_d1 / n:.6e} measured vs "
                f"{per_msg_pred:.6e} predicted (gap is semantic, not hidden)")
 
 
@@ -144,8 +145,9 @@ def test_criterion_07_expectation_triple_agreement():
         by_quad = expected_power_quadrature(quad, rho)
         rel = abs(closed - by_quad) / closed
         assert rel < 1e-9
-        rep = sample_power_distribution(1_000_000, rho, quad, RandomStream(1007, i))
-        z = (rep.mean_energy - closed) / rep.energy_stderr
+        mean, stderr = sample_power_distribution(1_000_000, rho, quad,
+                                                 RandomStream(1007, i))
+        z = (mean - closed) / stderr
         assert abs(z) <= 3.0
         lines.append(f"rho={rho:g}: rel {rel:.2e}, z {z:+.2f}")
     _report(7, "; ".join(lines))

@@ -490,8 +490,8 @@ def test_expected_power_triple_agreement(dense_params, rho, r1):
     closed = expected_power(quad, rho)
     by_quad = expected_power_quadrature(quad, rho)
     assert by_quad == pytest.approx(closed, rel=1e-9)
-    report = sample_power_distribution(1_000_000, rho, quad, RandomStream(31))
-    assert abs(report.mean_energy - closed) < 3.0 * report.energy_stderr
+    mean, stderr = sample_power_distribution(1_000_000, rho, quad, RandomStream(31))
+    assert abs(mean - closed) < 3.0 * stderr
 
 
 def test_expected_power_dense_limit(quad5):
@@ -592,6 +592,20 @@ def test_quadratic_rejects_coefficients_whose_square_overflows(dense_params):
     # array distances are checked element-wise
     with pytest.raises(ParameterError), np.errstate(over="ignore"):
         PowerQuadratic.from_params(dense_params, np.array([2000.0, 1e160]))
+
+
+def test_quadratic_rejects_a_or_c0_whose_square_underflows():
+    """The lower twin: the engine divides by a*a and by squares of c0, so
+    either below sqrt(float min) is refused, naming the coefficient."""
+    for raw, r1, name in ((SystemParams(n0=1e-170), 2000.0, "a"),
+                          (SystemParams(rate=1e-300), 2000.0, "a"),
+                          (SystemParams(), 1e-200, "c0"),
+                          (SystemParams(), np.array([2000.0, 1e-200]), "c0")):
+        with pytest.raises(ParameterError, match=f"coefficient {name} .* underflows"):
+            PowerQuadratic.from_params(validate(raw), r1)
+    # at n0 = 1e-150, a is ~3.6e-138, whose square is normal
+    quad = PowerQuadratic.from_params(validate(SystemParams(n0=1e-150)), 2000.0)
+    assert quad.a * quad.a >= sys.float_info.min
 
 
 def _one(f, lo, hi, atol, rtol):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import mutants
-from nncc import ParameterError, PowerQuadratic, SystemParams, cli, validate
+from nncc import Geometry, ParameterError, PowerQuadratic, SystemParams, cli, validate
 from nncc import montecarlo as mc
 from nncc.cli import main
 from nncc.experiments import (
@@ -690,9 +690,24 @@ _SWEEP_P_OUT = ["sweep", "--var", "p_out_target", "--min", "0.1", "--max", "1",
     (_SWEEP_R1 + ["--seed", "-3"], "seed: must be >= 0"),
     (["sweep", "--var", "rate", "--min", "-1", "--max", "1e5", "--count", "3",
       "--spacing", "log"], "log spacing needs min > 0"),
+    # a coefficient of the round total whose square underflows
+    (["validate", "--n0", "1e-300"], "rate: the round total's coefficient a is"),
+    (["validate", "--n0", "1e-170"], "rate: the round total's coefficient a is"),
+    (["validate", "--r1", "1e-200"], "rate: the round total's coefficient c0 is"),
+    (["figure", "5", "--n0", "1e-300"], "rate: the round total's coefficient a is"),
+    # only the last row's a, at p_out_target 0.5, underflows
+    (["sweep", "--var", "p_out_target", "--min", "1e-4", "--max", "0.5", "--count", "3",
+      "--n0", "1e-165"], "rate: the round total's coefficient a is 1.38e-155"),
+    # an exchange power zeta*r*r outside the normal floats
+    (["validate", "--rate", "1e-300"], "r: 20.0 m gives the exchange power 2.8e-311 W"),
+    (["validate", "--r", "1e-160"], "r: 1e-160 m gives the exchange power 0 W"),
+    (["figure", "3", "--r", "1e-160"], "r: 1e-160 m gives the exchange power 0 W"),
+    (["figure", "3", "--r", "1e200"], "r: 1e+200 m gives the exchange power inf W"),
 ], ids=["range-inf", "range-nan", "sweep-r1-fixed", "figure3-r1-fixed",
         "figure5-rho-fixed", "sweep-rate-fixed", "late-bad-row", "trials", "validate-seed",
-        "sweep-seed", "log-spacing-min"])
+        "sweep-seed", "log-spacing-min", "validate-n0-1e-300", "validate-n0-1e-170",
+        "validate-r1-1e-200", "figure5-n0-1e-300", "late-row-n0", "validate-rate-1e-300",
+        "validate-r-1e-160", "figure3-r-1e-160", "figure3-r-1e200"])
 def test_cli_refuses_bad_run_before_any_draw(tmp_path, capsys, monkeypatch, argv, named):
     """Every run of an invocation is resolved and checked before the first draw."""
     def no_draw(*args, **kwargs):
@@ -709,6 +724,35 @@ def test_cli_refuses_bad_run_before_any_draw(tmp_path, capsys, monkeypatch, argv
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--n0", "1e-150"], ["--r", "1e-140"]])
+def test_cli_validate_passes_near_the_float_limits(tmp_path, flags):
+    """Just inside the refused ranges every closed form and estimator still
+    agrees: a's square and the exchange power zeta*r*r are normal floats."""
+    out = tmp_path / "v.txt"
+    assert main(["validate", "--seed", "7", "--trials", "10000", "--out", str(out)]
+                + flags) == 0
+    assert "summary: 17/17 bounded checks passed" in out.read_text(encoding="utf-8")
+
+
+def test_protocol_rate_checks_read_the_estimators_counts(tmp_path):
+    """Each rate check of section [d] is k / n of one ``estimate_outage`` call
+    on stream 301, with the binomial standard error sqrt(p(1-p)/n)."""
+    n = 10_000
+    _, checks = validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
+                                               seed=7, n_trials=n))
+    counts = mc.estimate_outage(n, Geometry(r1=DEFAULT_R1, r=20.0, theta=0.5 * math.pi),
+                                validate(SystemParams()), mc.RandomStream(7, stream_id=301))
+    rates = [c for c in checks if c.section == "d" and c.kind == "z"]
+    assert [c.name for c in rates] == [
+        "exchange success rate Pr(delta = 0)", "composite outage rate",
+        "single cellular uplink outage", "conventional composite outage"]
+    for check, k in zip(rates, (counts.exchanged, counts.outages, counts.uplink1_lost,
+                                counts.conv_outages)):
+        p = k / n
+        assert check.value == p
+        assert check.stderr == math.sqrt(p * (1.0 - p) / n)
 
 
 def test_cli_quadratic_overflow_exits_2(tmp_path, capsys):

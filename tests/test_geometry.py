@@ -62,6 +62,19 @@ def test_partner_distance_rejects_bad_inputs():
         Geometry(r1=1.0, r=-1.0, theta=0.0)
 
 
+@pytest.mark.parametrize("r1,r,field", [(2000.0, 1e200, "r"), (1e10, 1e300, "r"),
+                                        (1e200, 20.0, "r1")])
+def test_partner_distance_overflow_names_the_larger_distance(r1, r, field):
+    """A squared distance beyond the float range (inf, or inf - inf = nan on
+    the BS side) is refused without numpy's warning."""
+    for theta in (0.0, math.pi):
+        with pytest.raises(ParameterError) as err:
+            partner_distance_to_bs(r1, r, theta)
+        assert err.value.field == field
+    with pytest.raises(ParameterError):
+        partner_distance_to_bs(np.array([2000.0, r1]), np.array([20.0, r]), math.pi)
+
+
 def test_partner_distance_scalar_and_array_agree():
     area, theta = sample_nn_geometries(RandomStream(6).block(0), 500)
     r = nn_distance(area, 1e-4)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from cdf_oracle import cdf_oracle
-from model_helpers import (ks_distance_of_values, placements_by_expression,
+from model_helpers import (binomial_z, ks_distance_of_values, placements_by_expression,
                            power_samples_by_expression)
 from nncc import (
     Geometry,
@@ -103,10 +103,10 @@ def test_trial_energy_accounting_identity(params):
     """Each round pays both exchange directions and one or two cellular slots."""
     geom = fixed_geom()
     powers = nncc_power_breakdown(geom, params)
-    rep = estimate_outage(50_000, geom, params, RandomStream(77))
-    assert 0.0 < rep.delta0_rate < 1.0
-    assert rep.mean_energy == pytest.approx(
-        2.0 * powers.p12 + (1.0 + rep.delta0_rate) * (powers.p1b + powers.p2b),
+    counts = estimate_outage(50_000, geom, params, RandomStream(77))
+    assert 0 < counts.exchanged < 50_000
+    assert counts.mean_energy == pytest.approx(
+        2.0 * powers.p12 + (1.0 + counts.exchanged / 50_000) * (powers.p1b + powers.p2b),
         rel=1e-12, abs=0)
 
 
@@ -118,17 +118,29 @@ def test_estimate_outage_requires_minimum_trials(params):
     assert str(MIN_TRIALS) in str(err.value)
 
 
+@pytest.mark.parametrize("r", [1e-160, 1e-150, 1e200])
+def test_estimate_outage_refuses_exchange_power_outside_normal_floats(params, r):
+    """At 1e-160 m the exchange power zeta*r*r is 0 (no exchange would decode),
+    at 1e-150 m subnormal, at 1e200 m inf; 1e-140 m is still a normal power."""
+    with pytest.raises(ParameterError) as err:
+        montecarlo.require_exchange_distance(r, params)
+    assert err.value.field == "r"
+    montecarlo.require_exchange_distance(1e-140, params)
+    with pytest.raises(ParameterError):
+        estimate_outage(MIN_TRIALS, fixed_geom(r=1e-160), params, RandomStream(0))
+
+
 def test_estimate_outage_statistics(params):
     n = 1_000_000
-    rep = estimate_outage(n, fixed_geom(), params, RandomStream(41))
+    counts = estimate_outage(n, fixed_geom(), params, RandomStream(41))
     t = OutageTargets.for_target(params.p_out_target)
-    assert abs(rep.delta0_rate - t.eps_short) < 3.0 * rep.delta0_stderr
-    assert abs(rep.outage_composite - params.p_out_target) < 3.0 * rep.outage_composite_stderr
+    assert abs(binomial_z(counts.exchanged, n, t.eps_short)) < 3.0
+    assert abs(binomial_z(counts.outages, n, params.p_out_target)) < 3.0
     # per-message rate sits below the composite target
     x = t.p_out_nc
     per_msg = t.eps_short * x * x + (1.0 - t.eps_short) * x
-    assert abs(rep.outage_d1 - per_msg) < 4.0 * rep.outage_d1_stderr
-    assert abs(rep.outage_d2 - per_msg) < 4.0 * rep.outage_d2_stderr
+    assert abs(binomial_z(counts.lost_d1, n, per_msg)) < 4.0
+    assert abs(binomial_z(counts.lost_d2, n, per_msg)) < 4.0
     assert per_msg < params.p_out_target
 
 
@@ -136,9 +148,8 @@ def test_estimate_outage_conventional(params):
     """The baseline's solo uplinks, on the cooperative round's slot-2 fades,
     meet the end-to-end target."""
     n = 1_000_000
-    rep = estimate_outage(n, fixed_geom(), params, RandomStream(42))
-    assert abs(rep.conv_outage_composite - params.p_out_target) < (
-        3.0 * rep.conv_outage_composite_stderr)
+    counts = estimate_outage(n, fixed_geom(), params, RandomStream(42))
+    assert abs(binomial_z(counts.conv_outages, n, params.p_out_target)) < 3.0
 
 
 def _counts_drawn_directly(n, geom, params, stream):
@@ -181,45 +192,43 @@ def test_estimate_outage_counts_follow_the_draw_order(params, scheme):
     five, and the conventional round's composite on the same slot-2 fades."""
     # a weaker exchange and uplinks make every kind of round common
     geom, n = fixed_geom(r1=2600.0, r=35.0), 70_000
-    rep = estimate_outage(n, geom, params, RandomStream(53))
+    counts = estimate_outage(n, geom, params, RandomStream(53))
     n_delta0, *lost = _counts_drawn_directly(n, geom, params, RandomStream(53))
     if scheme == "nncc":
-        assert rep.delta0_rate == n_delta0 / n
-        assert (rep.outage_d1, rep.outage_d2, rep.outage_composite,
-                rep.uplink1_outage) == tuple(count / n for count in lost[:4])
+        assert counts.exchanged == n_delta0
+        assert (counts.lost_d1, counts.lost_d2, counts.outages,
+                counts.uplink1_lost) == tuple(lost[:4])
         assert min(lost[:4]) > 0
         assert lost[0] < lost[3]  # slot-3 copies delivered some of message 1
     else:
-        assert rep.conv_outage_composite == lost[4] / n
+        assert counts.conv_outages == lost[4]
         assert lost[4] > 0
 
 
 def test_estimate_outage_energy_only_stops_after_the_exchange(params):
-    """A call for the energy alone gives the full kernel's exchange rate and
-    energy, and no outage rates."""
+    """A call for the energy alone gives the full kernel's exchange count and
+    energy, and no outcome counts."""
     geom, n = fixed_geom(r1=2600.0, r=35.0), 70_000
-    rep = estimate_outage(n, geom, params, RandomStream(53), energy_only=True)
+    counts = estimate_outage(n, geom, params, RandomStream(53), energy_only=True)
     full = estimate_outage(n, geom, params, RandomStream(53))
     n_delta0 = _counts_drawn_directly(n, geom, params, RandomStream(53))[0]
-    assert rep.delta0_rate == full.delta0_rate == n_delta0 / n
-    assert (rep.mean_energy, rep.energy_stderr) == (full.mean_energy,
-                                                    full.energy_stderr)
-    assert (rep.outage_d1, rep.outage_d2, rep.outage_composite, rep.uplink1_outage,
-            rep.conv_outage_composite) == (None,) * 5
+    assert counts[:4] == full[:4] == (n, n_delta0, full.mean_energy, full.energy_stderr)
+    assert (counts.lost_d1, counts.lost_d2, counts.outages, counts.uplink1_lost,
+            counts.conv_outages) == (None,) * 5
 
 
 def test_estimate_outage_worker_invariance(params):
     kwargs = dict(n=150_000, geom=fixed_geom(), params=params)
     a = estimate_outage(stream=RandomStream(43), workers=1, **kwargs)
     b = estimate_outage(stream=RandomStream(43), workers=4, **kwargs)
-    assert None not in dataclasses.astuple(a)
-    assert a == b  # every field
+    assert None not in a
+    assert a == b  # the whole record
 
 
 def test_estimate_outage_uplink1_cellular(params):
     t = OutageTargets.for_target(params.p_out_target)
-    rep = estimate_outage(1_000_000, fixed_geom(), params, RandomStream(44))
-    assert abs(rep.uplink1_outage - t.p_out_nc) < 3.0 * rep.uplink1_outage_stderr
+    counts = estimate_outage(1_000_000, fixed_geom(), params, RandomStream(44))
+    assert abs(binomial_z(counts.uplink1_lost, 1_000_000, t.p_out_nc)) < 3.0
 
 
 def test_fading_marginals(params):
@@ -249,12 +258,12 @@ def test_sample_power_distribution(dense_params):
     n = 1_000_000
     rho, r1 = dense_params.rho, 2000.0
     quad = PowerQuadratic.from_params(dense_params, r1)
-    rep = sample_power_distribution(n, rho, quad, RandomStream(48))
+    mean, stderr = sample_power_distribution(n, rho, quad, RandomStream(48))
     samples = np.sort(draw_power_samples(n, rho, quad, RandomStream(48)).totals)
     assert samples.shape == (n,)
     assert samples[0] >= quad.support_min
     closed = expected_power(quad, rho)
-    assert abs(rep.mean_energy - closed) < 3.0 * rep.energy_stderr
+    assert abs(mean - closed) < 3.0 * stderr
     ks = ks_distance(samples, lambda p: cdf_reference_batch(p, quad, rho))
     assert ks < 0.005
 
@@ -297,12 +306,11 @@ def test_sample_power_distribution_moments_of_the_samples(n, rho):
     """Block sums of the placements give the whole sample's mean and spread."""
     params = validate(SystemParams(rho=rho))
     quad = PowerQuadratic.from_params(params, 2000.0)
-    rep = sample_power_distribution(n, rho, quad, RandomStream(53))
+    mean, stderr = sample_power_distribution(n, rho, quad, RandomStream(53))
     samples = draw_power_samples(n, rho, quad, RandomStream(53)).totals
-    assert rep.n_trials == n
     # abs=0: approx's default abs of 1e-12 would swallow a stderr of 1e-10
-    assert rep.mean_energy == pytest.approx(np.mean(samples), rel=1e-12, abs=0)
-    assert rep.energy_stderr == pytest.approx(
+    assert mean == pytest.approx(np.mean(samples), rel=1e-12, abs=0)
+    assert stderr == pytest.approx(
         np.std(samples, ddof=1) / math.sqrt(n), rel=1e-12, abs=0)
 
 
@@ -314,9 +322,9 @@ def test_sample_power_distribution_spread_follows_the_placement_law(rho):
     estimate is ~1.4e-3 relative: a 1 % bound is ~7 sd."""
     n = 1_000_000
     quad = PowerQuadratic.from_params(validate(SystemParams(rho=rho)), 2000.0)
-    rep = sample_power_distribution(n, rho, quad, RandomStream(57))
+    _, stderr = sample_power_distribution(n, rho, quad, RandomStream(57))
     law = math.sqrt((quad.a / (math.pi * rho)) ** 2 + quad.b_coeff ** 2 / (2 * math.pi * rho))
-    assert rep.energy_stderr * math.sqrt(n) == pytest.approx(law, rel=0.01)
+    assert stderr * math.sqrt(n) == pytest.approx(law, rel=0.01)
 
 
 # the five (rho, r1) sets of the validate report's section [c]
@@ -376,7 +384,7 @@ def test_sample_power_distribution_worker_invariance(dense_params):
     quad = PowerQuadratic.from_params(dense_params, 1500.0)
     reps = [sample_power_distribution(120_000, 1e-4, quad, RandomStream(49), workers=w)
             for w in (1, 2, 3)]
-    assert len({(r.mean_energy, r.energy_stderr) for r in reps}) == 1
+    assert len(set(reps)) == 1
 
 
 def test_draw_power_samples_worker_invariance(dense_params):
