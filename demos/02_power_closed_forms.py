@@ -14,11 +14,10 @@ import numpy as np
 
 from nncc import (
     Geometry,
-    Link,
     OutageTargets,
     SystemParams,
-    conventional_power,
-    nncc_power_breakdown,
+    conventional_coefficients,
+    power_breakdown,
     power_coefficients,
     validate,
 )
@@ -33,13 +32,14 @@ print(f"per-link target, cooperative      {targets.p_out_nc:.6f}")
 print(f"per-link target, solo uplinks     {targets.p_out_c:.3e}")
 print()
 
-# one link budget per link: the exchange and each handset's uplink
+# one link budget per link: the exchange and each handset's uplink; the
+# baseline is the same model without the exchange, one slot, at p_out_c
 coeff = power_coefficients(params)
-eta_c = Link.cellular(params, 1).coeff(targets.p_out_c)
+solo = conventional_coefficients(params)
 print(f"exchange power coefficient  zeta   = {coeff.zeta:.4e} W/m^2")
 print(f"cellular coefficient (coop) eta1   = {coeff.eta1:.4e} W/m^2")
-print(f"cellular coefficient (solo) eta_c1 = {eta_c:.4e} W/m^2")
-print(f"solo links need {eta_c / coeff.eta1:.1f}x the cooperative per-m^2 power")
+print(f"cellular coefficient (solo) eta_c1 = {solo.eta1:.4e} W/m^2")
+print(f"solo links need {solo.eta1 / coeff.eta1:.1f}x the cooperative per-m^2 power")
 weak = power_coefficients(validate(SystemParams(g_u2_db=-3.0)))
 print(f"a handset with 3 dB less antenna gain needs eta2 = {weak.eta2:.4e} W/m^2 "
       f"({weak.eta2 / weak.eta1:.3f}x)")
@@ -50,13 +50,12 @@ print(f"round totals at inter-user distance r = {r} m (bearing averaged):")
 print(f"{'r1 (m)':>8} {'cooperative (W)':>16} {'solo (W)':>12} {'ratio':>7}")
 for r1 in np.linspace(500.0, 3000.0, 6):
     geom = Geometry(r1=r1, r=r, theta=0.5 * math.pi)
-    coop = nncc_power_breakdown(geom, params).total
-    solo = conventional_power(geom, params).total
-    print(f"{r1:8.0f} {coop:16.6e} {solo:12.4e} {solo / coop:7.1f}")
+    coop, conv = (power_breakdown(geom, c).total for c in (coeff, solo))
+    print(f"{r1:8.0f} {coop:16.6e} {conv:12.4e} {conv / coop:7.1f}")
 print()
 
 geom = Geometry(r1=2000.0, r=r, theta=0.5 * math.pi)
-b = nncc_power_breakdown(geom, params)
+b = power_breakdown(geom, coeff)
 print("cooperative breakdown at r1 = 2000 m:")
 print(f"  exchange (each way)   {b.p12:.4e} W")
 print(f"  uplink from handset 1 {b.p1b:.4e} W")

@@ -13,8 +13,8 @@ and shows that the target still holds when handset 2 has a weaker antenna.
 
 import math
 
-from nncc import (Geometry, OutageTargets, SystemParams, conventional_power,
-                  nncc_power_breakdown, validate)
+from nncc import (Geometry, OutageTargets, SystemParams, conventional_coefficients,
+                  power_breakdown, power_coefficients, validate)
 from nncc.montecarlo import RandomStream, estimate_outage
 
 params = validate(SystemParams())
@@ -40,13 +40,13 @@ print("                                  relay copy rides a second "
       "independent fade)")
 print()
 
-powers = nncc_power_breakdown(geom, params)
+powers = power_breakdown(geom, power_coefficients(params))
 print(f"mean round energy      {counts.mean_energy:.6e} J  "
       f"(designed {powers.total:.6e})")
 print()
 
 # the solo-uplink baseline runs on the same slot-2 fades as the cooperation
-baseline = conventional_power(geom, params).total
+baseline = power_breakdown(geom, conventional_coefficients(params)).total
 print(f"solo-uplink baseline composite outage {counts.conv_outages / n:.6f} "
       f"at {baseline:.4e} J per round")
 print(f"cooperation delivers the same outage target on "

@@ -27,10 +27,10 @@ from .powermodel import (
     PowerBreakdown,
     PowerCoefficients,
     composite_outage_nncc,
-    conventional_power,
-    nncc_power_breakdown,
+    conventional_coefficients,
     per_link_outage_conventional,
     per_link_outage_nncc,
+    power_breakdown,
     power_coefficients,
 )
 from .distribution import (
@@ -39,7 +39,6 @@ from .distribution import (
     cdf_reference_batch,
     energy_efficiency,
     expected_power,
-    expected_power_conventional,
     expected_power_quadrature,
     pdf_branch_form,
     support_upper,

@@ -46,7 +46,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _build_spec(args, kind: str) -> ExperimentSpec:
     # flags stay overrides, so they win over a figure preset as well as the file
-    base = load_config(args.config) if args.config else SystemParams()
+    config = load_config(args.config) if args.config else {}
     overrides = {}
     for key in [f.name for f in fields(SystemParams)] + ["r1", "r"]:
         value = getattr(args, key)
@@ -54,7 +54,7 @@ def _build_spec(args, kind: str) -> ExperimentSpec:
             overrides[key] = value
     return ExperimentSpec(
         kind=kind, out=args.out, seed=args.seed, n_trials=args.trials,
-        workers=args.workers, overrides=overrides, base=base,
+        workers=args.workers, overrides=overrides, config=config,
         var=getattr(args, "var", None), v_min=getattr(args, "min", None),
         v_max=getattr(args, "max", None), count=getattr(args, "count", None),
         spacing=getattr(args, "spacing", None),

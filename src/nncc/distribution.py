@@ -1,4 +1,4 @@
-"""Distribution of the cooperative total power over random pair placements.
+"""Distribution of a scheme's round total over random pair placements.
 
 At a fixed placement the round total is a quadratic in the neighbor distance,
 
@@ -6,9 +6,11 @@ At a fixed placement the round total is a quadratic in the neighbor distance,
     a = 2*zeta + eps_total*eta2,  b(theta) = 2*eps_total*eta2*r1*cos(theta),
     c0 = eps_total*(eta1 + eta2)*r1^2,
 
-so with the PPP neighbor-distance law and a uniform bearing the CDF of the
-total is an integral over theta of the probability mass the neighbor distance
-puts on the root interval of ``P(r, theta) <= p``.
+for either scheme's ``PowerCoefficients`` (the baseline's has zeta = 0 and
+eps_total = 1, so a = eta2).  With the PPP neighbor-distance law and a
+uniform bearing the CDF of the total is an integral over theta of the
+probability mass the neighbor distance puts on the root interval of
+``P(r, theta) <= p``.
 
 ``cdf_reference_batch`` is the one CDF.  It splits at p = c0 into the regions
 Q1 (below) and Q2 (above) and substitutes so that the roots become
@@ -178,12 +180,11 @@ class PowerQuadratic:
 
     @classmethod
     def from_params(cls, params: LinearParams, r1: float) -> "PowerQuadratic":
-        eps_total = powermodel.OutageTargets.for_target(params.p_out_target).eps_total
-        return cls.from_coefficients(powermodel.power_coefficients(params), eps_total, r1)
+        """The cooperative scheme's quadratic."""
+        return cls.from_coefficients(powermodel.power_coefficients(params), r1)
 
     @classmethod
-    def from_coefficients(cls, coeff: powermodel.PowerCoefficients, eps_total: float,
-                          r1) -> "PowerQuadratic":
+    def from_coefficients(cls, coeff: powermodel.PowerCoefficients, r1) -> "PowerQuadratic":
         """Expand 2*zeta*r^2 + eps_total*(eta1*r1^2 + eta2*r2^2) in r.
 
         ``r1`` may also be an array of distances, giving array coefficients.
@@ -193,9 +194,9 @@ class PowerQuadratic:
         """
         if not np.all(np.isfinite(r1) & (np.asarray(r1) > 0)):
             raise ParameterError("r1", f"must be finite and > 0, got {r1!r}")
-        ee2 = eps_total * coeff.eta2
+        ee2 = coeff.eps_total * coeff.eta2
         quad = cls(a=2.0 * coeff.zeta + ee2, b_coeff=2.0 * ee2 * r1,
-                   c0=eps_total * (coeff.eta1 + coeff.eta2) * r1 * r1)
+                   c0=coeff.eps_total * (coeff.eta1 + coeff.eta2) * r1 * r1)
         for name in ("a", "b_coeff", "c0"):
             value = getattr(quad, name)
             if not np.all(np.abs(value) < _SQRT_FLOAT_MAX):  # also rejects nan
@@ -468,22 +469,6 @@ def expected_power_quadrature(quad: PowerQuadratic, rho):
     means = _tanh_sinh(inner, np.full(a.size, -0.5 * math.pi),
                        np.full(a.size, 1.5 * math.pi), 0.0, _MEAN_EPSREL)
     return means.reshape(shape) if shape else float(means[0])
-
-
-def expected_power_conventional(params: LinearParams, r1: float) -> float:
-    """Mean baseline total over the PPP, by the same moment argument.
-
-    The mean of eta1*r1^2 + eta2*r2^2 is (eta1 + eta2)*r1^2 + eta2*m with
-    m = 1/(pi*rho); it is taken around the mean coefficient, so that with
-    equal handset gains the difference term is exactly zero.
-    """
-    if not (math.isfinite(r1) and r1 > 0):
-        raise ParameterError("r1", f"must be finite and > 0, got {r1!r}")
-    p_c = powermodel.OutageTargets.for_target(params.p_out_target).p_out_c
-    eta1 = powermodel.Link.cellular(params, 1).coeff(p_c)
-    eta2 = powermodel.Link.cellular(params, 2).coeff(p_c)
-    m = 1.0 / (math.pi * params.rho)
-    return 0.5 * (eta1 + eta2) * (2.0 * r1 * r1 + m) + 0.5 * (eta2 - eta1) * m
 
 
 def energy_efficiency(expected: float, rate: float) -> float:

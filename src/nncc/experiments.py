@@ -60,7 +60,7 @@ class ExperimentSpec:
     count: int | None = None
     spacing: str | None = None     # sweep only; None = linear
     overrides: dict = field(default_factory=dict)  # SystemParams fields + r1/r
-    base: SystemParams = field(default_factory=SystemParams)
+    config: dict = field(default_factory=dict)     # the SystemParams fields a file set
 
     def resolved(self) -> "ExperimentSpec":
         """Fill figure presets, then check every spec-level input up front."""
@@ -101,8 +101,9 @@ class ExperimentSpec:
         elif spec.kind != "validate":
             raise ValueError(f"unknown experiment kind {spec.kind!r}")
 
-        unknown = sorted(set(spec.overrides) - {f.name for f in fields(SystemParams)}
-                         - {"r1", "r"})
+        names = {f.name for f in fields(SystemParams)}
+        unknown = sorted((set(spec.overrides) - names - {"r1", "r"})
+                         | (set(spec.config) - names))
         if unknown:
             raise ValueError(f"unknown override key {unknown[0]!r}")
         if spec.kind != "validate":
@@ -117,8 +118,7 @@ class ExperimentSpec:
             if spec.spacing == "log" and not spec.v_min > 0:
                 raise ValueError(f"log spacing needs min > 0, got {spec.v_min!r}")
             # the grid replaces a fixed value, which would be silently dropped
-            if (spec.var in spec.overrides or getattr(spec.base, spec.var, None)
-                    != getattr(SystemParams(), spec.var, None)):
+            if spec.var in spec.overrides or spec.var in spec.config:
                 raise ParameterError(spec.var, "is swept, so no flag, override or "
                                                "config may also fix it")
         return spec
@@ -128,19 +128,25 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _resolve_run(base: SystemParams, overrides: dict):
+def _schemes(params: LinearParams) -> tuple[powermodel.PowerCoefficients, ...]:
+    """The cooperative scheme's coefficients and the baseline's, in CSV column order."""
+    return powermodel.power_coefficients(params), powermodel.conventional_coefficients(params)
+
+
+def _resolve_run(config: dict, overrides: dict):
     """Validated parameters and placement (r1, r) of one run; r None = random."""
     system = dict(overrides)
     r1 = float(system.pop("r1", DEFAULT_R1))
     r = system.pop("r", None)
-    params = validate(replace(base, **system))
+    params = validate(SystemParams(**{**config, **system}))
     if not (math.isfinite(r1) and r1 > 0):
         raise ParameterError("r1", f"must be finite and > 0, got {r1!r}")
     if r is not None:
         r = float(r)
         mc.require_exchange_distance(r, params)
-    else:  # the row's quadratic refuses its coefficients here, before any row draws
-        dist.PowerQuadratic.from_params(params, r1)
+    else:  # each scheme's quadratic refuses its coefficients here, before any row draws
+        for coeff in _schemes(params):
+            dist.PowerQuadratic.from_coefficients(coeff, r1)
     return params, r1, r
 
 
@@ -162,15 +168,13 @@ def _sweep_row(params: LinearParams, r1: float, r: float | None,
     """
     if r is not None:
         geom = Geometry(r1=r1, r=r, theta=0.5 * math.pi)
-        e_nncc = powermodel.nncc_power_breakdown(geom, params).total
-        e_conv = powermodel.conventional_power(geom, params).total
+        e_nncc, e_conv = (powermodel.power_breakdown(geom, c).total for c in _schemes(params))
         counts = mc.estimate_outage(n_trials, geom, params, stream, workers=workers,
                                     energy_only=True)
         mean, stderr = counts.mean_energy, counts.energy_stderr
     else:
-        quad = dist.PowerQuadratic.from_params(params, r1)
-        e_nncc = dist.expected_power(quad, params.rho)
-        e_conv = dist.expected_power_conventional(params, r1)
+        quad, conv = (dist.PowerQuadratic.from_coefficients(c, r1) for c in _schemes(params))
+        e_nncc, e_conv = (dist.expected_power(q, params.rho) for q in (quad, conv))
         mean, stderr = mc.sample_power_distribution(n_trials, params.rho, quad, stream,
                                                     workers=workers)
     return (e_nncc, e_conv, mean, stderr,
@@ -187,7 +191,7 @@ def sweep(spec: ExperimentSpec) -> str:
     if spec.kind == "validate":
         raise ValueError("a validate spec is not a dataset; use validate_report")
     values = _grid(spec)
-    runs = [_resolve_run(spec.base, {**spec.overrides, spec.var: float(value)})
+    runs = [_resolve_run(spec.config, {**spec.overrides, spec.var: float(value)})
             for value in values]
 
     lines = [CSV_HEADER]
@@ -284,7 +288,7 @@ def _closure_section(rep: _Report, params: LinearParams, seed: int,
     # eta2*r2^2) is split around the mean coefficient, so with equal handset
     # gains the difference term is exactly zero.
     rng = np.random.default_rng(seed)
-    eps = targets.eps_total
+    eps = coeff.eps_total
     r1s = rng.uniform(100.0, 3000.0, 10_000)
     rs = rng.uniform(0.0, 300.0, 10_000)
     thetas = rng.uniform(-0.5 * math.pi, 1.5 * math.pi, 10_000)
@@ -292,7 +296,7 @@ def _closure_section(rep: _Report, params: LinearParams, seed: int,
     total = (2.0 * coeff.zeta * rs * rs
              + eps * (0.5 * (coeff.eta1 + coeff.eta2)) * (r1s * r1s + r2s * r2s)
              + eps * (0.5 * (coeff.eta2 - coeff.eta1)) * (r2s * r2s - r1s * r1s))
-    quad = dist.PowerQuadratic.from_coefficients(coeff, eps, r1s)
+    quad = dist.PowerQuadratic.from_coefficients(coeff, r1s)
     quad_form = quad.a * rs * rs + quad.b_coeff * np.cos(thetas) * rs + quad.c0
     res = float(np.max(np.abs(total - quad_form) / total))
     rep.check("total vs quadratic-form max relative residual", res, 1e-9,
@@ -324,13 +328,12 @@ def _distribution_section(rep: _Report, params: LinearParams,
 
 
 def _expected_power_section(rep: _Report, coeff: powermodel.PowerCoefficients,
-                            eps_total: float, m_a: float, m_c: float,
-                            n_trials: int) -> None:
+                            m_a: float, m_c: float, n_trials: int) -> None:
     rep.add("[c] expected power: closed form vs quadrature vs Monte Carlo")
     rhos = np.array([1e-5, 1e-4, 1e-3, 3e-3, 1e-2])
     r1s = np.array([3000.0, 2000.0, 1000.0, 500.0, 150.0])
     # the coefficients do not depend on rho, so one array quadratic holds all sets
-    quads = dist.PowerQuadratic.from_coefficients(coeff, eps_total, r1s)
+    quads = dist.PowerQuadratic.from_coefficients(coeff, r1s)
     closed = dist.expected_power(quads, rhos)
     by_quad = dist.expected_power_quadrature(quads, rhos)
     # every set's Monte Carlo mean is affine in two placement moments, those of
@@ -405,7 +408,7 @@ def _protocol_section(rep: _Report, params: LinearParams, r1: float, r: float,
              f"{_fmt(counts.lost_d1 / n_trials)} measured vs {_fmt(per_msg)} predicted")
     # the mean energy is affine in the exchange count, so it is no statistic of
     # its own: it is the total shifted by the exchange rate's excess, to rounding
-    powers = powermodel.nncc_power_breakdown(geom, params)
+    powers = powermodel.power_breakdown(geom, powermodel.power_coefficients(params))
     res = abs(counts.mean_energy - powers.total - (powers.p1b + powers.p2b)
               * (counts.exchanged / n_trials - targets.eps_short)) / powers.total
     rep.check("mean round energy vs exchange rate, relative residual", res, 1e-12)
@@ -431,7 +434,7 @@ def validate_report(spec: ExperimentSpec) -> tuple[str, tuple[Check, ...]]:
     spec = spec.resolved()
     if spec.kind != "validate":
         raise ValueError(f"not a validate spec: {spec.kind!r}")
-    params, r1, r = _resolve_run(spec.base, {"r": 20.0, **spec.overrides})
+    params, r1, r = _resolve_run(spec.config, {"r": 20.0, **spec.overrides})
 
     rep = _Report()
     rep.add("cooperative uplink validation report")
@@ -445,14 +448,13 @@ def validate_report(spec: ExperimentSpec) -> tuple[str, tuple[Check, ...]]:
     rep.add(f"  n_trials = {spec.n_trials}")
 
     coeff = powermodel.power_coefficients(params)
-    eps_total = powermodel.OutageTargets.for_target(params.p_out_target).eps_total
-    quad = dist.PowerQuadratic.from_coefficients(coeff, eps_total, r1)
+    quad = dist.PowerQuadratic.from_coefficients(coeff, r1)
 
     def first_sections(workers):  # [a]-[c]; [c] reads [b]'s draw
         _closure_section(rep, params, spec.seed, coeff)
         m_a, m_c = _distribution_section(rep, params, quad, r1, spec.n_trials,
                                          spec.seed, workers)
-        _expected_power_section(rep, coeff, eps_total, m_a, m_c, spec.n_trials)
+        _expected_power_section(rep, coeff, m_a, m_c, spec.n_trials)
 
     def last_sections(workers):  # [d] and [e] read nothing of [a]-[c]
         part = _Report()

@@ -154,10 +154,11 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
     whose own slot-2 uplink failed, so it is drawn only there, in trial order:
     first handset 1's relay of message 2 (where handset 2's uplink failed),
     then handset 2's relay of message 1; a copy not drawn is False.  The
-    cooperative round reads them at the powers of ``nncc_power_breakdown``.
-    The conventional round, solo uplinks at the powers of
-    ``conventional_power``, reads the same slot-2 gains, so the two schemes
-    meet the same fades (``conv_outages``).  ``uplink1_lost`` counts handset
+    cooperative round reads them at the powers of ``power_breakdown`` with
+    ``power_coefficients``.  The conventional round, solo uplinks at the
+    powers of ``power_breakdown`` with ``conventional_coefficients``, reads
+    the same slot-2 gains, so the two schemes meet the same fades
+    (``conv_outages``).  ``uplink1_lost`` counts handset
     1's failed slot-2 uplinks at the cooperative power, whose target is
     ``p_out_nc``.
 
@@ -167,9 +168,10 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
     """
     _require_trials(n)
     require_exchange_distance(geom.r, params)
-    powers = powermodel.nncc_power_breakdown(geom, params)
+    powers = powermodel.power_breakdown(geom, powermodel.power_coefficients(params))
     t12, t1b, t2b = _thresholds(geom, powers, params)
-    _, c1b, c2b = _thresholds(geom, powermodel.conventional_power(geom, params), params)
+    conv = powermodel.power_breakdown(geom, powermodel.conventional_coefficients(params))
+    _, c1b, c2b = _thresholds(geom, conv, params)
     sig_s, sig_c = params.sigma2_short, params.sigma2_cell
 
     def block_fn(j, size):

@@ -127,9 +127,10 @@ def validate(raw: SystemParams) -> LinearParams:
     )
 
 
-def load_config(path: str) -> SystemParams:
+def load_config(path: str) -> dict:
     """Read a flat JSON config whose keys match :class:`SystemParams` fields.
 
+    Returns the fields it sets, by name; the others keep their defaults.
     Unknown keys are rejected so typos do not silently fall back to defaults.
     """
     with open(path, encoding="utf-8") as fh:
@@ -139,4 +140,4 @@ def load_config(path: str) -> SystemParams:
     unknown = sorted(set(data) - _RAW_FIELDS)
     if unknown:
         raise ParameterError(unknown[0], f"unknown config key in {path}")
-    return SystemParams(**data)
+    return data

@@ -7,6 +7,10 @@ one link budget for the closed forms and the simulator alike; each handset's
 uplink has its own, set by its own antenna gain.  The cooperative scheme
 additionally needs the per-link cellular outage target that makes the
 composite (three-slot) outage hit the end-to-end target.
+
+A scheme is one :class:`PowerCoefficients`.  The baseline is the cooperative
+model without the exchange (``zeta = 0``), with one cellular slot
+(``eps_total = 1``) at the per-link target ``p_out_c``.
 """
 
 from __future__ import annotations
@@ -49,11 +53,16 @@ class OutageTargets:
 
 @dataclass(frozen=True)
 class PowerCoefficients:
-    """Per-square-meter desired-power coefficients (all strictly positive)."""
+    """One scheme's per-square-meter desired-power coefficients and slot charge.
 
-    zeta: float  # short-range link: power = zeta * r^2, W/m^2
-    eta1: float  # handset 1 uplink: power = eta1 * r1^2, W/m^2
-    eta2: float  # handset 2 uplink: power = eta2 * r2^2, W/m^2
+    ``eta1``, ``eta2`` and ``eps_total`` are strictly positive; ``zeta`` is 0
+    for the baseline, which has no exchange.
+    """
+
+    zeta: float       # short-range link: power = zeta * r^2, W/m^2
+    eta1: float       # handset 1 uplink: power = eta1 * r1^2, W/m^2
+    eta2: float       # handset 2 uplink: power = eta2 * r2^2, W/m^2
+    eps_total: float  # expected cellular slots per round
 
 
 @dataclass(frozen=True)
@@ -61,7 +70,7 @@ class PowerBreakdown:
     """Per-link desired powers and the scheme's round total, in watts.
 
     ``p12`` is the exchange power of each direction (both directions span the
-    same distance over the same link); the baseline has no exchange.
+    same distance over the same link); the baseline's is 0.
     """
 
     p12: float
@@ -180,33 +189,31 @@ class Link:
 
 
 def power_coefficients(params: LinearParams) -> PowerCoefficients:
-    """All cooperative-scheme coefficients for a validated parameter set."""
-    p_nc = OutageTargets.for_target(params.p_out_target).p_out_nc
+    """The cooperative scheme's coefficients for a validated parameter set."""
+    targets = OutageTargets.for_target(params.p_out_target)
     return PowerCoefficients(
         zeta=Link.short(params).coeff(params.p_out_target),
-        eta1=Link.cellular(params, 1).coeff(p_nc),
-        eta2=Link.cellular(params, 2).coeff(p_nc),
+        eta1=Link.cellular(params, 1).coeff(targets.p_out_nc),
+        eta2=Link.cellular(params, 2).coeff(targets.p_out_nc),
+        eps_total=targets.eps_total,
     )
 
 
-def nncc_power_breakdown(geom: Geometry, params: LinearParams) -> PowerBreakdown:
-    """Desired powers and total for one cooperation round at a fixed placement.
+def conventional_coefficients(params: LinearParams) -> PowerCoefficients:
+    """The baseline's coefficients: solo uplinks at ``p_out_c``, one slot, no exchange."""
+    p_c = OutageTargets.for_target(params.p_out_target).p_out_c
+    return PowerCoefficients(zeta=0.0, eta1=Link.cellular(params, 1).coeff(p_c),
+                             eta2=Link.cellular(params, 2).coeff(p_c), eps_total=1.0)
 
-    The total charges the cellular powers with the expected slot count
-    ``1 + (1-p_out)^2``.
+
+def power_breakdown(geom: Geometry, coeff: PowerCoefficients) -> PowerBreakdown:
+    """Desired powers and round total of one scheme at a fixed placement.
+
+    The total is ``2*p12 + eps_total*(p1b + p2b)``: both exchange directions,
+    and the cellular powers charged with the expected slot count.
     """
-    targets = OutageTargets.for_target(params.p_out_target)
-    coeff = power_coefficients(params)
     p12 = coeff.zeta * geom.r * geom.r
     p1b = coeff.eta1 * geom.r1 * geom.r1
     p2b = coeff.eta2 * geom.r2 * geom.r2
     return PowerBreakdown(p12=p12, p1b=p1b, p2b=p2b,
-                          total=2.0 * p12 + targets.eps_total * (p1b + p2b))
-
-
-def conventional_power(geom: Geometry, params: LinearParams) -> PowerBreakdown:
-    """Desired powers for the non-cooperative baseline (solo uplinks only)."""
-    p_c = OutageTargets.for_target(params.p_out_target).p_out_c
-    p1b = Link.cellular(params, 1).coeff(p_c) * geom.r1 * geom.r1
-    p2b = Link.cellular(params, 2).coeff(p_c) * geom.r2 * geom.r2
-    return PowerBreakdown(p12=0.0, p1b=p1b, p2b=p2b, total=p1b + p2b)
+                          total=2.0 * p12 + coeff.eps_total * (p1b + p2b))

@@ -12,7 +12,10 @@ time, so a test or the table can turn it on for one run:
   charge is dropped from the closed forms, ``eps_total = 1 + (1 -
   delta)*eps_short``; ``delta = 1`` is ``eps_total = 1``;
 - ``relay_dropped``: a share ``delta`` of the slot-3 copies that reach the
-  base station in ``montecarlo.protocol_round`` is lost.
+  base station in ``montecarlo.protocol_round`` is lost;
+- ``baseline_eta_scale``: the baseline's uplink coefficients from
+  ``powermodel.conventional_coefficients`` are ``1 + delta`` times too large,
+  in its powers at a fixed placement and in its mean alike.
 
 pytest does not collect this file.  From the repository root, the table of
 which ``validate`` checks fire for each fault and size:
@@ -92,6 +95,17 @@ def relay_dropped(monkeypatch, delta: float) -> None:
     monkeypatch.setattr(mc, "protocol_round", dropping)
 
 
+def baseline_eta_scale(monkeypatch, delta: float) -> None:
+    exact = powermodel.conventional_coefficients
+
+    def scaled(params):
+        coeff = exact(params)
+        return dataclasses.replace(coeff, eta1=(1.0 + delta) * coeff.eta1,
+                                   eta2=(1.0 + delta) * coeff.eta2)
+
+    monkeypatch.setattr(powermodel, "conventional_coefficients", scaled)
+
+
 # each fault with the sizes the table tries, smallest first; "none" is the
 # correct program, whose failures are false alarms
 FAULTS = {
@@ -100,6 +114,7 @@ FAULTS = {
     "bearing_skew": (bearing_skew, (0.005, 0.01, 0.02, 0.03)),
     "slot3_uncharged": (slot3_uncharged, (1e-6, 1e-4, 1e-2, 1.0)),
     "relay_dropped": (relay_dropped, (0.001, 0.003, 0.01, 0.03, 0.1)),
+    "baseline_eta_scale": (baseline_eta_scale, (0.01, 0.03, 0.1, 0.3)),
 }
 
 

@@ -22,10 +22,10 @@ from nncc import (
     cdf_reference_batch,
     expected_power,
     expected_power_quadrature,
-    nncc_power_breakdown,
     pdf_branch_form,
     per_link_outage_conventional,
     per_link_outage_nncc,
+    power_breakdown,
     power_coefficients,
     support_upper,
     validate,
@@ -96,7 +96,7 @@ def test_criterion_04_total_equals_quadratic_form():
         r = rng.uniform(0.0, 400.0)
         theta = rng.uniform(-0.5 * math.pi, 1.5 * math.pi)
         geom = Geometry(r1=r1, r=r, theta=theta)
-        total = nncc_power_breakdown(geom, params).total
+        total = power_breakdown(geom, power_coefficients(params)).total
         quadratic = ((2.0 * coeff.zeta + ee2) * r * r
                      + 2.0 * ee2 * r1 * math.cos(theta) * r
                      + eps_total * (coeff.eta1 + coeff.eta2) * r1 * r1)

@@ -19,14 +19,14 @@ from nncc import (
     cdf_reference_batch,
     energy_efficiency,
     expected_power,
-    expected_power_conventional,
     expected_power_quadrature,
     pdf_branch_form,
     support_upper,
 )
 from nncc import (ExperimentSpec, Geometry, Link, OutageTargets, ParameterError,
-                  SystemParams, nncc_power_breakdown, partner_distance_to_bs,
-                  power_coefficients, sample_nn_geometries, validate, validate_report)
+                  SystemParams, conventional_coefficients, partner_distance_to_bs,
+                  power_breakdown, power_coefficients, sample_nn_geometries, validate,
+                  validate_report)
 from nncc import distribution
 from nncc.distribution import _cdf_and_error, _tanh_sinh
 from nncc.geometry import nn_distance
@@ -46,6 +46,11 @@ def quad5(dense_params):
     return PowerQuadratic.from_params(dense_params, 2000.0)
 
 
+def conventional_quadratic(params, r1):
+    """The baseline's round total as a quadratic in the neighbor distance."""
+    return PowerQuadratic.from_coefficients(conventional_coefficients(params), r1)
+
+
 def test_quadratic_coefficients_golden(quad5):
     assert quad5.a == pytest.approx(A_GOLDEN, rel=1e-12, abs=0)
     assert quad5.c0 == pytest.approx(C0_GOLDEN, rel=1e-12, abs=0)
@@ -59,7 +64,7 @@ def test_quadratic_reproduces_breakdown_total(dense_params, quad5):
         r = rng.uniform(0.0, 300.0)
         theta = rng.uniform(-0.5 * math.pi, 1.5 * math.pi)
         geom = Geometry(r1=r1, r=r, theta=theta)
-        total = nncc_power_breakdown(geom, dense_params).total
+        total = power_breakdown(geom, power_coefficients(dense_params)).total
         total_power = quad5.a * r * r + quad5.b_coeff * np.cos(theta) * r + quad5.c0
         assert total_power == pytest.approx(total, rel=1e-9)
 
@@ -524,7 +529,7 @@ def test_energy_efficiency_dense_limit(quad5, dense_params):
 def test_efficiency_inputs_refuse_non_finite_or_non_positive(params, bad):
     """A nan passes a ``<= 0`` test: every non-finite or non-positive input is refused."""
     with pytest.raises(ParameterError) as err:
-        expected_power_conventional(params, bad)
+        conventional_quadratic(params, bad)
     assert err.value.field == "r1"
     with pytest.raises(ValueError, match="expected power must be finite and > 0"):
         energy_efficiency(bad, params.rate)
@@ -534,7 +539,8 @@ def test_cooperation_more_efficient_in_figure_regime(params):
     for r1 in np.linspace(500.0, 3000.0, 11):
         quad = PowerQuadratic.from_params(params, r1)
         ee_nncc = energy_efficiency(expected_power(quad, params.rho), params.rate)
-        ee_conv = energy_efficiency(expected_power_conventional(params, r1), params.rate)
+        ee_conv = energy_efficiency(
+            expected_power(conventional_quadratic(params, r1), params.rho), params.rate)
         assert ee_nncc > ee_conv
 
 
@@ -543,8 +549,26 @@ def test_expected_power_conventional_moment_form(params):
     eta_c = Link.cellular(params, 1).coeff(t.p_out_c)
     r1 = 1200.0
     expected = eta_c * (2.0 * r1 * r1 + 1.0 / (math.pi * params.rho))
-    assert expected_power_conventional(params, r1) == pytest.approx(expected, rel=1e-15,
-                                                                    abs=0)
+    assert expected_power(conventional_quadratic(params, r1), params.rho) == pytest.approx(
+        expected, rel=1e-15, abs=0)
+
+
+def test_conventional_quadratic_mean_meets_quadrature():
+    """The baseline's quadratic a = eta2, b_coeff = 2*eta2*r1, c0 = (eta1 +
+    eta2)*r1^2 at section [c]'s five sets: its moment mean is the nested
+    quadrature's, at equal and unequal handset gains."""
+    rhos = np.array([1e-5, 1e-4, 1e-3, 3e-3, 1e-2])
+    r1s = np.array([3000.0, 2000.0, 1000.0, 500.0, 150.0])
+    for raw in (SystemParams(), SystemParams(g_u2_db=-3.0), SystemParams(rate=1e9),
+                SystemParams(p_out_target=0.1)):
+        coeff = conventional_coefficients(validate(raw))
+        quads = PowerQuadratic.from_coefficients(coeff, r1s)
+        assert quads.a == coeff.eta2
+        np.testing.assert_array_equal(quads.b_coeff, 2.0 * coeff.eta2 * r1s)
+        np.testing.assert_array_equal(quads.c0, (coeff.eta1 + coeff.eta2) * r1s * r1s)
+        closed = expected_power(quads, rhos)
+        np.testing.assert_allclose(closed, expected_power_quadrature(quads, rhos),
+                                   rtol=1e-9, atol=0)
 
 
 def test_expected_power_conventional_unequal_gains():
@@ -554,7 +578,7 @@ def test_expected_power_conventional_unequal_gains():
     eta1 = Link.cellular(params, 1).coeff(p_c)
     eta2 = Link.cellular(params, 2).coeff(p_c)
     r1 = 1200.0
-    closed = expected_power_conventional(params, r1)
+    closed = expected_power(conventional_quadratic(params, r1), params.rho)
     assert closed == pytest.approx(
         eta1 * r1 * r1 + eta2 * (r1 * r1 + 1.0 / (math.pi * params.rho)), rel=1e-12, abs=0)
     area, theta = sample_nn_geometries(RandomStream(31).block(0), 1_000_000)
@@ -789,8 +813,7 @@ def test_expected_power_quadrature_batch_is_bitwise_scalar_calls(rho, r1, rate, 
     params = validate(SystemParams(rho=rho, rate=rate, g_u2_db=g_u2_db))
     rhos = np.array([1e-5, 1e-4, 1e-3, 3e-3, 1e-2, rho])
     r1s = np.array([3000.0, 2000.0, 1000.0, 500.0, 150.0, r1])
-    eps_total = OutageTargets.for_target(params.p_out_target).eps_total
-    quads = PowerQuadratic.from_coefficients(power_coefficients(params), eps_total, r1s)
+    quads = PowerQuadratic.from_coefficients(power_coefficients(params), r1s)
     batch = expected_power_quadrature(quads, rhos)
     for i, (rho_i, r1_i) in enumerate(zip(rhos, r1s)):
         quad = PowerQuadratic.from_params(validate(replace(params, rho=rho_i)), r1_i)

@@ -1,25 +1,31 @@
 import filecmp
 import importlib.util
+import json
 import math
 import os
 import re
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import mutants
-from nncc import Geometry, ParameterError, PowerQuadratic, SystemParams, cli, validate
+from nncc import (Geometry, ParameterError, PowerQuadratic, SystemParams, cli,
+                  conventional_coefficients, energy_efficiency, expected_power,
+                  power_coefficients, validate)
 from nncc import montecarlo as mc
 from nncc.cli import main
 from nncc.experiments import (
     CSV_HEADER,
     DEFAULT_R1,
     ExperimentSpec,
+    _resolve_run,
     sweep,
     validate_report,
 )
@@ -90,13 +96,15 @@ def test_sweep_and_report_refuse_each_others_kinds(tmp_path):
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("kind,base", [
-    ("figure5", SystemParams(rho=1e-3)),
-    ("figure6", SystemParams(p_out_target=0.01)),
-], ids=["figure5-rho", "figure6-p_out_target"])
-def test_spec_refuses_swept_variable_fixed_by_config(tmp_path, kind, base):
-    """A config value of the swept variable would be replaced by the grid."""
-    spec = ExperimentSpec(kind=kind, out=str(tmp_path / "x.csv"), base=base)
+@pytest.mark.parametrize("kind,config", [
+    ("figure5", {"rho": 1e-3}),
+    ("figure6", {"p_out_target": 0.01}),
+    ("figure5", {"rho": SystemParams().rho}),
+], ids=["figure5-rho", "figure6-p_out_target", "figure5-rho-at-default"])
+def test_spec_refuses_swept_variable_fixed_by_config(tmp_path, kind, config):
+    """A config value of the swept variable would be replaced by the grid,
+    also when it equals the default."""
+    spec = ExperimentSpec(kind=kind, out=str(tmp_path / "x.csv"), config=config)
     with pytest.raises(ParameterError, match="is swept"):
         spec.resolved()
 
@@ -383,9 +391,8 @@ def test_validate_report_flags_tampered_eta(tmp_path, monkeypatch):
 
     build = PowerQuadratic.from_coefficients.__func__
 
-    def doubled_eta(cls, coeff, eps_total, r1):
-        return build(cls, replace(coeff, eta1=2.0 * coeff.eta1, eta2=2.0 * coeff.eta2),
-                     eps_total, r1)
+    def doubled_eta(cls, coeff, r1):
+        return build(cls, replace(coeff, eta1=2.0 * coeff.eta1, eta2=2.0 * coeff.eta2), r1)
 
     monkeypatch.setattr(PowerQuadratic, "from_coefficients", classmethod(doubled_eta))
     path = str(tmp_path / "tampered.txt")
@@ -452,6 +459,30 @@ def test_composite_outage_sees_dropped_relays(tmp_path, monkeypatch):
     _, checks = validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
                                                seed=7, n_trials=10_000))
     assert failed(checks) == ["composite outage rate"]
+
+
+def test_baseline_eta_scale_reaches_every_reader_of_the_baseline(tmp_path, monkeypatch):
+    """The baseline is one coefficient set, so a fault in it reaches the CSV's
+    baseline mean and the simulator's conventional round, and nothing else."""
+    spec = ExperimentSpec(kind="sweep", var="rho", v_min=1e-4, v_max=1e-3, count=2,
+                          n_trials=10_000, out=str(tmp_path / "exact.csv"))
+    geom = Geometry(r1=DEFAULT_R1, r=20.0, theta=0.5 * math.pi)
+
+    def run(out):
+        counts = mc.estimate_outage(10_000, geom, validate(SystemParams()),
+                                    mc.RandomStream(7, stream_id=301))
+        return read_rows(sweep(replace(spec, out=str(tmp_path / out)))), counts
+
+    exact, exact_counts = run("exact.csv")
+    mutants.baseline_eta_scale(monkeypatch, 1.0)
+    faulty, faulty_counts = run("faulty.csv")
+    for row, bad in zip(exact, faulty):
+        assert bad[2] == row[2] and bad[4] == row[4]  # e_nncc and its Monte Carlo mean
+        assert bad[3] == pytest.approx(2.0 * row[3], rel=1e-11, abs=0)  # e_conv
+    # twice the power on the same fades: fewer conventional outages, the rest unchanged
+    assert faulty_counts.conv_outages < exact_counts.conv_outages
+    assert faulty_counts._replace(conv_outages=None) == exact_counts._replace(
+        conv_outages=None)
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -672,6 +703,7 @@ def test_cli_zero_inter_user_distance_exits_2(tmp_path, capsys, monkeypatch, arg
 
 _SWEEP_P_OUT = ["sweep", "--var", "p_out_target", "--min", "0.1", "--max", "1",
                 "--count", "25"]
+_SWEEP_RHO_EDGE = ["sweep", "--var", "rho", "--min", "1e-5", "--max", "1e-3", "--count", "3"]
 
 
 @pytest.mark.parametrize("argv,named", [
@@ -698,6 +730,9 @@ _SWEEP_P_OUT = ["sweep", "--var", "p_out_target", "--min", "0.1", "--max", "1",
     # only the last row's a, at p_out_target 0.5, underflows
     (["sweep", "--var", "p_out_target", "--min", "1e-4", "--max", "0.5", "--count", "3",
       "--n0", "1e-165"], "rate: the round total's coefficient a is 1.38e-155"),
+    # the baseline's a = eta2(p_out_c) underflows; the cooperative a is 3.6e-154
+    (_SWEEP_RHO_EDGE + ["--n0", "1e-166"],
+     "rate: the round total's coefficient a is 5.42e-155"),
     # an exchange power zeta*r*r outside the normal floats
     (["validate", "--rate", "1e-300"], "r: 20.0 m gives the exchange power 2.8e-311 W"),
     (["validate", "--r", "1e-160"], "r: 1e-160 m gives the exchange power 0 W"),
@@ -706,7 +741,8 @@ _SWEEP_P_OUT = ["sweep", "--var", "p_out_target", "--min", "0.1", "--max", "1",
 ], ids=["range-inf", "range-nan", "sweep-r1-fixed", "figure3-r1-fixed",
         "figure5-rho-fixed", "sweep-rate-fixed", "late-bad-row", "trials", "validate-seed",
         "sweep-seed", "log-spacing-min", "validate-n0-1e-300", "validate-n0-1e-170",
-        "validate-r1-1e-200", "figure5-n0-1e-300", "late-row-n0", "validate-rate-1e-300",
+        "validate-r1-1e-200", "figure5-n0-1e-300", "late-row-n0", "baseline-a-n0-1e-166",
+        "validate-rate-1e-300",
         "validate-r-1e-160", "figure3-r-1e-160", "figure3-r-1e200"])
 def test_cli_refuses_bad_run_before_any_draw(tmp_path, capsys, monkeypatch, argv, named):
     """Every run of an invocation is resolved and checked before the first draw."""
@@ -723,6 +759,61 @@ def test_cli_refuses_bad_run_before_any_draw(tmp_path, capsys, monkeypatch, argv
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+    assert not out.exists()
+
+
+def test_cli_sweep_passes_above_the_baseline_underflow(tmp_path):
+    """Both schemes' quadratics are checked for every random-placement row; at
+    n0 = 3e-166 the baseline's a (1.6e-154) still has a normal square."""
+    out = tmp_path / "o.csv"
+    assert main(_SWEEP_RHO_EDGE + ["--n0", "3e-166", "--trials", "10000",
+                                   "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 3
+    assert all(math.isfinite(float(v)) and float(v) > 0
+               for row in rows for v in row.split(",")[2:])
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n0=_log_uniform(1e-200, 1e-5), rate=_log_uniform(1e-3, 1e10),
+       r1=_log_uniform(1e-5, 1e7), p_out_target=_log_uniform(1e-300, 0.999),
+       g_u2_db=st.floats(-100.0, 100.0), rho=_log_uniform(1e-12, 1e3))
+@example(n0=1e-166, rate=1e5, r1=DEFAULT_R1, p_out_target=1e-3, g_u2_db=0.0, rho=1e-4)
+@example(n0=3e-166, rate=1e5, r1=DEFAULT_R1, p_out_target=1e-3, g_u2_db=0.0, rho=1e-4)
+def test_resolved_random_placement_row_has_both_means(n0, rate, r1, p_out_target,
+                                                      g_u2_db, rho):
+    """A random-placement row is refused up front, or both schemes' means are
+    finite and positive, with an energy efficiency, and no numpy warning."""
+    overrides = dict(n0=n0, rate=rate, r1=r1, p_out_target=p_out_target,
+                     g_u2_db=g_u2_db, rho=rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            params, r1, _ = _resolve_run({}, overrides)
+        except ParameterError:
+            return
+        for coeff in (power_coefficients(params), conventional_coefficients(params)):
+            mean = expected_power(PowerQuadratic.from_coefficients(coeff, r1), rho)
+            assert math.isfinite(mean) and mean > 0
+            assert energy_efficiency(mean, rate) > 0
+
+
+@pytest.mark.parametrize("argv", [_SWEEP_RHO_EDGE, ["figure", "5"]],
+                         ids=["sweep-rho", "figure5"])
+def test_cli_refuses_config_fixing_the_swept_variable_at_its_default(tmp_path, capsys,
+                                                                    argv):
+    """The spec records the keys the config set, so a swept variable that the
+    config sets to its default value is refused like any other value."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rho": SystemParams().rho}))
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--config", str(cfg), "--trials", "10000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: rho: is swept, so no flag, override or "
+                                       "config may also fix it\n")
     assert not out.exists()
 
 

@@ -19,9 +19,10 @@ from nncc import (
     ParameterError,
     PowerQuadratic,
     cdf_reference_batch,
-    conventional_power,
+    conventional_coefficients,
     expected_power,
-    nncc_power_breakdown,
+    power_breakdown,
+    power_coefficients,
     validate,
 )
 from nncc import montecarlo
@@ -65,7 +66,8 @@ def test_streams_differ_across_ids():
 def round_at_fading(params, h12, h21, h1b_slot2, h2b_slot2, h1b_slot3, h2b_slot3):
     """One round at fixed fading gains and the production thresholds."""
     geom = fixed_geom()
-    t12, t1b, t2b = _thresholds(geom, nncc_power_breakdown(geom, params), params)
+    t12, t1b, t2b = _thresholds(geom, power_breakdown(geom, power_coefficients(params)),
+                                params)
     delta0 = np.array([h12 >= t12 and h21 >= t12])
     d1, d2, composite = protocol_round(
         delta0, np.array([h1b_slot2 >= t1b]), np.array([h2b_slot2 >= t2b]),
@@ -102,7 +104,7 @@ def test_protocol_round_failed_exchange_is_conventional():
 def test_trial_energy_accounting_identity(params):
     """Each round pays both exchange directions and one or two cellular slots."""
     geom = fixed_geom()
-    powers = nncc_power_breakdown(geom, params)
+    powers = power_breakdown(geom, power_coefficients(params))
     counts = estimate_outage(50_000, geom, params, RandomStream(77))
     assert 0 < counts.exchanged < 50_000
     assert counts.mean_energy == pytest.approx(
@@ -154,8 +156,10 @@ def test_estimate_outage_conventional(params):
 
 def _counts_drawn_directly(n, geom, params, stream):
     """The block kernel's counts, re-derived draw by draw."""
-    t12, t1b, t2b = _thresholds(geom, nncc_power_breakdown(geom, params), params)
-    _, c1b, c2b = _thresholds(geom, conventional_power(geom, params), params)
+    t12, t1b, t2b = _thresholds(geom, power_breakdown(geom, power_coefficients(params)),
+                                params)
+    _, c1b, c2b = _thresholds(geom, power_breakdown(geom, conventional_coefficients(params)),
+                              params)
     sig_s, sig_c = params.sigma2_short, params.sigma2_cell
     counts = np.zeros(6, dtype=int)
     for j, start in enumerate(range(0, n, _BLOCK)):

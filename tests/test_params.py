@@ -100,9 +100,8 @@ def test_gaps_exceed_one_in_linear_scale():
 def test_load_config_round_trip(tmp_path):
     path = tmp_path / "params.json"
     path.write_text(json.dumps({"rate": 1e6, "rho": 2e-4}))
-    raw = load_config(str(path))
-    assert raw.rate == 1e6 and raw.rho == 2e-4
-    assert raw.f_s == SystemParams().f_s  # untouched fields keep defaults
+    # the keys the file sets and no others: the rest keep their defaults
+    assert load_config(str(path)) == {"rate": 1e6, "rho": 2e-4}
 
 
 def test_load_config_rejects_unknown_key(tmp_path):

@@ -15,10 +15,10 @@ from nncc import (
     ParameterError,
     PowerQuadratic,
     SystemParams,
-    conventional_power,
-    nncc_power_breakdown,
+    conventional_coefficients,
     per_link_outage_conventional,
     per_link_outage_nncc,
+    power_breakdown,
     power_coefficients,
     validate,
 )
@@ -168,7 +168,8 @@ def test_cellular_coeff_rejects_bad_target(params):
 
 def test_zeta_is_distance_free(params):
     g1, g2 = fixed_geom(r=10.0), fixed_geom(r=20.0)
-    b1, b2 = nncc_power_breakdown(g1, params), nncc_power_breakdown(g2, params)
+    coeff = power_coefficients(params)
+    b1, b2 = power_breakdown(g1, coeff), power_breakdown(g2, coeff)
     assert b2.p12 == pytest.approx(4.0 * b1.p12, rel=1e-12, abs=0)
 
 
@@ -178,14 +179,14 @@ def test_breakdown_coincident_handsets(params):
     t = OutageTargets.for_target(params.p_out_target)
     eta = eta_of(params, t.p_out_nc)
     geom = Geometry(r1=1000.0, r=0.0, theta=0.3)
-    b = nncc_power_breakdown(geom, params)
+    b = power_breakdown(geom, power_coefficients(params))
     assert b.p12 == 0.0  # each direction of the exchange
     assert b.total == pytest.approx(2.0 * t.eps_total * eta * 1000.0 ** 2, rel=1e-12, abs=0)
 
 
 def test_breakdown_slot_accounting(params):
     t = OutageTargets.for_target(params.p_out_target)
-    b = nncc_power_breakdown(fixed_geom(), params)
+    b = power_breakdown(fixed_geom(), power_coefficients(params))
     assert b.total == pytest.approx(
         2.0 * b.p12 + t.eps_total * (b.p1b + b.p2b), rel=1e-12, abs=0)
     assert min(b.p12, b.p1b, b.p2b) >= 0.0
@@ -202,7 +203,7 @@ def test_total_equals_quadratic_form_example(params):
     t = OutageTargets.for_target(params.p_out_target)
     coeff = power_coefficients(params)
     geom = fixed_geom(r1=2000.0, r=50.0, theta=0.5 * math.pi)
-    b = nncc_power_breakdown(geom, params)
+    b = power_breakdown(geom, power_coefficients(params))
     quadratic = quadratic_form(coeff, t.eps_total, geom.r1, geom.r, geom.theta)
     assert b.total == pytest.approx(quadratic, rel=1e-12, abs=0)
 
@@ -216,23 +217,23 @@ def test_total_equals_quadratic_form_random(params):
         r = rng.uniform(0.0, 400.0)
         theta = rng.uniform(-0.5 * math.pi, 1.5 * math.pi)
         geom = fixed_geom(r1=r1, r=r, theta=theta)
-        b = nncc_power_breakdown(geom, params)
+        b = power_breakdown(geom, power_coefficients(params))
         quadratic = quadratic_form(coeff, t.eps_total, r1, r, theta)
         assert abs(b.total - quadratic) <= 1e-9 * b.total
 
 
 def test_total_increasing_in_r1(params):
-    totals = [nncc_power_breakdown(fixed_geom(r1=r1), params).total
+    totals = [power_breakdown(fixed_geom(r1=r1), power_coefficients(params)).total
               for r1 in np.linspace(500.0, 3000.0, 26)]
     assert all(a < b for a, b in zip(totals, totals[1:]))
 
 
 def test_total_increasing_in_r_and_decreasing_in_target(params):
-    totals = [nncc_power_breakdown(fixed_geom(r=r), params).total
+    totals = [power_breakdown(fixed_geom(r=r), power_coefficients(params)).total
               for r in np.linspace(1.0, 200.0, 25)]
     assert all(a < b for a, b in zip(totals, totals[1:]))
-    totals = [nncc_power_breakdown(fixed_geom(),
-                                   validate(replace(params, p_out_target=p))).total
+    totals = [power_breakdown(fixed_geom(), power_coefficients(
+                  validate(replace(params, p_out_target=p)))).total
               for p in np.geomspace(1e-4, 0.5, 25)]
     assert all(a > b for a, b in zip(totals, totals[1:]))
 
@@ -242,17 +243,33 @@ def test_conventional_coincident(params):
     eta_c = eta_of(params, t.p_out_c)
     for theta in (0.0, 1.0, math.pi):
         geom = Geometry(r1=700.0, r=0.0, theta=theta)
-        b = conventional_power(geom, params)
+        b = power_breakdown(geom, conventional_coefficients(params))
         assert b.total == pytest.approx(2.0 * eta_c * 700.0 ** 2, rel=1e-12, abs=0)
         assert b.total == b.p1b + b.p2b  # solo uplinks only
         assert b.p12 == 0.0
 
 
+def test_conventional_breakdown_is_the_solo_uplinks_bitwise():
+    """The baseline is the cooperative total with zeta = 0 and one slot:
+    2*0.0 + 1.0*(p1b + p2b) keeps the bits of the solo uplinks' sum."""
+    rng = np.random.default_rng(5)
+    for raw in (SystemParams(), SystemParams(g_u2_db=-3.0), SystemParams(rate=1e9)):
+        params = validate(raw)
+        coeff = conventional_coefficients(params)
+        assert coeff.zeta == 0.0 and coeff.eps_total == 1.0
+        for _ in range(200):
+            geom = fixed_geom(r1=rng.uniform(50.0, 1e5), r=rng.uniform(0.0, 1e3),
+                              theta=rng.uniform(-0.5 * math.pi, 1.5 * math.pi))
+            b = power_breakdown(geom, coeff)
+            assert b.p12 == 0.0
+            assert b.total == b.p1b + b.p2b
+
+
 def test_cooperation_beats_baseline_in_figure_regime(params):
     for r1 in np.linspace(500.0, 3000.0, 26):
         geom = fixed_geom(r1=r1, r=20.0)
-        assert (nncc_power_breakdown(geom, params).total
-                < conventional_power(geom, params).total)
+        assert (power_breakdown(geom, power_coefficients(params)).total
+                < power_breakdown(geom, conventional_coefficients(params)).total)
 
 
 # --- outage probability and SNR ------------------------------------------------
@@ -372,7 +389,7 @@ def test_unequal_handset_gains_closed_forms():
     assert coeff.eta2 / coeff.eta1 == pytest.approx(10.0 ** 0.3, rel=1e-12, abs=0)
     assert coeff.eta1 == power_coefficients(validate(SystemParams())).eta1
     # the baseline charges each handset its own uplink as well
-    solo = conventional_power(Geometry(r1=700.0, r=0.0, theta=0.0), params)
+    solo = power_breakdown(Geometry(r1=700.0, r=0.0, theta=0.0), conventional_coefficients(params))
     assert solo.p2b / solo.p1b == pytest.approx(10.0 ** 0.3, rel=1e-12, abs=0)
     rng = np.random.default_rng(11)
     for _ in range(1000):
@@ -380,7 +397,7 @@ def test_unequal_handset_gains_closed_forms():
         r = rng.uniform(0.0, 400.0)
         theta = rng.uniform(-0.5 * math.pi, 1.5 * math.pi)
         geom = fixed_geom(r1=r1, r=r, theta=theta)
-        b = nncc_power_breakdown(geom, params)
+        b = power_breakdown(geom, power_coefficients(params))
         assert b.p2b / b.p1b == pytest.approx(10.0 ** 0.3 * (geom.r2 / r1) ** 2,
                                               rel=1e-12, abs=0)
         quad = PowerQuadratic.from_params(params, r1)
