@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -170,8 +169,7 @@ def _tanh_sinh(f, lo, hi, atol: float, rtol: float):
         f"change {float(change[0].ravel()[j])!r})")
 
 
-@dataclass(frozen=True)
-class PowerQuadratic:
+class PowerQuadratic(NamedTuple):
     """Coefficients of the round total as a quadratic in neighbor distance."""
 
     a: float        # W/m^2, coefficient of r^2; always > 0

@@ -13,8 +13,8 @@ others, on one thread beside sections [a]-[c].
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -207,8 +207,7 @@ def sweep(spec: ExperimentSpec) -> str:
 
 # --- validation report ------------------------------------------------------
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One bounded check of a validation report: one PASS or FAIL line."""
 
     section: str  # "a" to "e"
@@ -468,6 +467,8 @@ def validate_report(spec: ExperimentSpec) -> tuple[str, tuple[Check, ...]]:
     else:
         # leaving the with block joins the thread, also when [a]-[c] raise
         half = spec.workers // 2
+        from concurrent.futures import ThreadPoolExecutor  # loads logging: only for a pool
+
         with ThreadPoolExecutor(max_workers=1) as pool:
             later = pool.submit(last_sections, half)
             first_sections(spec.workers - half)

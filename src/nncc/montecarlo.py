@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,8 +39,7 @@ _KS_TABLE_PER_ROOT = 16
 _KS_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class RandomStream:
+class RandomStream(NamedTuple):
     """Counter-based random source, fully determined by (seed, stream_id)."""
 
     seed: int
@@ -138,6 +135,8 @@ def _map_blocks(n: int, workers: int, block_fn):
     sizes = [min(_BLOCK, n - j * _BLOCK) for j in blocks]
     if workers == 1 or len(blocks) <= 1:
         return list(map(block_fn, blocks, sizes))
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: only for a pool
+
     with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
         return list(pool.map(block_fn, blocks, sizes))
 

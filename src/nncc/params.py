@@ -6,7 +6,6 @@ All downstream modules consume :class:`LinearParams`, which is produced once by
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -133,6 +132,8 @@ def load_config(path: str) -> dict:
     Returns the fields it sets, by name; the others keep their defaults.
     Unknown keys are rejected so typos do not silently fall back to defaults.
     """
+    import json  # only a config file is JSON
+
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):

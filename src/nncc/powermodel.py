@@ -16,7 +16,7 @@ model without the exchange (``zeta = 0``), with one cellular slot
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import Geometry
 from .params import LinearParams, ParameterError
@@ -24,8 +24,7 @@ from .params import LinearParams, ParameterError
 _16PI2 = 16.0 * math.pi * math.pi
 
 
-@dataclass(frozen=True)
-class OutageTargets:
+class OutageTargets(NamedTuple):
     """Per-link outage targets derived from the end-to-end target.
 
     ``eps_short`` is the probability that both short-range decodes succeed;
@@ -51,8 +50,7 @@ class OutageTargets:
         )
 
 
-@dataclass(frozen=True)
-class PowerCoefficients:
+class PowerCoefficients(NamedTuple):
     """One scheme's per-square-meter desired-power coefficients and slot charge.
 
     ``eta1``, ``eta2`` and ``eps_total`` are strictly positive; ``zeta`` is 0
@@ -65,8 +63,7 @@ class PowerCoefficients:
     eps_total: float  # expected cellular slots per round
 
 
-@dataclass(frozen=True)
-class PowerBreakdown:
+class PowerBreakdown(NamedTuple):
     """Per-link desired powers and the scheme's round total, in watts.
 
     ``p12`` is the exchange power of each direction (both directions span the
@@ -114,8 +111,7 @@ def per_link_outage_conventional(p_out: float) -> float:
     return -math.expm1(0.5 * math.log1p(-p_out))
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     """Link budget of one free-space, Rayleigh-faded link.
 
     At transmit power ``p_tx`` over distance ``d`` with fading power gain

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import dataclasses
 import json
 import math
 import os
@@ -76,8 +75,7 @@ def slot3_uncharged(monkeypatch, delta: float) -> None:
 
     def for_target(cls, p_out):
         targets = exact(cls, p_out)
-        return dataclasses.replace(
-            targets, eps_total=1.0 + (1.0 - delta) * targets.eps_short)
+        return targets._replace(eps_total=1.0 + (1.0 - delta) * targets.eps_short)
 
     monkeypatch.setattr(powermodel.OutageTargets, "for_target", classmethod(for_target))
 
@@ -100,8 +98,8 @@ def baseline_eta_scale(monkeypatch, delta: float) -> None:
 
     def scaled(params):
         coeff = exact(params)
-        return dataclasses.replace(coeff, eta1=(1.0 + delta) * coeff.eta1,
-                                   eta2=(1.0 + delta) * coeff.eta2)
+        return coeff._replace(eta1=(1.0 + delta) * coeff.eta1,
+                              eta2=(1.0 + delta) * coeff.eta2)
 
     monkeypatch.setattr(powermodel, "conventional_coefficients", scaled)
 

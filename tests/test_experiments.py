@@ -392,7 +392,7 @@ def test_validate_report_flags_tampered_eta(tmp_path, monkeypatch):
     build = PowerQuadratic.from_coefficients.__func__
 
     def doubled_eta(cls, coeff, r1):
-        return build(cls, replace(coeff, eta1=2.0 * coeff.eta1, eta2=2.0 * coeff.eta2), r1)
+        return build(cls, coeff._replace(eta1=2.0 * coeff.eta1, eta2=2.0 * coeff.eta2), r1)
 
     monkeypatch.setattr(PowerQuadratic, "from_coefficients", classmethod(doubled_eta))
     path = str(tmp_path / "tampered.txt")
