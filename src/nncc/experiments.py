@@ -133,8 +133,8 @@ def _schemes(params: LinearParams) -> tuple[powermodel.PowerCoefficients, ...]:
     return powermodel.power_coefficients(params), powermodel.conventional_coefficients(params)
 
 
-def _resolve_run(config: dict, overrides: dict):
-    """Validated parameters and placement (r1, r) of one run; r None = random."""
+def _resolve_run(config: dict, overrides: dict, n_trials: int):
+    """Validated parameters and placement (r1, r) of one run of n_trials; r None = random."""
     system = dict(overrides)
     r1 = float(system.pop("r1", DEFAULT_R1))
     r = system.pop("r", None)
@@ -147,6 +147,7 @@ def _resolve_run(config: dict, overrides: dict):
     else:  # each scheme's quadratic refuses its coefficients here, before any row draws
         for coeff in _schemes(params):
             dist.PowerQuadratic.from_coefficients(coeff, r1)
+        mc.require_placement_sums(n_trials, params.rho)
     return params, r1, r
 
 
@@ -191,8 +192,8 @@ def sweep(spec: ExperimentSpec) -> str:
     if spec.kind == "validate":
         raise ValueError("a validate spec is not a dataset; use validate_report")
     values = _grid(spec)
-    runs = [_resolve_run(spec.config, {**spec.overrides, spec.var: float(value)})
-            for value in values]
+    runs = [_resolve_run(spec.config, {**spec.overrides, spec.var: float(value)},
+                         spec.n_trials) for value in values]
 
     lines = [CSV_HEADER]
     for i, (value, (params, r1, r)) in enumerate(zip(values, runs)):
@@ -433,7 +434,7 @@ def validate_report(spec: ExperimentSpec) -> tuple[str, tuple[Check, ...]]:
     spec = spec.resolved()
     if spec.kind != "validate":
         raise ValueError(f"not a validate spec: {spec.kind!r}")
-    params, r1, r = _resolve_run(spec.config, {"r": 20.0, **spec.overrides})
+    params, r1, r = _resolve_run(spec.config, {"r": 20.0, **spec.overrides}, spec.n_trials)
 
     rep = _Report()
     rep.add("cooperative uplink validation report")

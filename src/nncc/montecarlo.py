@@ -88,6 +88,18 @@ def require_exchange_distance(r: float, params: LinearParams) -> None:
                                   "r, the rate or the noise density")
 
 
+def require_placement_sums(n: int, rho: float) -> None:
+    """The spread over n placements squares their sum of u = r*r, near
+    n/(pi*rho) whatever the rate; a density at which twice that sum has no
+    finite square is refused, naming rho."""
+    require_density(rho)
+    if not 2.0 * n / (math.pi * rho) < math.sqrt(sys.float_info.max):
+        raise ParameterError("rho", f"{rho!r} handsets/m^2 put the sum of r*r over {n} "
+                                    f"placements near {n / (math.pi * rho):.3g} m^2, and "
+                                    "twice that has no finite square; raise rho or lower "
+                                    "the trials")
+
+
 def _energy_stderr(mean: float, var: float, n: int, where: str) -> float:
     """Standard error of a mean of n round energies; an overflow names the rate."""
     if not (math.isfinite(mean) and 0.0 <= var < math.inf):
@@ -324,6 +336,7 @@ def sample_power_distribution(n: int, rho: float, quad: PowerQuadratic,
     (co)variances over n - 1 from the block sums, in which c0 does not appear.
     ``draw_power_samples`` returns the totals themselves.
     """
+    require_placement_sums(n, rho)
     sum_u, sum_v, sum_uu, sum_uv, sum_vv = _placement_sums(n, rho, quad, stream, workers)
     mean = mean_from_moments(quad, rho, *_placement_moments(n, rho, sum_u, sum_v))
     var_u = (sum_uu - sum_u * sum_u / n) / (n - 1)

@@ -16,6 +16,7 @@ model without the exchange (``zeta = 0``), with one cellular slot
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .geometry import Geometry
@@ -160,12 +161,24 @@ class Link(NamedTuple):
         return snr
 
     def coeff(self, p_link: float) -> float:
-        """Power per square meter that meets outage ``p_link``: power = coeff * d^2."""
+        """Power per square meter that meets outage ``p_link``: power = coeff * d^2.
+
+        Where a link of normal constants gives a finite coefficient but
+        ``p_link``, near the smallest float, makes it overflow, the target is
+        a ``ParameterError``; any other overflow is an inf for the callers'
+        checks.
+        """
         if not (0.0 < p_link < 1.0):
             raise ValueError(f"per-link outage must lie in (0, 1), got {p_link!r}")
-        return (_16PI2 * self.n0 * self.bandwidth * self.required_snr
-                / (self.sigma2 * self.gain * self.wavelength * self.wavelength
-                   * (-math.log1p(-p_link))))
+        budget = _16PI2 * self.n0 * self.bandwidth * self.required_snr
+        link = self.sigma2 * self.gain * self.wavelength * self.wavelength
+        fade = link * (-math.log1p(-p_link))
+        coeff = budget / fade if fade else math.inf
+        if math.isinf(coeff) and link >= sys.float_info.min and budget / link < math.inf:
+            raise ParameterError(
+                "p_out_target", f"a per-link outage of {p_link!r} needs a power per "
+                                "square meter beyond the floating-point range")
+        return coeff
 
     def threshold(self, p_tx: float, d: float) -> float:
         """Smallest fading power gain that still meets the rate at this power."""

@@ -738,12 +738,19 @@ _SWEEP_RHO_EDGE = ["sweep", "--var", "rho", "--min", "1e-5", "--max", "1e-3", "-
     (["validate", "--r", "1e-160"], "r: 1e-160 m gives the exchange power 0 W"),
     (["figure", "3", "--r", "1e-160"], "r: 1e-160 m gives the exchange power 0 W"),
     (["figure", "3", "--r", "1e200"], "r: 1e+200 m gives the exchange power inf W"),
+    # -log1p(-p_out_target) underflows the exchange link's denominator
+    (["validate", "--p_out_target", "5e-324"], "p_out_target: a per-link outage of 5e-324"),
+    (["figure", "3", "--p_out_target", "5e-324"], "p_out_target: a per-link outage of 5e-324"),
+    # the placement sums' square overflows at any rate
+    (["sweep", "--var", "r1", "--min", "500", "--max", "1000", "--count", "2",
+      "--rho", "1e-300"], "rho: 1e-300 handsets/m^2"),
 ], ids=["range-inf", "range-nan", "sweep-r1-fixed", "figure3-r1-fixed",
         "figure5-rho-fixed", "sweep-rate-fixed", "late-bad-row", "trials", "validate-seed",
         "sweep-seed", "log-spacing-min", "validate-n0-1e-300", "validate-n0-1e-170",
         "validate-r1-1e-200", "figure5-n0-1e-300", "late-row-n0", "baseline-a-n0-1e-166",
         "validate-rate-1e-300",
-        "validate-r-1e-160", "figure3-r-1e-160", "figure3-r-1e200"])
+        "validate-r-1e-160", "figure3-r-1e-160", "figure3-r-1e200",
+        "validate-p_out-5e-324", "figure3-p_out-5e-324", "sweep-r1-rho-1e-300"])
 def test_cli_refuses_bad_run_before_any_draw(tmp_path, capsys, monkeypatch, argv, named):
     """Every run of an invocation is resolved and checked before the first draw."""
     def no_draw(*args, **kwargs):
@@ -793,7 +800,7 @@ def test_resolved_random_placement_row_has_both_means(n0, rate, r1, p_out_target
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            params, r1, _ = _resolve_run({}, overrides)
+            params, r1, _ = _resolve_run({}, overrides, mc.MIN_TRIALS)
         except ParameterError:
             return
         for coeff in (power_coefficients(params), conventional_coefficients(params)):

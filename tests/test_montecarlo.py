@@ -416,6 +416,19 @@ def test_power_sampling_refuses_too_few_trials(dense_params):
         draw_power_samples(MIN_TRIALS - 1, 1e-4, quad, RandomStream(1))
 
 
+def test_sample_power_distribution_refuses_a_density_before_drawing(monkeypatch):
+    """At rho = 1e-300 the sum of r*r over the draw has no finite square at any
+    rate: the density is named before a placement is drawn."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a placement was drawn")
+
+    monkeypatch.setattr(montecarlo, "sample_nn_geometries", no_draw)
+    quad = PowerQuadratic(a=1e-8, b_coeff=1e-4, c0=1.0)
+    with pytest.raises(ParameterError) as err:
+        sample_power_distribution(10_000, 1e-300, quad, RandomStream(7))
+    assert err.value.field == "rho"
+
+
 def test_sample_power_distribution_spread_overflow_names_rate():
     """The round totals are finite, but their squared deviations overflow."""
     params = validate(SystemParams(rate=1.05e9))

@@ -166,6 +166,20 @@ def test_cellular_coeff_rejects_bad_target(params):
         Link.cellular(params, 3)
 
 
+def test_coeff_refuses_a_target_whose_outage_term_underflows(params):
+    """-log1p(-5e-324) times the short link's constants is 0: the target is at
+    fault, not a division by zero."""
+    with pytest.raises(ParameterError) as err:
+        Link.short(params).coeff(5e-324)
+    assert err.value.field == "p_out_target"
+    assert Link.short(params).coeff(1e-300) < math.inf
+
+
+def test_coeff_of_a_link_without_gain_is_inf(params):
+    """A link whose own constants underflow is left to the callers' checks."""
+    assert Link.short(params)._replace(gain=0.0).coeff(1e-3) == math.inf
+
+
 def test_zeta_is_distance_free(params):
     g1, g2 = fixed_geom(r=10.0), fixed_geom(r=20.0)
     coeff = power_coefficients(params)
