@@ -11,8 +11,8 @@ every output that moved.  The list:
   default trials and at 1e4;
 - the rho (1e-7..1, 30 log) and r1 (50..1e5, 20 log) sweeps, with 1 and 2
   workers;
-- ``validate --seed 7`` in the seven regimes of ROADMAP's "Net state" and at
-  ``--p_out_target 1e-5``, at 1e4 and 1e6 trials, with 1 and 2 workers;
+- ``validate --seed 7`` in the eight regimes of ``REGIMES``, at 1e4 and 1e6
+  trials, with 1 and 2 workers;
 - the standard output of every demo.
 
 pytest does not collect this file; ``test_golden.py`` reruns the 1e4-trial

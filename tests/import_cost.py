@@ -4,9 +4,9 @@ Runs ``python -X importtime -c "import nncc.cli"`` in fresh interpreters and
 prints, as medians over the runs:
 
 - each nncc module's self time;
-- each standard-library module that an nncc module loads first (numpy did
-  not load it already), its cumulative time and its share of nncc's cost,
-  which is the time of ``import nncc.cli`` less numpy's;
+- each module that ``import nncc.cli`` loads and ``import numpy`` alone does
+  not, its self time and its share of nncc's cost, which is the self time
+  of the nncc modules and of those modules;
 - the time of nncc's ``@dataclass`` decorations, timed around
   ``dataclasses._process_class`` in as many more interpreters, and their
   share of nncc's self time.
@@ -35,7 +35,7 @@ from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-_LINE = re.compile(r"import time:\s+(\d+) \|\s+(\d+) \|( *)(\S+)$")
+_LINE = re.compile(r"import time:\s+(\d+) \|\s+\d+ \| *(\S+)$")
 _TIME_DECORATIONS = """
 import dataclasses, json, time
 exact, spent = dataclasses._process_class, {}
@@ -60,27 +60,22 @@ def _child(env: dict, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True)
 
 
-def importtime_run(env: dict) -> dict:
-    """One fresh ``import nncc.cli``: self times (us) and what nncc loaded."""
+def loaded(env: dict, module: str) -> frozenset:
+    """The modules in ``sys.modules`` after a fresh ``import module``; a failed
+    probe, which ``-X importtime`` also prints, is not among them."""
+    return frozenset(_child(env, "-c", f"import sys, {module}; print(*sys.modules)").stdout.split())
+
+
+def importtime_run(env: dict, extra: frozenset) -> dict:
+    """Self times (us) of one fresh ``import nncc.cli``: of the nncc modules,
+    and of the ``extra`` modules."""
     err = _child(env, "-X", "importtime", "-c", "import nncc.cli").stderr
-    entries = [m.groups() for m in map(_LINE.match, err.splitlines()) if m]
-    run = {"self": {}, "stdlib": {}, "third_party_us": 0, "total_us": 0}
-    stack: list[tuple[int, str]] = []
-    # children are printed before their parent; reversed, each follows its ancestors
-    for self_us, cum_us, indent, name in reversed(entries):
-        while stack and stack[-1][0] >= len(indent):
-            stack.pop()
-        parent = stack[-1][1] if stack else None
-        stack.append((len(indent), name))
-        if name == "nncc.cli" and parent is None:
-            run["total_us"] = int(cum_us)
+    run = {"nncc": {}, "extra": {}}
+    for self_us, name in (m.groups() for m in map(_LINE.match, err.splitlines()) if m):
         if _is_nncc(name):
-            run["self"][name] = int(self_us)
-        elif parent is not None and _is_nncc(parent):
-            if name.split(".")[0] in sys.stdlib_module_names:
-                run["stdlib"][name] = int(cum_us)
-            else:
-                run["third_party_us"] += int(cum_us)
+            run["nncc"][name] = int(self_us)
+        elif name in extra:
+            run["extra"][name] = int(self_us)
     return run
 
 
@@ -101,21 +96,22 @@ def _median(runs: list[dict]) -> dict:
 
 def profile(env: dict, runs: int) -> str:
     """The three tables of one setting, as text."""
-    imports = [importtime_run(env) for _ in range(runs)]
+    extra = loaded(env, "nncc.cli") - loaded(env, "numpy")
+    imports = [importtime_run(env, extra) for _ in range(runs)]
     decorations = _median([decoration_run(env) for _ in range(runs)])
-    self_us = _median([r["self"] for r in imports])
-    stdlib_us = _median([r["stdlib"] for r in imports])
-    cost_us = statistics.median(r["total_us"] - r["third_party_us"] for r in imports)
+    self_us = _median([r["nncc"] for r in imports])
+    extra_us = _median([r["extra"] for r in imports])
     self_total = sum(self_us.values())
-    lines = [f"nncc's cost (import nncc.cli less numpy): {cost_us / 1e3:.1f} ms, "
-             f"of which self time {self_total / 1e3:.1f} ms",
+    cost_us = self_total + sum(extra_us.values())
+    lines = [f"nncc's cost: {cost_us / 1e3:.1f} ms, of which nncc's self time "
+             f"{self_total / 1e3:.1f} ms", "",
              "| nncc module | self, ms |", "| --- | --- |"]
     lines += [f"| {name} | {us / 1e3:.2f} |"
               for name, us in sorted(self_us.items(), key=lambda kv: -kv[1])]
-    lines += ["", "| stdlib module nncc loads | cumulative, ms | share of nncc's cost |",
+    lines += ["", "| module numpy does not load | self, ms | share of nncc's cost |",
               "| --- | --- | --- |"]
     lines += [f"| {name} | {us / 1e3:.2f} | {100 * us / cost_us:.1f} % |"
-              for name, us in sorted(stdlib_us.items(), key=lambda kv: -kv[1])]
+              for name, us in sorted(extra_us.items(), key=lambda kv: -kv[1])]
     spent_us = 1e6 * sum(decorations.values())
     lines += ["", f"@dataclass decorations: {len(decorations)} classes, "
               f"{spent_us / 1e3:.2f} ms, {100 * spent_us / self_total:.1f} % of nncc's "
