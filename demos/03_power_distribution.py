@@ -17,6 +17,7 @@ from nncc import (
     energy_efficiency,
     expected_power,
     pdf_branch_form,
+    power_coefficients,
     validate,
 )
 from nncc.montecarlo import (
@@ -28,7 +29,7 @@ from nncc.montecarlo import (
 
 params = validate(SystemParams(rate=1e7, rho=1e-4))
 r1 = 2000.0
-quad = PowerQuadratic.from_params(params, r1)
+quad = PowerQuadratic.from_coefficients(power_coefficients(params), r1)
 rho = params.rho
 
 print(f"quadratic coefficients: a = {quad.a:.4e} W/m^2, "

@@ -66,7 +66,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .geometry import require_density
-from .params import LinearParams, ParameterError
+from .params import ParameterError
 from . import powermodel
 
 # coefficients at or above this magnitude overflow when squared
@@ -175,11 +175,6 @@ class PowerQuadratic(NamedTuple):
     a: float        # W/m^2, coefficient of r^2; always > 0
     b_coeff: float  # W/m, b(theta) = b_coeff * cos(theta)
     c0: float       # W, value at r = 0; always > 0
-
-    @classmethod
-    def from_params(cls, params: LinearParams, r1: float) -> "PowerQuadratic":
-        """The cooperative scheme's quadratic."""
-        return cls.from_coefficients(powermodel.power_coefficients(params), r1)
 
     @classmethod
     def from_coefficients(cls, coeff: powermodel.PowerCoefficients, r1) -> "PowerQuadratic":

@@ -133,8 +133,8 @@ def _schemes(params: LinearParams) -> tuple[powermodel.PowerCoefficients, ...]:
     return powermodel.power_coefficients(params), powermodel.conventional_coefficients(params)
 
 
-def _resolve_run(config: dict, overrides: dict, n_trials: int):
-    """Validated parameters and placement (r1, r) of one run of n_trials; r None = random."""
+def _resolve_run(config: dict, overrides: dict):
+    """Validated parameters and placement (r1, r) of one run; r None = random."""
     system = dict(overrides)
     r1 = float(system.pop("r1", DEFAULT_R1))
     r = system.pop("r", None)
@@ -144,62 +144,53 @@ def _resolve_run(config: dict, overrides: dict, n_trials: int):
     if r is not None:
         r = float(r)
         mc.require_exchange_distance(r, params)
-    else:  # each scheme's quadratic refuses its coefficients here, before any row draws
+    else:  # each scheme's quadratic refuses its coefficients here, before the draw
         for coeff in _schemes(params):
             dist.PowerQuadratic.from_coefficients(coeff, r1)
-        mc.require_placement_sums(n_trials, params.rho)
     return params, r1, r
 
 
-def _grid(spec: ExperimentSpec) -> np.ndarray:
-    if spec.spacing == "log":
-        return np.geomspace(spec.v_min, spec.v_max, spec.count)
-    return np.linspace(spec.v_min, spec.v_max, spec.count)
+def _sweep_rows(runs: list, n_trials: int, stream: mc.RandomStream, workers: int):
+    """The dataset's rows, all read from one Monte Carlo draw on ``stream``.
 
-
-def _sweep_row(params: LinearParams, r1: float, r: float | None,
-               n_trials: int, stream: mc.RandomStream, workers: int):
-    """One dataset row: analytic energies, the Monte Carlo check, efficiencies.
-
-    With an inter-user distance the energies are per-round totals at that
-    placement, averaged over the bearing (the cosine term integrates to zero),
-    and the Monte Carlo column re-measures the expected slot usage by running
-    the fading-level exchange, which alone sets it.  Without one the pair
-    placement is random and both columns are PPP expectations.
-    """
-    if r is not None:
-        geom = Geometry(r1=r1, r=r, theta=0.5 * math.pi)
-        e_nncc, e_conv = (powermodel.power_breakdown(geom, c).total for c in _schemes(params))
-        counts = mc.estimate_outage(n_trials, geom, params, stream, workers=workers,
-                                    energy_only=True)
-        mean, stderr = counts.mean_energy, counts.energy_stderr
-    else:
-        quad, conv = (dist.PowerQuadratic.from_coefficients(c, r1) for c in _schemes(params))
-        e_nncc, e_conv = (dist.expected_power(q, params.rho) for q in (quad, conv))
-        mean, stderr = mc.sample_power_distribution(n_trials, params.rho, quad, stream,
-                                                    workers=workers)
-    return (e_nncc, e_conv, mean, stderr,
-            dist.energy_efficiency(e_nncc, params.rate),
-            dist.energy_efficiency(e_conv, params.rate))
+    At a fixed placement the energies are per-round totals, averaged over the
+    bearing, and the Monte Carlo column counts one exchange draw (it alone sets
+    the slot usage; ``sigma2_short`` is never swept) at each row's threshold.
+    At a random placement both columns are PPP expectations."""
+    if runs[0][2] is not None:  # a fixed placement: every row pins r
+        powers = [[powermodel.power_breakdown(Geometry(r1=r1, r=r, theta=0.5 * math.pi), c)
+                   for c in _schemes(p)] for p, r1, r in runs]
+        t12 = [powermodel.Link.short(p).threshold(coop.p12, r)
+               for (p, _, r), (coop, _) in zip(runs, powers)]
+        counts = mc.exchange_counts(n_trials, t12, runs[0][0].sigma2_short, stream, workers)
+        cols = [(coop.total, conv.total, *mc.exchange_energy(n_trials, k, coop))
+                for (coop, conv), k in zip(powers, counts)]
+    else:  # an array per coefficient, per scheme
+        quads = np.array([[dist.PowerQuadratic.from_coefficients(c, r1) for c in _schemes(p)]
+                          for p, r1, _ in runs])
+        coop, conv = (dist.PowerQuadratic(*quads[:, i].T) for i in (0, 1))
+        rho = np.array([p.rho for p, _, _ in runs])
+        cols = zip(dist.expected_power(coop, rho), dist.expected_power(conv, rho),
+                   *mc.sample_power_distribution(n_trials, rho, coop, stream, workers))
+    return [(*c, dist.energy_efficiency(c[0], p.rate), dist.energy_efficiency(c[1], p.rate))
+            for (p, _, _), c in zip(runs, cols)]
 
 
 def sweep(spec: ExperimentSpec) -> str:
     """Emit the dataset of a sweep or of a bundled figure (a preset sweep).
 
-    Every row is resolved, so every bad input refused, before the first draws.
+    Every row is resolved, so every bad input refused, before the one draw.
     """
     spec = spec.resolved()
     if spec.kind == "validate":
         raise ValueError("a validate spec is not a dataset; use validate_report")
-    values = _grid(spec)
-    runs = [_resolve_run(spec.config, {**spec.overrides, spec.var: float(value)},
-                         spec.n_trials) for value in values]
-
-    lines = [CSV_HEADER]
-    for i, (value, (params, r1, r)) in enumerate(zip(values, runs)):
-        row = _sweep_row(params, r1, r, spec.n_trials,
-                         mc.RandomStream(spec.seed, stream_id=i), spec.workers)
-        lines.append(",".join([spec.var, _fmt(float(value))] + [_fmt(v) for v in row]))
+    grid = np.geomspace if spec.spacing == "log" else np.linspace
+    values = grid(spec.v_min, spec.v_max, spec.count)
+    runs = [_resolve_run(spec.config, {**spec.overrides, spec.var: float(value)})
+            for value in values]
+    rows = _sweep_rows(runs, spec.n_trials, mc.RandomStream(spec.seed), spec.workers)
+    lines = [CSV_HEADER] + [",".join([spec.var, _fmt(float(value))] + [_fmt(v) for v in row])
+                            for value, row in zip(values, rows)]
 
     with open(spec.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -434,7 +425,7 @@ def validate_report(spec: ExperimentSpec) -> tuple[str, tuple[Check, ...]]:
     spec = spec.resolved()
     if spec.kind != "validate":
         raise ValueError(f"not a validate spec: {spec.kind!r}")
-    params, r1, r = _resolve_run(spec.config, {"r": 20.0, **spec.overrides}, spec.n_trials)
+    params, r1, r = _resolve_run(spec.config, {"r": 20.0, **spec.overrides})
 
     rep = _Report()
     rep.add("cooperative uplink validation report")

@@ -9,12 +9,10 @@ values give statistically independent experiments.
 Each random quantity is drawn once, and only where it is read.
 ``estimate_outage`` runs the cooperative round and the conventional baseline
 on the same fades, draws a slot-3 fade only where it decides delivery, and
-its sweep-row form draws only the exchange.  It returns the integers it
-counted (``ProtocolCounts``), so a reader forms each rate and its statistic
-from k of n.  Placement sampling reduces a draw one way, to block sums of
-u = r*r and v = cos(theta)*r added in block order.  ``draw_power_samples``
-also writes the totals into one array; ``sample_power_distribution`` also
-sums u*u, u*v and v*v, and holds no more than one block per worker.
+returns the integers it counted (``ProtocolCounts``).  A dataset draws once
+for all its rows (common random numbers): ``exchange_counts`` counts one
+exchange draw at each row's threshold, and ``sample_power_distribution``
+reads the density-free sums of one placement draw at each row's density.
 """
 
 from __future__ import annotations
@@ -37,6 +35,8 @@ _BLOCK = 1 << 15
 _KS_TABLE_PER_ROOT = 16
 # slack on ks_distance's cell bounds, above twice the CDF engine's 1e-10 error
 _KS_SLACK = 1e-9
+# below this density r*r has no finite variance, 1/(pi*rho)^2 m^4
+_RHO_MIN = 1.0 / (math.pi * math.sqrt(sys.float_info.max))
 
 
 class RandomStream(NamedTuple):
@@ -52,20 +52,17 @@ class RandomStream(NamedTuple):
 
 
 class ProtocolCounts(NamedTuple):
-    """What ``estimate_outage`` counted over ``n_trials`` rounds at one placement.
-
-    The five outcome counts are None after an ``energy_only`` call.
-    """
+    """What ``estimate_outage`` counted over ``n_trials`` rounds at one placement."""
 
     n_trials: int
-    exchanged: int           # rounds whose exchange succeeded (delta = 0)
-    mean_energy: float       # mean round energy, J
+    exchanged: int      # rounds whose exchange succeeded (delta = 0)
+    mean_energy: float  # mean round energy, J
     energy_stderr: float
-    lost_d1: int | None = None         # rounds that lost message 1
-    lost_d2: int | None = None         # rounds that lost message 2
-    outages: int | None = None         # composite outages
-    uplink1_lost: int | None = None    # handset 1's failed slot-2 uplinks
-    conv_outages: int | None = None    # the baseline's composite outages
+    lost_d1: int        # rounds that lost message 1
+    lost_d2: int        # rounds that lost message 2
+    outages: int        # composite outages
+    uplink1_lost: int   # handset 1's failed slot-2 uplinks
+    conv_outages: int   # the baseline's composite outages
 
 
 def _require_trials(n: int) -> None:
@@ -88,25 +85,25 @@ def require_exchange_distance(r: float, params: LinearParams) -> None:
                                   "r, the rate or the noise density")
 
 
-def require_placement_sums(n: int, rho: float) -> None:
-    """The spread over n placements squares their sum of u = r*r, near
-    n/(pi*rho) whatever the rate; a density at which twice that sum has no
-    finite square is refused, naming rho."""
-    require_density(rho)
-    if not 2.0 * n / (math.pi * rho) < math.sqrt(sys.float_info.max):
-        raise ParameterError("rho", f"{rho!r} handsets/m^2 put the sum of r*r over {n} "
-                                    f"placements near {n / (math.pi * rho):.3g} m^2, and "
-                                    "twice that has no finite square; raise rho or lower "
-                                    "the trials")
-
-
-def _energy_stderr(mean: float, var: float, n: int, where: str) -> float:
-    """Standard error of a mean of n round energies; an overflow names the rate."""
-    if not (math.isfinite(mean) and 0.0 <= var < math.inf):
+def _energy_stderr(mean, var, n: int, where: str):
+    """Element-wise standard error of n round energies' mean; an overflow names the rate."""
+    if not np.all(np.isfinite(mean) & (0.0 <= var) & (var < math.inf)):
         raise ParameterError(
             "rate", f"the mean or the spread of the round energy {where} "
-                    f"overflows (mean {mean:.3g}); lower the rate or the distances")
-    return math.sqrt(var / n)
+                    f"overflows (mean {np.max(mean):.3g}); lower the rate or the distances")
+    return np.sqrt(var / n) if np.ndim(var) else math.sqrt(var / n)
+
+
+def exchange_energy(n: int, exchanged: int, powers: PowerBreakdown) -> tuple[float, float]:
+    """Mean and standard error of the energy of n rounds at ``powers``, ``exchanged``
+    of them with a successful exchange, which alone sets a round's energy."""
+    cellular = powers.p1b + powers.p2b
+    e1 = 2.0 * powers.p12 + cellular                 # delta = 1 rounds
+    e0 = e1 + cellular                               # delta = 0 rounds
+    mean_e = (exchanged * e0 + (n - exchanged) * e1) / n
+    d0, d1 = e0 - mean_e, e1 - mean_e  # Python floats: an overflow is an inf, refused below
+    var_e = (exchanged * d0 * d0 + (n - exchanged) * d1 * d1) / max(n - 1, 1)
+    return mean_e, _energy_stderr(mean_e, var_e, n, "at this placement")
 
 
 def _thresholds(geom: Geometry, powers: PowerBreakdown, params: LinearParams):
@@ -154,28 +151,21 @@ def _map_blocks(n: int, workers: int, block_fn):
 
 
 def estimate_outage(n: int, geom: Geometry, params: LinearParams,
-                    stream: RandomStream, workers: int = 1,
-                    energy_only: bool = False) -> ProtocolCounts:
+                    stream: RandomStream, workers: int = 1) -> ProtocolCounts:
     """Outcome counts of n protocol rounds at a fixed placement, fresh fading
-    per trial, and the mean round energy.
+    per trial, and the mean round energy (``exchange_energy``).
 
-    Each block draws, in this order, the exchange gains h12 and h21, then the
+    Each block draws, in this order, the exchange gains h12 and h21, the
     slot-2 uplink gains of handsets 1 and 2, then the slot-3 gains.  A slot-3
     copy decides delivery only after a successful exchange, for a message
     whose own slot-2 uplink failed, so it is drawn only there, in trial order:
     first handset 1's relay of message 2 (where handset 2's uplink failed),
     then handset 2's relay of message 1; a copy not drawn is False.  The
-    cooperative round reads them at the powers of ``power_breakdown`` with
-    ``power_coefficients``.  The conventional round, solo uplinks at the
-    powers of ``power_breakdown`` with ``conventional_coefficients``, reads
-    the same slot-2 gains, so the two schemes meet the same fades
-    (``conv_outages``).  ``uplink1_lost`` counts handset
-    1's failed slot-2 uplinks at the cooperative power, whose target is
-    ``p_out_nc``.
-
-    The round energy depends on the exchange alone.  With ``energy_only``
-    each block stops after h12 and h21, and the record carries only the
-    exchange count and the energy, the values of a full call on the stream.
+    cooperative round reads the gains at ``power_breakdown``'s powers with
+    ``power_coefficients``; the conventional round's solo uplinks, at its
+    powers with ``conventional_coefficients``, read the same slot-2 gains
+    (``conv_outages``).  ``uplink1_lost`` counts handset 1's failed slot-2
+    uplinks at the cooperative power, whose target is ``p_out_nc``.
     """
     _require_trials(n)
     require_exchange_distance(geom.r, params)
@@ -198,8 +188,6 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
         # each gain is compared as it is drawn, so few float arrays are alive
         delta0 = fades(sig_s) >= t12   # h12
         delta0 &= fades(sig_s) >= t12  # h21
-        if energy_only:
-            return (np.count_nonzero(delta0),)
         h = fades(sig_c)  # slot 2, handset 1
         own1, conv1 = h >= t1b, h >= c1b
         h = fades(sig_c)  # slot 2, handset 2
@@ -218,24 +206,37 @@ def estimate_outage(n: int, geom: Geometry, params: LinearParams,
                 size - np.count_nonzero(own1), np.count_nonzero(conv))
 
     # per-block counts summed in block order into Python ints, so that the
-    # float arithmetic below raises OverflowError instead of warning
+    # float arithmetic of exchange_energy overflows to inf instead of warning
     n_delta0, *lost = (int(sum(c)) for c in zip(*_map_blocks(n, workers, block_fn)))
+    return ProtocolCounts(n, n_delta0, *exchange_energy(n, n_delta0, powers), *lost)
 
-    cellular = powers.p1b + powers.p2b
-    e1 = 2.0 * powers.p12 + cellular                 # delta = 1 rounds
-    e0 = e1 + cellular                               # delta = 0 rounds
-    mean_e = (n_delta0 * e0 + (n - n_delta0) * e1) / n
-    try:
-        var_e = (n_delta0 * (e0 - mean_e) ** 2
-                 + (n - n_delta0) * (e1 - mean_e) ** 2) / max(n - 1, 1)
-    except OverflowError:  # float ** raises where * would give inf
-        var_e = math.inf
-    return ProtocolCounts(n, n_delta0, mean_e,
-                          _energy_stderr(mean_e, var_e, n, "at this placement"), *lost)
+
+def exchange_counts(n: int, thresholds, sigma2: float, stream: RandomStream,
+                    workers: int = 1) -> list[int]:
+    """Of n exchanges on one fading draw, how many succeed at each threshold.
+
+    Each block draws h12 and h21 at mean ``sigma2`` with the bits and order of
+    ``estimate_outage``, so at its t12 the count is that call's ``exchanged``
+    on the same stream.  An exchange succeeds at t iff min(h12, h21) >= t:
+    each block sorts its minima once and finds every threshold by bisection.
+    """
+    _require_trials(n)
+
+    def block_fn(j, size):
+        rng = stream.block(j)
+        h = rng.standard_exponential(size)  # h12, then h21, in place: two arrays alive
+        np.minimum(h, rng.standard_exponential(size), out=h)
+        h *= sigma2  # min(x, y)*s is min(x*s, y*s) in floats: rounding is monotone
+        h.sort()
+        return size - np.searchsorted(h, thresholds)
+
+    # Python ints, as estimate_outage's, for exchange_energy's arithmetic
+    return [int(k) for k in sum(_map_blocks(n, workers, block_fn))]
 
 
 def _power_block(rng, rho: float, quad: PowerQuadratic, size: int, out=None):
-    """Sums of u = r*r and v = cos(theta)*r over ``size`` placements.
+    """Sums of u = r*r and v = cos(theta)*r over ``size`` placements, r at
+    ``rho`` with ``out`` and, free of the density, at pi*rho = 1 without.
 
     cos(theta) is ``2/(1 + tan(theta/2)**2) - 1``, within 4.5e-16 of ``np.cos``.
     With ``out`` the block then writes its round totals there in draw order,
@@ -244,7 +245,7 @@ def _power_block(rng, rho: float, quad: PowerQuadratic, size: int, out=None):
     u*u, u*v and v*v, u and v formed in place of r and the cosine.
     """
     area, theta = sample_nn_geometries(rng, size)
-    r = nn_distance(area, rho, out=area)
+    r = np.sqrt(area, out=area) if out is None else nn_distance(area, rho, out=area)
     # the half-angle cosine: numpy vectorises its float64 tan, not its cos;
     # at theta = pi, tan is ~1.6e16 and the cosine exactly -1
     theta *= 0.5
@@ -269,26 +270,18 @@ def _power_block(rng, rho: float, quad: PowerQuadratic, size: int, out=None):
     return sums
 
 
-def _placement_sums(n: int, rho: float, quad: PowerQuadratic, stream: RandomStream,
-                    workers: int, totals: np.ndarray | None = None) -> list[float]:
+def _placement_sums(n: int, stream: RandomStream, workers: int, rho=None, quad=None,
+                    totals: np.ndarray | None = None) -> list[float]:
     """``_power_block``'s sums over n placements, added in block order, so they
     do not depend on ``workers``; with ``totals``, block j fills its slice."""
     _require_trials(n)
-    require_density(rho)
 
     def block_fn(j, size):
-        start = j * _BLOCK
-        out = None if totals is None else totals[start:start + size]
+        out = None if totals is None else totals[j * _BLOCK:j * _BLOCK + size]
         return _power_block(stream.block(j), rho, quad, size, out)
 
     # Python floats: the arithmetic on them overflows to inf, never a warning
     return [float(sum(s)) for s in zip(*_map_blocks(n, workers, block_fn))]
-
-
-def _placement_moments(n: int, rho: float, sum_u: float, sum_v: float):
-    """``PowerSamples``' m_a and m_c from the draw's sums of r*r and cos(theta)*r."""
-    scale = math.pi * rho
-    return scale * sum_u / n, math.sqrt(scale) * sum_v / n
 
 
 def mean_from_moments(quad: PowerQuadratic, rho, m_a, m_c):
@@ -321,30 +314,37 @@ def draw_power_samples(n: int, rho: float, quad: PowerQuadratic,
     Block j fills its own slice of one preallocated array.  The draws are
     those ``sample_power_distribution`` summarises on the same stream.
     """
+    require_density(rho)
     totals = np.empty(n)
-    sum_u, sum_v = _placement_sums(n, rho, quad, stream, workers, totals)
-    return PowerSamples(totals, *_placement_moments(n, rho, sum_u, sum_v))
+    sum_u, sum_v = _placement_sums(n, stream, workers, rho, quad, totals)
+    scale = math.pi * rho  # m_a and m_c from the sums of r*r and cos(theta)*r
+    return PowerSamples(totals, scale * sum_u / n, math.sqrt(scale) * sum_v / n)
 
 
-def sample_power_distribution(n: int, rho: float, quad: PowerQuadratic,
-                              stream: RandomStream, workers: int = 1) -> tuple[float, float]:
+def sample_power_distribution(n: int, rho, quad: PowerQuadratic, stream: RandomStream,
+                              workers: int = 1):
     """``(mean, stderr)`` of the round total ``quad`` over n random placements.
 
-    No n-sized array is built: with u = r*r and v = cos(theta)*r the total is
-    a*u + b_coeff*v + c0, so the mean is ``mean_from_moments`` of the draw and
-    the variance a^2*Var(u) + 2*a*b_coeff*Cov(u, v) + b_coeff^2*Var(v), sample
-    (co)variances over n - 1 from the block sums, in which c0 does not appear.
-    ``draw_power_samples`` returns the totals themselves.
+    ``rho`` and ``quad``'s coefficients may be arrays, one entry per set; floats
+    give floats.  Every set reads one draw, as u = pi*rho*r^2 and v =
+    cos(theta)*sqrt(pi*rho)*r do not depend on rho: with A = a/(pi*rho) and B =
+    b_coeff/sqrt(pi*rho) the mean is ``mean_from_moments`` and the variance
+    A^2*Var(u) + 2*A*B*Cov(u, v) + B^2*Var(v), sample (co)variances from block
+    sums.  A density at which r*r has no finite variance is refused first.
     """
-    require_placement_sums(n, rho)
-    sum_u, sum_v, sum_uu, sum_uv, sum_vv = _placement_sums(n, rho, quad, stream, workers)
-    mean = mean_from_moments(quad, rho, *_placement_moments(n, rho, sum_u, sum_v))
+    require_density(rho)
+    if not np.all(np.asarray(rho) >= _RHO_MIN):
+        raise ParameterError("rho", f"{float(np.min(rho))!r} handsets/m^2 give r*r a "
+                                    "variance beyond the floating-point range; raise rho")
+    sum_u, sum_v, sum_uu, sum_uv, sum_vv = _placement_sums(n, stream, workers)
     var_u = (sum_uu - sum_u * sum_u / n) / (n - 1)
     cov_uv = (sum_uv - sum_u * sum_v / n) / (n - 1)
     var_v = (sum_vv - sum_v * sum_v / n) / (n - 1)
-    a, b = quad.a, quad.b_coeff
-    var = a * a * var_u + 2.0 * a * b * cov_uv + b * b * var_v
-    return mean, _energy_stderr(mean, var, n, f"over placements at rho = {rho:g}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf is refused below
+        mean = mean_from_moments(quad, rho, sum_u / n, sum_v / n)
+        a, b = quad.a / (math.pi * rho), quad.b_coeff / (math.pi * rho) ** 0.5
+        var = a * a * var_u + 2.0 * a * b * cov_uv + b * b * var_v
+    return mean, _energy_stderr(mean, var, n, "over placements")
 
 
 def ks_distance(samples: np.ndarray, cdf) -> float:

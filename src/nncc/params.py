@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
@@ -72,7 +73,10 @@ def db_to_linear(x_db: float) -> float:
     """Convert power dB to a linear factor, 10^(x/10)."""
     if not math.isfinite(x_db):
         raise ParameterError("db", f"dB value must be finite, got {x_db!r}")
-    return 10.0 ** (x_db / 10.0)
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:  # above about 3082.5 dB; validate refuses it, naming the field
+        return math.inf
 
 
 def wavelength(freq: float) -> float:
@@ -105,16 +109,14 @@ def validate(raw: SystemParams) -> LinearParams:
             raise ParameterError(name, f"must be finite and > 0, got {value!r}")
     if not (0.0 < raw.p_out_target < 1.0):
         raise ParameterError("p_out_target", f"must lie in (0, 1), got {raw.p_out_target!r}")
-    # gaps must exceed 1 in linear scale, i.e. be strictly positive in dB
-    if not (math.isfinite(raw.gap_s_db) and raw.gap_s_db > 0):
-        raise ParameterError("gap_s_db", f"must be > 0 dB, got {raw.gap_s_db!r}")
-    if not (math.isfinite(raw.gap_c_db) and raw.gap_c_db > 0):
-        raise ParameterError("gap_c_db", f"must be > 0 dB, got {raw.gap_c_db!r}")
+    for name in ("gap_s_db", "gap_c_db"):  # a gap exceeds 1 in linear scale: > 0 dB
+        if not (math.isfinite(getattr(raw, name)) and getattr(raw, name) > 0):
+            raise ParameterError(name, f"must be > 0 dB, got {getattr(raw, name)!r}")
     for name in ("g_u1_db", "g_u2_db", "g_bs_db"):
         if not math.isfinite(getattr(raw, name)):
             raise ParameterError(name, "must be finite")
 
-    return LinearParams(
+    p = LinearParams(
         **{f.name: getattr(raw, f.name) for f in fields(SystemParams)},
         lambda_s=wavelength(raw.f_s),
         lambda_c=wavelength(raw.f_c),
@@ -124,6 +126,18 @@ def validate(raw: SystemParams) -> LinearParams:
         delta_s=db_to_linear(raw.gap_s_db),
         delta_c=db_to_linear(raw.gap_c_db),
     )
+    # Link.coeff's factors must be normal: fading mean, squared wavelength, gain product, gap
+    factors = [("sigma2_short", p.sigma2_short), ("sigma2_cell", p.sigma2_cell),
+               ("f_s", p.lambda_s * p.lambda_s), ("f_c", p.lambda_c * p.lambda_c),
+               ("gap_s_db", p.delta_s), ("gap_c_db", p.delta_c)]
+    for x, y in (("g_u1_db", "g_u2_db"), ("g_u1_db", "g_bs_db"), ("g_u2_db", "g_bs_db")):
+        factors.append((max(x, y, key=lambda n: abs(getattr(raw, n))),  # the larger |dB|
+                        getattr(p, x[:-3]) * getattr(p, y[:-3])))
+    for name, value in factors:
+        if not sys.float_info.min <= value < math.inf:
+            raise ParameterError(name, f"gives the link factor {value:.3g}, outside the "
+                                       "normal floating-point range")
+    return p
 
 
 def load_config(path: str) -> dict:

@@ -11,6 +11,9 @@ every output that moved.  The list:
   default trials and at 1e4;
 - the rho (1e-7..1, 30 log) and r1 (50..1e5, 20 log) sweeps, with 1 and 2
   workers;
+- a fixed-placement p_out_target sweep (1e-4..0.1, 5 log, r = 20) at 1e4
+  trials, with 1 and 2 workers: its rows count one exchange draw at five
+  thresholds;
 - ``validate --seed 7`` in the eight regimes of ``REGIMES``, at 1e4 and 1e6
   trials, with 1 and 2 workers;
 - the standard output of every demo.
@@ -48,6 +51,8 @@ REGIMES = ((), ("--g_u2_db", "-3"), ("--rate", "1e9"), ("--rho", "0.1", "--r1", 
 SWEEPS = (("--var", "rho", "--min", "1e-7", "--max", "1", "--count", "30", "--spacing", "log"),
           ("--var", "r1", "--min", "50", "--max", "1e5", "--count", "20", "--spacing", "log"))
 WORKERS = (("--workers", "1"), ("--workers", "2"))
+EXCHANGE_SWEEP = ("sweep", "--var", "p_out_target", "--min", "1e-4", "--max", "0.1",
+                  "--count", "5", "--spacing", "log", "--r", "20", "--trials", "10000")
 
 
 def _figures(trials: tuple[str, ...]) -> list[tuple[str, ...]]:
@@ -61,7 +66,8 @@ def _validates(trials: str) -> list[tuple[str, ...]]:
 
 
 # the CLI runs at 1e4 trials: the subset a tier-1 test reruns
-TIER1 = [" ".join(a) for a in _figures(("--trials", "10000")) + _validates("10000")]
+TIER1 = [" ".join(a) for a in _figures(("--trials", "10000")) + _validates("10000")
+         + [EXCHANGE_SWEEP + w for w in WORKERS]]
 CLI_RUNS = TIER1 + [" ".join(a) for a in _figures(())
                     + [("sweep",) + s + w for s in SWEEPS for w in WORKERS]
                     + _validates("1000000")]

@@ -18,8 +18,14 @@ import math
 import numpy as np
 
 from nncc.distribution import (_MEAN_EPSREL, _TS_H0, _TS_LEVELS, _TS_T,
-                               IntegrationError)
+                               IntegrationError, PowerQuadratic)
 from nncc.montecarlo import _BLOCK
+from nncc.powermodel import power_coefficients
+
+
+def cooperative_quadratic(params, r1) -> PowerQuadratic:
+    """The cooperative scheme's round total as a quadratic in the neighbour distance."""
+    return PowerQuadratic.from_coefficients(power_coefficients(params), r1)
 
 
 def link_capacity(snr: float, bandwidth: float, gap: float) -> float:

@@ -12,12 +12,11 @@ from dataclasses import replace
 import numpy as np
 
 from cdf_oracle import branch_form_cdf
-from model_helpers import binomial_z
+from model_helpers import binomial_z, cooperative_quadratic
 from nncc import (
     Geometry,
     Link,
     OutageTargets,
-    PowerQuadratic,
     SystemParams,
     cdf_reference_batch,
     expected_power,
@@ -125,7 +124,7 @@ def test_criterion_05_protocol_statistics():
 
 def test_criterion_06_distribution_ground_truth():
     params = validate(SystemParams(rate=1e7, rho=1e-4))
-    quad = PowerQuadratic.from_params(params, 2000.0)
+    quad = cooperative_quadratic(params, 2000.0)
     n = 1_000_000
     samples = np.sort(draw_power_samples(n, params.rho, quad, RandomStream(1006)).totals)
     ks = ks_distance(samples, lambda p: cdf_reference_batch(p, quad, params.rho))
@@ -140,7 +139,7 @@ def test_criterion_07_expectation_triple_agreement():
     lines = []
     for i, (rho, r1) in enumerate(sets):
         params = validate(replace(base, rho=rho))
-        quad = PowerQuadratic.from_params(params, r1)
+        quad = cooperative_quadratic(params, r1)
         closed = expected_power(quad, rho)
         by_quad = expected_power_quadrature(quad, rho)
         rel = abs(closed - by_quad) / closed
@@ -155,7 +154,7 @@ def test_criterion_07_expectation_triple_agreement():
 
 def test_criterion_08_branch_form_report(tmp_path):
     params = validate(SystemParams(rate=1e7, rho=1e-4))
-    quad = PowerQuadratic.from_params(params, 2000.0)
+    quad = cooperative_quadratic(params, 2000.0)
     grid = np.geomspace(quad.support_min, support_upper(quad, params.rho), 256)
     cdf_branch = np.array([branch_form_cdf(p, quad, params.rho) for p in grid])
     pdf_branch = np.array([pdf_branch_form(p, quad, params.rho) for p in grid])

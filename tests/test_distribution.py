@@ -12,7 +12,8 @@ from scipy import integrate
 
 from cdf_oracle import (branch_form_cdf, cdf_oracle, pdf_integral_oracle, pdf_oracle,
                         quantile_oracle)
-from model_helpers import b_of, mean_quadrature_per_call, tanh_sinh_uncached
+from model_helpers import (b_of, cooperative_quadratic, mean_quadrature_per_call,
+                           tanh_sinh_uncached)
 from nncc import (
     IntegrationError,
     PowerQuadratic,
@@ -43,7 +44,7 @@ EP_GOLDEN = 0.1627396684670124  # at rho 1e-4
 
 @pytest.fixture(scope="module")
 def quad5(dense_params):
-    return PowerQuadratic.from_params(dense_params, 2000.0)
+    return cooperative_quadratic(dense_params, 2000.0)
 
 
 def conventional_quadratic(params, r1):
@@ -242,7 +243,7 @@ def _probe_point(quad, rho, where, x):
 @example(rho=1.0, r1=100_000.0, where="c0", x=1.0)
 def test_cdf_within_tolerance_of_oracle(rho, r1, where, x):
     """Each value is within 1e-10 of the oracle, and within its own error estimate."""
-    quad = PowerQuadratic.from_params(validate(SystemParams(rho=rho)), r1)
+    quad = cooperative_quadratic(validate(SystemParams(rho=rho)), r1)
     p = _probe_point(quad, rho, where, x)
     value, estimate = (float(v) for v in _cdf_and_error(p, quad, rho))
     gap = abs(value - cdf_oracle(p, quad, rho))
@@ -263,7 +264,7 @@ def test_cdf_within_tolerance_of_oracle(rho, r1, where, x):
 @example(rho=1.0, r1=100_000.0, where="junction", x=1.0)
 def test_pdf_within_tolerance_of_oracle(rho, r1, where, x):
     """Each density value is within 1e-9 (relative) of the adaptive oracle."""
-    quad = PowerQuadratic.from_params(validate(SystemParams(rho=rho)), r1)
+    quad = cooperative_quadratic(validate(SystemParams(rho=rho)), r1)
     p = _probe_point(quad, rho, where, x)
     oracle = pdf_oracle(p, quad, rho)
     # near the subnormal range neither method keeps relative digits; the
@@ -280,7 +281,7 @@ def test_pdf_within_tolerance_of_oracle(rho, r1, where, x):
        bad_rho=st.floats(max_value=0.0))
 def test_support_upper_bounds_the_tail(rho, r1, tail, bad_tail, bad_rho):
     """At most ``tail`` lies above the closed form, which is near the quantile."""
-    quad = PowerQuadratic.from_params(validate(SystemParams(rho=rho)), r1)
+    quad = cooperative_quadratic(validate(SystemParams(rho=rho)), r1)
     bound = support_upper(quad, rho, tail)
     assert cdf_reference_batch(bound, quad, rho) >= 1.0 - tail - 1e-10
     assert bound - quad.c0 <= 1.25 * (quantile_oracle(quad, rho, tail) - quad.c0)
@@ -306,7 +307,7 @@ def test_pdf_array_matches_pointwise(quad5, dense_params):
 
 def test_pdf_raises_integration_error_past_the_cap(monkeypatch):
     rho = 1.0
-    quad = PowerQuadratic.from_params(validate(SystemParams(rho=rho)), 100_000.0)
+    quad = cooperative_quadratic(validate(SystemParams(rho=rho)), 100_000.0)
     p = quad.c0 * (1.0 + 1e-12)
     monkeypatch.setattr(distribution, "_MAX_NODES", 8)
     with pytest.raises(IntegrationError) as err:
@@ -317,7 +318,7 @@ def test_pdf_raises_integration_error_past_the_cap(monkeypatch):
 
 def test_cdf_raises_integration_error_past_the_cap(monkeypatch):
     rho = 1.0
-    quad = PowerQuadratic.from_params(validate(SystemParams(rho=rho)), 100_000.0)
+    quad = cooperative_quadratic(validate(SystemParams(rho=rho)), 100_000.0)
     p = quad.c0 * (1.0 + 1e-12)  # takes 128 intervals on [0, pi/2]
     monkeypatch.setattr(distribution, "_MAX_NODES", 32)
     with pytest.raises(IntegrationError) as err:
@@ -332,7 +333,7 @@ def test_cdf_raises_integration_error_past_the_cap(monkeypatch):
 def test_cdf_temporaries_stay_within_cells(monkeypatch, cells):
     """Points that need many nodes are taken in fewer rows at a time, same bits."""
     rho = 1.0
-    quad = PowerQuadratic.from_params(validate(SystemParams(rho=rho)), 100_000.0)
+    quad = cooperative_quadratic(validate(SystemParams(rho=rho)), 100_000.0)
     p = quad.c0 * (1.0 + np.linspace(-1e-12, 1e-12, 5000))
     default = cdf_reference_batch(p, quad, rho)
     sizes = []
@@ -383,7 +384,7 @@ def test_cdf_batch_bitwise_independent_of_chunk(quad5, dense_params, monkeypatch
 def _small_validate_cdf():
     """Batch CDF at the KS sample of ``validate --seed 7 --trials 10000``."""
     params = validate(SystemParams())
-    quad = PowerQuadratic.from_params(params, 2000.0)
+    quad = cooperative_quadratic(params, 2000.0)
     samples = draw_power_samples(10_000, params.rho, quad,
                                  RandomStream(7, stream_id=101)).totals
     samples.sort()
@@ -491,7 +492,7 @@ def test_expected_power_closed_form_golden(quad5, dense_params):
 ])
 def test_expected_power_triple_agreement(dense_params, rho, r1):
     params = validate(replace(dense_params, rho=rho))
-    quad = PowerQuadratic.from_params(params, r1)
+    quad = cooperative_quadratic(params, r1)
     closed = expected_power(quad, rho)
     by_quad = expected_power_quadrature(quad, rho)
     assert by_quad == pytest.approx(closed, rel=1e-9)
@@ -508,10 +509,10 @@ def test_expected_power_dense_limit(quad5):
 
 
 def test_energy_efficiency_not_proportional_to_rate(params):
-    quad_r = PowerQuadratic.from_params(params, 2000.0)
+    quad_r = cooperative_quadratic(params, 2000.0)
     ee_r = energy_efficiency(expected_power(quad_r, params.rho), params.rate)
     params2 = validate(replace(params, rate=2.0 * params.rate))
-    quad_2r = PowerQuadratic.from_params(params2, 2000.0)
+    quad_2r = cooperative_quadratic(params2, 2000.0)
     ee_2r = energy_efficiency(expected_power(quad_2r, params2.rho), params2.rate)
     assert ee_2r != pytest.approx(2.0 * ee_r, rel=1e-3)
 
@@ -537,7 +538,7 @@ def test_efficiency_inputs_refuse_non_finite_or_non_positive(params, bad):
 
 def test_cooperation_more_efficient_in_figure_regime(params):
     for r1 in np.linspace(500.0, 3000.0, 11):
-        quad = PowerQuadratic.from_params(params, r1)
+        quad = cooperative_quadratic(params, r1)
         ee_nncc = energy_efficiency(expected_power(quad, params.rho), params.rate)
         ee_conv = energy_efficiency(
             expected_power(conventional_quadratic(params, r1), params.rho), params.rate)
@@ -591,7 +592,7 @@ def test_expected_power_conventional_unequal_gains():
 
 def test_evaluate_distribution_grid(dense_params):
     rho = dense_params.rho
-    quad = PowerQuadratic.from_params(dense_params, 2000.0)
+    quad = cooperative_quadratic(dense_params, 2000.0)
     grid = np.geomspace(quad.support_min, support_upper(quad, rho), 64)
     cdf_ref = cdf_reference_batch(grid, quad, rho)
     cdf_branch = np.array([branch_form_cdf(p, quad, rho) for p in grid])
@@ -608,14 +609,14 @@ def test_evaluate_distribution_grid(dense_params):
 
 def test_quadratic_rejects_coefficients_whose_square_overflows(dense_params):
     with pytest.raises(ParameterError) as err:
-        PowerQuadratic.from_params(dense_params, 1e160)
+        cooperative_quadratic(dense_params, 1e160)
     assert err.value.field == "rate" and "c0" in str(err.value)
     huge = validate(SystemParams(rate=2e9))
     with pytest.raises(ParameterError, match="coefficient a "):
-        PowerQuadratic.from_params(huge, 2000.0)
+        cooperative_quadratic(huge, 2000.0)
     # array distances are checked element-wise
     with pytest.raises(ParameterError), np.errstate(over="ignore"):
-        PowerQuadratic.from_params(dense_params, np.array([2000.0, 1e160]))
+        cooperative_quadratic(dense_params, np.array([2000.0, 1e160]))
 
 
 def test_quadratic_rejects_a_or_c0_whose_square_underflows():
@@ -626,9 +627,9 @@ def test_quadratic_rejects_a_or_c0_whose_square_underflows():
                           (SystemParams(), 1e-200, "c0"),
                           (SystemParams(), np.array([2000.0, 1e-200]), "c0")):
         with pytest.raises(ParameterError, match=f"coefficient {name} .* underflows"):
-            PowerQuadratic.from_params(validate(raw), r1)
+            cooperative_quadratic(validate(raw), r1)
     # at n0 = 1e-150, a is ~3.6e-138, whose square is normal
-    quad = PowerQuadratic.from_params(validate(SystemParams(n0=1e-150)), 2000.0)
+    quad = cooperative_quadratic(validate(SystemParams(n0=1e-150)), 2000.0)
     assert quad.a * quad.a >= sys.float_info.min
 
 
@@ -791,7 +792,7 @@ def test_validate_batches_are_bitwise_each_interval_alone(monkeypatch):
 @example(rho=0.1, r1=20_000.0, rate=1e5, g_u2_db=0.0)
 def test_validate_quadratures_across_regimes(rho, r1, rate, g_u2_db):
     """The nested mean meets the closed form, the density integral meets QUADPACK."""
-    quad = PowerQuadratic.from_params(
+    quad = cooperative_quadratic(
         validate(SystemParams(rho=rho, rate=rate, g_u2_db=g_u2_db)), r1)
     assert expected_power_quadrature(quad, rho) == pytest.approx(
         expected_power(quad, rho), rel=1e-9)
@@ -816,7 +817,7 @@ def test_expected_power_quadrature_batch_is_bitwise_scalar_calls(rho, r1, rate, 
     quads = PowerQuadratic.from_coefficients(power_coefficients(params), r1s)
     batch = expected_power_quadrature(quads, rhos)
     for i, (rho_i, r1_i) in enumerate(zip(rhos, r1s)):
-        quad = PowerQuadratic.from_params(validate(replace(params, rho=rho_i)), r1_i)
+        quad = cooperative_quadratic(validate(replace(params, rho=rho_i)), r1_i)
         assert quad == PowerQuadratic(quads.a, quads.b_coeff[i], quads.c0[i])
         scalar = expected_power_quadrature(quad, rho_i)
         assert isinstance(scalar, float)

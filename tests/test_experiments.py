@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mutants
+from model_helpers import cooperative_quadratic
 from nncc import (Geometry, ParameterError, PowerQuadratic, SystemParams, cli,
                   conventional_coefficients, energy_efficiency, expected_power,
                   power_coefficients, validate)
@@ -174,6 +175,24 @@ def test_csv_byte_stable(tmp_path):
     sweep(ExperimentSpec(kind="figure3", out=p3, seed=9,
                          n_trials=TRIALS, workers=4))
     assert filecmp.cmp(p1, p3, shallow=False)
+
+
+@pytest.mark.parametrize("kind,estimator", [("figure3", "exchange_counts"),
+                                            ("figure5", "sample_power_distribution")])
+def test_a_dataset_draws_once(tmp_path, monkeypatch, kind, estimator):
+    """Every row of a figure reads one Monte Carlo call, which makes one pass
+    over its blocks."""
+    calls, passes = [], []
+    for name in ("exchange_counts", "sample_power_distribution", "estimate_outage",
+                 "draw_power_samples"):
+        monkeypatch.setattr(mc, name, lambda *a, _name=name, _fn=getattr(mc, name), **k:
+                            calls.append(_name) or _fn(*a, **k))
+    map_blocks = mc._map_blocks
+    monkeypatch.setattr(mc, "_map_blocks",
+                        lambda n, workers, fn: passes.append(n) or map_blocks(n, workers, fn))
+    sweep(ExperimentSpec(kind=kind, out=str(tmp_path / "f.csv"), n_trials=TRIALS, workers=2))
+    assert calls == [estimator]
+    assert passes == [TRIALS]
 
 
 def test_csv_significant_digits(tmp_path):
@@ -427,7 +446,7 @@ def test_section_c_moment_sees_its_fault(monkeypatch, fault, delta, moment):
     leaves the other within it."""
     n = 1_000_000
     params = validate(SystemParams())
-    quad = PowerQuadratic.from_params(params, 2000.0)
+    quad = cooperative_quadratic(params, 2000.0)
 
     def z_values():
         _, m_a, m_c = mc.draw_power_samples(n, params.rho, quad,
@@ -655,10 +674,8 @@ def test_cli_validate_energy_without_spread(tmp_path):
 def test_cli_validate_junction_line_without_q1(tmp_path):
     """At 1e9 b/s the support starts at c0 in floats, so Q1 is empty and
     section [e] has no branch junction to compare the density across."""
-    from nncc.distribution import PowerQuadratic
-
     params = validate(SystemParams(rate=1e9))
-    quad = PowerQuadratic.from_params(params, DEFAULT_R1)
+    quad = cooperative_quadratic(params, DEFAULT_R1)
     assert quad.support_min == quad.c0
     line = "  INFO PDF one-sided limits at the branch junction: "
     out = tmp_path / "v.txt"
@@ -741,24 +758,41 @@ _SWEEP_RHO_EDGE = ["sweep", "--var", "rho", "--min", "1e-5", "--max", "1e-3", "-
     # -log1p(-p_out_target) underflows the exchange link's denominator
     (["validate", "--p_out_target", "5e-324"], "p_out_target: a per-link outage of 5e-324"),
     (["figure", "3", "--p_out_target", "5e-324"], "p_out_target: a per-link outage of 5e-324"),
-    # the placement sums' square overflows at any rate
+    # the variance of r*r, 1/(pi*rho)^2, overflows at any rate
     (["sweep", "--var", "r1", "--min", "500", "--max", "1000", "--count", "2",
       "--rho", "1e-300"], "rho: 1e-300 handsets/m^2"),
+    # a link factor that Link.coeff divides by is not a normal float
+    (["validate", "--g_u2_db", "-4000"], "g_u2_db: gives the link factor 0"),
+    (["validate", "--f_s", "1e300"], "f_s: gives the link factor 0"),
+    (["validate", "--sigma2_short", "1e-320"], "sigma2_short: gives the link factor 1e-320"),
+    (["validate", "--f_c", "1e300"], "f_c: gives the link factor 0"),
+    (["validate", "--sigma2_cell", "1e-320"], "sigma2_cell: gives the link factor 1e-320"),
+    (["figure", "3", "--sigma2_cell", "1e-320"], "sigma2_cell: gives the link factor 1e-320"),
+    (["figure", "3", "--f_c", "1e300"], "f_c: gives the link factor 0"),
 ], ids=["range-inf", "range-nan", "sweep-r1-fixed", "figure3-r1-fixed",
         "figure5-rho-fixed", "sweep-rate-fixed", "late-bad-row", "trials", "validate-seed",
         "sweep-seed", "log-spacing-min", "validate-n0-1e-300", "validate-n0-1e-170",
         "validate-r1-1e-200", "figure5-n0-1e-300", "late-row-n0", "baseline-a-n0-1e-166",
         "validate-rate-1e-300",
         "validate-r-1e-160", "figure3-r-1e-160", "figure3-r-1e200",
-        "validate-p_out-5e-324", "figure3-p_out-5e-324", "sweep-r1-rho-1e-300"])
+        "validate-p_out-5e-324", "figure3-p_out-5e-324", "sweep-r1-rho-1e-300",
+        "validate-g_u2-underflow", "validate-f_s-1e300", "validate-sigma2_short-subnormal",
+        "validate-f_c-1e300", "validate-sigma2_cell-subnormal",
+        "figure3-sigma2_cell-subnormal", "figure3-f_c-1e300"])
 def test_cli_refuses_bad_run_before_any_draw(tmp_path, capsys, monkeypatch, argv, named):
-    """Every run of an invocation is resolved and checked before the first draw."""
+    """Every run of an invocation is resolved and checked before the first draw.
+
+    ``sample_power_distribution`` refuses a density at its entry, before its
+    one draw, so it runs here; its blocks, like every estimator's, come from
+    ``RandomStream.block``, which must never be reached.
+    """
     def no_draw(*args, **kwargs):
         raise AssertionError("a Monte Carlo sample was drawn")
 
-    monkeypatch.setattr(mc, "sample_power_distribution", no_draw)
+    monkeypatch.setattr(mc.RandomStream, "block", no_draw)
     monkeypatch.setattr(mc, "draw_power_samples", no_draw)
     monkeypatch.setattr(mc, "estimate_outage", no_draw)
+    monkeypatch.setattr(mc, "exchange_counts", no_draw)
     out = tmp_path / "o.txt"
     if "--trials" not in argv:
         argv = argv + ["--trials", "10000"]
@@ -800,7 +834,7 @@ def test_resolved_random_placement_row_has_both_means(n0, rate, r1, p_out_target
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            params, r1, _ = _resolve_run({}, overrides, mc.MIN_TRIALS)
+            params, r1, _ = _resolve_run({}, overrides)
         except ParameterError:
             return
         for coeff in (power_coefficients(params), conventional_coefficients(params)):

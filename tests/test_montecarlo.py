@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from cdf_oracle import cdf_oracle
-from model_helpers import (binomial_z, ks_distance_of_values, placements_by_expression,
-                           power_samples_by_expression)
+from model_helpers import (binomial_z, cooperative_quadratic, ks_distance_of_values,
+                           placements_by_expression, power_samples_by_expression)
 from nncc import (
     Geometry,
     SystemParams,
@@ -33,6 +33,8 @@ from nncc.montecarlo import (
     _thresholds,
     draw_power_samples,
     estimate_outage,
+    exchange_counts,
+    exchange_energy,
     ks_distance,
     protocol_round,
     sample_power_distribution,
@@ -209,16 +211,30 @@ def test_estimate_outage_counts_follow_the_draw_order(params, scheme):
         assert lost[4] > 0
 
 
-def test_estimate_outage_energy_only_stops_after_the_exchange(params):
-    """A call for the energy alone gives the full kernel's exchange count and
-    energy, and no outcome counts."""
+def test_exchange_counts_share_estimate_outages_exchange_draw(params):
+    """One exchange draw counted at several thresholds: each count is the
+    direct draw's, and at the cooperative t12 it is ``estimate_outage``'s
+    exchange count on the same stream, with the same round energy, with 1
+    and 2 workers."""
     geom, n = fixed_geom(r1=2600.0, r=35.0), 70_000
-    counts = estimate_outage(n, geom, params, RandomStream(53), energy_only=True)
-    full = estimate_outage(n, geom, params, RandomStream(53))
-    n_delta0 = _counts_drawn_directly(n, geom, params, RandomStream(53))[0]
-    assert counts[:4] == full[:4] == (n, n_delta0, full.mean_energy, full.energy_stderr)
-    assert (counts.lost_d1, counts.lost_d2, counts.outages, counts.uplink1_lost,
-            counts.conv_outages) == (None,) * 5
+    powers = power_breakdown(geom, power_coefficients(params))
+    t12 = _thresholds(geom, powers, params)[0]
+    thresholds = [3.0 * t12, t12, 1e-3, 0.5 * t12]  # unsorted, on purpose
+    direct = np.zeros(len(thresholds), dtype=int)
+    for j, start in enumerate(range(0, n, _BLOCK)):
+        rng = RandomStream(53).block(j)
+        size = min(_BLOCK, n - start)
+        h12, h21 = (rng.exponential(params.sigma2_short, size) for _ in range(2))
+        direct += [np.count_nonzero((h12 >= t) & (h21 >= t)) for t in thresholds]
+    for workers in (1, 2):
+        counts = exchange_counts(n, thresholds, params.sigma2_short, RandomStream(53),
+                                 workers=workers)
+        assert counts == direct.tolist()
+        assert all(type(k) is int for k in counts)
+        full = estimate_outage(n, geom, params, RandomStream(53), workers=workers)
+        assert counts[1] == full.exchanged
+        assert exchange_energy(n, counts[1], powers) == (full.mean_energy,
+                                                         full.energy_stderr)
 
 
 def test_estimate_outage_worker_invariance(params):
@@ -261,7 +277,7 @@ def test_slot_fading_independence(params):
 def test_sample_power_distribution(dense_params):
     n = 1_000_000
     rho, r1 = dense_params.rho, 2000.0
-    quad = PowerQuadratic.from_params(dense_params, r1)
+    quad = cooperative_quadratic(dense_params, r1)
     mean, stderr = sample_power_distribution(n, rho, quad, RandomStream(48))
     samples = np.sort(draw_power_samples(n, rho, quad, RandomStream(48)).totals)
     assert samples.shape == (n,)
@@ -277,7 +293,7 @@ def test_sample_power_distribution(dense_params):
 def test_draw_power_samples_bitwise_the_block_expression(n, rho):
     """The in-place kernel gives the bits of a*r*r + b_coeff*cos(theta)*r + c0."""
     params = validate(SystemParams(rho=rho))
-    quad = PowerQuadratic.from_params(params, 2000.0)
+    quad = cooperative_quadratic(params, 2000.0)
     expected = power_samples_by_expression(n, rho, quad, RandomStream(52))
     for workers in (1, 2, 3):
         drawn = draw_power_samples(n, rho, quad, RandomStream(52), workers=workers).totals
@@ -309,13 +325,31 @@ def test_block_kernel_cosine_within_two_ulp_of_one(monkeypatch):
 def test_sample_power_distribution_moments_of_the_samples(n, rho):
     """Block sums of the placements give the whole sample's mean and spread."""
     params = validate(SystemParams(rho=rho))
-    quad = PowerQuadratic.from_params(params, 2000.0)
+    quad = cooperative_quadratic(params, 2000.0)
     mean, stderr = sample_power_distribution(n, rho, quad, RandomStream(53))
     samples = draw_power_samples(n, rho, quad, RandomStream(53)).totals
     # abs=0: approx's default abs of 1e-12 would swallow a stderr of 1e-10
     assert mean == pytest.approx(np.mean(samples), rel=1e-12, abs=0)
     assert stderr == pytest.approx(
         np.std(samples, ddof=1) / math.sqrt(n), rel=1e-12, abs=0)
+
+
+def test_one_draw_gives_each_densitys_mean_and_spread():
+    """Every set of an array call reads one draw's density-free sums, and
+    its mean and standard error are those of the totals that
+    ``draw_power_samples`` writes from the same stream at that set alone."""
+    n, rhos = 100_003, np.array([1e-7, 1e-4, 1.0])
+    quads = [cooperative_quadratic(validate(SystemParams(rho=rho)), 2000.0) for rho in rhos]
+    means, stderrs = sample_power_distribution(
+        n, rhos, PowerQuadratic(*map(np.array, zip(*quads))), RandomStream(53), workers=2)
+    for rho, quad, mean, stderr in zip(rhos, quads, means, stderrs):
+        totals = draw_power_samples(n, rho, quad, RandomStream(53)).totals
+        assert mean == pytest.approx(np.mean(totals), rel=1e-14, abs=0)
+        assert stderr == pytest.approx(np.std(totals, ddof=1) / math.sqrt(n),
+                                       rel=1e-14, abs=0)
+        alone = sample_power_distribution(n, float(rho), quad, RandomStream(53))
+        assert alone == pytest.approx((mean, stderr), rel=1e-15, abs=0)
+        assert all(type(x) is float for x in alone)  # floats in, floats out
 
 
 @pytest.mark.parametrize("rho", [1e-7, 1e-4, 1.0])
@@ -325,7 +359,7 @@ def test_sample_power_distribution_spread_follows_the_placement_law(rho):
     + b_coeff^2/(2*pi*rho)).  At 1e6 placements the sampling sd of the
     estimate is ~1.4e-3 relative: a 1 % bound is ~7 sd."""
     n = 1_000_000
-    quad = PowerQuadratic.from_params(validate(SystemParams(rho=rho)), 2000.0)
+    quad = cooperative_quadratic(validate(SystemParams(rho=rho)), 2000.0)
     _, stderr = sample_power_distribution(n, rho, quad, RandomStream(57))
     law = math.sqrt((quad.a / (math.pi * rho)) ** 2 + quad.b_coeff ** 2 / (2 * math.pi * rho))
     assert stderr * math.sqrt(n) == pytest.approx(law, rel=0.01)
@@ -349,14 +383,14 @@ def test_placement_moments_give_each_sets_mean(dense_params, n):
     """
     r, theta = placements_by_expression(n, 1e-4, RandomStream(55))
     scale = math.pi * 1e-4
-    drawn = draw_power_samples(n, 1e-4, PowerQuadratic.from_params(dense_params, 2000.0),
+    drawn = draw_power_samples(n, 1e-4, cooperative_quadratic(dense_params, 2000.0),
                                RandomStream(55))
     assert drawn.m_a == pytest.approx(np.mean(scale * r * r), rel=1e-12, abs=0)
     assert drawn.m_c == pytest.approx(np.mean(np.cos(theta) * math.sqrt(scale) * r),
                                       abs=1e-12)
     for rho, r1 in _SECTION_C_SETS:
         params = validate(dataclasses.replace(dense_params, rho=rho))
-        quad = PowerQuadratic.from_params(params, r1)
+        quad = cooperative_quadratic(params, r1)
         for workers in (1, 2):
             totals, m_a, m_c = draw_power_samples(n, rho, quad, RandomStream(55),
                                                   workers=workers)
@@ -374,7 +408,7 @@ def test_bad_target_density_refused_before_any_draw(dense_params, monkeypatch,
         raise AssertionError("placements were drawn")
 
     monkeypatch.setattr(montecarlo, "sample_nn_geometries", no_draw)
-    quad = PowerQuadratic.from_params(dense_params, 1500.0)
+    quad = cooperative_quadratic(dense_params, 1500.0)
     n = MIN_TRIALS + extra_blocks * _BLOCK
     for sample in (lambda: sample_power_distribution(n, bad, quad, RandomStream(1),
                                                      workers=2),
@@ -385,7 +419,7 @@ def test_bad_target_density_refused_before_any_draw(dense_params, monkeypatch,
 
 
 def test_sample_power_distribution_worker_invariance(dense_params):
-    quad = PowerQuadratic.from_params(dense_params, 1500.0)
+    quad = cooperative_quadratic(dense_params, 1500.0)
     reps = [sample_power_distribution(120_000, 1e-4, quad, RandomStream(49), workers=w)
             for w in (1, 2, 3)]
     assert len(set(reps)) == 1
@@ -395,7 +429,7 @@ def test_draw_power_samples_worker_invariance(dense_params):
     """Threads fill disjoint slices of one array: with more workers than cores
     and frequent thread switches, every block still lands whole in its place,
     and the moments are summed in block order."""
-    quad = PowerQuadratic.from_params(dense_params, 1500.0)
+    quad = cooperative_quadratic(dense_params, 1500.0)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -409,7 +443,7 @@ def test_draw_power_samples_worker_invariance(dense_params):
 
 
 def test_power_sampling_refuses_too_few_trials(dense_params):
-    quad = PowerQuadratic.from_params(dense_params, 1500.0)
+    quad = cooperative_quadratic(dense_params, 1500.0)
     with pytest.raises(ValueError, match="too small"):
         sample_power_distribution(MIN_TRIALS - 1, 1e-4, quad, RandomStream(1))
     with pytest.raises(ValueError, match="too small"):
@@ -432,7 +466,7 @@ def test_sample_power_distribution_refuses_a_density_before_drawing(monkeypatch)
 def test_sample_power_distribution_spread_overflow_names_rate():
     """The round totals are finite, but their squared deviations overflow."""
     params = validate(SystemParams(rate=1.05e9))
-    quad = PowerQuadratic.from_params(params, 2000.0)
+    quad = cooperative_quadratic(params, 2000.0)
     assert np.isfinite(draw_power_samples(10_000, params.rho, quad,
                                           RandomStream(7)).totals).all()
     with pytest.raises(ParameterError) as err:
@@ -454,7 +488,7 @@ def _traced_peak(fn, *args, **kwargs):
 def test_power_sampling_memory(dense_params):
     """The moments hold about one block per worker, the samples one array."""
     n, rho, r1 = 1_000_000, dense_params.rho, 2000.0
-    quad = PowerQuadratic.from_params(dense_params, r1)
+    quad = cooperative_quadratic(dense_params, r1)
     sample_power_distribution(MIN_TRIALS, rho, quad, RandomStream(54),
                               workers=2)  # first-call imports stay out of the peak
     peak, _ = _traced_peak(sample_power_distribution, n, rho, quad, RandomStream(54),
@@ -509,7 +543,7 @@ def test_ks_distance_evaluates_the_cdf_callable():
 def test_ks_distance_takes_a_scalar_reference_cdf_mapped_over_points(dense_params):
     """A scalar CDF, such as the test oracle, is mapped over the points it is given."""
     rho = dense_params.rho
-    quad = PowerQuadratic.from_params(dense_params, 1500.0)
+    quad = cooperative_quadratic(dense_params, 1500.0)
     samples = np.concatenate([np.linspace(quad.support_min, quad.c0, 6)[1:],
                               quad.c0 * np.linspace(1.01, 1.5, 5)])
     assert ks_distance(samples, lambda p: [cdf_oracle(x, quad, rho) for x in p]) \
@@ -570,7 +604,7 @@ def test_ks_distance_engine_cdf_is_bitwise_the_full_statistic(rho, r1, pieces):
     the statistic does not depend on how its points are batched.
     """
     params = validate(SystemParams(rho=rho))
-    quad = PowerQuadratic.from_params(params, r1)
+    quad = cooperative_quadratic(params, r1)
     drawn = draw_power_samples(20_000, rho, quad, RandomStream(51)).totals
     samples = np.concatenate([drawn, drawn[::50], quad.support_min - np.arange(5.0)])
     samples.sort()

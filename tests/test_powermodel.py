@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from model_helpers import link_capacity, received_snr
+from model_helpers import cooperative_quadratic, link_capacity, received_snr
 from nncc import (
     Geometry,
     Link,
     OutageTargets,
     ParameterError,
-    PowerQuadratic,
     SystemParams,
     conventional_coefficients,
     per_link_outage_conventional,
@@ -414,7 +413,7 @@ def test_unequal_handset_gains_closed_forms():
         b = power_breakdown(geom, power_coefficients(params))
         assert b.p2b / b.p1b == pytest.approx(10.0 ** 0.3 * (geom.r2 / r1) ** 2,
                                               rel=1e-12, abs=0)
-        quad = PowerQuadratic.from_params(params, r1)
+        quad = cooperative_quadratic(params, r1)
         total_power = quad.a * r * r + quad.b_coeff * np.cos(theta) * r + quad.c0
         assert total_power == pytest.approx(b.total, rel=1e-12, abs=0)
         assert quadratic_form(coeff, t.eps_total, r1, r, theta) == pytest.approx(
