@@ -8,7 +8,6 @@ Carlo protocol simulator that cross-validates every closed form.
 
 from .params import (
     SPEED_OF_LIGHT,
-    LinearParams,
     ParameterError,
     SystemParams,
     db_to_linear,

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import fields
 
 from .distribution import IntegrationError
 from .experiments import SWEEPABLE, ExperimentSpec, sweep, validate_report
@@ -36,8 +35,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=1,
                         help="worker threads; never changes the output bytes")
     group = parser.add_argument_group("parameter overrides (SI units; *_db in dB)")
-    for f in fields(SystemParams):
-        group.add_argument(f"--{f.name}", type=float, default=None)
+    for name in SystemParams._fields:
+        group.add_argument(f"--{name}", type=float, default=None)
     group.add_argument("--r1", type=float, default=None,
                        help="tagged handset to BS distance, m")
     group.add_argument("--r", type=float, default=None,
@@ -48,7 +47,7 @@ def _build_spec(args, kind: str) -> ExperimentSpec:
     # flags stay overrides, so they win over a figure preset as well as the file
     config = load_config(args.config) if args.config else {}
     overrides = {}
-    for key in [f.name for f in fields(SystemParams)] + ["r1", "r"]:
+    for key in SystemParams._fields + ("r1", "r"):
         value = getattr(args, key)
         if value is not None:
             overrides[key] = value

@@ -13,7 +13,7 @@ others, on one thread beside sections [a]-[c].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +22,7 @@ from . import distribution as dist
 from . import montecarlo as mc
 from . import powermodel
 from .geometry import Geometry, partner_distance_to_bs
-from .params import LinearParams, ParameterError, SystemParams, validate
+from .params import ParameterError, SystemParams, validate
 
 CSV_HEADER = ("swept_var,value,e_nncc_analytic,e_conv_analytic,"
               "e_nncc_mc,e_nncc_mc_stderr,ee_nncc,ee_conv")
@@ -101,7 +101,7 @@ class ExperimentSpec:
         elif spec.kind != "validate":
             raise ValueError(f"unknown experiment kind {spec.kind!r}")
 
-        names = {f.name for f in fields(SystemParams)}
+        names = set(SystemParams._fields)
         unknown = sorted((set(spec.overrides) - names - {"r1", "r"})
                          | (set(spec.config) - names))
         if unknown:
@@ -128,7 +128,7 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _schemes(params: LinearParams) -> tuple[powermodel.PowerCoefficients, ...]:
+def _schemes(params: SystemParams) -> tuple[powermodel.PowerCoefficients, ...]:
     """The cooperative scheme's coefficients and the baseline's, in CSV column order."""
     return powermodel.power_coefficients(params), powermodel.conventional_coefficients(params)
 
@@ -256,7 +256,7 @@ class _Report:
         self.checks += other.checks
 
 
-def _closure_section(rep: _Report, params: LinearParams, seed: int,
+def _closure_section(rep: _Report, params: SystemParams, seed: int,
                      coeff: powermodel.PowerCoefficients) -> None:
     rep.add("[a] closed-form closure identities")
     targets = powermodel.OutageTargets.for_target(params.p_out_target)
@@ -294,7 +294,7 @@ def _closure_section(rep: _Report, params: LinearParams, seed: int,
               detail="(10000 random placements)")
 
 
-def _distribution_section(rep: _Report, params: LinearParams,
+def _distribution_section(rep: _Report, params: SystemParams,
                           quad: dist.PowerQuadratic, r1: float,
                           n_trials: int, seed: int, workers: int) -> tuple[float, float]:
     """Section [b]; returns its draw's placement moments, which section [c] checks."""
@@ -380,7 +380,7 @@ def _branch_form_section(rep: _Report, quad: dist.PowerQuadratic, rho: float) ->
     rep.info(name, _fmt(float(np.max(np.abs(slope - pdf[2:])))))
 
 
-def _protocol_section(rep: _Report, params: LinearParams, r1: float, r: float,
+def _protocol_section(rep: _Report, params: SystemParams, r1: float, r: float,
                       n_trials: int, seed: int, workers: int) -> None:
     rep.add(f"[d] protocol statistics at fixed placement (r = {_fmt(r)}, "
             f"r1 = {_fmt(r1)})")
@@ -431,8 +431,8 @@ def validate_report(spec: ExperimentSpec) -> tuple[str, tuple[Check, ...]]:
     rep.add("cooperative uplink validation report")
     rep.add("===================================")
     rep.add("parameters:")
-    for f in fields(SystemParams):
-        rep.add(f"  {f.name} = {_fmt(getattr(params, f.name))}")
+    for name, value in zip(SystemParams._fields, params):
+        rep.add(f"  {name} = {_fmt(value)}")
     rep.add(f"  r1 = {_fmt(r1)}")
     rep.add(f"  r = {_fmt(r)}")
     rep.add(f"  seed = {spec.seed}")

@@ -26,7 +26,7 @@ import numpy as np
 from . import powermodel
 from .distribution import PowerQuadratic
 from .geometry import Geometry, nn_distance, require_density, sample_nn_geometries
-from .params import LinearParams, ParameterError
+from .params import ParameterError, SystemParams
 from .powermodel import Link, PowerBreakdown
 
 MIN_TRIALS = 10_000  # reported confidence intervals are meaningless below this
@@ -72,7 +72,7 @@ def _require_trials(n: int) -> None:
             f"need at least {MIN_TRIALS} trials")
 
 
-def require_exchange_distance(r: float, params: LinearParams) -> None:
+def require_exchange_distance(r: float, params: SystemParams) -> None:
     """The exchange's free-space budget is undefined at zero or infinite
     distance, and its power zeta*r*r must be a normal float: at 0 no exchange
     decodes, at inf every round's energy is inf."""
@@ -106,7 +106,7 @@ def exchange_energy(n: int, exchanged: int, powers: PowerBreakdown) -> tuple[flo
     return mean_e, _energy_stderr(mean_e, var_e, n, "at this placement")
 
 
-def _thresholds(geom: Geometry, powers: PowerBreakdown, params: LinearParams):
+def _thresholds(geom: Geometry, powers: PowerBreakdown, params: SystemParams):
     """Fading thresholds of the exchange (either direction) and of each uplink."""
     return (Link.short(params).threshold(powers.p12, geom.r),
             Link.cellular(params, 1).threshold(powers.p1b, geom.r1),
@@ -150,7 +150,7 @@ def _map_blocks(n: int, workers: int, block_fn):
         return list(pool.map(block_fn, blocks, sizes))
 
 
-def estimate_outage(n: int, geom: Geometry, params: LinearParams,
+def estimate_outage(n: int, geom: Geometry, params: SystemParams,
                     stream: RandomStream, workers: int = 1) -> ProtocolCounts:
     """Outcome counts of n protocol rounds at a fixed placement, fresh fading
     per trial, and the mean round energy (``exchange_energy``).

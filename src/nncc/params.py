@@ -1,7 +1,9 @@
 """System parameters: raw radio constants, validation, and derived linear quantities.
 
-All downstream modules consume :class:`LinearParams`, which is produced once by
-:func:`validate` and is immutable, so it can be shared freely across workers.
+:class:`SystemParams` is the one parameter record: an immutable NamedTuple of
+raw constants whose linear quantities (wavelengths, linear gains and gaps)
+are read-only properties.  :func:`validate` checks a record and returns it
+unchanged, so a validated record can be shared freely across workers.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 
@@ -22,9 +24,8 @@ class ParameterError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
-@dataclass(frozen=True)
-class SystemParams:
-    """Raw system parameters. SI units throughout; ``*_db`` fields in dB.
+class SystemParams(NamedTuple):
+    """System parameters. SI units throughout; ``*_db`` fields in dB.
 
     Defaults reproduce the short-range/cellular uplink setup used by the
     bundled experiments: 2.4 GHz / 2 MHz short-range link, 2100 MHz / 5 MHz
@@ -49,24 +50,17 @@ class SystemParams:
     p_out_target: float = 1e-3  # end-to-end target outage probability
     rate: float = 1e5         # required data rate, bits/s
 
+    # linear quantities, derived on each read; validate checks they are usable
+    lambda_s = property(lambda p: wavelength(p.f_s), doc="short-range wavelength, m")
+    lambda_c = property(lambda p: wavelength(p.f_c), doc="cellular wavelength, m")
+    g_u1 = property(lambda p: db_to_linear(p.g_u1_db), doc="first handset's gain, linear")
+    g_u2 = property(lambda p: db_to_linear(p.g_u2_db), doc="second handset's gain, linear")
+    g_bs = property(lambda p: db_to_linear(p.g_bs_db), doc="base-station gain, linear")
+    delta_s = property(lambda p: db_to_linear(p.gap_s_db), doc="short-range gap, linear")
+    delta_c = property(lambda p: db_to_linear(p.gap_c_db), doc="cellular gap, linear")
 
-_RAW_FIELDS = frozenset(f.name for f in fields(SystemParams))
 
-
-@dataclass(frozen=True, kw_only=True)
-class LinearParams(SystemParams):
-    """Validated parameters plus derived constants (wavelengths, linear gains).
-
-    Immutable; safe to share across any number of concurrent workers.
-    """
-
-    lambda_s: float
-    lambda_c: float
-    g_u1: float
-    g_u2: float
-    g_bs: float
-    delta_s: float
-    delta_c: float
+_RAW_FIELDS = frozenset(SystemParams._fields)
 
 
 def db_to_linear(x_db: float) -> float:
@@ -92,17 +86,17 @@ _POSITIVE_FIELDS = (
 )
 
 
-def validate(raw: SystemParams) -> LinearParams:
-    """Check every invariant of ``raw`` and compute the derived constants.
+def validate(raw: SystemParams) -> SystemParams:
+    """Check every invariant of ``raw``, its linear quantities included.
 
-    Raises :class:`ParameterError` naming the first offending field.
-    Idempotent: equal inputs always yield equal derived constants.
+    Returns the record it checked, ``raw`` itself: the linear quantities are
+    properties, so there is nothing to copy or derive.  Raises
+    :class:`ParameterError` naming the first offending field.
     """
-    for f in fields(SystemParams):
-        value = getattr(raw, f.name)
+    for name, value in zip(SystemParams._fields, raw):
         # bool is an int subclass, but true is not a radio constant
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ParameterError(f.name, f"must be a real number, got {value!r}")
+            raise ParameterError(name, f"must be a real number, got {value!r}")
     for name in _POSITIVE_FIELDS:
         value = getattr(raw, name)
         if not (math.isfinite(value) and value > 0):
@@ -116,28 +110,32 @@ def validate(raw: SystemParams) -> LinearParams:
         if not math.isfinite(getattr(raw, name)):
             raise ParameterError(name, "must be finite")
 
-    p = LinearParams(
-        **{f.name: getattr(raw, f.name) for f in fields(SystemParams)},
-        lambda_s=wavelength(raw.f_s),
-        lambda_c=wavelength(raw.f_c),
-        g_u1=db_to_linear(raw.g_u1_db),
-        g_u2=db_to_linear(raw.g_u2_db),
-        g_bs=db_to_linear(raw.g_bs_db),
-        delta_s=db_to_linear(raw.gap_s_db),
-        delta_c=db_to_linear(raw.gap_c_db),
-    )
     # Link.coeff's factors must be normal: fading mean, squared wavelength, gain product, gap
-    factors = [("sigma2_short", p.sigma2_short), ("sigma2_cell", p.sigma2_cell),
-               ("f_s", p.lambda_s * p.lambda_s), ("f_c", p.lambda_c * p.lambda_c),
-               ("gap_s_db", p.delta_s), ("gap_c_db", p.delta_c)]
-    for x, y in (("g_u1_db", "g_u2_db"), ("g_u1_db", "g_bs_db"), ("g_u2_db", "g_bs_db")):
-        factors.append((max(x, y, key=lambda n: abs(getattr(raw, n))),  # the larger |dB|
-                        getattr(p, x[:-3]) * getattr(p, y[:-3])))
+    def gain(x, y):  # a gain product is named by the gain of larger |dB|
+        return (max(x, y, key=lambda n: abs(getattr(raw, n))),
+                getattr(raw, x[:-3]) * getattr(raw, y[:-3]))
+
+    links = (  # fading mean, gain product, carrier and wavelength of each link
+        (("sigma2_short", raw.sigma2_short), gain("g_u1_db", "g_u2_db"), "f_s", raw.lambda_s),
+        (("sigma2_cell", raw.sigma2_cell), gain("g_u1_db", "g_bs_db"), "f_c", raw.lambda_c),
+        (("sigma2_cell", raw.sigma2_cell), gain("g_u2_db", "g_bs_db"), "f_c", raw.lambda_c))
+    factors = [("sigma2_short", raw.sigma2_short), ("sigma2_cell", raw.sigma2_cell),
+               ("f_s", raw.lambda_s * raw.lambda_s), ("f_c", raw.lambda_c * raw.lambda_c),
+               ("gap_s_db", raw.delta_s), ("gap_c_db", raw.delta_c)]
+    factors += [link[1] for link in links]
     for name, value in factors:
         if not sys.float_info.min <= value < math.inf:
             raise ParameterError(name, f"gives the link factor {value:.3g}, outside the "
                                        "normal floating-point range")
-    return p
+    # and so must each link's product, formed in Link.coeff's order; the
+    # factor farthest from 1 in log scale is named
+    for fade, gains, freq, lam in links:
+        product = fade[1] * gains[1] * lam * lam
+        if not sys.float_info.min <= product < math.inf:
+            name = max(fade, gains, (freq, lam * lam), key=lambda f: abs(math.log(f[1])))[0]
+            raise ParameterError(name, f"gives the link product {product:.3g}, outside the "
+                                       "normal floating-point range")
+    return raw
 
 
 def load_config(path: str) -> dict:

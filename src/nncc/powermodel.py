@@ -20,7 +20,7 @@ import sys
 from typing import NamedTuple
 
 from .geometry import Geometry
-from .params import LinearParams, ParameterError
+from .params import ParameterError, SystemParams
 
 _16PI2 = 16.0 * math.pi * math.pi
 
@@ -132,14 +132,14 @@ class Link(NamedTuple):
     rate: float        # bits/s
 
     @classmethod
-    def short(cls, params: LinearParams) -> "Link":
+    def short(cls, params: SystemParams) -> "Link":
         """The handset-to-handset exchange link (either direction)."""
         return cls(params.delta_s, params.b_s, params.lambda_s,
                    params.g_u1 * params.g_u2, params.sigma2_short,
                    params.n0, params.rate)
 
     @classmethod
-    def cellular(cls, params: LinearParams, user: int) -> "Link":
+    def cellular(cls, params: SystemParams, user: int) -> "Link":
         """The uplink from handset ``user`` (1 or 2) to the base station."""
         if user not in (1, 2):
             raise ValueError(f"user must be 1 or 2, got {user!r}")
@@ -197,7 +197,7 @@ class Link(NamedTuple):
         return -math.expm1(-exponent)
 
 
-def power_coefficients(params: LinearParams) -> PowerCoefficients:
+def power_coefficients(params: SystemParams) -> PowerCoefficients:
     """The cooperative scheme's coefficients for a validated parameter set."""
     targets = OutageTargets.for_target(params.p_out_target)
     return PowerCoefficients(
@@ -208,7 +208,7 @@ def power_coefficients(params: LinearParams) -> PowerCoefficients:
     )
 
 
-def conventional_coefficients(params: LinearParams) -> PowerCoefficients:
+def conventional_coefficients(params: SystemParams) -> PowerCoefficients:
     """The baseline's coefficients: solo uplinks at ``p_out_c``, one slot, no exchange."""
     p_c = OutageTargets.for_target(params.p_out_target).p_out_c
     return PowerCoefficients(zeta=0.0, eta1=Link.cellular(params, 1).coeff(p_c),

@@ -7,7 +7,6 @@ or ``-s`` to see the printed values).
 
 import filecmp
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -138,7 +137,7 @@ def test_criterion_07_expectation_triple_agreement():
             (3e-3, 500.0), (1e-2, 150.0)]
     lines = []
     for i, (rho, r1) in enumerate(sets):
-        params = validate(replace(base, rho=rho))
+        params = validate(base._replace(rho=rho))
         quad = cooperative_quadratic(params, r1)
         closed = expected_power(quad, rho)
         by_quad = expected_power_quadrature(quad, rho)

@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -491,7 +490,7 @@ def test_expected_power_closed_form_golden(quad5, dense_params):
     (1e-5, 3000.0), (1e-4, 2000.0), (1e-3, 1000.0), (3e-3, 500.0), (1e-2, 150.0),
 ])
 def test_expected_power_triple_agreement(dense_params, rho, r1):
-    params = validate(replace(dense_params, rho=rho))
+    params = validate(dense_params._replace(rho=rho))
     quad = cooperative_quadratic(params, r1)
     closed = expected_power(quad, rho)
     by_quad = expected_power_quadrature(quad, rho)
@@ -511,7 +510,7 @@ def test_expected_power_dense_limit(quad5):
 def test_energy_efficiency_not_proportional_to_rate(params):
     quad_r = cooperative_quadratic(params, 2000.0)
     ee_r = energy_efficiency(expected_power(quad_r, params.rho), params.rate)
-    params2 = validate(replace(params, rate=2.0 * params.rate))
+    params2 = validate(params._replace(rate=2.0 * params.rate))
     quad_2r = cooperative_quadratic(params2, 2000.0)
     ee_2r = energy_efficiency(expected_power(quad_2r, params2.rho), params2.rate)
     assert ee_2r != pytest.approx(2.0 * ee_r, rel=1e-3)
@@ -817,7 +816,7 @@ def test_expected_power_quadrature_batch_is_bitwise_scalar_calls(rho, r1, rate, 
     quads = PowerQuadratic.from_coefficients(power_coefficients(params), r1s)
     batch = expected_power_quadrature(quads, rhos)
     for i, (rho_i, r1_i) in enumerate(zip(rhos, r1s)):
-        quad = cooperative_quadratic(validate(replace(params, rho=rho_i)), r1_i)
+        quad = cooperative_quadratic(validate(params._replace(rho=rho_i)), r1_i)
         assert quad == PowerQuadratic(quads.a, quads.b_coeff[i], quads.c0[i])
         scalar = expected_power_quadrature(quad, rho_i)
         assert isinstance(scalar, float)

@@ -769,6 +769,15 @@ _SWEEP_RHO_EDGE = ["sweep", "--var", "rho", "--min", "1e-5", "--max", "1e-3", "-
     (["validate", "--sigma2_cell", "1e-320"], "sigma2_cell: gives the link factor 1e-320"),
     (["figure", "3", "--sigma2_cell", "1e-320"], "sigma2_cell: gives the link factor 1e-320"),
     (["figure", "3", "--f_c", "1e300"], "f_c: gives the link factor 0"),
+    # normal factors whose link product sigma2*gain*wavelength^2 is not normal
+    (["validate", "--sigma2_short", "1e-200", "--g_u1_db", "-1100"],
+     "sigma2_short: gives the link product 1.56e-312"),
+    (["figure", "3", "--sigma2_short", "1e-200", "--g_u1_db", "-1100"],
+     "sigma2_short: gives the link product 1.56e-312"),
+    (["figure", "3", "--sigma2_short", "1e-200", "--g_u1_db", "-1100", "--n0", "1e-300"],
+     "sigma2_short: gives the link product 1.56e-312"),
+    (["validate", "--sigma2_cell", "1e-200", "--g_bs_db", "-1100"],
+     "sigma2_cell: gives the link product 2.04e-312"),
 ], ids=["range-inf", "range-nan", "sweep-r1-fixed", "figure3-r1-fixed",
         "figure5-rho-fixed", "sweep-rate-fixed", "late-bad-row", "trials", "validate-seed",
         "sweep-seed", "log-spacing-min", "validate-n0-1e-300", "validate-n0-1e-170",
@@ -778,7 +787,9 @@ _SWEEP_RHO_EDGE = ["sweep", "--var", "rho", "--min", "1e-5", "--max", "1e-3", "-
         "validate-p_out-5e-324", "figure3-p_out-5e-324", "sweep-r1-rho-1e-300",
         "validate-g_u2-underflow", "validate-f_s-1e300", "validate-sigma2_short-subnormal",
         "validate-f_c-1e300", "validate-sigma2_cell-subnormal",
-        "figure3-sigma2_cell-subnormal", "figure3-f_c-1e300"])
+        "figure3-sigma2_cell-subnormal", "figure3-f_c-1e300",
+        "validate-short-link-product", "figure3-short-link-product",
+        "figure3-short-link-product-n0-1e-300", "validate-cell-link-product"])
 def test_cli_refuses_bad_run_before_any_draw(tmp_path, capsys, monkeypatch, argv, named):
     """Every run of an invocation is resolved and checked before the first draw.
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 import tracemalloc
@@ -389,7 +388,7 @@ def test_placement_moments_give_each_sets_mean(dense_params, n):
     assert drawn.m_c == pytest.approx(np.mean(np.cos(theta) * math.sqrt(scale) * r),
                                       abs=1e-12)
     for rho, r1 in _SECTION_C_SETS:
-        params = validate(dataclasses.replace(dense_params, rho=rho))
+        params = validate(dense_params._replace(rho=rho))
         quad = cooperative_quadratic(params, r1)
         for workers in (1, 2):
             totals, m_a, m_c = draw_power_samples(n, rho, quad, RandomStream(55),

@@ -1,5 +1,4 @@
 import json
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -51,6 +50,16 @@ def test_wavelength_rejects_nonpositive():
             wavelength(bad)
 
 
+def test_validate_returns_the_record_it_checked():
+    """One parameter record: validate neither copies nor derives a second type."""
+    import nncc
+
+    p = SystemParams(rho=2e-4)
+    assert validate(p) is p
+    assert type(p) is SystemParams and isinstance(p, tuple)
+    assert not hasattr(nncc, "LinearParams")
+
+
 def test_validate_accepts_default_set():
     lin = validate(SystemParams())
     assert lin.lambda_s == pytest.approx(0.12491352416666667, rel=1e-14, abs=0)
@@ -73,7 +82,7 @@ def test_validate_accepts_default_set():
     ("sigma2_short", 0.0),
     ("gap_s_db", 0.0),
     ("gap_c_db", -2.0),
-] + [(f.name, value) for f in fields(SystemParams) for value in (True, "5", 1j)])
+] + [(f, value) for f in SystemParams._fields for value in (True, "5", 1j)])
 def test_validate_rejects_and_names_field(field, value):
     raw = SystemParams(**{field: value})
     with pytest.raises(ParameterError) as err:

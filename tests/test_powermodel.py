@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,7 +142,7 @@ def test_cellular_coeff_golden(params):
 
 
 def test_zeta_decreases_with_target(params):
-    zetas = [zeta_of(validate(replace(params, p_out_target=p)))
+    zetas = [zeta_of(validate(params._replace(p_out_target=p)))
              for p in (1e-4, 1e-3, 1e-2, 0.1, 0.5)]
     assert all(a > b for a, b in zip(zetas, zetas[1:]))
 
@@ -246,7 +245,7 @@ def test_total_increasing_in_r_and_decreasing_in_target(params):
               for r in np.linspace(1.0, 200.0, 25)]
     assert all(a < b for a, b in zip(totals, totals[1:]))
     totals = [power_breakdown(fixed_geom(), power_coefficients(
-                  validate(replace(params, p_out_target=p)))).total
+                  validate(params._replace(p_out_target=p)))).total
               for p in np.geomspace(1e-4, 0.5, 25)]
     assert all(a > b for a, b in zip(totals, totals[1:]))
 

@@ -1,5 +1,8 @@
-"""What a fresh ``import nncc.cli`` loads, and a 2-worker run in a fresh process."""
+"""What a fresh ``import nncc.cli`` loads, which nncc classes are dataclasses,
+and a 2-worker run in a fresh process."""
 
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -25,6 +28,21 @@ def test_import_loads_no_pool_logging_or_json():
         done = _python("-c", probe.format(module))
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == [], f"import {module} loaded {done.stdout.split()}"
+
+
+def test_only_geometry_and_experiment_spec_are_dataclasses():
+    """Each ``@dataclass`` decoration costs start-up time; the two kept have a
+    reason (``Geometry`` refuses bad distances at construction,
+    ``ExperimentSpec`` holds mutable dict defaults).  Records without one are
+    NamedTuples."""
+    import nncc
+    import nncc.cli  # noqa: F401  (loads every nncc module)
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "nncc"]
+    classes = {obj for m in modules for obj in vars(m).values()
+               if inspect.isclass(obj) and obj.__module__.split(".")[0] == "nncc"}
+    assert {c for c in classes if dataclasses.is_dataclass(c)} == {nncc.Geometry,
+                                                                  nncc.ExperimentSpec}
 
 
 def test_fresh_two_worker_validate_has_the_bytes_of_one_worker(tmp_path):
