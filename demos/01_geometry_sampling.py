@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from nncc import partner_distance_to_bs, sample_nn_geometries
-from nncc.geometry import nn_distance
 from nncc.montecarlo import RandomStream
 
 rho = 1e-4      # handsets per square meter
@@ -28,7 +27,7 @@ print()
 # of cosines for the neighbor's distance to the base station
 rng = RandomStream(seed=2024).block(0)
 area, theta = sample_nn_geometries(rng, n)
-r = nn_distance(area, rho)
+r = np.sqrt(area / (math.pi * rho))  # inverse CDF at density rho
 r2 = partner_distance_to_bs(r1, r, theta)   # neighbor to base station
 
 print("neighbor distance statistics over", n, "draws:")

@@ -344,7 +344,7 @@ def _branch(p: np.ndarray, quad: PowerQuadratic, rho: float, upper: bool, n_node
         finer = total[todo] / (2 * n)
         err[todo] = np.abs(finer - value[todo])
         value[todo] = finer
-        todo = todo[err[todo] > f.atol + f.rtol * finer]
+        todo = todo[~(err[todo] <= f.atol + f.rtol * finer)]  # a NaN is never met
     return value, err
 
 

@@ -60,39 +60,21 @@ def require_density(rho) -> None:
 
     An array of densities is checked element-wise.
     """
-    if isinstance(rho, np.ndarray):
-        ok = bool(np.all(np.isfinite(rho) & (rho > 0)))
-    else:  # the scalar test stays cheap: samplers call it once per block
-        ok = math.isfinite(rho) and rho > 0
-    if not ok:
+    if not np.all(np.isfinite(rho) & (np.asarray(rho) > 0)):
         raise ParameterError("rho", f"must be finite and > 0, got {rho!r}")
-
-
-def nn_distance(area, rho: float, out=None):
-    """Nearest-neighbor distance r = sqrt(area/(pi*rho)) of a unit-density area.
-
-    ``area`` is pi*rho*r^2, an Exp(1) draw that does not depend on rho, so
-    the areas of one draw give the neighbor distances at any density.
-    Accepts a scalar (giving a float) or an array; ``out`` may be the array
-    ``area`` itself, or another array of its shape.
-    """
-    require_density(rho)
-    r = np.divide(area, math.pi * rho, out=out)
-    if not isinstance(r, np.ndarray):
-        return math.sqrt(r)
-    return np.sqrt(r, out=r)
 
 
 def sample_nn_geometries(rng: np.random.Generator, n: int):
     """Vectorized sampler: returns arrays (area, theta) of length n.
 
     ``area`` is the unit-density area pi*rho*r^2 = -log(1-u), one uniform u
-    in [0,1) per draw, finite for every representable u; it does not depend
-    on rho, so one draw serves every density (common random numbers), and
-    ``nn_distance(area, rho)`` gives the neighbor distances, r =
-    sqrt(-log(1-u)/(pi*rho)) by inverse CDF.  Bearings are uniform on
-    [-pi/2, 3*pi/2).  Draw order (all areas first, then all theta) is part
-    of the reproducibility contract for a given generator state.
+    in [0,1) per draw, finite for every representable u.  It does not depend
+    on rho, so one draw serves every density (common random numbers): the
+    neighbor distance at density rho is r = sqrt(area/(pi*rho)), the inverse
+    CDF, and the Monte Carlo block kernel never forms it, reading the area
+    itself.  Bearings are uniform on [-pi/2, 3*pi/2).  Draw order (all areas
+    first, then all theta) is part of the reproducibility contract for a
+    given generator state.
     """
     # each step in place on one buffer; the same operations, in the same
     # order, as -log1p(-u) and -pi/2 + 2*pi*u

@@ -12,7 +12,10 @@ on the same fades, draws a slot-3 fade only where it decides delivery, and
 returns the integers it counted (``ProtocolCounts``).  A dataset draws once
 for all its rows (common random numbers): ``exchange_counts`` counts one
 exchange draw at each row's threshold, and ``sample_power_distribution``
-reads the density-free sums of one placement draw at each row's density.
+reads the sums of one placement draw at each row's density.  Both placement
+samplers run one block kernel, which never sees the density: it forms u =
+pi*rho*r^2 and v = cos(theta)*sqrt(pi*rho)*r, and the round total at density
+rho is A*u + B*v + c0 with A = a/(pi*rho) and B = b_coeff/sqrt(pi*rho).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import powermodel
 from .distribution import PowerQuadratic
-from .geometry import Geometry, nn_distance, require_density, sample_nn_geometries
+from .geometry import Geometry, require_density, sample_nn_geometries
 from .params import ParameterError, SystemParams
 from .powermodel import Link, PowerBreakdown
 
@@ -234,18 +237,26 @@ def exchange_counts(n: int, thresholds, sigma2: float, stream: RandomStream,
     return [int(k) for k in sum(_map_blocks(n, workers, block_fn))]
 
 
-def _power_block(rng, rho: float, quad: PowerQuadratic, size: int, out=None):
-    """Sums of u = r*r and v = cos(theta)*r over ``size`` placements, r at
-    ``rho`` with ``out`` and, free of the density, at pi*rho = 1 without.
+def _uv_coefficients(quad: PowerQuadratic, rho):
+    """(A, B) = (a/(pi*rho), b_coeff/sqrt(pi*rho)): the round total is A*u + B*v
+    + c0 in the density-free u = pi*rho*r^2 and v = cos(theta)*sqrt(pi*rho)*r."""
+    # ** 0.5 takes np.sqrt's bits on an array and stays a Python float on a float
+    return quad.a / (math.pi * rho), quad.b_coeff / (math.pi * rho) ** 0.5
 
-    cos(theta) is ``2/(1 + tan(theta/2)**2) - 1``, within 4.5e-16 of ``np.cos``.
-    With ``out`` the block then writes its round totals there in draw order,
-    ``a*r*r + b_coeff*cos(theta)*r + c0`` with each operation in place, the
-    bits of the expression written out.  Without, it also returns the sums of
-    u*u, u*v and v*v, u and v formed in place of r and the cosine.
+
+def _power_block(rng, size: int, out=None, coeffs=None):
+    """Sums of u = pi*rho*r^2 and v = cos(theta)*sqrt(pi*rho)*r over ``size``
+    placements; neither depends on rho, so the block takes r at pi*rho = 1.
+
+    cos(theta) is ``2/(1 + tan(theta/2)**2) - 1``, within 4.5e-16 of ``np.cos``;
+    v and u are then formed in place of the cosine and r.  With ``out`` the
+    block writes its round totals there in draw order, ``A*u + B*v + c0`` for
+    ``coeffs`` = (A, B, c0) with each operation in place, the bits of the
+    expression written out.  Without, it also returns the sums of u*u, u*v
+    and v*v.
     """
     area, theta = sample_nn_geometries(rng, size)
-    r = np.sqrt(area, out=area) if out is None else nn_distance(area, rho, out=area)
+    r = np.sqrt(area, out=area)
     # the half-angle cosine: numpy vectorises its float64 tan, not its cos;
     # at theta = pi, tan is ~1.6e16 and the cosine exactly -1
     theta *= 0.5
@@ -256,21 +267,20 @@ def _power_block(rng, rho: float, quad: PowerQuadratic, size: int, out=None):
     theta -= 1.0
     # einsum without optimize sums in numpy's own loop: no BLAS, no temporary
     sums = (np.einsum("i,i->", r, r), np.einsum("i,i->", theta, r))
+    theta *= r
+    r *= r
     if out is None:
-        theta *= r
-        r *= r
         return sums + (np.einsum("i,i->", r, r), np.einsum("i,i->", r, theta),
                        np.einsum("i,i->", theta, theta))
-    theta *= quad.b_coeff
-    theta *= r
-    np.multiply(quad.a, r, out=out)
-    out *= r
+    big_a, big_b, c0 = coeffs
+    np.multiply(big_a, r, out=out)
+    theta *= big_b
     out += theta
-    out += quad.c0
+    out += c0
     return sums
 
 
-def _placement_sums(n: int, stream: RandomStream, workers: int, rho=None, quad=None,
+def _placement_sums(n: int, stream: RandomStream, workers: int, coeffs=None,
                     totals: np.ndarray | None = None) -> list[float]:
     """``_power_block``'s sums over n placements, added in block order, so they
     do not depend on ``workers``; with ``totals``, block j fills its slice."""
@@ -278,26 +288,26 @@ def _placement_sums(n: int, stream: RandomStream, workers: int, rho=None, quad=N
 
     def block_fn(j, size):
         out = None if totals is None else totals[j * _BLOCK:j * _BLOCK + size]
-        return _power_block(stream.block(j), rho, quad, size, out)
+        return _power_block(stream.block(j), size, out, coeffs)
 
     # Python floats: the arithmetic on them overflows to inf, never a warning
     return [float(sum(s)) for s in zip(*_map_blocks(n, workers, block_fn))]
 
 
 def mean_from_moments(quad: PowerQuadratic, rho, m_a, m_c):
-    """Mean round total ``a*m_a/(pi*rho) + b_coeff*m_c/sqrt(pi*rho) + c0`` of a
-    draw with placement moments m_a and m_c; element-wise on arrays."""
-    # ** 0.5 takes np.sqrt's bits on an array and stays a Python float on a float
-    return (quad.a * m_a / (math.pi * rho)
-            + quad.b_coeff * m_c / (math.pi * rho) ** 0.5 + quad.c0)
+    """Mean round total ``A*m_a + B*m_c + c0`` (``_uv_coefficients``) of a draw
+    with placement moments m_a and m_c; element-wise on arrays."""
+    big_a, big_b = _uv_coefficients(quad, rho)
+    return big_a * m_a + big_b * m_c + quad.c0
 
 
 class PowerSamples(NamedTuple):
     """Round totals of n placements in draw order, and two moments of the draw.
 
-    ``m_a`` is the sample mean of pi*rho*r^2 (mean 1, variance 1) and ``m_c``
-    that of cos(theta)*sqrt(pi*rho)*r (mean 0, variance 1/2, uncorrelated
-    with m_A).  The mean of ``totals`` is, to rounding,
+    ``m_a`` is the sample mean of u = pi*rho*r^2 (mean 1, variance 1) and
+    ``m_c`` that of v = cos(theta)*sqrt(pi*rho)*r (mean 0, variance 1/2,
+    uncorrelated with u).  Neither depends on rho: one stream gives the same
+    bits at every density.  The mean of ``totals`` is, to rounding,
     ``mean_from_moments(quad, rho, m_a, m_c)``.
     """
 
@@ -311,14 +321,15 @@ def draw_power_samples(n: int, rho: float, quad: PowerQuadratic,
     """The round totals ``quad`` of n random placements, in draw order,
     unsorted, and the draw's two placement moments.
 
-    Block j fills its own slice of one preallocated array.  The draws are
-    those ``sample_power_distribution`` summarises on the same stream.
+    Block j fills its own slice of one preallocated array with A*u + B*v + c0
+    (``_uv_coefficients``).  The draws are those ``sample_power_distribution``
+    summarises on the same stream.
     """
     require_density(rho)
     totals = np.empty(n)
-    sum_u, sum_v = _placement_sums(n, stream, workers, rho, quad, totals)
-    scale = math.pi * rho  # m_a and m_c from the sums of r*r and cos(theta)*r
-    return PowerSamples(totals, scale * sum_u / n, math.sqrt(scale) * sum_v / n)
+    sum_u, sum_v = _placement_sums(n, stream, workers,
+                                   _uv_coefficients(quad, rho) + (quad.c0,), totals)
+    return PowerSamples(totals, sum_u / n, sum_v / n)
 
 
 def sample_power_distribution(n: int, rho, quad: PowerQuadratic, stream: RandomStream,
@@ -342,7 +353,7 @@ def sample_power_distribution(n: int, rho, quad: PowerQuadratic, stream: RandomS
     var_v = (sum_vv - sum_v * sum_v / n) / (n - 1)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf is refused below
         mean = mean_from_moments(quad, rho, sum_u / n, sum_v / n)
-        a, b = quad.a / (math.pi * rho), quad.b_coeff / (math.pi * rho) ** 0.5
+        a, b = _uv_coefficients(quad, rho)
         var = a * a * var_u + 2.0 * a * b * cov_uv + b * b * var_v
     return mean, _energy_stderr(mean, var, n, "over placements")
 

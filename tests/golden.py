@@ -23,6 +23,9 @@ CLI runs (``TIER1``) against the manifest.  From the repository root, to
 rewrite the manifest (about 10 s):
 
     PYTHONPATH=src python3 tests/golden.py
+
+It prints each invocation whose exit code or digest differs from the manifest
+it replaces, when that manifest was written with the same versions.
 """
 
 from __future__ import annotations
@@ -110,10 +113,21 @@ def outputs(invocations, tmp: str) -> dict:
     return {inv: run_cli(inv, out) for inv in invocations}
 
 
+def moved(old: dict, records: dict) -> list[str]:
+    """The invocations of ``records`` whose record differs from the manifest
+    ``old``'s; none when ``old`` was written with other versions."""
+    if old.get("versions") != versions():
+        return []
+    return [inv for inv, record in records.items() if old["outputs"].get(inv) != record]
+
+
 def main() -> int:
+    old = json.loads(MANIFEST.read_text(encoding="utf-8")) if MANIFEST.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         records = outputs(CLI_RUNS, tmp)
     records.update({f"demo {name}": run_demo(name) for name in DEMOS})
+    for inv in moved(old, records):
+        print(f"moved: {inv}")
     MANIFEST.write_text(json.dumps({"versions": versions(), "outputs": records},
                                    indent=1) + "\n", encoding="utf-8")
     print(f"wrote {MANIFEST}: {len(records)} outputs")

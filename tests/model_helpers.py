@@ -1,16 +1,18 @@
 """Model quantities and reference computations that only the tests use.
 
 The package needs none of them: the simulator compares each fading draw with
-``Link.threshold``, the sampler draws neighbour distances by inverse CDF, and
-the closed forms use ``b_coeff`` directly.  The tests use them to check the
-package against the textbook forms.  ``ks_distance_of_values``,
-``tanh_sinh_uncached``, ``mean_quadrature_per_call``,
-``placements_by_expression`` and ``power_samples_by_expression`` are the
-direct forms of package routines that skip work (``nncc.ks_distance``
-evaluates the CDF at a fraction of the samples, ``nncc.distribution._tanh_sinh``
-shares its steps between calls and integrates a batch of intervals at once,
-``nncc.montecarlo``'s block kernel computes in place); the tests require the
-package's results to be bitwise equal to them.
+``Link.threshold``, the sampler's block kernel reads the unit-density area
+pi*rho*r^2 without forming a distance, and the closed forms use ``b_coeff``
+directly.  The tests use them to check the package against the textbook
+forms; ``nn_distance`` turns a drawn area into the neighbour distance at a
+density.  ``ks_distance_of_values``, ``tanh_sinh_uncached``,
+``mean_quadrature_per_call``, ``placements_by_expression`` and
+``power_samples_by_expression`` are the direct forms of package routines that
+skip work (``nncc.ks_distance`` evaluates the CDF at a fraction of the
+samples, ``nncc.distribution._tanh_sinh`` shares its steps between calls and
+integrates a batch of intervals at once, ``nncc.montecarlo``'s block kernel
+computes in place); the tests require the package's results to be bitwise
+equal to them.
 """
 
 import math
@@ -53,6 +55,13 @@ def received_snr(link, p_tx: float, d: float, fading: float) -> float:
                          f"fading >= 0, got {d!r}, {p_tx!r}, {fading!r}")
     spread = link.wavelength / (4.0 * math.pi * d)
     return (p_tx / (link.n0 * link.bandwidth)) * spread * spread * link.gain * fading
+
+
+def nn_distance(area, rho: float):
+    """Nearest-neighbour distance r = sqrt(area/(pi*rho)) of a unit-density area
+    pi*rho*r^2 at density rho; a float gives a float."""
+    r = np.sqrt(np.divide(area, math.pi * rho))
+    return r if np.ndim(r) else float(r)
 
 
 def nn_distance_pdf(r, rho: float):
@@ -131,27 +140,30 @@ def mean_quadrature_per_call(quad, rho: float) -> float:
     return tanh_sinh_uncached(inner, -0.5 * math.pi, 1.5 * math.pi, 0.0, _MEAN_EPSREL)
 
 
-def placements_by_expression(n: int, rho: float, stream):
+def placements_by_expression(n: int, stream):
     """The placements of ``nncc.montecarlo``'s block draw, one expression per block.
 
-    Each block draws the unit-density areas s = -log(1-u), then the bearings,
-    and r = sqrt(s/(pi*rho)).  Returns the n distances and bearings in draw
-    order.
+    Each block draws the unit-density areas pi*rho*r^2 = -log(1-u), then the
+    bearings.  Returns the n areas and bearings in draw order.
     """
-    r, theta = [], []
+    area, theta = [], []
     for j in range((n + _BLOCK - 1) // _BLOCK):
         rng, size = stream.block(j), min(_BLOCK, n - j * _BLOCK)
-        area = -np.log1p(-rng.random(size))
+        area.append(-np.log1p(-rng.random(size)))
         theta.append(-0.5 * math.pi + 2.0 * math.pi * rng.random(size))
-        r.append(np.sqrt(area / (math.pi * rho)))
-    return np.concatenate(r), np.concatenate(theta)
+    return np.concatenate(area), np.concatenate(theta)
 
 
 def power_samples_by_expression(n: int, rho: float, quad, stream):
     """The block kernel of ``nncc.montecarlo``: n round totals in draw order.
 
-    The kernel takes cos(theta) as 2/(1 + tan(theta/2)^2) - 1.
+    The kernel never sees rho: it takes r = sqrt(area), the distance at
+    pi*rho = 1, cos(theta) as 2/(1 + tan(theta/2)^2) - 1, and u = r*r and v =
+    cos(theta)*r.  The total is A*u + B*v + c0, A = a/(pi*rho) and B =
+    b_coeff/sqrt(pi*rho).
     """
-    r, theta = placements_by_expression(n, rho, stream)
+    area, theta = placements_by_expression(n, stream)
+    r = np.sqrt(area)
     cos = 2.0 / (1.0 + np.tan(0.5 * theta) ** 2) - 1.0
-    return quad.a * r * r + quad.b_coeff * cos * r + quad.c0
+    big_a, big_b = quad.a / (math.pi * rho), quad.b_coeff / (math.pi * rho) ** 0.5
+    return big_a * (r * r) + big_b * (cos * r) + quad.c0

@@ -4,8 +4,9 @@ Each fault is a plausible bug of size ``delta`` (``delta = 0`` is the correct
 program), installed by monkeypatch on the names the package looks up at call
 time, so a test or the table can turn it on for one run:
 
-- ``distance_scale``: every neighbour distance from ``montecarlo.nn_distance``
-  is ``1 + delta`` times too long;
+- ``distance_scale``: every unit-density area pi*rho*r^2 from
+  ``montecarlo.sample_nn_geometries`` is ``(1 + delta)**2`` times too large,
+  so every neighbour distance is ``1 + delta`` times too long;
 - ``bearing_skew``: the bearing is drawn from ``u**(1 + delta)`` in place of
   a uniform ``u``, so it is no longer uniform;
 - ``slot3_uncharged``: a fraction ``delta`` of slot 3's expected cellular
@@ -45,14 +46,14 @@ from nncc.experiments import ExperimentSpec, validate_report
 
 
 def distance_scale(monkeypatch, delta: float) -> None:
-    exact = mc.nn_distance
+    exact = mc.sample_nn_geometries
 
-    def scaled(area, rho, out=None):
-        r = exact(area, rho, out=out)
-        r *= 1.0 + delta
-        return r
+    def scaled(rng, n):
+        area, theta = exact(rng, n)
+        area *= (1.0 + delta) ** 2
+        return area, theta
 
-    monkeypatch.setattr(mc, "nn_distance", scaled)
+    monkeypatch.setattr(mc, "sample_nn_geometries", scaled)
 
 
 def bearing_skew(monkeypatch, delta: float) -> None:

@@ -12,7 +12,7 @@ from scipy import integrate
 from cdf_oracle import (branch_form_cdf, cdf_oracle, pdf_integral_oracle, pdf_oracle,
                         quantile_oracle)
 from model_helpers import (b_of, cooperative_quadratic, mean_quadrature_per_call,
-                           tanh_sinh_uncached)
+                           nn_distance, tanh_sinh_uncached)
 from nncc import (
     IntegrationError,
     PowerQuadratic,
@@ -29,7 +29,6 @@ from nncc import (ExperimentSpec, Geometry, Link, OutageTargets, ParameterError,
                   validate_report)
 from nncc import distribution
 from nncc.distribution import _cdf_and_error, _tanh_sinh
-from nncc.geometry import nn_distance
 from nncc.montecarlo import RandomStream, draw_power_samples, sample_power_distribution
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -326,6 +325,18 @@ def test_cdf_raises_integration_error_past_the_cap(monkeypatch):
     monkeypatch.undo()
     value, estimate = _cdf_and_error(p, quad, rho)
     assert estimate <= 1e-10
+
+
+def test_a_nan_point_never_converges():
+    """Where b_coeff^2/(4*a*(p - c0)) underflows to 0, V = 0 and the phi = 0
+    limit is 0/0: the point's NaN is refused by name, never returned."""
+    params = validate(SystemParams(sigma2_short=1e-150, g_u1_db=-1100.0, n0=1e-200))
+    quad = cooperative_quadratic(params, 2000.0)
+    p = 2.0 * quad.c0
+    for engine, name in ((cdf_reference_batch, "CDF"), (pdf_branch_form, "density")):
+        with pytest.raises(IntegrationError) as err, np.errstate(invalid="ignore"):
+            engine(np.array([0.5 * quad.c0, p]), quad, params.rho)
+        assert str(err.value).startswith(f"{name} at p = {p!r} (")
 
 
 @pytest.mark.parametrize("cells", [4096 * 128, 1000])

@@ -290,7 +290,7 @@ def test_sample_power_distribution(dense_params):
 @pytest.mark.parametrize("n", [100_003, 1_000_000])  # 100_003: a partial last block
 @pytest.mark.parametrize("rho", [1e-7, 1e-4, 1.0])
 def test_draw_power_samples_bitwise_the_block_expression(n, rho):
-    """The in-place kernel gives the bits of a*r*r + b_coeff*cos(theta)*r + c0."""
+    """The in-place kernel gives the bits of A*u + B*v + c0 written out."""
     params = validate(SystemParams(rho=rho))
     quad = cooperative_quadratic(params, 2000.0)
     expected = power_samples_by_expression(n, rho, quad, RandomStream(52))
@@ -303,17 +303,16 @@ def test_block_kernel_cosine_within_two_ulp_of_one(monkeypatch):
     """The kernel's half-angle cosine is within 4.5e-16 (2 ulp of 1) of np.cos
     over the bearing range, including its ends and the cosine's -1 at pi.
 
-    With a = c0 = 0, b_coeff = 1 and every distance exactly 1, the kernel's
-    totals are its cosines.
+    With A = c0 = 0, B = 1 and every area exactly 1, the kernel's totals are
+    its cosines.
     """
     theta = RandomStream(56).block(0).uniform(-0.5 * math.pi, 1.5 * math.pi, 1_000_000)
     theta = np.concatenate((theta, [-0.5 * math.pi, 0.0, 0.5 * math.pi, math.pi,
                                     np.nextafter(1.5 * math.pi, -INF)]))
     monkeypatch.setattr(montecarlo, "sample_nn_geometries",
-                        lambda rng, n: (np.full(n, math.pi), theta.copy()))
+                        lambda rng, n: (np.ones(n), theta.copy()))
     cos = np.empty(theta.size)
-    montecarlo._power_block(None, 1.0, PowerQuadratic(a=0.0, b_coeff=1.0, c0=0.0),
-                            theta.size, cos)
+    montecarlo._power_block(None, theta.size, cos, (0.0, 1.0, 0.0))
     assert np.isfinite(cos).all()
     assert np.max(np.abs(cos - np.cos(theta))) <= 4.5e-16
     assert cos[-2] == -1.0
@@ -331,6 +330,17 @@ def test_sample_power_distribution_moments_of_the_samples(n, rho):
     assert mean == pytest.approx(np.mean(samples), rel=1e-12, abs=0)
     assert stderr == pytest.approx(
         np.std(samples, ddof=1) / math.sqrt(n), rel=1e-12, abs=0)
+
+
+def test_draw_power_samples_moments_do_not_depend_on_the_density():
+    """The kernel never sees the density: one stream gives the bits of
+    (m_A, m_C) at every density."""
+    moments = set()
+    for rho in (1e-7, 1e-4, 1.0):
+        quad = cooperative_quadratic(validate(SystemParams(rho=rho)), 2000.0)
+        drawn = draw_power_samples(100_003, rho, quad, RandomStream(53))
+        moments.add((drawn.m_a, drawn.m_c))
+    assert len(moments) == 1
 
 
 def test_one_draw_gives_each_densitys_mean_and_spread():
@@ -376,17 +386,15 @@ def test_placement_moments_give_each_sets_mean(dense_params, n):
     INFO lines.
 
     The moments are those of the reference placements, the same for any
-    worker count, and ``mean_from_moments`` of them, ``a*m_A/(pi*rho) +
-    b_coeff*m_C/sqrt(pi*rho) + c0``, is the mean of the same call's totals, to
-    rounding, at any density.
+    worker count, and ``mean_from_moments`` of them, ``A*m_A + B*m_C + c0``
+    with A = a/(pi*rho) and B = b_coeff/sqrt(pi*rho), is the mean of the same
+    call's totals, to rounding, at any density.
     """
-    r, theta = placements_by_expression(n, 1e-4, RandomStream(55))
-    scale = math.pi * 1e-4
+    area, theta = placements_by_expression(n, RandomStream(55))
     drawn = draw_power_samples(n, 1e-4, cooperative_quadratic(dense_params, 2000.0),
                                RandomStream(55))
-    assert drawn.m_a == pytest.approx(np.mean(scale * r * r), rel=1e-12, abs=0)
-    assert drawn.m_c == pytest.approx(np.mean(np.cos(theta) * math.sqrt(scale) * r),
-                                      abs=1e-12)
+    assert drawn.m_a == pytest.approx(np.mean(area), rel=1e-12, abs=0)
+    assert drawn.m_c == pytest.approx(np.mean(np.cos(theta) * np.sqrt(area)), abs=1e-12)
     for rho, r1 in _SECTION_C_SETS:
         params = validate(dense_params._replace(rho=rho))
         quad = cooperative_quadratic(params, r1)
