@@ -30,7 +30,8 @@ integrand becomes a smooth, even, pi-periodic function of phi in [0, pi/2]
 which the trapezoid rule converges geometrically.  The rule doubles, reusing
 its nodes, until the change |T_2n - T_n| is at most ``_CDF_TOL`` = 1e-10,
 and T_2n is kept.  A point that has not converged at ``_MAX_NODES``
-intervals raises ``IntegrationError``.  The points run serially, in chunks
+intervals raises ``IntegrationError``, and one whose value is not finite at
+any level raises it at once.  The points run serially, in chunks
 of ``_CHUNK``; each value depends on its own point alone, so it does not
 depend on the chunk size or the BLAS thread count.
 
@@ -332,6 +333,11 @@ def _branch(p: np.ndarray, quad: PowerQuadratic, rho: float, upper: bool, n_node
     err = np.full(p.size, np.inf)
     todo = np.arange(p.size)
     while todo.size:
+        bad = todo[~np.isfinite(value[todo])]  # a NaN or inf in total never clears
+        if bad.size:
+            raise IntegrationError(
+                f"{f.name} at p = {float(p[bad[0]])!r} ({quad!r}, rho = {rho!r}) is not "
+                f"finite at {n} intervals (value {float(value[bad[0]])!r})")
         if n >= _MAX_NODES:
             i = todo[0]
             raise IntegrationError(
@@ -385,7 +391,8 @@ def cdf_reference_batch(p_values, quad: PowerQuadratic, rho: float, *,
     the change is at most ``_CDF_TOL`` = 1e-10 in absolute terms, and returns
     the finer value.  A point whose change is still above that at
     ``_MAX_NODES`` = 8192 intervals raises ``IntegrationError`` naming p, the
-    quadratic and rho.  Below the support the CDF is 0.
+    quadratic and rho, and so does a value that is not finite, at the first
+    level where it is not.  Below the support the CDF is 0.
 
     The points are taken in chunks of ``_CHUNK``, serially.  Every point's
     value depends on that point alone: its doubling stops on its own
@@ -412,8 +419,9 @@ def pdf_branch_form(p, quad: PowerQuadratic, rho: float):
     (relative) of ``support_min`` its rounding moves the density by up to
     ~1e-8 relative, and near c0 the rounding of a*(c0 - p) times |beta| costs
     ~1e-11 (rho 0.1, r1 20 km).  A point not there at ``_MAX_NODES`` = 8192
-    intervals raises ``IntegrationError`` naming p, the quadratic and rho.
-    At and below the support minimum the density is 0.
+    intervals, or whose value is not finite, raises ``IntegrationError``
+    naming p, the quadratic and rho.  At and below the support minimum the
+    density is 0.
     """
     # a subnormal mean has no relative digits: its floor is the smallest normal
     values, _ = _integrate(p, quad, rho, _Integrand(

@@ -5,9 +5,9 @@ curves; this package never renders images.  Every emitted analytic curve
 ships with a Monte Carlo column as its empirical check.  Output is
 byte-stable: identical spec and seed produce identical files for any worker
 count, so reports deliberately exclude wall-clock metadata.  A validation
-report also returns its bounded checks as ``Check`` records.  With 2 or more
-workers it runs its sections [d] and [e], which read no result of the
-others, on one thread beside sections [a]-[c].
+report also returns its bounded checks as ``Check`` records.  Its sections
+[a]-[c] and [d]-[e] are two calls of one block runner: [a]-[c] on the calling
+thread and, with 2 or more workers, [d]-[e] on a thread beside it.
 """
 
 from __future__ import annotations
@@ -415,12 +415,12 @@ def validate_report(spec: ExperimentSpec) -> tuple[str, tuple[Check, ...]]:
     """Write the cross-validation report; returns (path, its ``Check`` records).
 
     The records are in report order; the run passes iff every one ``passed``.
-    Every input is checked before a section runs.  With ``spec.workers`` >= 2,
-    sections [d] and [e] run on one thread beside [a]-[c], [d]'s blocks on
-    ``workers // 2`` threads and [b]'s on the rest; [d] and [e] write their
-    own lines, appended after [c]'s, so the report has the bytes of one
-    worker.  An error in [a]-[c] is raised once the thread has ended, before
-    any error of [d]-[e].
+    Every input is checked before a section runs.  [a]-[c] and [d]-[e] are
+    the two calls of one ``mc._in_order``: [a]-[c] on the calling thread,
+    [d]-[e] beside it with 2 or more workers, [d]'s blocks on ``max(1,
+    workers // 2)`` workers and [b]'s on the rest.  [d]-[e]'s lines are
+    appended after [c]'s, so the report has the bytes of one worker, and an
+    error in [a]-[c] comes before any of [d]-[e]'s, once the thread has ended.
     """
     spec = spec.resolved()
     if spec.kind != "validate":
@@ -440,31 +440,21 @@ def validate_report(spec: ExperimentSpec) -> tuple[str, tuple[Check, ...]]:
 
     coeff = powermodel.power_coefficients(params)
     quad = dist.PowerQuadratic.from_coefficients(coeff, r1)
+    half = spec.workers // 2
 
-    def first_sections(workers):  # [a]-[c]; [c] reads [b]'s draw
+    def first_sections():  # [a]-[c]; [c] reads [b]'s draw
         _closure_section(rep, params, spec.seed, coeff)
         m_a, m_c = _distribution_section(rep, params, quad, r1, spec.n_trials,
-                                         spec.seed, workers)
+                                         spec.seed, spec.workers - half)
         _expected_power_section(rep, coeff, m_a, m_c, spec.n_trials)
 
-    def last_sections(workers):  # [d] and [e] read nothing of [a]-[c]
+    def last_sections():  # [d] and [e] read nothing of [a]-[c]
         part = _Report()
-        _protocol_section(part, params, r1, r, spec.n_trials, spec.seed, workers)
+        _protocol_section(part, params, r1, r, spec.n_trials, spec.seed, max(1, half))
         _branch_form_section(part, quad, params.rho)
         return part
 
-    if spec.workers == 1:
-        first_sections(1)
-        rep.join(last_sections(1))
-    else:
-        # leaving the with block joins the thread, also when [a]-[c] raise
-        half = spec.workers // 2
-        from concurrent.futures import ThreadPoolExecutor  # loads logging: only for a pool
-
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            later = pool.submit(last_sections, half)
-            first_sections(spec.workers - half)
-        rep.join(later.result())
+    rep.join(mc._in_order([first_sections, last_sections], spec.workers)[1])
 
     checks = tuple(rep.checks)
     failed = [c.name for c in checks if not c.passed]

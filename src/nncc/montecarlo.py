@@ -1,10 +1,10 @@
 """Monte Carlo ground truth: fading, the slotted protocol, and PPP sampling.
 
-Reproducibility contract: every estimator consumes randomness through
-fixed-size blocks, block ``j`` drawing from a counter-based generator keyed by
-``(seed, stream_id, j)``.  Partial results are reduced in block order, so a
-report is bit-identical for any worker count, and distinct ``stream_id``
-values give statistically independent experiments.
+Reproducibility contract, kept by ``_sum_blocks`` for every estimator: the
+trials run in fixed-size blocks, block ``j`` drawing from a counter-based
+generator keyed by ``(seed, stream_id, j)``.  Block results are summed in
+block order, so a report is bit-identical for any worker count, and distinct
+``stream_id`` values give statistically independent experiments.
 
 Each random quantity is drawn once, and only where it is read.
 ``estimate_outage`` runs the cooperative round and the conventional baseline
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -66,13 +67,6 @@ class ProtocolCounts(NamedTuple):
     outages: int        # composite outages
     uplink1_lost: int   # handset 1's failed slot-2 uplinks
     conv_outages: int   # the baseline's composite outages
-
-
-def _require_trials(n: int) -> None:
-    if n < MIN_TRIALS:
-        raise ValueError(
-            f"n={n} is too small for meaningful confidence intervals; "
-            f"need at least {MIN_TRIALS} trials")
 
 
 def require_exchange_distance(r: float, params: SystemParams) -> None:
@@ -135,22 +129,48 @@ def protocol_round(delta0, own1, own2, relay1, relay2):
     return d1, d2, np.where(delta0, ~d1, ~(d1 & d2))
 
 
-def _map_blocks(n: int, workers: int, block_fn):
-    """``block_fn(j, size)`` for every block of n trials, on up to ``workers`` threads.
+def _in_order(calls, workers: int) -> list:
+    """The results of the zero-argument ``calls``, in call order.
 
-    Results come back in block order whatever order the blocks finish in, so
-    a reduction over them does not depend on ``workers``.
+    The calls are cut into k = min(workers, len(calls)) runs of consecutive
+    calls.  The calling thread does run 0 and each other run gets a pool
+    thread, so one worker starts no thread.  An error is raised once every
+    run has ended, the first in call order.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
-    blocks = range((n + _BLOCK - 1) // _BLOCK)
-    sizes = [min(_BLOCK, n - j * _BLOCK) for j in blocks]
-    if workers == 1 or len(blocks) <= 1:
-        return list(map(block_fn, blocks, sizes))
+    k = min(workers, len(calls))
+    if k <= 1:
+        return [call() for call in calls]
+    runs = [calls[len(calls) * i // k:len(calls) * (i + 1) // k] for i in range(k)]
     from concurrent.futures import ThreadPoolExecutor  # loads logging: only for a pool
 
-    with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-        return list(pool.map(block_fn, blocks, sizes))
+    # leaving the with block joins the threads, also when run 0 raises
+    with ThreadPoolExecutor(max_workers=k - 1) as pool:
+        later = [pool.submit(_in_order, run, 1) for run in runs[1:]]
+        results = _in_order(runs[0], 1)
+    for future in later:
+        results += future.result()
+    return results
+
+
+def _sum_blocks(n: int, stream: RandomStream, workers: int, block_fn) -> list:
+    """Block-order sums of the columns ``block_fn(stream.block(j), start, size)``
+    returns for the blocks j of n trials, run by ``_in_order``.  The columns are
+    Python numbers, so the sums overflow to inf, never to a warning.
+    """
+    if n < MIN_TRIALS:
+        raise ValueError(
+            f"n={n} is too small for meaningful confidence intervals; "
+            f"need at least {MIN_TRIALS} trials")
+
+    def block(j):
+        start = j * _BLOCK
+        return block_fn(stream.block(j), start, min(_BLOCK, n - start))
+
+    blocks = _in_order([partial(block, j) for j in range((n + _BLOCK - 1) // _BLOCK)],
+                       workers)
+    return [sum(column) for column in zip(*blocks)]
 
 
 def estimate_outage(n: int, geom: Geometry, params: SystemParams,
@@ -170,7 +190,6 @@ def estimate_outage(n: int, geom: Geometry, params: SystemParams,
     (``conv_outages``).  ``uplink1_lost`` counts handset 1's failed slot-2
     uplinks at the cooperative power, whose target is ``p_out_nc``.
     """
-    _require_trials(n)
     require_exchange_distance(geom.r, params)
     powers = powermodel.power_breakdown(geom, powermodel.power_coefficients(params))
     t12, t1b, t2b = _thresholds(geom, powers, params)
@@ -178,8 +197,7 @@ def estimate_outage(n: int, geom: Geometry, params: SystemParams,
     _, c1b, c2b = _thresholds(geom, conv, params)
     sig_s, sig_c = params.sigma2_short, params.sigma2_cell
 
-    def block_fn(j, size):
-        rng = stream.block(j)
+    def block_fn(rng, start, size):
         buf = np.empty(size)
 
         def fades(scale, k=size):
@@ -208,9 +226,7 @@ def estimate_outage(n: int, geom: Geometry, params: SystemParams,
                 size - np.count_nonzero(d2), np.count_nonzero(composite),
                 size - np.count_nonzero(own1), np.count_nonzero(conv))
 
-    # per-block counts summed in block order into Python ints, so that the
-    # float arithmetic of exchange_energy overflows to inf instead of warning
-    n_delta0, *lost = (int(sum(c)) for c in zip(*_map_blocks(n, workers, block_fn)))
+    n_delta0, *lost = _sum_blocks(n, stream, workers, block_fn)
     return ProtocolCounts(n, n_delta0, *exchange_energy(n, n_delta0, powers), *lost)
 
 
@@ -223,18 +239,14 @@ def exchange_counts(n: int, thresholds, sigma2: float, stream: RandomStream,
     on the same stream.  An exchange succeeds at t iff min(h12, h21) >= t:
     each block sorts its minima once and finds every threshold by bisection.
     """
-    _require_trials(n)
-
-    def block_fn(j, size):
-        rng = stream.block(j)
+    def block_fn(rng, start, size):
         h = rng.standard_exponential(size)  # h12, then h21, in place: two arrays alive
         np.minimum(h, rng.standard_exponential(size), out=h)
         h *= sigma2  # min(x, y)*s is min(x*s, y*s) in floats: rounding is monotone
         h.sort()
-        return size - np.searchsorted(h, thresholds)
+        return (size - np.searchsorted(h, thresholds)).tolist()
 
-    # Python ints, as estimate_outage's, for exchange_energy's arithmetic
-    return [int(k) for k in sum(_map_blocks(n, workers, block_fn))]
+    return _sum_blocks(n, stream, workers, block_fn)
 
 
 def _uv_coefficients(quad: PowerQuadratic, rho):
@@ -282,16 +294,13 @@ def _power_block(rng, size: int, out=None, coeffs=None):
 
 def _placement_sums(n: int, stream: RandomStream, workers: int, coeffs=None,
                     totals: np.ndarray | None = None) -> list[float]:
-    """``_power_block``'s sums over n placements, added in block order, so they
-    do not depend on ``workers``; with ``totals``, block j fills its slice."""
-    _require_trials(n)
+    """``_power_block``'s sums over n placements (``_sum_blocks``); with
+    ``totals``, each block fills its slice."""
+    def block_fn(rng, start, size):
+        out = None if totals is None else totals[start:start + size]
+        return [float(s) for s in _power_block(rng, size, out, coeffs)]
 
-    def block_fn(j, size):
-        out = None if totals is None else totals[j * _BLOCK:j * _BLOCK + size]
-        return _power_block(stream.block(j), size, out, coeffs)
-
-    # Python floats: the arithmetic on them overflows to inf, never a warning
-    return [float(sum(s)) for s in zip(*_map_blocks(n, workers, block_fn))]
+    return _sum_blocks(n, stream, workers, block_fn)
 
 
 def mean_from_moments(quad: PowerQuadratic, rho, m_a, m_c):

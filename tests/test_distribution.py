@@ -327,16 +327,24 @@ def test_cdf_raises_integration_error_past_the_cap(monkeypatch):
     assert estimate <= 1e-10
 
 
-def test_a_nan_point_never_converges():
+def test_a_nan_point_never_converges(monkeypatch):
     """Where b_coeff^2/(4*a*(p - c0)) underflows to 0, V = 0 and the phi = 0
-    limit is 0/0: the point's NaN is refused by name, never returned."""
+    limit is 0/0: the point's NaN is refused by name, never returned, and on
+    the starting rule, as a NaN in the running sum never clears."""
     params = validate(SystemParams(sigma2_short=1e-150, g_u1_db=-1100.0, n0=1e-200))
     quad = cooperative_quadratic(params, 2000.0)
     p = 2.0 * quad.c0
-    for engine, name in ((cdf_reference_batch, "CDF"), (pdf_branch_form, "density")):
+    for engine, name, kernel in ((cdf_reference_batch, "CDF", "_cdf_integrand"),
+                                 (pdf_branch_form, "density", "_pdf_integrand")):
+        nodes = []
+        monkeypatch.setattr(distribution, kernel, lambda v, s2, beta, cos_phi, *rest,
+                            _fn=getattr(distribution, kernel):
+                            nodes.append(cos_phi.size) or _fn(v, s2, beta, cos_phi, *rest))
         with pytest.raises(IntegrationError) as err, np.errstate(invalid="ignore"):
             engine(np.array([0.5 * quad.c0, p]), quad, params.rho)
         assert str(err.value).startswith(f"{name} at p = {p!r} (")
+        assert "is not finite at 8 intervals" in str(err.value)
+        assert nodes == [8]
 
 
 @pytest.mark.parametrize("cells", [4096 * 128, 1000])

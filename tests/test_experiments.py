@@ -20,6 +20,7 @@ from model_helpers import cooperative_quadratic
 from nncc import (Geometry, ParameterError, PowerQuadratic, SystemParams, cli,
                   conventional_coefficients, energy_efficiency, expected_power,
                   power_coefficients, validate)
+from nncc import experiments
 from nncc import montecarlo as mc
 from nncc.cli import main
 from nncc.experiments import (
@@ -187,9 +188,9 @@ def test_a_dataset_draws_once(tmp_path, monkeypatch, kind, estimator):
                  "draw_power_samples"):
         monkeypatch.setattr(mc, name, lambda *a, _name=name, _fn=getattr(mc, name), **k:
                             calls.append(_name) or _fn(*a, **k))
-    map_blocks = mc._map_blocks
-    monkeypatch.setattr(mc, "_map_blocks",
-                        lambda n, workers, fn: passes.append(n) or map_blocks(n, workers, fn))
+    sum_blocks = mc._sum_blocks
+    monkeypatch.setattr(mc, "_sum_blocks", lambda n, stream, workers, fn:
+                        passes.append(n) or sum_blocks(n, stream, workers, fn))
     sweep(ExperimentSpec(kind=kind, out=str(tmp_path / "f.csv"), n_trials=TRIALS, workers=2))
     assert calls == [estimator]
     assert passes == [TRIALS]
@@ -289,6 +290,27 @@ def test_validate_report_passes_and_is_deterministic(tmp_path):
     text = open(paths[0], encoding="utf-8").read()
     for section in ("[a]", "[b]", "[c]", "[d]", "[e]", "summary:"):
         assert section in text
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_validate_keeps_sections_a_to_c_on_the_calling_thread(tmp_path, monkeypatch,
+                                                              workers):
+    """[a] runs on the calling thread; [d] beside it with 2 workers, else there
+    too.  A section moved off the main thread costs a malloc arena of RSS."""
+    threads = {}
+
+    def recording(name, section):
+        def run(*args):
+            threads[name] = threading.current_thread()
+            return section(*args)
+        return run
+
+    for name in ("_closure_section", "_protocol_section"):
+        monkeypatch.setattr(experiments, name, recording(name, getattr(experiments, name)))
+    validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"), seed=7,
+                                   n_trials=10_000, workers=workers))
+    assert threads["_closure_section"] is threading.main_thread()
+    assert (threads["_protocol_section"] is threading.main_thread()) == (workers == 1)
 
 
 @pytest.mark.parametrize("failing", [("draw_power_samples",), ("estimate_outage",),

@@ -1,6 +1,8 @@
 import math
 import sys
+import threading
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -60,6 +62,59 @@ def test_streams_differ_across_ids():
     c = RandomStream(124, 0).block(0).random(16)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# --- the block runner ----------------------------------------------------------
+
+def recorded_call(log, i, fail=()):
+    """Call i of a runner test: logs its thread and the live thread count."""
+    log[i] = (threading.current_thread(), threading.active_count())
+    if i in fail:
+        raise ValueError(f"call {i}")
+    return i * i
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_in_order_keeps_call_order_and_runs_call_0_on_the_caller(workers):
+    """Seven calls come back in call order; the caller does the first run of
+    consecutive calls and each other run is off the calling thread."""
+    log, before = {}, threading.active_count()
+    calls = [partial(recorded_call, log, i) for i in range(7)]
+    assert montecarlo._in_order(calls, workers) == [i * i for i in range(7)]
+    caller = threading.current_thread()
+    on_caller = [log[i][0] is caller for i in range(7)]
+    assert on_caller == [i < 7 // workers for i in range(7)]
+    if workers == 1:  # one worker starts no thread
+        assert all(count == before for _, count in log.values())
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_in_order_raises_the_first_error_once_every_run_has_ended(workers):
+    log, before = {}, threading.active_count()
+    calls = [partial(recorded_call, log, i, fail=(2, 5)) for i in range(7)]
+    with pytest.raises(ValueError, match="^call 2$"):
+        montecarlo._in_order(calls, workers)
+    assert threading.active_count() == before
+
+
+def test_sum_blocks_gives_python_numbers_independent_of_workers():
+    """Column sums in block order, Python ints and floats, the same bits on 1 to
+    3 workers; block j reads stream.block(j) and its own start and size."""
+    n, stream = 5 * _BLOCK + 123, RandomStream(61, 7)
+
+    def block_fn(rng, start, size):
+        return size, start, float(rng.random()) * 1e-3 ** (start // _BLOCK)
+
+    sums = [montecarlo._sum_blocks(n, stream, workers, block_fn) for workers in (1, 2, 3)]
+    expected = 0.0
+    for j in range(6):
+        expected += float(stream.block(j).random()) * 1e-3 ** j
+    assert sums[0] == [n, _BLOCK * 15, expected]
+    assert [list(map(type, s)) for s in sums] == [[int, int, float]] * 3
+    assert sums[1] == sums[0] and sums[2] == sums[0]
+    with pytest.raises(ValueError, match=str(MIN_TRIALS)):
+        montecarlo._sum_blocks(MIN_TRIALS - 1, stream, 1, block_fn)
 
 
 # --- one protocol round --------------------------------------------------------
