@@ -22,7 +22,7 @@ geom = Geometry(r1=2000.0, r=20.0, theta=0.5 * math.pi)
 targets = OutageTargets.for_target(params.p_out_target)
 n = 2_000_000
 
-counts = estimate_outage(n, geom, params, RandomStream(seed=99), workers=4)
+counts = estimate_outage(n, geom, params, RandomStream(seed=99))
 exchange_rate = counts.exchanged / n
 
 print(f"{n} protocol rounds at r = {geom.r} m, r1 = {geom.r1} m")
@@ -56,6 +56,6 @@ print()
 # each handset's uplink power comes from its own link budget, so a handset
 # with a weaker antenna pays more power and the target still holds
 weak = validate(SystemParams(g_u2_db=-3.0))
-uneven = estimate_outage(n, geom, weak, RandomStream(seed=101), workers=4)
+uneven = estimate_outage(n, geom, weak, RandomStream(seed=101))
 print(f"handset 2 at -3 dB antenna gain: composite outage rate "
       f"{uneven.outages / n:.6f} (designed {weak.p_out_target:.6f})")

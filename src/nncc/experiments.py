@@ -6,8 +6,8 @@ ships with a Monte Carlo column as its empirical check.  Output is
 byte-stable: identical spec and seed produce identical files for any worker
 count, so reports deliberately exclude wall-clock metadata.  A validation
 report also returns its bounded checks as ``Check`` records.  Its sections
-[a]-[c] and [d]-[e] are two calls of one block runner: [a]-[c] on the calling
-thread and, with 2 or more workers, [d]-[e] on a thread beside it.
+run in order on the calling thread; only section [b]'s placement draw uses
+the workers.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def _sweep_rows(runs: list, n_trials: int, stream: mc.RandomStream, workers: int
                    for c in _schemes(p)] for p, r1, r in runs]
         t12 = [powermodel.Link.short(p).threshold(coop.p12, r)
                for (p, _, r), (coop, _) in zip(runs, powers)]
-        counts = mc.exchange_counts(n_trials, t12, runs[0][0].sigma2_short, stream, workers)
+        counts = mc.exchange_counts(n_trials, t12, runs[0][0].sigma2_short, stream)
         cols = [(coop.total, conv.total, *mc.exchange_energy(n_trials, k, coop))
                 for (coop, conv), k in zip(powers, counts)]
     else:  # an array per coefficient, per scheme
@@ -249,11 +249,6 @@ class _Report:
 
     def info(self, name: str, text: str) -> None:
         self.add(f"  INFO {name}: {text}")
-
-    def join(self, other: "_Report") -> None:
-        """Append another report's lines and checks after this one's."""
-        self.lines += other.lines
-        self.checks += other.checks
 
 
 def _closure_section(rep: _Report, params: SystemParams, seed: int,
@@ -381,14 +376,13 @@ def _branch_form_section(rep: _Report, quad: dist.PowerQuadratic, rho: float) ->
 
 
 def _protocol_section(rep: _Report, params: SystemParams, r1: float, r: float,
-                      n_trials: int, seed: int, workers: int) -> None:
+                      n_trials: int, seed: int) -> None:
     rep.add(f"[d] protocol statistics at fixed placement (r = {_fmt(r)}, "
             f"r1 = {_fmt(r1)})")
     geom = Geometry(r1=r1, r=r, theta=0.5 * math.pi)
     targets = powermodel.OutageTargets.for_target(params.p_out_target)
 
-    counts = mc.estimate_outage(n_trials, geom, params,
-                                mc.RandomStream(seed, stream_id=301), workers=workers)
+    counts = mc.estimate_outage(n_trials, geom, params, mc.RandomStream(seed, stream_id=301))
     rep.check_rate("exchange success rate Pr(delta = 0)", counts.exchanged, n_trials,
                    targets.eps_short)
     rep.check_rate("composite outage rate", counts.outages, n_trials,
@@ -415,12 +409,9 @@ def validate_report(spec: ExperimentSpec) -> tuple[str, tuple[Check, ...]]:
     """Write the cross-validation report; returns (path, its ``Check`` records).
 
     The records are in report order; the run passes iff every one ``passed``.
-    Every input is checked before a section runs.  [a]-[c] and [d]-[e] are
-    the two calls of one ``mc._in_order``: [a]-[c] on the calling thread,
-    [d]-[e] beside it with 2 or more workers, [d]'s blocks on ``max(1,
-    workers // 2)`` workers and [b]'s on the rest.  [d]-[e]'s lines are
-    appended after [c]'s, so the report has the bytes of one worker, and an
-    error in [a]-[c] comes before any of [d]-[e]'s, once the thread has ended.
+    Every input is checked before a section runs.  Sections [a] to [e] run in
+    order on the calling thread; only [b]'s placement draw takes the
+    ``spec.workers``, so the report has the bytes of one worker.
     """
     spec = spec.resolved()
     if spec.kind != "validate":
@@ -440,21 +431,12 @@ def validate_report(spec: ExperimentSpec) -> tuple[str, tuple[Check, ...]]:
 
     coeff = powermodel.power_coefficients(params)
     quad = dist.PowerQuadratic.from_coefficients(coeff, r1)
-    half = spec.workers // 2
-
-    def first_sections():  # [a]-[c]; [c] reads [b]'s draw
-        _closure_section(rep, params, spec.seed, coeff)
-        m_a, m_c = _distribution_section(rep, params, quad, r1, spec.n_trials,
-                                         spec.seed, spec.workers - half)
-        _expected_power_section(rep, coeff, m_a, m_c, spec.n_trials)
-
-    def last_sections():  # [d] and [e] read nothing of [a]-[c]
-        part = _Report()
-        _protocol_section(part, params, r1, r, spec.n_trials, spec.seed, max(1, half))
-        _branch_form_section(part, quad, params.rho)
-        return part
-
-    rep.join(mc._in_order([first_sections, last_sections], spec.workers)[1])
+    _closure_section(rep, params, spec.seed, coeff)
+    m_a, m_c = _distribution_section(rep, params, quad, r1, spec.n_trials, spec.seed,
+                                     spec.workers)
+    _expected_power_section(rep, coeff, m_a, m_c, spec.n_trials)  # reads [b]'s draw
+    _protocol_section(rep, params, r1, r, spec.n_trials, spec.seed)
+    _branch_form_section(rep, quad, params.rho)
 
     checks = tuple(rep.checks)
     failed = [c.name for c in checks if not c.passed]

@@ -1,25 +1,24 @@
-"""Monte Carlo ground truth: fading, the slotted protocol, and PPP sampling.
+"""Monte Carlo ground truth: the slotted protocol's counts, and PPP sampling.
 
-Reproducibility contract, kept by ``_sum_blocks`` for every estimator: the
-trials run in fixed-size blocks, block ``j`` drawing from a counter-based
-generator keyed by ``(seed, stream_id, j)``.  Block results are summed in
-block order, so a report is bit-identical for any worker count, and distinct
-``stream_id`` values give statistically independent experiments.
+Reproducibility contract: block ``j`` of a draw comes from a counter-based
+generator keyed by ``(seed, stream_id, j)``.  The placement samplers run
+their trials in fixed-size blocks through ``_sum_blocks`` and sum the block
+results in block order, so a report is bit-identical for any worker count.
 
-Each random quantity is drawn once, and only where it is read.
-``estimate_outage`` runs the cooperative round and the conventional baseline
-on the same fades, draws a slot-3 fade only where it decides delivery, and
-returns the integers it counted (``ProtocolCounts``).  A dataset draws once
-for all its rows (common random numbers): ``exchange_counts`` counts one
-exchange draw at each row's threshold, and ``sample_power_distribution``
-reads the sums of one placement draw at each row's density.  Both placement
-samplers run one block kernel, which never sees the density: it forms u =
-pi*rho*r^2 and v = cos(theta)*sqrt(pi*rho)*r, and the round total at density
-rho is A*u + B*v + c0 with A = a/(pi*rho) and B = b_coeff/sqrt(pi*rho).
+At a fixed placement the outcome counts of n rounds have an exact law, and
+``estimate_outage`` and ``exchange_counts`` draw them from it on block 0, at a
+cost that does not grow with n.  A dataset draws once for all its rows
+(common random numbers): ``exchange_counts`` counts one exchange draw at each
+row's threshold, and ``sample_power_distribution`` reads the sums of one
+placement draw at each row's density.  Both placement samplers run one block
+kernel, which never sees the density: it forms u = pi*rho*r^2 and v =
+cos(theta)*sqrt(pi*rho)*r, and the round total at density rho is A*u + B*v +
+c0 with A = a/(pi*rho) and B = b_coeff/sqrt(pi*rho).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from functools import partial
@@ -98,8 +97,8 @@ def exchange_energy(n: int, exchanged: int, powers: PowerBreakdown) -> tuple[flo
     e1 = 2.0 * powers.p12 + cellular                 # delta = 1 rounds
     e0 = e1 + cellular                               # delta = 0 rounds
     mean_e = (exchanged * e0 + (n - exchanged) * e1) / n
-    d0, d1 = e0 - mean_e, e1 - mean_e  # Python floats: an overflow is an inf, refused below
-    var_e = (exchanged * d0 * d0 + (n - exchanged) * d1 * d1) / max(n - 1, 1)
+    # two energies ``cellular`` apart: their exact sample variance, inf if it overflows
+    var_e = cellular * cellular * (exchanged * (n - exchanged) / (n * max(n - 1, 1)))
     return mean_e, _energy_stderr(mean_e, var_e, n, "at this placement")
 
 
@@ -154,15 +153,19 @@ def _in_order(calls, workers: int) -> list:
     return results
 
 
+def _require_trials(n: int) -> None:
+    if n < MIN_TRIALS:
+        raise ValueError(
+            f"n={n} is too small for meaningful confidence intervals; "
+            f"need at least {MIN_TRIALS} trials")
+
+
 def _sum_blocks(n: int, stream: RandomStream, workers: int, block_fn) -> list:
     """Block-order sums of the columns ``block_fn(stream.block(j), start, size)``
     returns for the blocks j of n trials, run by ``_in_order``.  The columns are
     Python numbers, so the sums overflow to inf, never to a warning.
     """
-    if n < MIN_TRIALS:
-        raise ValueError(
-            f"n={n} is too small for meaningful confidence intervals; "
-            f"need at least {MIN_TRIALS} trials")
+    _require_trials(n)
 
     def block(j):
         start = j * _BLOCK
@@ -173,80 +176,94 @@ def _sum_blocks(n: int, stream: RandomStream, workers: int, block_fn) -> list:
     return [sum(column) for column in zip(*blocks)]
 
 
-def estimate_outage(n: int, geom: Geometry, params: SystemParams,
-                    stream: RandomStream, workers: int = 1) -> ProtocolCounts:
-    """Outcome counts of n protocol rounds at a fixed placement, fresh fading
-    per trial, and the mean round energy (``exchange_energy``).
+def _meets(threshold: float, sigma2: float) -> tuple[float, float]:
+    """Pr(h >= threshold) and Pr(h < threshold) for a Rayleigh fading power
+    gain h of mean ``sigma2``; the complement is formed with ``expm1``."""
+    x = threshold / sigma2
+    return math.exp(-x), -math.expm1(-x)
 
-    Each block draws, in this order, the exchange gains h12 and h21, the
-    slot-2 uplink gains of handsets 1 and 2, then the slot-3 gains.  A slot-3
-    copy decides delivery only after a successful exchange, for a message
-    whose own slot-2 uplink failed, so it is drawn only there, in trial order:
-    first handset 1's relay of message 2 (where handset 2's uplink failed),
-    then handset 2's relay of message 1; a copy not drawn is False.  The
-    cooperative round reads the gains at ``power_breakdown``'s powers with
-    ``power_coefficients``; the conventional round's solo uplinks, at its
-    powers with ``conventional_coefficients``, read the same slot-2 gains
-    (``conv_outages``).  ``uplink1_lost`` counts handset 1's failed slot-2
-    uplinks at the cooperative power, whose target is ``p_out_nc``.
+
+def _round_classes(geom: Geometry, params: SystemParams):
+    """A round's independent link events at ``_thresholds``, by outcome class.
+
+    The exchange succeeds (delta = 0) where min(h12, h21), of mean
+    sigma2_short/2, meets t12.  Given it, each slot-2 fade lies below both its
+    thresholds (the cooperative and the baseline's), between or above both,
+    and each slot-3 copy meets its threshold or not: 36 classes, the likeliest
+    last.  Returns the exchange's ``_meets`` pair, the columns ``(delta0, own1,
+    own2, relay1, relay2, conv1, conv2)`` of the 36 classes after a successful
+    exchange and then after a failed one, and the 36 conditional probabilities.
     """
-    require_exchange_distance(geom.r, params)
-    powers = powermodel.power_breakdown(geom, powermodel.power_coefficients(params))
-    t12, t1b, t2b = _thresholds(geom, powers, params)
+    coop = powermodel.power_breakdown(geom, powermodel.power_coefficients(params))
+    t12, t1b, t2b = _thresholds(geom, coop, params)
     conv = powermodel.power_breakdown(geom, powermodel.conventional_coefficients(params))
     _, c1b, c2b = _thresholds(geom, conv, params)
-    sig_s, sig_c = params.sigma2_short, params.sigma2_cell
 
-    def block_fn(rng, start, size):
-        buf = np.empty(size)
+    def slot2(t, c):  # ((own, conv), probability) below both, between, above both
+        below_lo = _meets(min(t, c), params.sigma2_cell)[1]
+        above_hi, below_hi = _meets(max(t, c), params.sigma2_cell)
+        return (((False, False), below_lo), ((t < c, c < t), below_hi - below_lo),
+                ((True, True), above_hi))
 
-        def fades(scale, k=size):
-            # the bits of rng.exponential(scale, k), in one reused buffer
-            h = rng.standard_exponential(out=buf[:k])
-            h *= scale
-            return h
+    def slot3(t):  # (copy delivered, probability)
+        meets, misses = _meets(t, params.sigma2_cell)
+        return (False, misses), (True, meets)
 
-        # each gain is compared as it is drawn, so few float arrays are alive
-        delta0 = fades(sig_s) >= t12   # h12
-        delta0 &= fades(sig_s) >= t12  # h21
-        h = fades(sig_c)  # slot 2, handset 1
-        own1, conv1 = h >= t1b, h >= c1b
-        h = fades(sig_c)  # slot 2, handset 2
-        own2, conv2 = h >= t2b, h >= c2b
-        # slot 3, drawn only where it decides delivery
-        relay2 = np.zeros(size, dtype=bool)  # slot-3 use of U1's uplink
-        need = delta0 & ~own2
-        relay2[need] = fades(sig_c, np.count_nonzero(need)) >= t1b
-        relay1 = np.zeros(size, dtype=bool)
-        need = delta0 & ~own1
-        relay1[need] = fades(sig_c, np.count_nonzero(need)) >= t2b
-        d1, d2, composite = protocol_round(delta0, own1, own2, relay1, relay2)
-        conv = protocol_round(False, conv1, conv2, False, False)[2]
-        return (np.count_nonzero(delta0), size - np.count_nonzero(d1),
-                size - np.count_nonzero(d2), np.count_nonzero(composite),
-                size - np.count_nonzero(own1), np.count_nonzero(conv))
-
-    n_delta0, *lost = _sum_blocks(n, stream, workers, block_fn)
-    return ProtocolCounts(n, n_delta0, *exchange_energy(n, n_delta0, powers), *lost)
+    rows = [(u1 + u2 + (r1, r2), p1 * p2 * q1 * q2)
+            for (u1, p1), (u2, p2), (r1, q1), (r2, q2)
+            in itertools.product(slot2(t1b, c1b), slot2(t2b, c2b), slot3(t2b), slot3(t1b))]
+    events, probs = zip(*rows)
+    own1, conv1, own2, conv2, relay1, relay2 = np.tile(np.array(events).T, 2)
+    delta0 = np.repeat([True, False], len(probs))
+    return (_meets(t12, 0.5 * params.sigma2_short),
+            (delta0, own1, own2, relay1, relay2, conv1, conv2), np.array(probs))
 
 
-def exchange_counts(n: int, thresholds, sigma2: float, stream: RandomStream,
-                    workers: int = 1) -> list[int]:
+def estimate_outage(n: int, geom: Geometry, params: SystemParams,
+                    stream: RandomStream) -> ProtocolCounts:
+    """Outcome counts of n protocol rounds at a fixed placement, fresh fading
+    per round, and the mean round energy (``exchange_energy``).
+
+    The counts are drawn from their exact law on ``stream.block(0)``: the
+    exchange count k ~ Bin(n, Pr(delta = 0)), then the ``_round_classes`` of
+    the k rounds with a successful exchange and of the other n - k, one
+    multinomial each.  ``protocol_round`` runs once on the class columns, and
+    each count sums the classes where its event fires.  The baseline's solo
+    uplinks read the same slot-2 fades at its own thresholds (``conv_outages``).
+    """
+    require_exchange_distance(geom.r, params)
+    _require_trials(n)
+    (p_exchange, _), events, probs = _round_classes(geom, params)
+    rng = stream.block(0)
+    exchanged = int(rng.binomial(n, p_exchange))
+    counts = np.concatenate([rng.multinomial(m, probs) for m in (exchanged, n - exchanged)])
+    delta0, own1, own2, relay1, relay2, conv1, conv2 = events
+    d1, d2, composite = protocol_round(delta0, own1, own2, relay1, relay2)
+    conv = protocol_round(False, conv1, conv2, False, False)[2]
+    lost = [int(counts[event].sum()) for event in (~d1, ~d2, composite, ~own1, conv)]
+    powers = powermodel.power_breakdown(geom, powermodel.power_coefficients(params))
+    return ProtocolCounts(n, exchanged, *exchange_energy(n, exchanged, powers), *lost)
+
+
+def exchange_counts(n: int, thresholds, sigma2: float, stream: RandomStream) -> list[int]:
     """Of n exchanges on one fading draw, how many succeed at each threshold.
 
-    Each block draws h12 and h21 at mean ``sigma2`` with the bits and order of
-    ``estimate_outage``, so at its t12 the count is that call's ``exchanged``
-    on the same stream.  An exchange succeeds at t iff min(h12, h21) >= t:
-    each block sorts its minima once and finds every threshold by bisection.
+    An exchange succeeds at t iff min(h12, h21) >= t, with probability q(t) =
+    exp(-2t/``sigma2``).  The counts' exact joint law is a chain of binomials,
+    drawn on ``stream.block(0)`` at the thresholds sorted ascending: k_1 ~
+    Bin(n, q_1), k_j ~ Bin(k_{j-1}, q_j/q_{j-1}), and 0 past a q of 0.  So at
+    t12 alone the count is ``estimate_outage``'s ``exchanged`` on the same
+    stream.  Returns Python ints in the order of ``thresholds``.
     """
-    def block_fn(rng, start, size):
-        h = rng.standard_exponential(size)  # h12, then h21, in place: two arrays alive
-        np.minimum(h, rng.standard_exponential(size), out=h)
-        h *= sigma2  # min(x, y)*s is min(x*s, y*s) in floats: rounding is monotone
-        h.sort()
-        return (size - np.searchsorted(h, thresholds)).tolist()
-
-    return _sum_blocks(n, stream, workers, block_fn)
+    _require_trials(n)
+    rng = stream.block(0)
+    counts = [0] * len(thresholds)
+    k, q_prev = n, 1.0
+    for i in sorted(range(len(thresholds)), key=lambda i: thresholds[i]):
+        q = _meets(thresholds[i], 0.5 * sigma2)[0]
+        k = counts[i] = int(rng.binomial(k, q / q_prev)) if q_prev else 0
+        q_prev = q
+    return counts
 
 
 def _uv_coefficients(quad: PowerQuadratic, rho):

@@ -12,7 +12,10 @@ skip work (``nncc.ks_distance`` evaluates the CDF at a fraction of the
 samples, ``nncc.distribution._tanh_sinh`` shares its steps between calls and
 integrates a batch of intervals at once, ``nncc.montecarlo``'s block kernel
 computes in place); the tests require the package's results to be bitwise
-equal to them.
+equal to them.  ``rounds_drawn_directly`` is the protocol simulated round by
+round, fade by fade, which ``nncc.estimate_outage`` replaces by a draw from
+the exact law of its counts; the tests require the two laws to agree.
+``event_rates`` reads that law's event probabilities.
 """
 
 import math
@@ -21,8 +24,9 @@ import numpy as np
 
 from nncc.distribution import (_MEAN_EPSREL, _TS_H0, _TS_LEVELS, _TS_T,
                                IntegrationError, PowerQuadratic)
-from nncc.montecarlo import _BLOCK
-from nncc.powermodel import power_coefficients
+from nncc import montecarlo
+from nncc.montecarlo import _BLOCK, _thresholds, protocol_round
+from nncc.powermodel import conventional_coefficients, power_breakdown, power_coefficients
 
 
 def cooperative_quadratic(params, r1) -> PowerQuadratic:
@@ -167,3 +171,60 @@ def power_samples_by_expression(n: int, rho: float, quad, stream):
     cos = 2.0 / (1.0 + np.tan(0.5 * theta) ** 2) - 1.0
     big_a, big_b = quad.a / (math.pi * rho), quad.b_coeff / (math.pi * rho) ** 0.5
     return big_a * (r * r) + big_b * (cos * r) + quad.c0
+
+
+def rounds_drawn_directly(n: int, geom, params, stream) -> dict:
+    """n protocol rounds at a fixed placement, each on fades of its own.
+
+    Per block of ``_BLOCK`` rounds, from ``stream.block(j)``: the exchange gains
+    h12 and h21, the slot-2 uplink gains of handsets 1 and 2, then the slot-3
+    gains, each compared with its ``_thresholds`` threshold.  A slot-3 copy
+    decides delivery only after a successful exchange, for a message whose own
+    slot-2 uplink failed, so it is drawn only there, in round order: first
+    handset 1's relay of message 2, then handset 2's relay of message 1; a
+    copy not drawn is False.  The baseline's solo uplinks read the same slot-2
+    gains at its own thresholds.  Returns the per-round events by name:
+    ``delta0``, ``own1``, ``own2``, ``conv1``, ``conv2``, ``d1``, ``d2``,
+    ``composite`` and ``conv`` (the baseline's composite outage).
+    """
+    t12, t1b, t2b = _thresholds(geom, power_breakdown(geom, power_coefficients(params)),
+                                params)
+    _, c1b, c2b = _thresholds(geom, power_breakdown(geom, conventional_coefficients(params)),
+                              params)
+    sig_s, sig_c = params.sigma2_short, params.sigma2_cell
+    blocks = []
+    for j, start in enumerate(range(0, n, _BLOCK)):
+        size = min(_BLOCK, n - start)
+        rng = stream.block(j)
+        h12, h21 = rng.exponential(sig_s, size), rng.exponential(sig_s, size)
+        delta0 = (h12 >= t12) & (h21 >= t12)
+        h1b_slot2 = rng.exponential(sig_c, size)
+        h2b_slot2 = rng.exponential(sig_c, size)
+        own1, own2 = h1b_slot2 >= t1b, h2b_slot2 >= t2b
+        relay2, relay1 = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
+        need = delta0 & ~own2
+        relay2[need] = rng.exponential(sig_c, np.count_nonzero(need)) >= t1b
+        need = delta0 & ~own1
+        relay1[need] = rng.exponential(sig_c, np.count_nonzero(need)) >= t2b
+        d1 = np.where(delta0, own1 | relay1, own1)
+        d2 = np.where(delta0, own2 | relay2, own2)
+        conv1, conv2 = h1b_slot2 >= c1b, h2b_slot2 >= c2b
+        blocks.append(dict(delta0=delta0, own1=own1, own2=own2, conv1=conv1, conv2=conv2,
+                           d1=d1, d2=d2, composite=np.where(delta0, ~d1, ~(d1 & d2)),
+                           conv=~(conv1 & conv2)))
+    return {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
+
+
+def event_rates(geom, params) -> dict:
+    """The exact probability of each event ``nncc.estimate_outage`` counts,
+    by its ``ProtocolCounts`` name (``uplink2_lost`` for handset 2's uplink),
+    summed over the classes of ``nncc.montecarlo._round_classes`` (looked up
+    at call time, so a fault installed there is seen)."""
+    (x, not_x), events, probs = montecarlo._round_classes(geom, params)
+    joint = np.concatenate((x * probs, not_x * probs))
+    delta0, own1, own2, relay1, relay2, conv1, conv2 = events
+    d1, d2, composite = protocol_round(delta0, own1, own2, relay1, relay2)
+    conv = protocol_round(False, conv1, conv2, False, False)[2]
+    return {name: math.fsum(joint[event]) for name, event in (
+        ("exchanged", delta0), ("lost_d1", ~d1), ("lost_d2", ~d2), ("outages", composite),
+        ("uplink1_lost", ~own1), ("uplink2_lost", ~own2), ("conv_outages", conv))}

@@ -12,8 +12,14 @@ time, so a test or the table can turn it on for one run:
 - ``slot3_uncharged``: a fraction ``delta`` of slot 3's expected cellular
   charge is dropped from the closed forms, ``eps_total = 1 + (1 -
   delta)*eps_short``; ``delta = 1`` is ``eps_total = 1``;
-- ``relay_dropped``: a share ``delta`` of the slot-3 copies that reach the
-  base station in ``montecarlo.protocol_round`` is lost;
+- ``relay_dropped``: each slot-3 copy that would reach the base station is
+  lost with probability ``delta``, so its success probability is ``1 -
+  delta`` times what it should be: on the classes of
+  ``montecarlo._round_classes``, that share of every class where a copy
+  succeeds moves to its twin class where the copy fails;
+- ``threshold_scale``: every fading threshold from ``powermodel.Link.threshold``
+  is ``1 + delta`` times too large, in the simulator and in a fixed-placement
+  dataset alike;
 - ``baseline_eta_scale``: the baseline's uplink coefficients from
   ``powermodel.conventional_coefficients`` are ``1 + delta`` times too large,
   in its powers at a fixed placement and in its mean alike.
@@ -37,7 +43,6 @@ import os
 import sys
 import tempfile
 
-import numpy as np
 import pytest
 
 from nncc import montecarlo as mc
@@ -82,16 +87,32 @@ def slot3_uncharged(monkeypatch, delta: float) -> None:
 
 
 def relay_dropped(monkeypatch, delta: float) -> None:
-    exact = mc.protocol_round
+    exact = mc._round_classes
 
-    def dropping(delta0, own1, own2, relay1, relay2):
-        if np.ndim(relay1):  # the cooperative round; the baseline has no relays
-            lost = np.random.default_rng(relay1.size)  # the same share every block
-            relay1 = relay1 & (lost.random(relay1.size) >= delta)
-            relay2 = relay2 & (lost.random(relay2.size) >= delta)
-        return exact(delta0, own1, own2, relay1, relay2)
+    def dropping(geom, params):
+        exchange, events, probs = exact(geom, params)
+        # the classes given the exchange, each a tuple of its event values
+        keys = list(zip(*(column[:probs.size] for column in events)))
+        for relay in (3, 4):  # relay1, then relay2: the copies are lost independently
+            moved = probs.copy()
+            for i, key in enumerate(keys):
+                if key[relay]:
+                    twin = keys.index(key[:relay] + (False,) + key[relay + 1:])
+                    moved[i] -= delta * probs[i]
+                    moved[twin] += delta * probs[i]
+            probs = moved
+        return exchange, events, probs
 
-    monkeypatch.setattr(mc, "protocol_round", dropping)
+    monkeypatch.setattr(mc, "_round_classes", dropping)
+
+
+def threshold_scale(monkeypatch, delta: float) -> None:
+    exact = powermodel.Link.threshold
+
+    def scaled(link, p_tx, d):
+        return (1.0 + delta) * exact(link, p_tx, d)
+
+    monkeypatch.setattr(powermodel.Link, "threshold", scaled)
 
 
 def baseline_eta_scale(monkeypatch, delta: float) -> None:
@@ -113,6 +134,7 @@ FAULTS = {
     "bearing_skew": (bearing_skew, (0.005, 0.01, 0.02, 0.03)),
     "slot3_uncharged": (slot3_uncharged, (1e-6, 1e-4, 1e-2, 1.0)),
     "relay_dropped": (relay_dropped, (0.001, 0.003, 0.01, 0.03, 0.1)),
+    "threshold_scale": (threshold_scale, (0.01, 0.03, 0.1, 0.3)),
     "baseline_eta_scale": (baseline_eta_scale, (0.01, 0.03, 0.1, 0.3)),
 }
 

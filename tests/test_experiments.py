@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mutants
-from model_helpers import cooperative_quadratic
+from model_helpers import cooperative_quadratic, event_rates
 from nncc import (Geometry, ParameterError, PowerQuadratic, SystemParams, cli,
                   conventional_coefficients, energy_efficiency, expected_power,
                   power_coefficients, validate)
@@ -181,9 +181,10 @@ def test_csv_byte_stable(tmp_path):
 @pytest.mark.parametrize("kind,estimator", [("figure3", "exchange_counts"),
                                             ("figure5", "sample_power_distribution")])
 def test_a_dataset_draws_once(tmp_path, monkeypatch, kind, estimator):
-    """Every row of a figure reads one Monte Carlo call, which makes one pass
-    over its blocks."""
-    calls, passes = [], []
+    """Every row of a figure reads one Monte Carlo call: the placement draw
+    makes one pass over its blocks, and the exchange counts are one draw from
+    their exact law on block 0, with no pass over trial blocks."""
+    calls, passes, blocks = [], [], []
     for name in ("exchange_counts", "sample_power_distribution", "estimate_outage",
                  "draw_power_samples"):
         monkeypatch.setattr(mc, name, lambda *a, _name=name, _fn=getattr(mc, name), **k:
@@ -191,9 +192,13 @@ def test_a_dataset_draws_once(tmp_path, monkeypatch, kind, estimator):
     sum_blocks = mc._sum_blocks
     monkeypatch.setattr(mc, "_sum_blocks", lambda n, stream, workers, fn:
                         passes.append(n) or sum_blocks(n, stream, workers, fn))
+    block = mc.RandomStream.block
+    monkeypatch.setattr(mc.RandomStream, "block",
+                        lambda stream, j: blocks.append(j) or block(stream, j))
     sweep(ExperimentSpec(kind=kind, out=str(tmp_path / "f.csv"), n_trials=TRIALS, workers=2))
     assert calls == [estimator]
-    assert passes == [TRIALS]
+    assert passes == ([] if estimator == "exchange_counts" else [TRIALS])
+    assert blocks == [0]  # TRIALS fit in one block
 
 
 def test_csv_significant_digits(tmp_path):
@@ -273,8 +278,8 @@ def test_figure_override_applies(tmp_path):
 # --- validation report ----------------------------------------------------------
 
 def test_validate_report_passes_and_is_deterministic(tmp_path):
-    """Any worker count gives the bytes of one; with 2 or more, sections [d]
-    and [e] run on a thread of their own, and none outlives the call."""
+    """Any worker count gives the bytes of one; with 2 or more, section [b]'s
+    placement blocks run on threads, and none outlives the call."""
     before = threading.active_count()
     paths, records = [], []
     for workers in (1, 2, 3, 4):
@@ -295,22 +300,24 @@ def test_validate_report_passes_and_is_deterministic(tmp_path):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_validate_keeps_sections_a_to_c_on_the_calling_thread(tmp_path, monkeypatch,
                                                               workers):
-    """[a] runs on the calling thread; [d] beside it with 2 workers, else there
-    too.  A section moved off the main thread costs a malloc arena of RSS."""
-    threads = {}
+    """Every section, [a] to [e], runs on the calling thread, in report order,
+    with 1 and 2 workers: only [b]'s placement blocks take the workers.  A
+    section moved off the main thread costs a malloc arena of RSS."""
+    threads = []
+    names = ("_closure_section", "_distribution_section", "_expected_power_section",
+             "_protocol_section", "_branch_form_section")
 
     def recording(name, section):
         def run(*args):
-            threads[name] = threading.current_thread()
+            threads.append((name, threading.current_thread()))
             return section(*args)
         return run
 
-    for name in ("_closure_section", "_protocol_section"):
+    for name in names:
         monkeypatch.setattr(experiments, name, recording(name, getattr(experiments, name)))
     validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"), seed=7,
                                    n_trials=10_000, workers=workers))
-    assert threads["_closure_section"] is threading.main_thread()
-    assert (threads["_protocol_section"] is threading.main_thread()) == (workers == 1)
+    assert threads == [(name, threading.main_thread()) for name in names]
 
 
 @pytest.mark.parametrize("failing", [("draw_power_samples",), ("estimate_outage",),
@@ -318,9 +325,8 @@ def test_validate_keeps_sections_a_to_c_on_the_calling_thread(tmp_path, monkeypa
                          ids=["section-b", "section-d", "both"])
 def test_validate_error_is_the_same_beside_a_thread(tmp_path, capsys, monkeypatch,
                                                     failing):
-    """An error in section [b] (calling thread) or [d] (its own thread with 2
-    workers) exits as on 1 worker; with both, [b]'s comes first, as in
-    section order, and no thread outlives the call."""
+    """An error in section [b] or [d] exits with 2 workers as on 1; with both,
+    [b]'s comes first, as in section order, and no thread outlives the call."""
     def refusing(name):
         def refuse(*args, **kwargs):
             raise ParameterError("rate", f"{name} refused")
@@ -493,13 +499,22 @@ def test_round_energy_identity_sees_an_uncharged_slot_3(tmp_path, monkeypatch):
 
 
 def test_composite_outage_sees_dropped_relays(tmp_path, monkeypatch):
-    """Slot-3 fades are drawn only where they decide delivery, and section
-    [d] still sees slot 3: with a fifth of the relayed copies lost, the
-    composite outage rate is the only failing check, at 1e4 trials."""
+    """Section [d] sees slot 3: with each relayed copy's success probability a
+    fifth too small, the composite outage rate is the only failing check, at
+    1e4 trials."""
     mutants.relay_dropped(monkeypatch, 0.2)
     _, checks = validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
                                                seed=7, n_trials=10_000))
     assert failed(checks) == ["composite outage rate"]
+
+
+def test_single_uplink_rate_sees_a_scaled_threshold(tmp_path, monkeypatch):
+    """Every fading threshold 30 % too high: at 1e4 trials section [d]'s
+    single-uplink rate is the only failing check."""
+    mutants.threshold_scale(monkeypatch, 0.3)
+    _, checks = validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
+                                               seed=7, n_trials=10_000))
+    assert failed(checks) == ["single cellular uplink outage"]
 
 
 def test_baseline_eta_scale_reaches_every_reader_of_the_baseline(tmp_path, monkeypatch):
@@ -510,20 +525,20 @@ def test_baseline_eta_scale_reaches_every_reader_of_the_baseline(tmp_path, monke
     geom = Geometry(r1=DEFAULT_R1, r=20.0, theta=0.5 * math.pi)
 
     def run(out):
-        counts = mc.estimate_outage(10_000, geom, validate(SystemParams()),
-                                    mc.RandomStream(7, stream_id=301))
-        return read_rows(sweep(replace(spec, out=str(tmp_path / out)))), counts
+        return (read_rows(sweep(replace(spec, out=str(tmp_path / out)))),
+                event_rates(geom, validate(SystemParams())))
 
-    exact, exact_counts = run("exact.csv")
+    exact, exact_rates = run("exact.csv")
     mutants.baseline_eta_scale(monkeypatch, 1.0)
-    faulty, faulty_counts = run("faulty.csv")
+    faulty, faulty_rates = run("faulty.csv")
     for row, bad in zip(exact, faulty):
         assert bad[2] == row[2] and bad[4] == row[4]  # e_nncc and its Monte Carlo mean
         assert bad[3] == pytest.approx(2.0 * row[3], rel=1e-11, abs=0)  # e_conv
-    # twice the power on the same fades: fewer conventional outages, the rest unchanged
-    assert faulty_counts.conv_outages < exact_counts.conv_outages
-    assert faulty_counts._replace(conv_outages=None) == exact_counts._replace(
-        conv_outages=None)
+    # twice the power: about half the conventional outages, the round's other
+    # event rates unchanged
+    conv = exact_rates.pop("conv_outages")
+    assert faulty_rates.pop("conv_outages") == pytest.approx(0.5 * conv, rel=1e-3)
+    assert faulty_rates == pytest.approx(exact_rates, rel=1e-14, abs=0)
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -932,9 +947,10 @@ def test_cli_quadratic_overflow_exits_2(tmp_path, capsys):
     # the spread of the round total over placements overflows at rho = 1e-4
     ["sweep", "--var", "r1", "--min", "500", "--max", "1000", "--count", "2",
      "--rate", "1.05e9"],
-    # the variance of the round energy at a fixed placement overflows
+    # the variance of the round energy at a fixed placement overflows: the
+    # uplinks' power, which alone varies, is ~9e159 W at r1 = 1e48 m
     ["sweep", "--var", "r", "--min", "1", "--max", "10", "--count", "2",
-     "--rate", "1.2e9"],
+     "--rate", "1.2e9", "--r1", "1e48"],
 ], ids=["sweep-r1", "sweep-r"])
 def test_cli_round_energy_overflow_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "o.txt"
@@ -1034,9 +1050,9 @@ def test_traced_validate_binds_the_benchmark_names(tmp_path):
 
 
 def test_traced_validate_beside_a_thread(tmp_path):
-    """With 2 workers section [d] runs on a thread of its own, whose first
-    span ``bench/spans.py`` parents to the main thread's innermost open span:
-    the work counts stay, and every parent is a span of the same run."""
+    """With 2 workers section [d] runs on ``cli.main``'s thread like every
+    section: the work counts stay, and every parent is a span of the same
+    run."""
     spans, recorded = _traced_validate(tmp_path, "--workers", "2")
     metrics = spans.pass_metrics(recorded, pass_wall_s=1.0)
     assert metrics["montecarlo.estimate_outage.trials"] == 10_000
@@ -1045,4 +1061,4 @@ def test_traced_validate_beside_a_thread(tmp_path):
     ids = {s.id for s in recorded}
     assert all(s.parent == 0 or s.parent in ids for s in recorded)
     thread = {s.name: s.thread for s in recorded}
-    assert thread["montecarlo.estimate_outage"] != thread["cli.main"]
+    assert thread["montecarlo.estimate_outage"] == thread["cli.main"]

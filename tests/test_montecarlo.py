@@ -1,3 +1,4 @@
+import collections
 import math
 import sys
 import threading
@@ -11,7 +12,8 @@ from scipy import stats
 
 from cdf_oracle import cdf_oracle
 from model_helpers import (binomial_z, cooperative_quadratic, ks_distance_of_values,
-                           placements_by_expression, power_samples_by_expression)
+                           event_rates, placements_by_expression,
+                           power_samples_by_expression, rounds_drawn_directly)
 from nncc import (
     Geometry,
     SystemParams,
@@ -20,7 +22,6 @@ from nncc import (
     ParameterError,
     PowerQuadratic,
     cdf_reference_batch,
-    conventional_coefficients,
     expected_power,
     power_breakdown,
     power_coefficients,
@@ -210,52 +211,79 @@ def test_estimate_outage_conventional(params):
     assert abs(binomial_z(counts.conv_outages, n, params.p_out_target)) < 3.0
 
 
-def _counts_drawn_directly(n, geom, params, stream):
-    """The block kernel's counts, re-derived draw by draw."""
-    t12, t1b, t2b = _thresholds(geom, power_breakdown(geom, power_coefficients(params)),
-                                params)
-    _, c1b, c2b = _thresholds(geom, power_breakdown(geom, conventional_coefficients(params)),
-                              params)
-    sig_s, sig_c = params.sigma2_short, params.sigma2_cell
-    counts = np.zeros(6, dtype=int)
-    for j, start in enumerate(range(0, n, _BLOCK)):
-        size = min(_BLOCK, n - start)
-        rng = stream.block(j)
-        h12, h21 = rng.exponential(sig_s, size), rng.exponential(sig_s, size)
-        delta0 = (h12 >= t12) & (h21 >= t12)
-        h1b_slot2 = rng.exponential(sig_c, size)
-        h2b_slot2 = rng.exponential(sig_c, size)
-        own1, own2 = h1b_slot2 >= t1b, h2b_slot2 >= t2b
-        # slot 3, one fade per trial that reads it: first U1's relay of
-        # message 2 where message 2's own uplink failed, then U2's relay of
-        # message 1; a copy that is not drawn is never read
-        relay2, relay1 = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
-        for i in range(size):
-            if delta0[i] and not own2[i]:
-                relay2[i] = rng.exponential(sig_c) >= t1b
-        for i in range(size):
-            if delta0[i] and not own1[i]:
-                relay1[i] = rng.exponential(sig_c) >= t2b
-        d1 = np.where(delta0, own1 | relay1, own1)
-        d2 = np.where(delta0, own2 | relay2, own2)
-        composite = np.where(delta0, ~d1, ~(d1 & d2))
-        # the baseline: both solo uplinks at the conventional powers must succeed
-        conv = ~((h1b_slot2 >= c1b) & (h2b_slot2 >= c2b))
-        counts += [np.sum(delta0), np.sum(~d1), np.sum(~d2), np.sum(composite),
-                   np.sum(~own1), np.sum(conv)]
-    return counts
+def outcome_law(geom, params) -> dict:
+    """The exact probability of each observable round outcome, (delta0, own1,
+    conv1, own2, conv2, d1, d2), summed over ``_round_classes``'s classes."""
+    (x, not_x), events, probs = montecarlo._round_classes(geom, params)
+    delta0, own1, own2, relay1, relay2, conv1, conv2 = events
+    d1, d2, _ = protocol_round(delta0, own1, own2, relay1, relay2)
+    law = collections.defaultdict(float)
+    for key, p in zip(zip(delta0, own1, conv1, own2, conv2, d1, d2),
+                      np.concatenate((x * probs, not_x * probs))):
+        law[tuple(map(bool, key))] += p
+    return law
+
+
+@pytest.mark.parametrize("overrides", [{}, {"g_u2_db": -3.0}, {"rate": 1e9},
+                                       {"p_out_target": 0.1}, {"p_out_target": 1e-5}])
+def test_round_classes_give_the_closed_form_rates(overrides):
+    """Summed over the enumerated classes, each event's probability is its
+    closed-form target to 1e-12 relative: the event algebra the per-link
+    targets were derived from, reproduced from ``protocol_round``."""
+    params = validate(SystemParams(**overrides))
+    _, events, probs = montecarlo._round_classes(fixed_geom(), params)
+    assert len(probs) == 36 and all(len(column) == 72 for column in events)
+    assert math.fsum(probs) == pytest.approx(1.0, rel=1e-15)
+    t = OutageTargets.for_target(params.p_out_target)
+    per_msg = t.eps_short * t.p_out_nc ** 2 + (1.0 - t.eps_short) * t.p_out_nc
+    targets = dict(exchanged=t.eps_short, lost_d1=per_msg, lost_d2=per_msg,
+                   outages=params.p_out_target, uplink1_lost=t.p_out_nc,
+                   uplink2_lost=t.p_out_nc, conv_outages=params.p_out_target)
+    assert event_rates(fixed_geom(), params) == pytest.approx(targets, rel=1e-12, abs=0)
+
+
+def test_per_round_kernel_follows_the_class_law():
+    """Rounds simulated fade by fade (``rounds_drawn_directly``) fall in the
+    outcomes with the enumerated probabilities: a chi-square goodness of fit at
+    alpha = 1e-3, outcomes expected fewer than 5 times pooled into one cell.
+    At p_out_target = 0.1 every kind of round is common."""
+    params = validate(SystemParams(p_out_target=0.1))
+    geom, n = fixed_geom(), 100_000
+    law = outcome_law(geom, params)
+    rounds = rounds_drawn_directly(n, geom, params, RandomStream(58))
+    keys = zip(*(rounds[name] for name in ("delta0", "own1", "conv1", "own2", "conv2",
+                                           "d1", "d2")))
+    seen = collections.Counter(tuple(map(bool, key)) for key in keys)
+    assert set(seen) <= set(law)
+    expected = np.array([n * p for p in law.values()])
+    observed = np.array([seen[key] for key in law])
+    rare = expected < 5.0
+    if rare.any():
+        expected = np.append(expected[~rare], expected[rare].sum())
+        observed = np.append(observed[~rare], observed[rare].sum())
+    _, p_value = stats.chisquare(observed, expected)
+    assert p_value > 1e-3
 
 
 @pytest.mark.parametrize("scheme", ["nncc", "conventional"])
 def test_estimate_outage_counts_follow_the_draw_order(params, scheme):
-    """Each scheme's counts are the direct draw's: the cooperative round's
-    five, and the conventional round's composite on the same slot-2 fades."""
-    # a weaker exchange and uplinks make every kind of round common
+    """Each scheme's counts are those of the documented draw on block 0: the
+    exchange count k ~ Bin(n, Pr(delta = 0)), then one multinomial over the
+    classes after a successful exchange (k rounds) and one after a failed
+    one (n - k), each class's outcome by the protocol's rules written out."""
     geom, n = fixed_geom(r1=2600.0, r=35.0), 70_000
     counts = estimate_outage(n, geom, params, RandomStream(53))
-    n_delta0, *lost = _counts_drawn_directly(n, geom, params, RandomStream(53))
+    (x, _), events, probs = montecarlo._round_classes(geom, params)
+    rng = RandomStream(53).block(0)
+    k = rng.binomial(n, x)
+    by_class = np.concatenate((rng.multinomial(k, probs), rng.multinomial(n - k, probs)))
+    lost = np.zeros(5, dtype=int)
+    for m, x0, o1, o2, r1, r2, v1, v2 in zip(by_class, *events):
+        d1, d2 = o1 or (x0 and r1), o2 or (x0 and r2)
+        composite = not d1 if x0 else not (d1 and d2)
+        lost += m * np.array([not d1, not d2, composite, not o1, not (v1 and v2)])
     if scheme == "nncc":
-        assert counts.exchanged == n_delta0
+        assert counts.exchanged == k
         assert (counts.lost_d1, counts.lost_d2, counts.outages,
                 counts.uplink1_lost) == tuple(lost[:4])
         assert min(lost[:4]) > 0
@@ -266,38 +294,71 @@ def test_estimate_outage_counts_follow_the_draw_order(params, scheme):
 
 
 def test_exchange_counts_share_estimate_outages_exchange_draw(params):
-    """One exchange draw counted at several thresholds: each count is the
-    direct draw's, and at the cooperative t12 it is ``estimate_outage``'s
-    exchange count on the same stream, with the same round energy, with 1
-    and 2 workers."""
+    """One exchange draw counted at several thresholds is the chain of
+    conditional binomials on block 0, at the thresholds sorted ascending; a
+    tie gets the same count and an infinite threshold 0.  At the cooperative
+    t12 alone the count is ``estimate_outage``'s exchange count on the same
+    stream, with the same round energy."""
     geom, n = fixed_geom(r1=2600.0, r=35.0), 70_000
     powers = power_breakdown(geom, power_coefficients(params))
     t12 = _thresholds(geom, powers, params)[0]
-    thresholds = [3.0 * t12, t12, 1e-3, 0.5 * t12]  # unsorted, on purpose
-    direct = np.zeros(len(thresholds), dtype=int)
-    for j, start in enumerate(range(0, n, _BLOCK)):
-        rng = RandomStream(53).block(j)
-        size = min(_BLOCK, n - start)
-        h12, h21 = (rng.exponential(params.sigma2_short, size) for _ in range(2))
-        direct += [np.count_nonzero((h12 >= t) & (h21 >= t)) for t in thresholds]
-    for workers in (1, 2):
-        counts = exchange_counts(n, thresholds, params.sigma2_short, RandomStream(53),
-                                 workers=workers)
-        assert counts == direct.tolist()
-        assert all(type(k) is int for k in counts)
-        full = estimate_outage(n, geom, params, RandomStream(53), workers=workers)
-        assert counts[1] == full.exchanged
-        assert exchange_energy(n, counts[1], powers) == (full.mean_energy,
-                                                         full.energy_stderr)
+    thresholds = [3.0 * t12, t12, 1e-3, 0.5 * t12, t12, INF]  # unsorted, on purpose
+    rng, chain = RandomStream(53).block(0), {}
+    k, q_prev = n, 1.0
+    for t in sorted(thresholds):
+        q = math.exp(-t / (0.5 * params.sigma2_short))
+        k = chain[t] = int(rng.binomial(k, q / q_prev)) if q_prev else 0
+        q_prev = q
+    counts = exchange_counts(n, thresholds, params.sigma2_short, RandomStream(53))
+    assert counts == [chain[t] for t in thresholds]
+    assert all(type(k) is int for k in counts)
+    assert counts[1] == counts[4] and counts[5] == 0 and 0 < counts[0] < counts[3]
+    alone = exchange_counts(n, [t12], params.sigma2_short, RandomStream(53))
+    full = estimate_outage(n, geom, params, RandomStream(53))
+    assert alone == [full.exchanged]
+    assert exchange_energy(n, alone[0], powers) == (full.mean_energy, full.energy_stderr)
 
 
-def test_estimate_outage_worker_invariance(params):
-    kwargs = dict(n=150_000, geom=fixed_geom(), params=params)
-    a = estimate_outage(stream=RandomStream(43), workers=1, **kwargs)
-    b = estimate_outage(stream=RandomStream(43), workers=4, **kwargs)
-    assert None not in a
-    assert a == b  # the whole record
+def test_exchange_counts_chain_matches_direct_exchanges(params):
+    """The chain has the joint law of one exchange draw counted at several
+    thresholds.  Counted directly, each exchange's min(h12, h21) against each
+    threshold, the cells between consecutive thresholds agree with the
+    chain's: a chi-square test of homogeneity at alpha = 1e-3.  Each count is
+    also within 4 standard deviations of n*exp(-2t/sigma2)."""
+    t12 = _thresholds(fixed_geom(), power_breakdown(fixed_geom(), power_coefficients(params)),
+                      params)[0]
+    thresholds = [300.0 * t12, t12, 30.0 * t12, 100.0 * t12]  # q 0.55 to 0.998
+    n, sigma2 = 100_000, params.sigma2_short
+    rng = RandomStream(59).block(0)
+    h = np.minimum(rng.exponential(sigma2, n), rng.exponential(sigma2, n))
+    direct = [int(np.count_nonzero(h >= t)) for t in thresholds]
+    chain = exchange_counts(n, thresholds, sigma2, RandomStream(60))
+    order = np.argsort(thresholds)
 
+    def cells(counts):  # rounds below the smallest threshold, between each pair, above all
+        k = [n] + [counts[i] for i in order]
+        return [a - b for a, b in zip(k, k[1:])] + [k[-1]]
+
+    _, p_value, _, _ = stats.chi2_contingency([cells(direct), cells(chain)])
+    assert p_value > 1e-3
+    for t, k in zip(thresholds, chain):
+        q = math.exp(-2.0 * t / sigma2)
+        assert abs(k - n * q) <= 4.0 * math.sqrt(n * q * (1.0 - q))
+
+
+def test_estimate_outage_draws_once_from_block_0(params, monkeypatch):
+    """The counts are one draw from their exact law: at any n the call reads
+    one generator, block 0 of its stream, and the same stream gives the same
+    record."""
+    blocks = []
+    block = RandomStream.block
+    monkeypatch.setattr(RandomStream, "block",
+                        lambda stream, j: blocks.append(j) or block(stream, j))
+    for n in (MIN_TRIALS, 150_000, 10**9):
+        a = estimate_outage(n, fixed_geom(), params, RandomStream(43))
+        assert None not in a and a == estimate_outage(n, fixed_geom(), params,
+                                                      RandomStream(43))
+    assert blocks == [0] * 6
 
 def test_estimate_outage_uplink1_cellular(params):
     t = OutageTargets.for_target(params.p_out_target)
