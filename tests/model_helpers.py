@@ -8,13 +8,15 @@ forms; ``nn_distance`` turns a drawn area into the neighbour distance at a
 density.  ``ks_distance_of_values``, ``tanh_sinh_uncached``,
 ``mean_quadrature_per_call``, ``placements_by_expression`` and
 ``power_samples_by_expression`` are the direct forms of package routines that
-skip work (``nncc.ks_distance`` evaluates the CDF at a fraction of the
-samples, ``nncc.distribution._tanh_sinh`` shares its steps between calls and
-integrates a batch of intervals at once, ``nncc.montecarlo``'s block kernel
-computes in place); the tests require the package's results to be bitwise
-equal to them.  ``rounds_drawn_directly`` is the protocol simulated round by
-round, fade by fade, which ``nncc.estimate_outage`` replaces by a draw from
-the exact law of its counts; the tests require the two laws to agree.
+skip work (``nncc.ks_distance`` evaluates the CDF, level by level, only in
+the cells that can hold the statistic: at 6007 of the 1e6 samples of
+``validate --seed 7``'s draw; ``nncc.distribution._tanh_sinh`` shares its
+steps between calls and integrates a batch of intervals at once;
+``nncc.montecarlo``'s block kernel computes in place); the tests require the
+package's results to be bitwise equal to them.  ``rounds_drawn_directly`` is
+the protocol simulated round by round, fade by fade, which
+``nncc.estimate_outage`` replaces by a draw from the exact law of its counts;
+the tests require the two laws to agree.
 ``event_rates`` reads that law's event probabilities.
 """
 

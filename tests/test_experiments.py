@@ -17,8 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import mutants
 from model_helpers import cooperative_quadratic, event_rates
-from nncc import (Geometry, ParameterError, PowerQuadratic, SystemParams, cli,
-                  conventional_coefficients, energy_efficiency, expected_power,
+from nncc import (Geometry, ParameterError, PowerQuadratic, SystemParams, cdf_reference_batch,
+                  cli, conventional_coefficients, energy_efficiency, expected_power,
                   power_coefficients, validate)
 from nncc import experiments
 from nncc import montecarlo as mc
@@ -1038,14 +1038,33 @@ def _traced_validate(tmp_path, *flags):
     return spans, tracer.take()
 
 
+def _validate_cdf_points() -> int:
+    """Batch-CDF points of one ``validate --seed 7 --trials 10000`` pass.
+
+    Those of the KS statistic, counted on section [b]'s draw, then F(c0),
+    F(median) and section [e]'s two 50-point slopes.
+    """
+    params = validate(SystemParams())
+    quad = cooperative_quadratic(params, DEFAULT_R1)
+    samples = mc.draw_power_samples(10_000, params.rho, quad,
+                                    mc.RandomStream(7, stream_id=101)).totals
+    samples.sort()
+    points = []
+
+    def counting(p):
+        points.append(p.size)
+        return cdf_reference_batch(p, quad, params.rho)
+
+    mc.ks_distance(samples, counting)
+    return sum(points) + 102
+
+
 def test_traced_validate_binds_the_benchmark_names(tmp_path):
     """``bench/spans.py`` reads estimator arguments by name; a rename breaks it."""
     spans, recorded = _traced_validate(tmp_path)
     metrics = spans.pass_metrics(recorded, pass_wall_s=1.0)
     assert metrics["montecarlo.ks_distance.points"] == 10_000
-    # one KS statistic at 1668 table and 80 cell points, F(c0), F(median) and
-    # section [e]'s two 50-point slopes: 1850 of the 10101 of a full KS
-    assert metrics["distribution.cdf_reference_batch.points"] == 1_850
+    assert metrics["distribution.cdf_reference_batch.points"] == _validate_cdf_points()
     assert metrics["montecarlo.estimate_link_outage.trials"] == 0
 
 
@@ -1057,7 +1076,7 @@ def test_traced_validate_beside_a_thread(tmp_path):
     metrics = spans.pass_metrics(recorded, pass_wall_s=1.0)
     assert metrics["montecarlo.estimate_outage.trials"] == 10_000
     assert metrics["montecarlo.ks_distance.points"] == 10_000
-    assert metrics["distribution.cdf_reference_batch.points"] == 1_850
+    assert metrics["distribution.cdf_reference_batch.points"] == _validate_cdf_points()
     ids = {s.id for s in recorded}
     assert all(s.parent == 0 or s.parent in ids for s in recorded)
     thread = {s.name: s.thread for s in recorded}

@@ -687,12 +687,15 @@ _STEPS = 7
        below=st.floats(0.0, 0.3))
 @example(n=1, seed=0, shift=0.0, digits=6, below=0.0)
 @example(n=200, seed=1, shift=0.0, digits=2, below=0.0)
+@example(n=30_000, seed=10, shift=0.0, digits=6, below=0.0)
 def test_ks_distance_is_bitwise_the_full_statistic(cdf, n, seed, shift, digits, below):
     """The bracket's statistic is the one from the CDF at every sample, to the bit.
 
     Rounding to ``digits`` decimals makes ties, and the first ``below`` of the
     samples sit in a flat run where the CDF is 0.  n runs from below the
-    table size (16 sqrt(n) points) to far above it.
+    coarse table's size (4 sqrt(n) points) to far above it.  At n = 30000 and
+    seed 10 the uniform and logistic CDFs refine their hot cells over three
+    levels (the step CDF's lie at one jump, and take one).
     """
     rng = np.random.default_rng(seed)
     samples = np.round(rng.random(n) + shift, digits)
@@ -715,6 +718,50 @@ def test_ks_distance_is_bitwise_the_full_statistic_on_staircases(n, seed, rate):
     samples = np.arange(n, dtype=float)
     cdf = lambda p: values[p.astype(int)]  # noqa: E731
     assert ks_distance(samples, cdf) == ks_distance_of_values(samples, values)
+
+
+@pytest.mark.parametrize("seed, rise", [(3, False), (1, True)], ids=["drop", "rise"])
+def test_ks_distance_refuses_a_cdf_that_leaves_its_cell_inside_the_table(seed, rise):
+    """A CDF monotone on the coarse table that leaves the range of its ends at
+    the sample of the largest deviation, inside a table cell: below the value
+    that opens the cell (that deviation is i/n - F at seed 3), or above the one
+    that closes it (F - (i-1)/n at seed 1).  The refinement evaluates that
+    sample and refuses it.
+    """
+    n = 10_000
+    values = np.sort(np.random.default_rng(seed).random(n))
+    i = np.arange(1, n + 1)
+    below, above = i / n - values, values - (i - 1) / n
+    assert (np.max(above) > np.max(below)) == rise
+    k = math.isqrt(n) // montecarlo._KS_COARSE_PER_ROOT
+    if rise:
+        worst = int(np.argmax(above))
+        values[worst] = values[min(worst - worst % k + k, n - 1)] + 1e-6
+    else:
+        worst = int(np.argmax(below))
+        values[worst] = values[worst - worst % k] - 1e-6
+    assert worst % k and np.all(np.diff(values[::k]) >= 0)  # inside a cell of a monotone table
+    with pytest.raises(ValueError, match="non-decreasing"):
+        ks_distance(np.arange(n, dtype=float), lambda p: values[p.astype(int)])
+
+
+def test_ks_distance_takes_each_sample_once_at_under_10_sqrt_n_points():
+    """Sorted uniforms with F(p) = p at 1e6 samples: the levels take each
+    sample at most once, and under 10 sqrt(n) points in all."""
+    n = 1_000_000
+    for seed in range(5):
+        samples = np.sort(np.random.default_rng(seed).random(n))
+        assert np.all(np.diff(samples) > 0)  # so a point names its sample
+        taken = []
+
+        def cdf(p):
+            taken.append(p)
+            return p
+
+        assert ks_distance(samples, cdf) == ks_distance_of_values(samples, samples)
+        taken = np.concatenate(taken)
+        assert taken.size < 10 * math.sqrt(n)
+        assert np.unique(taken).size == taken.size
 
 
 @pytest.mark.parametrize("pieces", [1, 2])
