@@ -6,8 +6,8 @@ ships with a Monte Carlo column as its empirical check.  Output is
 byte-stable: identical spec and seed produce identical files for any worker
 count, so reports deliberately exclude wall-clock metadata.  A validation
 report also returns its bounded checks as ``Check`` records.  Its sections
-run in order on the calling thread; only section [b]'s placement draw uses
-the workers.
+run in order on the calling thread; only section [b]'s placement draw and its
+sort use the workers.
 """
 
 from __future__ import annotations
@@ -299,7 +299,9 @@ def _distribution_section(rep: _Report, params: SystemParams,
     samples, m_a, m_c = mc.draw_power_samples(n_trials, rho, quad,
                                               mc.RandomStream(seed, stream_id=101),
                                               workers=workers)
-    samples.sort()  # in place: a sorted copy would double the sample's memory
+    # partition at the median, then sort the halves on the workers: all in
+    # place, as a sorted copy would double the sample's memory
+    mc._sort_in_place(samples, workers)
 
     def cdf(p):
         return dist.cdf_reference_batch(p, quad, rho)
@@ -410,8 +412,8 @@ def validate_report(spec: ExperimentSpec) -> tuple[str, tuple[Check, ...]]:
 
     The records are in report order; the run passes iff every one ``passed``.
     Every input is checked before a section runs.  Sections [a] to [e] run in
-    order on the calling thread; only [b]'s placement draw takes the
-    ``spec.workers``, so the report has the bytes of one worker.
+    order on the calling thread; only [b]'s placement draw and the sort of its
+    sample take the ``spec.workers``, so the report has the bytes of one worker.
     """
     spec = spec.resolved()
     if spec.kind != "validate":

@@ -158,6 +158,19 @@ def _in_order(calls, workers: int) -> list:
     return results
 
 
+def _sort_in_place(samples: np.ndarray, workers: int) -> None:
+    """Sort the 1-D ``samples`` ascending in place, value for value as ``np.sort``.
+
+    ``partition`` puts the value of rank h = n // 2 at index h, none larger
+    before it and none smaller after (Hoare's FIND), without a copy; then
+    ``_in_order`` sorts the two halves, with two or more workers on two
+    threads, as ``ndarray.sort`` releases the GIL.
+    """
+    h = samples.size // 2
+    samples.partition(h)
+    _in_order([samples[:h].sort, samples[h + 1:].sort], workers)
+
+
 def _require_trials(n: int) -> None:
     if n < MIN_TRIALS:
         raise ValueError(
@@ -427,9 +440,11 @@ def ks_distance(samples: np.ndarray, cdf) -> float:
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("samples must be a non-empty 1-D array")
-    if not np.isfinite(samples).all():
-        raise ValueError("samples must be finite")
-    if np.any(samples[1:] < samples[:-1]):
+    # one pass: a NaN fails every comparison, so sorted with finite ends is finite
+    if not ((samples[1:] >= samples[:-1]).all()
+            and math.isfinite(samples[0]) and math.isfinite(samples[-1])):
+        if not np.isfinite(samples).all():
+            raise ValueError("samples must be finite")
         raise ValueError("samples must be sorted ascending")
     n = samples.size
 

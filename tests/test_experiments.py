@@ -301,8 +301,9 @@ def test_validate_report_passes_and_is_deterministic(tmp_path):
 def test_validate_keeps_sections_a_to_c_on_the_calling_thread(tmp_path, monkeypatch,
                                                               workers):
     """Every section, [a] to [e], runs on the calling thread, in report order,
-    with 1 and 2 workers: only [b]'s placement blocks take the workers.  A
-    section moved off the main thread costs a malloc arena of RSS."""
+    with 1 and 2 workers: only [b]'s placement blocks and the two halves of
+    its sort take the workers.  A section moved off the main thread costs a
+    malloc arena of RSS."""
     threads = []
     names = ("_closure_section", "_distribution_section", "_expected_power_section",
              "_protocol_section", "_branch_form_section")

@@ -99,6 +99,41 @@ def test_in_order_raises_the_first_error_once_every_run_has_ended(workers):
     assert threading.active_count() == before
 
 
+def _sort_inputs():
+    """Arrays for the parallel sort: n = 2, n = MIN_TRIALS, an odd n, and one
+    with many equal values around its median."""
+    rng = RandomStream(62).block(0)
+    return {"n=2": np.array([0.7, 0.3]),
+            "min-trials": rng.random(MIN_TRIALS),
+            "odd": rng.standard_normal(MIN_TRIALS + 1),
+            "ties": np.repeat(rng.integers(0, 7, 2_001), 5).astype(float)}
+
+
+@pytest.mark.parametrize("name", list(_sort_inputs()))
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_sort_in_place_is_np_sort_on_at_most_one_more_thread(monkeypatch, workers, name):
+    """The sort is ``np.sort``'s bit for bit on any worker count; it runs its
+    two halves with at most one thread beyond the caller, on the caller alone
+    with one worker, and no thread outlives it."""
+    samples = _sort_inputs()[name]
+    expected, before, log = np.sort(samples), threading.active_count(), []
+    in_order = montecarlo._in_order
+
+    def logged(calls, workers):
+        def run(call):
+            log.append((threading.current_thread(), threading.active_count()))
+            return call()
+        return in_order([partial(run, call) for call in calls], workers)
+
+    monkeypatch.setattr(montecarlo, "_in_order", logged)
+    montecarlo._sort_in_place(samples, workers)
+    assert samples.tobytes() == expected.tobytes()
+    assert all(count <= before + 1 for _, count in log)
+    on_caller = {thread is threading.current_thread() for thread, _ in log}
+    assert on_caller == ({True} if workers == 1 else {True, False})
+    assert threading.active_count() == before
+
+
 def test_sum_blocks_gives_python_numbers_independent_of_workers():
     """Column sums in block order, Python ints and floats, the same bits on 1 to
     3 workers; block j reads stream.block(j) and its own start and size."""
@@ -654,6 +689,16 @@ def test_ks_distance_rejects_non_finite_samples(bad):
         ks_distance(np.array([0.1, bad, 0.05]), lambda p: np.clip(p, 0.0, 1.0))
     with pytest.raises(ValueError, match="finite"):
         ks_distance(np.array([0.1, 0.2, bad]), lambda p: np.clip(p, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("samples", [[-np.inf, 0.1, 0.2], [0.1, 0.2, np.inf],
+                                     [0.1, 0.2, np.nan], [np.nan], [np.inf], [-np.inf]],
+                         ids=["-inf-first", "inf-last", "nan-last", "nan", "inf", "-inf"])
+def test_ks_distance_rejects_non_finite_ends(samples):
+    """The one-pass check reads finiteness from the ends of a sorted sample; a
+    single sample has no comparison, so its end check alone must refuse it."""
+    with pytest.raises(ValueError, match="^samples must be finite$"):
+        ks_distance(np.array(samples), lambda p: np.clip(p, 0.0, 1.0))
 
 
 def test_ks_distance_evaluates_the_cdf_callable():
