@@ -14,6 +14,7 @@ from nncc import (
     PowerQuadratic,
     SystemParams,
     cdf_reference_batch,
+    cdf_scale_free,
     energy_efficiency,
     expected_power,
     pdf_branch_form,
@@ -48,9 +49,13 @@ n = 200_000
 mc_mean, mc_stderr = sample_power_distribution(n, rho, quad, RandomStream(33))
 print(f"Monte Carlo over {n} placements: mean {mc_mean:.6f} W "
       f"(stderr {mc_stderr:.2e})")
-samples = np.sort(draw_power_samples(n, rho, quad, RandomStream(33)).totals)
-ks = ks_distance(samples, lambda p: cdf_reference_batch(p, quad, rho))
+# the draw holds the scale-free totals y, whose CDF is H(y; k); the totals
+# in watts are c0 + A*y
+big_a, _, k = quad.law(rho)
+y = np.sort(draw_power_samples(n, rho, quad, RandomStream(33)).y)
+ks = ks_distance(y, lambda y: cdf_scale_free(y, k))
 print(f"KS distance, empirical vs direct CDF: {ks:.5f}")
+samples = quad.c0 + big_a * y
 print()
 
 print(f"{'p (W)':>10} {'CDF direct':>11} {'CDF split':>10} {'PDF':>10} "

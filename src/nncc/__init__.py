@@ -36,6 +36,7 @@ from .distribution import (
     IntegrationError,
     PowerQuadratic,
     cdf_reference_batch,
+    cdf_scale_free,
     energy_efficiency,
     expected_power,
     expected_power_quadrature,

@@ -7,55 +7,49 @@ At a fixed placement the round total is a quadratic in the neighbor distance,
     c0 = eps_total*(eta1 + eta2)*r1^2,
 
 for either scheme's ``PowerCoefficients`` (the baseline's has zeta = 0 and
-eps_total = 1, so a = eta2).  With the PPP neighbor-distance law and a
-uniform bearing the CDF of the total is an integral over theta of the
-probability mass the neighbor distance puts on the root interval of
-``P(r, theta) <= p``.
+eps_total = 1, so a = eta2).  The PPP's void probability exp(-pi*rho*r^2)
+makes the area u = pi*rho*r^2 Exp(1), and the bearing is uniform (Haenggi,
+Stochastic Geometry for Wireless Networks, 2012, ch. 2).  So with v =
+cos(theta)*sqrt(u) the total is c0 + A*y, y = u + k*v, and F(p) = H((p -
+c0)/A; k) has the one shape parameter k.  ``PowerQuadratic.law`` gives A =
+a/(pi*rho) and k = b_coeff*sqrt(pi*rho)/a; it is the one place where pi*rho
+meets the coefficients.  The engine takes y and k alone: ``cdf_scale_free``
+is H, and the p-level functions read p through the map.
 
-``cdf_reference_batch`` is the one CDF.  It splits at p = c0 into the regions
-Q1 (below) and Q2 (above) and substitutes so that the roots become
-exponentials.  With k = b_coeff/2 and half_b = k*cos(theta):
+The engine splits by the sign of y into Q1 (-k^2/4 < y <= 0, below c0) and
+Q2 (y > 0), and substitutes so that the roots x = sqrt(u) of x^2 +
+2*half_b*x = y, half_b = (k/2)*cos(theta), become exponentials:
 
-* Q2: half_b = c*sinh(w) with c = sqrt(a*(p - c0)).  The larger root is then
-  exactly r_hi = (c/a)*exp(-w), with w in [-V, V], V = asinh(k/c).  Without
-  this the integrand has a near-kink at half_b ~ +-c, which a fixed or
-  adaptive rule in theta misses when p is just above c0.
-* Q1: -half_b = d*cosh(w) with d = sqrt(a*(c0 - p)).  The roots are then
-  (d/a)*exp(-w) and (d/a)*exp(w), with w in [0, W], W = asinh(sqrt(a*(p -
-  support_min))/d).
+* Q2: half_b = sqrt(y)*sinh(w).  The larger root is then exactly
+  sqrt(y)*exp(-w), with w in [-V, V], sinh(V)^2 = s2 = k^2/(4y).  Without
+  this the integrand has a near-kink at half_b ~ +-sqrt(y), which a fixed or
+  adaptive rule in theta misses when y is just above 0.
+* Q1: -half_b = sqrt(|y|)*cosh(w).  The roots are then sqrt(|y|)*exp(-+w),
+  with w in [0, W], sinh(W)^2 = s2 = (y + k^2/4)/|y|.
 
+A root x carries the mass exp(-x^2) = exp(beta*exp(-+2w)), beta = -|y|.
+Two dimensionless floors keep every value finite: |y| >= 1e-3*``_CDF_TOL``/2
+in Q1 (the density of y is at most 2, so the CDF moves by at most
+1e-3*``_CDF_TOL``; W stays finite at y = 0), and s2 >= 1e-200, so V > 0 as
+k vanishes, where the phi = 0 limits are 0/0 (the law is 1 - exp(-y)).
 Then w = V*cos(phi) (W*cos(phi)), and Q2 folds w onto [0, V].  Either
 integrand becomes a smooth, even, pi-periodic function of phi in [0, pi/2]
 (Trefethen, Approximation Theory and Approximation Practice, ch. 19), on
-which the trapezoid rule converges geometrically.  The rule doubles, reusing
-its nodes, until the change |T_2n - T_n| is at most ``_CDF_TOL`` = 1e-10,
-and T_2n is kept.  A point that has not converged at ``_MAX_NODES``
-intervals raises ``IntegrationError``, and one whose value is not finite at
-any level raises it at once.  The points run serially, in chunks
-of ``_CHUNK``; each value depends on its own point alone, so it does not
-depend on the chunk size or the BLAS thread count.
-
-``pdf_branch_form``, the density, is a second integrand on the same loop:
-on both branches rho/a times the integral over phi in [0, pi/2] of
-(exp(-u + beta*exp(-2u)) + exp(u + beta*exp(2u))) * V*sin(phi)/sqrt(sinh(V)^2
-- sinh(u)^2), u = V*cos(phi), beta = -pi*rho*(c/a)^2 (Q2) or -pi*rho*(d/a)^2
-(Q1).  Its rule stops at a change of ``_CDF_TOL`` times the value (relative
-1e-10) and raises ``IntegrationError`` past ``_MAX_NODES`` intervals too.
+which the trapezoid rule converges geometrically.  It doubles, reusing its
+nodes, until |T_2n - T_n| meets the integrand's tolerance, point by point.
+The density of y is the second integrand: 1/pi times the integral over phi
+in [0, pi/2] of (exp(-u + beta*exp(-2u)) + exp(u + beta*exp(2u))) *
+V*sin(phi)/sqrt(sinh(V)^2 - sinh(u)^2), u = V*cos(phi).
 
 The independent checks of ``validate`` (the mean by nested 2-D quadrature,
 the density's integral over the support) use ``_tanh_sinh``, the
-double-exponential rule of Takahasi and Mori (1974): with x = mid +
-half*tanh(pi/2*sinh(t)), the trapezoid rule in t on [-3.5, 3.5] starts at
-step 1/2 and halves the step, reusing its nodes, until |T_h/2 - T_h| plus
-the two end terms (the truncation estimate) is at most atol + rtol*|T_h/2|.
-A sum that is not finite has not converged; past ``_TS_LEVELS`` = 7
-halvings (1793 nodes) it raises ``IntegrationError`` naming the interval.
-The steps, and the factors of each node and weight that do not depend on the
-interval, are computed once at import (``_TS_RULE``) and shared by every
-call.  One call takes a batch of intervals (the five sets of the mean, the
-density's two branches) through one doubling loop: each interval stops on its
-own test, once all of its entries meet it, and a frozen interval is not
-evaluated again, so each gets the bits of a call on it alone.
+double-exponential rule of Takahasi and Mori (1974), x = mid +
+half*tanh(pi/2*sinh(t)): the trapezoid rule in t on [-3.5, 3.5] halves its
+step from 1/2, reusing its nodes, until |T_h/2 - T_h| plus the two end terms
+(the truncation estimate) is at most atol + rtol*|T_h/2|; a sum that is not
+finite has not converged, and past ``_TS_LEVELS`` = 7 halvings (1793 nodes)
+it raises ``IntegrationError`` naming the interval.  The interval-free
+factors of nodes and weights are computed once (``_TS_RULE``).
 """
 
 from __future__ import annotations
@@ -123,8 +117,9 @@ def _tanh_sinh(f, lo, hi, atol: float, rtol: float):
     abscissae ``x`` of the intervals ``live`` (integer indices), one row
     each, and returns values of shape (len(live), entries..., nodes); the
     result has shape (m, entries...), and every entry must meet the stop test
-    of the module docstring.  Each interval stops on its own test, is not
-    evaluated again, and gets the bits of a call on it alone.
+    of the module docstring.  The intervals (the five sets of the mean, the
+    density's two branches) go through one loop; each stops on its own test,
+    is not evaluated again, and gets the bits of a call on it alone.
     """
     lo_all, hi_all = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     # the intervals still going, their ends as columns, and their half widths
@@ -198,13 +193,24 @@ class PowerQuadratic(NamedTuple):
                     "rate", f"the round total's coefficient {name} reaches "
                             f"{float(np.max(np.abs(value))):.3g}, whose square "
                             "overflows; lower the rate or the distances")
-            # a and c0 are > 0; the CDF engine divides by a*a and scales a by c0
+            # a and c0 are > 0: either whose square is not a normal float is refused
             if name != "b_coeff" and not np.all(value * value >= sys.float_info.min):
                 raise ParameterError(
                     "rate", f"the round total's coefficient {name} is "
                             f"{float(np.min(value)):.3g}, whose square underflows; "
                             "raise the rate, the noise density or the distances")
         return quad
+
+    def law(self, rho):
+        """The one map p <-> y: (A, B, k), with p = c0 + A*y and F(p) = H(y; k).
+
+        A = a/(pi*rho), B = b_coeff/sqrt(pi*rho) and k = b_coeff*sqrt(pi*rho)/a:
+        the total is c0 + A*u + B*v = c0 + A*(u + k*v).  Arrays give arrays.
+        """
+        require_density(rho)
+        pi_rho = math.pi * rho
+        root = pi_rho ** 0.5  # np.sqrt's bits on an array, a Python float on a float
+        return self.a / pi_rho, self.b_coeff / root, self.b_coeff / self.a * root
 
     @property
     def half_b_max(self) -> float:
@@ -223,9 +229,8 @@ class PowerQuadratic(NamedTuple):
 def _cdf_integrand(v, s2, beta, cos_phi, sin_phi, upper):
     """The substituted CDF integrand at nodes phi in (0, pi/2], one row per point.
 
-    ``v`` is V (Q2) or W (Q1), ``s2`` is sinh(v)^2 and ``beta`` is
-    -pi*rho*(c/a)^2 (Q2) or -pi*rho*(d/a)^2 (Q1), each a column.  With
-    u = v*cos(phi) the roots are (c/a)*exp(-+u) (or (d/a)*exp(-+u)), and
+    ``v`` is V (Q2) or W (Q1), ``s2`` is sinh(v)^2 and ``beta`` is -|y|, each a
+    column.  With u = v*cos(phi) the roots are sqrt(|y|)*exp(-+u), and
     dtheta/dphi is cosh(u) (Q2) or sinh(u) (Q1) times
     v*sin(phi)/sqrt(sinh(v)^2 - sinh(u)^2).
     """
@@ -240,9 +245,9 @@ def _cdf_integrand(v, s2, beta, cos_phi, sin_phi, upper):
         np.subtract(sinh_u, big, out=em)   # -cosh(u)
     np.square(big, out=big)
     g = np.divide(beta, big)
-    np.expm1(g, out=g)                     # exp(-pi*rho*r_lo^2) - 1
+    np.expm1(g, out=g)                     # exp(-x_lo^2) - 1
     big *= beta
-    np.expm1(big, out=big)                 # exp(-pi*rho*r_hi^2) - 1
+    np.expm1(big, out=big)                 # exp(-x_hi^2) - 1
     if upper:                              # both roots' bearings, folded onto u >= 0
         g += big
         g *= em
@@ -270,7 +275,7 @@ def _cdf_limit(v, beta, upper):
 def _pdf_integrand(v, s2, beta, cos_phi, sin_phi, upper):
     """The substituted density integrand, arguments as in ``_cdf_integrand``.
 
-    Each root's |dr/dp|, 1/(2*d*sinh(u)) (Q1) or 1/(2*d*cosh(u)) (Q2), cancels
+    Each root's |dx/dy|, 1/(2*sqrt(|y|)*sinh(u)) (Q1; cosh(u) in Q2), cancels
     against the Jacobian.  Each exponential is taken whole, so none overflows.
     """
     u = v * cos_phi
@@ -296,20 +301,14 @@ class _Integrand(NamedTuple):
     rtol: float
 
 
-def _branch(p: np.ndarray, quad: PowerQuadratic, rho: float, upper: bool, n_nodes: int,
-            f: _Integrand) -> tuple[np.ndarray, np.ndarray]:
-    """Means of ``f`` over phi in [0, pi/2] at points ``p`` of one branch, and errors."""
-    a = quad.a
-    if upper:
-        d2 = a * (p - quad.c0)
-        s2 = quad.half_b_max * quad.half_b_max / d2
-    else:
-        # the density is at most 2*pi*rho/a, so flooring c0 - p at this shift
-        # moves the CDF by at most 1e-3 * _CDF_TOL; it keeps W finite at p = c0
-        d2 = a * np.maximum(quad.c0 - p, 1e-3 * _CDF_TOL * a / (2.0 * math.pi * rho))
-        s2 = a * (p - quad.support_min) / d2
+def _branch(y: np.ndarray, lift: np.ndarray, k: float, upper: bool, n_nodes: int,
+            f: _Integrand, where: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """Means of ``f`` over phi in [0, pi/2] at points ``y`` of one branch, and errors;
+    ``where(i)`` names point i in an ``IntegrationError``."""
+    y = y if upper else np.minimum(y, -0.5e-3 * _CDF_TOL)  # the module docstring's floors
+    s2 = np.maximum(0.25 * k * k / y if upper else lift / -y, 1e-200)
     v = np.arcsinh(np.sqrt(s2))
-    beta = (-math.pi * rho / (a * a)) * d2
+    beta = -np.abs(y)
     end = f.limit(v, beta, upper)
     v, s2, beta = v[:, None], s2[:, None], beta[:, None]
 
@@ -328,22 +327,21 @@ def _branch(p: np.ndarray, quad: PowerQuadratic, rho: float, upper: bool, n_node
     weights = np.ones(n)
     weights[-1] = 0.5
     grid = np.arange(1, n + 1) * (0.5 * math.pi / n)
-    total = 0.5 * end + node_sum(np.arange(p.size), grid, weights)
+    total = 0.5 * end + node_sum(np.arange(y.size), grid, weights)
     value = total / (2 * n)
-    err = np.full(p.size, np.inf)
-    todo = np.arange(p.size)
+    err = np.full(y.size, np.inf)
+    todo = np.arange(y.size)
     while todo.size:
         bad = todo[~np.isfinite(value[todo])]  # a NaN or inf in total never clears
         if bad.size:
             raise IntegrationError(
-                f"{f.name} at p = {float(p[bad[0]])!r} ({quad!r}, rho = {rho!r}) is not "
-                f"finite at {n} intervals (value {float(value[bad[0]])!r})")
+                f"{f.name} at {where(bad[0])} is not finite at {n} intervals "
+                f"(value {float(value[bad[0]])!r})")
         if n >= _MAX_NODES:
             i = todo[0]
             raise IntegrationError(
-                f"{f.name} at p = {float(p[i])!r} ({quad!r}, rho = {rho!r}) did not "
-                f"converge within {n} intervals (estimate {err[i]:.3g}, "
-                f"{err[i] / value[i]:.3g} of the value)")
+                f"{f.name} at {where(i)} did not converge within {n} intervals "
+                f"(estimate {err[i]:.3g}, {err[i] / value[i]:.3g} of the value)")
         midpoints = (np.arange(n) + 0.5) * (0.5 * math.pi / n)
         total[todo] += node_sum(todo, midpoints, np.ones(n))
         n *= 2
@@ -354,52 +352,69 @@ def _branch(p: np.ndarray, quad: PowerQuadratic, rho: float, upper: bool, n_node
     return value, err
 
 
-def _integrate(p_values, quad: PowerQuadratic, rho: float, f: _Integrand,
+def _integrate(y: np.ndarray, lift: np.ndarray, k: float, f: _Integrand, where: Callable,
                n_nodes: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """``_branch`` over chunks of points of any shape, 0 below the support."""
-    require_density(rho)
+    """``_branch`` over chunks of the points ``y``, an array of any shape, 0
+    where the height ``lift`` = y + k^2/4 above the support's floor is not > 0;
+    ``where(i)`` names the i-th point of the flattened input."""
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes!r}")
-    p_values = np.asarray(p_values, dtype=float)
-    out = np.zeros(p_values.shape, dtype=float)
-    err = np.zeros(p_values.shape, dtype=float)
-    flat_p, flat_out, flat_err = p_values.ravel(), out.ravel(), err.ravel()
-    for upper, mask in ((False, (flat_p > quad.support_min) & (flat_p <= quad.c0)),
-                        (True, flat_p > quad.c0)):
+    out, err = np.zeros(y.shape), np.zeros(y.shape)
+    flat_y, flat_lift, flat_out, flat_err = y.ravel(), lift.ravel(), out.ravel(), err.ravel()
+    for upper, mask in ((False, (flat_lift > 0.0) & (flat_y <= 0.0)), (True, flat_y > 0.0)):
         idx = np.flatnonzero(mask)
         for start in range(0, idx.size, _CHUNK):  # bounds the per-point temporaries
             sel = idx[start:start + _CHUNK]
-            flat_out[sel], flat_err[sel] = _branch(flat_p[sel], quad, rho, upper, n_nodes, f)
+            flat_out[sel], flat_err[sel] = _branch(flat_y[sel], flat_lift[sel], k, upper,
+                                                   n_nodes, f, lambda i, s=sel: where(s[i]))
     return out, err
+
+
+def _cdf() -> _Integrand:  # built per call, so a test may swap the kernel
+    return _Integrand("CDF", _cdf_integrand, _cdf_limit, _CDF_TOL, 0.0)
+
+
+def _at_totals(p_values, quad: PowerQuadratic, rho: float, f: _Integrand,
+               n_nodes: int = 8) -> tuple[np.ndarray, np.ndarray, float]:
+    """``_integrate`` at totals p, mapped by ``quad.law(rho)``, and A; the height
+    (p - support_min)/A starts the support at ``support_min`` itself."""
+    big_a, _, k = quad.law(rho)
+    p = np.asarray(p_values, dtype=float)
+    values, err = _integrate((p - quad.c0) / big_a, (p - quad.support_min) / big_a, k, f,
+                             lambda i: f"p = {float(p.flat[i])!r} ({quad!r}, rho = {rho!r})",
+                             n_nodes)
+    return values, err, big_a
 
 
 def _cdf_and_error(p_values, quad: PowerQuadratic, rho: float,
                    n_nodes: int = 8) -> tuple[np.ndarray, np.ndarray]:
     """``cdf_reference_batch`` with each value's error estimate, as two arrays."""
-    return _integrate(p_values, quad, rho, _Integrand(
-        "CDF", _cdf_integrand, _cdf_limit, _CDF_TOL, 0.0), n_nodes)
+    return _at_totals(p_values, quad, rho, _cdf(), n_nodes)[:2]
+
+
+def cdf_scale_free(y_values, k: float, *, n_nodes: int = 8):
+    """H(y; k), the CDF of the scale-free total y = u + k*v, each value to 1e-10
+    as ``cdf_reference_batch`` takes it; an ``IntegrationError`` names y and k."""
+    y = np.asarray(y_values, dtype=float)
+    values, _ = _integrate(y, y + 0.25 * k * k, k, _cdf(),
+                           lambda i: f"y = {float(y.flat[i])!r} (k = {k!r})", n_nodes)
+    return values if values.ndim else float(values)
 
 
 def cdf_reference_batch(p_values, quad: PowerQuadratic, rho: float, *,
                         n_nodes: int = 8):
-    """CDF of the round total at ``p_values``, each to 1e-10 by its own estimate.
+    """CDF of the round total at ``p_values``, H((p - c0)/A; k), each to 1e-10.
 
-    A 0-d input gives a float, an array an array of its shape.  Each point
-    takes the substitution of the module docstring, which makes the roots
-    exponentials, and starts from the trapezoid rule with ``n_nodes``
-    intervals on [0, pi/2].  It doubles the rule, reusing its nodes, until
-    the change is at most ``_CDF_TOL`` = 1e-10 in absolute terms, and returns
-    the finer value.  A point whose change is still above that at
-    ``_MAX_NODES`` = 8192 intervals raises ``IntegrationError`` naming p, the
-    quadratic and rho, and so does a value that is not finite, at the first
-    level where it is not.  Below the support the CDF is 0.
-
-    The points are taken in chunks of ``_CHUNK``, serially.  Every point's
-    value depends on that point alone: its doubling stops on its own
-    estimate, the kernels are element-wise, and the node sums are per-row
-    ``einsum`` calls, which numpy computes itself in a fixed order (without
-    ``optimize`` it never hands them to BLAS).  So the result is
-    bit-identical for any chunk size and any BLAS thread count.
+    A 0-d input gives a float, an array an array of its shape; below the
+    support the CDF is 0.  Each point starts from the trapezoid rule with
+    ``n_nodes`` intervals on [0, pi/2] (module docstring) and doubles it until
+    the change is at most ``_CDF_TOL`` = 1e-10 in absolute terms, returning the
+    finer value.  A point still above that at ``_MAX_NODES`` = 8192
+    intervals, or not finite at some level, raises ``IntegrationError`` there,
+    naming p, the quadratic and rho.  Each value depends on its point alone
+    (its own stop, element-wise kernels, per-row ``einsum`` node sums in
+    numpy's fixed order, never BLAS), so its bits do not depend on the chunk
+    size or the BLAS thread count.
     """
     values, _ = _cdf_and_error(p_values, quad, rho, n_nodes)
     return values if values.ndim else float(values)
@@ -409,36 +424,30 @@ def pdf_branch_form(p, quad: PowerQuadratic, rho: float):
     """Density of the round total at ``p``, each value to 1e-10 relative.
 
     A 0-d input gives a float, an array an array of its shape; the branch
-    form of the CDF has the same density.  It is rho/a times the integral over
-    phi in [0, pi/2] of (exp(-u + beta*exp(-2u)) + exp(u + beta*exp(2u))) *
-    v*sin(phi)/sqrt(sinh(v)^2 - sinh(u)^2), u = v*cos(phi), in the variables
-    of the module docstring, by the doubling trapezoid rule of
-    ``cdf_reference_batch`` until the change is at most ``_CDF_TOL`` = 1e-10
-    times the value (near the subnormal range, the smallest normal float
-    times pi*rho/a).  That is the trapezoid error only: within ~1e-12
-    (relative) of ``support_min`` its rounding moves the density by up to
-    ~1e-8 relative, and near c0 the rounding of a*(c0 - p) times |beta| costs
-    ~1e-11 (rho 0.1, r1 20 km).  A point not there at ``_MAX_NODES`` = 8192
-    intervals, or whose value is not finite, raises ``IntegrationError``
-    naming p, the quadratic and rho.  At and below the support minimum the
-    density is 0.
+    form of the CDF has the same density, 1/A times that of y (module
+    docstring), zero at and below the support minimum.  The rule of
+    ``cdf_reference_batch`` stops at a change of ``_CDF_TOL`` = 1e-10 times
+    the value (near the subnormal range, the smallest normal float times
+    1/A), and raises as it does.  That is the trapezoid error only: within
+    ~1e-12 (relative) of ``support_min`` rounding moves the density by up to
+    ~1e-8 relative, and near c0 the rounding of p - c0 times |beta| costs
+    ~1e-11 (rho 0.1, r1 20 km).
     """
     # a subnormal mean has no relative digits: its floor is the smallest normal
-    values, _ = _integrate(p, quad, rho, _Integrand(
+    values, _, big_a = _at_totals(p, quad, rho, _Integrand(
         "density", _pdf_integrand, _pdf_limit, sys.float_info.min, _CDF_TOL))
-    values *= math.pi * rho / quad.a
+    values /= big_a
     return values if values.ndim else float(values)
 
 
 def expected_power(quad: PowerQuadratic, rho):
-    """Mean round total over the PPP, from the closed-form moments.
+    """Mean round total over the PPP, c0 + A (``PowerQuadratic.law``).
 
-    The neighbor-distance second moment is 1/(pi*rho), the bearing cosine
-    averages to zero, so the mean is a/(pi*rho) + c0.  Array coefficients and
-    densities give the mean of each set, element-wise.
+    The mean of the area u is 1 and that of v = cos(theta)*sqrt(u) is 0, so
+    the mean of y is 1.  Array coefficients and densities give the mean of
+    each set, element-wise.
     """
-    require_density(rho)
-    return quad.a / (math.pi * rho) + quad.c0
+    return quad.c0 + quad.law(rho)[0]
 
 
 def expected_power_quadrature(quad: PowerQuadratic, rho):
@@ -482,16 +491,16 @@ def energy_efficiency(expected: float, rate: float) -> float:
 def support_upper(quad: PowerQuadratic, rho: float, tail: float = 1e-6) -> float:
     """A total above which the round total lies with probability at most ``tail``.
 
-    It is c0 + (a*r_t + b_coeff)*r_t with r_t = sqrt(-log(tail)/(pi*rho)), the
-    distance the PPP neighbor exceeds with probability exactly ``tail``.  At
-    every bearing a*r^2 + b_coeff*cos(theta)*r + c0 is at most that value for
-    r <= r_t, so the CDF there is at least 1 - tail.  Its distance from c0
-    is that of the (1 - tail)-quantile when a*r_t^2 dominates, and at most
-    1.12 (tail 1e-6) or 1.09 (tail 1e-9) times it over rho in [1e-7, 1] and
-    r1 in [50 m, 100 km].
+    It is c0 + A*(u_t + k*sqrt(u_t)) (``PowerQuadratic.law``) with u_t =
+    -log(tail), the area pi*rho*r^2 the PPP neighbor exceeds with probability
+    exactly ``tail``.  At every bearing u + k*cos(theta)*sqrt(u) is at most
+    u_t + k*sqrt(u_t) for u <= u_t, so the CDF there is at least 1 - tail.
+    Its distance from c0 is that of the (1 - tail)-quantile when u_t
+    dominates, and at most 1.12 (tail 1e-6) or 1.09 (tail 1e-9) times it
+    over rho in [1e-7, 1] and r1 in [50 m, 100 km].
     """
     if not 0.0 < tail < 1.0:
         raise ValueError(f"tail must lie in (0, 1), got {tail!r}")
-    require_density(rho)
-    r_t = math.sqrt(-math.log(tail) / (math.pi * rho))
-    return quad.c0 + (quad.a * r_t + quad.b_coeff) * r_t
+    big_a, _, k = quad.law(rho)
+    u_t = -math.log(tail)
+    return quad.c0 + big_a * (u_t + k * math.sqrt(u_t))

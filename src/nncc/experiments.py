@@ -296,15 +296,17 @@ def _distribution_section(rep: _Report, params: SystemParams,
     rho = params.rho
     rep.add(f"[b] power distribution vs Monte Carlo (rho = {_fmt(rho)}, "
             f"r1 = {_fmt(r1)})")
+    # the scale-free totals y, which keep their digits where A < ulp(c0), and H(y; k)
     samples, m_a, m_c = mc.draw_power_samples(n_trials, rho, quad,
                                               mc.RandomStream(seed, stream_id=101),
                                               workers=workers)
     # partition at the median, then sort the halves on the workers: all in
     # place, as a sorted copy would double the sample's memory
     mc._sort_in_place(samples, workers)
+    k = quad.law(rho)[2]
 
-    def cdf(p):
-        return dist.cdf_reference_batch(p, quad, rho)
+    def cdf(y):
+        return dist.cdf_scale_free(y, k)
 
     ks_ref = mc.ks_distance(samples, cdf)
     ks_bound = max(0.005, 1.5 * 1.36 / math.sqrt(n_trials))
@@ -433,6 +435,10 @@ def validate_report(spec: ExperimentSpec) -> tuple[str, tuple[Check, ...]]:
 
     coeff = powermodel.power_coefficients(params)
     quad = dist.PowerQuadratic.from_coefficients(coeff, r1)
+    k = quad.law(params.rho)[2]
+    if not 2.0 * k * k < math.inf:  # [b]'s CDF takes k^2/4, and root masses up to ~k^2
+        raise ParameterError("rho", f"{params.rho!r} handsets/m^2 at r1 = {r1!r} m give the "
+                                    f"law's shape k = {k:.3g}, whose square overflows")
     _closure_section(rep, params, spec.seed, coeff)
     m_a, m_c = _distribution_section(rep, params, quad, r1, spec.n_trials, spec.seed,
                                      spec.workers)

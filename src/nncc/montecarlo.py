@@ -13,7 +13,7 @@ row's threshold, and ``sample_power_distribution`` reads the sums of one
 placement draw at each row's density.  Both placement samplers run one block
 kernel, which never sees the density: it forms u = pi*rho*r^2 and v =
 cos(theta)*sqrt(pi*rho)*r, and the round total at density rho is A*u + B*v +
-c0 with A = a/(pi*rho) and B = b_coeff/sqrt(pi*rho).
+c0 = c0 + A*(u + k*v) (``PowerQuadratic.law``).
 """
 
 from __future__ import annotations
@@ -284,23 +284,14 @@ def exchange_counts(n: int, thresholds, sigma2: float, stream: RandomStream) -> 
     return counts
 
 
-def _uv_coefficients(quad: PowerQuadratic, rho):
-    """(A, B) = (a/(pi*rho), b_coeff/sqrt(pi*rho)): the round total is A*u + B*v
-    + c0 in the density-free u = pi*rho*r^2 and v = cos(theta)*sqrt(pi*rho)*r."""
-    # ** 0.5 takes np.sqrt's bits on an array and stays a Python float on a float
-    return quad.a / (math.pi * rho), quad.b_coeff / (math.pi * rho) ** 0.5
-
-
-def _power_block(rng, size: int, out=None, coeffs=None):
+def _power_block(rng, size: int, out=None, k=None):
     """Sums of u = pi*rho*r^2 and v = cos(theta)*sqrt(pi*rho)*r over ``size``
     placements; neither depends on rho, so the block takes r at pi*rho = 1.
 
     cos(theta) is ``2/(1 + tan(theta/2)**2) - 1``, within 4.5e-16 of ``np.cos``;
     v and u are then formed in place of the cosine and r.  With ``out`` the
-    block writes its round totals there in draw order, ``A*u + B*v + c0`` for
-    ``coeffs`` = (A, B, c0) with each operation in place, the bits of the
-    expression written out.  Without, it also returns the sums of u*u, u*v
-    and v*v.
+    block writes the scale-free totals ``u + k*v`` there in draw order, in
+    place, the bits of the expression; without, it also sums u*u, u*v and v*v.
     """
     area, theta = sample_nn_geometries(rng, size)
     r = np.sqrt(area, out=area)
@@ -319,61 +310,54 @@ def _power_block(rng, size: int, out=None, coeffs=None):
     if out is None:
         return sums + (np.einsum("i,i->", r, r), np.einsum("i,i->", r, theta),
                        np.einsum("i,i->", theta, theta))
-    big_a, big_b, c0 = coeffs
-    np.multiply(big_a, r, out=out)
-    theta *= big_b
-    out += theta
-    out += c0
+    theta *= k
+    np.add(r, theta, out=out)
     return sums
 
 
-def _placement_sums(n: int, stream: RandomStream, workers: int, coeffs=None,
-                    totals: np.ndarray | None = None) -> list[float]:
+def _placement_sums(n: int, stream: RandomStream, workers: int, k=None,
+                    y: np.ndarray | None = None) -> list[float]:
     """``_power_block``'s sums over n placements (``_sum_blocks``); with
-    ``totals``, each block fills its slice."""
+    ``y``, each block fills its slice."""
     def block_fn(rng, start, size):
-        out = None if totals is None else totals[start:start + size]
-        return [float(s) for s in _power_block(rng, size, out, coeffs)]
+        out = None if y is None else y[start:start + size]
+        return [float(s) for s in _power_block(rng, size, out, k)]
 
     return _sum_blocks(n, stream, workers, block_fn)
 
 
 def mean_from_moments(quad: PowerQuadratic, rho, m_a, m_c):
-    """Mean round total ``A*m_a + B*m_c + c0`` (``_uv_coefficients``) of a draw
-    with placement moments m_a and m_c; element-wise on arrays."""
-    big_a, big_b = _uv_coefficients(quad, rho)
+    """Mean round total ``A*m_a + B*m_c + c0`` (``PowerQuadratic.law``) of a
+    draw with placement moments m_a and m_c; element-wise on arrays."""
+    big_a, big_b, _ = quad.law(rho)
     return big_a * m_a + big_b * m_c + quad.c0
 
 
 class PowerSamples(NamedTuple):
-    """Round totals of n placements in draw order, and two moments of the draw.
+    """Scale-free totals y = u + k*v of n placements in draw order (the round
+    totals are c0 + A*y, ``PowerQuadratic.law``), and two moments of the draw.
 
     ``m_a`` is the sample mean of u = pi*rho*r^2 (mean 1, variance 1) and
     ``m_c`` that of v = cos(theta)*sqrt(pi*rho)*r (mean 0, variance 1/2,
-    uncorrelated with u).  Neither depends on rho: one stream gives the same
-    bits at every density.  The mean of ``totals`` is, to rounding,
-    ``mean_from_moments(quad, rho, m_a, m_c)``.
+    uncorrelated with u); neither depends on rho.  The mean of c0 + A*y is,
+    to rounding, ``mean_from_moments(quad, rho, m_a, m_c)``.
     """
 
-    totals: np.ndarray
+    y: np.ndarray
     m_a: float
     m_c: float
 
 
 def draw_power_samples(n: int, rho: float, quad: PowerQuadratic,
                        stream: RandomStream, workers: int = 1) -> PowerSamples:
-    """The round totals ``quad`` of n random placements, in draw order,
-    unsorted, and the draw's two placement moments.
-
-    Block j fills its own slice of one preallocated array with A*u + B*v + c0
-    (``_uv_coefficients``).  The draws are those ``sample_power_distribution``
-    summarises on the same stream.
-    """
-    require_density(rho)
-    totals = np.empty(n)
-    sum_u, sum_v = _placement_sums(n, stream, workers,
-                                   _uv_coefficients(quad, rho) + (quad.c0,), totals)
-    return PowerSamples(totals, sum_u / n, sum_v / n)
+    """The ``PowerSamples`` of n random placements of ``quad`` at ``rho``:
+    the scale-free totals unsorted, block j filling its own slice of one
+    array.  The draws are those ``sample_power_distribution`` summarises on
+    the same stream."""
+    k = quad.law(rho)[2]
+    y = np.empty(n)
+    sum_u, sum_v = _placement_sums(n, stream, workers, k, y)
+    return PowerSamples(y, sum_u / n, sum_v / n)
 
 
 def sample_power_distribution(n: int, rho, quad: PowerQuadratic, stream: RandomStream,
@@ -382,8 +366,8 @@ def sample_power_distribution(n: int, rho, quad: PowerQuadratic, stream: RandomS
 
     ``rho`` and ``quad``'s coefficients may be arrays, one entry per set; floats
     give floats.  Every set reads one draw, as u = pi*rho*r^2 and v =
-    cos(theta)*sqrt(pi*rho)*r do not depend on rho: with A = a/(pi*rho) and B =
-    b_coeff/sqrt(pi*rho) the mean is ``mean_from_moments`` and the variance
+    cos(theta)*sqrt(pi*rho)*r do not depend on rho: with A and B of
+    ``PowerQuadratic.law`` the mean is ``mean_from_moments`` and the variance
     A^2*Var(u) + 2*A*B*Cov(u, v) + B^2*Var(v), sample (co)variances from block
     sums.  A density at which r*r has no finite variance is refused first.
     """
@@ -397,7 +381,7 @@ def sample_power_distribution(n: int, rho, quad: PowerQuadratic, stream: RandomS
     var_v = (sum_vv - sum_v * sum_v / n) / (n - 1)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf is refused below
         mean = mean_from_moments(quad, rho, sum_u / n, sum_v / n)
-        a, b = _uv_coefficients(quad, rho)
+        a, b, _ = quad.law(rho)
         var = a * a * var_u + 2.0 * a * b * cov_uv + b * b * var_v
     return mean, _energy_stderr(mean, var, n, "over placements")
 
@@ -408,7 +392,7 @@ def ks_distance(samples: np.ndarray, cdf) -> float:
     ``samples`` must be finite and sorted ascending.  ``cdf`` is a
     non-decreasing callable that maps an array of points to the model CDF's
     values there, an array of the same shape, e.g.
-    ``lambda p: cdf_reference_batch(p, quad, rho)``.  The statistic is the
+    ``lambda y: cdf_scale_free(y, k)``.  The statistic is the
     largest of ``i/n - F(s_i)`` and ``F(s_i) - (i-1)/n`` over the ranks i.
 
     It is exact without evaluating ``cdf`` at every sample.  ``cdf`` first
@@ -433,7 +417,7 @@ def ks_distance(samples: np.ndarray, cdf) -> float:
     ``_KS_SLACK``] of its cell, is a ``ValueError``.
 
     At 1e6 samples ``cdf`` takes five calls: 6007 points on ``validate --seed
-    7``'s draw, and 5042-6623 on sorted uniforms with F(p) = p at seeds 0-4.
+    7``'s scale-free draw y, and 5042-6623 on sorted uniforms, F(p) = p, seeds 0-4.
     """
     if not callable(cdf):
         raise TypeError(f"cdf must be a callable, got {type(cdf).__name__}")

@@ -9,8 +9,8 @@ density.  ``ks_distance_of_values``, ``tanh_sinh_uncached``,
 ``mean_quadrature_per_call``, ``placements_by_expression`` and
 ``power_samples_by_expression`` are the direct forms of package routines that
 skip work (``nncc.ks_distance`` evaluates the CDF, level by level, only in
-the cells that can hold the statistic: at 6007 of the 1e6 samples of
-``validate --seed 7``'s draw; ``nncc.distribution._tanh_sinh`` shares its
+the cells that can hold the statistic: at 6007 of the 1e6 scale-free samples
+of ``validate --seed 7``'s draw; ``nncc.distribution._tanh_sinh`` shares its
 steps between calls and integrates a batch of intervals at once;
 ``nncc.montecarlo``'s block kernel computes in place); the tests require the
 package's results to be bitwise equal to them.  ``rounds_drawn_directly`` is
@@ -161,18 +161,17 @@ def placements_by_expression(n: int, stream):
 
 
 def power_samples_by_expression(n: int, rho: float, quad, stream):
-    """The block kernel of ``nncc.montecarlo``: n round totals in draw order.
+    """The block kernel of ``nncc.montecarlo``: n scale-free totals in draw order.
 
     The kernel never sees rho: it takes r = sqrt(area), the distance at
     pi*rho = 1, cos(theta) as 2/(1 + tan(theta/2)^2) - 1, and u = r*r and v =
-    cos(theta)*r.  The total is A*u + B*v + c0, A = a/(pi*rho) and B =
-    b_coeff/sqrt(pi*rho).
+    cos(theta)*r.  The scale-free total is y = u + k*v, with k of
+    ``quad.law(rho)``; the round total is c0 + A*y.
     """
     area, theta = placements_by_expression(n, stream)
     r = np.sqrt(area)
     cos = 2.0 / (1.0 + np.tan(0.5 * theta) ** 2) - 1.0
-    big_a, big_b = quad.a / (math.pi * rho), quad.b_coeff / (math.pi * rho) ** 0.5
-    return big_a * (r * r) + big_b * (cos * r) + quad.c0
+    return r * r + quad.law(rho)[2] * (cos * r)
 
 
 def rounds_drawn_directly(n: int, geom, params, stream) -> dict:

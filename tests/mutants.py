@@ -22,7 +22,11 @@ time, so a test or the table can turn it on for one run:
   dataset alike;
 - ``baseline_eta_scale``: the baseline's uplink coefficients from
   ``powermodel.conventional_coefficients`` are ``1 + delta`` times too large,
-  in its powers at a fixed placement and in its mean alike.
+  in its powers at a fixed placement and in its mean alike;
+- ``law_scale``: the one map ``PowerQuadratic.law`` takes pi*rho as ``(1 +
+  delta)*pi*rho``, so every reader of the map (the closed-form mean, the
+  CDF, ``support_upper``, section [b]'s draw and the Monte Carlo means) has
+  the neighbour law of a density ``1 + delta`` times too high.
 
 pytest does not collect this file.  From the repository root, the table of
 which ``validate`` checks fire for each fault and size:
@@ -47,6 +51,7 @@ import pytest
 
 from nncc import montecarlo as mc
 from nncc import powermodel
+from nncc.distribution import PowerQuadratic
 from nncc.experiments import ExperimentSpec, validate_report
 
 
@@ -126,6 +131,15 @@ def baseline_eta_scale(monkeypatch, delta: float) -> None:
     monkeypatch.setattr(powermodel, "conventional_coefficients", scaled)
 
 
+def law_scale(monkeypatch, delta: float) -> None:
+    exact = PowerQuadratic.law
+
+    def scaled(quad, rho):
+        return exact(quad, (1.0 + delta) * rho)
+
+    monkeypatch.setattr(PowerQuadratic, "law", scaled)
+
+
 # each fault with the sizes the table tries, smallest first; "none" is the
 # correct program, whose failures are false alarms
 FAULTS = {
@@ -136,6 +150,7 @@ FAULTS = {
     "relay_dropped": (relay_dropped, (0.001, 0.003, 0.01, 0.03, 0.1)),
     "threshold_scale": (threshold_scale, (0.01, 0.03, 0.1, 0.3)),
     "baseline_eta_scale": (baseline_eta_scale, (0.01, 0.03, 0.1, 0.3)),
+    "law_scale": (law_scale, (1e-9, 1e-8, 1e-6, 1e-3, 0.05)),
 }
 
 

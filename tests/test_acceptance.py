@@ -18,6 +18,7 @@ from nncc import (
     OutageTargets,
     SystemParams,
     cdf_reference_batch,
+    cdf_scale_free,
     expected_power,
     expected_power_quadrature,
     pdf_branch_form,
@@ -125,8 +126,10 @@ def test_criterion_06_distribution_ground_truth():
     params = validate(SystemParams(rate=1e7, rho=1e-4))
     quad = cooperative_quadratic(params, 2000.0)
     n = 1_000_000
-    samples = np.sort(draw_power_samples(n, params.rho, quad, RandomStream(1006)).totals)
-    ks = ks_distance(samples, lambda p: cdf_reference_batch(p, quad, params.rho))
+    # the scale-free totals y and their CDF H(y; k), as validate's section [b]
+    samples = np.sort(draw_power_samples(n, params.rho, quad, RandomStream(1006)).y)
+    k = quad.law(params.rho)[2]
+    ks = ks_distance(samples, lambda y: cdf_scale_free(y, k))
     assert ks < 0.005
     _report(6, f"KS distance {ks:.5f} < 0.005 at {n} samples")
 

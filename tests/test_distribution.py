@@ -9,14 +9,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
+import mutants
 from cdf_oracle import (branch_form_cdf, cdf_oracle, pdf_integral_oracle, pdf_oracle,
                         quantile_oracle)
 from model_helpers import (b_of, cooperative_quadratic, mean_quadrature_per_call,
-                           nn_distance, tanh_sinh_uncached)
+                           nn_distance, placements_by_expression, tanh_sinh_uncached)
 from nncc import (
     IntegrationError,
     PowerQuadratic,
     cdf_reference_batch,
+    cdf_scale_free,
     energy_efficiency,
     expected_power,
     expected_power_quadrature,
@@ -29,7 +31,8 @@ from nncc import (ExperimentSpec, Geometry, Link, OutageTargets, ParameterError,
                   validate_report)
 from nncc import distribution
 from nncc.distribution import _cdf_and_error, _tanh_sinh
-from nncc.montecarlo import RandomStream, draw_power_samples, sample_power_distribution
+from nncc.montecarlo import (RandomStream, draw_power_samples, ks_distance,
+                             sample_power_distribution)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -328,23 +331,49 @@ def test_cdf_raises_integration_error_past_the_cap(monkeypatch):
 
 
 def test_a_nan_point_never_converges(monkeypatch):
-    """Where b_coeff^2/(4*a*(p - c0)) underflows to 0, V = 0 and the phi = 0
-    limit is 0/0: the point's NaN is refused by name, never returned, and on
-    the starting rule, as a NaN in the running sum never clears."""
-    params = validate(SystemParams(sigma2_short=1e-150, g_u1_db=-1100.0, n0=1e-200))
-    quad = cooperative_quadratic(params, 2000.0)
-    p = 2.0 * quad.c0
+    """A point whose kernel value is NaN is refused by name, never returned,
+    and on the starting rule, as a NaN in the running sum never clears.
+
+    The kernel is made to return NaN on the second point's row: since the
+    engine floors sinh(V)^2, no point of the parameter space reaches the 0/0
+    at V = 0 that used to give one (``test_vanishing_k_is_the_exponential_law``).
+    """
+    quad = cooperative_quadratic(validate(SystemParams()), 2000.0)
+    rho, p = 1e-4, 2.0 * quad.c0
     for engine, name, kernel in ((cdf_reference_batch, "CDF", "_cdf_integrand"),
                                  (pdf_branch_form, "density", "_pdf_integrand")):
         nodes = []
-        monkeypatch.setattr(distribution, kernel, lambda v, s2, beta, cos_phi, *rest,
-                            _fn=getattr(distribution, kernel):
-                            nodes.append(cos_phi.size) or _fn(v, s2, beta, cos_phi, *rest))
-        with pytest.raises(IntegrationError) as err, np.errstate(invalid="ignore"):
-            engine(np.array([0.5 * quad.c0, p]), quad, params.rho)
+
+        def poisoned(v, s2, beta, cos_phi, *rest, _fn=getattr(distribution, kernel)):
+            nodes.append(cos_phi.size)
+            g = _fn(v, s2, beta, cos_phi, *rest)
+            g[-1] = np.nan  # the last row: the one point above c0
+            return g
+
+        monkeypatch.setattr(distribution, kernel, poisoned)
+        with pytest.raises(IntegrationError) as err:
+            engine(np.array([0.5 * quad.c0, p]), quad, rho)
         assert str(err.value).startswith(f"{name} at p = {p!r} (")
         assert "is not finite at 8 intervals" in str(err.value)
         assert nodes == [8]
+
+
+def test_vanishing_k_is_the_exponential_law():
+    """Where k = b_coeff*sqrt(pi*rho)/a is 3.5e-261, k^2/(4y) underflows to 0;
+    the floor on sinh(V)^2 keeps the phi = 0 limits finite, and the law is
+    1 - exp(-y), to within k, with density exp(-y)/A."""
+    params = validate(SystemParams(sigma2_short=1e-150, g_u1_db=-1100.0, n0=1e-200))
+    quad = cooperative_quadratic(params, 2000.0)
+    big_a, _, k = quad.law(params.rho)
+    assert k < 1e-260 and quad.support_min == quad.c0
+    y = np.array([1e-6, 0.1, 1.0, 5.0, 30.0])
+    p = quad.c0 + big_a * y
+    y = (p - quad.c0) / big_a  # the points' own y, after rounding
+    np.testing.assert_allclose(cdf_reference_batch(p, quad, params.rho), -np.expm1(-y),
+                               rtol=0, atol=1e-10)
+    np.testing.assert_allclose(cdf_scale_free(y, k), -np.expm1(-y), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(pdf_branch_form(p, quad, params.rho) * big_a, np.exp(-y),
+                               rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("cells", [4096 * 128, 1000])
@@ -400,13 +429,15 @@ def test_cdf_batch_bitwise_independent_of_chunk(quad5, dense_params, monkeypatch
 
 
 def _small_validate_cdf():
-    """Batch CDF at the KS sample of ``validate --seed 7 --trials 10000``."""
+    """The CDF at the KS sample of ``validate --seed 7 --trials 10000``: H(y; k)
+    at its scale-free totals y, then the batch CDF at the totals c0 + A*y."""
     params = validate(SystemParams())
     quad = cooperative_quadratic(params, 2000.0)
-    samples = draw_power_samples(10_000, params.rho, quad,
-                                 RandomStream(7, stream_id=101)).totals
-    samples.sort()
-    return cdf_reference_batch(samples, quad, params.rho)
+    y = draw_power_samples(10_000, params.rho, quad, RandomStream(7, stream_id=101)).y
+    y.sort()
+    big_a, _, k = quad.law(params.rho)
+    return np.concatenate([cdf_scale_free(y, k),
+                           cdf_reference_batch(quad.c0 + big_a * y, quad, params.rho)])
 
 
 def test_cdf_batch_bitwise_independent_of_blas_threads():
@@ -859,3 +890,78 @@ def test_density_functions_refuse_bad_rho(quad5, bad):
     for call in calls:
         with pytest.raises(ParameterError, match=r"^rho: must be finite and > 0"):
             call(bad)
+
+
+def test_ks_against_the_scale_free_law_on_a_grid_of_k():
+    """One (u, theta) draw gives y = u + k*v at every k, and H(y; k) meets it
+    under section [b]'s bound on a log grid of k: from 1e-300, past the
+    defaults' 3.5e151 at rho = 1e300, up to the largest k ``validate``
+    accepts (2*k^2 finite, ~9.48e153).  Every law [b] can meet is on the grid,
+    since a parameter set reaches [b]'s law only through k."""
+    n = 10_000
+    area, theta = placements_by_expression(n, RandomStream(7, stream_id=101))
+    v = np.cos(theta) * np.sqrt(area)
+    k_top = math.sqrt(sys.float_info.max / 2.0)
+    while not 2.0 * k_top * k_top < math.inf:
+        k_top = math.nextafter(k_top, 0.0)
+    params = validate(SystemParams(rho=1e300))
+    k_dense = cooperative_quadratic(params, 2000.0).law(params.rho)[2]
+    assert 3.4e151 < k_dense < k_top
+    bound = max(0.005, 1.5 * 1.36 / math.sqrt(n))
+    for k in np.append(10.0 ** np.arange(-300.0, 160.0, 10.0), [k_dense, k_top]):
+        y = np.sort(area + k * v)
+        assert ks_distance(y, lambda x: cdf_scale_free(x, k)) <= bound, k
+
+
+# a correct program fails each bound with probability at most 1e-4
+_Z_MAX = 4.0  # two-sided normal tail 6.3e-5
+
+
+def _poisson_ground_truth(n=20_000, seed=2016):
+    """z of the mean and KS statistic (with its bound) of the round total over
+    n placements of a Poisson process, against the one map's closed forms.
+
+    Each placement puts Poisson(40) handsets uniformly in a disc of area
+    40/rho around the tagged handset (none with probability e^-40), and the
+    nearest is the partner.  Its round total comes from
+    ``partner_distance_to_bs`` and the coefficients, never from the neighbour
+    law.  The KS bound sqrt(ln(2/alpha)/(2n)), alpha = 1e-4, is the
+    Dvoretzky-Kiefer-Wolfowitz-Massart tail.
+    """
+    params = validate(SystemParams())
+    rho, r1 = params.rho, 2000.0
+    coeff = power_coefficients(params)
+    quad = PowerQuadratic.from_coefficients(coeff, r1)
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(40.0, n)
+    assert counts.min() > 0
+    group = np.repeat(np.arange(n), counts)
+    # a squared distance uniform on [0, R^2] and a uniform bearing: uniform in the disc
+    d2 = rng.uniform(0.0, 40.0 / (math.pi * rho), group.size)
+    bearing = rng.uniform(-0.5 * math.pi, 1.5 * math.pi, group.size)
+    nearest = np.lexsort((d2, group))[np.cumsum(counts) - counts]
+    r, theta = np.sqrt(d2[nearest]), bearing[nearest]
+    r2 = partner_distance_to_bs(r1, r, theta)
+    totals = (2.0 * coeff.zeta * r * r
+              + coeff.eps_total * (coeff.eta1 * r1 * r1 + coeff.eta2 * r2 * r2))
+    z = (np.mean(totals) - expected_power(quad, rho)) / (np.std(totals, ddof=1) / math.sqrt(n))
+    ks = ks_distance(np.sort(totals), lambda p: cdf_reference_batch(p, quad, rho))
+    return float(z), ks, math.sqrt(math.log(2.0 / 1e-4) / (2.0 * n))
+
+
+def test_poisson_ground_truth_meets_the_one_map():
+    """The void probability behind ``PowerQuadratic.law``, checked on handsets
+    placed as a Poisson process: the mean meets ``expected_power`` (|z| <= 4)
+    and the CDF ``cdf_reference_batch`` (KS under the DKW-Massart bound)."""
+    z, ks, bound = _poisson_ground_truth()
+    assert abs(z) <= _Z_MAX
+    assert ks <= bound
+
+
+def test_poisson_ground_truth_sees_the_law_mutant(monkeypatch):
+    """pi*rho taken 5 % too large in the one map moves the closed-form mean
+    and CDF together, so no reader of the map sees it against another; the
+    Poisson placements do."""
+    mutants.law_scale(monkeypatch, 0.05)
+    z, ks, bound = _poisson_ground_truth()
+    assert abs(z) > _Z_MAX or ks > bound

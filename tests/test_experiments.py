@@ -17,8 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import mutants
 from model_helpers import cooperative_quadratic, event_rates
-from nncc import (Geometry, ParameterError, PowerQuadratic, SystemParams, cdf_reference_batch,
-                  cli, conventional_coefficients, energy_efficiency, expected_power,
+from nncc import (Geometry, ParameterError, PowerQuadratic, SystemParams, cli,
+                  conventional_coefficients, energy_efficiency, expected_power,
                   power_coefficients, validate)
 from nncc import experiments
 from nncc import montecarlo as mc
@@ -393,7 +393,8 @@ def test_validate_report_check_inventory(tmp_path):
 
 
 def test_validate_report_evaluates_batch_cdf_once(tmp_path, monkeypatch):
-    """One KS statistic takes the batch CDF, at under a quarter of the sample.
+    """One KS statistic takes the batch CDF H(y; k), at under a quarter of the
+    sample.
 
     Each point is evaluated at most once: the table and the cells that may
     hold the maximum.
@@ -401,12 +402,12 @@ def test_validate_report_evaluates_batch_cdf_once(tmp_path, monkeypatch):
     from nncc import distribution, montecarlo
 
     calls, in_ks, n_statistics = [], [], []
-    batch, ks = distribution.cdf_reference_batch, montecarlo.ks_distance
+    batch, ks = distribution.cdf_scale_free, montecarlo.ks_distance
 
-    def counting(p_values, *args, **kwargs):
+    def counting(y_values, *args, **kwargs):
         if in_ks:
-            calls.append(np.size(p_values))
-        return batch(p_values, *args, **kwargs)
+            calls.append(np.size(y_values))
+        return batch(y_values, *args, **kwargs)
 
     def ks_marking(*args, **kwargs):
         in_ks.append(True)
@@ -416,7 +417,7 @@ def test_validate_report_evaluates_batch_cdf_once(tmp_path, monkeypatch):
         finally:
             in_ks.pop()
 
-    monkeypatch.setattr(distribution, "cdf_reference_batch", counting)
+    monkeypatch.setattr(distribution, "cdf_scale_free", counting)
     monkeypatch.setattr(montecarlo, "ks_distance", ks_marking)
     n_trials = 10_000
     _, checks = validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
@@ -635,7 +636,7 @@ def test_cli_integration_error_exits_1(tmp_path, capsys, monkeypatch):
                  "--trials", "10000"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: CDF at p = ")
+    assert captured.err.startswith("error: CDF at y = ")  # section [b]'s H(y; k)
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert not out.exists()
 
@@ -816,6 +817,9 @@ _SWEEP_RHO_EDGE = ["sweep", "--var", "rho", "--min", "1e-5", "--max", "1e-3", "-
      "sigma2_short: gives the link product 1.56e-312"),
     (["validate", "--sigma2_cell", "1e-200", "--g_bs_db", "-1100"],
      "sigma2_cell: gives the link product 2.04e-312"),
+    # section [b]'s law shape k = b_coeff*sqrt(pi*rho)/a, whose square overflows
+    (["validate", "--rho", "1e300", "--r1", "1e70"],
+     "rho: 1e+300 handsets/m^2 at r1 = 1e+70 m give the law's shape k = 1.77e+218"),
 ], ids=["range-inf", "range-nan", "sweep-r1-fixed", "figure3-r1-fixed",
         "figure5-rho-fixed", "sweep-rate-fixed", "late-bad-row", "trials", "validate-seed",
         "sweep-seed", "log-spacing-min", "validate-n0-1e-300", "validate-n0-1e-170",
@@ -827,7 +831,8 @@ _SWEEP_RHO_EDGE = ["sweep", "--var", "rho", "--min", "1e-5", "--max", "1e-3", "-
         "validate-f_c-1e300", "validate-sigma2_cell-subnormal",
         "figure3-sigma2_cell-subnormal", "figure3-f_c-1e300",
         "validate-short-link-product", "figure3-short-link-product",
-        "figure3-short-link-product-n0-1e-300", "validate-cell-link-product"])
+        "figure3-short-link-product-n0-1e-300", "validate-cell-link-product",
+        "validate-law-shape-overflow"])
 def test_cli_refuses_bad_run_before_any_draw(tmp_path, capsys, monkeypatch, argv, named):
     """Every run of an invocation is resolved and checked before the first draw.
 
@@ -850,6 +855,20 @@ def test_cli_refuses_bad_run_before_any_draw(tmp_path, capsys, monkeypatch, argv
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rho", [1e13, 1e100, 1e300])
+def test_section_b_passes_at_high_density(rho):
+    """Section [b] draws the scale-free totals y and takes its KS statistic
+    against H(y; k), so its check passes where A = a/(pi*rho) is below an ulp
+    of c0 (at rho = 1e100 every total c0 + A*y rounds to c0)."""
+    params = validate(SystemParams(rho=rho))
+    quad = cooperative_quadratic(params, DEFAULT_R1)
+    rep = experiments._Report()
+    experiments._distribution_section(rep, params, quad, DEFAULT_R1, 10_000, 7, 1)
+    (ks,) = rep.checks
+    assert ks.name == "KS distance, samples vs reference CDF"
+    assert ks.passed and ks.value <= ks.target
 
 
 def test_cli_sweep_passes_above_the_baseline_underflow(tmp_path):
@@ -907,10 +926,16 @@ def test_cli_refuses_config_fixing_the_swept_variable_at_its_default(tmp_path, c
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags", [["--n0", "1e-150"], ["--r", "1e-140"]])
+@pytest.mark.parametrize("flags", [
+    ["--n0", "1e-150"], ["--r", "1e-140"],
+    ["--sigma2_short", "1e-150", "--g_u1_db", "-1100", "--n0", "1e-200"]])
 def test_cli_validate_passes_near_the_float_limits(tmp_path, flags):
     """Just inside the refused ranges every closed form and estimator still
-    agrees: a's square and the exchange power zeta*r*r are normal floats."""
+    agrees: a's square and the exchange power zeta*r*r are normal floats.
+    With the third, k = b_coeff*sqrt(pi*rho)/a = 3.5e-261 and k^2/(4y)
+    underflows to 0, where the phi = 0 limits of the CDF were 0/0: the floor
+    on sinh(V)^2 keeps them finite, with no numpy warning (pytest makes a
+    RuntimeWarning an error)."""
     out = tmp_path / "v.txt"
     assert main(["validate", "--seed", "7", "--trials", "10000", "--out", str(out)]
                 + flags) == 0
@@ -1040,24 +1065,13 @@ def _traced_validate(tmp_path, *flags):
 
 
 def _validate_cdf_points() -> int:
-    """Batch-CDF points of one ``validate --seed 7 --trials 10000`` pass.
+    """``cdf_reference_batch`` points of one ``validate --seed 7 --trials 10000``
+    pass: section [e]'s F(c0) and its two 50-point slopes.
 
-    Those of the KS statistic, counted on section [b]'s draw, then F(c0),
-    F(median) and section [e]'s two 50-point slopes.
+    Section [b]'s KS statistic and F(median) take the scale-free totals
+    through ``cdf_scale_free``, so none of their points is counted here.
     """
-    params = validate(SystemParams())
-    quad = cooperative_quadratic(params, DEFAULT_R1)
-    samples = mc.draw_power_samples(10_000, params.rho, quad,
-                                    mc.RandomStream(7, stream_id=101)).totals
-    samples.sort()
-    points = []
-
-    def counting(p):
-        points.append(p.size)
-        return cdf_reference_batch(p, quad, params.rho)
-
-    mc.ks_distance(samples, counting)
-    return sum(points) + 102
+    return 101
 
 
 def test_traced_validate_binds_the_benchmark_names(tmp_path):

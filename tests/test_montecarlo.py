@@ -22,6 +22,7 @@ from nncc import (
     ParameterError,
     PowerQuadratic,
     cdf_reference_batch,
+    cdf_scale_free,
     expected_power,
     power_breakdown,
     power_coefficients,
@@ -429,24 +430,25 @@ def test_sample_power_distribution(dense_params):
     rho, r1 = dense_params.rho, 2000.0
     quad = cooperative_quadratic(dense_params, r1)
     mean, stderr = sample_power_distribution(n, rho, quad, RandomStream(48))
-    samples = np.sort(draw_power_samples(n, rho, quad, RandomStream(48)).totals)
+    samples = np.sort(draw_power_samples(n, rho, quad, RandomStream(48)).y)
     assert samples.shape == (n,)
-    assert samples[0] >= quad.support_min
+    k = quad.law(rho)[2]
+    assert samples[0] >= -0.25 * k * k  # the support's floor in y
     closed = expected_power(quad, rho)
     assert abs(mean - closed) < 3.0 * stderr
-    ks = ks_distance(samples, lambda p: cdf_reference_batch(p, quad, rho))
+    ks = ks_distance(samples, lambda y: cdf_scale_free(y, k))
     assert ks < 0.005
 
 
 @pytest.mark.parametrize("n", [100_003, 1_000_000])  # 100_003: a partial last block
 @pytest.mark.parametrize("rho", [1e-7, 1e-4, 1.0])
 def test_draw_power_samples_bitwise_the_block_expression(n, rho):
-    """The in-place kernel gives the bits of A*u + B*v + c0 written out."""
+    """The in-place kernel gives the bits of u + k*v written out."""
     params = validate(SystemParams(rho=rho))
     quad = cooperative_quadratic(params, 2000.0)
     expected = power_samples_by_expression(n, rho, quad, RandomStream(52))
     for workers in (1, 2, 3):
-        drawn = draw_power_samples(n, rho, quad, RandomStream(52), workers=workers).totals
+        drawn = draw_power_samples(n, rho, quad, RandomStream(52), workers=workers).y
         assert np.array_equal(drawn, expected)
 
 
@@ -454,16 +456,17 @@ def test_block_kernel_cosine_within_two_ulp_of_one(monkeypatch):
     """The kernel's half-angle cosine is within 4.5e-16 (2 ulp of 1) of np.cos
     over the bearing range, including its ends and the cosine's -1 at pi.
 
-    With A = c0 = 0, B = 1 and every area exactly 1, the kernel's totals are
-    its cosines.
+    With every area exactly 2^-200 and k = 2^100, the kernel's totals
+    2^-200 + 2^100*cos*2^-100 are its cosines: every product is exact, and
+    2^-200 is below half an ulp of each cosine.
     """
     theta = RandomStream(56).block(0).uniform(-0.5 * math.pi, 1.5 * math.pi, 1_000_000)
     theta = np.concatenate((theta, [-0.5 * math.pi, 0.0, 0.5 * math.pi, math.pi,
                                     np.nextafter(1.5 * math.pi, -INF)]))
     monkeypatch.setattr(montecarlo, "sample_nn_geometries",
-                        lambda rng, n: (np.ones(n), theta.copy()))
+                        lambda rng, n: (np.full(n, 2.0 ** -200), theta.copy()))
     cos = np.empty(theta.size)
-    montecarlo._power_block(None, theta.size, cos, (0.0, 1.0, 0.0))
+    montecarlo._power_block(None, theta.size, cos, 2.0 ** 100)
     assert np.isfinite(cos).all()
     assert np.max(np.abs(cos - np.cos(theta))) <= 4.5e-16
     assert cos[-2] == -1.0
@@ -472,15 +475,17 @@ def test_block_kernel_cosine_within_two_ulp_of_one(monkeypatch):
 @pytest.mark.parametrize("n", [100_003, 1_000_000])
 @pytest.mark.parametrize("rho", [1e-7, 1e-4, 1.0])
 def test_sample_power_distribution_moments_of_the_samples(n, rho):
-    """Block sums of the placements give the whole sample's mean and spread."""
+    """Block sums of the placements give the whole sample's mean and spread:
+    those of the totals c0 + A*y."""
     params = validate(SystemParams(rho=rho))
     quad = cooperative_quadratic(params, 2000.0)
     mean, stderr = sample_power_distribution(n, rho, quad, RandomStream(53))
-    samples = draw_power_samples(n, rho, quad, RandomStream(53)).totals
+    y = draw_power_samples(n, rho, quad, RandomStream(53)).y
+    big_a = quad.law(rho)[0]
     # abs=0: approx's default abs of 1e-12 would swallow a stderr of 1e-10
-    assert mean == pytest.approx(np.mean(samples), rel=1e-12, abs=0)
+    assert mean == pytest.approx(quad.c0 + big_a * np.mean(y), rel=1e-12, abs=0)
     assert stderr == pytest.approx(
-        np.std(samples, ddof=1) / math.sqrt(n), rel=1e-12, abs=0)
+        big_a * np.std(y, ddof=1) / math.sqrt(n), rel=1e-12, abs=0)
 
 
 def test_draw_power_samples_moments_do_not_depend_on_the_density():
@@ -496,16 +501,17 @@ def test_draw_power_samples_moments_do_not_depend_on_the_density():
 
 def test_one_draw_gives_each_densitys_mean_and_spread():
     """Every set of an array call reads one draw's density-free sums, and
-    its mean and standard error are those of the totals that
-    ``draw_power_samples`` writes from the same stream at that set alone."""
+    its mean and standard error are those of the totals c0 + A*y of the y
+    that ``draw_power_samples`` writes from the same stream at that set alone."""
     n, rhos = 100_003, np.array([1e-7, 1e-4, 1.0])
     quads = [cooperative_quadratic(validate(SystemParams(rho=rho)), 2000.0) for rho in rhos]
     means, stderrs = sample_power_distribution(
         n, rhos, PowerQuadratic(*map(np.array, zip(*quads))), RandomStream(53), workers=2)
     for rho, quad, mean, stderr in zip(rhos, quads, means, stderrs):
-        totals = draw_power_samples(n, rho, quad, RandomStream(53)).totals
-        assert mean == pytest.approx(np.mean(totals), rel=1e-14, abs=0)
-        assert stderr == pytest.approx(np.std(totals, ddof=1) / math.sqrt(n),
+        y = draw_power_samples(n, rho, quad, RandomStream(53)).y
+        big_a = quad.law(rho)[0]
+        assert mean == pytest.approx(quad.c0 + big_a * np.mean(y), rel=1e-14, abs=0)
+        assert stderr == pytest.approx(big_a * np.std(y, ddof=1) / math.sqrt(n),
                                        rel=1e-14, abs=0)
         alone = sample_power_distribution(n, float(rho), quad, RandomStream(53))
         assert alone == pytest.approx((mean, stderr), rel=1e-15, abs=0)
@@ -539,7 +545,7 @@ def test_placement_moments_give_each_sets_mean(dense_params, n):
     The moments are those of the reference placements, the same for any
     worker count, and ``mean_from_moments`` of them, ``A*m_A + B*m_C + c0``
     with A = a/(pi*rho) and B = b_coeff/sqrt(pi*rho), is the mean of the same
-    call's totals, to rounding, at any density.
+    call's totals c0 + A*y, to rounding, at any density.
     """
     area, theta = placements_by_expression(n, RandomStream(55))
     drawn = draw_power_samples(n, 1e-4, cooperative_quadratic(dense_params, 2000.0),
@@ -550,10 +556,10 @@ def test_placement_moments_give_each_sets_mean(dense_params, n):
         params = validate(dense_params._replace(rho=rho))
         quad = cooperative_quadratic(params, r1)
         for workers in (1, 2):
-            totals, m_a, m_c = draw_power_samples(n, rho, quad, RandomStream(55),
-                                                  workers=workers)
+            y, m_a, m_c = draw_power_samples(n, rho, quad, RandomStream(55),
+                                             workers=workers)
             assert montecarlo.mean_from_moments(quad, rho, m_a, m_c) == \
-                pytest.approx(np.mean(totals), rel=1e-12, abs=0)
+                pytest.approx(quad.c0 + quad.law(rho)[0] * np.mean(y), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-4, math.nan, math.inf])
@@ -596,7 +602,7 @@ def test_draw_power_samples_worker_invariance(dense_params):
     finally:
         sys.setswitchinterval(switch)
     for d in drawn[1:]:
-        assert np.array_equal(drawn[0].totals, d.totals)
+        assert np.array_equal(drawn[0].y, d.y)
         assert (d.m_a, d.m_c) == (drawn[0].m_a, drawn[0].m_c)
 
 
@@ -625,8 +631,8 @@ def test_sample_power_distribution_spread_overflow_names_rate():
     """The round totals are finite, but their squared deviations overflow."""
     params = validate(SystemParams(rate=1.05e9))
     quad = cooperative_quadratic(params, 2000.0)
-    assert np.isfinite(draw_power_samples(10_000, params.rho, quad,
-                                          RandomStream(7)).totals).all()
+    y = draw_power_samples(10_000, params.rho, quad, RandomStream(7)).y
+    assert np.isfinite(quad.c0 + quad.law(params.rho)[0] * y).all()
     with pytest.raises(ParameterError) as err:
         sample_power_distribution(10_000, params.rho, quad, RandomStream(7), workers=2)
     assert err.value.field == "rate"
@@ -654,7 +660,7 @@ def test_power_sampling_memory(dense_params):
     assert peak < n * 8 / 4
     peak, drawn = _traced_peak(draw_power_samples, n, rho, quad, RandomStream(54),
                                workers=2)
-    assert drawn.totals.nbytes == n * 8 and peak < 1.25 * n * 8
+    assert drawn.y.nbytes == n * 8 and peak < 1.25 * n * 8
 
 
 # --- KS statistic ---------------------------------------------------------------
@@ -820,7 +826,8 @@ def test_ks_distance_engine_cdf_is_bitwise_the_full_statistic(rho, r1, pieces):
     """
     params = validate(SystemParams(rho=rho))
     quad = cooperative_quadratic(params, r1)
-    drawn = draw_power_samples(20_000, rho, quad, RandomStream(51)).totals
+    big_a = quad.law(rho)[0]
+    drawn = quad.c0 + big_a * draw_power_samples(20_000, rho, quad, RandomStream(51)).y
     samples = np.concatenate([drawn, drawn[::50], quad.support_min - np.arange(5.0)])
     samples.sort()
     cdf = lambda p: np.concatenate([cdf_reference_batch(piece, quad, rho)  # noqa: E731
