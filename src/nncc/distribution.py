@@ -28,10 +28,12 @@ Q2 (y > 0), and substitutes so that the roots x = sqrt(u) of x^2 +
   with w in [0, W], sinh(W)^2 = s2 = (y + k^2/4)/|y|.
 
 A root x carries the mass exp(-x^2) = exp(beta*exp(-+2w)), beta = -|y|.
-Two dimensionless floors keep every value finite: |y| >= 1e-3*``_CDF_TOL``/2
-in Q1 (the density of y is at most 2, so the CDF moves by at most
-1e-3*``_CDF_TOL``; W stays finite at y = 0), and s2 >= 1e-200, so V > 0 as
-k vanishes, where the phi = 0 limits are 0/0 (the law is 1 - exp(-y)).
+Floors keep every value finite: in Q1 |y| >= 1e-3*``_CDF_TOL``/2, so W is
+finite at y = 0 (the density of y is at most 2: the CDF moves by at most
+1e-3*``_CDF_TOL``); |y| rises until s2 <= ``_S2_MAX`` = 1e300, so exp(2*V) is
+finite (y moves by <= k^2/4e300, the CDF by < 1e-13, and for k > 4e143 by <
+1e-146, as the density near y = 0 is ~1/(sqrt(pi)*k)); and s2 >= 1e-200, so
+V > 0 as k vanishes, where the phi = 0 limits are 0/0.
 Then w = V*cos(phi) (W*cos(phi)), and Q2 folds w onto [0, V].  Either
 integrand becomes a smooth, even, pi-periodic function of phi in [0, pi/2]
 (Trefethen, Approximation Theory and Approximation Practice, ch. 19), on
@@ -68,6 +70,7 @@ from . import powermodel
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 # each value's error by its own doubling estimate: absolute (CDF), relative (density)
 _CDF_TOL = 1e-10
+_S2_MAX = 1e300  # s2 = sinh(V)^2 at most this: exp(2*V) ~ 4*s2 stays finite
 # relative tolerance of each level of the mean's nested quadrature
 _MEAN_EPSREL = 1e-11
 # tanh-sinh steps t on [-_TS_T, _TS_T]: the first step, and halvings before giving up
@@ -305,7 +308,8 @@ def _branch(y: np.ndarray, lift: np.ndarray, k: float, upper: bool, n_nodes: int
             f: _Integrand, where: Callable) -> tuple[np.ndarray, np.ndarray]:
     """Means of ``f`` over phi in [0, pi/2] at points ``y`` of one branch, and errors;
     ``where(i)`` names point i in an ``IntegrationError``."""
-    y = y if upper else np.minimum(y, -0.5e-3 * _CDF_TOL)  # the module docstring's floors
+    y = (np.maximum(y, 0.25 * k * k / _S2_MAX) if upper  # the module docstring's floors
+         else np.minimum(y, -np.maximum(0.5e-3 * _CDF_TOL, lift / _S2_MAX)))
     s2 = np.maximum(0.25 * k * k / y if upper else lift / -y, 1e-200)
     v = np.arcsinh(np.sqrt(s2))
     beta = -np.abs(y)
@@ -386,18 +390,22 @@ def _at_totals(p_values, quad: PowerQuadratic, rho: float, f: _Integrand,
     return values, err, big_a
 
 
-def _cdf_and_error(p_values, quad: PowerQuadratic, rho: float,
-                   n_nodes: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """``cdf_reference_batch`` with each value's error estimate, as two arrays."""
-    return _at_totals(p_values, quad, rho, _cdf(), n_nodes)[:2]
+def cdf_shape(quad: PowerQuadratic, rho: float) -> float:
+    """The law's shape k (``PowerQuadratic.law``) if ``cdf_scale_free`` can take
+    it: the root masses reach ~k^2, so 2*k^2 must be finite (a ``ParameterError``)."""
+    k = quad.law(rho)[2]
+    if not 2.0 * k * k < math.inf:
+        raise ParameterError("rho", f"{rho!r} handsets/m^2 give the law's shape k = {k:.3g}, "
+                                    "too large for the CDF (2*k^2 overflows)")
+    return k
 
 
-def cdf_scale_free(y_values, k: float, *, n_nodes: int = 8):
+def cdf_scale_free(y_values, k: float):
     """H(y; k), the CDF of the scale-free total y = u + k*v, each value to 1e-10
     as ``cdf_reference_batch`` takes it; an ``IntegrationError`` names y and k."""
     y = np.asarray(y_values, dtype=float)
     values, _ = _integrate(y, y + 0.25 * k * k, k, _cdf(),
-                           lambda i: f"y = {float(y.flat[i])!r} (k = {k!r})", n_nodes)
+                           lambda i: f"y = {float(y.flat[i])!r} (k = {k!r})")
     return values if values.ndim else float(values)
 
 
@@ -416,7 +424,7 @@ def cdf_reference_batch(p_values, quad: PowerQuadratic, rho: float, *,
     numpy's fixed order, never BLAS), so its bits do not depend on the chunk
     size or the BLAS thread count.
     """
-    values, _ = _cdf_and_error(p_values, quad, rho, n_nodes)
+    values = _at_totals(p_values, quad, rho, _cdf(), n_nodes)[0]
     return values if values.ndim else float(values)
 
 

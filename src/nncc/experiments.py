@@ -290,7 +290,7 @@ def _closure_section(rep: _Report, params: SystemParams, seed: int,
 
 
 def _distribution_section(rep: _Report, params: SystemParams,
-                          quad: dist.PowerQuadratic, r1: float,
+                          quad: dist.PowerQuadratic, k: float, r1: float,
                           n_trials: int, seed: int, workers: int) -> tuple[float, float]:
     """Section [b]; returns its draw's placement moments, which section [c] checks."""
     rho = params.rho
@@ -303,17 +303,12 @@ def _distribution_section(rep: _Report, params: SystemParams,
     # partition at the median, then sort the halves on the workers: all in
     # place, as a sorted copy would double the sample's memory
     mc._sort_in_place(samples, workers)
-    k = quad.law(rho)[2]
-
-    def cdf(y):
-        return dist.cdf_scale_free(y, k)
-
-    ks_ref = mc.ks_distance(samples, cdf)
+    ks_ref = mc.ks_distance(samples, lambda y: dist.cdf_scale_free(y, k))
     ks_bound = max(0.005, 1.5 * 1.36 / math.sqrt(n_trials))
     rep.check("KS distance, samples vs reference CDF", ks_ref, ks_bound,
               detail=f"({n_trials} samples)", kind="bound")
     rep.info("reference CDF at sample median - 0.5",
-             _fmt(cdf(samples[n_trials // 2]) - 0.5))
+             _fmt(dist.cdf_scale_free(samples[n_trials // 2], k) - 0.5))
     return m_a, m_c
 
 
@@ -435,12 +430,9 @@ def validate_report(spec: ExperimentSpec) -> tuple[str, tuple[Check, ...]]:
 
     coeff = powermodel.power_coefficients(params)
     quad = dist.PowerQuadratic.from_coefficients(coeff, r1)
-    k = quad.law(params.rho)[2]
-    if not 2.0 * k * k < math.inf:  # [b]'s CDF takes k^2/4, and root masses up to ~k^2
-        raise ParameterError("rho", f"{params.rho!r} handsets/m^2 at r1 = {r1!r} m give the "
-                                    f"law's shape k = {k:.3g}, whose square overflows")
+    k = dist.cdf_shape(quad, params.rho)
     _closure_section(rep, params, spec.seed, coeff)
-    m_a, m_c = _distribution_section(rep, params, quad, r1, spec.n_trials, spec.seed,
+    m_a, m_c = _distribution_section(rep, params, quad, k, r1, spec.n_trials, spec.seed,
                                      spec.workers)
     _expected_power_section(rep, coeff, m_a, m_c, spec.n_trials)  # reads [b]'s draw
     _protocol_section(rep, params, r1, r, spec.n_trials, spec.seed)

@@ -380,8 +380,8 @@ def sample_power_distribution(n: int, rho, quad: PowerQuadratic, stream: RandomS
     cov_uv = (sum_uv - sum_u * sum_v / n) / (n - 1)
     var_v = (sum_vv - sum_v * sum_v / n) / (n - 1)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf is refused below
-        mean = mean_from_moments(quad, rho, sum_u / n, sum_v / n)
         a, b, _ = quad.law(rho)
+        mean = a * (sum_u / n) + b * (sum_v / n) + quad.c0  # ``mean_from_moments``
         var = a * a * var_u + 2.0 * a * b * cov_uv + b * b * var_v
     return mean, _energy_stderr(mean, var, n, "over placements")
 

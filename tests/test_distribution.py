@@ -30,7 +30,7 @@ from nncc import (ExperimentSpec, Geometry, Link, OutageTargets, ParameterError,
                   power_breakdown, power_coefficients, sample_nn_geometries, validate,
                   validate_report)
 from nncc import distribution
-from nncc.distribution import _cdf_and_error, _tanh_sinh
+from nncc.distribution import _at_totals, _cdf, _tanh_sinh
 from nncc.montecarlo import (RandomStream, draw_power_samples, ks_distance,
                              sample_power_distribution)
 
@@ -246,7 +246,7 @@ def test_cdf_within_tolerance_of_oracle(rho, r1, where, x):
     """Each value is within 1e-10 of the oracle, and within its own error estimate."""
     quad = cooperative_quadratic(validate(SystemParams(rho=rho)), r1)
     p = _probe_point(quad, rho, where, x)
-    value, estimate = (float(v) for v in _cdf_and_error(p, quad, rho))
+    value, estimate = (float(v) for v in _at_totals(p, quad, rho, _cdf())[:2])
     gap = abs(value - cdf_oracle(p, quad, rho))
     assert gap <= 1e-10
     assert gap <= estimate + 1e-12  # the slack covers the oracle's own error
@@ -326,7 +326,7 @@ def test_cdf_raises_integration_error_past_the_cap(monkeypatch):
         cdf_reference_batch(np.array([0.5 * quad.c0, 2.0 * quad.c0, p]), quad, rho)
     assert f"p = {p!r}" in str(err.value) and "rho = 1.0" in str(err.value)
     monkeypatch.undo()
-    value, estimate = _cdf_and_error(p, quad, rho)
+    value, estimate = _at_totals(p, quad, rho, _cdf())[:2]
     assert estimate <= 1e-10
 
 
@@ -374,6 +374,18 @@ def test_vanishing_k_is_the_exponential_law():
     np.testing.assert_allclose(cdf_scale_free(y, k), -np.expm1(-y), rtol=0, atol=1e-10)
     np.testing.assert_allclose(pdf_branch_form(p, quad, params.rho) * big_a, np.exp(-y),
                                rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("k", [1.0, 1e5, 1e150, 3.5e151, 9.48e153])
+def test_scale_free_cdf_at_zero_where_sinh_squared_overflows(k):
+    """Next to y = 0, k^2/(4y) and (y + k^2/4)/|y| overflow; the floors on |y|
+    keep sinh(V)^2 <= 1e300, so H stays finite, with no warning, and meets
+    H(0; k) = (2/pi) * integral over [0, k] of arccos(t/k)*t*exp(-t^2) dt."""
+    at_zero, _ = integrate.quad(lambda t: math.acos(t / k) * t * math.exp(-t * t),
+                                0.0, min(k, 40.0), epsabs=1e-13, epsrel=1e-13)
+    y = np.array([-1e-300, -5e-324, 0.0, 5e-324, 1e-320, 1e-300])
+    np.testing.assert_allclose(cdf_scale_free(y, k), 2.0 / math.pi * at_zero,
+                               rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("cells", [4096 * 128, 1000])

@@ -817,9 +817,9 @@ _SWEEP_RHO_EDGE = ["sweep", "--var", "rho", "--min", "1e-5", "--max", "1e-3", "-
      "sigma2_short: gives the link product 1.56e-312"),
     (["validate", "--sigma2_cell", "1e-200", "--g_bs_db", "-1100"],
      "sigma2_cell: gives the link product 2.04e-312"),
-    # section [b]'s law shape k = b_coeff*sqrt(pi*rho)/a, whose square overflows
+    # section [b]'s law shape k = b_coeff*sqrt(pi*rho)/a, where 2*k^2 overflows
     (["validate", "--rho", "1e300", "--r1", "1e70"],
-     "rho: 1e+300 handsets/m^2 at r1 = 1e+70 m give the law's shape k = 1.77e+218"),
+     "rho: 1e+300 handsets/m^2 give the law's shape k = 1.77e+218, too large for the CDF"),
 ], ids=["range-inf", "range-nan", "sweep-r1-fixed", "figure3-r1-fixed",
         "figure5-rho-fixed", "sweep-rate-fixed", "late-bad-row", "trials", "validate-seed",
         "sweep-seed", "log-spacing-min", "validate-n0-1e-300", "validate-n0-1e-170",
@@ -865,10 +865,23 @@ def test_section_b_passes_at_high_density(rho):
     params = validate(SystemParams(rho=rho))
     quad = cooperative_quadratic(params, DEFAULT_R1)
     rep = experiments._Report()
-    experiments._distribution_section(rep, params, quad, DEFAULT_R1, 10_000, 7, 1)
+    k = quad.law(rho)[2]
+    experiments._distribution_section(rep, params, quad, k, DEFAULT_R1, 10_000, 7, 1)
     (ks,) = rep.checks
     assert ks.name == "KS distance, samples vs reference CDF"
     assert ks.passed and ks.value <= ks.target
+
+
+def test_validate_at_rho_1e300_exits_1_from_section_e(tmp_path, capsys):
+    """At rho = 1e300 (k = 3.5e151) validate runs, and section [b] passes
+    (above), but section [e]'s Q1 density integral does not converge, as from
+    rho = 1e13 on: one error line, exit 1, and no RuntimeWarning on the way."""
+    out = tmp_path / "o.txt"
+    assert main(["validate", "--rho", "1e300", "--trials", "10000", "--seed", "7",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: quadrature on [") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_sweep_passes_above_the_baseline_underflow(tmp_path):
