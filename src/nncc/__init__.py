@@ -41,6 +41,7 @@ from .distribution import (
     expected_power,
     expected_power_quadrature,
     pdf_branch_form,
+    pdf_scale_free,
     support_upper,
 )
 from .montecarlo import (

@@ -43,14 +43,15 @@ The density of y is the second integrand: 1/pi times the integral over phi
 in [0, pi/2] of (exp(-u + beta*exp(-2u)) + exp(u + beta*exp(2u))) *
 V*sin(phi)/sqrt(sinh(V)^2 - sinh(u)^2), u = V*cos(phi).
 
-The independent checks of ``validate`` (the mean by nested 2-D quadrature,
-the density's integral over the support) use ``_tanh_sinh``, the
-double-exponential rule of Takahasi and Mori (1974), x = mid +
-half*tanh(pi/2*sinh(t)): the trapezoid rule in t on [-3.5, 3.5] halves its
-step from 1/2, reusing its nodes, until |T_h/2 - T_h| plus the two end terms
-(the truncation estimate) is at most atol + rtol*|T_h/2|; a sum that is not
-finite has not converged, and past ``_TS_LEVELS`` = 7 halvings (1793 nodes)
-it raises ``IntegrationError`` naming the interval.  The interval-free
+The independent checks of ``validate`` (the mean by nested 2-D quadrature;
+the density of y over the cells [-k^2/4, s], [s, 0] and [0, y_hi], y_hi =
+``_y_upper``(k, 1e-9) and s = max(-k^2/4, -y_hi), each against H) use
+``_tanh_sinh``, the double-exponential rule of Takahasi and Mori (1974), x =
+mid + half*tanh(pi/2*sinh(t)): the trapezoid rule in t on [-3.5, 3.5] halves
+its step from 1/2, reusing its nodes, until |T_h/2 - T_h| plus the two end
+terms (the truncation estimate) is at most atol + rtol*|T_h/2|; a sum that is
+not finite has not converged, and past ``_TS_LEVELS`` = 7 halvings (1793
+nodes) it raises ``IntegrationError`` naming the interval.  The interval-free
 factors of nodes and weights are computed once (``_TS_RULE``).
 """
 
@@ -378,6 +379,10 @@ def _cdf() -> _Integrand:  # built per call, so a test may swap the kernel
     return _Integrand("CDF", _cdf_integrand, _cdf_limit, _CDF_TOL, 0.0)
 
 
+def _pdf() -> _Integrand:  # as _cdf; a subnormal mean's floor is the smallest normal
+    return _Integrand("density", _pdf_integrand, _pdf_limit, sys.float_info.min, _CDF_TOL)
+
+
 def _at_totals(p_values, quad: PowerQuadratic, rho: float, f: _Integrand,
                n_nodes: int = 8) -> tuple[np.ndarray, np.ndarray, float]:
     """``_integrate`` at totals p, mapped by ``quad.law(rho)``, and A; the height
@@ -390,60 +395,64 @@ def _at_totals(p_values, quad: PowerQuadratic, rho: float, f: _Integrand,
     return values, err, big_a
 
 
+def _shape_in_range(k) -> bool:  # the root masses reach ~k^2; Python floats never warn
+    return 2.0 * float(k) * float(k) < math.inf  # and False for inf and nan
+
+
 def cdf_shape(quad: PowerQuadratic, rho: float) -> float:
-    """The law's shape k (``PowerQuadratic.law``) if ``cdf_scale_free`` can take
-    it: the root masses reach ~k^2, so 2*k^2 must be finite (a ``ParameterError``)."""
+    """The law's shape k (``PowerQuadratic.law``), or a ``ParameterError`` out of range."""
     k = quad.law(rho)[2]
-    if not 2.0 * k * k < math.inf:
+    if not _shape_in_range(k):
         raise ParameterError("rho", f"{rho!r} handsets/m^2 give the law's shape k = {k:.3g}, "
                                     "too large for the CDF (2*k^2 overflows)")
     return k
 
 
-def cdf_scale_free(y_values, k: float):
-    """H(y; k), the CDF of the scale-free total y = u + k*v, each value to 1e-10
-    as ``cdf_reference_batch`` takes it; an ``IntegrationError`` names y and k."""
+def _scale_free(y_values, k: float, f: _Integrand):
+    if not _shape_in_range(k):  # before any numpy operation
+        raise ValueError(f"the law's shape k must be finite with 2*k^2 finite, got {k!r}")
     y = np.asarray(y_values, dtype=float)
-    values, _ = _integrate(y, y + 0.25 * k * k, k, _cdf(),
+    values, _ = _integrate(y, y + 0.25 * k * k, k, f,
                            lambda i: f"y = {float(y.flat[i])!r} (k = {k!r})")
     return values if values.ndim else float(values)
 
 
+def cdf_scale_free(y_values, k: float):
+    """H(y; k), the CDF of the scale-free total y = u + k*v, each value to 1e-10.
+
+    A 0-d input gives a float, an array an array of its shape; it is 0 at and
+    below -k^2/4.  Each point doubles the trapezoid rule on [0, pi/2] from 8
+    intervals until its change is at most ``_CDF_TOL`` (module docstring); past
+    ``_MAX_NODES`` = 8192, or not finite, it is an ``IntegrationError`` naming
+    y and k.  Each value depends on its point alone (element-wise kernels,
+    per-row ``einsum`` sums, never BLAS), so its bits do not depend on the
+    chunk size or the BLAS thread count.  A k not finite, or whose 2*k^2
+    overflows, is a ``ValueError``.
+    """
+    return _scale_free(y_values, k, _cdf())
+
+
+def pdf_scale_free(y_values, k: float):
+    """The density dH/dy, as ``cdf_scale_free`` but each value to 1e-10 relative
+    (near the subnormal range, to the smallest normal float)."""
+    return _scale_free(y_values, k, _pdf())
+
+
 def cdf_reference_batch(p_values, quad: PowerQuadratic, rho: float, *,
                         n_nodes: int = 8):
-    """CDF of the round total at ``p_values``, H((p - c0)/A; k), each to 1e-10.
-
-    A 0-d input gives a float, an array an array of its shape; below the
-    support the CDF is 0.  Each point starts from the trapezoid rule with
-    ``n_nodes`` intervals on [0, pi/2] (module docstring) and doubles it until
-    the change is at most ``_CDF_TOL`` = 1e-10 in absolute terms, returning the
-    finer value.  A point still above that at ``_MAX_NODES`` = 8192
-    intervals, or not finite at some level, raises ``IntegrationError`` there,
-    naming p, the quadratic and rho.  Each value depends on its point alone
-    (its own stop, element-wise kernels, per-row ``einsum`` node sums in
-    numpy's fixed order, never BLAS), so its bits do not depend on the chunk
-    size or the BLAS thread count.
-    """
+    """CDF of the round total at ``p_values``: ``cdf_scale_free`` at y = (p - c0)/A,
+    from ``n_nodes`` starting intervals, with the support starting at
+    ``support_min`` itself; an ``IntegrationError`` names p, the quadratic and rho."""
     values = _at_totals(p_values, quad, rho, _cdf(), n_nodes)[0]
     return values if values.ndim else float(values)
 
 
 def pdf_branch_form(p, quad: PowerQuadratic, rho: float):
-    """Density of the round total at ``p``, each value to 1e-10 relative.
-
-    A 0-d input gives a float, an array an array of its shape; the branch
-    form of the CDF has the same density, 1/A times that of y (module
-    docstring), zero at and below the support minimum.  The rule of
-    ``cdf_reference_batch`` stops at a change of ``_CDF_TOL`` = 1e-10 times
-    the value (near the subnormal range, the smallest normal float times
-    1/A), and raises as it does.  That is the trapezoid error only: within
-    ~1e-12 (relative) of ``support_min`` rounding moves the density by up to
-    ~1e-8 relative, and near c0 the rounding of p - c0 times |beta| costs
-    ~1e-11 (rho 0.1, r1 20 km).
-    """
-    # a subnormal mean has no relative digits: its floor is the smallest normal
-    values, _, big_a = _at_totals(p, quad, rho, _Integrand(
-        "density", _pdf_integrand, _pdf_limit, sys.float_info.min, _CDF_TOL))
+    """Density of the round total at ``p``: 1/A times ``pdf_scale_free``, read as
+    ``cdf_reference_batch`` reads H.  Within ~1e-12 (relative) of ``support_min``
+    rounding moves it by up to ~1e-8 relative, and near c0 the rounding of p -
+    c0 times |beta| costs ~1e-11 (rho 0.1, r1 20 km)."""
+    values, _, big_a = _at_totals(p, quad, rho, _pdf())
     values /= big_a
     return values if values.ndim else float(values)
 
@@ -499,16 +508,20 @@ def energy_efficiency(expected: float, rate: float) -> float:
 def support_upper(quad: PowerQuadratic, rho: float, tail: float = 1e-6) -> float:
     """A total above which the round total lies with probability at most ``tail``.
 
-    It is c0 + A*(u_t + k*sqrt(u_t)) (``PowerQuadratic.law``) with u_t =
-    -log(tail), the area pi*rho*r^2 the PPP neighbor exceeds with probability
-    exactly ``tail``.  At every bearing u + k*cos(theta)*sqrt(u) is at most
-    u_t + k*sqrt(u_t) for u <= u_t, so the CDF there is at least 1 - tail.
-    Its distance from c0 is that of the (1 - tail)-quantile when u_t
-    dominates, and at most 1.12 (tail 1e-6) or 1.09 (tail 1e-9) times it
-    over rho in [1e-7, 1] and r1 in [50 m, 100 km].
+    It is c0 + A*``_y_upper``(k, tail) (``PowerQuadratic.law``).  Its distance
+    from c0 is that of the (1 - tail)-quantile when u_t dominates, and at most
+    1.12 (tail 1e-6) or 1.09 (tail 1e-9) times it over rho in [1e-7, 1] and r1
+    in [50 m, 100 km].
     """
     if not 0.0 < tail < 1.0:
         raise ValueError(f"tail must lie in (0, 1), got {tail!r}")
     big_a, _, k = quad.law(rho)
+    return quad.c0 + big_a * _y_upper(k, tail)
+
+
+def _y_upper(k: float, tail: float) -> float:
+    """u_t + k*sqrt(u_t) with u_t = -log(tail), the area pi*rho*r^2 the PPP
+    neighbor exceeds with probability exactly ``tail``: at every bearing u +
+    k*cos(theta)*sqrt(u) is at most that for u <= u_t, so H there is >= 1 - tail."""
     u_t = -math.log(tail)
-    return quad.c0 + big_a * (u_t + k * math.sqrt(u_t))
+    return u_t + k * math.sqrt(u_t)

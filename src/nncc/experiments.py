@@ -335,43 +335,29 @@ def _expected_power_section(rep: _Report, coeff: powermodel.PowerCoefficients,
                  f"{_fmt(mc_i)} vs closed form {_fmt(closed_i)}")
 
 
-def _branch_form_section(rep: _Report, quad: dist.PowerQuadratic, rho: float) -> None:
+def _branch_form_section(rep: _Report, k: float) -> None:
     rep.add("[e] two-branch distribution expressions vs the reference")
-    c0 = quad.c0
-    result_grid = np.geomspace(quad.support_min, dist.support_upper(quad, rho), 192)
-    p_hi = dist.support_upper(quad, rho, tail=1e-9)
-    # the density's integral over Q1 and Q2, one interval each
-    pdf_q1, pdf_q2 = dist._tanh_sinh(lambda p, live: dist.pdf_branch_form(p, quad, rho),
-                                     np.array([quad.support_min, c0]),
-                                     np.array([c0, p_hi]), atol=1e-10, rtol=1e-8)
-    # central finite differences of the reference CDF against the density, at
-    # up to 50 grid points; F(c0) and every CDF point in one call, the
-    # junction pair and every density point in another
-    interior = result_grid[(result_grid > c0 * (1.0 + 1e-3))][:50]
-    h = (result_grid[-1] - c0) * 1e-5
-    eps_p = 1e-9 * c0
-    cdf = dist.cdf_reference_batch(np.concatenate(([c0], interior + h, interior - h)),
-                                   quad, rho)
-    pdf = dist.pdf_branch_form(np.concatenate(([c0 - eps_p, c0 + eps_p], interior)),
-                               quad, rho)
-
-    # the upper CDF branch is the reference plus F(c0)
-    rep.info("upper-branch additive boundary term", _fmt(float(cdf[0])))
-    rep.info("integral of branch-form PDF over support - 1",
-             f"{_fmt(pdf_q1 + pdf_q2 - 1.0)} (upper limit p = {_fmt(p_hi)})")
-    below, above = pdf[:2]
-    if quad.support_min == c0:  # in floats the support starts at c0: no junction
-        junction = "n/a (Q1 is empty: support_min == c0)"
-    else:
-        junction = (f"below = {_fmt(below)}, above = {_fmt(above)}, "
-                    f"rel gap = {_fmt(abs(above - below) / max(above, below))}")
-    rep.info("PDF one-sided limits at the branch junction", junction)
-    name = "max |finite-difference CDF slope - PDF| (50 interior points)"
-    if interior.size == 0:  # the support ends within 1e-3 of c0
-        rep.info(name, "n/a (no grid point above c0 * (1 + 1e-3))")
-        return
-    slope = (cdf[1:interior.size + 1] - cdf[interior.size + 1:]) / (2 * h)
-    rep.info(name, _fmt(float(np.max(np.abs(slope - pdf[2:])))))
+    floor, y_hi = -0.25 * k * k, dist._y_upper(k, 1e-9)
+    # three cells: y <= -y_hi needs u >= u_t, so a first cell up to -y_hi holds at
+    # most the tail; unsplit, a Q1 k^2/4 wide with its mass within ~k of 0 fools tanh-sinh
+    ends = np.array([floor, max(floor, -y_hi), 0.0, y_hi])
+    integrals = dist._tanh_sinh(lambda y, live: dist.pdf_scale_free(y, k), ends[:-1],
+                                ends[1:], atol=1e-10, rtol=1e-8)
+    cdf = dist.cdf_scale_free(ends[1:], k)  # and H(floor) = 0
+    tol = 1e-10 + 1e-8 * np.abs(integrals)  # each cell's tanh-sinh stop test
+    residual, bound = np.abs(integrals - np.diff(cdf, prepend=0.0)), tol + 2.0 * dist._CDF_TOL
+    i = int(np.argmax(residual / bound))  # the cell nearest its bound
+    # the upper CDF branch is the reference plus F(c0) = H(0; k)
+    rep.info("upper-branch additive boundary term", _fmt(cdf[1]))
+    rep.check("density integral vs CDF difference, worst of three y cells", residual[i],
+              bound[i], detail=f"(y in [{_fmt(ends[i])}, {_fmt(ends[i + 1])}])")
+    rep.check("|integral of branch-form PDF over support - 1|", abs(np.sum(integrals) - 1.0),
+              1e-9 + np.sum(tol), detail=f"(upper limit y = {_fmt(y_hi)})")
+    below, above = dist.pdf_scale_free(np.array([-1e-9, 1e-9]), k)
+    rep.info("PDF one-sided limits at the branch junction",
+             f"n/a (the support starts at y = {_fmt(floor)}, within 1e-9 of 0)"
+             if floor >= -1e-9 else f"below = {_fmt(below)}, above = {_fmt(above)} "
+             f"(y = -+1e-9), rel gap = {_fmt(abs(above - below) / max(above, below))}")
 
 
 def _protocol_section(rep: _Report, params: SystemParams, r1: float, r: float,
@@ -436,7 +422,7 @@ def validate_report(spec: ExperimentSpec) -> tuple[str, tuple[Check, ...]]:
                                      spec.workers)
     _expected_power_section(rep, coeff, m_a, m_c, spec.n_trials)  # reads [b]'s draw
     _protocol_section(rep, params, r1, r, spec.n_trials, spec.seed)
-    _branch_form_section(rep, quad, params.rho)
+    _branch_form_section(rep, k)
 
     checks = tuple(rep.checks)
     failed = [c.name for c in checks if not c.passed]

@@ -165,14 +165,14 @@ def quantile_oracle(quad, rho, tail):
                            xtol=1e-12 * hi, rtol=1e-10)
 
 
-def pdf_integral_oracle(quad, rho, lo, hi):
-    """Integral of ``nncc.pdf_branch_form`` over [lo, hi] by adaptive QUADPACK.
+def pdf_integral_oracle(k, lo, hi):
+    """Integral of ``nncc.pdf_scale_free`` over [lo, hi] in y by adaptive QUADPACK.
 
-    It takes the same integrand as ``validate``'s check of the density's
-    normalisation, so the two differ only by their quadrature rules.
+    It takes the same integrand as ``validate``'s density cells, so the two
+    differ only by their quadrature rules.
     """
-    from nncc import pdf_branch_form
+    from nncc import pdf_scale_free
 
-    val, _ = integrate.quad(lambda p: pdf_branch_form(p, quad, rho), lo, hi,
+    val, _ = integrate.quad(lambda y: pdf_scale_free(y, k), lo, hi,
                             epsabs=1e-12, epsrel=1e-10, limit=400)
     return val

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from nncc import (
     expected_power,
     expected_power_quadrature,
     pdf_branch_form,
+    pdf_scale_free,
     support_upper,
 )
 from nncc import (ExperimentSpec, Geometry, Link, OutageTargets, ParameterError,
@@ -374,6 +376,29 @@ def test_vanishing_k_is_the_exponential_law():
     np.testing.assert_allclose(cdf_scale_free(y, k), -np.expm1(-y), rtol=0, atol=1e-10)
     np.testing.assert_allclose(pdf_branch_form(p, quad, params.rho) * big_a, np.exp(-y),
                                rtol=1e-9, atol=0)
+    np.testing.assert_allclose(pdf_scale_free(y, k), np.exp(-y), rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("k", [1e200, 9.5e153, math.inf, -math.inf, math.nan,
+                               np.float64(1e200), np.float64(math.nan)])
+def test_scale_free_law_refuses_a_shape_out_of_range(k):
+    """A k that is not finite, or whose 2*k^2 overflows, is a ValueError naming
+    k, raised before any numpy operation, so no RuntimeWarning leaks first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for law in (cdf_scale_free, pdf_scale_free):
+            with pytest.raises(ValueError, match=r"shape k must be finite with 2\*k\^2 "
+                                                 r"finite, got "):
+                law(1.0, k)
+
+
+def test_scale_free_density_is_the_p_density_times_a(quad5, dense_params):
+    """``pdf_branch_form`` is 1/A times ``pdf_scale_free`` at y = (p - c0)/A."""
+    big_a, _, k = quad5.law(dense_params.rho)
+    p = quad5.c0 + big_a * np.array([-0.125 * k * k, -1e-6, 1e-6, 0.5, 3.0])
+    y = (p - quad5.c0) / big_a
+    np.testing.assert_allclose(pdf_branch_form(p, quad5, dense_params.rho) * big_a,
+                               pdf_scale_free(y, k), rtol=1e-8, atol=0)
 
 
 @pytest.mark.parametrize("k", [1.0, 1e5, 1e150, 3.5e151, 9.48e153])
@@ -809,11 +834,17 @@ def test_tanh_sinh_batch_names_the_interval_that_fails():
     assert str(batch.value).startswith("quadrature on [0.0, 1.0] did not converge")
 
 
-def _density_integrals(quad, rho):
-    """Section [e]'s one call: the density's integral over Q1 and over Q2."""
-    p_hi = support_upper(quad, rho, tail=1e-9)
-    return _tanh_sinh(lambda p, live: pdf_branch_form(p, quad, rho),
-                      np.array([quad.support_min, quad.c0]), np.array([quad.c0, p_hi]),
+def _density_cells(k):
+    """Section [e]'s three y cells: the floor -k^2/4 to s = max(-k^2/4, -y_hi),
+    s to 0, and 0 to y_hi = u_t + k*sqrt(u_t), u_t = -log(1e-9)."""
+    floor, y_hi = -0.25 * k * k, distribution._y_upper(k, 1e-9)
+    split = max(floor, -y_hi)
+    return np.array([floor, split, 0.0]), np.array([split, 0.0, y_hi])
+
+
+def _density_integrals(k):
+    """Section [e]'s one call: the density of y over its three cells."""
+    return _tanh_sinh(lambda y, live: pdf_scale_free(y, k), *_density_cells(k),
                       atol=1e-10, rtol=1e-8)
 
 
@@ -821,7 +852,7 @@ def test_validate_batches_are_bitwise_each_interval_alone(monkeypatch):
     """Every batched quadrature of a report equals per-interval calls bitwise.
 
     Sections [c] and [e] make one outer mean call over the five sets, one
-    inner call per outer level, and one density call over Q1 and Q2.
+    inner call per outer level, and one density call over three y cells.
     """
     calls = []
 
@@ -835,7 +866,7 @@ def test_validate_batches_are_bitwise_each_interval_alone(monkeypatch):
                                    n_trials=10_000))
     monkeypatch.undo()
     outer = [c for c in calls if c[1].size == 5 and c[1][0] < 0]
-    density = [c for c in calls if c[1].size == 2]
+    density = [c for c in calls if c[1].size == 3 and c[1][0] < 0]
     # the outer rule takes three levels, each with one inner call: 5 calls, not 22
     assert len(outer) == 1 and len(density) == 1 and len(calls) == 5
     for f, lo, hi, atol, rtol, value in calls:
@@ -852,15 +883,14 @@ def test_validate_batches_are_bitwise_each_interval_alone(monkeypatch):
 @example(rho=1.0, r1=100_000.0, rate=1e5, g_u2_db=0.0)
 @example(rho=0.1, r1=20_000.0, rate=1e5, g_u2_db=0.0)
 def test_validate_quadratures_across_regimes(rho, r1, rate, g_u2_db):
-    """The nested mean meets the closed form, the density integral meets QUADPACK."""
+    """The nested mean meets the closed form, each density cell meets QUADPACK."""
     quad = cooperative_quadratic(
         validate(SystemParams(rho=rho, rate=rate, g_u2_db=g_u2_db)), r1)
     assert expected_power_quadrature(quad, rho) == pytest.approx(
         expected_power(quad, rho), rel=1e-9)
-    p_hi = support_upper(quad, rho, tail=1e-9)
-    for integral, lo, hi in zip(_density_integrals(quad, rho),
-                                (quad.support_min, quad.c0), (quad.c0, p_hi)):
-        assert abs(integral - pdf_integral_oracle(quad, rho, lo, hi)) <= 1e-10
+    k = quad.law(rho)[2]
+    for integral, lo, hi in zip(_density_integrals(k), *_density_cells(k)):
+        assert abs(integral - pdf_integral_oracle(k, lo, hi)) <= 1e-10
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

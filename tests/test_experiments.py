@@ -286,7 +286,7 @@ def test_validate_report_passes_and_is_deterministic(tmp_path):
         paths.append(str(tmp_path / f"v{workers}.txt"))
         _, checks = validate_report(ExperimentSpec(kind="validate", out=paths[-1], seed=7,
                                                    n_trials=50_000, workers=workers))
-        assert len(checks) == 17 and not failed(checks)
+        assert len(checks) == 19 and not failed(checks)
         records.append(checks)
         assert threading.active_count() == before
     for path, checks in zip(paths[1:], records[1:]):
@@ -346,7 +346,7 @@ def test_validate_error_is_the_same_beside_a_thread(tmp_path, capsys, monkeypatc
 
 
 def test_validate_report_check_inventory(tmp_path):
-    """The report's 17 bounded checks, by section, name and kind, in order,
+    """The report's 19 bounded checks, by section, name and kind, in order,
     each rendered as one PASS or FAIL line; and its INFO lines, by name."""
     path = tmp_path / "v.txt"
     _, checks = validate_report(ExperimentSpec(kind="validate", out=str(path), seed=7,
@@ -370,6 +370,8 @@ def test_validate_report_check_inventory(tmp_path):
         ("d", "mean round energy vs exchange rate, relative residual", "identity"),
         ("d", "single cellular uplink outage", "z"),
         ("d", "conventional composite outage", "z"),
+        ("e", "density integral vs CDF difference, worst of three y cells", "identity"),
+        ("e", "|integral of branch-form PDF over support - 1|", "identity"),
     ]
     assert all((c.stderr is not None) == (c.kind == "z") for c in checks)
     text = path.read_text(encoding="utf-8")
@@ -386,9 +388,7 @@ def test_validate_report_check_inventory(tmp_path):
         "Monte Carlo mean, rho=0.01 r1=150",
         "per-message outage rate (reported, lower than composite)",
         "upper-branch additive boundary term",
-        "integral of branch-form PDF over support - 1",
         "PDF one-sided limits at the branch junction",
-        "max |finite-difference CDF slope - PDF| (50 interior points)",
     ]
 
 
@@ -519,6 +519,17 @@ def test_single_uplink_rate_sees_a_scaled_threshold(tmp_path, monkeypatch):
     assert failed(checks) == ["single cellular uplink outage"]
 
 
+def test_density_cells_see_a_scaled_density(tmp_path, monkeypatch):
+    """The density 1e-6 too large and the CDF exact: at 1e4 trials section
+    [e]'s two checks, its cells against H and its total mass, are the only
+    failing ones."""
+    mutants.density_scale(monkeypatch, 1e-6)
+    _, checks = validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
+                                               seed=7, n_trials=10_000))
+    assert failed(checks) == ["density integral vs CDF difference, worst of three y cells",
+                              "|integral of branch-form PDF over support - 1|"]
+
+
 def test_baseline_eta_scale_reaches_every_reader_of_the_baseline(tmp_path, monkeypatch):
     """The baseline is one coefficient set, so a fault in it reaches the CSV's
     baseline mean and the simulator's conventional round, and nothing else."""
@@ -608,14 +619,12 @@ def test_cli_rejects_bad_parameter(tmp_path, capsys):
 
 
 def test_cli_validate_support_ending_near_c0(tmp_path):
-    """With support_upper within 1e-3 of c0 the finite-difference row is n/a."""
+    """With support_upper within 1e-3 of c0 in p, section [e] reads the law in
+    y, where the support is no narrower, and the report passes."""
     out = tmp_path / "v.txt"
-    code = main(["validate", "--out", str(out), "--seed", "7", "--trials", "10000",
-                 "--rho", "0.1", "--r1", "20000"])
-    assert code in (0, 1)
-    text = out.read_text(encoding="utf-8")
-    assert re.search(r"^summary: \d+/\d+ bounded checks passed$", text, re.M)
-    assert "(50 interior points): n/a" in text
+    assert main(["validate", "--out", str(out), "--seed", "7", "--trials", "10000",
+                 "--rho", "0.1", "--r1", "20000"]) == 0
+    assert "summary: 19/19 bounded checks passed" in out.read_text(encoding="utf-8")
 
 
 def test_cli_validate_dense_far_regime(tmp_path):
@@ -623,7 +632,7 @@ def test_cli_validate_dense_far_regime(tmp_path):
     out = tmp_path / "v.txt"
     assert main(["validate", "--out", str(out), "--seed", "7", "--trials", "10000",
                  "--rho", "1", "--r1", "100000"]) == 0
-    assert "summary: 17/17 bounded checks passed" in out.read_text(encoding="utf-8")
+    assert "summary: 19/19 bounded checks passed" in out.read_text(encoding="utf-8")
 
 
 def test_cli_integration_error_exits_1(tmp_path, capsys, monkeypatch):
@@ -645,11 +654,11 @@ def test_cli_density_integral_failure_exits_1(tmp_path, capsys, monkeypatch):
     """A density integral that does not converge is one error line and exit 1."""
     from nncc import distribution
 
-    def diverging(p, quad, rho):  # not integrable across c0
+    def diverging(y, k):  # not integrable at y = 0
         with np.errstate(divide="ignore"):
-            return 1.0 / np.abs(p - quad.c0)
+            return 1.0 / np.abs(y)
 
-    monkeypatch.setattr(distribution, "pdf_branch_form", diverging)
+    monkeypatch.setattr(distribution, "pdf_scale_free", diverging)
     out = tmp_path / "v.txt"
     assert main(["validate", "--out", str(out), "--seed", "7",
                  "--trials", "10000"]) == 1
@@ -672,7 +681,7 @@ def test_cli_validate_unequal_handset_gains(tmp_path):
     out = tmp_path / "v.txt"
     assert main(["validate", "--out", str(out), "--g_u2_db", "-3",
                  "--trials", "200000", "--seed", "0"]) == 0
-    assert "summary: 17/17 bounded checks passed" in out.read_text(encoding="utf-8")
+    assert "summary: 19/19 bounded checks passed" in out.read_text(encoding="utf-8")
 
 
 def test_cli_rate_overflow_exits_2(tmp_path, capsys):
@@ -706,19 +715,19 @@ def test_cli_validate_energy_without_spread(tmp_path):
                 ["--trials", "1000000", "--seed", "7", "--workers", "2"]):
         assert main(["validate", "--out", str(out), "--rate", "1e9"] + run) == 0
         text = out.read_text(encoding="utf-8")
-        assert "summary: 17/17 bounded checks passed" in text
+        assert "summary: 19/19 bounded checks passed" in text
         assert "PASS mean round energy vs exchange rate, relative residual: " in text
 
 
 def test_cli_validate_junction_line_without_q1(tmp_path):
-    """At 1e9 b/s the support starts at c0 in floats, so Q1 is empty and
-    section [e] has no branch junction to compare the density across."""
+    """At 1e9 b/s the support starts within 1e-9 of y = 0 (k^2/4 = 4.8e-182),
+    so section [e] has no branch junction to compare the density across."""
     params = validate(SystemParams(rate=1e9))
-    quad = cooperative_quadratic(params, DEFAULT_R1)
-    assert quad.support_min == quad.c0
+    k = cooperative_quadratic(params, DEFAULT_R1).law(params.rho)[2]
+    assert 0.25 * k * k <= 1e-9
     line = "  INFO PDF one-sided limits at the branch junction: "
     out = tmp_path / "v.txt"
-    for flags, expected in ((["--rate", "1e9"], "n/a (Q1 is empty: support_min == c0)"),
+    for flags, expected in ((["--rate", "1e9"], "n/a (the support starts at y = -4.84"),
                             ([], "below = ")):
         assert main(["validate", "--out", str(out), "--seed", "7", "--trials", "10000"]
                     + flags) == 0
@@ -872,16 +881,33 @@ def test_section_b_passes_at_high_density(rho):
     assert ks.passed and ks.value <= ks.target
 
 
-def test_validate_at_rho_1e300_exits_1_from_section_e(tmp_path, capsys):
-    """At rho = 1e300 (k = 3.5e151) validate runs, and section [b] passes
-    (above), but section [e]'s Q1 density integral does not converge, as from
-    rho = 1e13 on: one error line, exit 1, and no RuntimeWarning on the way."""
+def test_validate_at_rho_1e300_passes_section_e(tmp_path, capsys):
+    """At rho = 1e300 (k = 3.5e151) every total rounds to c0, but section [e]
+    reads the density in y: its three cells meet H, the report is written,
+    and no RuntimeWarning comes on the way (pytest makes one an error)."""
     out = tmp_path / "o.txt"
     assert main(["validate", "--rho", "1e300", "--trials", "10000", "--seed", "7",
-                 "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: quadrature on [") and err.count("\n") == 1
-    assert not out.exists()
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    text = out.read_text(encoding="utf-8")
+    assert "summary: 19/19 bounded checks passed" in text
+    assert "  PASS density integral vs CDF difference, worst of three y cells: " in text
+
+
+_VANISHING_K = ["--sigma2_short", "1e-150", "--g_u1_db", "-1100", "--n0", "1e-200"]
+
+
+@pytest.mark.parametrize("flags", [["--rho", rho] for rho in
+                                   ("1e-150", "1e-50", "1", "1e13", "1e100", "1e200",
+                                    "1e300")] + [_VANISHING_K],
+                         ids=lambda flags: "-".join(flags).lstrip("-"))
+def test_validate_passes_across_the_law_shapes(tmp_path, flags):
+    """From k = 3.5e-74 (rho = 1e-150) to 3.5e151 (rho = 1e300), and at k =
+    3.5e-261, every check of the report passes: [b] and [e] read the law in y."""
+    out = tmp_path / "v.txt"
+    assert main(["validate", "--trials", "10000", "--seed", "7", "--out", str(out)]
+                + flags) == 0
+    assert "summary: 19/19 bounded checks passed" in out.read_text(encoding="utf-8")
 
 
 def test_cli_sweep_passes_above_the_baseline_underflow(tmp_path):
@@ -952,7 +978,7 @@ def test_cli_validate_passes_near_the_float_limits(tmp_path, flags):
     out = tmp_path / "v.txt"
     assert main(["validate", "--seed", "7", "--trials", "10000", "--out", str(out)]
                 + flags) == 0
-    assert "summary: 17/17 bounded checks passed" in out.read_text(encoding="utf-8")
+    assert "summary: 19/19 bounded checks passed" in out.read_text(encoding="utf-8")
 
 
 def test_protocol_rate_checks_read_the_estimators_counts(tmp_path):
@@ -1037,7 +1063,7 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip().splitlines()[-1] == "[]"
-    assert "summary: 17/17 bounded checks passed" in out.read_text(encoding="utf-8")
+    assert "summary: 19/19 bounded checks passed" in out.read_text(encoding="utf-8")
 
 
 def test_cli_verbs_in_one_process_match_separate_processes(tmp_path):
@@ -1079,12 +1105,30 @@ def _traced_validate(tmp_path, *flags):
 
 def _validate_cdf_points() -> int:
     """``cdf_reference_batch`` points of one ``validate --seed 7 --trials 10000``
-    pass: section [e]'s F(c0) and its two 50-point slopes.
-
-    Section [b]'s KS statistic and F(median) take the scale-free totals
-    through ``cdf_scale_free``, so none of their points is counted here.
+    pass: none, as sections [b] and [e] take H(y; k) through ``cdf_scale_free``.
     """
-    return 101
+    return 0
+
+
+def test_traced_cdf_reference_batch_binds_the_benchmark_names():
+    """The benchmark's CDF work counts read ``p_values`` and ``n_nodes`` by name."""
+    found = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(found)
+    found.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        import nncc
+
+        params = validate(SystemParams())
+        quad = cooperative_quadratic(params, DEFAULT_R1)
+        nncc.cdf_reference_batch(quad.c0 * np.array([1.0, 1.5, 2.0]), quad, params.rho,
+                                 n_nodes=16)
+    finally:
+        restore()
+    metrics = spans.pass_metrics(tracer.take(), pass_wall_s=1.0)
+    assert metrics["distribution.cdf_reference_batch.points"] == 3
+    assert metrics["distribution.cdf_reference_batch.node_evals"] == 3 * 16
 
 
 def test_traced_validate_binds_the_benchmark_names(tmp_path):
