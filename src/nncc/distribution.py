@@ -16,6 +16,11 @@ a/(pi*rho) and k = b_coeff*sqrt(pi*rho)/a; it is the one place where pi*rho
 meets the coefficients.  The engine takes y and k alone: ``cdf_scale_free``
 is H, and the p-level functions read p through the map.
 
+With X, Y = sqrt(2u)*(cos, sin)(theta), independent standard normals (Box & Muller,
+1958), 2*y + k^2/2 = (X + k/sqrt(2))^2 + Y^2 is chi^2_2 with noncentrality k^2/2: H
+= 1 - Q_1(k/sqrt(2), sqrt(2*y + k^2/2)) (Marcum Q, 1950), and ``pdf_scale_free`` is
+the Rice law exp(-(s - k/2)^2)*I0e(k*s), s = sqrt(y + k^2/4) (Rice, 1944).
+
 The engine splits by the sign of y into Q1 (-k^2/4 < y <= 0, below c0) and
 Q2 (y > 0), and substitutes so that the roots x = sqrt(u) of x^2 +
 2*half_b*x = y, half_b = (k/2)*cos(theta), become exponentials:
@@ -34,14 +39,11 @@ finite at y = 0 (the density of y is at most 2: the CDF moves by at most
 finite (y moves by <= k^2/4e300, the CDF by < 1e-13, and for k > 4e143 by <
 1e-146, as the density near y = 0 is ~1/(sqrt(pi)*k)); and s2 >= 1e-200, so
 V > 0 as k vanishes, where the phi = 0 limits are 0/0.
-Then w = V*cos(phi) (W*cos(phi)), and Q2 folds w onto [0, V].  Either
+Then w = V*cos(phi) (W*cos(phi)), and Q2 folds w onto [0, V].  The
 integrand becomes a smooth, even, pi-periodic function of phi in [0, pi/2]
 (Trefethen, Approximation Theory and Approximation Practice, ch. 19), on
 which the trapezoid rule converges geometrically.  It doubles, reusing its
-nodes, until |T_2n - T_n| meets the integrand's tolerance, point by point.
-The density of y is the second integrand: 1/pi times the integral over phi
-in [0, pi/2] of (exp(-u + beta*exp(-2u)) + exp(u + beta*exp(2u))) *
-V*sin(phi)/sqrt(sinh(V)^2 - sinh(u)^2), u = V*cos(phi).
+nodes, until |T_2n - T_n| <= ``_CDF_TOL``, point by point.
 
 The independent checks of ``validate`` (the mean by nested 2-D quadrature;
 the density of y over the cells [-k^2/4, s], [s, 0] and [0, y_hi], y_hi =
@@ -69,7 +71,7 @@ from . import powermodel
 
 # coefficients at or above this magnitude overflow when squared
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
-# each value's error by its own doubling estimate: absolute (CDF), relative (density)
+# each CDF value's absolute error by its own doubling estimate
 _CDF_TOL = 1e-10
 _S2_MAX = 1e300  # s2 = sinh(V)^2 at most this: exp(2*V) ~ 4*s2 stays finite
 # relative tolerance of each level of the mean's nested quadrature
@@ -122,7 +124,7 @@ def _tanh_sinh(f, lo, hi, atol: float, rtol: float):
     each, and returns values of shape (len(live), entries..., nodes); the
     result has shape (m, entries...), and every entry must meet the stop test
     of the module docstring.  The intervals (the five sets of the mean, the
-    density's two branches) go through one loop; each stops on its own test,
+    density's three cells) go through one loop; each stops on its own test,
     is not evaluated again, and gets the bits of a call on it alone.
     """
     lo_all, hi_all = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
@@ -276,45 +278,17 @@ def _cdf_limit(v, beta, upper):
     return (g_lo - g_hi) * np.sqrt(v * np.tanh(v))
 
 
-def _pdf_integrand(v, s2, beta, cos_phi, sin_phi, upper):
-    """The substituted density integrand, arguments as in ``_cdf_integrand``.
-
-    Each root's |dx/dy|, 1/(2*sqrt(|y|)*sinh(u)) (Q1; cosh(u) in Q2), cancels
-    against the Jacobian.  Each exponential is taken whole, so none overflows.
-    """
-    u = v * cos_phi
-    e2u = np.exp(2.0 * u)
-    numerator = np.exp(beta / e2u - u) + np.exp(beta * e2u + u)
-    return numerator * v * sin_phi / np.sqrt(s2 - np.sinh(u) ** 2)
-
-
-def _pdf_limit(v, beta, upper):
-    """``_pdf_integrand`` at phi = 0, its limit u = v; ``v`` and ``beta`` are flat."""
-    e2v = np.exp(2.0 * v)
-    return ((np.exp(beta / e2v - v) + np.exp(beta * e2v + v))
-            * np.sqrt(2.0 * v / np.sinh(2.0 * v)))
-
-
-class _Integrand(NamedTuple):
-    """Node values, phi = 0 limit and tolerance |T_2n - T_n| <= atol + rtol*T_2n."""
-
-    name: str
-    nodes: Callable
-    limit: Callable
-    atol: float
-    rtol: float
-
-
 def _branch(y: np.ndarray, lift: np.ndarray, k: float, upper: bool, n_nodes: int,
-            f: _Integrand, where: Callable) -> tuple[np.ndarray, np.ndarray]:
-    """Means of ``f`` over phi in [0, pi/2] at points ``y`` of one branch, and errors;
-    ``where(i)`` names point i in an ``IntegrationError``."""
+            where: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """Means of the CDF integrand over phi in [0, pi/2] at points ``y`` of one branch,
+    and errors; ``where(i)`` names point i in an ``IntegrationError``.  The kernels
+    are looked up at call time, so a test may swap them."""
     y = (np.maximum(y, 0.25 * k * k / _S2_MAX) if upper  # the module docstring's floors
          else np.minimum(y, -np.maximum(0.5e-3 * _CDF_TOL, lift / _S2_MAX)))
     s2 = np.maximum(0.25 * k * k / y if upper else lift / -y, 1e-200)
     v = np.arcsinh(np.sqrt(s2))
     beta = -np.abs(y)
-    end = f.limit(v, beta, upper)
+    end = _cdf_limit(v, beta, upper)
     v, s2, beta = v[:, None], s2[:, None], beta[:, None]
 
     def node_sum(rows, phi, weights):
@@ -323,7 +297,7 @@ def _branch(y: np.ndarray, lift: np.ndarray, k: float, upper: bool, n_nodes: int
         out = np.empty(rows.size)
         for start in range(0, rows.size, step):
             sel = rows[start:start + step]
-            g = f.nodes(v[sel], s2[sel], beta[sel], cos_phi, sin_phi, upper)
+            g = _cdf_integrand(v[sel], s2[sel], beta[sel], cos_phi, sin_phi, upper)
             out[start:start + step] = np.einsum("ij,j->i", g, weights)
         return out
 
@@ -340,12 +314,12 @@ def _branch(y: np.ndarray, lift: np.ndarray, k: float, upper: bool, n_nodes: int
         bad = todo[~np.isfinite(value[todo])]  # a NaN or inf in total never clears
         if bad.size:
             raise IntegrationError(
-                f"{f.name} at {where(bad[0])} is not finite at {n} intervals "
+                f"CDF at {where(bad[0])} is not finite at {n} intervals "
                 f"(value {float(value[bad[0]])!r})")
         if n >= _MAX_NODES:
             i = todo[0]
             raise IntegrationError(
-                f"{f.name} at {where(i)} did not converge within {n} intervals "
+                f"CDF at {where(i)} did not converge within {n} intervals "
                 f"(estimate {err[i]:.3g}, {err[i] / value[i]:.3g} of the value)")
         midpoints = (np.arange(n) + 0.5) * (0.5 * math.pi / n)
         total[todo] += node_sum(todo, midpoints, np.ones(n))
@@ -353,11 +327,11 @@ def _branch(y: np.ndarray, lift: np.ndarray, k: float, upper: bool, n_nodes: int
         finer = total[todo] / (2 * n)
         err[todo] = np.abs(finer - value[todo])
         value[todo] = finer
-        todo = todo[~(err[todo] <= f.atol + f.rtol * finer)]  # a NaN is never met
+        todo = todo[~(err[todo] <= _CDF_TOL)]  # a NaN is never met
     return value, err
 
 
-def _integrate(y: np.ndarray, lift: np.ndarray, k: float, f: _Integrand, where: Callable,
+def _integrate(y: np.ndarray, lift: np.ndarray, k: float, where: Callable,
                n_nodes: int = 8) -> tuple[np.ndarray, np.ndarray]:
     """``_branch`` over chunks of the points ``y``, an array of any shape, 0
     where the height ``lift`` = y + k^2/4 above the support's floor is not > 0;
@@ -371,28 +345,53 @@ def _integrate(y: np.ndarray, lift: np.ndarray, k: float, f: _Integrand, where: 
         for start in range(0, idx.size, _CHUNK):  # bounds the per-point temporaries
             sel = idx[start:start + _CHUNK]
             flat_out[sel], flat_err[sel] = _branch(flat_y[sel], flat_lift[sel], k, upper,
-                                                   n_nodes, f, lambda i, s=sel: where(s[i]))
+                                                   n_nodes, lambda i, s=sel: where(s[i]))
     return out, err
 
 
-def _cdf() -> _Integrand:  # built per call, so a test may swap the kernel
-    return _Integrand("CDF", _cdf_integrand, _cdf_limit, _CDF_TOL, 0.0)
-
-
-def _pdf() -> _Integrand:  # as _cdf; a subnormal mean's floor is the smallest normal
-    return _Integrand("density", _pdf_integrand, _pdf_limit, sys.float_info.min, _CDF_TOL)
-
-
-def _at_totals(p_values, quad: PowerQuadratic, rho: float, f: _Integrand,
-               n_nodes: int = 8) -> tuple[np.ndarray, np.ndarray, float]:
-    """``_integrate`` at totals p, mapped by ``quad.law(rho)``, and A; the height
+def _at_totals(p_values, quad: PowerQuadratic, rho: float,
+               n_nodes: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """``_integrate`` at totals p, mapped by ``quad.law(rho)``; the height
     (p - support_min)/A starts the support at ``support_min`` itself."""
     big_a, _, k = quad.law(rho)
     p = np.asarray(p_values, dtype=float)
-    values, err = _integrate((p - quad.c0) / big_a, (p - quad.support_min) / big_a, k, f,
-                             lambda i: f"p = {float(p.flat[i])!r} ({quad!r}, rho = {rho!r})",
-                             n_nodes)
-    return values, err, big_a
+    return _integrate((p - quad.c0) / big_a, (p - quad.support_min) / big_a, k,
+                      lambda i: f"p = {float(p.flat[i])!r} ({quad!r}, rho = {rho!r})",
+                      n_nodes)
+
+
+# Hankel's asymptotic series of I0 (Abramowitz & Stegun 9.7.1): the coefficients
+# ((2j - 1)!!)^2/j! of 1/(8x)^j; the first term left out is 2.1e-20 at x = 700
+_HANKEL = (1.0, 1.0, 4.5, 37.5, 459.375, 7441.875, 150077.8125)
+
+
+def _i0e(x: np.ndarray) -> np.ndarray:
+    """exp(-x)*I0(x) at x >= 0: ``np.i0`` times exp(-x) up to 700, where exp(x) is
+    finite, and Hankel's series over sqrt(2*pi*x) above."""
+    near = np.minimum(x, 700.0)
+    out = np.i0(near) * np.exp(-near)
+    far = x > 700.0
+    if far.any():
+        t = 0.125 / x[far]
+        series = 0.0
+        for c in reversed(_HANKEL):
+            series = series * t + c
+        out[far] = series / (math.sqrt(2.0 * math.pi) * np.sqrt(x[far]))  # 2*pi*x may overflow
+    return out
+
+
+def _rice(y: np.ndarray, lift: np.ndarray, k: float) -> np.ndarray:
+    """The density of y at points ``y`` with heights ``lift`` = y + k^2/4 above
+    the support's floor: exp(-d^2)*I0e(k*s), s = sqrt(lift) and d = s - k/2 taken
+    as y/(s + k/2), which keeps its digits where s is near k/2.  It is 0 where
+    the height is not > 0 (NaN included), and from y = 1e300 up, where d > 1e146
+    for every k whose 2*k^2 is finite, so exp(-d^2) is 0 (and d^2 may overflow)."""
+    out = np.zeros(y.shape)
+    inside = (lift > 0.0) & (y < 1e300)
+    s = np.sqrt(lift[inside])
+    d = y[inside] / (s + 0.5 * k)
+    out[inside] = np.exp(-d * d) * _i0e(k * s)
+    return out
 
 
 def _shape_in_range(k) -> bool:  # the root masses reach ~k^2; Python floats never warn
@@ -408,13 +407,11 @@ def cdf_shape(quad: PowerQuadratic, rho: float) -> float:
     return k
 
 
-def _scale_free(y_values, k: float, f: _Integrand):
+def _y_points(y_values, k: float) -> np.ndarray:
+    """``y_values`` as a float array, once k is known to be in range."""
     if not _shape_in_range(k):  # before any numpy operation
         raise ValueError(f"the law's shape k must be finite with 2*k^2 finite, got {k!r}")
-    y = np.asarray(y_values, dtype=float)
-    values, _ = _integrate(y, y + 0.25 * k * k, k, f,
-                           lambda i: f"y = {float(y.flat[i])!r} (k = {k!r})")
-    return values if values.ndim else float(values)
+    return np.asarray(y_values, dtype=float)
 
 
 def cdf_scale_free(y_values, k: float):
@@ -429,13 +426,18 @@ def cdf_scale_free(y_values, k: float):
     chunk size or the BLAS thread count.  A k not finite, or whose 2*k^2
     overflows, is a ``ValueError``.
     """
-    return _scale_free(y_values, k, _cdf())
+    y = _y_points(y_values, k)
+    values, _ = _integrate(y, y + 0.25 * k * k, k,
+                           lambda i: f"y = {float(y.flat[i])!r} (k = {k!r})")
+    return values if values.ndim else float(values)
 
 
 def pdf_scale_free(y_values, k: float):
-    """The density dH/dy, as ``cdf_scale_free`` but each value to 1e-10 relative
-    (near the subnormal range, to the smallest normal float)."""
-    return _scale_free(y_values, k, _pdf())
+    """The density dH/dy, the Rice law of the module docstring in closed form
+    (``_rice``); shapes and the refusal of k are as in ``cdf_scale_free``."""
+    y = _y_points(y_values, k)
+    values = _rice(y, y + 0.25 * k * k, k)
+    return values if values.ndim else float(values)
 
 
 def cdf_reference_batch(p_values, quad: PowerQuadratic, rho: float, *,
@@ -443,17 +445,16 @@ def cdf_reference_batch(p_values, quad: PowerQuadratic, rho: float, *,
     """CDF of the round total at ``p_values``: ``cdf_scale_free`` at y = (p - c0)/A,
     from ``n_nodes`` starting intervals, with the support starting at
     ``support_min`` itself; an ``IntegrationError`` names p, the quadratic and rho."""
-    values = _at_totals(p_values, quad, rho, _cdf(), n_nodes)[0]
+    values = _at_totals(p_values, quad, rho, n_nodes)[0]
     return values if values.ndim else float(values)
 
 
 def pdf_branch_form(p, quad: PowerQuadratic, rho: float):
-    """Density of the round total at ``p``: 1/A times ``pdf_scale_free``, read as
-    ``cdf_reference_batch`` reads H.  Within ~1e-12 (relative) of ``support_min``
-    rounding moves it by up to ~1e-8 relative, and near c0 the rounding of p -
-    c0 times |beta| costs ~1e-11 (rho 0.1, r1 20 km)."""
-    values, _, big_a = _at_totals(p, quad, rho, _pdf())
-    values /= big_a
+    """Density of the round total at ``p``: 1/A times the density of y = (p - c0)/A,
+    with the height (p - support_min)/A, as ``cdf_reference_batch`` reads H."""
+    big_a, _, k = quad.law(rho)
+    p = np.asarray(p, dtype=float)
+    values = _rice((p - quad.c0) / big_a, (p - quad.support_min) / big_a, k) / big_a
     return values if values.ndim else float(values)
 
 

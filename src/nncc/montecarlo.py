@@ -411,7 +411,7 @@ def ks_distance(samples: np.ndarray, cdf) -> float:
     hot.  The cells left behind cannot hold the statistic, so the result is
     the full statistic bit for bit and ``cdf`` sees each sample at most once,
     provided each value of ``cdf`` depends on its own point alone and
-    ``cdf`` is monotone to within ``_KS_SLACK`` (``cdf_reference_batch``'s
+    ``cdf`` is monotone to within ``_KS_SLACK`` (section [b]'s ``cdf_scale_free``
     values are each within 1e-10 of a monotone CDF).  A table that decreases
     by more than that, or a value outside [F(q) - ``_KS_SLACK``, F(q') +
     ``_KS_SLACK``] of its cell, is a ``ValueError``.

@@ -2,8 +2,8 @@
 
 These are the defining probability and its derivative integrated directly
 with ``scipy`` QUADPACK, kept out of the package so that the production
-engine (``nncc.cdf_reference_batch``, ``nncc.pdf_branch_form``) is checked
-against a different method.
+engine (``nncc.cdf_reference_batch``) and closed-form density
+(``nncc.pdf_branch_form``) are checked against a different method.
 
 * Above c0 (Q2) the integrand is 1 - exp(-pi*rho*r_hi^2) over the bearing
   theta in [0, pi], with the larger root r_hi in the cancellation-free form.

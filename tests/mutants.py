@@ -27,8 +27,8 @@ time, so a test or the table can turn it on for one run:
   delta)*pi*rho``, so every reader of the map (the closed-form mean, the
   CDF, ``support_upper``, section [b]'s draw and the Monte Carlo means) has
   the neighbour law of a density ``1 + delta`` times too high;
-- ``density_scale``: the density of the round total, from the one integrand
-  ``distribution._pdf`` behind ``pdf_scale_free`` and ``pdf_branch_form``, is
+- ``density_scale``: the density of the round total, from the one closed form
+  ``distribution._rice`` behind ``pdf_scale_free`` and ``pdf_branch_form``, is
   ``1 + delta`` times too large, while the CDF is exact.
 
 pytest does not collect this file.  From the repository root, the table of
@@ -145,14 +145,12 @@ def law_scale(monkeypatch, delta: float) -> None:
 
 
 def density_scale(monkeypatch, delta: float) -> None:
-    exact = distribution._pdf
+    exact = distribution._rice
 
-    def scaled():
-        f = exact()
-        return f._replace(nodes=lambda *args: (1.0 + delta) * f.nodes(*args),
-                          limit=lambda *args: (1.0 + delta) * f.limit(*args))
+    def scaled(y, lift, k):
+        return (1.0 + delta) * exact(y, lift, k)
 
-    monkeypatch.setattr(distribution, "_pdf", scaled)
+    monkeypatch.setattr(distribution, "_rice", scaled)
 
 
 # each fault with the sizes the table tries, smallest first; "none" is the
@@ -166,7 +164,7 @@ FAULTS = {
     "threshold_scale": (threshold_scale, (0.01, 0.03, 0.1, 0.3)),
     "baseline_eta_scale": (baseline_eta_scale, (0.01, 0.03, 0.1, 0.3)),
     "law_scale": (law_scale, (1e-9, 1e-8, 1e-6, 1e-3, 0.05)),
-    "density_scale": (density_scale, (1e-9, 1e-8, 1e-7, 1e-6, 1e-3)),
+    "density_scale": (density_scale, (1e-10, 3e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-3)),
 }
 
 

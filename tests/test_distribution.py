@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, special, stats
 
 import mutants
 from cdf_oracle import (branch_form_cdf, cdf_oracle, pdf_integral_oracle, pdf_oracle,
@@ -32,7 +32,7 @@ from nncc import (ExperimentSpec, Geometry, Link, OutageTargets, ParameterError,
                   power_breakdown, power_coefficients, sample_nn_geometries, validate,
                   validate_report)
 from nncc import distribution
-from nncc.distribution import _at_totals, _cdf, _tanh_sinh
+from nncc.distribution import _at_totals, _i0e, _tanh_sinh
 from nncc.montecarlo import (RandomStream, draw_power_samples, ks_distance,
                              sample_power_distribution)
 
@@ -225,7 +225,7 @@ def _probe_point(quad, rho, where, x):
     """An abscissa of the hypothesis tests, x in [0, 1] placing it within ``where``."""
     if where == "c0":  # within 1e-12 (relative) on either side
         return quad.c0 * (1.0 + (2.0 * x - 1.0) * 1e-12)
-    if where == "junction":  # within 1e-9, where the report takes one-sided limits
+    if where == "junction":  # within 1e-9 (relative) on either side of c0
         return quad.c0 * (1.0 + (2.0 * x - 1.0) * 1e-9)
     if where == "support_min":
         return quad.support_min * (1.0 + x * 1e-12)
@@ -248,7 +248,7 @@ def test_cdf_within_tolerance_of_oracle(rho, r1, where, x):
     """Each value is within 1e-10 of the oracle, and within its own error estimate."""
     quad = cooperative_quadratic(validate(SystemParams(rho=rho)), r1)
     p = _probe_point(quad, rho, where, x)
-    value, estimate = (float(v) for v in _at_totals(p, quad, rho, _cdf())[:2])
+    value, estimate = (float(v) for v in _at_totals(p, quad, rho))
     gap = abs(value - cdf_oracle(p, quad, rho))
     assert gap <= 1e-10
     assert gap <= estimate + 1e-12  # the slack covers the oracle's own error
@@ -308,17 +308,6 @@ def test_pdf_array_matches_pointwise(quad5, dense_params):
     assert np.all(values[0] == 0.0) and np.all(values[1:] > 0.0)
 
 
-def test_pdf_raises_integration_error_past_the_cap(monkeypatch):
-    rho = 1.0
-    quad = cooperative_quadratic(validate(SystemParams(rho=rho)), 100_000.0)
-    p = quad.c0 * (1.0 + 1e-12)
-    monkeypatch.setattr(distribution, "_MAX_NODES", 8)
-    with pytest.raises(IntegrationError) as err:
-        pdf_branch_form(np.array([0.5 * quad.c0, p]), quad, rho)
-    assert str(err.value).startswith("density at p = ")
-    assert "rho = 1.0" in str(err.value) and "of the value" in str(err.value)
-
-
 def test_cdf_raises_integration_error_past_the_cap(monkeypatch):
     rho = 1.0
     quad = cooperative_quadratic(validate(SystemParams(rho=rho)), 100_000.0)
@@ -328,7 +317,7 @@ def test_cdf_raises_integration_error_past_the_cap(monkeypatch):
         cdf_reference_batch(np.array([0.5 * quad.c0, 2.0 * quad.c0, p]), quad, rho)
     assert f"p = {p!r}" in str(err.value) and "rho = 1.0" in str(err.value)
     monkeypatch.undo()
-    value, estimate = _at_totals(p, quad, rho, _cdf())[:2]
+    value, estimate = _at_totals(p, quad, rho)
     assert estimate <= 1e-10
 
 
@@ -342,22 +331,21 @@ def test_a_nan_point_never_converges(monkeypatch):
     """
     quad = cooperative_quadratic(validate(SystemParams()), 2000.0)
     rho, p = 1e-4, 2.0 * quad.c0
-    for engine, name, kernel in ((cdf_reference_batch, "CDF", "_cdf_integrand"),
-                                 (pdf_branch_form, "density", "_pdf_integrand")):
-        nodes = []
+    nodes = []
+    kernel = distribution._cdf_integrand
 
-        def poisoned(v, s2, beta, cos_phi, *rest, _fn=getattr(distribution, kernel)):
-            nodes.append(cos_phi.size)
-            g = _fn(v, s2, beta, cos_phi, *rest)
-            g[-1] = np.nan  # the last row: the one point above c0
-            return g
+    def poisoned(v, s2, beta, cos_phi, *rest):
+        nodes.append(cos_phi.size)
+        g = kernel(v, s2, beta, cos_phi, *rest)
+        g[-1] = np.nan  # the last row: the one point above c0
+        return g
 
-        monkeypatch.setattr(distribution, kernel, poisoned)
-        with pytest.raises(IntegrationError) as err:
-            engine(np.array([0.5 * quad.c0, p]), quad, rho)
-        assert str(err.value).startswith(f"{name} at p = {p!r} (")
-        assert "is not finite at 8 intervals" in str(err.value)
-        assert nodes == [8]
+    monkeypatch.setattr(distribution, "_cdf_integrand", poisoned)
+    with pytest.raises(IntegrationError) as err:
+        cdf_reference_batch(np.array([0.5 * quad.c0, p]), quad, rho)
+    assert str(err.value).startswith(f"CDF at p = {p!r} (")
+    assert "is not finite at 8 intervals" in str(err.value)
+    assert nodes == [8]
 
 
 def test_vanishing_k_is_the_exponential_law():
@@ -399,6 +387,41 @@ def test_scale_free_density_is_the_p_density_times_a(quad5, dense_params):
     y = (p - quad5.c0) / big_a
     np.testing.assert_allclose(pdf_branch_form(p, quad5, dense_params.rho) * big_a,
                                pdf_scale_free(y, k), rtol=1e-8, atol=0)
+
+
+@pytest.mark.parametrize("k", [1e-6, 1e-4, 1e-2, 0.353, 1.0, 10.0, 100.0, 1e3])
+def test_scale_free_law_is_noncentral_chi_square(k):
+    """2*y + k^2/2 is chi^2_2 with noncentrality k^2/2 (the module docstring's
+    identity): on [max(-k^2/4, -y_hi), y_hi], H meets scipy's ``ncx2.cdf`` to
+    1e-12 and the density meets twice its ``ncx2.pdf`` to 1e-12 relative."""
+    floor, y_hi = -0.25 * k * k, distribution._y_upper(k, 1e-9)
+    y = np.concatenate([np.linspace(max(floor, -y_hi), 0.0, 21)[1:],
+                        np.linspace(0.0, y_hi, 41)[1:]])
+    x, lam = 2.0 * y + 0.5 * k * k, 0.5 * k * k
+    assert np.max(np.abs(cdf_scale_free(y, k) - stats.ncx2.cdf(x, 2, lam))) <= 1e-12
+    density = 2.0 * stats.ncx2.pdf(x, 2, lam)
+    assert np.all(np.abs(pdf_scale_free(y, k) - density) <= 1e-12 * density)
+
+
+def test_i0e_meets_scipy_on_both_sides_of_700():
+    """``np.i0`` times exp(-x) up to 700 and Hankel's series above meet
+    ``scipy.special.i0e`` to 1e-15 relative, up to x = 1e300."""
+    x = np.concatenate([np.linspace(0.0, 700.0, 1401), np.nextafter(700.0, [0.0, np.inf]),
+                        np.geomspace(700.5, 1e300, 600)])
+    assert np.max(np.abs(_i0e(x) / special.i0e(x) - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("k", [3.5e-261, 3.53e151])
+def test_density_at_the_edges_without_warnings(k):
+    """At the smallest and largest shapes ``validate`` meets, the closed form is
+    0 at y = -+inf, NaN and the support's floor -k^2/4, and finite and > 0
+    inside, with no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edges = pdf_scale_free(np.array([-math.inf, math.inf, math.nan, -0.25 * k * k]), k)
+        inside = pdf_scale_free(np.array([1e-300, 1.0, distribution._y_upper(k, 1e-9)]), k)
+    assert np.array_equal(edges, np.zeros(4))
+    assert np.all(np.isfinite(inside) & (inside > 0.0))
 
 
 @pytest.mark.parametrize("k", [1.0, 1e5, 1e150, 3.5e151, 9.48e153])
@@ -845,7 +868,7 @@ def _density_cells(k):
 def _density_integrals(k):
     """Section [e]'s one call: the density of y over its three cells."""
     return _tanh_sinh(lambda y, live: pdf_scale_free(y, k), *_density_cells(k),
-                      atol=1e-10, rtol=1e-8)
+                      atol=1e-10, rtol=1e-12)
 
 
 def test_validate_batches_are_bitwise_each_interval_alone(monkeypatch):
