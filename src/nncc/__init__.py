@@ -35,14 +35,11 @@ from .powermodel import (
 from .distribution import (
     IntegrationError,
     PowerQuadratic,
-    cdf_reference_batch,
     cdf_scale_free,
     energy_efficiency,
     expected_power,
     expected_power_quadrature,
-    pdf_branch_form,
     pdf_scale_free,
-    support_upper,
 )
 from .montecarlo import (
     PowerSamples,

@@ -14,7 +14,7 @@ cos(theta)*sqrt(u) the total is c0 + A*y, y = u + k*v, and F(p) = H((p -
 c0)/A; k) has the one shape parameter k.  ``PowerQuadratic.law`` gives A =
 a/(pi*rho) and k = b_coeff*sqrt(pi*rho)/a; it is the one place where pi*rho
 meets the coefficients.  The engine takes y and k alone: ``cdf_scale_free``
-is H, and the p-level functions read p through the map.
+is H and ``pdf_scale_free`` its density dH/dy.
 
 With X, Y = sqrt(2u)*(cos, sin)(theta), independent standard normals (Box & Muller,
 1958), 2*y + k^2/2 = (X + k/sqrt(2))^2 + Y^2 is chi^2_2 with noncentrality k^2/2: H
@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -218,17 +218,6 @@ class PowerQuadratic(NamedTuple):
         root = pi_rho ** 0.5  # np.sqrt's bits on an array, a Python float on a float
         return self.a / pi_rho, self.b_coeff / root, self.b_coeff / self.a * root
 
-    @property
-    def half_b_max(self) -> float:
-        # |b(theta)|/2 at cos(theta) = -1; sets the depth of the support dip
-        return 0.5 * self.b_coeff
-
-    @property
-    def support_min(self) -> float:
-        """Smallest achievable total: vertex value at cos(theta) = -1."""
-        k = self.half_b_max
-        return self.c0 - k * k / self.a
-
 
 # --- the engine (substitution in the module docstring) ----------------------
 
@@ -278,16 +267,18 @@ def _cdf_limit(v, beta, upper):
     return (g_lo - g_hi) * np.sqrt(v * np.tanh(v))
 
 
-def _branch(y: np.ndarray, lift: np.ndarray, k: float, upper: bool, n_nodes: int,
-            where: Callable) -> tuple[np.ndarray, np.ndarray]:
+def _branch(y: np.ndarray, lift: np.ndarray, k: float,
+            upper: bool) -> tuple[np.ndarray, np.ndarray]:
     """Means of the CDF integrand over phi in [0, pi/2] at points ``y`` of one branch,
-    and errors; ``where(i)`` names point i in an ``IntegrationError``.  The kernels
+    and errors; an ``IntegrationError`` names the point's y and k.  The kernels
     are looked up at call time, so a test may swap them."""
-    y = (np.maximum(y, 0.25 * k * k / _S2_MAX) if upper  # the module docstring's floors
-         else np.minimum(y, -np.maximum(0.5e-3 * _CDF_TOL, lift / _S2_MAX)))
-    s2 = np.maximum(0.25 * k * k / y if upper else lift / -y, 1e-200)
+    floored = (np.maximum(y, 0.25 * k * k / _S2_MAX) if upper  # the module docstring's floors
+               else np.minimum(y, -np.maximum(0.5e-3 * _CDF_TOL, lift / _S2_MAX)))
+    s2 = np.maximum(0.25 * k * k / floored if upper else lift / -floored, 1e-200)
     v = np.arcsinh(np.sqrt(s2))
-    beta = -np.abs(y)
+    # every root mass exp(beta*exp(-+2u)) is 0 from |y| = 1e300 up (there
+    # exp(2v) < 1e8); the cap keeps beta*exp(2u) finite at the top of the range
+    beta = -np.minimum(np.abs(floored), 1e300)
     end = _cdf_limit(v, beta, upper)
     v, s2, beta = v[:, None], s2[:, None], beta[:, None]
 
@@ -302,7 +293,7 @@ def _branch(y: np.ndarray, lift: np.ndarray, k: float, upper: bool, n_nodes: int
         return out
 
     # trapezoid sums over n intervals of [0, pi/2]; the mean is sum / (2n)
-    n = n_nodes
+    n = 8
     weights = np.ones(n)
     weights[-1] = 0.5
     grid = np.arange(1, n + 1) * (0.5 * math.pi / n)
@@ -314,13 +305,13 @@ def _branch(y: np.ndarray, lift: np.ndarray, k: float, upper: bool, n_nodes: int
         bad = todo[~np.isfinite(value[todo])]  # a NaN or inf in total never clears
         if bad.size:
             raise IntegrationError(
-                f"CDF at {where(bad[0])} is not finite at {n} intervals "
-                f"(value {float(value[bad[0]])!r})")
+                f"CDF at y = {float(y[bad[0]])!r} (k = {k!r}) is not finite at {n} "
+                f"intervals (value {float(value[bad[0]])!r})")
         if n >= _MAX_NODES:
             i = todo[0]
             raise IntegrationError(
-                f"CDF at {where(i)} did not converge within {n} intervals "
-                f"(estimate {err[i]:.3g}, {err[i] / value[i]:.3g} of the value)")
+                f"CDF at y = {float(y[i])!r} (k = {k!r}) did not converge within {n} "
+                f"intervals (estimate {err[i]:.3g}, {err[i] / value[i]:.3g} of the value)")
         midpoints = (np.arange(n) + 0.5) * (0.5 * math.pi / n)
         total[todo] += node_sum(todo, midpoints, np.ones(n))
         n *= 2
@@ -331,33 +322,17 @@ def _branch(y: np.ndarray, lift: np.ndarray, k: float, upper: bool, n_nodes: int
     return value, err
 
 
-def _integrate(y: np.ndarray, lift: np.ndarray, k: float, where: Callable,
-               n_nodes: int = 8) -> tuple[np.ndarray, np.ndarray]:
+def _integrate(y: np.ndarray, lift: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
     """``_branch`` over chunks of the points ``y``, an array of any shape, 0
-    where the height ``lift`` = y + k^2/4 above the support's floor is not > 0;
-    ``where(i)`` names the i-th point of the flattened input."""
-    if n_nodes < 1:
-        raise ValueError(f"n_nodes must be >= 1, got {n_nodes!r}")
+    where the height ``lift`` = y + k^2/4 above the support's floor is not > 0."""
     out, err = np.zeros(y.shape), np.zeros(y.shape)
     flat_y, flat_lift, flat_out, flat_err = y.ravel(), lift.ravel(), out.ravel(), err.ravel()
     for upper, mask in ((False, (flat_lift > 0.0) & (flat_y <= 0.0)), (True, flat_y > 0.0)):
         idx = np.flatnonzero(mask)
         for start in range(0, idx.size, _CHUNK):  # bounds the per-point temporaries
             sel = idx[start:start + _CHUNK]
-            flat_out[sel], flat_err[sel] = _branch(flat_y[sel], flat_lift[sel], k, upper,
-                                                   n_nodes, lambda i, s=sel: where(s[i]))
+            flat_out[sel], flat_err[sel] = _branch(flat_y[sel], flat_lift[sel], k, upper)
     return out, err
-
-
-def _at_totals(p_values, quad: PowerQuadratic, rho: float,
-               n_nodes: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """``_integrate`` at totals p, mapped by ``quad.law(rho)``; the height
-    (p - support_min)/A starts the support at ``support_min`` itself."""
-    big_a, _, k = quad.law(rho)
-    p = np.asarray(p_values, dtype=float)
-    return _integrate((p - quad.c0) / big_a, (p - quad.support_min) / big_a, k,
-                      lambda i: f"p = {float(p.flat[i])!r} ({quad!r}, rho = {rho!r})",
-                      n_nodes)
 
 
 # Hankel's asymptotic series of I0 (Abramowitz & Stegun 9.7.1): the coefficients
@@ -407,11 +382,15 @@ def cdf_shape(quad: PowerQuadratic, rho: float) -> float:
     return k
 
 
-def _y_points(y_values, k: float) -> np.ndarray:
-    """``y_values`` as a float array, once k is known to be in range."""
+def _y_points(y_values, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """``y_values`` as a float array, once k is known to be in range, and the
+    heights y + k^2/4 above the support's floor.  A height is read only below
+    y = 0 (H) or below y = 1e300 (the density), so y is capped at 1e300 in
+    it, which keeps the sum finite at the top of the float range."""
     if not _shape_in_range(k):  # before any numpy operation
         raise ValueError(f"the law's shape k must be finite with 2*k^2 finite, got {k!r}")
-    return np.asarray(y_values, dtype=float)
+    y = np.asarray(y_values, dtype=float)
+    return y, np.minimum(y, 1e300) + 0.25 * k * k
 
 
 def cdf_scale_free(y_values, k: float):
@@ -426,35 +405,14 @@ def cdf_scale_free(y_values, k: float):
     chunk size or the BLAS thread count.  A k not finite, or whose 2*k^2
     overflows, is a ``ValueError``.
     """
-    y = _y_points(y_values, k)
-    values, _ = _integrate(y, y + 0.25 * k * k, k,
-                           lambda i: f"y = {float(y.flat[i])!r} (k = {k!r})")
+    values, _ = _integrate(*_y_points(y_values, k), k)
     return values if values.ndim else float(values)
 
 
 def pdf_scale_free(y_values, k: float):
     """The density dH/dy, the Rice law of the module docstring in closed form
     (``_rice``); shapes and the refusal of k are as in ``cdf_scale_free``."""
-    y = _y_points(y_values, k)
-    values = _rice(y, y + 0.25 * k * k, k)
-    return values if values.ndim else float(values)
-
-
-def cdf_reference_batch(p_values, quad: PowerQuadratic, rho: float, *,
-                        n_nodes: int = 8):
-    """CDF of the round total at ``p_values``: ``cdf_scale_free`` at y = (p - c0)/A,
-    from ``n_nodes`` starting intervals, with the support starting at
-    ``support_min`` itself; an ``IntegrationError`` names p, the quadratic and rho."""
-    values = _at_totals(p_values, quad, rho, n_nodes)[0]
-    return values if values.ndim else float(values)
-
-
-def pdf_branch_form(p, quad: PowerQuadratic, rho: float):
-    """Density of the round total at ``p``: 1/A times the density of y = (p - c0)/A,
-    with the height (p - support_min)/A, as ``cdf_reference_batch`` reads H."""
-    big_a, _, k = quad.law(rho)
-    p = np.asarray(p, dtype=float)
-    values = _rice((p - quad.c0) / big_a, (p - quad.support_min) / big_a, k) / big_a
+    values = _rice(*_y_points(y_values, k), k)
     return values if values.ndim else float(values)
 
 
@@ -506,23 +464,12 @@ def energy_efficiency(expected: float, rate: float) -> float:
     return 2.0 * rate / expected
 
 
-def support_upper(quad: PowerQuadratic, rho: float, tail: float = 1e-6) -> float:
-    """A total above which the round total lies with probability at most ``tail``.
-
-    It is c0 + A*``_y_upper``(k, tail) (``PowerQuadratic.law``).  Its distance
-    from c0 is that of the (1 - tail)-quantile when u_t dominates, and at most
-    1.12 (tail 1e-6) or 1.09 (tail 1e-9) times it over rho in [1e-7, 1] and r1
-    in [50 m, 100 km].
-    """
-    if not 0.0 < tail < 1.0:
-        raise ValueError(f"tail must lie in (0, 1), got {tail!r}")
-    big_a, _, k = quad.law(rho)
-    return quad.c0 + big_a * _y_upper(k, tail)
-
-
 def _y_upper(k: float, tail: float) -> float:
     """u_t + k*sqrt(u_t) with u_t = -log(tail), the area pi*rho*r^2 the PPP
     neighbor exceeds with probability exactly ``tail``: at every bearing u +
-    k*cos(theta)*sqrt(u) is at most that for u <= u_t, so H there is >= 1 - tail."""
+    k*cos(theta)*sqrt(u) is at most that for u <= u_t, so H there is >= 1 - tail.
+    It is that of the (1 - tail)-quantile when u_t dominates, and at most 1.12
+    (tail 1e-6) or 1.09 (tail 1e-9) times it over the shapes of rho in [1e-7, 1]
+    and r1 in [50 m, 100 km]."""
     u_t = -math.log(tail)
     return u_t + k * math.sqrt(u_t)

@@ -90,11 +90,6 @@ def nn_distance_cdf(r, rho: float):
     return out if out.ndim else float(out)
 
 
-def b_of(quad, theta: float) -> float:
-    """Linear coefficient b(theta) = b_coeff*cos(theta) of a ``PowerQuadratic``."""
-    return quad.b_coeff * math.cos(theta)
-
-
 def ks_distance_of_values(samples, f) -> float:
     """KS statistic of sorted ``samples`` from the model CDF's values ``f`` at each."""
     n = len(samples)

@@ -25,11 +25,19 @@ time, so a test or the table can turn it on for one run:
   in its powers at a fixed placement and in its mean alike;
 - ``law_scale``: the one map ``PowerQuadratic.law`` takes pi*rho as ``(1 +
   delta)*pi*rho``, so every reader of the map (the closed-form mean, the
-  CDF, ``support_upper``, section [b]'s draw and the Monte Carlo means) has
-  the neighbour law of a density ``1 + delta`` times too high;
+  shape k of the CDF and of section [e]'s cells, section [b]'s draw and the
+  Monte Carlo means) has the neighbour law of a density ``1 + delta`` times
+  too high;
 - ``density_scale``: the density of the round total, from the one closed form
-  ``distribution._rice`` behind ``pdf_scale_free`` and ``pdf_branch_form``, is
-  ``1 + delta`` times too large, while the CDF is exact.
+  ``distribution._rice`` behind ``pdf_scale_free``, is ``1 + delta`` times
+  too large, while the CDF is exact;
+- ``shared_substitution``: the CDF engine's s2 = sinh(v)^2 of
+  ``distribution._branch`` is ``1 + delta`` times too large, consistently in
+  the kernel ``_cdf_integrand`` and its phi = 0 limit ``_cdf_limit`` (both
+  take v = asinh(sqrt(s2))), so H is off by O(delta) (above 0 it is exactly
+  H(y; k*sqrt(1 + delta))) while the density is exact.  Scaling s2 in the
+  kernel alone is not a plausible fault: the rule stops converging and
+  raises ``IntegrationError``.
 
 pytest does not collect this file.  From the repository root, the table of
 which ``validate`` checks fire for each fault and size:
@@ -50,6 +58,7 @@ import os
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 
 from nncc import distribution
@@ -153,6 +162,20 @@ def density_scale(monkeypatch, delta: float) -> None:
     monkeypatch.setattr(distribution, "_rice", scaled)
 
 
+def shared_substitution(monkeypatch, delta: float) -> None:
+    kernel, limit = distribution._cdf_integrand, distribution._cdf_limit
+
+    def scaled_kernel(v, s2, beta, cos_phi, sin_phi, upper):
+        s2 = s2 * (1.0 + delta)
+        return kernel(np.arcsinh(np.sqrt(s2)), s2, beta, cos_phi, sin_phi, upper)
+
+    def scaled_limit(v, beta, upper):
+        return limit(np.arcsinh(np.sinh(v) * math.sqrt(1.0 + delta)), beta, upper)
+
+    monkeypatch.setattr(distribution, "_cdf_integrand", scaled_kernel)
+    monkeypatch.setattr(distribution, "_cdf_limit", scaled_limit)
+
+
 # each fault with the sizes the table tries, smallest first; "none" is the
 # correct program, whose failures are false alarms
 FAULTS = {
@@ -165,6 +188,7 @@ FAULTS = {
     "baseline_eta_scale": (baseline_eta_scale, (0.01, 0.03, 0.1, 0.3)),
     "law_scale": (law_scale, (1e-9, 1e-8, 1e-6, 1e-3, 0.05)),
     "density_scale": (density_scale, (1e-10, 3e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-3)),
+    "shared_substitution": (shared_substitution, (1e-8, 1e-7, 1e-6, 1e-4, 1e-2)),
 }
 
 

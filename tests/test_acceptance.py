@@ -17,18 +17,17 @@ from nncc import (
     Link,
     OutageTargets,
     SystemParams,
-    cdf_reference_batch,
     cdf_scale_free,
     expected_power,
     expected_power_quadrature,
-    pdf_branch_form,
+    pdf_scale_free,
     per_link_outage_conventional,
     per_link_outage_nncc,
     power_breakdown,
     power_coefficients,
-    support_upper,
     validate,
 )
+from nncc.distribution import _y_upper
 from nncc.experiments import ExperimentSpec, sweep, validate_report
 from nncc.montecarlo import RandomStream, draw_power_samples, estimate_outage, \
     ks_distance, sample_power_distribution
@@ -156,21 +155,19 @@ def test_criterion_07_expectation_triple_agreement():
 
 def test_criterion_08_branch_form_report(tmp_path):
     params = validate(SystemParams(rate=1e7, rho=1e-4))
-    quad = cooperative_quadratic(params, 2000.0)
-    grid = np.geomspace(quad.support_min, support_upper(quad, params.rho), 256)
-    cdf_branch = np.array([branch_form_cdf(p, quad, params.rho) for p in grid])
-    pdf_branch = np.array([pdf_branch_form(p, quad, params.rho) for p in grid])
-    cdf_ref = cdf_reference_batch(grid, quad, params.rho)
+    k = cooperative_quadratic(params, 2000.0).law(params.rho)[2]
+    floor, hi = -0.25 * k * k, _y_upper(k, 1e-6)
+    grid = np.linspace(floor, hi, 256)
+    cdf_branch = np.array([branch_form_cdf(y, k) for y in grid])
+    pdf_branch = np.array([pdf_scale_free(y, k) for y in grid])
+    cdf_ref = cdf_scale_free(grid, k)
     assert np.all(np.isfinite(cdf_branch))
     assert np.all(np.isfinite(pdf_branch))
     max_gap = float(np.max(np.abs(cdf_branch - cdf_ref)))
 
     from scipy import integrate
-    hi = grid[-1]
-    q1, _ = integrate.quad(lambda p: pdf_branch_form(p, quad, params.rho),
-                           quad.support_min, quad.c0, limit=300)
-    q2, _ = integrate.quad(lambda p: pdf_branch_form(p, quad, params.rho),
-                           quad.c0, hi, limit=300)
+    q1, _ = integrate.quad(lambda y: pdf_scale_free(y, k), floor, 0.0, limit=300)
+    q2, _ = integrate.quad(lambda y: pdf_scale_free(y, k), 0.0, hi, limit=300)
     pdf_defect = q1 + q2 - 1.0
 
     out = str(tmp_path / "report.txt")

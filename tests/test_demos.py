@@ -20,7 +20,8 @@ def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    done = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    # RuntimeWarning is an error, the rule pyproject applies to the tests in-process
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout

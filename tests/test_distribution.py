@@ -13,26 +13,23 @@ from scipy import integrate, special, stats
 import mutants
 from cdf_oracle import (branch_form_cdf, cdf_oracle, pdf_integral_oracle, pdf_oracle,
                         quantile_oracle)
-from model_helpers import (b_of, cooperative_quadratic, mean_quadrature_per_call,
-                           nn_distance, placements_by_expression, tanh_sinh_uncached)
+from model_helpers import (cooperative_quadratic, mean_quadrature_per_call, nn_distance,
+                           placements_by_expression, tanh_sinh_uncached)
 from nncc import (
     IntegrationError,
     PowerQuadratic,
-    cdf_reference_batch,
     cdf_scale_free,
     energy_efficiency,
     expected_power,
     expected_power_quadrature,
-    pdf_branch_form,
     pdf_scale_free,
-    support_upper,
 )
 from nncc import (ExperimentSpec, Geometry, Link, OutageTargets, ParameterError,
                   SystemParams, conventional_coefficients, partner_distance_to_bs,
                   power_breakdown, power_coefficients, sample_nn_geometries, validate,
                   validate_report)
 from nncc import distribution
-from nncc.distribution import _at_totals, _i0e, _tanh_sinh
+from nncc.distribution import _i0e, _integrate, _tanh_sinh, _y_upper
 from nncc.montecarlo import (RandomStream, draw_power_samples, ks_distance,
                              sample_power_distribution)
 
@@ -50,15 +47,33 @@ def quad5(dense_params):
     return cooperative_quadratic(dense_params, 2000.0)
 
 
+@pytest.fixture(scope="module")
+def k5(quad5, dense_params):
+    """The shape k of quad5's law (``PowerQuadratic.law``), 0.0866."""
+    return quad5.law(dense_params.rho)[2]
+
+
+def floor_of(k):
+    """The support's floor -k^2/4: the least y, reached at cos(theta) = -1."""
+    return -0.25 * k * k
+
+
+def y_of_c0(quad, rho):
+    """c0 in units of A, c0/A: y = c0_y*x is a total x*c0 away from c0."""
+    return quad.c0 / quad.law(rho)[0]
+
+
 def conventional_quadratic(params, r1):
     """The baseline's round total as a quadratic in the neighbor distance."""
     return PowerQuadratic.from_coefficients(conventional_coefficients(params), r1)
 
 
-def test_quadratic_coefficients_golden(quad5):
+def test_quadratic_coefficients_golden(quad5, dense_params):
+    """The coefficients, and the least total c0 - A*k^2/4 of the law's map."""
     assert quad5.a == pytest.approx(A_GOLDEN, rel=1e-12, abs=0)
     assert quad5.c0 == pytest.approx(C0_GOLDEN, rel=1e-12, abs=0)
-    assert quad5.support_min == pytest.approx(INF_GOLDEN, rel=1e-12, abs=0)
+    big_a, _, k = quad5.law(dense_params.rho)
+    assert quad5.c0 + big_a * floor_of(k) == pytest.approx(INF_GOLDEN, rel=1e-12, abs=0)
 
 
 def test_quadratic_reproduces_breakdown_total(dense_params, quad5):
@@ -73,11 +88,11 @@ def test_quadratic_reproduces_breakdown_total(dense_params, quad5):
         assert total_power == pytest.approx(total, rel=1e-9)
 
 
-def _kernel_inputs(monkeypatch, p, quad, rho):
-    """(v, sinh(v)^2, beta) the CDF kernel receives for the one point p, or None.
+def _kernel_inputs(monkeypatch, y, k):
+    """(v, sinh(v)^2, beta) the CDF kernel receives for the one point y, or None.
 
-    beta = -pi*rho*(d/a)^2 (c in place of d above c0), so the engine's roots
-    (d/a)*exp(-+w) scale with sqrt(-beta/(pi*rho)).
+    beta = -|y| once floored, so the engine's roots sqrt(|y|)*exp(-+w) scale
+    with sqrt(-beta).
     """
     seen = []
     kernel = distribution._cdf_integrand
@@ -88,157 +103,134 @@ def _kernel_inputs(monkeypatch, p, quad, rho):
 
     with monkeypatch.context() as patch:
         patch.setattr(distribution, "_cdf_integrand", recording)
-        cdf_reference_batch(p, quad, rho)
+        cdf_scale_free(y, k)
     return seen[0] if seen else None
 
 
-def _engine_roots(beta, quad, rho, upper, w):
-    """The roots at w, and the half_b = k*cos(theta) they solve P(r, theta) = p for.
+def _engine_roots(beta, upper, w):
+    """The roots at w, and the half_b = (k/2)*cos(theta) they solve x^2 + 2*half_b*x = y for.
 
-    Above c0 half_b = c*sinh(w) and the root is (c/a)*exp(-w); below,
-    -half_b = d*cosh(w) and the roots are (d/a)*exp(-w) and (d/a)*exp(w).
+    Above 0 half_b = c*sinh(w) and the root is c*exp(-w); below, -half_b =
+    d*cosh(w) and the roots are d*exp(-w) and d*exp(w), with c, d = sqrt(-beta).
     """
-    scale = math.sqrt(-beta / (math.pi * rho))
+    scale = math.sqrt(-beta)
     if upper:
-        return quad.a * scale * np.sinh(w), [scale * np.exp(-w)]
-    return -quad.a * scale * np.cosh(w), [scale * np.exp(-w), scale * np.exp(w)]
+        return scale * np.sinh(w), [scale * np.exp(-w)]
+    return -scale * np.cosh(w), [scale * np.exp(-w), scale * np.exp(w)]
 
 
-def test_power_roots_at_constant_term(quad5, dense_params, monkeypatch):
-    """At p = c0 the roots are 0 and -b(theta)/a, on both sides of the split."""
-    rho, k, a = dense_params.rho, quad5.half_b_max, quad5.a
-    above = float(np.nextafter(quad5.c0, np.inf))
-    _, _, beta = _kernel_inputs(monkeypatch, above, quad5, rho)
-    c = a * math.sqrt(-beta / (math.pi * rho))
-    for theta in (2.5, 0.5):  # cos < 0: root -b/a; cos > 0: root 0
-        _, (root,) = _engine_roots(beta, quad5, rho, True,
-                                   math.asinh(k * math.cos(theta) / c))
+def test_power_roots_at_constant_term(k5, monkeypatch):
+    """At y = 0 the roots are 0 and -k*cos(theta), on both sides of the split."""
+    _, _, beta = _kernel_inputs(monkeypatch, 5e-324, k5)
+    c = math.sqrt(-beta)
+    for theta in (2.5, 0.5):  # cos < 0: root -k*cos; cos > 0: root 0
+        _, (root,) = _engine_roots(beta, True, math.asinh(0.5 * k5 * math.cos(theta) / c))
         if theta > 0.5 * math.pi:
-            assert root == pytest.approx(-b_of(quad5, theta) / a, rel=1e-9)
+            assert root == pytest.approx(-k5 * math.cos(theta), rel=1e-9)
         else:
-            assert root <= 1e-9 * k / a
-    # at p = c0 itself (below the split) only bearings with cos < 0 have roots
-    _, _, beta = _kernel_inputs(monkeypatch, quad5.c0, quad5, rho)
-    d = a * math.sqrt(-beta / (math.pi * rho))
+            assert root <= 0.5e-9 * k5
+    # at y = 0 itself (below the split) only bearings with cos < 0 have roots
+    _, _, beta = _kernel_inputs(monkeypatch, 0.0, k5)
+    d = math.sqrt(-beta)
     theta = np.linspace(0.55 * math.pi, 1.45 * math.pi, 9)
-    w = np.arccosh(-k * np.cos(theta) / d)
-    _, (r_lo, r_hi) = _engine_roots(beta, quad5, rho, False, w)
-    assert np.max(r_lo) <= 1e-9 * np.max(r_hi)
-    assert np.allclose(r_hi, -quad5.b_coeff * np.cos(theta) / a, rtol=1e-9)
+    w = np.arccosh(-0.5 * k5 * np.cos(theta) / d)
+    _, (x_lo, x_hi) = _engine_roots(beta, False, w)
+    assert np.max(x_lo) <= 1e-9 * np.max(x_hi)
+    assert np.allclose(x_hi, -k5 * np.cos(theta), rtol=1e-9)
 
 
-def test_power_roots_residuals(quad5, dense_params, monkeypatch):
-    """The engine's exponential roots solve the level-p equation, and w in
-    [-v, v] (above c0) or [0, v] (below) spans the bearings from cos = +-1."""
-    rho, k = dense_params.rho, quad5.half_b_max
+def test_power_roots_residuals(k5, monkeypatch):
+    """The engine's exponential roots solve the level-y equation, and w in
+    [-v, v] (above 0) or [0, v] (below) spans the bearings from cos = +-1."""
+    half_k = 0.5 * k5
     rng = np.random.default_rng(7)
     found = 0
     for _ in range(400):
-        p = quad5.support_min * rng.uniform(0.99, 6.0)
-        if p <= quad5.support_min:
+        y = floor_of(k5) + rng.uniform(-0.01, 1.0) * (6.0 - floor_of(k5))
+        if y <= floor_of(k5):
             continue
-        upper = p > quad5.c0
-        v, _, beta = _kernel_inputs(monkeypatch, p, quad5, rho)
-        half_b, _ = _engine_roots(beta, quad5, rho, upper, v)
-        assert abs(half_b) == pytest.approx(k, rel=1e-12, abs=0)  # |cos(theta)| = 1
+        upper = y > 0.0
+        v, _, beta = _kernel_inputs(monkeypatch, y, k5)
+        half_b, _ = _engine_roots(beta, upper, v)
+        assert abs(half_b) == pytest.approx(half_k, rel=1e-12, abs=0)  # |cos(theta)| = 1
         for w in rng.uniform(-v if upper else 0.0, v, 5):
-            half_b, roots = _engine_roots(beta, quad5, rho, upper, w)
-            assert abs(half_b) <= k * (1.0 + 1e-12)
-            for root in roots:
-                residual = quad5.a * root * root + 2.0 * half_b * root + quad5.c0 - p
-                assert abs(residual) <= 1e-12 * max(p, quad5.c0)
-                assert root > 0.0
+            half_b, roots = _engine_roots(beta, upper, w)
+            assert abs(half_b) <= half_k * (1.0 + 1e-12)
+            for x in roots:
+                terms = (x * x, 2.0 * half_b * x, -y)
+                assert abs(sum(terms)) <= 1e-12 * max(abs(t) for t in terms)
+                assert x > 0.0
         found += 1
     assert found > 100
 
 
-def test_power_roots_none_below_vertex(quad5, dense_params, monkeypatch):
+def test_power_roots_none_below_vertex(k5, monkeypatch):
     """Below the support no bearing has real roots: the lower branch degenerates."""
-    rho = dense_params.rho
-    below, above = quad5.support_min * 0.999, quad5.support_min * 1.001
-    # half_b^2 - a*(c0 - p) < 0 at every bearing, and the engine integrates nothing
-    assert quad5.half_b_max ** 2 < quad5.a * (quad5.c0 - below)
-    assert _kernel_inputs(monkeypatch, below, quad5, rho) is None
-    v, s2, _ = _kernel_inputs(monkeypatch, above, quad5, rho)
+    below, above = 1.001 * floor_of(k5), 0.999 * floor_of(k5)
+    # half_b^2 + y < 0 at every bearing, and the engine integrates nothing
+    assert 0.25 * k5 * k5 + below < 0.0
+    assert _kernel_inputs(monkeypatch, below, k5) is None
+    v, s2, _ = _kernel_inputs(monkeypatch, above, k5)
     assert v > 0.0 and s2 > 0.0
-    assert cdf_reference_batch(below, quad5, rho) == 0.0
-    assert pdf_branch_form(below, quad5, rho) == 0.0
+    assert cdf_scale_free(below, k5) == 0.0
+    assert pdf_scale_free(below, k5) == 0.0
 
 
-def test_support_min_matches_grid_minimum(quad5):
-    r = np.linspace(0.0, 50.0, 4001)[None, :]
-    theta = np.linspace(-0.5 * math.pi, 1.5 * math.pi, 2001)[:, None]
-    values = quad5.a * r * r + quad5.b_coeff * np.cos(theta) * r + quad5.c0
-    assert quad5.support_min == pytest.approx(float(values.min()), rel=1e-6)
-    assert quad5.support_min <= values.min()
-
-
-def test_cdf_reference_basics(quad5, dense_params):
-    rho = dense_params.rho
-    assert cdf_reference_batch(quad5.support_min * 0.5, quad5, rho) == 0.0
-    assert cdf_reference_batch(quad5.support_min, quad5, rho) == 0.0
-    assert cdf_reference_batch(quad5.support_min * (1 + 1e-12), quad5, rho) < 1e-6
-    grid = np.geomspace(quad5.support_min, support_upper(quad5, rho), 60)
-    values = cdf_reference_batch(grid, quad5, rho)
+def test_cdf_reference_basics(k5):
+    """0 at and below the floor -k^2/4, small just above it, then a CDF up to the tail."""
+    floor = floor_of(k5)
+    assert cdf_scale_free(2.0 * floor, k5) == 0.0
+    assert cdf_scale_free(floor, k5) == 0.0
+    assert cdf_scale_free(floor * (1.0 - 1e-12), k5) < 1e-6
+    grid = np.linspace(floor, _y_upper(k5, 1e-6), 60)
+    values = cdf_scale_free(grid, k5)
     assert np.all((values >= 0.0) & (values <= 1.0))
     assert np.all(np.diff(values) >= -1e-12)
     assert values[-1] == pytest.approx(1.0, abs=2e-6)
 
 
-def test_cdf_reference_at_branch_point_against_direct_quadrature(quad5, dense_params):
-    """Independent oracle at p = c0: roots are {0, -b/a} for the admissible half."""
-    rho = dense_params.rho
-
+def test_cdf_reference_at_branch_point_against_direct_quadrature(k5):
+    """Independent oracle at y = 0: the roots are {0, -k*cos(theta)} for the admissible half."""
     def integrand(theta):
-        r2 = -b_of(quad5, theta) / quad5.a
-        return (1.0 - math.exp(-math.pi * rho * r2 * r2)) / (2.0 * math.pi)
+        x = -k5 * math.cos(theta)
+        return (1.0 - math.exp(-x * x)) / (2.0 * math.pi)
 
     direct, _ = integrate.quad(integrand, 0.5 * math.pi, 1.5 * math.pi,
                                epsabs=1e-13, limit=200)
-    assert cdf_reference_batch(quad5.c0, quad5, rho) == pytest.approx(direct, abs=1e-9)
+    assert cdf_scale_free(0.0, k5) == pytest.approx(direct, abs=1e-9)
 
 
-def test_cdf_reference_tolerance_stability(quad5, dense_params):
-    """The starting rule does not move a value by more than the tolerance allows."""
-    rho = dense_params.rho
-    grid = np.geomspace(quad5.support_min * 1.0000001,
-                        support_upper(quad5, rho), 40)
-    coarse = cdf_reference_batch(grid, quad5, rho, n_nodes=2)
-    fine = cdf_reference_batch(grid, quad5, rho, n_nodes=64)
-    assert np.max(np.abs(coarse - fine)) < 1e-8
-
-
-def test_cdf_batch_matches_scalar(quad5, dense_params):
-    rho = dense_params.rho
-    c0 = quad5.c0
+def test_cdf_batch_matches_scalar(k5):
     grid = np.unique(np.concatenate([
-        np.geomspace(quad5.support_min * 1.0000001, c0, 25),
-        c0 * (1.0 + np.geomspace(1e-12, 1e-2, 25)),
-        np.geomspace(c0 * 1.01, support_upper(quad5, rho), 25),
+        floor_of(k5) * np.geomspace(1e-12, 1.0 - 1e-7, 25),
+        np.geomspace(1e-12, 1e-2, 25),
+        np.geomspace(1e-2, _y_upper(k5, 1e-6), 25),
     ]))
-    scalar = np.array([cdf_oracle(p, quad5, rho) for p in grid])
-    batch = cdf_reference_batch(grid, quad5, rho)
+    scalar = np.array([cdf_oracle(y, k5) for y in grid])
+    batch = cdf_scale_free(grid, k5)
     assert np.max(np.abs(batch - scalar)) < 5e-11
 
 
 def _probe_point(quad, rho, where, x):
-    """An abscissa of the hypothesis tests, x in [0, 1] placing it within ``where``."""
-    if where == "c0":  # within 1e-12 (relative) on either side
-        return quad.c0 * (1.0 + (2.0 * x - 1.0) * 1e-12)
-    if where == "junction":  # within 1e-9 (relative) on either side of c0
-        return quad.c0 * (1.0 + (2.0 * x - 1.0) * 1e-9)
-    if where == "support_min":
-        return quad.support_min * (1.0 + x * 1e-12)
+    """An abscissa y of the hypothesis tests, x in [0, 1] placing it within
+    ``where``; the windows are those of totals p = c0 + A*y near c0 and the edge."""
+    c0_y, floor = y_of_c0(quad, rho), floor_of(quad.law(rho)[2])
+    if where == "c0":  # a total within 1e-12 of c0 (relative), on either side
+        return c0_y * (2.0 * x - 1.0) * 1e-12
+    if where == "junction":  # within 1e-9 of c0 (relative), on either side
+        return c0_y * (2.0 * x - 1.0) * 1e-9
+    if where == "edge":  # a total within 1e-12 (relative) above the least one
+        return floor + (c0_y + floor) * x * 1e-12
     if where == "below":
-        return quad.support_min + x * (quad.c0 - quad.support_min)
-    # the upper branch spreads over the mean excess a/(pi*rho)
-    return quad.c0 + quad.a / (math.pi * rho) * 10.0 ** (13.5 * x - 12.0)
+        return floor * (1.0 - x)
+    # the upper branch spreads over the mean excess 1
+    return 10.0 ** (13.5 * x - 12.0)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(rho=st.floats(-7.0, 0.0).map(lambda e: 10.0 ** e),
        r1=st.floats(math.log10(50.0), 5.0).map(lambda e: 10.0 ** e),
-       where=st.sampled_from(("c0", "support_min", "below", "above")),
+       where=st.sampled_from(("c0", "edge", "below", "above")),
        x=st.floats(0.0, 1.0))
 # dense, far regimes just above c0, where a fixed 128-node Gauss-Legendre rule
 # in the bearing was off by 2.4e-3 and 1.6e-4
@@ -247,9 +239,10 @@ def _probe_point(quad, rho, where, x):
 def test_cdf_within_tolerance_of_oracle(rho, r1, where, x):
     """Each value is within 1e-10 of the oracle, and within its own error estimate."""
     quad = cooperative_quadratic(validate(SystemParams(rho=rho)), r1)
-    p = _probe_point(quad, rho, where, x)
-    value, estimate = (float(v) for v in _at_totals(p, quad, rho))
-    gap = abs(value - cdf_oracle(p, quad, rho))
+    k = quad.law(rho)[2]
+    y = _probe_point(quad, rho, where, x)
+    value, estimate = (float(v) for v in _integrate(*distribution._y_points(y, k), k))
+    gap = abs(value - cdf_oracle(y, k))
     assert gap <= 1e-10
     assert gap <= estimate + 1e-12  # the slack covers the oracle's own error
 
@@ -257,67 +250,63 @@ def test_cdf_within_tolerance_of_oracle(rho, r1, where, x):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(rho=st.floats(-7.0, 0.0).map(lambda e: 10.0 ** e),
        r1=st.floats(math.log10(50.0), 5.0).map(lambda e: 10.0 ** e),
-       where=st.sampled_from(("c0", "junction", "support_min", "below", "above")),
+       where=st.sampled_from(("c0", "junction", "edge", "below", "above")),
        x=st.floats(0.0, 1.0))
-# rho 1, r1 100 km, where the density is 70022.56 on both sides of c0: an
-# adaptive rule in the bearing gave 1397.5 at c0 (1 + 1e-12) and 39988 at
-# c0 (1 + 1e-9)
+# rho 1, r1 100 km (k = 1.77e3), where the density is 70022.56 (in 1/W) on both
+# sides of c0: an adaptive rule in the bearing gave 1397.5 at c0 (1 + 1e-12)
+# and 39988 at c0 (1 + 1e-9)
 @example(rho=1.0, r1=100_000.0, where="c0", x=1.0)
 @example(rho=1.0, r1=100_000.0, where="c0", x=0.0)
 @example(rho=1.0, r1=100_000.0, where="junction", x=1.0)
 def test_pdf_within_tolerance_of_oracle(rho, r1, where, x):
     """Each density value is within 1e-9 (relative) of the adaptive oracle."""
     quad = cooperative_quadratic(validate(SystemParams(rho=rho)), r1)
-    p = _probe_point(quad, rho, where, x)
-    oracle = pdf_oracle(p, quad, rho)
-    # near the subnormal range neither method keeps relative digits; the
-    # engine's floor there is the smallest normal float times pi*rho/a < 1e-299
-    assert abs(pdf_branch_form(p, quad, rho) - oracle) <= 1e-9 * oracle + 1e-290
+    k = quad.law(rho)[2]
+    y = _probe_point(quad, rho, where, x)
+    oracle = pdf_oracle(y, k)
+    assert abs(pdf_scale_free(y, k) - oracle) <= 1e-9 * oracle
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(rho=st.floats(-7.0, 0.0).map(lambda e: 10.0 ** e),
        r1=st.floats(math.log10(50.0), 5.0).map(lambda e: 10.0 ** e),
-       tail=st.floats(-9.0, -6.0).map(lambda e: 10.0 ** e),
-       bad_tail=st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0),
-                          st.just(math.nan)),
-       bad_rho=st.floats(max_value=0.0))
-def test_support_upper_bounds_the_tail(rho, r1, tail, bad_tail, bad_rho):
-    """At most ``tail`` lies above the closed form, which is near the quantile."""
-    quad = cooperative_quadratic(validate(SystemParams(rho=rho)), r1)
-    bound = support_upper(quad, rho, tail)
-    assert cdf_reference_batch(bound, quad, rho) >= 1.0 - tail - 1e-10
-    assert bound - quad.c0 <= 1.25 * (quantile_oracle(quad, rho, tail) - quad.c0)
-    with pytest.raises(ValueError, match="tail must lie in"):
-        support_upper(quad, rho, bad_tail)
-    with pytest.raises(ValueError, match="rho: must be"):
-        support_upper(quad, bad_rho, tail)
+       tail=st.floats(-9.0, -6.0).map(lambda e: 10.0 ** e))
+def test_y_upper_bounds_the_tail(rho, r1, tail):
+    """At most ``tail`` lies above ``_y_upper``, which is near the quantile."""
+    k = cooperative_quadratic(validate(SystemParams(rho=rho)), r1).law(rho)[2]
+    bound = _y_upper(k, tail)
+    assert cdf_scale_free(bound, k) >= 1.0 - tail - 1e-10
+    assert bound <= 1.25 * quantile_oracle(k, tail)
 
 
-def test_pdf_array_matches_pointwise(quad5, dense_params):
+def test_pdf_array_matches_pointwise(k5):
     """A 0-d input gives a float; an array gives its shape and the pointwise bits."""
-    rho = dense_params.rho
-    p = np.array([[0.5 * quad5.support_min, quad5.support_min],
-                  [0.5 * (quad5.support_min + quad5.c0), quad5.c0],
-                  [quad5.c0 * (1.0 + 1e-9), 2.0 * quad5.c0]])
-    values = pdf_branch_form(p, quad5, rho)
-    assert values.shape == p.shape
-    pointwise = [pdf_branch_form(x, quad5, rho) for x in p.ravel()]
+    floor = floor_of(k5)
+    y = np.array([[2.0 * floor, floor], [0.5 * floor, 0.0], [1e-9, 3.0]])
+    values = pdf_scale_free(y, k5)
+    assert values.shape == y.shape
+    pointwise = [pdf_scale_free(x, k5) for x in y.ravel()]
     assert all(isinstance(x, float) for x in pointwise)
     assert np.array_equal(values.ravel(), pointwise)
     assert np.all(values[0] == 0.0) and np.all(values[1:] > 0.0)
 
 
+def _far_dense_law():
+    """rho 1 and r1 100 km: k = 1.77e3, and c0/A."""
+    quad = cooperative_quadratic(validate(SystemParams(rho=1.0)), 100_000.0)
+    return quad.law(1.0)[2], y_of_c0(quad, 1.0)
+
+
 def test_cdf_raises_integration_error_past_the_cap(monkeypatch):
-    rho = 1.0
-    quad = cooperative_quadratic(validate(SystemParams(rho=rho)), 100_000.0)
-    p = quad.c0 * (1.0 + 1e-12)  # takes 128 intervals on [0, pi/2]
+    k, c0_y = _far_dense_law()
+    y = c0_y * 1e-12  # takes 128 intervals on [0, pi/2]
     monkeypatch.setattr(distribution, "_MAX_NODES", 32)
     with pytest.raises(IntegrationError) as err:
-        cdf_reference_batch(np.array([0.5 * quad.c0, 2.0 * quad.c0, p]), quad, rho)
-    assert f"p = {p!r}" in str(err.value) and "rho = 1.0" in str(err.value)
+        cdf_scale_free(np.array([-0.5 * c0_y, c0_y, y]), k)
+    assert str(err.value).startswith(f"CDF at y = {y!r} (k = {k!r}) did not converge "
+                                     "within 32 intervals")
     monkeypatch.undo()
-    value, estimate = _at_totals(p, quad, rho)
+    value, estimate = _integrate(*distribution._y_points(y, k), k)
     assert estimate <= 1e-10
 
 
@@ -330,20 +319,21 @@ def test_a_nan_point_never_converges(monkeypatch):
     at V = 0 that used to give one (``test_vanishing_k_is_the_exponential_law``).
     """
     quad = cooperative_quadratic(validate(SystemParams()), 2000.0)
-    rho, p = 1e-4, 2.0 * quad.c0
+    rho = 1e-4
+    k, c0_y = quad.law(rho)[2], y_of_c0(quad, rho)
     nodes = []
     kernel = distribution._cdf_integrand
 
     def poisoned(v, s2, beta, cos_phi, *rest):
         nodes.append(cos_phi.size)
         g = kernel(v, s2, beta, cos_phi, *rest)
-        g[-1] = np.nan  # the last row: the one point above c0
+        g[-1] = np.nan  # the last row: the one point above 0
         return g
 
     monkeypatch.setattr(distribution, "_cdf_integrand", poisoned)
     with pytest.raises(IntegrationError) as err:
-        cdf_reference_batch(np.array([0.5 * quad.c0, p]), quad, rho)
-    assert str(err.value).startswith(f"CDF at p = {p!r} (")
+        cdf_scale_free(np.array([-0.5 * c0_y, c0_y]), k)
+    assert str(err.value).startswith(f"CDF at y = {c0_y!r} (k = {k!r}) ")
     assert "is not finite at 8 intervals" in str(err.value)
     assert nodes == [8]
 
@@ -351,19 +341,12 @@ def test_a_nan_point_never_converges(monkeypatch):
 def test_vanishing_k_is_the_exponential_law():
     """Where k = b_coeff*sqrt(pi*rho)/a is 3.5e-261, k^2/(4y) underflows to 0;
     the floor on sinh(V)^2 keeps the phi = 0 limits finite, and the law is
-    1 - exp(-y), to within k, with density exp(-y)/A."""
+    1 - exp(-y), to within k, with density exp(-y)."""
     params = validate(SystemParams(sigma2_short=1e-150, g_u1_db=-1100.0, n0=1e-200))
-    quad = cooperative_quadratic(params, 2000.0)
-    big_a, _, k = quad.law(params.rho)
-    assert k < 1e-260 and quad.support_min == quad.c0
+    k = cooperative_quadratic(params, 2000.0).law(params.rho)[2]
+    assert k < 1e-260 and floor_of(k) == 0.0
     y = np.array([1e-6, 0.1, 1.0, 5.0, 30.0])
-    p = quad.c0 + big_a * y
-    y = (p - quad.c0) / big_a  # the points' own y, after rounding
-    np.testing.assert_allclose(cdf_reference_batch(p, quad, params.rho), -np.expm1(-y),
-                               rtol=0, atol=1e-10)
     np.testing.assert_allclose(cdf_scale_free(y, k), -np.expm1(-y), rtol=0, atol=1e-10)
-    np.testing.assert_allclose(pdf_branch_form(p, quad, params.rho) * big_a, np.exp(-y),
-                               rtol=1e-9, atol=0)
     np.testing.assert_allclose(pdf_scale_free(y, k), np.exp(-y), rtol=1e-9, atol=0)
 
 
@@ -380,13 +363,22 @@ def test_scale_free_law_refuses_a_shape_out_of_range(k):
                 law(1.0, k)
 
 
-def test_scale_free_density_is_the_p_density_times_a(quad5, dense_params):
-    """``pdf_branch_form`` is 1/A times ``pdf_scale_free`` at y = (p - c0)/A."""
-    big_a, _, k = quad5.law(dense_params.rho)
-    p = quad5.c0 + big_a * np.array([-0.125 * k * k, -1e-6, 1e-6, 0.5, 3.0])
-    y = (p - quad5.c0) / big_a
-    np.testing.assert_allclose(pdf_branch_form(p, quad5, dense_params.rho) * big_a,
-                               pdf_scale_free(y, k), rtol=1e-8, atol=0)
+_TOP = sys.float_info.max
+
+
+@pytest.mark.parametrize("k", [1e-300, 1.0, 1e139, 1.8e144, 3.53e151, 9.48e153])
+def test_scale_free_law_at_the_top_of_the_float_range(k):
+    """At y = -+max float, -+1e308 and 1.7e308, where y + k^2/4 and the root
+    masses' exponents overflow, and at y = 0 and -+5e-324, both entries are
+    finite, H lies in [0, 1 + 1e-10] and the density is >= 0, with no
+    RuntimeWarning (turned into an error for the suite)."""
+    y = np.array([_TOP, -_TOP, 1e308, -1e308, 1.7e308, 0.0, 5e-324, -5e-324])
+    for points in [y] + list(y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h, density = cdf_scale_free(points, k), pdf_scale_free(points, k)
+        assert np.all(np.isfinite(h) & (h >= 0.0) & (h <= 1.0 + 1e-10))
+        assert np.all(np.isfinite(density) & (density >= 0.0))
 
 
 @pytest.mark.parametrize("k", [1e-6, 1e-4, 1e-2, 0.353, 1.0, 10.0, 100.0, 1e3])
@@ -439,10 +431,9 @@ def test_scale_free_cdf_at_zero_where_sinh_squared_overflows(k):
 @pytest.mark.parametrize("cells", [4096 * 128, 1000])
 def test_cdf_temporaries_stay_within_cells(monkeypatch, cells):
     """Points that need many nodes are taken in fewer rows at a time, same bits."""
-    rho = 1.0
-    quad = cooperative_quadratic(validate(SystemParams(rho=rho)), 100_000.0)
-    p = quad.c0 * (1.0 + np.linspace(-1e-12, 1e-12, 5000))
-    default = cdf_reference_batch(p, quad, rho)
+    k, c0_y = _far_dense_law()
+    y = c0_y * np.linspace(-1e-12, 1e-12, 5000)
+    default = cdf_scale_free(y, k)
     sizes = []
     kernel = distribution._cdf_integrand
 
@@ -452,52 +443,48 @@ def test_cdf_temporaries_stay_within_cells(monkeypatch, cells):
 
     monkeypatch.setattr(distribution, "_cdf_integrand", recording)
     monkeypatch.setattr(distribution, "_CELLS", cells)
-    assert np.array_equal(cdf_reference_batch(p, quad, rho), default)
+    assert np.array_equal(cdf_scale_free(y, k), default)
     assert max(cols for _, cols in sizes) >= 64
     assert max(rows * cols for rows, cols in sizes) <= cells
 
 
-def _batch_probe_points(quad):
+def _batch_probe_points(k, c0_y):
     """Points below the support, in Q1 and in Q2; neither branch a whole number of chunks."""
-    c0 = quad.c0
+    floor = floor_of(k)
     return np.concatenate([
-        np.linspace(0.5 * quad.support_min, quad.support_min, 101),
-        np.linspace(quad.support_min, c0, 20_001)[1:],
-        c0 * (1.0 + np.geomspace(1e-12, 5.0, 25_000)),
+        np.linspace(2.0 * floor, floor, 101),
+        np.linspace(floor, 0.0, 20_001)[1:],
+        c0_y * np.geomspace(1e-12, 5.0, 25_000),
     ])
 
 
-def test_cdf_batch_zero_below_support_and_float_at_0d(quad5, dense_params):
+def test_cdf_batch_zero_below_support_and_float_at_0d(quad5, dense_params, k5):
     """0 below the support, positive above it; a 0-d input gives its array value as a float."""
-    rho = dense_params.rho
-    p = _batch_probe_points(quad5)
-    assert p.size % distribution._CHUNK != 0
-    values = cdf_reference_batch(p, quad5, rho)
+    y = _batch_probe_points(k5, y_of_c0(quad5, dense_params.rho))
+    assert y.size % distribution._CHUNK != 0
+    values = cdf_scale_free(y, k5)
     assert np.all(values[:101] == 0.0) and np.all(values[101:] > 0.0)
     for i in (50, 5000, -3):
-        one = cdf_reference_batch(np.float64(p[i]), quad5, rho)
+        one = cdf_scale_free(np.float64(y[i]), k5)
         assert isinstance(one, float) and one == values[i]
 
 
 @pytest.mark.parametrize("chunk", [1000, 16384])
-def test_cdf_batch_bitwise_independent_of_chunk(quad5, dense_params, monkeypatch, chunk):
-    rho = dense_params.rho
-    p = _batch_probe_points(quad5)
-    default = cdf_reference_batch(p, quad5, rho)
+def test_cdf_batch_bitwise_independent_of_chunk(quad5, dense_params, k5, monkeypatch, chunk):
+    y = _batch_probe_points(k5, y_of_c0(quad5, dense_params.rho))
+    default = cdf_scale_free(y, k5)
     monkeypatch.setattr(distribution, "_CHUNK", chunk)
-    assert np.array_equal(cdf_reference_batch(p, quad5, rho), default)
+    assert np.array_equal(cdf_scale_free(y, k5), default)
 
 
 def _small_validate_cdf():
-    """The CDF at the KS sample of ``validate --seed 7 --trials 10000``: H(y; k)
-    at its scale-free totals y, then the batch CDF at the totals c0 + A*y."""
+    """H(y; k) at the KS sample of ``validate --seed 7 --trials 10000``, its
+    scale-free totals y."""
     params = validate(SystemParams())
     quad = cooperative_quadratic(params, 2000.0)
     y = draw_power_samples(10_000, params.rho, quad, RandomStream(7, stream_id=101)).y
     y.sort()
-    big_a, _, k = quad.law(params.rho)
-    return np.concatenate([cdf_scale_free(y, k),
-                           cdf_reference_batch(quad.c0 + big_a * y, quad, params.rho)])
+    return cdf_scale_free(y, quad.law(params.rho)[2])
 
 
 def test_cdf_batch_bitwise_independent_of_blas_threads():
@@ -519,76 +506,72 @@ def test_cdf_batch_bitwise_independent_of_blas_threads():
     assert done.stdout == _small_validate_cdf().tobytes()
 
 
-def test_branch_form_matches_reference_below_c0(quad5, dense_params):
-    rho = dense_params.rho
-    grid = np.linspace(quad5.support_min, quad5.c0, 20)[1:]
-    for p, value in zip(grid, cdf_reference_batch(grid, quad5, rho)):
-        assert branch_form_cdf(p, quad5, rho) == pytest.approx(value, abs=1e-10)
+def test_branch_form_matches_reference_below_c0(k5):
+    grid = np.linspace(floor_of(k5), 0.0, 20)[1:]
+    for y, value in zip(grid, cdf_scale_free(grid, k5)):
+        assert branch_form_cdf(y, k5) == pytest.approx(value, abs=1e-10)
 
 
-def test_branch_form_carries_constant_offset_above_c0(quad5, dense_params):
+def test_branch_form_carries_constant_offset_above_c0(quad5, dense_params, k5):
     """The upper branch exceeds the reference by exactly the boundary term."""
-    rho = dense_params.rho
-    boundary = cdf_reference_batch(quad5.c0, quad5, rho)
+    boundary = cdf_scale_free(0.0, k5)
     assert boundary > 0.0
-    grid = np.geomspace(quad5.c0 * 1.0001, support_upper(quad5, rho), 12)
-    for p, value in zip(grid, cdf_reference_batch(grid, quad5, rho)):
-        assert branch_form_cdf(p, quad5, rho) - value == pytest.approx(boundary, abs=1e-9)
+    grid = np.geomspace(1e-4 * y_of_c0(quad5, dense_params.rho), _y_upper(k5, 1e-6), 12)
+    for y, value in zip(grid, cdf_scale_free(grid, k5)):
+        assert branch_form_cdf(y, k5) - value == pytest.approx(boundary, abs=1e-9)
     # consequence: the branch form overshoots 1 in the far tail
-    assert branch_form_cdf(support_upper(quad5, rho, 1e-9), quad5, rho) > 1.0
+    assert branch_form_cdf(_y_upper(k5, 1e-9), k5) > 1.0
 
 
-def test_branch_form_is_reference_plus_boundary_term_bitwise(quad5, dense_params):
-    """The branch form as the report builds it, from one grid call and one at c0,
-    is bitwise the sum of one-point calls, and within 1e-10 of the stated form."""
-    rho = dense_params.rho
-    grid = np.geomspace(quad5.support_min, support_upper(quad5, rho), 192)
-    boundary = cdf_reference_batch(quad5.c0, quad5, rho)
-    from_grid = cdf_reference_batch(grid, quad5, rho) + boundary * (grid > quad5.c0)
-    pointwise = [cdf_reference_batch(p, quad5, rho) + (boundary if p > quad5.c0 else 0.0)
-                 for p in grid]
+def _branch_form_grid(k):
+    """192 points from the floor to the 1e-6 tail bound, most of them above 0."""
+    floor, hi = floor_of(k), _y_upper(k, 1e-6)
+    return np.concatenate([np.linspace(floor, 0.0, 24), np.geomspace(1e-6, hi, 168)])
+
+
+def test_branch_form_is_reference_plus_boundary_term_bitwise(k5):
+    """The branch form as one grid call plus one at 0 is bitwise the sum of
+    one-point calls, and within 1e-10 of the stated form."""
+    grid = _branch_form_grid(k5)
+    boundary = cdf_scale_free(0.0, k5)
+    from_grid = cdf_scale_free(grid, k5) + boundary * (grid > 0.0)
+    pointwise = [cdf_scale_free(y, k5) + (boundary if y > 0.0 else 0.0) for y in grid]
     assert np.array_equal(from_grid, pointwise)
-    stated = np.array([branch_form_cdf(p, quad5, rho) for p in grid])
+    stated = np.array([branch_form_cdf(y, k5) for y in grid])
     assert np.max(np.abs(from_grid - stated)) <= 1e-10
-    assert np.count_nonzero(grid > quad5.c0) > 100
+    assert np.count_nonzero(grid > 0.0) > 100
 
 
-def test_pdf_nonnegative_on_grid(quad5, dense_params):
-    rho = dense_params.rho
-    grid = np.geomspace(quad5.support_min, support_upper(quad5, rho), 200)
-    values = np.array([pdf_branch_form(p, quad5, rho) for p in grid])
+def test_pdf_nonnegative_on_grid(k5):
+    values = np.array([pdf_scale_free(y, k5) for y in _branch_form_grid(k5)])
     assert np.all(values >= 0.0)
 
 
-def test_pdf_integrates_to_one(quad5, dense_params):
-    rho = dense_params.rho
-    hi = support_upper(quad5, rho, tail=1e-9)
-    q1, _ = integrate.quad(lambda p: pdf_branch_form(p, quad5, rho),
-                           quad5.support_min, quad5.c0, limit=300)
-    q2, _ = integrate.quad(lambda p: pdf_branch_form(p, quad5, rho),
-                           quad5.c0, hi, limit=300)
+def test_pdf_integrates_to_one(k5):
+    hi = _y_upper(k5, 1e-9)
+    q1, _ = integrate.quad(lambda y: pdf_scale_free(y, k5), floor_of(k5), 0.0, limit=300)
+    q2, _ = integrate.quad(lambda y: pdf_scale_free(y, k5), 0.0, hi, limit=300)
     assert q1 + q2 == pytest.approx(1.0, abs=1e-3)
     assert q1 + q2 == pytest.approx(1.0, abs=1e-6)  # much tighter in practice
 
 
-def test_pdf_continuous_at_branch_junction(quad5, dense_params):
-    rho = dense_params.rho
-    below = pdf_branch_form(quad5.c0 * (1.0 - 1e-9), quad5, rho)
-    above = pdf_branch_form(quad5.c0 * (1.0 + 1e-9), quad5, rho)
+def test_pdf_continuous_at_branch_junction(quad5, dense_params, k5):
+    c0_y = y_of_c0(quad5, dense_params.rho)
+    below = pdf_scale_free(-1e-9 * c0_y, k5)
+    above = pdf_scale_free(1e-9 * c0_y, k5)
     assert above == pytest.approx(below, rel=1e-6)
 
 
-def test_pdf_matches_cdf_finite_differences(quad5, dense_params):
-    """Central differences of the reference CDF against the density, 1e-4 abs."""
-    rho = dense_params.rho
-    hi = support_upper(quad5, rho)
-    span = hi - quad5.c0
-    points = quad5.c0 + span * np.linspace(0.02, 0.9, 50)
+def test_pdf_matches_cdf_finite_differences(quad5, dense_params, k5):
+    """Central differences of the CDF against the density, to 1e-4/W in totals."""
+    span = _y_upper(k5, 1e-6)
+    points = span * np.linspace(0.02, 0.9, 50)
     h = span * 2e-5
-    slopes = (cdf_reference_batch(points + h, quad5, rho)
-              - cdf_reference_batch(points - h, quad5, rho)) / (2.0 * h)
-    for p, fd in zip(points, slopes):
-        assert abs(fd - pdf_branch_form(p, quad5, rho)) < 1e-4
+    slopes = (cdf_scale_free(points + h, k5) - cdf_scale_free(points - h, k5)) / (2.0 * h)
+    # a density of y is A times that of the total p = c0 + A*y
+    bound = 1e-4 * quad5.law(dense_params.rho)[0]
+    for y, fd in zip(points, slopes):
+        assert abs(fd - pdf_scale_free(y, k5)) < bound
 
 
 def test_expected_power_closed_form_golden(quad5, dense_params):
@@ -702,17 +685,18 @@ def test_expected_power_conventional_unequal_gains():
 def test_evaluate_distribution_grid(dense_params):
     rho = dense_params.rho
     quad = cooperative_quadratic(dense_params, 2000.0)
-    grid = np.geomspace(quad.support_min, support_upper(quad, rho), 64)
-    cdf_ref = cdf_reference_batch(grid, quad, rho)
-    cdf_branch = np.array([branch_form_cdf(p, quad, rho) for p in grid])
-    pdf_branch = np.array([pdf_branch_form(p, quad, rho) for p in grid])
-    assert grid[0] == pytest.approx(INF_GOLDEN, rel=1e-12, abs=0)
+    big_a, _, k = quad.law(rho)
+    grid = np.linspace(floor_of(k), _y_upper(k, 1e-6), 64)
+    cdf_ref = cdf_scale_free(grid, k)
+    cdf_branch = np.array([branch_form_cdf(y, k) for y in grid])
+    pdf_branch = np.array([pdf_scale_free(y, k) for y in grid])
+    assert quad.c0 + big_a * grid[0] == pytest.approx(INF_GOLDEN, rel=1e-12, abs=0)
     assert np.all(np.diff(cdf_ref) >= -1e-12)
     assert cdf_ref[-1] == pytest.approx(1.0, abs=2e-6)
     assert expected_power(quad, rho) == pytest.approx(EP_GOLDEN, rel=1e-12, abs=0)
     assert np.all(pdf_branch >= 0.0)
     # the branch-form CDF ends above 1 by exactly the boundary term
-    boundary = cdf_reference_batch(quad.c0, quad, rho)
+    boundary = cdf_scale_free(0.0, k)
     assert cdf_branch[-1] - cdf_ref[-1] == pytest.approx(boundary, abs=1e-9)
 
 
@@ -946,9 +930,7 @@ def test_density_functions_refuse_bad_rho(quad5, bad):
     """Every density guard refuses nan and inf as well as rho <= 0."""
     calls = [lambda rho: expected_power(quad5, rho),
              lambda rho: expected_power_quadrature(quad5, rho),
-             lambda rho: support_upper(quad5, rho),
-             lambda rho: cdf_reference_batch(quad5.c0, quad5, rho),
-             lambda rho: pdf_branch_form(quad5.c0, quad5, rho),
+             lambda rho: quad5.law(rho),
              # array densities are checked element-wise
              lambda rho: expected_power(quad5, np.array([1e-4, rho])),
              lambda rho: expected_power_quadrature(quad5, np.array([1e-4, rho]))]
@@ -1010,14 +992,15 @@ def _poisson_ground_truth(n=20_000, seed=2016):
     totals = (2.0 * coeff.zeta * r * r
               + coeff.eps_total * (coeff.eta1 * r1 * r1 + coeff.eta2 * r2 * r2))
     z = (np.mean(totals) - expected_power(quad, rho)) / (np.std(totals, ddof=1) / math.sqrt(n))
-    ks = ks_distance(np.sort(totals), lambda p: cdf_reference_batch(p, quad, rho))
+    big_a, _, k = quad.law(rho)
+    ks = ks_distance(np.sort((totals - quad.c0) / big_a), lambda y: cdf_scale_free(y, k))
     return float(z), ks, math.sqrt(math.log(2.0 / 1e-4) / (2.0 * n))
 
 
 def test_poisson_ground_truth_meets_the_one_map():
     """The void probability behind ``PowerQuadratic.law``, checked on handsets
     placed as a Poisson process: the mean meets ``expected_power`` (|z| <= 4)
-    and the CDF ``cdf_reference_batch`` (KS under the DKW-Massart bound)."""
+    and the CDF H((p - c0)/A; k) (KS under the DKW-Massart bound)."""
     z, ks, bound = _poisson_ground_truth()
     assert abs(z) <= _Z_MAX
     assert ks <= bound

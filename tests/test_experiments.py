@@ -532,6 +532,16 @@ def test_density_cells_see_a_scaled_density(tmp_path, monkeypatch):
                                   "|integral of branch-form PDF over support - 1|"], delta
 
 
+def test_density_cells_see_a_shared_substitution_fault(tmp_path, monkeypatch):
+    """sinh(v)^2 1e-6 too large in the CDF kernel and its phi = 0 limit alike,
+    and the density exact: at 1e4 trials section [e]'s cell check is the only
+    failing one (a residual of 2.8e-8 against a bound of 3e-10)."""
+    mutants.shared_substitution(monkeypatch, 1e-6)
+    _, checks = validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
+                                               seed=7, n_trials=10_000))
+    assert failed(checks) == ["density integral vs CDF difference, worst of three y cells"]
+
+
 def test_baseline_eta_scale_reaches_every_reader_of_the_baseline(tmp_path, monkeypatch):
     """The baseline is one coefficient set, so a fault in it reaches the CSV's
     baseline mean and the simulator's conventional round, and nothing else."""
@@ -621,8 +631,8 @@ def test_cli_rejects_bad_parameter(tmp_path, capsys):
 
 
 def test_cli_validate_support_ending_near_c0(tmp_path):
-    """With support_upper within 1e-3 of c0 in p, section [e] reads the law in
-    y, where the support is no narrower, and the report passes."""
+    """With the law's 1e-6 tail within 1e-3 of c0 in p, section [e] reads the
+    law in y, where the support is no narrower, and the report passes."""
     out = tmp_path / "v.txt"
     assert main(["validate", "--out", str(out), "--seed", "7", "--trials", "10000",
                  "--rho", "0.1", "--r1", "20000"]) == 0
@@ -1090,40 +1100,11 @@ def _traced_validate(tmp_path, *flags):
     return spans, tracer.take()
 
 
-def _validate_cdf_points() -> int:
-    """``cdf_reference_batch`` points of one ``validate --seed 7 --trials 10000``
-    pass: none, as sections [b] and [e] take H(y; k) through ``cdf_scale_free``.
-    """
-    return 0
-
-
-def test_traced_cdf_reference_batch_binds_the_benchmark_names():
-    """The benchmark's CDF work counts read ``p_values`` and ``n_nodes`` by name."""
-    found = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
-    spans = importlib.util.module_from_spec(found)
-    found.loader.exec_module(spans)
-    tracer = spans.Tracer()
-    restore = spans.install(tracer)
-    try:
-        import nncc
-
-        params = validate(SystemParams())
-        quad = cooperative_quadratic(params, DEFAULT_R1)
-        nncc.cdf_reference_batch(quad.c0 * np.array([1.0, 1.5, 2.0]), quad, params.rho,
-                                 n_nodes=16)
-    finally:
-        restore()
-    metrics = spans.pass_metrics(tracer.take(), pass_wall_s=1.0)
-    assert metrics["distribution.cdf_reference_batch.points"] == 3
-    assert metrics["distribution.cdf_reference_batch.node_evals"] == 3 * 16
-
-
 def test_traced_validate_binds_the_benchmark_names(tmp_path):
     """``bench/spans.py`` reads estimator arguments by name; a rename breaks it."""
     spans, recorded = _traced_validate(tmp_path)
     metrics = spans.pass_metrics(recorded, pass_wall_s=1.0)
     assert metrics["montecarlo.ks_distance.points"] == 10_000
-    assert metrics["distribution.cdf_reference_batch.points"] == _validate_cdf_points()
     assert metrics["montecarlo.estimate_link_outage.trials"] == 0
 
 
@@ -1135,7 +1116,6 @@ def test_traced_validate_beside_a_thread(tmp_path):
     metrics = spans.pass_metrics(recorded, pass_wall_s=1.0)
     assert metrics["montecarlo.estimate_outage.trials"] == 10_000
     assert metrics["montecarlo.ks_distance.points"] == 10_000
-    assert metrics["distribution.cdf_reference_batch.points"] == _validate_cdf_points()
     ids = {s.id for s in recorded}
     assert all(s.parent == 0 or s.parent in ids for s in recorded)
     thread = {s.name: s.thread for s in recorded}

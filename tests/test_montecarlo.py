@@ -21,7 +21,6 @@ from nncc import (
     OutageTargets,
     ParameterError,
     PowerQuadratic,
-    cdf_reference_batch,
     cdf_scale_free,
     expected_power,
     power_breakdown,
@@ -716,13 +715,12 @@ def test_ks_distance_evaluates_the_cdf_callable():
 
 def test_ks_distance_takes_a_scalar_reference_cdf_mapped_over_points(dense_params):
     """A scalar CDF, such as the test oracle, is mapped over the points it is given."""
-    rho = dense_params.rho
     quad = cooperative_quadratic(dense_params, 1500.0)
-    samples = np.concatenate([np.linspace(quad.support_min, quad.c0, 6)[1:],
-                              quad.c0 * np.linspace(1.01, 1.5, 5)])
-    assert ks_distance(samples, lambda p: [cdf_oracle(x, quad, rho) for x in p]) \
-        == pytest.approx(ks_distance(samples, lambda p: cdf_reference_batch(p, quad, rho)),
-                         abs=1e-9)
+    big_a, _, k = quad.law(dense_params.rho)
+    samples = np.concatenate([np.linspace(-0.25 * k * k, 0.0, 6)[1:],
+                              quad.c0 / big_a * np.linspace(0.01, 0.5, 5)])
+    assert ks_distance(samples, lambda y: [cdf_oracle(x, k) for x in y]) \
+        == pytest.approx(ks_distance(samples, lambda y: cdf_scale_free(y, k)), abs=1e-9)
 
 
 _STEPS = 7
@@ -820,16 +818,16 @@ def test_ks_distance_takes_each_sample_once_at_under_10_sqrt_n_points():
 def test_ks_distance_engine_cdf_is_bitwise_the_full_statistic(rho, r1, pieces):
     """The engine CDF, monotone to its 1e-10 error, gives the full statistic to the bit.
 
-    The sample gets ties and a flat run below ``support_min``, where the CDF is 0.
+    The sample gets ties and a flat run below the floor -k^2/4, where the CDF is 0.
     The CDF takes the points of each call in ``pieces`` separate batches, so
     the statistic does not depend on how its points are batched.
     """
     params = validate(SystemParams(rho=rho))
     quad = cooperative_quadratic(params, r1)
-    big_a = quad.law(rho)[0]
-    drawn = quad.c0 + big_a * draw_power_samples(20_000, rho, quad, RandomStream(51)).y
-    samples = np.concatenate([drawn, drawn[::50], quad.support_min - np.arange(5.0)])
+    k = quad.law(rho)[2]
+    drawn = draw_power_samples(20_000, rho, quad, RandomStream(51)).y
+    samples = np.concatenate([drawn, drawn[::50], -0.25 * k * k - np.arange(5.0)])
     samples.sort()
-    cdf = lambda p: np.concatenate([cdf_reference_batch(piece, quad, rho)  # noqa: E731
-                                    for piece in np.array_split(p, pieces)])
+    cdf = lambda y: np.concatenate([cdf_scale_free(piece, k)  # noqa: E731
+                                    for piece in np.array_split(y, pieces)])
     assert ks_distance(samples, cdf) == ks_distance_of_values(samples, cdf(samples))
