@@ -45,16 +45,17 @@ integrand becomes a smooth, even, pi-periodic function of phi in [0, pi/2]
 which the trapezoid rule converges geometrically.  It doubles, reusing its
 nodes, until |T_2n - T_n| <= ``_CDF_TOL``, point by point.
 
-The independent checks of ``validate`` (the mean by nested 2-D quadrature;
-the density of y over the cells [-k^2/4, s], [s, 0] and [0, y_hi], y_hi =
-``_y_upper``(k, 1e-9) and s = max(-k^2/4, -y_hi), each against H) use
-``_tanh_sinh``, the double-exponential rule of Takahasi and Mori (1974), x =
-mid + half*tanh(pi/2*sinh(t)): the trapezoid rule in t on [-3.5, 3.5] halves
-its step from 1/2, reusing its nodes, until |T_h/2 - T_h| plus the two end
-terms (the truncation estimate) is at most atol + rtol*|T_h/2|; a sum that is
-not finite has not converged, and past ``_TS_LEVELS`` = 7 halvings (1793
-nodes) it raises ``IntegrationError`` naming the interval.  The interval-free
-factors of nodes and weights are computed once (``_TS_RULE``).
+The independent checks of ``validate`` are the mean by nested 2-D quadrature, its
+periodic bearing by the trapezoid rule as above (Trefethen & Weideman, SIAM Review
+56(3), 2014) and its distance by ``_tanh_sinh``, and the density of y over the cells
+[-k^2/4, s], [s, 0] and [0, y_hi], y_hi = ``_y_upper``(k, 1e-9), s = max(-k^2/4,
+-y_hi), each against H, by ``_tanh_sinh``: the double-exponential rule of Takahasi
+and Mori (1974), x = mid + half*tanh(pi/2*sinh(t)), the trapezoid rule in t on
+[-3.5, 3.5] that halves its step from 1/2, reusing its nodes, until |T_h/2 - T_h|
+plus the two end terms (the truncation estimate) is at most atol + rtol*|T_h/2|; a
+sum that is not finite has not converged, and past ``_TS_LEVELS`` = 7 halvings (1793
+nodes) it raises ``IntegrationError`` naming the interval.  The interval-free factors
+of nodes and weights are computed once (``_TS_RULE``).
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 # each CDF value's absolute error by its own doubling estimate
 _CDF_TOL = 1e-10
 _S2_MAX = 1e300  # s2 = sinh(V)^2 at most this: exp(2*V) ~ 4*s2 stays finite
-# relative tolerance of each level of the mean's nested quadrature
-_MEAN_EPSREL = 1e-11
+# the mean's relative tolerance, and bearings past which a set is an IntegrationError
+_MEAN_EPSREL, _MAX_BEARINGS = 1e-11, 1 << 8
 # tanh-sinh steps t on [-_TS_T, _TS_T]: the first step, and halvings before giving up
 _TS_T, _TS_H0, _TS_LEVELS = 3.5, 0.5, 7
 # trapezoid intervals on [0, pi/2] past which a point is an IntegrationError
@@ -356,15 +357,15 @@ def _i0e(x: np.ndarray) -> np.ndarray:
 
 
 def _rice(y: np.ndarray, lift: np.ndarray, k: float) -> np.ndarray:
-    """The density of y at points ``y`` with heights ``lift`` = y + k^2/4 above
-    the support's floor: exp(-d^2)*I0e(k*s), s = sqrt(lift) and d = s - k/2 taken
-    as y/(s + k/2), which keeps its digits where s is near k/2.  It is 0 where
-    the height is not > 0 (NaN included), and from y = 1e300 up, where d > 1e146
-    for every k whose 2*k^2 is finite, so exp(-d^2) is 0 (and d^2 may overflow)."""
+    """The density of y at points ``y`` with heights ``lift`` = y + k^2/4 above the
+    support's floor: exp(-d^2)*I0e(k*s), s = sqrt(lift) and d = s - k/2 taken as y/(s +
+    k/2), which keeps its digits where s is near k/2.  It is 0 where the height is not
+    > 0 (NaN included) but at y = 0 (1 there if k^2/4 underflows), and from y = 1e300
+    up, where d > 1e146 for every k with 2*k^2 finite, so exp(-d^2) is 0 (d^2 may overflow)."""
     out = np.zeros(y.shape)
-    inside = (lift > 0.0) & (y < 1e300)
+    inside = (lift > 0.0) & (y < 1e300) | (y == 0.0)
     s = np.sqrt(lift[inside])
-    d = y[inside] / (s + 0.5 * k)
+    d = y[inside] / np.maximum(s + 0.5 * k, sys.float_info.min)  # 0/0 at y = k = 0
     out[inside] = np.exp(-d * d) * _i0e(k * s)
     return out
 
@@ -430,11 +431,11 @@ def expected_power_quadrature(quad: PowerQuadratic, rho):
     """Mean round total by nested 2-D quadrature; independent of the moments.
 
     The coefficients and ``rho`` may be arrays, one entry per set, giving an
-    array of means (floats give a float).  One outer tanh-sinh call takes
-    every set's bearing interval; at each of its levels one inner call takes
-    the distance interval [0, r_max] of each set still going, with that set's
-    new bearings as its rows.  Each set's mean has the bits of a call on it
-    alone.
+    array of means (floats give a float).  The periodic bearing goes by the trapezoid
+    rule on -pi/2 + 2*pi*j/8, j < 8, checked on the even j; a set doubles it, adding
+    midpoints, while the two differ by over ``_MEAN_EPSREL`` relative, and past
+    ``_MAX_BEARINGS`` is an ``IntegrationError``.  Each rule makes one inner tanh-sinh
+    call on [0, r_max], a row per set still going; a set has the bits of a call on it alone.
     """
     require_density(rho)
     shape = np.broadcast(quad.a, quad.b_coeff, quad.c0, rho).shape
@@ -452,9 +453,23 @@ def expected_power_quadrature(quad: PowerQuadratic, rho):
 
         return _tanh_sinh(integrand, np.zeros(sets.size), r_max[sets], 0.0, _MEAN_EPSREL)
 
-    means = _tanh_sinh(inner, np.full(a.size, -0.5 * math.pi),
-                       np.full(a.size, 1.5 * math.pi), 0.0, _MEAN_EPSREL)
-    return means.reshape(shape) if shape else float(means[0])
+    sets, n = np.arange(a.size), 4
+    first = inner(-0.5 * math.pi + (0.25 * math.pi) * np.arange(8), sets)
+    total, new = first[:, ::2].sum(axis=1), first[:, 1::2]  # one order for any set count
+    means = (2.0 * math.pi / n) * total
+    while True:
+        total, n = total + new.sum(axis=1), 2 * n
+        value = (2.0 * math.pi / n) * total
+        change, means[sets] = np.abs(value - means[sets]), value
+        going = ~(change <= _MEAN_EPSREL * np.abs(value))  # a NaN never meets it
+        if not going.any():
+            return means.reshape(shape) if shape else float(means[0])
+        sets, total = sets[going], total[going]
+        if n >= _MAX_BEARINGS:
+            raise IntegrationError(
+                f"mean of set {sets[0]} (rho = {float(rho[sets[0]])!r}) did not converge "
+                f"within {n} bearings (change {change[going][0]:.3g})")
+        new = inner(-0.5 * math.pi + (2.0 * math.pi / n) * (np.arange(n) + 0.5), sets)
 
 
 def energy_efficiency(expected: float, rate: float) -> float:

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from nncc.distribution import (_MEAN_EPSREL, _TS_H0, _TS_LEVELS, _TS_T,
+from nncc.distribution import (_MAX_BEARINGS, _MEAN_EPSREL, _TS_H0, _TS_LEVELS, _TS_T,
                                IntegrationError, PowerQuadratic)
 from nncc import montecarlo
 from nncc.montecarlo import _BLOCK, _thresholds, protocol_round
@@ -129,16 +129,29 @@ def tanh_sinh_uncached(f, lo: float, hi: float, atol: float, rtol: float):
 
 
 def mean_quadrature_per_call(quad, rho: float) -> float:
-    """``nncc.expected_power_quadrature`` for one set, one interval per rule call."""
+    """``nncc.expected_power_quadrature`` for one set: the trapezoid rule in the
+    bearing, from 8 bearings against the 4 of even index, doubling by the
+    midpoints, with one per-call tanh-sinh distance integral per rule."""
     r_max = math.sqrt(40.0 / (math.pi * rho))
 
-    def inner(theta):  # one row per bearing
+    def inner(theta):  # one entry per bearing
         b = quad.b_coeff * np.cos(theta)[:, None]
         return tanh_sinh_uncached(lambda r: (quad.a * r * r + b * r + quad.c0)
                                   * (rho * r * np.exp(-math.pi * rho * r * r)),
                                   0.0, r_max, 0.0, _MEAN_EPSREL)
 
-    return tanh_sinh_uncached(inner, -0.5 * math.pi, 1.5 * math.pi, 0.0, _MEAN_EPSREL)
+    first = inner(-0.5 * math.pi + (0.25 * math.pi) * np.arange(8))
+    n, total, new = 4, first[::2].sum(), first[1::2]
+    value = (2.0 * math.pi / n) * total
+    while True:
+        total, n = total + new.sum(), 2 * n
+        finer = (2.0 * math.pi / n) * total
+        if abs(finer - value) <= _MEAN_EPSREL * abs(finer):
+            return float(finer)
+        if n >= _MAX_BEARINGS:
+            raise IntegrationError(f"mean did not converge within {n} bearings")
+        value = finer
+        new = inner(-0.5 * math.pi + (2.0 * math.pi / n) * (np.arange(n) + 0.5))
 
 
 def placements_by_expression(n: int, stream):

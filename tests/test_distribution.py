@@ -407,13 +407,27 @@ def test_i0e_meets_scipy_on_both_sides_of_700():
 def test_density_at_the_edges_without_warnings(k):
     """At the smallest and largest shapes ``validate`` meets, the closed form is
     0 at y = -+inf, NaN and the support's floor -k^2/4, and finite and > 0
-    inside, with no RuntimeWarning."""
+    inside, with no RuntimeWarning.  Where k^2/4 underflows, the floor reads
+    -0.0, which is y = 0, where the density is the exponential law's 1."""
+    floor = -0.25 * k * k
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        edges = pdf_scale_free(np.array([-math.inf, math.inf, math.nan, -0.25 * k * k]), k)
+        edges = pdf_scale_free(np.array([-math.inf, math.inf, math.nan, floor]), k)
         inside = pdf_scale_free(np.array([1e-300, 1.0, distribution._y_upper(k, 1e-9)]), k)
-    assert np.array_equal(edges, np.zeros(4))
+    assert np.array_equal(edges, [0.0, 0.0, 0.0, 0.0 if floor else 1.0])
     assert np.all(np.isfinite(inside) & (inside > 0.0))
+
+
+@pytest.mark.parametrize("k", [0.0, 5e-324, 1e-300, 3e-162, 1e-150])
+def test_density_at_zero_is_the_exponential_law_as_k_vanishes(k):
+    """At y = -0.0, 0.0 and 5e-324 the density is 1, the Exp(1) law's, also
+    where k^2/4 underflows so that y = 0 is the support's computed floor, and
+    at k = 0, where y/(s + k/2) would be 0/0; with no RuntimeWarning."""
+    y = np.array([-0.0, 0.0, 5e-324])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(pdf_scale_free(y, k), np.ones(3))
+        assert [pdf_scale_free(point, k) for point in y] == [1.0, 1.0, 1.0]
 
 
 @pytest.mark.parametrize("k", [1.0, 1e5, 1e150, 3.5e151, 9.48e153])
@@ -858,8 +872,8 @@ def _density_integrals(k):
 def test_validate_batches_are_bitwise_each_interval_alone(monkeypatch):
     """Every batched quadrature of a report equals per-interval calls bitwise.
 
-    Sections [c] and [e] make one outer mean call over the five sets, one
-    inner call per outer level, and one density call over three y cells.
+    Sections [c] and [e] make one inner mean call over the five sets, each
+    row holding a set's 8 bearings, and one density call over three y cells.
     """
     calls = []
 
@@ -872,10 +886,10 @@ def test_validate_batches_are_bitwise_each_interval_alone(monkeypatch):
     validate_report(ExperimentSpec(kind="validate", out=os.devnull, seed=7,
                                    n_trials=10_000))
     monkeypatch.undo()
-    outer = [c for c in calls if c[1].size == 5 and c[1][0] < 0]
+    mean = [c for c in calls if c[1].size == 5 and not c[1].any()]
     density = [c for c in calls if c[1].size == 3 and c[1][0] < 0]
-    # the outer rule takes three levels, each with one inner call: 5 calls, not 22
-    assert len(outer) == 1 and len(density) == 1 and len(calls) == 5
+    # the bearing rule meets its test at its first 8 bearings: 2 calls, not 5
+    assert len(mean) == 1 and len(density) == 1 and len(calls) == 2
     for f, lo, hi, atol, rtol, value in calls:
         for i in range(lo.size):
             assert np.array_equal(
@@ -923,6 +937,25 @@ def test_expected_power_quadrature_batch_is_bitwise_scalar_calls(rho, r1, rate, 
     assert np.array_equal(expected_power(quads, rhos),
                           [expected_power(PowerQuadratic(quads.a, b, c), rho_i)
                            for b, c, rho_i in zip(quads.b_coeff, quads.c0, rhos)])
+
+
+def test_mean_bearing_rule_raises_past_its_cap(monkeypatch, quad5):
+    """Inner values that are not a smooth periodic function of the bearing
+    (each perturbed by 1e-6 relative noise) double the trapezoid rule to
+    ``_MAX_BEARINGS`` bearings per set; then it raises, naming the first set
+    still going."""
+    rng, widths = np.random.default_rng(1), []
+
+    def noisy(f, lo, hi, atol, rtol):
+        value = _tanh_sinh(f, lo, hi, atol, rtol)
+        widths.append(value.shape)
+        return value * (1.0 + 1e-6 * rng.standard_normal(value.shape))
+
+    monkeypatch.setattr(distribution, "_tanh_sinh", noisy)
+    with pytest.raises(IntegrationError, match=r"^mean of set 0 \(rho = 0\.0001\) did not "
+                                               r"converge within 256 bearings \(change "):
+        expected_power_quadrature(quad5, np.array([1e-4, 1e-3]))
+    assert widths == [(2, 8), (2, 8), (2, 16), (2, 32), (2, 64), (2, 128)]
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
