@@ -43,7 +43,8 @@ Then w = V*cos(phi) (W*cos(phi)), and Q2 folds w onto [0, V].  The
 integrand becomes a smooth, even, pi-periodic function of phi in [0, pi/2]
 (Trefethen, Approximation Theory and Approximation Practice, ch. 19), on
 which the trapezoid rule converges geometrically.  It doubles, reusing its
-nodes, until |T_2n - T_n| <= ``_CDF_TOL``, point by point.
+nodes, until |T_2n - T_n| <= ``_CDF_TOL``, point by point; every point takes the
+first doubling, so one kernel call opens on 8 intervals and their midpoints.
 
 The independent checks of ``validate`` are the mean by nested 2-D quadrature, its
 periodic bearing by the trapezoid rule as above (Trefethen & Weideman, SIAM Review
@@ -55,7 +56,8 @@ and Mori (1974), x = mid + half*tanh(pi/2*sinh(t)), the trapezoid rule in t on
 plus the two end terms (the truncation estimate) is at most atol + rtol*|T_h/2|; a
 sum that is not finite has not converged, and past ``_TS_LEVELS`` = 7 halvings (1793
 nodes) it raises ``IntegrationError`` naming the interval.  The interval-free factors
-of nodes and weights are computed once (``_TS_RULE``).
+of nodes and weights are computed once (``_TS_RULE``); the first ``_TS_OPEN`` = 4
+levels go to the integrand in one call, and are summed and tested level by level.
 """
 
 from __future__ import annotations
@@ -77,8 +79,9 @@ _CDF_TOL = 1e-10
 _S2_MAX = 1e300  # s2 = sinh(V)^2 at most this: exp(2*V) ~ 4*s2 stays finite
 # the mean's relative tolerance, and bearings past which a set is an IntegrationError
 _MEAN_EPSREL, _MAX_BEARINGS = 1e-11, 1 << 8
-# tanh-sinh steps t on [-_TS_T, _TS_T]: the first step, and halvings before giving up
-_TS_T, _TS_H0, _TS_LEVELS = 3.5, 0.5, 7
+# tanh-sinh steps t on [-_TS_T, _TS_T]: the first step, halvings before giving up, and
+# the levels of the opening f call (steps 1/2 to 1/16: 113 nodes per interval)
+_TS_T, _TS_H0, _TS_LEVELS, _TS_OPEN = 3.5, 0.5, 7, 4
 # trapezoid intervals on [0, pi/2] past which a point is an IntegrationError
 _MAX_NODES = 1 << 13
 # points per chunk, and values per kernel temporary (4096 points x 128 nodes)
@@ -91,12 +94,13 @@ class IntegrationError(RuntimeError):
 
 
 def _ts_rule():
-    """The tanh-sinh rule's steps t, level by level, apart from the interval.
+    """The tanh-sinh rule's steps t apart from the interval, and the level ends.
 
     Level 0 is the starting rule, each later level the new steps of one
     halving.  Per level it holds t < 0, 2e/(1 + e), cosh(t), e and (1 + e)^2
     with e = exp(-pi*sinh|t|): a node is the nearer endpoint -+ half*2e/(1 + e),
-    and its weight is half*2*pi*cosh(t)*e/(1 + e)^2.
+    and its weight is half*2*pi*cosh(t)*e/(1 + e)^2.  The first entry joins
+    levels 0 to ``_TS_OPEN`` - 1, each computed alone, at the ends returned.
     """
     n, h = round(_TS_T / _TS_H0), _TS_H0
     steps = [np.arange(-n, n + 1) * h]
@@ -106,15 +110,16 @@ def _ts_rule():
     rule = []
     for t in steps:
         e = np.exp(-math.pi * np.sinh(np.abs(t)))
-        arrays = (t < 0, 2.0 * e / (1.0 + e), np.cosh(t), e, np.square(1.0 + e))
+        rule.append((t < 0, 2.0 * e / (1.0 + e), np.cosh(t), e, np.square(1.0 + e)))
+    rule[:_TS_OPEN] = [tuple(map(np.concatenate, zip(*rule[:_TS_OPEN])))]
+    for arrays in rule:
         for a in arrays:
             a.flags.writeable = False
-        rule.append(arrays)
-    return tuple(rule)
+    return tuple(rule), np.cumsum([0] + [t.size for t in steps[:_TS_OPEN]])
 
 
 # the rule depends on the level alone, so every call shares it
-_TS_RULE = _ts_rule()
+_TS_RULE, _TS_CUTS = _ts_rule()
 
 
 def _tanh_sinh(f, lo, hi, atol: float, rtol: float):
@@ -125,30 +130,32 @@ def _tanh_sinh(f, lo, hi, atol: float, rtol: float):
     each, and returns values of shape (len(live), entries..., nodes); the
     result has shape (m, entries...), and every entry must meet the stop test
     of the module docstring.  The intervals (the five sets of the mean, the
-    density's three cells) go through one loop; each stops on its own test,
-    is not evaluated again, and gets the bits of a call on it alone.
+    density's three cells) go through one loop: one ``f`` call for levels 0 to
+    ``_TS_OPEN`` - 1, then one per level.  Each stops on its own test, level by
+    level, is not evaluated again, and gets the bits of a call on it alone.
     """
     lo_all, hi_all = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     # the intervals still going, their ends as columns, and their half widths
     live, lo_live, hi_live = np.arange(lo_all.size), lo_all[:, None], hi_all[:, None]
     half = 0.5 * (hi_live - lo_live)
 
-    def terms(level):  # f times dx/dt at one level's steps; each node is the nearer
+    def terms(rule):  # f times dx/dt at one entry's steps; each node is the nearer
         # endpoint -+ its distance from it, so nodes near lo = 0 keep their digits
-        negative, unit, cosh, e, square = _TS_RULE[level]
+        negative, unit, cosh, e, square = rule
         dist = half * unit
         values = f(np.where(negative, lo_live + dist, hi_live - dist), live)
         weights = half * 2.0 * math.pi * cosh * e / square
         return values * weights.reshape(weights.shape[:1] + (1,) * (values.ndim - 2)
                                         + weights.shape[1:])
 
-    h = _TS_H0
-    g = terms(0)
-    total, ends = g.sum(axis=-1), np.abs(g[..., 0]) + np.abs(g[..., -1])
+    g = terms(_TS_RULE[0])  # levels 0 to _TS_OPEN - 1 in one call, summed level by level
+    opening = [g[..., a:b].sum(axis=-1) for a, b in zip(_TS_CUTS, _TS_CUTS[1:])]
+    h, total, ends = _TS_H0, opening[0], np.abs(g[..., 0]) + np.abs(g[..., _TS_CUTS[1] - 1])
     value = h * total
     result = np.empty_like(value)
     for level in range(1, _TS_LEVELS + 1):
-        total = total + terms(level).sum(axis=-1)
+        total = total + (opening[level][live] if level < _TS_OPEN
+                         else terms(_TS_RULE[level - _TS_OPEN + 1]).sum(axis=-1))
         h = 0.5 * h
         finer = h * total
         with np.errstate(invalid="ignore"):  # inf - inf: not finite, so not converged
@@ -268,11 +275,18 @@ def _cdf_limit(v, beta, upper):
     return (g_lo - g_hi) * np.sqrt(v * np.tanh(v))
 
 
+# the CDF's opening nodes phi: the 8-interval grid (phi = 0 is the limit) and its
+# midpoints, each computed alone; their cos and sin end to end, and the weights of each
+_PHI_OPEN = (np.arange(1, 9) * (0.5 * math.pi / 8), (np.arange(8) + 0.5) * (0.5 * math.pi / 8))
+_CDF_OPEN = tuple(np.concatenate([fn(phi) for phi in _PHI_OPEN]) for fn in (np.cos, np.sin)) + (
+    np.array([[1.0] * 7 + [0.5], [1.0] * 8]),)
+
+
 def _branch(y: np.ndarray, lift: np.ndarray, k: float,
             upper: bool) -> tuple[np.ndarray, np.ndarray]:
     """Means of the CDF integrand over phi in [0, pi/2] at points ``y`` of one branch,
-    and errors; an ``IntegrationError`` names the point's y and k.  The kernels
-    are looked up at call time, so a test may swap them."""
+    and errors, opening on ``_CDF_OPEN``; an ``IntegrationError`` names the point's
+    y and k.  The kernels are looked up at call time, so a test may swap them."""
     floored = (np.maximum(y, 0.25 * k * k / _S2_MAX) if upper  # the module docstring's floors
                else np.minimum(y, -np.maximum(0.5e-3 * _CDF_TOL, lift / _S2_MAX)))
     s2 = np.maximum(0.25 * k * k / floored if upper else lift / -floored, 1e-200)
@@ -283,22 +297,21 @@ def _branch(y: np.ndarray, lift: np.ndarray, k: float,
     end = _cdf_limit(v, beta, upper)
     v, s2, beta = v[:, None], s2[:, None], beta[:, None]
 
-    def node_sum(rows, phi, weights):
-        cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-        step = max(1, _CELLS // phi.size)
-        out = np.empty(rows.size)
+    def node_sum(rows, cos_phi, sin_phi, weights):
+        """Per row j of ``weights``, the kernel's j-th block of columns times it."""
+        step = max(1, _CELLS // cos_phi.size)
+        out, cols = np.empty((len(weights), rows.size)), weights.shape[1]
         for start in range(0, rows.size, step):
             sel = rows[start:start + step]
             g = _cdf_integrand(v[sel], s2[sel], beta[sel], cos_phi, sin_phi, upper)
-            out[start:start + step] = np.einsum("ij,j->i", g, weights)
+            for j, w in enumerate(weights):
+                out[j, start:start + step] = np.einsum("ij,j->i", g[:, j * cols:(j + 1) * cols], w)
         return out
 
     # trapezoid sums over n intervals of [0, pi/2]; the mean is sum / (2n)
     n = 8
-    weights = np.ones(n)
-    weights[-1] = 0.5
-    grid = np.arange(1, n + 1) * (0.5 * math.pi / n)
-    total = 0.5 * end + node_sum(np.arange(y.size), grid, weights)
+    grid_sum, mid_sum = node_sum(np.arange(y.size), *_CDF_OPEN)
+    total = 0.5 * end + grid_sum
     value = total / (2 * n)
     err = np.full(y.size, np.inf)
     todo = np.arange(y.size)
@@ -313,8 +326,10 @@ def _branch(y: np.ndarray, lift: np.ndarray, k: float,
             raise IntegrationError(
                 f"CDF at y = {float(y[i])!r} (k = {k!r}) did not converge within {n} "
                 f"intervals (estimate {err[i]:.3g}, {err[i] / value[i]:.3g} of the value)")
-        midpoints = (np.arange(n) + 0.5) * (0.5 * math.pi / n)
-        total[todo] += node_sum(todo, midpoints, np.ones(n))
+        if n > 8:
+            midpoints = (np.arange(n) + 0.5) * (0.5 * math.pi / n)
+            mid_sum = node_sum(todo, np.cos(midpoints), np.sin(midpoints), np.ones((1, n)))[0]
+        total[todo] += mid_sum
         n *= 2
         finer = total[todo] / (2 * n)
         err[todo] = np.abs(finer - value[todo])

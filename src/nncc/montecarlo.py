@@ -39,7 +39,7 @@ _BLOCK = 1 << 15
 _KS_COARSE_PER_ROOT = 4
 _KS_SPLIT = 4
 # hot cells holding at most this many samples in all are taken whole: a CDF
-# call costs ~0.16 ms even at one point, about as much as 300 points more
+# call costs ~0.05 ms even at one point, about as much as 120 points more
 _KS_FINISH = 256
 # slack on ks_distance's cell bounds, above twice the CDF engine's 1e-10 error
 _KS_SLACK = 1e-9

@@ -37,7 +37,14 @@ time, so a test or the table can turn it on for one run:
   take v = asinh(sqrt(s2))), so H is off by O(delta) (above 0 it is exactly
   H(y; k*sqrt(1 + delta))) while the density is exact.  Scaling s2 in the
   kernel alone is not a plausible fault: the rule stops converging and
-  raises ``IntegrationError``.
+  raises ``IntegrationError``;
+- ``one_direction``: the simulator's exchange, the minimum of the two short-range
+  fades of mean sigma2_short/2, has the mean ``(1 + delta)*sigma2_short/2``;
+  ``delta = 1`` is the one direction ``_meets(t12, sigma2_short)``;
+- ``nc_target_swapped``: the cooperative per-cellular-link target
+  ``OutageTargets.p_out_nc`` moves a fraction ``delta`` of the way to the
+  baseline's ``p_out_c``, for every reader of the targets; ``delta = 1`` reads
+  ``p_out_c`` in its place.
 
 pytest does not collect this file.  From the repository root, the table of
 which ``validate`` checks fire for each fault and size:
@@ -176,6 +183,29 @@ def shared_substitution(monkeypatch, delta: float) -> None:
     monkeypatch.setattr(distribution, "_cdf_limit", scaled_limit)
 
 
+def one_direction(monkeypatch, delta: float) -> None:
+    exact = mc._round_classes
+
+    def one_way(geom, params):
+        _, events, probs = exact(geom, params)
+        coop = powermodel.power_breakdown(geom, powermodel.power_coefficients(params))
+        t12 = mc._thresholds(geom, coop, params)[0]
+        return mc._meets(t12, 0.5 * (1.0 + delta) * params.sigma2_short), events, probs
+
+    monkeypatch.setattr(mc, "_round_classes", one_way)
+
+
+def nc_target_swapped(monkeypatch, delta: float) -> None:
+    exact = powermodel.OutageTargets.for_target.__func__
+
+    def for_target(cls, p_out):
+        targets = exact(cls, p_out)
+        return targets._replace(
+            p_out_nc=targets.p_out_nc + delta * (targets.p_out_c - targets.p_out_nc))
+
+    monkeypatch.setattr(powermodel.OutageTargets, "for_target", classmethod(for_target))
+
+
 # each fault with the sizes the table tries, smallest first; "none" is the
 # correct program, whose failures are false alarms
 FAULTS = {
@@ -189,6 +219,8 @@ FAULTS = {
     "law_scale": (law_scale, (1e-9, 1e-8, 1e-6, 1e-3, 0.05)),
     "density_scale": (density_scale, (1e-10, 3e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-3)),
     "shared_substitution": (shared_substitution, (1e-8, 1e-7, 1e-6, 1e-4, 1e-2)),
+    "one_direction": (one_direction, (0.003, 0.01, 0.03, 0.1, 0.3, 1.0)),
+    "nc_target_swapped": (nc_target_swapped, (0.01, 0.03, 0.1, 0.3, 1.0)),
 }
 
 

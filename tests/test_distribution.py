@@ -1,3 +1,4 @@
+import collections
 import math
 import os
 import subprocess
@@ -85,7 +86,7 @@ def test_quadratic_reproduces_breakdown_total(dense_params, quad5):
         geom = Geometry(r1=r1, r=r, theta=theta)
         total = power_breakdown(geom, power_coefficients(dense_params)).total
         total_power = quad5.a * r * r + quad5.b_coeff * np.cos(theta) * r + quad5.c0
-        assert total_power == pytest.approx(total, rel=1e-9)
+        assert total_power == pytest.approx(total, rel=1e-9, abs=0)
 
 
 def _kernel_inputs(monkeypatch, y, k):
@@ -126,7 +127,7 @@ def test_power_roots_at_constant_term(k5, monkeypatch):
     for theta in (2.5, 0.5):  # cos < 0: root -k*cos; cos > 0: root 0
         _, (root,) = _engine_roots(beta, True, math.asinh(0.5 * k5 * math.cos(theta) / c))
         if theta > 0.5 * math.pi:
-            assert root == pytest.approx(-k5 * math.cos(theta), rel=1e-9)
+            assert root == pytest.approx(-k5 * math.cos(theta), rel=1e-9, abs=0)
         else:
             assert root <= 0.5e-9 * k5
     # at y = 0 itself (below the split) only bearings with cos < 0 have roots
@@ -312,7 +313,8 @@ def test_cdf_raises_integration_error_past_the_cap(monkeypatch):
 
 def test_a_nan_point_never_converges(monkeypatch):
     """A point whose kernel value is NaN is refused by name, never returned,
-    and on the starting rule, as a NaN in the running sum never clears.
+    and on the starting rule, as a NaN in the running sum never clears: the
+    one kernel call is the opening one, over the 8-interval grid and its midpoints.
 
     The kernel is made to return NaN on the second point's row: since the
     engine floors sinh(V)^2, no point of the parameter space reaches the 0/0
@@ -335,7 +337,7 @@ def test_a_nan_point_never_converges(monkeypatch):
         cdf_scale_free(np.array([-0.5 * c0_y, c0_y]), k)
     assert str(err.value).startswith(f"CDF at y = {c0_y!r} (k = {k!r}) ")
     assert "is not finite at 8 intervals" in str(err.value)
-    assert nodes == [8]
+    assert nodes == [16]
 
 
 def test_vanishing_k_is_the_exponential_law():
@@ -573,7 +575,7 @@ def test_pdf_continuous_at_branch_junction(quad5, dense_params, k5):
     c0_y = y_of_c0(quad5, dense_params.rho)
     below = pdf_scale_free(-1e-9 * c0_y, k5)
     above = pdf_scale_free(1e-9 * c0_y, k5)
-    assert above == pytest.approx(below, rel=1e-6)
+    assert above == pytest.approx(below, rel=1e-6, abs=0)
 
 
 def test_pdf_matches_cdf_finite_differences(quad5, dense_params, k5):
@@ -601,7 +603,7 @@ def test_expected_power_triple_agreement(dense_params, rho, r1):
     quad = cooperative_quadratic(params, r1)
     closed = expected_power(quad, rho)
     by_quad = expected_power_quadrature(quad, rho)
-    assert by_quad == pytest.approx(closed, rel=1e-9)
+    assert by_quad == pytest.approx(closed, rel=1e-9, abs=0)
     mean, stderr = sample_power_distribution(1_000_000, rho, quad, RandomStream(31))
     assert abs(mean - closed) < 3.0 * stderr
 
@@ -611,7 +613,7 @@ def test_expected_power_dense_limit(quad5):
     for rho in (1e-2, 1.0, 1e2):
         assert expected_power(quad5, rho) == pytest.approx(
             quad5.c0 + quad5.a / (math.pi * rho), rel=1e-15, abs=0)
-    assert expected_power(quad5, 1e6) == pytest.approx(quad5.c0, rel=1e-6)
+    assert expected_power(quad5, 1e6) == pytest.approx(quad5.c0, rel=1e-6, abs=0)
 
 
 def test_energy_efficiency_not_proportional_to_rate(params):
@@ -627,7 +629,7 @@ def test_energy_efficiency_dense_limit(quad5, dense_params):
     ee_inf = energy_efficiency(quad5.c0, dense_params.rate)
     assert ee_inf == pytest.approx(2.0 * dense_params.rate / quad5.c0, rel=1e-15, abs=0)
     assert energy_efficiency(expected_power(quad5, 1e8), dense_params.rate) == \
-        pytest.approx(ee_inf, rel=1e-4)
+        pytest.approx(ee_inf, rel=1e-4, abs=0)
     with pytest.raises(ValueError):
         energy_efficiency(0.0, 1e5)
 
@@ -792,7 +794,12 @@ def _alone(f, i):
 
 
 def test_tanh_sinh_batch_is_bitwise_each_interval_alone():
-    """Intervals that stop at different levels each get their per-call bits."""
+    """Intervals that stop at different levels each get their per-call bits.
+
+    The batch takes levels 0 to ``_TS_OPEN`` - 1 in its opening call and each
+    later level in a call of its own, so an interval that stops at level L is in
+    1 + max(0, L - ``_TS_OPEN`` + 1) calls; the level-by-level reference gives L.
+    """
     lo = np.array([0.0, 0.0, -0.3, 1.0, 0.0, 2.0])
     hi = np.array([1.0, 1.0, 7.1, 4.0, 30.0, 2.5])
     rate = np.array([1.0, -0.5, 0.3, 2.0, -1.0, 0.0])
@@ -810,25 +817,32 @@ def test_tanh_sinh_batch_is_bitwise_each_interval_alone():
     # a frozen interval never comes back
     assert all(after <= before for before, after in zip(seen, seen[1:]))
     calls = [sum(i in live for live in seen) for i in range(6)]
-    assert len(set(calls)) >= 3
+    levels = []
     for i in range(6):
         del seen[:]
         assert np.array_equal(batch[i],
                               tanh_sinh_uncached(_alone(f, i), lo[i], hi[i], 0.0, 1e-12))
-        assert len(seen) == calls[i]  # the levels of a call on it alone
+        levels.append(len(seen) - 1)  # the reference calls f once per level from 0
+    opened = distribution._TS_OPEN - 1
+    assert len(set(levels)) >= 3 and max(levels) > opened
+    assert calls == [1 + max(0, level - opened) for level in levels]
 
 
 def test_tanh_sinh_batch_never_evaluates_a_frozen_interval():
-    """Rows handed to f hold nodes of the live intervals only, in their bounds."""
-    lo, hi = np.array([0.0, 10.0, 20.0]), np.array([1.0, 11.0, 25.0])
-    scale = np.array([0.0, 3.0, -2.0])  # the constant stops a level before the others
+    """Rows handed to f hold nodes of the live intervals only, in their bounds.
+
+    The first interval stops inside the opening call, the second at the first
+    level after it and the third later, so both kinds of freezing are seen.
+    """
+    lo, hi = np.zeros(3), np.array([1.0, 30.0, 5.0])
+    power, rate = np.array([-0.3, 0.5, -0.5]), np.array([0.0, -1.0, 1.0])
     frozen, seen = set(), []
 
     def f(x, live):
         assert not frozen & set(live)
         assert np.all((x >= lo[live, None]) & (x <= hi[live, None]))
         seen.append(set(live))
-        return np.exp(scale[live, None] * (x - lo[live, None]))
+        return x ** power[live, None] * np.exp(rate[live, None] * x)
 
     def record(x, live):
         if seen:
@@ -836,7 +850,7 @@ def test_tanh_sinh_batch_never_evaluates_a_frozen_interval():
         return f(x, live)
 
     _tanh_sinh(record, lo, hi, 0.0, 1e-13)
-    assert seen[0] == {0, 1, 2} and 0 not in seen[-1] and len(seen) > 2
+    assert seen[:3] == [{0, 1, 2}, {1, 2}, {2}] and len(seen) > 3 and frozen == {0, 1}
 
 
 def test_tanh_sinh_batch_names_the_interval_that_fails():
@@ -894,6 +908,42 @@ def test_validate_batches_are_bitwise_each_interval_alone(monkeypatch):
         for i in range(lo.size):
             assert np.array_equal(
                 value[i], tanh_sinh_uncached(_alone(f, i), lo[i], hi[i], atol, rtol))
+
+
+def test_validate_work_count(monkeypatch):
+    """The kernel calls of a report: the CDF's opening call takes its first 16
+    nodes and tanh-sinh's takes four levels, so at the defaults [c]'s mean makes
+    2 integrand calls (9000 values), [e]'s density 1 (339 values, one ``np.i0``
+    call) and the CDF kernel is called 8 times."""
+    kernel, rule, i0 = distribution._cdf_integrand, distribution._tanh_sinh, np.i0
+    counts = collections.Counter()
+
+    def counting_kernel(*args):
+        counts["kernel"] += 1
+        return kernel(*args)
+
+    def counting_rule(f, lo, hi, atol, rtol):
+        name = "mean" if lo.size == 5 else "density"
+
+        def counting_f(x, live):
+            values = f(x, live)
+            counts[name] += 1
+            counts[name + " values"] += values.size
+            return values
+
+        return rule(counting_f, lo, hi, atol, rtol)
+
+    def counting_i0(x):
+        counts["i0"] += 1
+        return i0(x)
+
+    monkeypatch.setattr(distribution, "_cdf_integrand", counting_kernel)
+    monkeypatch.setattr(distribution, "_tanh_sinh", counting_rule)
+    monkeypatch.setattr(np, "i0", counting_i0)
+    validate_report(ExperimentSpec(kind="validate", out=os.devnull, seed=7,
+                                   n_trials=10_000))
+    assert counts == {"kernel": 8, "mean": 2, "mean values": 9000, "density": 1,
+                      "density values": 339, "i0": 1}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -518,6 +518,27 @@ def test_single_uplink_rate_sees_a_scaled_threshold(tmp_path, monkeypatch):
     assert failed(checks) == ["single cellular uplink outage"]
 
 
+def test_exchange_rate_sees_one_direction_only(tmp_path, monkeypatch):
+    """The simulator's exchange taken as one direction, a fade of mean sigma2_short
+    in place of the minimum of two: at 1e4 trials on seed 0 section [d]'s exchange
+    rate is the only failing check (it fires on 2 of seeds 0-4 there, on all 5 at
+    1e6 from a tenth of the fault on)."""
+    mutants.one_direction(monkeypatch, 1.0)
+    _, checks = validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
+                                               seed=0, n_trials=10_000))
+    assert failed(checks) == ["exchange success rate Pr(delta = 0)"]
+
+
+def test_composite_outage_sees_the_baseline_target(tmp_path, monkeypatch):
+    """The cooperative uplinks held to the baseline's per-link target p_out_c, in
+    the closed forms and the simulator alike: at 1e4 trials the composite outage
+    rate is the only failing check."""
+    mutants.nc_target_swapped(monkeypatch, 1.0)
+    _, checks = validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
+                                               seed=7, n_trials=10_000))
+    assert failed(checks) == ["composite outage rate"]
+
+
 def test_density_cells_see_a_scaled_density(tmp_path, monkeypatch):
     """The density 1e-6 or 1e-8 too large and the CDF exact: at 1e4 trials
     section [e]'s two checks, its cells against H and its total mass, are the
@@ -562,7 +583,7 @@ def test_baseline_eta_scale_reaches_every_reader_of_the_baseline(tmp_path, monke
     # twice the power: about half the conventional outages, the round's other
     # event rates unchanged
     conv = exact_rates.pop("conv_outages")
-    assert faulty_rates.pop("conv_outages") == pytest.approx(0.5 * conv, rel=1e-3)
+    assert faulty_rates.pop("conv_outages") == pytest.approx(0.5 * conv, rel=1e-3, abs=0)
     assert faulty_rates == pytest.approx(exact_rates, rel=1e-14, abs=0)
 
 

@@ -94,7 +94,7 @@ def test_sampled_geometry_satisfies_identities():
     for g in (Geometry(r1=800.0, r=float(ri), theta=float(ti)) for ri, ti in zip(r, theta)):
         lhs = g.r2 * g.r2
         rhs = g.r * g.r + g.r1 * g.r1 + 2.0 * g.r1 * g.r * math.cos(g.theta)
-        assert lhs == pytest.approx(rhs, rel=1e-9)
+        assert lhs == pytest.approx(rhs, rel=1e-9, abs=0)
         assert abs(g.r1 - g.r) - 1e-9 <= g.r2 <= g.r1 + g.r + 1e-9
         assert -0.5 * math.pi <= g.theta < 1.5 * math.pi
         assert g.r >= 0.0
@@ -126,7 +126,7 @@ def test_density_free_draw_gives_the_distances_at_any_density(rho):
 def test_empirical_mean_distance():
     rho = 1e-4
     r = nn_distance(sample_nn_geometries(RandomStream(11).block(0), 1_000_000)[0], rho)
-    assert np.mean(r) == pytest.approx(50.0, rel=5e-3)
+    assert np.mean(r) == pytest.approx(50.0, rel=5e-3, abs=0)
 
 
 def test_empirical_distance_cdf_ks():
@@ -158,9 +158,9 @@ def mean_nn_distance(rho):
 @pytest.mark.parametrize("rho,expected", [(1e-4, 50.0), (1e-2, 5.0)])
 def test_mean_nn_distance_closed_form(rho, expected):
     """The density's first moment is the closed form 1/(2*sqrt(rho))."""
-    assert mean_nn_distance(rho) == pytest.approx(expected, rel=1e-9)
+    assert mean_nn_distance(rho) == pytest.approx(expected, rel=1e-9, abs=0)
 
 
 def test_mean_nn_distance_self_consistency():
     rho = 1.0 / (4.0 * math.pi)
-    assert mean_nn_distance(rho) == pytest.approx(0.5 / math.sqrt(rho), rel=1e-9)
+    assert mean_nn_distance(rho) == pytest.approx(0.5 / math.sqrt(rho), rel=1e-9, abs=0)

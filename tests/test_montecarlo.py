@@ -268,7 +268,7 @@ def test_round_classes_give_the_closed_form_rates(overrides):
     params = validate(SystemParams(**overrides))
     _, events, probs = montecarlo._round_classes(fixed_geom(), params)
     assert len(probs) == 36 and all(len(column) == 72 for column in events)
-    assert math.fsum(probs) == pytest.approx(1.0, rel=1e-15)
+    assert math.fsum(probs) == pytest.approx(1.0, rel=1e-15, abs=0)
     t = OutageTargets.for_target(params.p_out_target)
     per_msg = t.eps_short * t.p_out_nc ** 2 + (1.0 - t.eps_short) * t.p_out_nc
     targets = dict(exchanged=t.eps_short, lost_d1=per_msg, lost_d2=per_msg,
@@ -527,7 +527,7 @@ def test_sample_power_distribution_spread_follows_the_placement_law(rho):
     quad = cooperative_quadratic(validate(SystemParams(rho=rho)), 2000.0)
     _, stderr = sample_power_distribution(n, rho, quad, RandomStream(57))
     law = math.sqrt((quad.a / (math.pi * rho)) ** 2 + quad.b_coeff ** 2 / (2 * math.pi * rho))
-    assert stderr * math.sqrt(n) == pytest.approx(law, rel=0.01)
+    assert stderr * math.sqrt(n) == pytest.approx(law, rel=0.01, abs=0)
 
 
 # the five (rho, r1) sets of the validate report's section [c]

@@ -125,14 +125,14 @@ def eta_of(params, p_link, user=1):
 
 
 def test_short_range_coeff_golden(params):
-    assert zeta_of(params) == pytest.approx(7.1e-9, rel=0.02)
+    assert zeta_of(params) == pytest.approx(7.1e-9, rel=0.02, abs=0)
     assert zeta_of(params) == pytest.approx(ZETA_GOLDEN, rel=1e-12, abs=0)
     assert power_coefficients(params).zeta == zeta_of(params)
 
 
 def test_cellular_coeff_golden(params):
     eta = eta_of(params, PNC_1E3)
-    assert eta == pytest.approx(3.57e-11, rel=0.02)
+    assert eta == pytest.approx(3.57e-11, rel=0.02, abs=0)
     assert eta == pytest.approx(ETA_GOLDEN, rel=1e-12, abs=0)
     assert eta_of(params, PC_1E3) == pytest.approx(ETA_C_GOLDEN, rel=1e-12, abs=0)
     # equal handset gains: both uplinks share the coefficient bit for bit
