@@ -84,8 +84,8 @@ _MEAN_EPSREL, _MAX_BEARINGS = 1e-11, 1 << 8
 _TS_T, _TS_H0, _TS_LEVELS, _TS_OPEN = 3.5, 0.5, 7, 4
 # trapezoid intervals on [0, pi/2] past which a point is an IntegrationError
 _MAX_NODES = 1 << 13
-# points per chunk, and values per kernel temporary (4096 points x 128 nodes)
-_CHUNK = 4096
+# points per chunk (2048 x 16 opening temporaries), values per kernel temporary (4096 x 128)
+_CHUNK = 2048
 _CELLS = 4096 * 128
 
 

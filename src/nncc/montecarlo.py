@@ -161,11 +161,12 @@ def _in_order(calls, workers: int) -> list:
 def _sort_in_place(samples: np.ndarray, workers: int) -> None:
     """Sort the 1-D ``samples`` ascending in place, value for value as ``np.sort``.
 
-    ``partition`` puts the value of rank h = n // 2 at index h, none larger
-    before it and none smaller after (Hoare's FIND), without a copy; then
-    ``_in_order`` sorts the two halves, with two or more workers on two
-    threads, as ``ndarray.sort`` releases the GIL.
+    One worker calls ``ndarray.sort``.  More ``partition`` at rank h = n // 2 without a
+    copy (Hoare's FIND: none larger before index h, none smaller after), then
+    ``_in_order`` sorts the two halves on two threads, as ``ndarray.sort`` releases the GIL.
     """
+    if workers == 1:  # on one thread the partition is only extra work
+        return samples.sort()
     h = samples.size // 2
     samples.partition(h)
     _in_order([samples[:h].sort, samples[h + 1:].sort], workers)

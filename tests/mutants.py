@@ -44,13 +44,19 @@ time, so a test or the table can turn it on for one run:
 - ``nc_target_swapped``: the cooperative per-cellular-link target
   ``OutageTargets.p_out_nc`` moves a fraction ``delta`` of the way to the
   baseline's ``p_out_c``, for every reader of the targets; ``delta = 1`` reads
-  ``p_out_c`` in its place.
+  ``p_out_c`` in its place;
+- ``coeff_b_scale``: the bearing coefficient ``b_coeff`` from
+  ``PowerQuadratic.from_coefficients`` is ``1 - delta`` times what it should
+  be.  Section [b]'s draw and CDF, [c]'s means and [e]'s cells all read the
+  faulty quadratic on both sides, so only [a]'s "total vs quadratic form"
+  identity, against the totals of the link powers, can see it.
 
 pytest does not collect this file.  From the repository root, the table of
 which ``validate`` checks fire for each fault and size:
 
     PYTHONPATH=src python3 tests/mutants.py --seeds 0-4 --trials 1000000
 
+``--faults coeff_b_scale,law_scale`` runs only the rows of the named faults.
 A fault is detected at a size when ``validate`` fails on at least 4 of the
 seeds.  The last line of standard output is one JSON object with the table.
 """
@@ -206,6 +212,16 @@ def nc_target_swapped(monkeypatch, delta: float) -> None:
     monkeypatch.setattr(powermodel.OutageTargets, "for_target", classmethod(for_target))
 
 
+def coeff_b_scale(monkeypatch, delta: float) -> None:
+    exact = PowerQuadratic.from_coefficients.__func__
+
+    def scaled(cls, coeff, r1):
+        quad = exact(cls, coeff, r1)
+        return quad._replace(b_coeff=(1.0 - delta) * quad.b_coeff)
+
+    monkeypatch.setattr(PowerQuadratic, "from_coefficients", classmethod(scaled))
+
+
 # each fault with the sizes the table tries, smallest first; "none" is the
 # correct program, whose failures are false alarms
 FAULTS = {
@@ -221,6 +237,7 @@ FAULTS = {
     "shared_substitution": (shared_substitution, (1e-8, 1e-7, 1e-6, 1e-4, 1e-2)),
     "one_direction": (one_direction, (0.003, 0.01, 0.03, 0.1, 0.3, 1.0)),
     "nc_target_swapped": (nc_target_swapped, (0.01, 0.03, 0.1, 0.3, 1.0)),
+    "coeff_b_scale": (coeff_b_scale, (1e-9, 1e-8, 2e-8, 1e-7, 1e-6)),
 }
 
 
@@ -234,12 +251,14 @@ def failed_checks(install, delta: float, seed: int, trials: int, workers: int,
     return [c.name for c in checks if not c.passed]
 
 
-def table(seeds: range, trials: int, workers: int) -> dict:
-    """Per fault and size: the runs that failed and how often each check fired."""
+def table(seeds: range, trials: int, workers: int, faults) -> dict:
+    """Per fault of ``faults`` and size: the runs that failed and how often each
+    check fired."""
     result = {}
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.txt")
-        for name, (install, deltas) in FAULTS.items():
+        for name in faults:
+            install, deltas = FAULTS[name]
             for delta in deltas:
                 fired = collections.Counter()
                 failed = 0
@@ -258,14 +277,25 @@ def _seed_range(text: str) -> range:
     return range(int(lo), int(hi or lo) + 1)
 
 
+def _fault_names(text: str) -> tuple[str, ...]:
+    names = tuple(text.split(","))
+    unknown = [name for name in names if name not in FAULTS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown fault {unknown[0]!r}; choose from {', '.join(FAULTS)}")
+    return names
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=_seed_range, default=_seed_range("0-4"),
                         help="inclusive seed range, e.g. 0-4")
     parser.add_argument("--trials", type=int, default=1_000_000)
     parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--faults", type=_fault_names, default=tuple(FAULTS),
+                        help="comma-separated fault names (default: every fault)")
     args = parser.parse_args(argv)
-    result = table(args.seeds, args.trials, args.workers)
+    result = table(args.seeds, args.trials, args.workers, args.faults)
     for row, entry in result.items():
         checks = "; ".join(f"{n}x {c}" for c, n in entry["checks"].items())
         print(f"{row:24s} {entry['failed_runs']}/{len(args.seeds)}  {checks}",

@@ -449,6 +449,31 @@ def test_validate_report_flags_tampered_eta(tmp_path, monkeypatch):
     assert "total vs quadratic-form max relative residual" in failed(checks)
 
 
+def test_closure_identity_reads_no_seed(tmp_path):
+    """Section [a] checks its identities on fixed placements: seeds 0 and 7
+    write the same [a] lines, those of 512 grid placements."""
+    sections = []
+    for seed in (0, 7):
+        path = tmp_path / f"v{seed}.txt"
+        validate_report(ExperimentSpec(kind="validate", out=str(path), seed=seed,
+                                       n_trials=10_000))
+        text = path.read_text(encoding="utf-8")
+        sections.append(text[text.index("[a] "):text.index("[b] ")])
+    assert sections[0] == sections[1]
+    assert "(512 grid placements)" in sections[0]
+
+
+def test_closure_identity_sees_a_scaled_bearing_coefficient(tmp_path, monkeypatch):
+    """b_coeff 1e-7 too small in ``PowerQuadratic.from_coefficients``: sections
+    [b], [c] and [e] read that quadratic on both sides, so at 1e4 trials [a]'s
+    identity against the link powers is the only failing check (a residual of
+    5.3e-9 against 1e-9 on the grid)."""
+    mutants.coeff_b_scale(monkeypatch, 1e-7)
+    _, checks = validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
+                                               seed=7, n_trials=10_000))
+    assert failed(checks) == ["total vs quadratic-form max relative residual"]
+
+
 def test_validate_report_fails_every_mean_on_a_longer_neighbor_distance(tmp_path,
                                                                        monkeypatch):
     """A 3 % longer neighbour distance fails section [c]'s area moment, and every

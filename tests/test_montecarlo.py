@@ -112,9 +112,10 @@ def _sort_inputs():
 @pytest.mark.parametrize("name", list(_sort_inputs()))
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_sort_in_place_is_np_sort_on_at_most_one_more_thread(monkeypatch, workers, name):
-    """The sort is ``np.sort``'s bit for bit on any worker count; it runs its
-    two halves with at most one thread beyond the caller, on the caller alone
-    with one worker, and no thread outlives it."""
+    """The sort is ``np.sort``'s bit for bit on any worker count; one worker is
+    one ``ndarray.sort`` on the caller, with no ``_in_order`` call; more run the
+    two halves with at most one thread beyond the caller, and no thread
+    outlives it."""
     samples = _sort_inputs()[name]
     expected, before, log = np.sort(samples), threading.active_count(), []
     in_order = montecarlo._in_order
@@ -130,7 +131,7 @@ def test_sort_in_place_is_np_sort_on_at_most_one_more_thread(monkeypatch, worker
     assert samples.tobytes() == expected.tobytes()
     assert all(count <= before + 1 for _, count in log)
     on_caller = {thread is threading.current_thread() for thread, _ in log}
-    assert on_caller == ({True} if workers == 1 else {True, False})
+    assert on_caller == (set() if workers == 1 else {True, False})
     assert threading.active_count() == before
 
 
