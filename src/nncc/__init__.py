@@ -43,11 +43,11 @@ from .distribution import (
 )
 from .montecarlo import (
     PowerSamples,
-    ProtocolCounts,
+    ProtocolRates,
     RandomStream,
     draw_power_samples,
-    estimate_outage,
     ks_distance,
+    protocol_rates,
     protocol_round,
     sample_power_distribution,
 )

@@ -242,11 +242,6 @@ class _Report:
                      f"{_fmt(observed)} vs target {_fmt(target)} "
                      f"(z = {z:+.2f}, bound |z| <= 3)", float(stderr))
 
-    def check_rate(self, name: str, count: int, n: int, target: float) -> None:
-        """A z check of the rate of ``count`` events in ``n`` binomial trials."""
-        p_hat = count / n
-        self.check_z(name, p_hat, target, math.sqrt(p_hat * (1.0 - p_hat) / n))
-
     def info(self, name: str, text: str) -> None:
         self.add(f"  INFO {name}: {text}")
 
@@ -267,7 +262,7 @@ def _closure_section(rep: _Report, params: SystemParams,
     rep.check("composite outage closure residual", res, 1e-12)
 
     p_c = targets.p_out_c
-    res = abs(-(math.expm1(2.0 * math.log1p(-p_c))) - params.p_out_target)
+    res = abs(powermodel.either_fails(p_c) - params.p_out_target)
     rep.check("conventional outage closure residual", res, 1e-12)
 
     # total vs quadratic identity.  At each r1 both sides are one quadratic in r and
@@ -355,34 +350,26 @@ def _branch_form_section(rep: _Report, k: float) -> None:
               1e-9 + np.sum(tol), detail=f"(upper limit y = {_fmt(y_hi)})")
 
 
-def _protocol_section(rep: _Report, params: SystemParams, r1: float, r: float,
-                      n_trials: int, seed: int) -> None:
-    rep.add(f"[d] protocol statistics at fixed placement (r = {_fmt(r)}, "
+def _protocol_section(rep: _Report, params: SystemParams, r1: float, r: float) -> None:
+    rep.add(f"[d] protocol event rates at fixed placement, enumerated (r = {_fmt(r)}, "
             f"r1 = {_fmt(r1)})")
     geom = Geometry(r1=r1, r=r, theta=0.5 * math.pi)
     targets = powermodel.OutageTargets.for_target(params.p_out_target)
-
-    counts = mc.estimate_outage(n_trials, geom, params, mc.RandomStream(seed, stream_id=301))
-    rep.check_rate("exchange success rate Pr(delta = 0)", counts.exchanged, n_trials,
-                   targets.eps_short)
-    rep.check_rate("composite outage rate", counts.outages, n_trials,
-                   params.p_out_target)
+    rates = mc.protocol_rates(geom, params)
     x = targets.p_out_nc
-    per_msg = targets.eps_short * x * x + (1.0 - targets.eps_short) * x
-    rep.info("per-message outage rate (reported, lower than composite)",
-             f"{_fmt(counts.lost_d1 / n_trials)} measured vs {_fmt(per_msg)} predicted")
-    # the mean energy is affine in the exchange count, so it is no statistic of
-    # its own: it is the total shifted by the exchange rate's excess, to rounding
+    # the per-message outage sits below the composite: the relay gives each
+    # message a second copy after a successful exchange
+    per_msg = targets.eps_short * x * x + powermodel.either_fails(params.p_out_target) * x
     powers = powermodel.power_breakdown(geom, powermodel.power_coefficients(params))
-    res = abs(counts.mean_energy - powers.total - (powers.p1b + powers.p2b)
-              * (counts.exchanged / n_trials - targets.eps_short)) / powers.total
-    rep.check("mean round energy vs exchange rate, relative residual", res, 1e-12)
-
-    rep.check_rate("single cellular uplink outage", counts.uplink1_lost, n_trials,
-                   targets.p_out_nc)
-    # the baseline's solo uplinks on the same slot-2 fades
-    rep.check_rate("conventional composite outage", counts.conv_outages, n_trials,
-                   params.p_out_target)
+    for name, value, target in (
+            ("exchange success rate Pr(delta = 0)", rates.exchanged, targets.eps_short),
+            ("composite outage rate", rates.outage, params.p_out_target),
+            ("conventional composite outage", rates.conv_outage, params.p_out_target),
+            ("per-message outage rate", rates.lost_d1, per_msg),
+            ("single cellular uplink outage", rates.uplink1_lost, x),
+            ("mean round energy vs total", rates.mean_energy, powers.total)):
+        rep.check(f"{name}, relative residual", abs(value - target) / target, 1e-12,
+                  detail=f"(enumerated {_fmt(value)} vs {_fmt(target)})")
 
 
 def validate_report(spec: ExperimentSpec) -> tuple[str, tuple[Check, ...]]:
@@ -416,7 +403,7 @@ def validate_report(spec: ExperimentSpec) -> tuple[str, tuple[Check, ...]]:
     m_a, m_c = _distribution_section(rep, params, quad, k, r1, spec.n_trials, spec.seed,
                                      spec.workers)
     _expected_power_section(rep, coeff, m_a, m_c, spec.n_trials)  # reads [b]'s draw
-    _protocol_section(rep, params, r1, r, spec.n_trials, spec.seed)
+    _protocol_section(rep, params, r1, r)
     _branch_form_section(rep, k)
 
     checks = tuple(rep.checks)

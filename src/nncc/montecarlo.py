@@ -1,12 +1,13 @@
-"""Monte Carlo ground truth: the slotted protocol's counts, and PPP sampling.
+"""Monte Carlo ground truth: the slotted protocol's round law, and PPP sampling.
 
 Reproducibility contract: block ``j`` of a draw comes from a counter-based
 generator keyed by ``(seed, stream_id, j)``.  The placement samplers run
 their trials in fixed-size blocks through ``_sum_blocks`` and sum the block
 results in block order, so a report is bit-identical for any worker count.
 
-At a fixed placement the outcome counts of n rounds have an exact law, and
-``estimate_outage`` and ``exchange_counts`` draw them from it on block 0, at a
+At a fixed placement a round's outcome has an exact law over finitely many
+classes: ``protocol_rates`` sums it into each event's probability, with no
+draw, and ``exchange_counts`` draws exchange counts from it on block 0, at a
 cost that does not grow with n.  A dataset draws once for all its rows
 (common random numbers): ``exchange_counts`` counts one exchange draw at each
 row's threshold, and ``sample_power_distribution`` reads the sums of one
@@ -59,18 +60,18 @@ class RandomStream(NamedTuple):
         return np.random.Generator(np.random.Philox(seq))
 
 
-class ProtocolCounts(NamedTuple):
-    """What ``estimate_outage`` counted over ``n_trials`` rounds at one placement."""
+class ProtocolRates(NamedTuple):
+    """The exact probabilities of a round's events at one placement, and its
+    mean energy (``protocol_rates``)."""
 
-    n_trials: int
-    exchanged: int      # rounds whose exchange succeeded (delta = 0)
-    mean_energy: float  # mean round energy, J
-    energy_stderr: float
-    lost_d1: int        # rounds that lost message 1
-    lost_d2: int        # rounds that lost message 2
-    outages: int        # composite outages
-    uplink1_lost: int   # handset 1's failed slot-2 uplinks
-    conv_outages: int   # the baseline's composite outages
+    exchanged: float     # the exchange succeeded (delta = 0)
+    lost_d1: float       # message 1 lost
+    lost_d2: float       # message 2 lost
+    outage: float        # composite outage
+    uplink1_lost: float  # handset 1's slot-2 uplink failed
+    uplink2_lost: float  # handset 2's slot-2 uplink failed
+    conv_outage: float   # the baseline's composite outage
+    mean_energy: float   # mean round energy, J
 
 
 def require_exchange_distance(r: float, params: SystemParams) -> None:
@@ -238,30 +239,26 @@ def _round_classes(geom: Geometry, params: SystemParams):
             (delta0, own1, own2, relay1, relay2, conv1, conv2), np.array(probs))
 
 
-def estimate_outage(n: int, geom: Geometry, params: SystemParams,
-                    stream: RandomStream) -> ProtocolCounts:
-    """Outcome counts of n protocol rounds at a fixed placement, fresh fading
-    per round, and the mean round energy (``exchange_energy``).
+def protocol_rates(geom: Geometry, params: SystemParams) -> ProtocolRates:
+    """The ``ProtocolRates`` of a round at a fixed placement, fresh fading per
+    round, with no draw.
 
-    The counts are drawn from their exact law on ``stream.block(0)``: the
-    exchange count k ~ Bin(n, Pr(delta = 0)), then the ``_round_classes`` of
-    the k rounds with a successful exchange and of the other n - k, one
-    multinomial each.  ``protocol_round`` runs once on the class columns, and
-    each count sums the classes where its event fires.  The baseline's solo
-    uplinks read the same slot-2 fades at its own thresholds (``conv_outages``).
+    ``protocol_round`` runs once on the ``_round_classes`` columns, and each
+    rate is the ``math.fsum`` of the probabilities of the classes where its
+    event fires.  The baseline's solo uplinks read the same slot-2 fades at
+    its own thresholds.  A round pays both exchange directions and slot 2,
+    and slot 3 after a successful exchange: the mean energy is 2*p12 + (1 +
+    Pr(delta = 0))*(p1b + p2b).
     """
     require_exchange_distance(geom.r, params)
-    _require_trials(n)
-    (p_exchange, _), events, probs = _round_classes(geom, params)
-    rng = stream.block(0)
-    exchanged = int(rng.binomial(n, p_exchange))
-    counts = np.concatenate([rng.multinomial(m, probs) for m in (exchanged, n - exchanged)])
+    (x, not_x), events, probs = _round_classes(geom, params)
+    joint = np.concatenate((x * probs, not_x * probs))
     delta0, own1, own2, relay1, relay2, conv1, conv2 = events
     d1, d2, composite = protocol_round(delta0, own1, own2, relay1, relay2)
     conv = protocol_round(False, conv1, conv2, False, False)[2]
-    lost = [int(counts[event].sum()) for event in (~d1, ~d2, composite, ~own1, conv)]
+    lost = [math.fsum(joint[event]) for event in (~d1, ~d2, composite, ~own1, ~own2, conv)]
     powers = powermodel.power_breakdown(geom, powermodel.power_coefficients(params))
-    return ProtocolCounts(n, exchanged, *exchange_energy(n, exchanged, powers), *lost)
+    return ProtocolRates(x, *lost, 2.0 * powers.p12 + (1.0 + x) * (powers.p1b + powers.p2b))
 
 
 def exchange_counts(n: int, thresholds, sigma2: float, stream: RandomStream) -> list[int]:
@@ -270,9 +267,8 @@ def exchange_counts(n: int, thresholds, sigma2: float, stream: RandomStream) -> 
     An exchange succeeds at t iff min(h12, h21) >= t, with probability q(t) =
     exp(-2t/``sigma2``).  The counts' exact joint law is a chain of binomials,
     drawn on ``stream.block(0)`` at the thresholds sorted ascending: k_1 ~
-    Bin(n, q_1), k_j ~ Bin(k_{j-1}, q_j/q_{j-1}), and 0 past a q of 0.  So at
-    t12 alone the count is ``estimate_outage``'s ``exchanged`` on the same
-    stream.  Returns Python ints in the order of ``thresholds``.
+    Bin(n, q_1), k_j ~ Bin(k_{j-1}, q_j/q_{j-1}), and 0 past a q of 0.
+    Returns Python ints in the order of ``thresholds``.
     """
     _require_trials(n)
     rng = stream.block(0)

@@ -77,6 +77,13 @@ class PowerBreakdown(NamedTuple):
     total: float
 
 
+def either_fails(p: float) -> float:
+    """1 - (1-p)^2: the chance that at least one of two independent links of
+    outage p fails, formed as -expm1(2*log1p(-p)), so without cancellation
+    for small p."""
+    return -math.expm1(2.0 * math.log1p(-p))
+
+
 def composite_outage_nncc(x: float, p_out: float) -> float:
     """End-to-end outage of the cooperative scheme at per-cellular-link outage x.
 
@@ -84,23 +91,22 @@ def composite_outage_nncc(x: float, p_out: float) -> float:
     only if both of its uplink copies fail (x^2); otherwise the pair falls
     back to solo uplinks and at least one failing counts (1-(1-x)^2).
     """
-    eps = (1.0 - p_out) ** 2
-    return eps * x * x + (1.0 - eps) * (2.0 * x - x * x)
+    q = either_fails(p_out)
+    return (1.0 - q) * x * x + q * either_fails(x)
 
 
 def per_link_outage_nncc(p_out: float) -> float:
     """Per-cellular-link outage target that meets the end-to-end target.
 
-    Root in (0,1) of the quadratic (2*eps-1)*x^2 + 2*(1-eps)*x - p_out = 0
-    with eps = (1-p_out)^2, evaluated in the form 2*p/(b + sqrt(b^2+4*a*p))
-    which stays fully conditioned through the sign change of 2*eps-1 at
-    p_out = 1 - 1/sqrt(2).
+    Root in (0,1) of the quadratic (1-2q)*x^2 + 2q*x - p_out = 0 with q =
+    1-(1-p_out)^2 (``either_fails``), evaluated in the form 2*p/(b +
+    sqrt(b^2+4*a*p)) which stays fully conditioned through the sign change
+    of 1-2q at p_out = 1 - 1/sqrt(2).
     """
     if not (0.0 < p_out < 1.0):
         raise ValueError(f"p_out must lie in (0, 1), got {p_out!r}")
-    eps = (1.0 - p_out) ** 2
-    a = 2.0 * eps - 1.0
-    b = 2.0 * (1.0 - eps)
+    b = 2.0 * either_fails(p_out)
+    a = 1.0 - b
     return 2.0 * p_out / (b + math.sqrt(b * b + 4.0 * a * p_out))
 
 

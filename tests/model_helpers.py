@@ -14,10 +14,9 @@ of ``validate --seed 7``'s draw; ``nncc.distribution._tanh_sinh`` shares its
 steps between calls and integrates a batch of intervals at once;
 ``nncc.montecarlo``'s block kernel computes in place); the tests require the
 package's results to be bitwise equal to them.  ``rounds_drawn_directly`` is
-the protocol simulated round by round, fade by fade, which
-``nncc.estimate_outage`` replaces by a draw from the exact law of its counts;
-the tests require the two laws to agree.
-``event_rates`` reads that law's event probabilities.
+the protocol simulated round by round, fade by fade, whose outcomes
+``nncc.protocol_rates`` enumerates exactly; the tests require the simulated
+rounds to follow the enumerated law.
 """
 
 import math
@@ -26,8 +25,7 @@ import numpy as np
 
 from nncc.distribution import (_MAX_BEARINGS, _MEAN_EPSREL, _TS_H0, _TS_LEVELS, _TS_T,
                                IntegrationError, PowerQuadratic)
-from nncc import montecarlo
-from nncc.montecarlo import _BLOCK, _thresholds, protocol_round
+from nncc.montecarlo import _BLOCK, _thresholds
 from nncc.powermodel import conventional_coefficients, power_breakdown, power_coefficients
 
 
@@ -223,17 +221,3 @@ def rounds_drawn_directly(n: int, geom, params, stream) -> dict:
                            conv=~(conv1 & conv2)))
     return {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
 
-
-def event_rates(geom, params) -> dict:
-    """The exact probability of each event ``nncc.estimate_outage`` counts,
-    by its ``ProtocolCounts`` name (``uplink2_lost`` for handset 2's uplink),
-    summed over the classes of ``nncc.montecarlo._round_classes`` (looked up
-    at call time, so a fault installed there is seen)."""
-    (x, not_x), events, probs = montecarlo._round_classes(geom, params)
-    joint = np.concatenate((x * probs, not_x * probs))
-    delta0, own1, own2, relay1, relay2, conv1, conv2 = events
-    d1, d2, composite = protocol_round(delta0, own1, own2, relay1, relay2)
-    conv = protocol_round(False, conv1, conv2, False, False)[2]
-    return {name: math.fsum(joint[event]) for name, event in (
-        ("exchanged", delta0), ("lost_d1", ~d1), ("lost_d2", ~d2), ("outages", composite),
-        ("uplink1_lost", ~own1), ("uplink2_lost", ~own2), ("conv_outages", conv))}

@@ -18,7 +18,7 @@ time, so a test or the table can turn it on for one run:
   ``montecarlo._round_classes``, that share of every class where a copy
   succeeds moves to its twin class where the copy fails;
 - ``threshold_scale``: every fading threshold from ``powermodel.Link.threshold``
-  is ``1 + delta`` times too large, in the simulator and in a fixed-placement
+  is ``1 + delta`` times too large, in the round law and in a fixed-placement
   dataset alike;
 - ``baseline_eta_scale``: the baseline's uplink coefficients from
   ``powermodel.conventional_coefficients`` are ``1 + delta`` times too large,
@@ -38,7 +38,7 @@ time, so a test or the table can turn it on for one run:
   H(y; k*sqrt(1 + delta))) while the density is exact.  Scaling s2 in the
   kernel alone is not a plausible fault: the rule stops converging and
   raises ``IntegrationError``;
-- ``one_direction``: the simulator's exchange, the minimum of the two short-range
+- ``one_direction``: the round law's exchange, the minimum of the two short-range
   fades of mean sigma2_short/2, has the mean ``(1 + delta)*sigma2_short/2``;
   ``delta = 1`` is the one direction ``_meets(t12, sigma2_short)``;
 - ``nc_target_swapped``: the cooperative per-cellular-link target
@@ -228,15 +228,15 @@ FAULTS = {
     "none": (lambda monkeypatch, delta: None, (0.0,)),
     "distance_scale": (distance_scale, (0.001, 0.002, 0.003, 0.005, 0.01)),
     "bearing_skew": (bearing_skew, (0.005, 0.01, 0.02, 0.03)),
-    "slot3_uncharged": (slot3_uncharged, (1e-6, 1e-4, 1e-2, 1.0)),
-    "relay_dropped": (relay_dropped, (0.001, 0.003, 0.01, 0.03, 0.1)),
-    "threshold_scale": (threshold_scale, (0.01, 0.03, 0.1, 0.3)),
-    "baseline_eta_scale": (baseline_eta_scale, (0.01, 0.03, 0.1, 0.3)),
+    "slot3_uncharged": (slot3_uncharged, (1e-9, 1e-6, 1e-4, 1e-2, 1.0)),
+    "relay_dropped": (relay_dropped, (1e-9, 0.001, 0.003, 0.01, 0.03, 0.1)),
+    "threshold_scale": (threshold_scale, (1e-9, 0.01, 0.03, 0.1, 0.3)),
+    "baseline_eta_scale": (baseline_eta_scale, (1e-9, 0.01, 0.03, 0.1, 0.3)),
     "law_scale": (law_scale, (1e-9, 1e-8, 1e-6, 1e-3, 0.05)),
     "density_scale": (density_scale, (1e-10, 3e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-3)),
     "shared_substitution": (shared_substitution, (1e-8, 1e-7, 1e-6, 1e-4, 1e-2)),
-    "one_direction": (one_direction, (0.003, 0.01, 0.03, 0.1, 0.3, 1.0)),
-    "nc_target_swapped": (nc_target_swapped, (0.01, 0.03, 0.1, 0.3, 1.0)),
+    "one_direction": (one_direction, (1e-9, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0)),
+    "nc_target_swapped": (nc_target_swapped, (1e-9, 0.01, 0.03, 0.1, 0.3, 1.0)),
     "coeff_b_scale": (coeff_b_scale, (1e-9, 1e-8, 2e-8, 1e-7, 1e-6)),
 }
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from cdf_oracle import branch_form_cdf
-from model_helpers import binomial_z, cooperative_quadratic
+from model_helpers import binomial_z, cooperative_quadratic, rounds_drawn_directly
 from nncc import (
     Geometry,
     Link,
@@ -29,8 +29,9 @@ from nncc import (
 )
 from nncc.distribution import _y_upper
 from nncc.experiments import ExperimentSpec, sweep, validate_report
-from nncc.montecarlo import RandomStream, draw_power_samples, estimate_outage, \
-    ks_distance, sample_power_distribution
+from nncc.montecarlo import RandomStream, draw_power_samples, ks_distance, \
+    protocol_rates, sample_power_distribution
+from nncc.powermodel import either_fails
 
 
 def _report(number, message):
@@ -74,12 +75,14 @@ def test_criterion_03_conventional_target_and_simulation():
     assert abs(value - 5.00125e-4) < 1e-9
     params = validate(SystemParams())
     geom = Geometry(r1=2000.0, r=20.0, theta=0.5 * math.pi)
-    n = 10_000_000
-    counts = estimate_outage(n, geom, params, RandomStream(1003))
-    z = binomial_z(counts.conv_outages, n, 1e-3)
+    exact = protocol_rates(geom, params).conv_outage
+    assert abs(exact - 1e-3) <= 1e-12 * 1e-3
+    n = 2_000_000
+    conv = int(rounds_drawn_directly(n, geom, params, RandomStream(1003))["conv"].sum())
+    z = binomial_z(conv, n, 1e-3)
     assert abs(z) <= 3.0
-    _report(3, f"per-link target {value:.9e}; simulated composite "
-               f"{counts.conv_outages / n:.6e} (z = {z:+.2f}) at {n} trials")
+    _report(3, f"per-link target {value:.9e}; enumerated composite {exact:.15e}; "
+               f"simulated {conv / n:.6e} (z = {z:+.2f}) at {n} rounds")
 
 
 def test_criterion_04_total_equals_quadratic_form():
@@ -106,18 +109,25 @@ def test_criterion_04_total_equals_quadratic_form():
 def test_criterion_05_protocol_statistics():
     params = validate(SystemParams())
     geom = Geometry(r1=2000.0, r=20.0, theta=0.5 * math.pi)
-    n = 10_000_000
-    counts = estimate_outage(n, geom, params, RandomStream(1005))
     t = OutageTargets.for_target(params.p_out_target)
-    z_delta = binomial_z(counts.exchanged, n, t.eps_short)
-    z_comp = binomial_z(counts.outages, n, params.p_out_target)
+    x = t.p_out_nc
+    per_msg_pred = t.eps_short * x * x + either_fails(params.p_out_target) * x
+    rates = protocol_rates(geom, params)
+    for exact, target in ((rates.exchanged, t.eps_short), (rates.outage, params.p_out_target),
+                          (rates.lost_d1, per_msg_pred), (rates.lost_d2, per_msg_pred)):
+        assert abs(exact - target) <= 1e-12 * target
+    n = 2_000_000
+    rounds = rounds_drawn_directly(n, geom, params, RandomStream(1005))
+    exchanged, outages = int(rounds["delta0"].sum()), int(rounds["composite"].sum())
+    lost_d1 = int(n - rounds["d1"].sum())
+    z_delta = binomial_z(exchanged, n, t.eps_short)
+    z_comp = binomial_z(outages, n, params.p_out_target)
     assert abs(z_delta) <= 3.0
     assert abs(z_comp) <= 3.0
-    x = t.p_out_nc
-    per_msg_pred = t.eps_short * x * x + (1.0 - t.eps_short) * x
-    _report(5, f"Pr(delta=0) {counts.exchanged / n:.6f} (z = {z_delta:+.2f}); "
-               f"composite {counts.outages / n:.6e} (z = {z_comp:+.2f}); "
-               f"per-message {counts.lost_d1 / n:.6e} measured vs "
+    _report(5, f"exact rates within 1e-12 of their targets; simulated over {n} rounds: "
+               f"Pr(delta=0) {exchanged / n:.6f} (z = {z_delta:+.2f}); "
+               f"composite {outages / n:.6e} (z = {z_comp:+.2f}); "
+               f"per-message {lost_d1 / n:.6e} measured vs "
                f"{per_msg_pred:.6e} predicted (gap is semantic, not hidden)")
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mutants
-from model_helpers import cooperative_quadratic, event_rates
+from model_helpers import cooperative_quadratic
 from nncc import (Geometry, ParameterError, PowerQuadratic, SystemParams, cli,
                   conventional_coefficients, energy_efficiency, expected_power,
                   power_coefficients, validate)
@@ -123,7 +123,7 @@ def test_figure_spec_refuses_another_axis(tmp_path, monkeypatch, changes, named)
         raise AssertionError("a Monte Carlo sample was drawn")
 
     monkeypatch.setattr(mc, "sample_power_distribution", no_draw)
-    monkeypatch.setattr(mc, "estimate_outage", no_draw)
+    monkeypatch.setattr(mc, "exchange_counts", no_draw)
     out = tmp_path / "x.csv"
     with pytest.raises(ValueError, match=named):
         sweep(ExperimentSpec(kind="figure3", n_trials=10_000, out=str(out), **changes))
@@ -185,8 +185,7 @@ def test_a_dataset_draws_once(tmp_path, monkeypatch, kind, estimator):
     makes one pass over its blocks, and the exchange counts are one draw from
     their exact law on block 0, with no pass over trial blocks."""
     calls, passes, blocks = [], [], []
-    for name in ("exchange_counts", "sample_power_distribution", "estimate_outage",
-                 "draw_power_samples"):
+    for name in ("exchange_counts", "sample_power_distribution", "draw_power_samples"):
         monkeypatch.setattr(mc, name, lambda *a, _name=name, _fn=getattr(mc, name), **k:
                             calls.append(_name) or _fn(*a, **k))
     sum_blocks = mc._sum_blocks
@@ -286,7 +285,7 @@ def test_validate_report_passes_and_is_deterministic(tmp_path):
         paths.append(str(tmp_path / f"v{workers}.txt"))
         _, checks = validate_report(ExperimentSpec(kind="validate", out=paths[-1], seed=7,
                                                    n_trials=50_000, workers=workers))
-        assert len(checks) == 19 and not failed(checks)
+        assert len(checks) == 20 and not failed(checks)
         records.append(checks)
         assert threading.active_count() == before
     for path, checks in zip(paths[1:], records[1:]):
@@ -321,8 +320,8 @@ def test_validate_keeps_sections_a_to_c_on_the_calling_thread(tmp_path, monkeypa
     assert threads == [(name, threading.main_thread()) for name in names]
 
 
-@pytest.mark.parametrize("failing", [("draw_power_samples",), ("estimate_outage",),
-                                     ("draw_power_samples", "estimate_outage")],
+@pytest.mark.parametrize("failing", [("draw_power_samples",), ("protocol_rates",),
+                                     ("draw_power_samples", "protocol_rates")],
                          ids=["section-b", "section-d", "both"])
 def test_validate_error_is_the_same_beside_a_thread(tmp_path, capsys, monkeypatch,
                                                     failing):
@@ -346,7 +345,7 @@ def test_validate_error_is_the_same_beside_a_thread(tmp_path, capsys, monkeypatc
 
 
 def test_validate_report_check_inventory(tmp_path):
-    """The report's 19 bounded checks, by section, name and kind, in order,
+    """The report's 20 bounded checks, by section, name and kind, in order,
     each rendered as one PASS or FAIL line; and its INFO lines, by name."""
     path = tmp_path / "v.txt"
     _, checks = validate_report(ExperimentSpec(kind="validate", out=str(path), seed=7,
@@ -365,11 +364,12 @@ def test_validate_report_check_inventory(tmp_path):
         ("c", "closed form vs quadrature, rho=0.001 r1=1000", "identity"),
         ("c", "closed form vs quadrature, rho=0.003 r1=500", "identity"),
         ("c", "closed form vs quadrature, rho=0.01 r1=150", "identity"),
-        ("d", "exchange success rate Pr(delta = 0)", "z"),
-        ("d", "composite outage rate", "z"),
-        ("d", "mean round energy vs exchange rate, relative residual", "identity"),
-        ("d", "single cellular uplink outage", "z"),
-        ("d", "conventional composite outage", "z"),
+        ("d", "exchange success rate Pr(delta = 0), relative residual", "identity"),
+        ("d", "composite outage rate, relative residual", "identity"),
+        ("d", "conventional composite outage, relative residual", "identity"),
+        ("d", "per-message outage rate, relative residual", "identity"),
+        ("d", "single cellular uplink outage, relative residual", "identity"),
+        ("d", "mean round energy vs total, relative residual", "identity"),
         ("e", "density integral vs CDF difference, worst of three y cells", "identity"),
         ("e", "|integral of branch-form PDF over support - 1|", "identity"),
     ]
@@ -386,7 +386,6 @@ def test_validate_report_check_inventory(tmp_path):
         "Monte Carlo mean, rho=0.001 r1=1000",
         "Monte Carlo mean, rho=0.003 r1=500",
         "Monte Carlo mean, rho=0.01 r1=150",
-        "per-message outage rate (reported, lower than composite)",
         "upper-branch additive boundary term",
     ]
 
@@ -463,6 +462,20 @@ def test_closure_identity_reads_no_seed(tmp_path):
     assert "(512 grid placements)" in sections[0]
 
 
+def test_protocol_identities_read_neither_seed_nor_trials(tmp_path):
+    """Section [d] enumerates the round law with no draw: seeds 0 and 7 and
+    1e4 and 2e4 trials write the same [d] lines."""
+    sections = []
+    for seed, n_trials in ((0, 10_000), (7, 10_000), (7, 20_000)):
+        path = tmp_path / f"v{seed}-{n_trials}.txt"
+        validate_report(ExperimentSpec(kind="validate", out=str(path), seed=seed,
+                                       n_trials=n_trials))
+        text = path.read_text(encoding="utf-8")
+        sections.append(text[text.index("[d] "):text.index("[e] ")])
+    assert sections[0] == sections[1] == sections[2]
+    assert sections[0].count("  PASS ") == 6
+
+
 def test_closure_identity_sees_a_scaled_bearing_coefficient(tmp_path, monkeypatch):
     """b_coeff 1e-7 too small in ``PowerQuadratic.from_coefficients``: sections
     [b], [c] and [e] read that quadratic on both sides, so at 1e4 trials [a]'s
@@ -521,47 +534,66 @@ def test_round_energy_identity_sees_an_uncharged_slot_3(tmp_path, monkeypatch):
     mutants.slot3_uncharged(monkeypatch, 1.0)
     _, checks = validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
                                                seed=7, n_trials=10_000))
-    assert failed(checks) == ["mean round energy vs exchange rate, relative residual"]
+    assert failed(checks) == ["mean round energy vs total, relative residual"]
 
 
 def test_composite_outage_sees_dropped_relays(tmp_path, monkeypatch):
-    """Section [d] sees slot 3: with each relayed copy's success probability a
-    fifth too small, the composite outage rate is the only failing check, at
-    1e4 trials."""
-    mutants.relay_dropped(monkeypatch, 0.2)
+    """Section [d] sees slot 3: with each relayed copy's success probability
+    1e-9 too small, the composite and per-message outage rates are the only
+    failing checks."""
+    mutants.relay_dropped(monkeypatch, 1e-9)
     _, checks = validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
                                                seed=7, n_trials=10_000))
-    assert failed(checks) == ["composite outage rate"]
+    assert failed(checks) == ["composite outage rate, relative residual",
+                              "per-message outage rate, relative residual"]
 
 
 def test_single_uplink_rate_sees_a_scaled_threshold(tmp_path, monkeypatch):
-    """Every fading threshold 30 % too high: at 1e4 trials section [d]'s
-    single-uplink rate is the only failing check."""
-    mutants.threshold_scale(monkeypatch, 0.3)
+    """Every fading threshold 1e-9 too high: every enumerated rate of section
+    [d] leaves its target, and no check outside [d] fails (the round's mean
+    energy moves by less than its 1e-12 bound)."""
+    mutants.threshold_scale(monkeypatch, 1e-9)
     _, checks = validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
                                                seed=7, n_trials=10_000))
-    assert failed(checks) == ["single cellular uplink outage"]
+    assert failed(checks) == [
+        "exchange success rate Pr(delta = 0), relative residual",
+        "composite outage rate, relative residual",
+        "conventional composite outage, relative residual",
+        "per-message outage rate, relative residual",
+        "single cellular uplink outage, relative residual"]
 
 
 def test_exchange_rate_sees_one_direction_only(tmp_path, monkeypatch):
-    """The simulator's exchange taken as one direction, a fade of mean sigma2_short
-    in place of the minimum of two: at 1e4 trials on seed 0 section [d]'s exchange
-    rate is the only failing check (it fires on 2 of seeds 0-4 there, on all 5 at
-    1e6 from a tenth of the fault on)."""
-    mutants.one_direction(monkeypatch, 1.0)
+    """The simulator's exchange of mean (1 + 1e-9)*sigma2_short/2, the fault
+    whose full size is one direction in place of the minimum of two: the
+    exchange, composite and per-message rates of section [d] are the only
+    failing checks."""
+    mutants.one_direction(monkeypatch, 1e-9)
     _, checks = validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
                                                seed=0, n_trials=10_000))
-    assert failed(checks) == ["exchange success rate Pr(delta = 0)"]
+    assert failed(checks) == ["exchange success rate Pr(delta = 0), relative residual",
+                              "composite outage rate, relative residual",
+                              "per-message outage rate, relative residual"]
 
 
 def test_composite_outage_sees_the_baseline_target(tmp_path, monkeypatch):
-    """The cooperative uplinks held to the baseline's per-link target p_out_c, in
-    the closed forms and the simulator alike: at 1e4 trials the composite outage
-    rate is the only failing check."""
-    mutants.nc_target_swapped(monkeypatch, 1.0)
+    """The cooperative per-link target moved 1e-9 of the way to the baseline's
+    p_out_c, in the closed forms and the round law alike: the uplink and
+    per-message rates follow the moved target, so the composite outage rate is
+    the only failing check."""
+    mutants.nc_target_swapped(monkeypatch, 1e-9)
     _, checks = validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
                                                seed=7, n_trials=10_000))
-    assert failed(checks) == ["composite outage rate"]
+    assert failed(checks) == ["composite outage rate, relative residual"]
+
+
+def test_conventional_outage_sees_a_scaled_baseline_eta(tmp_path, monkeypatch):
+    """The baseline's uplink coefficients 1e-9 too large move its thresholds:
+    section [d]'s conventional composite outage is the only failing check."""
+    mutants.baseline_eta_scale(monkeypatch, 1e-9)
+    _, checks = validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
+                                               seed=7, n_trials=10_000))
+    assert failed(checks) == ["conventional composite outage, relative residual"]
 
 
 def test_density_cells_see_a_scaled_density(tmp_path, monkeypatch):
@@ -597,7 +629,7 @@ def test_baseline_eta_scale_reaches_every_reader_of_the_baseline(tmp_path, monke
 
     def run(out):
         return (read_rows(sweep(replace(spec, out=str(tmp_path / out)))),
-                event_rates(geom, validate(SystemParams())))
+                mc.protocol_rates(geom, validate(SystemParams()))._asdict())
 
     exact, exact_rates = run("exact.csv")
     mutants.baseline_eta_scale(monkeypatch, 1.0)
@@ -607,8 +639,8 @@ def test_baseline_eta_scale_reaches_every_reader_of_the_baseline(tmp_path, monke
         assert bad[3] == pytest.approx(2.0 * row[3], rel=1e-11, abs=0)  # e_conv
     # twice the power: about half the conventional outages, the round's other
     # event rates unchanged
-    conv = exact_rates.pop("conv_outages")
-    assert faulty_rates.pop("conv_outages") == pytest.approx(0.5 * conv, rel=1e-3, abs=0)
+    conv = exact_rates.pop("conv_outage")
+    assert faulty_rates.pop("conv_outage") == pytest.approx(0.5 * conv, rel=1e-3, abs=0)
     assert faulty_rates == pytest.approx(exact_rates, rel=1e-14, abs=0)
 
 
@@ -682,7 +714,7 @@ def test_cli_validate_support_ending_near_c0(tmp_path):
     out = tmp_path / "v.txt"
     assert main(["validate", "--out", str(out), "--seed", "7", "--trials", "10000",
                  "--rho", "0.1", "--r1", "20000"]) == 0
-    assert "summary: 19/19 bounded checks passed" in out.read_text(encoding="utf-8")
+    assert "summary: 20/20 bounded checks passed" in out.read_text(encoding="utf-8")
 
 
 def test_cli_validate_dense_far_regime(tmp_path):
@@ -690,7 +722,7 @@ def test_cli_validate_dense_far_regime(tmp_path):
     out = tmp_path / "v.txt"
     assert main(["validate", "--out", str(out), "--seed", "7", "--trials", "10000",
                  "--rho", "1", "--r1", "100000"]) == 0
-    assert "summary: 19/19 bounded checks passed" in out.read_text(encoding="utf-8")
+    assert "summary: 20/20 bounded checks passed" in out.read_text(encoding="utf-8")
 
 
 def test_cli_integration_error_exits_1(tmp_path, capsys, monkeypatch):
@@ -739,7 +771,7 @@ def test_cli_validate_unequal_handset_gains(tmp_path):
     out = tmp_path / "v.txt"
     assert main(["validate", "--out", str(out), "--g_u2_db", "-3",
                  "--trials", "200000", "--seed", "0"]) == 0
-    assert "summary: 19/19 bounded checks passed" in out.read_text(encoding="utf-8")
+    assert "summary: 20/20 bounded checks passed" in out.read_text(encoding="utf-8")
 
 
 def test_cli_rate_overflow_exits_2(tmp_path, capsys):
@@ -773,8 +805,8 @@ def test_cli_validate_energy_without_spread(tmp_path):
                 ["--trials", "1000000", "--seed", "7", "--workers", "2"]):
         assert main(["validate", "--out", str(out), "--rate", "1e9"] + run) == 0
         text = out.read_text(encoding="utf-8")
-        assert "summary: 19/19 bounded checks passed" in text
-        assert "PASS mean round energy vs exchange rate, relative residual: " in text
+        assert "summary: 20/20 bounded checks passed" in text
+        assert "PASS mean round energy vs total, relative residual: " in text
 
 
 _SWEEP_R1 = ["sweep", "--var", "r1", "--min", "500", "--max", "1000", "--count", "2"]
@@ -897,7 +929,6 @@ def test_cli_refuses_bad_run_before_any_draw(tmp_path, capsys, monkeypatch, argv
 
     monkeypatch.setattr(mc.RandomStream, "block", no_draw)
     monkeypatch.setattr(mc, "draw_power_samples", no_draw)
-    monkeypatch.setattr(mc, "estimate_outage", no_draw)
     monkeypatch.setattr(mc, "exchange_counts", no_draw)
     out = tmp_path / "o.txt"
     if "--trials" not in argv:
@@ -933,7 +964,7 @@ def test_validate_at_rho_1e300_passes_section_e(tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     text = out.read_text(encoding="utf-8")
-    assert "summary: 19/19 bounded checks passed" in text
+    assert "summary: 20/20 bounded checks passed" in text
     assert "  PASS density integral vs CDF difference, worst of three y cells: " in text
 
 
@@ -950,7 +981,7 @@ def test_validate_passes_across_the_law_shapes(tmp_path, flags):
     out = tmp_path / "v.txt"
     assert main(["validate", "--trials", "10000", "--seed", "7", "--out", str(out)]
                 + flags) == 0
-    assert "summary: 19/19 bounded checks passed" in out.read_text(encoding="utf-8")
+    assert "summary: 20/20 bounded checks passed" in out.read_text(encoding="utf-8")
 
 
 def test_cli_sweep_passes_above_the_baseline_underflow(tmp_path):
@@ -1021,26 +1052,7 @@ def test_cli_validate_passes_near_the_float_limits(tmp_path, flags):
     out = tmp_path / "v.txt"
     assert main(["validate", "--seed", "7", "--trials", "10000", "--out", str(out)]
                 + flags) == 0
-    assert "summary: 19/19 bounded checks passed" in out.read_text(encoding="utf-8")
-
-
-def test_protocol_rate_checks_read_the_estimators_counts(tmp_path):
-    """Each rate check of section [d] is k / n of one ``estimate_outage`` call
-    on stream 301, with the binomial standard error sqrt(p(1-p)/n)."""
-    n = 10_000
-    _, checks = validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
-                                               seed=7, n_trials=n))
-    counts = mc.estimate_outage(n, Geometry(r1=DEFAULT_R1, r=20.0, theta=0.5 * math.pi),
-                                validate(SystemParams()), mc.RandomStream(7, stream_id=301))
-    rates = [c for c in checks if c.section == "d" and c.kind == "z"]
-    assert [c.name for c in rates] == [
-        "exchange success rate Pr(delta = 0)", "composite outage rate",
-        "single cellular uplink outage", "conventional composite outage"]
-    for check, k in zip(rates, (counts.exchanged, counts.outages, counts.uplink1_lost,
-                                counts.conv_outages)):
-        p = k / n
-        assert check.value == p
-        assert check.stderr == math.sqrt(p * (1.0 - p) / n)
+    assert "summary: 20/20 bounded checks passed" in out.read_text(encoding="utf-8")
 
 
 def test_cli_quadratic_overflow_exits_2(tmp_path, capsys):
@@ -1106,7 +1118,7 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip().splitlines()[-1] == "[]"
-    assert "summary: 19/19 bounded checks passed" in out.read_text(encoding="utf-8")
+    assert "summary: 20/20 bounded checks passed" in out.read_text(encoding="utf-8")
 
 
 def test_cli_verbs_in_one_process_match_separate_processes(tmp_path):
@@ -1157,12 +1169,13 @@ def test_traced_validate_binds_the_benchmark_names(tmp_path):
 def test_traced_validate_beside_a_thread(tmp_path):
     """With 2 workers section [d] runs on ``cli.main``'s thread like every
     section: the work counts stay, and every parent is a span of the same
-    run."""
+    run.  [d] draws no rounds, so the benchmark's protocol-estimator row
+    counts none."""
     spans, recorded = _traced_validate(tmp_path, "--workers", "2")
     metrics = spans.pass_metrics(recorded, pass_wall_s=1.0)
-    assert metrics["montecarlo.estimate_outage.trials"] == 10_000
+    assert metrics["montecarlo.estimate_outage.trials"] == 0
     assert metrics["montecarlo.ks_distance.points"] == 10_000
     ids = {s.id for s in recorded}
     assert all(s.parent == 0 or s.parent in ids for s in recorded)
     thread = {s.name: s.thread for s in recorded}
-    assert thread["montecarlo.estimate_outage"] == thread["cli.main"]
+    assert thread["montecarlo.protocol_rates"] == thread["cli.main"]

@@ -11,9 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from cdf_oracle import cdf_oracle
-from model_helpers import (binomial_z, cooperative_quadratic, ks_distance_of_values,
-                           event_rates, placements_by_expression,
-                           power_samples_by_expression, rounds_drawn_directly)
+from model_helpers import (cooperative_quadratic, ks_distance_of_values,
+                           placements_by_expression, power_samples_by_expression,
+                           rounds_drawn_directly)
 from nncc import (
     Geometry,
     SystemParams,
@@ -34,13 +34,14 @@ from nncc.montecarlo import (
     RandomStream,
     _thresholds,
     draw_power_samples,
-    estimate_outage,
     exchange_counts,
     exchange_energy,
     ks_distance,
+    protocol_rates,
     protocol_round,
     sample_power_distribution,
 )
+from nncc.powermodel import either_fails
 
 INF = float("inf")
 
@@ -195,21 +196,27 @@ def test_protocol_round_failed_exchange_is_conventional():
 
 
 def test_trial_energy_accounting_identity(params):
-    """Each round pays both exchange directions and one or two cellular slots."""
-    geom = fixed_geom()
+    """Each round pays both exchange directions and one or two cellular slots:
+    over drawn rounds (``exchange_energy``) and over the enumerated law alike."""
+    geom, n = fixed_geom(), 50_000
     powers = power_breakdown(geom, power_coefficients(params))
-    counts = estimate_outage(50_000, geom, params, RandomStream(77))
-    assert 0 < counts.exchanged < 50_000
-    assert counts.mean_energy == pytest.approx(
-        2.0 * powers.p12 + (1.0 + counts.exchanged / 50_000) * (powers.p1b + powers.p2b),
-        rel=1e-12, abs=0)
+    t12 = _thresholds(geom, powers, params)[0]
+    (k,) = exchange_counts(n, [t12], params.sigma2_short, RandomStream(77))
+    assert 0 < k < n
+    assert exchange_energy(n, k, powers)[0] == pytest.approx(
+        2.0 * powers.p12 + (1.0 + k / n) * (powers.p1b + powers.p2b), rel=1e-12, abs=0)
+    rates = protocol_rates(geom, params)
+    assert rates.mean_energy == pytest.approx(
+        2.0 * powers.p12 + (1.0 + rates.exchanged) * (powers.p1b + powers.p2b),
+        rel=1e-15, abs=0)
 
 
 # --- estimators ----------------------------------------------------------------
 
 def test_estimate_outage_requires_minimum_trials(params):
+    """A drawn protocol estimate, ``exchange_counts``, needs MIN_TRIALS rounds."""
     with pytest.raises(ValueError) as err:
-        estimate_outage(10, fixed_geom(), params, RandomStream(0))
+        exchange_counts(10, [1.0], params.sigma2_short, RandomStream(0))
     assert str(MIN_TRIALS) in str(err.value)
 
 
@@ -222,29 +229,7 @@ def test_estimate_outage_refuses_exchange_power_outside_normal_floats(params, r)
     assert err.value.field == "r"
     montecarlo.require_exchange_distance(1e-140, params)
     with pytest.raises(ParameterError):
-        estimate_outage(MIN_TRIALS, fixed_geom(r=1e-160), params, RandomStream(0))
-
-
-def test_estimate_outage_statistics(params):
-    n = 1_000_000
-    counts = estimate_outage(n, fixed_geom(), params, RandomStream(41))
-    t = OutageTargets.for_target(params.p_out_target)
-    assert abs(binomial_z(counts.exchanged, n, t.eps_short)) < 3.0
-    assert abs(binomial_z(counts.outages, n, params.p_out_target)) < 3.0
-    # per-message rate sits below the composite target
-    x = t.p_out_nc
-    per_msg = t.eps_short * x * x + (1.0 - t.eps_short) * x
-    assert abs(binomial_z(counts.lost_d1, n, per_msg)) < 4.0
-    assert abs(binomial_z(counts.lost_d2, n, per_msg)) < 4.0
-    assert per_msg < params.p_out_target
-
-
-def test_estimate_outage_conventional(params):
-    """The baseline's solo uplinks, on the cooperative round's slot-2 fades,
-    meet the end-to-end target."""
-    n = 1_000_000
-    counts = estimate_outage(n, fixed_geom(), params, RandomStream(42))
-    assert abs(binomial_z(counts.conv_outages, n, params.p_out_target)) < 3.0
+        protocol_rates(fixed_geom(r=1e-160), params)
 
 
 def outcome_law(geom, params) -> dict:
@@ -263,19 +248,22 @@ def outcome_law(geom, params) -> dict:
 @pytest.mark.parametrize("overrides", [{}, {"g_u2_db": -3.0}, {"rate": 1e9},
                                        {"p_out_target": 0.1}, {"p_out_target": 1e-5}])
 def test_round_classes_give_the_closed_form_rates(overrides):
-    """Summed over the enumerated classes, each event's probability is its
-    closed-form target to 1e-12 relative: the event algebra the per-link
-    targets were derived from, reproduced from ``protocol_round``."""
+    """Summed over the enumerated classes (``protocol_rates``), each event's
+    probability is its closed-form target to 1e-12 relative: the event algebra
+    the per-link targets were derived from, reproduced from ``protocol_round``."""
     params = validate(SystemParams(**overrides))
     _, events, probs = montecarlo._round_classes(fixed_geom(), params)
     assert len(probs) == 36 and all(len(column) == 72 for column in events)
     assert math.fsum(probs) == pytest.approx(1.0, rel=1e-15, abs=0)
     t = OutageTargets.for_target(params.p_out_target)
-    per_msg = t.eps_short * t.p_out_nc ** 2 + (1.0 - t.eps_short) * t.p_out_nc
+    x = t.p_out_nc
+    per_msg = t.eps_short * x * x + either_fails(params.p_out_target) * x
     targets = dict(exchanged=t.eps_short, lost_d1=per_msg, lost_d2=per_msg,
-                   outages=params.p_out_target, uplink1_lost=t.p_out_nc,
-                   uplink2_lost=t.p_out_nc, conv_outages=params.p_out_target)
-    assert event_rates(fixed_geom(), params) == pytest.approx(targets, rel=1e-12, abs=0)
+                   outage=params.p_out_target, uplink1_lost=x, uplink2_lost=x,
+                   conv_outage=params.p_out_target,
+                   mean_energy=power_breakdown(fixed_geom(), power_coefficients(params)).total)
+    rates = protocol_rates(fixed_geom(), params)
+    assert rates._asdict() == pytest.approx(targets, rel=1e-12, abs=0)
 
 
 def test_per_round_kernel_follows_the_class_law():
@@ -301,40 +289,11 @@ def test_per_round_kernel_follows_the_class_law():
     assert p_value > 1e-3
 
 
-@pytest.mark.parametrize("scheme", ["nncc", "conventional"])
-def test_estimate_outage_counts_follow_the_draw_order(params, scheme):
-    """Each scheme's counts are those of the documented draw on block 0: the
-    exchange count k ~ Bin(n, Pr(delta = 0)), then one multinomial over the
-    classes after a successful exchange (k rounds) and one after a failed
-    one (n - k), each class's outcome by the protocol's rules written out."""
-    geom, n = fixed_geom(r1=2600.0, r=35.0), 70_000
-    counts = estimate_outage(n, geom, params, RandomStream(53))
-    (x, _), events, probs = montecarlo._round_classes(geom, params)
-    rng = RandomStream(53).block(0)
-    k = rng.binomial(n, x)
-    by_class = np.concatenate((rng.multinomial(k, probs), rng.multinomial(n - k, probs)))
-    lost = np.zeros(5, dtype=int)
-    for m, x0, o1, o2, r1, r2, v1, v2 in zip(by_class, *events):
-        d1, d2 = o1 or (x0 and r1), o2 or (x0 and r2)
-        composite = not d1 if x0 else not (d1 and d2)
-        lost += m * np.array([not d1, not d2, composite, not o1, not (v1 and v2)])
-    if scheme == "nncc":
-        assert counts.exchanged == k
-        assert (counts.lost_d1, counts.lost_d2, counts.outages,
-                counts.uplink1_lost) == tuple(lost[:4])
-        assert min(lost[:4]) > 0
-        assert lost[0] < lost[3]  # slot-3 copies delivered some of message 1
-    else:
-        assert counts.conv_outages == lost[4]
-        assert lost[4] > 0
-
-
 def test_exchange_counts_share_estimate_outages_exchange_draw(params):
     """One exchange draw counted at several thresholds is the chain of
     conditional binomials on block 0, at the thresholds sorted ascending; a
     tie gets the same count and an infinite threshold 0.  At the cooperative
-    t12 alone the count is ``estimate_outage``'s exchange count on the same
-    stream, with the same round energy."""
+    t12 alone the count is one binomial at the exact exchange rate."""
     geom, n = fixed_geom(r1=2600.0, r=35.0), 70_000
     powers = power_breakdown(geom, power_coefficients(params))
     t12 = _thresholds(geom, powers, params)[0]
@@ -350,9 +309,8 @@ def test_exchange_counts_share_estimate_outages_exchange_draw(params):
     assert all(type(k) is int for k in counts)
     assert counts[1] == counts[4] and counts[5] == 0 and 0 < counts[0] < counts[3]
     alone = exchange_counts(n, [t12], params.sigma2_short, RandomStream(53))
-    full = estimate_outage(n, geom, params, RandomStream(53))
-    assert alone == [full.exchanged]
-    assert exchange_energy(n, alone[0], powers) == (full.mean_energy, full.energy_stderr)
+    assert alone == [RandomStream(53).block(0).binomial(n, protocol_rates(geom, params)
+                                                        .exchanged)]
 
 
 def test_exchange_counts_chain_matches_direct_exchanges(params):
@@ -380,26 +338,6 @@ def test_exchange_counts_chain_matches_direct_exchanges(params):
     for t, k in zip(thresholds, chain):
         q = math.exp(-2.0 * t / sigma2)
         assert abs(k - n * q) <= 4.0 * math.sqrt(n * q * (1.0 - q))
-
-
-def test_estimate_outage_draws_once_from_block_0(params, monkeypatch):
-    """The counts are one draw from their exact law: at any n the call reads
-    one generator, block 0 of its stream, and the same stream gives the same
-    record."""
-    blocks = []
-    block = RandomStream.block
-    monkeypatch.setattr(RandomStream, "block",
-                        lambda stream, j: blocks.append(j) or block(stream, j))
-    for n in (MIN_TRIALS, 150_000, 10**9):
-        a = estimate_outage(n, fixed_geom(), params, RandomStream(43))
-        assert None not in a and a == estimate_outage(n, fixed_geom(), params,
-                                                      RandomStream(43))
-    assert blocks == [0] * 6
-
-def test_estimate_outage_uplink1_cellular(params):
-    t = OutageTargets.for_target(params.p_out_target)
-    counts = estimate_outage(1_000_000, fixed_geom(), params, RandomStream(44))
-    assert abs(binomial_z(counts.uplink1_lost, 1_000_000, t.p_out_nc)) < 3.0
 
 
 def test_fading_marginals(params):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -80,6 +81,20 @@ def test_per_link_nncc_composite_closure():
         x = per_link_outage_nncc(p)
         eps = (1.0 - p) ** 2
         assert abs(eps * x * x + (1.0 - eps) * (2.0 * x - x * x) - p) < 1e-12
+
+
+def test_per_link_nncc_at_every_decade_to_the_float_floor():
+    """Within 1e-15 relative of the 60-digit root of (2*eps-1)*x^2 +
+    2*(1-eps)*x - p = 0, eps = (1-p)^2, at p = 1e-1 to 1e-307: the form keeps
+    1 - (1-p)^2 from cancelling, which alone was 3.1e-14 off at 1e-5."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for e in range(1, 308):
+            p = 10.0 ** -e
+            eps = (1 - Decimal(p)) ** 2
+            a, b = 2 * eps - 1, 2 * (1 - eps)
+            root = 2 * Decimal(p) / (b + (b * b + 4 * a * Decimal(p)).sqrt())
+            assert abs(Decimal(per_link_outage_nncc(p)) - root) <= Decimal(1e-15) * root, e
 
 
 def test_per_link_nncc_rejects_out_of_range():
