@@ -42,22 +42,28 @@ V > 0 as k vanishes, where the phi = 0 limits are 0/0.
 Then w = V*cos(phi) (W*cos(phi)), and Q2 folds w onto [0, V].  The
 integrand becomes a smooth, even, pi-periodic function of phi in [0, pi/2]
 (Trefethen, Approximation Theory and Approximation Practice, ch. 19), on
-which the trapezoid rule converges geometrically.  It doubles, reusing its
-nodes, until |T_2n - T_n| <= ``_CDF_TOL``, point by point; every point takes the
-first doubling, so one kernel call opens on 8 intervals and their midpoints.
+which the trapezoid rule converges geometrically: from 8 intervals (h = 1/16 of
+the mean over [0, pi/2]; the grid with half the phi = 0 limit, then the midpoints,
+in one kernel call), at atol ``_CDF_TOL``, up to ``_MAX_NODES`` = 8192 intervals.
 
-The independent checks of ``validate`` are the mean by nested 2-D quadrature, its
-periodic bearing by the trapezoid rule as above (Trefethen & Weideman, SIAM Review
-56(3), 2014) and its distance by ``_tanh_sinh``, and the density of y over the cells
-[-k^2/4, s], [s, 0] and [0, y_hi], y_hi = ``_y_upper``(k, 1e-9), s = max(-k^2/4,
--y_hi), each against H, by ``_tanh_sinh``: the double-exponential rule of Takahasi
-and Mori (1974), x = mid + half*tanh(pi/2*sinh(t)), the trapezoid rule in t on
-[-3.5, 3.5] that halves its step from 1/2, reusing its nodes, until |T_h/2 - T_h|
-plus the two end terms (the truncation estimate) is at most atol + rtol*|T_h/2|; a
-sum that is not finite has not converged, and past ``_TS_LEVELS`` = 7 halvings (1793
-nodes) it raises ``IntegrationError`` naming the interval.  The interval-free factors
-of nodes and weights are computed once (``_TS_RULE``); the first ``_TS_OPEN`` = 4
-levels go to the integrand in one call, and are summed and tested level by level.
+The independent checks of ``validate`` are the mean by nested 2-D quadrature and the
+density of y over the cells [-k^2/4, s], [s, 0] and [0, y_hi], y_hi = ``_y_upper``(k,
+1e-9), s = max(-k^2/4, -y_hi), each against H.  The mean's periodic bearing goes by
+the trapezoid rule as above (Trefethen & Weideman, SIAM Review 56(3), 2014): h =
+2*pi/4, opening on the even and then the odd of 8 bearings, at rtol ``_MEAN_EPSREL``
+up to ``_MAX_BEARINGS`` = 256.  Its distance and the cells go by ``_tanh_sinh``
+(Takahasi & Mori, 1974): x = mid + half*tanh(pi/2*sinh(t)), the trapezoid rule in t
+on [-3.5, 3.5] from h = 1/2 with the two end terms, its first ``_TS_OPEN`` = 4 levels
+in one call, up to ``_TS_LEVELS`` = 7 halvings (1793 nodes); the interval-free
+factors of its nodes and weights are computed once (``_TS_RULE``).
+
+The three are one doubling rule, ``_doubling``, on rows (points, sets or intervals).
+Level 0 is the opening rule of step h; each later level halves h and adds the new
+nodes' sums.  From level 1 a row meets |T_h/2 - T_h| (plus h/2 times the end terms,
+tanh-sinh's truncation estimate) <= atol + rtol*|T_h/2| once each entry does; it is
+then frozen, never evaluated again, with the bits of a call on it alone.  A running
+sum that is not finite never clears, so it is an ``IntegrationError`` at once, as is
+a row still going past the last level; each names the row.
 """
 
 from __future__ import annotations
@@ -91,6 +97,57 @@ _CELLS = 4096 * 128
 
 class IntegrationError(RuntimeError):
     """A quadrature failed to reach its error tolerance."""
+
+
+def _doubling(opening, more, h: float, last: int, name, size, atol: float = 0.0,
+              rtol: float = 0.0, ends=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the value and last change of the doubling rule (module docstring).
+
+    ``opening`` holds the sums of levels 0, 1, ... on every row, each of shape
+    (rows, entries...), and ``more(level, live)`` gives a later level's sums on
+    the rows ``live`` still going; level 0's value is h times its sum.  An
+    ``IntegrationError`` names row i as ``name(i)`` and level L as ``size(L)``;
+    a sum not finite at level 0 is seen at level 1.
+    """
+    total, pending = opening[0], list(opening[1:])
+    value = h * total
+    live = np.arange(len(total))
+    values, changes = np.empty_like(value), np.empty_like(value)
+    change = math.inf  # no change before level 1
+    for level in range(1, last + 1):
+        total = total + (pending.pop(0) if pending else more(level, live))
+        h = 0.5 * h
+        finer = h * total
+        finite = np.isfinite(finer)  # tested first, so inf - inf never occurs
+        if np.count_nonzero(finite) < finite.size:  # the first row and entry not finite
+            raise IntegrationError(f"{name(live[np.nonzero(~finite)[0][0]])} is not finite at "
+                                   f"{size(level)} (estimate {float(finer[~finite][0])!r})")
+        change = np.abs(finer - value)
+        if ends is not None:
+            change += h * ends
+        value = finer
+        done = change <= (atol + rtol * np.abs(value) if rtol else atol)
+        if done.ndim > 1:  # a row is done when each of its entries is
+            done = done.reshape(live.size, -1).all(axis=1)
+        n_done = np.count_nonzero(done)
+        if n_done == len(values):  # every row at this level: nothing to gather
+            return value, change
+        if not n_done:
+            continue
+        values[live[done]], changes[live[done]] = value[done], change[done]
+        if n_done == live.size:
+            return values, changes
+        # freeze the rows that met the test: ``more`` never sees them again
+        going = ~done
+        live, total, value, change = live[going], total[going], value[going], change[going]
+        pending = [sums[going] for sums in pending]
+        if ends is not None:
+            ends = ends[going]
+    # the first row still going, at its largest change
+    value, change = np.ravel(value[0]), np.ravel(np.broadcast_to(change, total.shape)[0])
+    worst = np.argmax(change)
+    raise IntegrationError(f"{name(live[0])} did not converge within {size(last)} "
+                           f"(estimate {float(value[worst])!r}, change {float(change[worst])!r})")
 
 
 def _ts_rule():
@@ -128,55 +185,33 @@ def _tanh_sinh(f, lo, hi, atol: float, rtol: float):
     ``lo`` and ``hi`` are 1-D arrays of m ends.  ``f(x, live)`` takes the
     abscissae ``x`` of the intervals ``live`` (integer indices), one row
     each, and returns values of shape (len(live), entries..., nodes); the
-    result has shape (m, entries...), and every entry must meet the stop test
-    of the module docstring.  The intervals (the five sets of the mean, the
-    density's three cells) go through one loop: one ``f`` call for levels 0 to
-    ``_TS_OPEN`` - 1, then one per level.  Each stops on its own test, level by
-    level, is not evaluated again, and gets the bits of a call on it alone.
+    result has shape (m, entries...).  The intervals (the five sets of the
+    mean, the density's three cells) are the rows of one ``_doubling`` run: one
+    ``f`` call for levels 0 to ``_TS_OPEN`` - 1, then one per level on the
+    intervals still going.  An ``IntegrationError`` names the interval.
     """
     lo_all, hi_all = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    # the intervals still going, their ends as columns, and their half widths
-    live, lo_live, hi_live = np.arange(lo_all.size), lo_all[:, None], hi_all[:, None]
-    half = 0.5 * (hi_live - lo_live)
+    half = 0.5 * (hi_all - lo_all)[:, None]
 
-    def terms(rule):  # f times dx/dt at one entry's steps; each node is the nearer
-        # endpoint -+ its distance from it, so nodes near lo = 0 keep their digits
+    def terms(rule, live):  # f times dx/dt at one entry's steps; each node is the
+        # nearer endpoint -+ its distance from it, so nodes near lo = 0 keep their digits
         negative, unit, cosh, e, square = rule
-        dist = half * unit
-        values = f(np.where(negative, lo_live + dist, hi_live - dist), live)
-        weights = half * 2.0 * math.pi * cosh * e / square
+        dist = half[live] * unit
+        values = f(np.where(negative, lo_all[live, None] + dist, hi_all[live, None] - dist),
+                   live)
+        weights = half[live] * 2.0 * math.pi * cosh * e / square
         return values * weights.reshape(weights.shape[:1] + (1,) * (values.ndim - 2)
                                         + weights.shape[1:])
 
-    g = terms(_TS_RULE[0])  # levels 0 to _TS_OPEN - 1 in one call, summed level by level
-    opening = [g[..., a:b].sum(axis=-1) for a, b in zip(_TS_CUTS, _TS_CUTS[1:])]
-    h, total, ends = _TS_H0, opening[0], np.abs(g[..., 0]) + np.abs(g[..., _TS_CUTS[1] - 1])
-    value = h * total
-    result = np.empty_like(value)
-    for level in range(1, _TS_LEVELS + 1):
-        total = total + (opening[level][live] if level < _TS_OPEN
-                         else terms(_TS_RULE[level - _TS_OPEN + 1]).sum(axis=-1))
-        h = 0.5 * h
-        finer = h * total
-        with np.errstate(invalid="ignore"):  # inf - inf: not finite, so not converged
-            change = np.abs(finer - value) + h * ends
-        value = finer
-        unmet = ~((change <= atol + rtol * np.abs(value)) & np.isfinite(value))
-        going = unmet.reshape(live.size, -1).any(axis=1)
-        if going.all():
-            continue
-        result[live[~going]] = value[~going]
-        if not going.any():
-            return result
-        # freeze the intervals that met the test: f never sees them again
-        live, lo_live, hi_live, half, total, value, ends, change, unmet = (
-            x[going] for x in (live, lo_live, hi_live, half, total, value, ends, change, unmet))
-    # the first interval still going, at its first entry that failed the test
-    i, j = live[0], np.argmax(unmet[0].ravel())
-    raise IntegrationError(
-        f"quadrature on [{float(lo_all[i])!r}, {float(hi_all[i])!r}] did not converge within "
-        f"{_TS_LEVELS} halvings of the step (estimate {float(value[0].ravel()[j])!r}, "
-        f"change {float(change[0].ravel()[j])!r})")
+    g = terms(_TS_RULE[0], np.arange(lo_all.size))  # levels 0 to _TS_OPEN - 1
+    values, _ = _doubling(
+        [g[..., a:b].sum(axis=-1) for a, b in zip(_TS_CUTS, _TS_CUTS[1:])],
+        lambda level, live: terms(_TS_RULE[level - _TS_OPEN + 1], live).sum(axis=-1),
+        _TS_H0, _TS_LEVELS,
+        lambda i: f"quadrature on [{float(lo_all[i])!r}, {float(hi_all[i])!r}]",
+        lambda level: f"{level} halvings of the step", atol=atol, rtol=rtol,
+        ends=np.abs(g[..., 0]) + np.abs(g[..., _TS_CUTS[1] - 1]))
+    return values
 
 
 class PowerQuadratic(NamedTuple):
@@ -308,34 +343,16 @@ def _branch(y: np.ndarray, lift: np.ndarray, k: float,
                 out[j, start:start + step] = np.einsum("ij,j->i", g[:, j * cols:(j + 1) * cols], w)
         return out
 
-    # trapezoid sums over n intervals of [0, pi/2]; the mean is sum / (2n)
-    n = 8
+    def midpoints(level, live):  # the 4 << level new nodes of 8 << level intervals
+        n = 4 << level
+        phi = (np.arange(n) + 0.5) * (0.5 * math.pi / n)
+        return node_sum(live, np.cos(phi), np.sin(phi), np.ones((1, n)))[0]
+
     grid_sum, mid_sum = node_sum(np.arange(y.size), *_CDF_OPEN)
-    total = 0.5 * end + grid_sum
-    value = total / (2 * n)
-    err = np.full(y.size, np.inf)
-    todo = np.arange(y.size)
-    while todo.size:
-        bad = todo[~np.isfinite(value[todo])]  # a NaN or inf in total never clears
-        if bad.size:
-            raise IntegrationError(
-                f"CDF at y = {float(y[bad[0]])!r} (k = {k!r}) is not finite at {n} "
-                f"intervals (value {float(value[bad[0]])!r})")
-        if n >= _MAX_NODES:
-            i = todo[0]
-            raise IntegrationError(
-                f"CDF at y = {float(y[i])!r} (k = {k!r}) did not converge within {n} "
-                f"intervals (estimate {err[i]:.3g}, {err[i] / value[i]:.3g} of the value)")
-        if n > 8:
-            midpoints = (np.arange(n) + 0.5) * (0.5 * math.pi / n)
-            mid_sum = node_sum(todo, np.cos(midpoints), np.sin(midpoints), np.ones((1, n)))[0]
-        total[todo] += mid_sum
-        n *= 2
-        finer = total[todo] / (2 * n)
-        err[todo] = np.abs(finer - value[todo])
-        value[todo] = finer
-        todo = todo[~(err[todo] <= _CDF_TOL)]  # a NaN is never met
-    return value, err
+    return _doubling((0.5 * end + grid_sum, mid_sum), midpoints, 1.0 / 16,
+                     ((_MAX_NODES - 1) // 8).bit_length(),  # first level of >= _MAX_NODES
+                     lambda i: f"CDF at y = {float(y[i])!r} (k = {k!r})",
+                     lambda level: f"{8 << level} intervals", atol=_CDF_TOL)
 
 
 def _integrate(y: np.ndarray, lift: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
@@ -468,23 +485,18 @@ def expected_power_quadrature(quad: PowerQuadratic, rho):
 
         return _tanh_sinh(integrand, np.zeros(sets.size), r_max[sets], 0.0, _MEAN_EPSREL)
 
-    sets, n = np.arange(a.size), 4
-    first = inner(-0.5 * math.pi + (0.25 * math.pi) * np.arange(8), sets)
-    total, new = first[:, ::2].sum(axis=1), first[:, 1::2]  # one order for any set count
-    means = (2.0 * math.pi / n) * total
-    while True:
-        total, n = total + new.sum(axis=1), 2 * n
-        value = (2.0 * math.pi / n) * total
-        change, means[sets] = np.abs(value - means[sets]), value
-        going = ~(change <= _MEAN_EPSREL * np.abs(value))  # a NaN never meets it
-        if not going.any():
-            return means.reshape(shape) if shape else float(means[0])
-        sets, total = sets[going], total[going]
-        if n >= _MAX_BEARINGS:
-            raise IntegrationError(
-                f"mean of set {sets[0]} (rho = {float(rho[sets[0]])!r}) did not converge "
-                f"within {n} bearings (change {change[going][0]:.3g})")
-        new = inner(-0.5 * math.pi + (2.0 * math.pi / n) * (np.arange(n) + 0.5), sets)
+    def bearings(level, sets):  # the 2 << level new bearings of 4 << level
+        n = 2 << level
+        theta = -0.5 * math.pi + (2.0 * math.pi / n) * (np.arange(n) + 0.5)
+        return inner(theta, sets).sum(axis=1)
+
+    first = inner(-0.5 * math.pi + (0.25 * math.pi) * np.arange(8), np.arange(a.size))
+    means, _ = _doubling(  # one summing order for any set count
+        (first[:, ::2].sum(axis=1), first[:, 1::2].sum(axis=1)), bearings, 2.0 * math.pi / 4,
+        ((_MAX_BEARINGS - 1) // 4).bit_length(),  # the first level of >= _MAX_BEARINGS
+        lambda i: f"mean of set {i} (rho = {float(rho[i])!r})",
+        lambda level: f"{4 << level} bearings", rtol=_MEAN_EPSREL)
+    return means.reshape(shape) if shape else float(means[0])
 
 
 def energy_efficiency(expected: float, rate: float) -> float:

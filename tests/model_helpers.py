@@ -109,17 +109,19 @@ def tanh_sinh_uncached(f, lo: float, hi: float, atol: float, rtol: float):
     g = terms(np.arange(-n, n + 1) * h)
     total, ends = g.sum(axis=-1), np.abs(g[..., 0]) + np.abs(g[..., -1])
     value = h * total
-    for _ in range(_TS_LEVELS):
+    for level in range(1, _TS_LEVELS + 1):
         total = total + terms((np.arange(2 * n) - n + 0.5) * h).sum(axis=-1)
         n, h = 2 * n, 0.5 * h
         finer = h * total
-        with np.errstate(invalid="ignore"):
-            change = np.abs(finer - value) + h * ends
+        if not np.all(np.isfinite(finer)):
+            raise IntegrationError(
+                f"quadrature on [{lo!r}, {hi!r}] is not finite at {level} halvings of the "
+                f"step (estimate {float(finer.ravel()[np.argmin(np.isfinite(finer))])!r})")
+        change = np.abs(finer - value) + h * ends
         value = finer
-        unmet = ~((change <= atol + rtol * np.abs(value)) & np.isfinite(value))
-        if not unmet.any():
+        if np.all(change <= atol + rtol * np.abs(value)):
             return value if value.ndim else float(value)
-    i = np.argmax(unmet.ravel())
+    i = np.argmax(change.ravel())
     raise IntegrationError(
         f"quadrature on [{lo!r}, {hi!r}] did not converge within {_TS_LEVELS} halvings "
         f"of the step (estimate {float(value.ravel()[i])!r}, "
@@ -144,10 +146,16 @@ def mean_quadrature_per_call(quad, rho: float) -> float:
     while True:
         total, n = total + new.sum(), 2 * n
         finer = (2.0 * math.pi / n) * total
-        if abs(finer - value) <= _MEAN_EPSREL * abs(finer):
+        if not math.isfinite(finer):
+            raise IntegrationError(f"mean of set 0 (rho = {float(rho)!r}) is not finite at "
+                                   f"{n} bearings (estimate {float(finer)!r})")
+        change = abs(finer - value)
+        if change <= _MEAN_EPSREL * abs(finer):
             return float(finer)
         if n >= _MAX_BEARINGS:
-            raise IntegrationError(f"mean did not converge within {n} bearings")
+            raise IntegrationError(f"mean of set 0 (rho = {float(rho)!r}) did not converge "
+                                   f"within {n} bearings (estimate {float(finer)!r}, "
+                                   f"change {float(change)!r})")
         value = finer
         new = inner(-0.5 * math.pi + (2.0 * math.pi / n) * (np.arange(n) + 0.5))
 

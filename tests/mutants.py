@@ -49,7 +49,12 @@ time, so a test or the table can turn it on for one run:
   ``PowerQuadratic.from_coefficients`` is ``1 - delta`` times what it should
   be.  Section [b]'s draw and CDF, [c]'s means and [e]'s cells all read the
   faulty quadratic on both sides, so only [a]'s "total vs quadratic form"
-  identity, against the totals of the link powers, can see it.
+  identity, against the totals of the link powers, can see it;
+- ``area_exponent``: the block kernel ``montecarlo._power_block`` forms the area
+  u = pi*rho*r^2 as ``r**(2 - delta)`` from the distance r at pi*rho = 1 (its
+  in-place ``r *= r``); ``delta = 1`` is ``r`` in place of ``r*r``.  Section
+  [c]'s area moment m_A is the sum of r*r, taken before that line, so only
+  section [b]'s KS statistic reads the fault.
 
 pytest does not collect this file.  From the repository root, the table of
 which ``validate`` checks fire for each fault and size:
@@ -222,6 +227,22 @@ def coeff_b_scale(monkeypatch, delta: float) -> None:
     monkeypatch.setattr(PowerQuadratic, "from_coefficients", classmethod(scaled))
 
 
+def area_exponent(monkeypatch, delta: float) -> None:
+    def faulty(rng, size, out=None, k=None):  # the kernel's expressions, u from r**(2 - delta)
+        area, theta = mc.sample_nn_geometries(rng, size)
+        r = np.sqrt(area)
+        cos = 2.0 / (1.0 + np.tan(0.5 * theta) ** 2) - 1.0
+        sums = (np.einsum("i,i->", r, r), np.einsum("i,i->", cos, r))
+        u, v = r ** (2.0 - delta), cos * r
+        if out is None:
+            return sums + (np.einsum("i,i->", u, u), np.einsum("i,i->", u, v),
+                           np.einsum("i,i->", v, v))
+        np.add(u, v * k, out=out)
+        return sums
+
+    monkeypatch.setattr(mc, "_power_block", faulty)
+
+
 # each fault with the sizes the table tries, smallest first; "none" is the
 # correct program, whose failures are false alarms
 FAULTS = {
@@ -238,6 +259,7 @@ FAULTS = {
     "one_direction": (one_direction, (1e-9, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0)),
     "nc_target_swapped": (nc_target_swapped, (1e-9, 0.01, 0.03, 0.1, 0.3, 1.0)),
     "coeff_b_scale": (coeff_b_scale, (1e-9, 1e-8, 2e-8, 1e-7, 1e-6)),
+    "area_exponent": (area_exponent, (0.003, 0.01, 0.02, 0.03, 0.04, 0.05, 0.1, 0.3, 1.0)),
 }
 
 

@@ -8,8 +8,9 @@ writing the report (to the null device).  It prints the best and the median
 of each, in ms, and of the whole report, with the checks passed.  It also
 prints the work of each in the warm-up run, counted by wrapping: the calls of
 the CDF kernel ``distribution._cdf_integrand``, of the quadrature rule
-``distribution._tanh_sinh`` and of the integrands it is given, and of
-``np.i0``.  The timed runs are not wrapped.
+``distribution._tanh_sinh`` and of the integrands it is given, of ``np.i0``,
+and of the doubling loop ``distribution._doubling`` and of the ``more`` it
+is given (one per level past the opening).  The timed runs are not wrapped.
 
 It starts no thread of its own: only [b]'s draw and sort take the
 ``--workers``, as in ``validate``.  pytest does not collect this file.  From
@@ -38,7 +39,7 @@ SECTIONS = (("[a]", "_closure_section"), ("[b]", "_distribution_section"),
             ("[e]", "_branch_form_section"))
 
 
-WORK = ("_cdf_integrand", "_tanh_sinh", "integrand", "np.i0")
+WORK = ("_cdf_integrand", "_tanh_sinh", "integrand", "np.i0", "_doubling", "more")
 
 
 def section_times(trials: int, workers: int, seed: int,
@@ -71,13 +72,20 @@ def section_times(trials: int, workers: int, seed: int,
             return fn(counted("integrand", f), *args, **kwargs)
         return wrapper
 
+    def counted_doubling(fn):
+        def wrapper(opening, more, *args, **kwargs):
+            work[current[0]]["_doubling"] += 1
+            return fn(opening, counted("more", more), *args, **kwargs)
+        return wrapper
+
     originals = {name: getattr(experiments, name) for _, name in SECTIONS}
     times = {label: [] for label in ("set-up", *(label for label, _ in SECTIONS), "report")}
     work = {label: collections.Counter() for label in times}
     counting = ((distribution, "_cdf_integrand", counted("_cdf_integrand",
                                                          distribution._cdf_integrand)),
                 (distribution, "_tanh_sinh", counted_rule(distribution._tanh_sinh)),
-                (np, "i0", counted("np.i0", np.i0)))
+                (np, "i0", counted("np.i0", np.i0)),
+                (distribution, "_doubling", counted_doubling(distribution._doubling)))
     uncounted = [(module, name, getattr(module, name)) for module, name, _ in counting]
     spec = ExperimentSpec(kind="validate", out=os.devnull, seed=seed, n_trials=trials,
                           workers=workers)

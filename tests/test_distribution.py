@@ -30,7 +30,7 @@ from nncc import (ExperimentSpec, Geometry, Link, OutageTargets, ParameterError,
                   power_breakdown, power_coefficients, sample_nn_geometries, validate,
                   validate_report)
 from nncc import distribution
-from nncc.distribution import _i0e, _integrate, _tanh_sinh, _y_upper
+from nncc.distribution import _doubling, _i0e, _integrate, _tanh_sinh, _y_upper
 from nncc.montecarlo import (RandomStream, draw_power_samples, ks_distance,
                              sample_power_distribution)
 
@@ -313,8 +313,9 @@ def test_cdf_raises_integration_error_past_the_cap(monkeypatch):
 
 def test_a_nan_point_never_converges(monkeypatch):
     """A point whose kernel value is NaN is refused by name, never returned,
-    and on the starting rule, as a NaN in the running sum never clears: the
-    one kernel call is the opening one, over the 8-interval grid and its midpoints.
+    and at the first test, at 16 intervals, as a NaN in the running sum never
+    clears: the one kernel call is the opening one, over the 8-interval grid and
+    its midpoints.
 
     The kernel is made to return NaN on the second point's row: since the
     engine floors sinh(V)^2, no point of the parameter space reaches the 0/0
@@ -336,7 +337,7 @@ def test_a_nan_point_never_converges(monkeypatch):
     with pytest.raises(IntegrationError) as err:
         cdf_scale_free(np.array([-0.5 * c0_y, c0_y]), k)
     assert str(err.value).startswith(f"CDF at y = {c0_y!r} (k = {k!r}) ")
-    assert "is not finite at 8 intervals" in str(err.value)
+    assert "is not finite at 16 intervals (estimate nan)" in str(err.value)
     assert nodes == [16]
 
 
@@ -742,6 +743,98 @@ def test_quadratic_rejects_a_or_c0_whose_square_underflows():
     assert quad.a * quad.a >= sys.float_info.min
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_doubling_rows_are_bitwise_each_row_alone(data):
+    """The one doubling loop on random per-level sums: rows of one or of
+    several entries, with and without end terms, stopping at different levels.
+    Each row's value and change are bitwise those of ``_doubling`` on that row
+    alone, and ``more`` gets exactly the rows still going.  A NaN sum at level
+    L raises at L (at 1 for L = 0), naming its row, with no later ``more``
+    call; a row still going at the last level raises, naming the first such row.
+
+    A row may stop at level s by construction: its level-s sums repeat the
+    running sums, so T_h/2 = T_h exactly, and its change is h/2^s times its end
+    terms.  At atol = h/2 that meets the test where each end term is at most
+    2^(s - 1), so an end term of 1.5 or 3 keeps a row going at s = 1 or 2, and
+    then past the last level; at atol = 0 only a change of 0 meets it.  Every
+    other level adds a jump of at least 4^(L+1), a change of at least 8*h.
+    """
+    m = data.draw(st.integers(1, 5), label="rows")
+    entries = data.draw(st.sampled_from([(), (3,), (2, 2)]), label="entries")
+    last = data.draw(st.integers(1, 6), label="last level")
+    n_open = data.draw(st.integers(1, 4), label="opening levels")
+    repeats = data.draw(st.lists(st.integers(1, last + 1), min_size=m, max_size=m),
+                        label="levels whose sums repeat the running sums (last + 1: none)")
+    h = data.draw(st.sampled_from([1.0 / 16, 0.5, 2.0 * math.pi / 4]), label="h")
+    atol = data.draw(st.sampled_from([0.5 * h, 0.0]), label="atol")
+    rtol = data.draw(st.sampled_from([0.0, 1e-12]), label="rtol")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    shape = (m,) + entries
+    ends = (rng.choice([0.0, 0.75, 1.5, 3.0], shape)
+            * data.draw(st.sampled_from([0.25, 1.0]), label="end term scale")
+            if data.draw(st.booleans(), label="end terms") else None)
+    # the level each row stops at; a row whose end terms are too large never stops
+    stops = [s if ends is None or np.all(h * 0.5 ** s * ends[i] <= atol) else last + 1
+             for i, s in enumerate(repeats)]
+    sums = [rng.uniform(1.0, 10.0, shape) * rng.choice([-1.0, 1.0], shape)]
+    running = [sums[0]]  # the running sums, added in level order
+    for level in range(1, last + 1):
+        jump = 4.0 ** (level + 1) * rng.uniform(1.0, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+        repeat = (np.array(repeats) == level).reshape((m,) + (1,) * len(entries))
+        sums.append(np.where(repeat, running[-1], running[-1] + jump))
+        running.append(running[-1] + sums[-1])
+    nan = data.draw(st.none() | st.integers(0, m - 1), label="NaN row")
+    if nan is not None:
+        nan_level = data.draw(st.integers(0, min(stops[nan], last)), label="NaN level")
+        sums[nan_level][(nan,) + (0,) * len(entries)] = np.nan
+    seen = []
+
+    def more(level, live):
+        seen.append((level, set(live.tolist())))
+        return sums[level][live]
+
+    def run(rows, more):
+        return _doubling([s[rows] for s in sums[:n_open]], more, h, last, lambda i: f"row {i}",
+                         lambda level: f"level {level}", atol=atol, rtol=rtol,
+                         ends=None if ends is None else ends[rows])
+
+    going = [i for i in range(m) if stops[i] > last]
+    if nan is not None or going:
+        with pytest.raises(IntegrationError) as err:
+            run(slice(None), more)
+        if nan is not None:
+            assert str(err.value).startswith(
+                f"row {nan} is not finite at level {max(1, nan_level)} (estimate nan)")
+            assert all(level <= max(1, nan_level) for level, _ in seen)
+        else:  # at the row's largest change
+            step = h * 0.5 ** last
+            finer = step * running[last][going[0]]
+            change = np.abs(finer - 2.0 * step * running[last - 1][going[0]])
+            if ends is not None:
+                change += step * ends[going[0]]
+            worst = np.argmax(np.ravel(change))
+            assert str(err.value) == (
+                f"row {going[0]} did not converge within level {last} (estimate "
+                f"{float(np.ravel(finer)[worst])!r}, change {float(np.ravel(change)[worst])!r})")
+    else:
+        values, changes = run(slice(None), more)
+        assert values.shape == changes.shape == shape
+        for i, level in enumerate(stops):  # T_h/2 at the stop, its change the end terms'
+            step = h * 0.5 ** level
+            assert values[i].tobytes() == (step * running[level][i]).tobytes()
+            assert changes[i].tobytes() == (np.zeros(entries) if ends is None
+                                            else step * ends[i]).tobytes()
+        for i in range(m):
+            alone = run(slice(i, i + 1), lambda level, live, i=i: sums[level][i:i + 1][live])
+            assert values[i].tobytes() == alone[0][0].tobytes()
+            assert changes[i].tobytes() == alone[1][0].tobytes()
+    # each level past the opening, in order, on exactly the rows still going
+    assert [level for level, _ in seen] == list(range(n_open, n_open + len(seen)))
+    for level, live in seen:
+        assert live == {i for i in range(m) if stops[i] >= level}
+
+
 def _one(f, lo, hi, atol, rtol):
     """``_tanh_sinh`` on the batch of one interval [lo, hi] of the 1-D integrand f."""
     return _tanh_sinh(lambda x, live: f(x[0])[None], np.array([lo]), np.array([hi]),
@@ -914,8 +1007,11 @@ def test_validate_work_count(monkeypatch):
     """The kernel calls of a report: the CDF's opening call takes its first 16
     nodes and tanh-sinh's takes four levels, so at the defaults [c]'s mean makes
     2 integrand calls (9000 values), [e]'s density 1 (339 values, one ``np.i0``
-    call) and the CDF kernel is called 8 times."""
+    call) and the CDF kernel is called 8 times.  ``_doubling`` runs 10
+    times (7 CDF branches, the bearing rule and 2 tanh-sinh rules) and asks for
+    2 levels past an opening, both tanh-sinh's level 4."""
     kernel, rule, i0 = distribution._cdf_integrand, distribution._tanh_sinh, np.i0
+    doubling = distribution._doubling
     counts = collections.Counter()
 
     def counting_kernel(*args):
@@ -937,13 +1033,22 @@ def test_validate_work_count(monkeypatch):
         counts["i0"] += 1
         return i0(x)
 
+    def counting_doubling(opening, more, *args, **kwargs):
+        def counting_more(level, live):
+            counts["more"] += 1
+            return more(level, live)
+
+        counts["doubling"] += 1
+        return doubling(opening, counting_more, *args, **kwargs)
+
     monkeypatch.setattr(distribution, "_cdf_integrand", counting_kernel)
     monkeypatch.setattr(distribution, "_tanh_sinh", counting_rule)
     monkeypatch.setattr(np, "i0", counting_i0)
+    monkeypatch.setattr(distribution, "_doubling", counting_doubling)
     validate_report(ExperimentSpec(kind="validate", out=os.devnull, seed=7,
                                    n_trials=10_000))
     assert counts == {"kernel": 8, "mean": 2, "mean values": 9000, "density": 1,
-                      "density values": 339, "i0": 1}
+                      "density values": 339, "i0": 1, "doubling": 10, "more": 2}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1003,7 +1108,7 @@ def test_mean_bearing_rule_raises_past_its_cap(monkeypatch, quad5):
 
     monkeypatch.setattr(distribution, "_tanh_sinh", noisy)
     with pytest.raises(IntegrationError, match=r"^mean of set 0 \(rho = 0\.0001\) did not "
-                                               r"converge within 256 bearings \(change "):
+                                               r"converge within 256 bearings \(estimate "):
         expected_power_quadrature(quad5, np.array([1e-4, 1e-3]))
     assert widths == [(2, 8), (2, 8), (2, 16), (2, 32), (2, 64), (2, 128)]
 

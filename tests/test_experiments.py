@@ -528,6 +528,27 @@ def test_section_c_moment_sees_its_fault(monkeypatch, fault, delta, moment):
     assert z[moment] > 3.0 and z[1 - moment] <= 3.0
 
 
+def test_ks_alone_sees_an_area_exponent(tmp_path, monkeypatch):
+    """The block kernel forming the area as r**1.8 in place of r*r: section [c]'s
+    area moment is the sum of r*r, taken before that line, so at 1e4 trials
+    [b]'s KS statistic is the only failing check.  At delta = 0 the fault is the
+    kernel bit for bit."""
+    params = validate(SystemParams())
+    quad = cooperative_quadratic(params, 2000.0)
+
+    def draw():
+        return mc.draw_power_samples(10_000, params.rho, quad, mc.RandomStream(7, stream_id=101))
+
+    exact = draw()
+    with monkeypatch.context() as patch:
+        mutants.area_exponent(patch, 0.0)
+        assert draw().y.tobytes() == exact.y.tobytes()
+    mutants.area_exponent(monkeypatch, 0.2)
+    _, checks = validate_report(ExperimentSpec(kind="validate", out=str(tmp_path / "v.txt"),
+                                               seed=7, n_trials=10_000))
+    assert failed(checks) == ["KS distance, samples vs reference CDF"]
+
+
 def test_round_energy_identity_sees_an_uncharged_slot_3(tmp_path, monkeypatch):
     """With eps_total = 1 the closed forms drop slot 3; of all the checks only
     section [d]'s energy identity sees it, at 1e4 trials."""

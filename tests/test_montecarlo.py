@@ -213,7 +213,7 @@ def test_trial_energy_accounting_identity(params):
 
 # --- estimators ----------------------------------------------------------------
 
-def test_estimate_outage_requires_minimum_trials(params):
+def test_exchange_counts_requires_minimum_trials(params):
     """A drawn protocol estimate, ``exchange_counts``, needs MIN_TRIALS rounds."""
     with pytest.raises(ValueError) as err:
         exchange_counts(10, [1.0], params.sigma2_short, RandomStream(0))
@@ -221,7 +221,7 @@ def test_estimate_outage_requires_minimum_trials(params):
 
 
 @pytest.mark.parametrize("r", [1e-160, 1e-150, 1e200])
-def test_estimate_outage_refuses_exchange_power_outside_normal_floats(params, r):
+def test_protocol_rates_refuse_exchange_power_outside_normal_floats(params, r):
     """At 1e-160 m the exchange power zeta*r*r is 0 (no exchange would decode),
     at 1e-150 m subnormal, at 1e200 m inf; 1e-140 m is still a normal power."""
     with pytest.raises(ParameterError) as err:
@@ -289,7 +289,7 @@ def test_per_round_kernel_follows_the_class_law():
     assert p_value > 1e-3
 
 
-def test_exchange_counts_share_estimate_outages_exchange_draw(params):
+def test_exchange_counts_share_one_exchange_draw(params):
     """One exchange draw counted at several thresholds is the chain of
     conditional binomials on block 0, at the thresholds sorted ascending; a
     tie gets the same count and an infinite threshold 0.  At the cooperative
